@@ -13,12 +13,12 @@ The predicate is *pushed down* into the segment store so filtering
 happens before decode, at three pruning levels:
 
 1. **segment level** — the footer's timestamp bounds skip segments whose
-   time range cannot overlap; the per-segment string dictionary proves
-   an interface/operation was never interned (so no frame can match);
-   the footer chain index proves no chain carries the prefix;
-2. **chain-group level** (sealed segments) — the chain index plus the
-   per-group timestamp bounds skip whole byte ranges without touching
-   them;
+   time range cannot overlap; the function table (else the string
+   dictionary) proves no frame carries a wanted interface/operation
+   pair; the footer chain index proves no chain carries the prefix;
+2. **chain-group level** (sealed segments) — the chain index, the
+   per-group timestamp bounds and the per-group function sets skip
+   whole byte ranges without touching them;
 3. **frame level** — inside the fused decode loop, string predicates are
    resolved to this segment's interned integer ids once
    (:func:`segment_filter`), so the per-frame test is set membership on
@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import StoreError
+from repro.store.segment import bounds_overlap  # re-exported: store.py imports it here
 
 if TYPE_CHECKING:
     from repro.core.records import ProbeRecord
@@ -194,19 +195,24 @@ class SegmentFilter:
     """A :class:`ScanPredicate` resolved against one segment's dictionary.
 
     String predicates become integer id sets (``None`` = that axis needs
-    no per-frame test), so the decode loop filters on ints only. Built
+    no per-frame test), so the decode loop filters on ints only.
+    ``fn_groups`` holds one flag per sealed chain group — may it carry a
+    wanted function, by the function zone map? — and is ``None`` when
+    there is nothing to prune on: no interface/operation predicate, no
+    map in the file, or every function of the segment wanted. Built
     by :func:`segment_filter`; consumed by the ``*_filtered`` decode
     methods of :class:`~repro.store.segment.SegmentReader`.
     """
 
-    __slots__ = ("cids", "ifc_ids", "op_ids", "ts_lo", "ts_hi")
+    __slots__ = ("cids", "ifc_ids", "op_ids", "ts_lo", "ts_hi", "fn_groups")
 
-    def __init__(self, cids, ifc_ids, op_ids, ts_lo, ts_hi):
+    def __init__(self, cids, ifc_ids, op_ids, ts_lo, ts_hi, fn_groups):
         self.cids = cids
         self.ifc_ids = ifc_ids
         self.op_ids = op_ids
         self.ts_lo = ts_lo
         self.ts_hi = ts_hi
+        self.fn_groups = fn_groups
 
     @property
     def is_pass(self) -> bool:
@@ -224,29 +230,9 @@ class SegmentFilter:
         already-matched sealed chain group, where cid is constant)."""
         if self.cids is None:
             return self
-        return SegmentFilter(None, self.ifc_ids, self.op_ids, self.ts_lo, self.ts_hi)
-
-
-def bounds_overlap(
-    bounds: tuple[int, int] | None, lo: int | None, hi: int | None
-) -> bool:
-    """Can any anchor inside ``bounds`` fall within ``[lo, hi]``?
-
-    ``bounds`` is a footer (min, max) pair over anchor timestamps;
-    ``None`` means unknown (salvaged or pre-extension segment — never
-    prune), and an inverted pair (min > max) means *no frame carries an
-    anchor* — nothing can match a time-range predicate, so prune.
-    """
-    if bounds is None:
-        return True
-    bmin, bmax = bounds
-    if bmin > bmax:
-        return False
-    if lo is not None and bmax < lo:
-        return False
-    if hi is not None and bmin > hi:
-        return False
-    return True
+        return SegmentFilter(
+            None, self.ifc_ids, self.op_ids, self.ts_lo, self.ts_hi, self.fn_groups
+        )
 
 
 def segment_filter(
@@ -254,9 +240,10 @@ def segment_filter(
 ) -> SegmentFilter | None:
     """Resolve ``predicate`` against one segment; ``None`` prunes it.
 
-    Segment-level pruning uses only footer metadata — the string
-    dictionary, the chain index, and the timestamp-bounds extension —
-    so a pruned segment costs zero frame decodes.
+    Segment-level pruning uses only footer metadata — the function
+    table (else the string dictionary), the chain index, and the
+    timestamp-bounds extension — so a pruned segment costs zero frame
+    decodes.
     """
     ts_lo = ts_hi = None
     if predicate.has_time_range:
@@ -264,18 +251,38 @@ def segment_filter(
         if not bounds_overlap(reader.ts_bounds, ts_lo, ts_hi):
             return None
 
-    ifc_ids = op_ids = None
+    ifc_ids = op_ids = fn_groups = None
     strings = reader.strings
-    if predicate.interfaces is not None:
-        want = predicate.interfaces
-        ifc_ids = {i for i, s in enumerate(strings) if s in want}
-        if not ifc_ids:
+    ifcs, ops = predicate.interfaces, predicate.operations
+    table = reader.fn_table
+    if table is not None and (ifcs is not None or ops is not None):
+        # The table lists every (interface, operation) pair some frame
+        # carries: the pairs both sets accept are exactly the functions
+        # (and so the interface and operation ids) that can match.
+        fns = {
+            k >> 1 for k in range(0, len(table), 2)
+            if (ifcs is None or strings[table[k]] in ifcs)
+            and (ops is None or strings[table[k + 1]] in ops)
+        }
+        if not fns:
             return None
-    if predicate.operations is not None:
-        want = predicate.operations
-        op_ids = {i for i, s in enumerate(strings) if s in want}
-        if not op_ids:
-            return None
+        # With every function of the segment wanted there is nothing
+        # left to test, per frame or per group.
+        if 2 * len(fns) < len(table):
+            if ifcs is not None:
+                ifc_ids = {table[2 * f] for f in fns}
+            if ops is not None:
+                op_ids = {table[2 * f + 1] for f in fns}
+            fn_groups = reader.groups_holding(fns)
+    else:
+        if ifcs is not None:
+            ifc_ids = {i for i, s in enumerate(strings) if s in ifcs}
+            if not ifc_ids:
+                return None
+        if ops is not None:
+            op_ids = {i for i, s in enumerate(strings) if s in ops}
+            if not op_ids:
+                return None
 
     cids = None
     if predicate.chain_prefix is not None:
@@ -287,7 +294,7 @@ def segment_filter(
         if len(cids) == len(reader.chains):
             cids = None  # every chain matches: no per-frame test needed
 
-    return SegmentFilter(cids, ifc_ids, op_ids, ts_lo, ts_hi)
+    return SegmentFilter(cids, ifc_ids, op_ids, ts_lo, ts_hi, fn_groups)
 
 
 def fold_population_stats(records: Iterable["ProbeRecord"]) -> dict[str, int]:

@@ -6,12 +6,14 @@ Layout (little-endian throughout)::
     block*   u8 tag | u32 payload_len | payload
       tag 1  dict-delta: u32 first_id | u32 count | (u16 len | utf8)*
       tag 2  records:    u32 count | frame*          (see repro.store.codec)
-    footer   u64 record_count | u8 has_ranks
+    footer   u64 record_count | u8 has_ranks  (0 none, 1 u64 ranks, 2 u32 ranks)
              u32 n_strings | (u16 len | utf8)*
              u32 n_chains  | (u32 cid | u32 count | u64 start_off
-                              | u64 rank * count if has_ranks)*
+                              | rank * count if has_ranks)*
              ext?  "FXTS" | u8 flags | i64 ts_min | i64 ts_max
                    | (i64 gmin | i64 gmax) * n_chains
+             ext?  "FXFN" | u32 n_functions | (u32 ifc_id | u32 op_id) * n_functions
+                   | u8 fcount * n_chains | u16 function_index * sum(fcount != 255)
     trailer  u64 footer_off | "RSEGEND1"
 
 The optional ``FXTS`` footer extension carries min/max *anchor*
@@ -21,6 +23,15 @@ inverted pair (min > max) means "no frame here carries an anchor", which
 a time-range predicate may also prune. Readers that predate the
 extension simply stop after the chain index, so the format version is
 unchanged.
+
+The optional ``FXFN`` extension (sealed segments only, after ``FXTS``)
+is the *function zone map*: a table of every ``(interface id, operation
+id)`` pair the frames carry and, per chain group, how many distinct
+functions it holds, then all groups' indexes into that table — what an
+interface/operation predicate prunes groups on. A count of 255 is the
+overflow marker (over 254 functions, or an index past ``u16``):
+"unknown, never prune"; the table stays complete even then, so a
+predicate that no pair of it matches prunes the whole segment.
 
 Two segment kinds share the format:
 
@@ -46,6 +57,9 @@ from __future__ import annotations
 import mmap
 import os
 import struct
+from array import array
+from bisect import bisect_right
+from itertools import accumulate
 from json import dumps as _dumps, loads as _loads
 
 from repro.core.records import SCHEMA_VERSION, ProbeRecord
@@ -81,6 +95,14 @@ _FXTS_GROUPS = 2  # flags bit: one (gmin, gmax) pair per chain entry
 #: Inverted bounds pair: "no anchored frames" (prunable under any
 #: time-range predicate, unlike unknown bounds which never prune).
 _TS_EMPTY = (1, 0)
+
+_FXFN_MAGIC = b"FXFN"
+#: Per-group function count meaning "unknown set, never prune".
+_FN_OVERFLOW = 255
+#: Count byte -> indexes stored (none at overflow) / -> is-overflow flag.
+_FN_STORED = bytes(range(_FN_OVERFLOW)) + b"\0"
+_FN_UNKNOWN = bytes(_FN_OVERFLOW) + b"\1"
+_U32_MAX = (1 << 32) - 1
 
 _FN_SIZE = FRAME_NARROW.size
 _FW_SIZE = FRAME_WIDE.size
@@ -138,6 +160,13 @@ class SegmentWriter:
         self._prev_ws: int | None = None
         self._prev_cs: int | None = None
         self._sealed_kind = kind == KIND_SEALED
+        # Function zone map (sealed only), flat — no per-group object
+        # survives: the open group's (ifc id << 32 | op id) keys, key ->
+        # table index, and per closed group a count byte + its indexes.
+        self._fn_open: set[int] = set()
+        self._fn_ids: dict[int, int] = {}
+        self._fn_counts = bytearray()
+        self._fn_index = array("H")
 
     # ------------------------------------------------------------------
 
@@ -175,6 +204,7 @@ class SegmentWriter:
         domain_num = DOMAIN_NUM
         dumps = _dumps
         sealed = self._sealed_kind
+        fn_open = self._fn_open
         file_pos = self._file_pos
         prev_ws = self._prev_ws
         prev_cs = self._prev_cs
@@ -283,6 +313,8 @@ class SegmentWriter:
                 # the group start (one chain per group), and the +9
                 # accounts for the pending records-block header and its
                 # frame count word.
+                if sealed and index:
+                    self._close_group()
                 entry = index[cid] = [
                     1, file_pos + 9 + len(rbuf) if sealed else 0, None, None, None,
                 ]
@@ -294,6 +326,8 @@ class SegmentWriter:
                     entry[3] = anchor
                 elif anchor > entry[4]:
                     entry[4] = anchor
+            if sealed:
+                fn_open.add(ifc << 32 | op)
             rbuf += frame
             if semb:
                 rbuf += semb
@@ -314,6 +348,19 @@ class SegmentWriter:
         return count
 
     # ------------------------------------------------------------------
+
+    def _close_group(self) -> None:
+        """Fold the finished chain group's function set into the flat
+        zone-map buffers (a sealed chain's frames are contiguous, so the
+        open set is always the last index entry's)."""
+        fn_ids = self._fn_ids
+        fns = [fn_ids.setdefault(key, len(fn_ids)) for key in sorted(self._fn_open)]
+        self._fn_open.clear()
+        if len(fns) >= _FN_OVERFLOW or max(fns) > 0xFFFF:
+            self._fn_counts.append(_FN_OVERFLOW)
+        else:
+            self._fn_counts.append(len(fns))
+            self._fn_index.extend(fns)
 
     def _flush_dict(self) -> None:
         if not self._pending:
@@ -356,8 +403,13 @@ class SegmentWriter:
             self._flush_dict()
             self._flush_records()
         footer_off = self._file_pos
-        has_ranks = any(entry[2] is not None for entry in self._index.values())
-        out = bytearray(struct.pack("<QB", self.record_count, 1 if has_ranks else 0))
+        has_ranks = 0
+        if any(entry[2] is not None for entry in self._index.values()):
+            # u32 whenever every rank fits (2), else u64 (1).
+            wide = any(e[2] and max(e[2]) > _U32_MAX for e in self._index.values())
+            has_ranks = 1 if wide else 2
+        rank_code = "Q" if has_ranks == 1 else "I"
+        out = bytearray(struct.pack("<QB", self.record_count, has_ranks))
         out += struct.pack("<I", len(self._strings))
         for s in self._strings:
             raw = s.encode("utf-8", "surrogatepass")
@@ -370,7 +422,7 @@ class SegmentWriter:
                 ranks = ranks if ranks is not None else range(count)
                 if len(ranks) != count:
                     raise StoreError("segment footer ranks out of sync")
-                out += struct.pack(f"<{count}Q", *ranks)
+                out += struct.pack(f"<{count}{rank_code}", *ranks)
         # Timestamp-bounds extension: segment-level + per-group anchor
         # (wall_start, else wall_end) min/max — what predicate pushdown
         # prunes on without decoding a single frame.
@@ -385,6 +437,18 @@ class SegmentWriter:
             out += struct.pack(
                 "<qq", *(_TS_EMPTY if tmin is None else (tmin, tmax))
             )
+        if self._sealed_kind:
+            if self._index:
+                self._close_group()
+            fn_ids = self._fn_ids
+            out += _FXFN_MAGIC
+            out += struct.pack("<I", len(fn_ids))
+            out += struct.pack(
+                f"<{2 * len(fn_ids)}I",
+                *(part for key in fn_ids for part in (key >> 32, key & _U32_MAX)),
+            )
+            out += self._fn_counts
+            out += struct.pack(f"<{len(self._fn_index)}H", *self._fn_index)
         self._file.write(out)
         self._file.write(_TRAILER.pack(footer_off, TRAILER_MAGIC))
         self._file.flush()
@@ -436,6 +500,12 @@ class SegmentReader:
         self.ts_bounds: tuple[int, int] | None = None
         #: per-chain-group (min, max) pairs aligned with ``chains``.
         self.chain_ts: list[tuple[int, int]] | None = None
+        #: function zone map (``FXFN``), flat: the table as ``[ifc id, op
+        #: id, ...]`` (``None`` = the file has no map), a never-prune flag
+        #: per chain group, every group's table indexes back to back, and
+        #: where each group's indexes start.
+        self.fn_table: array | None = None
+        self._fn_unknown, self._fn_index, self._fn_offsets = b"", array("H"), array("I")
         self.record_count = 0
         #: frame byte ranges of the records blocks, in file order.
         self._regions: list[tuple[int, int]] = []
@@ -481,13 +551,16 @@ class SegmentReader:
         (n_chains,) = struct.unpack_from("<I", mm, pos)
         pos += 4
         chains = []
+        if has_ranks > 2:
+            raise StoreError(f"unknown rank width code {has_ranks} in {self.path}")
+        rank_code, rank_size = ("Q", 8) if has_ranks == 1 else ("I", 4)
         for _ in range(n_chains):
             cid, count, start_off = struct.unpack_from("<IIQ", mm, pos)
             pos += 16
             ranks = None
             if has_ranks:
-                ranks = list(struct.unpack_from(f"<{count}Q", mm, pos))
-                pos += 8 * count
+                ranks = list(struct.unpack_from(f"<{count}{rank_code}", mm, pos))
+                pos += rank_size * count
             chains.append((cid, count, start_off, ranks))
         self.chains = chains
         # Optional timestamp-bounds extension (absent in files written
@@ -504,6 +577,26 @@ class SegmentReader:
                 self.chain_ts = [
                     (pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2)
                 ]
+        if pos + 4 <= footer_end and mm[pos:pos + 4] == _FXFN_MAGIC:
+            (n_functions,) = struct.unpack_from("<I", mm, pos + 4)
+            pos += 8
+            table = array("I", struct.unpack_from(f"<{2 * n_functions}I", mm, pos))
+            pos += 8 * n_functions
+            counts = mm[pos:pos + n_chains]
+            pos += n_chains
+            offsets = array("I", accumulate(counts.translate(_FN_STORED), initial=0))
+            index = array("H", struct.unpack_from(f"<{offsets[-1]}H", mm, pos))
+            pos += 2 * offsets[-1]
+            if (
+                pos > footer_end
+                or len(counts) != n_chains
+                or 0 in counts  # a group holds a frame, so a function
+                or (table and max(table) >= n_strings)
+                or (index and max(index) >= n_functions)
+            ):
+                raise StoreError(f"corrupt function zone map in {self.path}")
+            self.fn_table, self._fn_unknown = table, counts.translate(_FN_UNKNOWN)
+            self._fn_index, self._fn_offsets = index, offsets
         # Hop the block headers to map the frame regions.
         pos = _HEADER.size
         regions = []
@@ -552,6 +645,9 @@ class SegmentReader:
                 break  # unrecognized bytes: treat the rest as lost
             pos = payload_end
         self.partial = True
+        # Whatever footer metadata parsed before the corruption is not
+        # trusted: a salvaged segment is frame-filtered, never pruned.
+        self.ts_bounds = self.chain_ts = self.fn_table = None
         self.strings = strings
         self._regions = regions
         # One lean pass to count what actually decodes; frames referring
@@ -815,13 +911,15 @@ class SegmentReader:
         self._decode_span_filtered(start_off, self.size_bytes, count, sink, flt)
         return group
 
-    def load_ranked_filtered(self, out: list, flt) -> tuple[int, int]:
+    def load_ranked_filtered(self, out: list, flt, stats=None) -> tuple[int, int]:
         """Filtered :meth:`load_ranked`; returns (scanned, matched).
 
         Arrival ranks are positional over *all* frames — matched or not —
         so a predicated ``all_records`` merge interleaves identically
         with (a subsequence of) the unpredicated order: skipping a frame
-        must never compact the rank space.
+        must never compact the rank space. Sealed chain groups the footer
+        rules out (chain index, timestamp bounds, function zone map) are
+        skipped unread and counted into ``stats``.
         """
         scanned = matched = 0
         if not self.sealed or self.partial:
@@ -840,14 +938,20 @@ class SegmentReader:
         chain_ts = self.chain_ts
         group_flt = flt.without_chain_test()
         timed = flt.ts_lo is not None or flt.ts_hi is not None
+        fn_groups = flt.fn_groups
+        if stats is not None:
+            stats.groups += len(self.chains)
         for gi, (cid, count, start_off, ranks) in enumerate(self.chains):
             group_base = next_rank
             next_rank += count
-            if flt.cids is not None and cid not in flt.cids:
-                continue
-            if timed and chain_ts is not None and not _ts_overlaps(
-                chain_ts[gi], flt.ts_lo, flt.ts_hi
+            if (
+                (flt.cids is not None and cid not in flt.cids)
+                or (timed and chain_ts is not None and not bounds_overlap(
+                    chain_ts[gi], flt.ts_lo, flt.ts_hi))
+                or (fn_groups is not None and not fn_groups[gi])
             ):
+                if stats is not None:
+                    stats.groups_pruned += 1
                 continue
             pairs: list[tuple[int, ProbeRecord]] = []
             sink = lambda _cid, rec, idx, _p=pairs: _p.append((idx, rec))
@@ -861,6 +965,23 @@ class SegmentReader:
             else:
                 out.extend((ranks[idx], rec) for idx, rec in pairs)
         return scanned, matched
+
+    def groups_holding(self, fns) -> bytearray:
+        """One flag per chain group: may it hold a function whose table
+        index is in ``fns``? (A group past the overflow marker always
+        may.) Costs a C-level search per wanted function plus one step
+        per group found — not a pass over the groups."""
+        keep = bytearray(self._fn_unknown)
+        find, offsets = self._fn_index.index, self._fn_offsets
+        for fn in fns:
+            pos = -1
+            try:
+                while True:
+                    pos = find(fn, pos + 1)
+                    keep[bisect_right(offsets, pos) - 1] = 1
+            except ValueError:
+                pass
+        return keep
 
     def stat_scan(self, stats: dict) -> None:
         """Fold this segment into population statistics.
@@ -903,8 +1024,18 @@ class SegmentReader:
         stats["calls"] = calls
 
 
-def _ts_overlaps(bounds: tuple[int, int], lo: int | None, hi: int | None) -> bool:
-    """Group-bounds overlap test (inverted pair = no anchors = prune)."""
+def bounds_overlap(
+    bounds: tuple[int, int] | None, lo: int | None, hi: int | None
+) -> bool:
+    """Can any anchor inside ``bounds`` fall within ``[lo, hi]``?
+
+    ``bounds`` is a footer (min, max) pair over anchor timestamps;
+    ``None`` means unknown (salvaged or pre-extension segment — never
+    prune), and an inverted pair (min > max) means *no frame carries an
+    anchor* — nothing can match a time-range predicate, so prune.
+    """
+    if bounds is None:
+        return True
     bmin, bmax = bounds
     if bmin > bmax:
         return False
@@ -941,5 +1072,7 @@ def segment_info(reader: SegmentReader) -> dict:
             "coverage": "salvaged" if reader.partial else "footer",
             "chains": len(reader.chains),
             "group_ts_bounds": reader.chain_ts is not None,
+            "group_functions": reader.fn_table is not None,
+            "functions": len(reader.fn_table or ()) // 2,
         },
     }

@@ -494,6 +494,7 @@ class SegmentStore:
             group_flt = flt.without_chain_test() if flt is not None else None
             timed = predicate is not None and predicate.has_time_range
             chain_ts = reader.chain_ts
+            fn_groups = flt.fn_groups if flt is not None else None
             strings = reader.strings
             for gi, (cid, count, start_off, _ranks) in enumerate(reader.chains):
                 uuid = strings[cid]
@@ -511,12 +512,11 @@ class SegmentStore:
                     continue
                 if stats is not None:
                     stats.groups += 1
-                if flt.cids is not None and cid not in flt.cids:
-                    if stats is not None:
-                        stats.groups_pruned += 1
-                    continue
-                if timed and chain_ts is not None and not bounds_overlap(
-                    chain_ts[gi], flt.ts_lo, flt.ts_hi
+                if (
+                    (flt.cids is not None and cid not in flt.cids)
+                    or (timed and chain_ts is not None and not bounds_overlap(
+                        chain_ts[gi], flt.ts_lo, flt.ts_hi))
+                    or (fn_groups is not None and not fn_groups[gi])
                 ):
                     if stats is not None:
                         stats.groups_pruned += 1
@@ -612,7 +612,9 @@ class SegmentStore:
                         stats.frames_decoded += reader.record_count
                         stats.records_matched += reader.record_count
                 else:
-                    scanned, matched = reader.load_ranked_filtered(ranked, flt)
+                    scanned, matched = reader.load_ranked_filtered(
+                        ranked, flt, stats
+                    )
                     if stats is not None:
                         stats.frames_decoded += scanned
                         stats.records_matched += matched

@@ -184,6 +184,39 @@ class TestSegmentStoreCli:
         assert result["records"] < full["records"]
         assert result["scan"]["frames_decoded"] <= full["scan"]["frames_decoded"]
 
+    def test_selective_operation_prunes_groups_on_compacted_run(self, tmp_path):
+        from repro.store import SegmentStore
+
+        path = str(tmp_path / "store")
+        assert main(["demo-embedded", path, "--store", "segment",
+                     "--calls", "200", "--roots", "20"]) == 0
+        store = SegmentStore(path, auto_compact=0)
+        (meta,) = store.runs()
+        assert store.compact(meta.run_id) is True
+        store.close()
+
+        info_file = tmp_path / "info.json"
+        assert main(["store-info", path, "--output", str(info_file)]) == 0
+        (run,) = json.loads(info_file.read_text())["runs"]
+        (segment,) = run["segments"]
+        assert segment["index"]["group_functions"] is True
+        assert segment["index"]["functions"] > 0
+
+        everything = tmp_path / "all.json"
+        assert main(["query", path, "--output", str(everything)]) == 0
+        functions = json.loads(everything.read_text())["operations"]
+        # The rarest function: one the zone map rules out of most chains.
+        rarest = min(functions, key=lambda key: (functions[key]["records"], key))
+        interface, operation = rarest.rsplit("::", 1)
+        out_file = tmp_path / "q.json"
+        assert main(["query", path, "--interface", interface,
+                     "--operation", operation, "--output", str(out_file)]) == 0
+        result = json.loads(out_file.read_text())
+        assert list(result["operations"]) == [rarest]
+        assert result["records"] == functions[rarest]["records"]
+        assert result["scan"]["groups_pruned"] > 0
+        assert result["scan"]["frames_decoded"] < run["records"]
+
     def test_query_cross_run_catalog(self, segment_store, tmp_path):
         out_file = tmp_path / "xq.json"
         assert main(["query", segment_store, "--last", "5",
