@@ -23,10 +23,12 @@ record settle):
     real pre-PR data plane and is what the committed
     ``BENCH_invocation_throughput.json`` uses.
   * without ``--baseline-src`` the baseline runs in-process against the
-    current tree with ``channel="per-thread"`` and the slow (per-field)
-    marshalling entry points — a *compat* approximation used by the CI
-    smoke job, labelled ``"in-tree-compat"`` so nobody mistakes it for
-    the real pre-PR numbers.
+    current tree with ``channel="per-thread"`` — a *compat*
+    approximation used by the CI smoke job, labelled
+    ``"in-tree-compat"`` so nobody mistakes it for the real pre-PR
+    numbers. Marshalling is the fused fast path on both planes: the
+    per-field ``_*_slow`` entry points left ``orb/runtime.py`` (they are
+    still patched in when a ``--baseline-src`` tree has them).
 
 Probe overhead is computed at 1 client thread (no scheduler noise):
 ``(ns_per_call_monitored - ns_per_call_unmonitored) / records_per_call``
@@ -124,10 +126,10 @@ def _measure_cell(kind: str, threads: int, monitored: bool, plane: str,
         caller_orb = Orb(client, network, registry=registry, **orb_kwargs)
     stub = caller_orb.resolve(ref)
 
-    # The compat baseline on the current tree also reverts marshalling to
-    # the per-field slow path (the pre-PR entry points, kept for the
-    # byte-identity property tests). On a real pre-PR tree these slow
-    # variants do not exist and nothing needs patching.
+    # A tree that still carries the per-field ``_*_slow`` marshallers
+    # (one between the fast-path PR and their removal) also reverts
+    # marshalling to them; this tree and a real pre-PR tree have none,
+    # and nothing is patched.
     patched = []
     if plane == "baseline" and channel_param:
         import repro.orb.runtime as _rt
@@ -543,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
             "thread as (monitored - unmonitored) ns/call divided by probe "
             "records per call. baseline_source=in-tree-compat means the "
             "baseline is the current tree in per-thread lock-step mode "
-            "with slow marshalling, not a true pre-PR checkout. async "
+            "(same fused marshalling), not a true pre-PR checkout. async "
             "cells drive N pipelined tasks over one event-loop channel; "
             "requested_inflight is the task count, effective_inflight the "
             "channel's observed peak of concurrently pending requests "

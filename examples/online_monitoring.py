@@ -69,11 +69,12 @@ def main() -> None:
     print()
     print("=== Running latency statistics ===")
     stats = sorted(
-        monitor.latency_stats().items(), key=lambda kv: kv[1][1], reverse=True
+        monitor.latency_stats().items(), key=lambda kv: kv[1].mean_ns, reverse=True
     )
-    for function, (count, mean_ns, max_ns) in stats[:8]:
-        print(f"  {function:42s} n={count:3d} mean={format_ns(mean_ns):>9s}"
-              f" max={format_ns(max_ns):>9s}")
+    for function, latency in stats[:8]:
+        print(f"  {function:42s} n={latency.count:3d}"
+              f" mean={format_ns(latency.mean_ns):>9s}"
+              f" max={format_ns(latency.max_ns):>9s}")
 
     print()
     print(f"=== Alerts (SLO 3 ms) — {len(alerts)} raised ===")

@@ -5,8 +5,12 @@ causality capturing technique from the on-line perspective for
 application-level system management."
 
 The off-line analyzer collects at quiescence; this module consumes probe
-records *as they are produced* and maintains live per-chain state with
-the same Figure-4 state machine semantics, exposing:
+records *as they are produced*. Reconstruction is not done here: the
+monitor rides one
+:class:`~repro.analysis.streaming.reconstructor.StreamingReconstructor`
+(the resequencer, the buffer cursors and the shared Figure-4
+:class:`~repro.analysis.statemachine.ChainBuilder`) and keeps only what
+is its own, exposing:
 
 - currently open invocations (who is in flight, where, for how long),
 - per-function running latency statistics,
@@ -21,18 +25,22 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
+from repro.analysis.dscg import AbnormalEvent, CallNode
 from repro.analysis.quantiles import P2Quantile
-from repro.core.events import CallKind, TracingEvent
+from repro.analysis.streaming.reconstructor import StreamingReconstructor
+from repro.core.events import TracingEvent
 from repro.core.records import ProbeRecord
 from repro.platform.process import SimProcess
-from repro.telemetry.metrics import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
+
+
+def _start_record(node: CallNode) -> ProbeRecord:
+    """The record that opened a frame: probe 1, or probe 2 for a frame
+    with no stub side (oneway skeleton side, unmonitored client)."""
+    records = node.records
+    return records.get(TracingEvent.STUB_START) or records[TracingEvent.SKEL_START]
 
 
 @dataclass
@@ -117,240 +125,149 @@ class OnlineMonitor:
         registry: MetricsRegistry | None = None,
         max_pending: int | None = 100_000,
     ):
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be >= 1 (or None for unbounded)")
         self.latency_slo_ns = latency_slo_ns
         self.on_alert = on_alert
         #: Bound on buffered out-of-order records across all chains; a
         #: chain whose gap record was lost in flight must not grow the
         #: monitor without limit. Overflow drops the incoming record.
         self.max_pending = max_pending
-        self.pending_dropped = 0
+        self._stream = StreamingReconstructor(
+            on_complete=self._on_complete,
+            max_pending=max_pending,
+            on_abnormal=self._on_abnormal,
+            on_drop=self._on_drop,
+        )
         # Live telemetry pipeline (Section 6, "on-line perspective"):
         # with a registry attached, every ingest keeps scrape-ready
         # gauges/histograms current; without one these are no-ops.
-        if registry is not None:
-            self._m_inflight = registry.gauge(
-                "repro_online_inflight_invocations",
-                "Invocations currently open on live causal chains.",
-            )
-            self._m_live_chains = registry.gauge(
-                "repro_online_live_chains",
-                "Causal chains with at least one open invocation.",
-            )
-            self._m_completed = registry.counter(
-                "repro_online_completed_calls_total",
-                "Invocations completed (stub_end observed and matched).",
-            )
-            self._m_latency = registry.histogram(
-                "repro_online_call_latency_ns",
-                "Rolling end-to-end latency of completed calls, in ns.",
-                labels=("function",),
-            )
-            self._m_slo_breaches = registry.counter(
-                "repro_online_slo_breaches_total",
-                "Completed calls whose latency exceeded the configured SLO.",
-            )
-            self._m_abnormal = registry.counter(
-                "repro_online_abnormal_events_total",
-                "Records that violated the Figure-4 state machine.",
-            )
-            self._m_pending = registry.gauge(
-                "repro_online_pending_records",
-                "Out-of-order records buffered awaiting their gap record.",
-            )
-            self._m_pending_dropped = registry.counter(
-                "repro_online_pending_dropped_total",
-                "Out-of-order records dropped because the buffer was full.",
-            )
-        else:
-            self._m_inflight = NULL_GAUGE
-            self._m_live_chains = NULL_GAUGE
-            self._m_completed = NULL_COUNTER
-            self._m_latency = NULL_HISTOGRAM
-            self._m_slo_breaches = NULL_COUNTER
-            self._m_abnormal = NULL_COUNTER
-            self._m_pending = NULL_GAUGE
-            self._m_pending_dropped = NULL_COUNTER
-        self._stacks: dict[str, list[OpenInvocation]] = defaultdict(list)
+        registry = registry or NULL_REGISTRY
+        self._m_inflight = registry.gauge(
+            "repro_online_inflight_invocations",
+            "Invocations currently open on live causal chains.",
+        )
+        self._m_live_chains = registry.gauge(
+            "repro_online_live_chains",
+            "Causal chains with at least one open invocation.",
+        )
+        self._m_completed = registry.counter(
+            "repro_online_completed_calls_total",
+            "Invocations completed (stub_end observed and matched).",
+        )
+        self._m_latency = registry.histogram(
+            "repro_online_call_latency_ns",
+            "Rolling end-to-end latency of completed calls, in ns.",
+            labels=("function",),
+        )
+        self._m_slo_breaches = registry.counter(
+            "repro_online_slo_breaches_total",
+            "Completed calls whose latency exceeded the configured SLO.",
+        )
+        self._m_abnormal = registry.counter(
+            "repro_online_abnormal_events_total",
+            "Records that violated the Figure-4 state machine.",
+        )
+        self._m_pending = registry.gauge(
+            "repro_online_pending_records",
+            "Out-of-order records buffered awaiting their gap record.",
+        )
+        self._m_pending_dropped = registry.counter(
+            "repro_online_pending_dropped_total",
+            "Out-of-order records dropped because the buffer was full.",
+        )
         self._stats: dict[str, _LiveStats] = defaultdict(_LiveStats)
         self._alerts: list[Alert] = []
-        self._completed_calls = 0
-        self._abnormal = 0
+        # Guards the monitor's own state; always taken before the
+        # stream's lock, which the hooks below run under.
         self._lock = threading.Lock()
-        self._cursors: dict[int, Any] = {}
-        # Records from different process buffers arrive interleaved; the
-        # FTL's event number lets us re-serialize each chain on the fly.
-        self._expected_seq: dict[str, int] = defaultdict(int)
-        self._pending: dict[str, dict[int, ProbeRecord]] = defaultdict(dict)
-        self._pending_total = 0
         #: One overflow alert per saturation episode, not one per drop.
         self._overflow_alerted = False
 
     # ------------------------------------------------------------------
+    # Feeding: the stream resequences, runs the machine, calls the hooks
 
     def ingest(self, record: ProbeRecord) -> None:
         """Advance live chain state with one record."""
         with self._lock:
-            self._enqueue_locked(record)
+            self._stream.ingest(record)
+            self._refresh_locked()
 
-    def ingest_many(self, records) -> None:
+    def ingest_many(self, records: Iterable[ProbeRecord]) -> None:
         with self._lock:
-            for record in records:
-                self._enqueue_locked(record)
+            self._stream.ingest_many(records)
+            self._refresh_locked()
 
-    def _enqueue_locked(self, record: ProbeRecord) -> None:
-        """Re-serialize per chain by event number before applying."""
-        chain = record.chain_uuid
-        expected = self._expected_seq[chain]
-        if record.event_seq < expected:
-            # A duplicate or an event number collision: genuinely abnormal.
-            self._abnormal_event(record)
-            return
-        if record.event_seq > expected:
-            bucket = self._pending[chain]
-            if record.event_seq not in bucket:
-                if (
-                    self.max_pending is not None
-                    and self._pending_total >= self.max_pending
-                ):
-                    self.pending_dropped += 1
-                    self._m_pending_dropped.inc()
-                    if not self._overflow_alerted:
-                        self._overflow_alerted = True
-                        self._raise_alert(
-                            Alert(
-                                kind="overflow",
-                                function=record.function,
-                                chain_uuid=chain,
-                                detail=f"pending-record buffer full"
-                                f" ({self.max_pending}); dropping"
-                                f" out-of-order records",
-                            )
-                        )
-                    return
-                self._pending_total += 1
-                self._m_pending.inc()
-            bucket[record.event_seq] = record
-            return
-        self._ingest_locked(record)
-        self._expected_seq[chain] = expected + 1
-        pending = self._pending.get(chain)
-        while pending:
-            next_record = pending.pop(self._expected_seq[chain], None)
-            if next_record is None:
-                break
-            self._pending_total -= 1
-            self._m_pending.dec()
-            self._ingest_locked(next_record)
-            self._expected_seq[chain] += 1
-        if (
-            self._overflow_alerted
-            and self.max_pending is not None
-            and self._pending_total < self.max_pending
-        ):
-            self._overflow_alerted = False
-
-    def poll(self, processes: list[SimProcess]) -> int:
-        """Pull any new records from process buffers (non-draining).
-
-        Buffers that expose :meth:`~repro.platform.process.LocalLogBuffer.read_from`
-        are read incrementally through its cursor; with per-thread
-        segmented buffers a flat index into ``snapshot()`` would re-read
-        (or skip) records as older segments keep growing.
-        """
-        new = 0
+    def poll(self, processes: Iterable[SimProcess]) -> int:
+        """Pull any new records from process buffers (non-draining)."""
         with self._lock:
-            for process in processes:
-                buffer = process.log_buffer
-                read_from = getattr(buffer, "read_from", None)
-                if read_from is not None:
-                    records, cursor = read_from(self._cursors.get(process.pid))
-                    self._cursors[process.pid] = cursor
-                else:
-                    snapshot = buffer.snapshot()
-                    offset = self._cursors.get(process.pid, 0)
-                    records = snapshot[offset:]
-                    self._cursors[process.pid] = len(snapshot)
-                for record in records:
-                    self._enqueue_locked(record)
-                    new += 1
+            new = self._stream.poll(processes)
+            self._refresh_locked()
         return new
 
-    # ------------------------------------------------------------------
+    def _refresh_locked(self) -> None:
+        """Bring the gauges up to the stream's O(1) counters; an overflow
+        episode ends once the buffer has room again."""
+        stats = self._stream.stats()
+        pending = stats["pending_records"]
+        self._m_inflight.set(stats["open_frames"])
+        self._m_live_chains.set(stats["live_chains"])
+        self._m_pending.set(pending)
+        if self._overflow_alerted and pending < self.max_pending:
+            self._overflow_alerted = False
 
-    def _ingest_locked(self, record: ProbeRecord) -> None:
-        stack = self._stacks[record.chain_uuid]
-        event = record.event
-        if event is TracingEvent.STUB_START or (
-            event is TracingEvent.SKEL_START and not stack
-        ):
-            if not stack:
-                self._m_live_chains.inc()
-            stack.append(
-                OpenInvocation(
-                    function=record.function,
-                    object_id=record.object_id,
-                    chain_uuid=record.chain_uuid,
-                    started_wall_ns=record.wall_end,
-                    depth=len(stack) + 1,
-                    opened_by="stub" if event is TracingEvent.STUB_START else "skel",
+    # ------------------------------------------------------------------
+    # Stream hooks (run under both locks)
+
+    def _on_complete(self, node: CallNode, record: ProbeRecord, _index: int) -> None:
+        """A frame closed at its end probe; update stats and metrics."""
+        if node.parent is None:
+            # The chain is idle: drop its tree so a monitor that never
+            # finalizes holds state for live chains only.
+            self._stream.release(node.chain_uuid)
+        self._m_completed.inc()
+        started_wall_ns = _start_record(node).wall_end
+        if started_wall_ns is None or record.wall_start is None:
+            return
+        latency = record.wall_start - started_wall_ns
+        function = node.function
+        self._stats[function].add(latency)
+        self._m_latency.labels(function).observe(latency)
+        if self.latency_slo_ns is not None and latency > self.latency_slo_ns:
+            self._m_slo_breaches.inc()
+            self._raise_alert(
+                Alert(
+                    kind="latency",
+                    function=function,
+                    chain_uuid=node.chain_uuid,
+                    detail=f"latency {latency}ns exceeds SLO"
+                    f" {self.latency_slo_ns}ns",
+                    latency_ns=latency,
                 )
             )
-            self._m_inflight.inc()
-            return
-        if event in (TracingEvent.SKEL_START, TracingEvent.SKEL_END):
-            if not stack or stack[-1].function != record.function:
-                self._abnormal_event(record)
-            elif event is TracingEvent.SKEL_END and stack[-1].opened_by == "skel":
-                # A frame with no stub side (oneway skeleton side, or an
-                # unmonitored client) completes at skel_end — its measured
-                # window is probe 2 end .. probe 3 start (Section 3.2).
-                self._complete(stack, record)
-            return
-        if event is TracingEvent.STUB_END:
-            if not stack or stack[-1].function != record.function:
-                self._abnormal_event(record)
-                return
-            self._complete(stack, record)
 
-    def _complete(self, stack: list[OpenInvocation], record: ProbeRecord) -> None:
-        """Close the top frame at its end probe; update stats and metrics."""
-        invocation = stack.pop()
-        self._m_inflight.dec()
-        if not stack:
-            del self._stacks[record.chain_uuid]
-            self._m_live_chains.dec()
-        self._completed_calls += 1
-        self._m_completed.inc()
-        if invocation.started_wall_ns is not None and record.wall_start is not None:
-            latency = record.wall_start - invocation.started_wall_ns
-            self._stats[record.function].add(latency)
-            self._m_latency.labels(record.function).observe(latency)
-            if self.latency_slo_ns is not None and latency > self.latency_slo_ns:
-                self._m_slo_breaches.inc()
-                self._raise_alert(
-                    Alert(
-                        kind="latency",
-                        function=record.function,
-                        chain_uuid=record.chain_uuid,
-                        detail=f"latency {latency}ns exceeds SLO"
-                        f" {self.latency_slo_ns}ns",
-                        latency_ns=latency,
-                    )
-                )
-
-    def _abnormal_event(self, record: ProbeRecord) -> None:
-        self._abnormal += 1
+    def _on_abnormal(self, event: AbnormalEvent) -> None:
         self._m_abnormal.inc()
         self._raise_alert(
             Alert(
                 kind="abnormal",
-                function=record.function,
-                chain_uuid=record.chain_uuid,
-                detail=f"unexpected {record.event.name} at seq {record.event_seq}",
+                function=event.record.function,
+                chain_uuid=event.chain_uuid,
+                detail=event.reason,
             )
         )
+
+    def _on_drop(self, record: ProbeRecord) -> None:
+        self._m_pending_dropped.inc()
+        if not self._overflow_alerted:
+            self._overflow_alerted = True
+            self._raise_alert(
+                Alert(
+                    kind="overflow",
+                    function=record.function,
+                    chain_uuid=record.chain_uuid,
+                    detail=f"pending-record buffer full ({self.max_pending});"
+                    " dropping out-of-order records",
+                )
+            )
 
     def _raise_alert(self, alert: Alert) -> None:
         self._alerts.append(alert)
@@ -362,19 +279,26 @@ class OnlineMonitor:
 
     def open_invocations(self) -> list[OpenInvocation]:
         """Everything currently in flight, deepest frames last."""
-        with self._lock:
-            result = []
-            for stack in self._stacks.values():
-                result.extend(stack)
-            return result
+        result = []
+        for node in self._stream.open_frames():
+            start = _start_record(node)
+            result.append(
+                OpenInvocation(
+                    function=node.function,
+                    object_id=node.object_id,
+                    chain_uuid=node.chain_uuid,
+                    started_wall_ns=start.wall_end,
+                    depth=node.depth() + 1,
+                    opened_by="stub" if start.event is TracingEvent.STUB_START else "skel",
+                )
+            )
+        return result
 
     def live_chain_count(self) -> int:
-        with self._lock:
-            return len(self._stacks)
+        return self._stream.live_chain_count()
 
     def completed_calls(self) -> int:
-        with self._lock:
-            return self._completed_calls
+        return self._stream.completed_nodes()
 
     def alerts(self) -> list[Alert]:
         with self._lock:
@@ -382,8 +306,12 @@ class OnlineMonitor:
 
     def pending_records(self) -> int:
         """Out-of-order records currently buffered awaiting their gap."""
-        with self._lock:
-            return self._pending_total
+        return self._stream.pending_records()
+
+    @property
+    def pending_dropped(self) -> int:
+        """Out-of-order records dropped because the buffer was full."""
+        return self._stream.pending_dropped
 
     def latency_stats(self) -> dict[str, LatencyStats]:
         """function -> :class:`LatencyStats` for completed calls.

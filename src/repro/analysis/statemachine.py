@@ -36,6 +36,14 @@ if TYPE_CHECKING:
     from repro.store.query import ScanPredicate
 
 
+# Read by ``ChainBuilder.apply`` on every record; one global lookup each.
+_STUB_START = TracingEvent.STUB_START
+_SKEL_START = TracingEvent.SKEL_START
+_SKEL_END = TracingEvent.SKEL_END
+_STUB_END = TracingEvent.STUB_END
+_ONEWAY = CallKind.ONEWAY
+
+
 def _same_call(node: CallNode, record: ProbeRecord) -> bool:
     return (
         node.interface == record.interface
@@ -98,8 +106,8 @@ class ChainBuilder:
         stack = self.stack
         top = stack[-1] if stack else None
 
-        if event is TracingEvent.STUB_START:
-            oneway_side = "stub" if record.call_kind is CallKind.ONEWAY else ""
+        if event is _STUB_START:
+            oneway_side = "stub" if record.call_kind is _ONEWAY else ""
             node = _node_from_record(record, oneway_side)
             node.records[event] = record
             if top is not None:
@@ -109,22 +117,22 @@ class ChainBuilder:
             stack.append(node)
             return None
 
-        if event is TracingEvent.SKEL_START:
+        if event is _SKEL_START:
             if (
                 top is not None
                 and _same_call(top, record)
-                and TracingEvent.STUB_START in top.records
-                and TracingEvent.SKEL_START not in top.records
+                and _STUB_START in top.records
+                and _SKEL_START not in top.records
             ):
                 top.records[event] = record
             elif top is None:
                 # Chain begins at a skeleton: either the skeleton side of a
                 # oneway fork (the dashed Figure-4 path) or a sync call
                 # whose client process is unmonitored.
-                oneway_side = "skel" if record.call_kind is CallKind.ONEWAY else ""
+                oneway_side = "skel" if record.call_kind is _ONEWAY else ""
                 node = _node_from_record(record, oneway_side)
                 node.records[event] = record
-                if record.call_kind is not CallKind.ONEWAY:
+                if record.call_kind is not _ONEWAY:
                     node.partial = True
                 self.tree.roots.append(node)
                 stack.append(node)
@@ -136,17 +144,17 @@ class ChainBuilder:
                 )
             return None
 
-        if event is TracingEvent.SKEL_END:
+        if event is _SKEL_END:
             if (
                 top is not None
                 and _same_call(top, record)
-                and TracingEvent.SKEL_START in top.records
-                and TracingEvent.SKEL_END not in top.records
+                and _SKEL_START in top.records
+                and _SKEL_END not in top.records
             ):
                 top.records[event] = record
                 # A skeleton-side frame with no stub side closes here:
                 # oneway skeleton-side return, or an unmonitored client.
-                if TracingEvent.STUB_START not in top.records:
+                if _STUB_START not in top.records:
                     return stack.pop()
             else:
                 self._abnormal(
@@ -156,17 +164,17 @@ class ChainBuilder:
                 )
             return None
 
-        if event is TracingEvent.STUB_END:
+        if event is _STUB_END:
             if (
                 top is not None
                 and _same_call(top, record)
-                and TracingEvent.STUB_START in top.records
-                and TracingEvent.STUB_END not in top.records
+                and _STUB_START in top.records
+                and _STUB_END not in top.records
             ):
                 top.records[event] = record
-                if top.call_kind is not CallKind.ONEWAY and (
-                    TracingEvent.SKEL_START not in top.records
-                    or TracingEvent.SKEL_END not in top.records
+                if top.call_kind is not _ONEWAY and (
+                    _SKEL_START not in top.records
+                    or _SKEL_END not in top.records
                 ):
                     # Sync call whose server side produced no records
                     # (unmonitored peer process).

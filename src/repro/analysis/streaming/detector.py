@@ -36,7 +36,7 @@ from repro.analysis.streaming.ranker import (
 from repro.analysis.streaming.reconstructor import StreamingReconstructor
 from repro.core.records import ProbeRecord
 from repro.platform.process import SimProcess
-from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE, MetricsRegistry
+from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -136,43 +136,35 @@ class StreamingDetector:
         self._history: deque[WindowCompletion] = deque(maxlen=self.config.history)
         self._completion_index = 0
         self._anomalous_total = 0
-        if registry is not None:
-            self._m_records = registry.counter(
-                "repro_streaming_records_total",
-                "Probe records consumed by the streaming detector.",
-            )
-            self._m_completions = registry.counter(
-                "repro_streaming_completions_total",
-                "Invocations completed under streaming reconstruction.",
-            )
-            self._m_anomalous = registry.counter(
-                "repro_streaming_anomalous_completions_total",
-                "Completions scored beyond the robust-z threshold.",
-            )
-            self._m_incidents = registry.counter(
-                "repro_streaming_incidents_total",
-                "Incidents opened by persistence-filtered spike detection.",
-            )
-            self._m_open = registry.gauge(
-                "repro_streaming_open_incidents",
-                "Incidents currently open (spike still persisting).",
-            )
-            self._m_live_chains = registry.gauge(
-                "repro_streaming_live_chains",
-                "Chains with open frames in the streaming reconstructor.",
-            )
-            self._m_pending = registry.gauge(
-                "repro_streaming_pending_records",
-                "Out-of-order records buffered awaiting their gap record.",
-            )
-        else:
-            self._m_records = NULL_COUNTER
-            self._m_completions = NULL_COUNTER
-            self._m_anomalous = NULL_COUNTER
-            self._m_incidents = NULL_COUNTER
-            self._m_open = NULL_GAUGE
-            self._m_live_chains = NULL_GAUGE
-            self._m_pending = NULL_GAUGE
+        registry = registry or NULL_REGISTRY
+        self._m_records = registry.counter(
+            "repro_streaming_records_total",
+            "Probe records consumed by the streaming detector.",
+        )
+        self._m_completions = registry.counter(
+            "repro_streaming_completions_total",
+            "Invocations completed under streaming reconstruction.",
+        )
+        self._m_anomalous = registry.counter(
+            "repro_streaming_anomalous_completions_total",
+            "Completions scored beyond the robust-z threshold.",
+        )
+        self._m_incidents = registry.counter(
+            "repro_streaming_incidents_total",
+            "Incidents opened by persistence-filtered spike detection.",
+        )
+        self._m_open = registry.gauge(
+            "repro_streaming_open_incidents",
+            "Incidents currently open (spike still persisting).",
+        )
+        self._m_live_chains = registry.gauge(
+            "repro_streaming_live_chains",
+            "Chains with open frames in the streaming reconstructor.",
+        )
+        self._m_pending = registry.gauge(
+            "repro_streaming_pending_records",
+            "Out-of-order records buffered awaiting their gap record.",
+        )
 
     # ------------------------------------------------------------------
     # Feeding

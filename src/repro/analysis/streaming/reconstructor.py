@@ -6,17 +6,22 @@ reconstructor does the same work record-by-record as probes emit them:
 each chain owns a :class:`~repro.analysis.statemachine.ChainBuilder`
 (the *same* transition implementation the batch path uses) plus a
 re-serialization buffer that holds out-of-order arrivals until their
-event number comes up.
+event number comes up. The spike detector and the
+:class:`~repro.analysis.online.OnlineMonitor` both consume its hooks.
 
 Equivalence contract: after :meth:`StreamingReconstructor.finalize`, the
 resulting :class:`~repro.analysis.dscg.Dscg` is bit-identical to
 ``reconstruct(store, run)`` over the same records whenever event numbers
 are unique per chain (any fault-free run, and every fault domain that
-loses or delays records rather than duplicating event numbers). Records
-that *collide* on an event number — the mingled-chain hazard — are
-applied immediately and take the same abnormal transition the batch
-analyzer records, though the relative order of abnormal entries may
-differ.
+loses or delays records rather than duplicating event numbers).
+
+Late-record policy: a record whose event number its chain has already
+passed or already holds in the buffer (a replay, or the mingled-chain
+hazard) is *flagged and never applied* — it becomes an
+:class:`~repro.analysis.dscg.AbnormalEvent` on the chain and fires the
+abnormal hook, but a replayed ``stub_start`` cannot open a phantom
+frame. The batch analyzer sorts first and applies both copies: on such
+streams the two agree the chain is abnormal, not on its shape.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable
 
-from repro.analysis.dscg import CallNode, Dscg
+from repro.analysis.dscg import AbnormalEvent, CallNode, Dscg
 from repro.analysis.statemachine import ChainBuilder
 from repro.core.records import ProbeRecord
 from repro.platform.process import SimProcess
@@ -39,7 +44,8 @@ class _ChainStream:
     __slots__ = ("builder", "expected_seq", "pending")
 
     def __init__(self, chain_uuid: str):
-        self.builder = ChainBuilder(chain_uuid)
+        #: ``None`` once released; the next applied record starts afresh.
+        self.builder: ChainBuilder | None = ChainBuilder(chain_uuid)
         self.expected_seq = 0
         self.pending: dict[int, ProbeRecord] = {}
 
@@ -50,8 +56,10 @@ class StreamingReconstructor:
     Thread-safe. Feed records with :meth:`ingest`/:meth:`ingest_many`,
     or attach to live processes and call :meth:`poll` (non-draining
     cursor reads, so the quiescence-time collector still sees every
-    record). ``on_complete`` fires inline whenever a call frame closes —
-    the hook the spike detector hangs off.
+    record). Hooks fire inline under the ingest lock: ``on_complete``
+    whenever a call frame closes, ``on_abnormal`` for every abnormal
+    machine transition and every late record, ``on_drop`` for every
+    record lost to ``max_pending`` overflow.
 
     ``max_pending`` bounds the re-serialization buffer across all
     chains: a stalled chain (its gap record lost in flight) cannot grow
@@ -63,18 +71,25 @@ class StreamingReconstructor:
         self,
         on_complete: CompletionHook | None = None,
         max_pending: int | None = 100_000,
+        on_abnormal: Callable[[AbnormalEvent], None] | None = None,
+        on_drop: Callable[[ProbeRecord], None] | None = None,
     ):
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None for unbounded)")
         self.on_complete = on_complete
+        self.on_abnormal = on_abnormal
+        self.on_drop = on_drop
         self.max_pending = max_pending
         self.records_ingested = 0
         self.pending_dropped = 0
         self._chains: dict[str, _ChainStream] = {}
         self._pending_total = 0
         self._completed_nodes = 0
+        self._open_frames = 0  # kept per record: the live views are O(1)
+        self._live_chains = 0
         self._finalized: Dscg | None = None
-        self._lock = threading.Lock()
+        # Re-entrant: a hook may call release() while ingest holds it.
+        self._lock = threading.RLock()
         self._cursors: dict[int, Any] = {}
 
     # ------------------------------------------------------------------
@@ -93,20 +108,18 @@ class StreamingReconstructor:
         return count
 
     def poll(self, processes: Iterable[SimProcess]) -> int:
-        """Pull new records from process buffers without draining them."""
+        """Pull new records from process buffers without draining them.
+
+        Reads go through the buffer's ``read_from`` cursor: with
+        per-thread segmented buffers a flat index into ``snapshot()``
+        would re-read (or skip) records as older segments keep growing.
+        """
         new = 0
         with self._lock:
             for process in processes:
-                buffer = process.log_buffer
-                read_from = getattr(buffer, "read_from", None)
-                if read_from is not None:
-                    records, cursor = read_from(self._cursors.get(process.pid))
-                    self._cursors[process.pid] = cursor
-                else:
-                    snapshot = buffer.snapshot()
-                    offset = self._cursors.get(process.pid, 0)
-                    records = snapshot[offset:]
-                    self._cursors[process.pid] = len(snapshot)
+                records, self._cursors[process.pid] = process.log_buffer.read_from(
+                    self._cursors.get(process.pid)
+                )
                 for record in records:
                     self._enqueue_locked(record)
                     new += 1
@@ -137,21 +150,65 @@ class StreamingReconstructor:
                 and self._pending_total >= self.max_pending
             ):
                 self.pending_dropped += 1
+                if self.on_drop is not None:
+                    self.on_drop(record)
                 return
             stream.pending[seq] = record
             self._pending_total += 1
         else:
-            # Event-number collision (a duplicate, or mingled chains):
-            # apply immediately — the machine takes the same abnormal
-            # transition the batch analyzer's sorted pass would.
-            self._apply_locked(stream, record)
+            # The chain already passed this event number, or holds it in
+            # the buffer (a replay, or mingled chains): flag, never apply.
+            event = AbnormalEvent(
+                record.chain_uuid,
+                seq,
+                f"late {record.event.name.lower()} for {record.function}:"
+                f" event number {seq} already seen",
+                record,
+            )
+            if stream.builder is not None:
+                stream.builder.tree.abnormal.append(event)
+            if self.on_abnormal is not None:
+                self.on_abnormal(event)
 
     def _apply_locked(self, stream: _ChainStream, record: ProbeRecord) -> None:
-        completed = stream.builder.apply(record)
+        builder = stream.builder
+        if builder is None:
+            builder = stream.builder = ChainBuilder(record.chain_uuid)
+        stack = builder.stack
+        abnormal = builder.tree.abnormal
+        depth, flagged = len(stack), len(abnormal)
+        completed = builder.apply(record)
         if completed is not None:
             self._completed_nodes += 1
+            self._open_frames -= 1
+            if depth == 1:
+                self._live_chains -= 1
             if self.on_complete is not None:
                 self.on_complete(completed, record, self.records_ingested)
+        elif len(stack) != depth:
+            self._open_frames += 1
+            if not depth:
+                self._live_chains += 1
+        elif len(abnormal) != flagged and self.on_abnormal is not None:
+            self.on_abnormal(abnormal[-1])
+
+    def release(self, chain_uuid: str) -> None:
+        """Forget a chain's builder and tree; keep its next event number.
+
+        For consumers that never :meth:`finalize` (the online monitor
+        releases a chain when its root frame closes), so retained state
+        is bounded by live chains. Later records of the chain are still
+        resequenced and start a fresh tree.
+        """
+        with self._lock:
+            stream = self._chains.get(chain_uuid)
+            if stream is None or stream.builder is None:
+                return
+            depth = len(stream.builder.stack)
+            if depth:
+                self._open_frames -= depth
+                self._live_chains -= 1
+            stream.builder = None
 
     # ------------------------------------------------------------------
     # Live views
@@ -159,15 +216,17 @@ class StreamingReconstructor:
     def live_chain_count(self) -> int:
         """Chains with at least one frame still open."""
         with self._lock:
-            return sum(1 for s in self._chains.values() if s.builder.stack)
+            return self._live_chains
 
     def open_frames(self) -> list[CallNode]:
         """Every invocation currently in flight, outermost first per chain."""
         with self._lock:
-            frames: list[CallNode] = []
-            for chain_uuid in sorted(self._chains):
-                frames.extend(self._chains[chain_uuid].builder.stack)
-            return frames
+            live = {
+                chain_uuid: stream.builder.stack
+                for chain_uuid, stream in self._chains.items()
+                if stream.builder is not None and stream.builder.stack
+            }
+            return [frame for chain_uuid in sorted(live) for frame in live[chain_uuid]]
 
     def completed_nodes(self) -> int:
         with self._lock:
@@ -183,6 +242,8 @@ class StreamingReconstructor:
             return {
                 "records_ingested": self.records_ingested,
                 "chains": len(self._chains),
+                "live_chains": self._live_chains,
+                "open_frames": self._open_frames,
                 "completed_nodes": self._completed_nodes,
                 "pending_records": self._pending_total,
                 "pending_dropped": self.pending_dropped,
@@ -212,7 +273,8 @@ class StreamingReconstructor:
                         self._apply_locked(stream, stream.pending[seq])
                     self._pending_total -= len(stream.pending)
                     stream.pending.clear()
-                dscg.add_chain(stream.builder.finish())
+                if stream.builder is not None:
+                    dscg.add_chain(stream.builder.finish())
             dscg.link_chains()
             self._finalized = dscg
             return dscg

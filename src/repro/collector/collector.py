@@ -18,7 +18,7 @@ from repro.collector.database import MonitoringDatabase
 from repro.core.records import SCHEMA_VERSION, RunMetadata
 from repro.errors import TransientCollectorError
 from repro.platform.process import SimProcess
-from repro.telemetry.metrics import NULL_COUNTER, NULL_HISTOGRAM
+from repro.telemetry.metrics import NULL_COUNTER, NULL_HISTOGRAM, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
 
 if TYPE_CHECKING:
@@ -41,16 +41,8 @@ _PROBE_DROPS = NULL_COUNTER
 def _bind_metrics(registry) -> None:
     global _TELEMETRY_ON, _DRAINS, _RECORDS, _DRAIN_NS
     global _RETRIES, _FAILED_DRAINS, _LOST_RECORDS, _PROBE_DROPS
-    if registry is None:
-        _TELEMETRY_ON = False
-        _DRAINS = NULL_COUNTER
-        _RECORDS = NULL_COUNTER
-        _DRAIN_NS = NULL_HISTOGRAM
-        _RETRIES = NULL_COUNTER
-        _FAILED_DRAINS = NULL_COUNTER
-        _LOST_RECORDS = NULL_COUNTER
-        _PROBE_DROPS = NULL_COUNTER
-        return
+    _TELEMETRY_ON = registry is not None
+    registry = registry or NULL_REGISTRY
     _DRAINS = registry.counter(
         "repro_collector_drains_total",
         "Per-process log-buffer drains performed by collectors.",
@@ -79,7 +71,6 @@ def _bind_metrics(registry) -> None:
         "repro_collector_probe_dropped_records_total",
         "Probe records dropped at the source by bounded log buffers.",
     )
-    _TELEMETRY_ON = True
 
 
 def _generate_run_id() -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ComError
-from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE
+from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
 
 # Framework self-metrics (no-ops until repro.telemetry.enable()).
@@ -38,12 +38,7 @@ _NESTED_DISPATCH = NULL_COUNTER
 @metrics_binder
 def _bind_metrics(registry) -> None:
     global _NESTED_DISPATCH
-    if registry is None:
-        _POSTED["sta"] = _POSTED["mta"] = NULL_COUNTER
-        _QUEUE_DEPTH["sta"] = NULL_GAUGE
-        _QUEUE_DEPTH["mta"] = NULL_GAUGE
-        _NESTED_DISPATCH = NULL_COUNTER
-        return
+    registry = registry or NULL_REGISTRY
     posted = registry.counter(
         "repro_apartment_posted_total",
         "Call messages posted to apartment inboxes, by apartment kind.",

@@ -25,7 +25,7 @@ from repro.com.interfaces import ComInterface, ComObject
 from repro.core.events import Domain
 from repro.core.records import OperationInfo
 from repro.errors import ComError, ComponentCrash
-from repro.telemetry.metrics import NULL_COUNTER
+from repro.telemetry.metrics import NULL_COUNTER, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
 
 # Framework self-metrics (no-ops until repro.telemetry.enable()).
@@ -37,11 +37,7 @@ _DISPATCH_ERRORS = NULL_COUNTER
 @metrics_binder
 def _bind_metrics(registry) -> None:
     global _DISPATCHES, _DISPATCH_ERRORS
-    if registry is None:
-        _CALLS["direct"] = _CALLS["channel"] = NULL_COUNTER
-        _DISPATCHES = NULL_COUNTER
-        _DISPATCH_ERRORS = NULL_COUNTER
-        return
+    registry = registry or NULL_REGISTRY
     calls = registry.counter(
         "repro_orpc_calls_total",
         "COM ORPC proxy calls, by path (direct = same apartment).",

@@ -32,7 +32,7 @@ from repro.core.probes import CallContext, ProbeSample
 from repro.core.records import OperationInfo, ProbeRecord
 from repro.errors import MonitorError
 from repro.platform.process import SimProcess
-from repro.telemetry.metrics import NULL_COUNTER
+from repro.telemetry.metrics import NULL_COUNTER, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
 
 _FTL_SLOT = "ftl"
@@ -50,11 +50,7 @@ _CHAINS_STARTED = NULL_COUNTER
 @metrics_binder
 def _bind_metrics(registry) -> None:
     global _CHAINS_STARTED
-    if registry is None:
-        for event in TracingEvent:
-            _PROBE_RECORDS[event] = NULL_COUNTER
-        _CHAINS_STARTED = NULL_COUNTER
-        return
+    registry = registry or NULL_REGISTRY
     family = registry.counter(
         "repro_probe_records_total",
         "Probe records written to process-local log buffers, by probe.",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.errors import ComponentCrash
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.telemetry.metrics import NULL_COUNTER
+from repro.telemetry.metrics import NULL_COUNTER, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
 
 # Framework self-metrics (no-ops until repro.telemetry.enable()).
@@ -23,10 +23,7 @@ _INJECTED = dict.fromkeys(FaultKind, NULL_COUNTER)
 
 @metrics_binder
 def _bind_metrics(registry) -> None:
-    if registry is None:
-        for kind in FaultKind:
-            _INJECTED[kind] = NULL_COUNTER
-        return
+    registry = registry or NULL_REGISTRY
     family = registry.counter(
         "repro_faults_injected_total",
         "Faults injected by repro.faults, by fault kind.",

@@ -29,7 +29,7 @@ import threading
 from repro.errors import TransportError
 from repro.orb.giop import ReplyMessage, decode_message
 from repro.platform.network import Connection
-from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE
+from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
 
 _PENDING = NULL_GAUGE
@@ -40,11 +40,7 @@ _MALFORMED = NULL_COUNTER
 @metrics_binder
 def _bind_metrics(registry) -> None:
     global _PENDING, _STALE_REPLIES, _MALFORMED
-    if registry is None:
-        _PENDING = NULL_GAUGE
-        _STALE_REPLIES = NULL_COUNTER
-        _MALFORMED = NULL_COUNTER
-        return
+    registry = registry or NULL_REGISTRY
     _PENDING = registry.gauge(
         "repro_orb_mux_pending_requests",
         "Requests pipelined on shared client channels, awaiting demux.",

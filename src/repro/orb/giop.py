@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.errors import MarshalError
-from repro.telemetry.metrics import NULL_COUNTER
+from repro.telemetry.metrics import NULL_COUNTER, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
 
 _MAGIC = 0x52504F47  # "RPOG"
@@ -97,11 +97,7 @@ for _kind in ("request", "reply"):
 
 @metrics_binder
 def _bind_metrics(registry) -> None:
-    if registry is None:
-        for key in _MESSAGES:
-            _MESSAGES[key] = NULL_COUNTER
-            _BYTES[key] = NULL_COUNTER
-        return
+    registry = registry or NULL_REGISTRY
     messages = registry.counter(
         "repro_giop_messages_total",
         "GIOP-like messages framed, by message kind and direction.",

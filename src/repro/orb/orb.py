@@ -52,7 +52,12 @@ from repro.orb.runtime import GLOBAL_INTERFACE_REGISTRY, InterfaceRegistry
 from repro.orb.threading_policies import ThreadingPolicy, ThreadPerRequest
 from repro.platform.network import Connection, Network
 from repro.platform.process import SimProcess
-from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
+from repro.telemetry.metrics import (
+    NULL_COUNTER,
+    NULL_GAUGE,
+    NULL_HISTOGRAM,
+    NULL_REGISTRY,
+)
 from repro.telemetry.runtime import metrics_binder
 
 # Framework self-metrics (no-ops until repro.telemetry.enable()). The
@@ -72,16 +77,8 @@ _CRASHED_DISPATCHES = NULL_COUNTER
 def _bind_metrics(registry) -> None:
     global _TELEMETRY_ON, _INFLIGHT, _DISPATCH_TOTAL, _DISPATCH_NS, _DISPATCH_NOT_FOUND
     global _MALFORMED, _CRASHED_DISPATCHES
-    if registry is None:
-        _TELEMETRY_ON = False
-        _REQUESTS[False] = _REQUESTS[True] = NULL_COUNTER
-        _INFLIGHT = NULL_GAUGE
-        _DISPATCH_TOTAL = NULL_COUNTER
-        _DISPATCH_NS = NULL_HISTOGRAM
-        _DISPATCH_NOT_FOUND = NULL_COUNTER
-        _MALFORMED = NULL_COUNTER
-        _CRASHED_DISPATCHES = NULL_COUNTER
-        return
+    _TELEMETRY_ON = registry is not None
+    registry = registry or NULL_REGISTRY
     requests = registry.counter(
         "repro_orb_requests_total",
         "Client-side ORB requests sent, by call kind.",
@@ -113,7 +110,6 @@ def _bind_metrics(registry) -> None:
         "repro_orb_crashed_dispatches_total",
         "Dispatches aborted by an injected component crash (no reply sent).",
     )
-    _TELEMETRY_ON = True
 
 
 class _ByValueRegistry:

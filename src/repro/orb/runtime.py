@@ -108,29 +108,8 @@ def _marshal_args(op: "ResolvedOperation", values: tuple) -> bytes | bytearray:
     return plan.marshal(values)
 
 
-def _marshal_args_slow(op: "ResolvedOperation", values: tuple) -> bytes:
-    """Unfused reference encoder; the equivalence suite pins the fast
-    path to its byte output."""
-    in_params = op.in_params
-    if len(values) != len(in_params):
-        raise MarshalError(
-            f"{op.name} expects {len(in_params)} argument(s), got {len(values)}"
-        )
-    encoder = CdrEncoder()
-    for param, value in zip(in_params, values):
-        param.idl_type.marshal(encoder, value)
-    return encoder.getvalue()
-
-
 def _unmarshal_args(op: "ResolvedOperation", body) -> tuple:
     return _args_plan(op).unmarshal(body)
-
-
-def _unmarshal_args_slow(op: "ResolvedOperation", body) -> tuple:
-    decoder = CdrDecoder(body)
-    values = tuple(param.idl_type.unmarshal(decoder) for param in op.in_params)
-    decoder.expect_exhausted()
-    return values
 
 
 def _result_values(op: "ResolvedOperation", result: Any) -> list:
@@ -154,20 +133,6 @@ def _marshal_result(op: "ResolvedOperation", result: Any) -> bytes | bytearray:
     return _result_plan(op).marshal(values)
 
 
-def _marshal_result_slow(op: "ResolvedOperation", result: Any) -> bytes:
-    """Unfused reference encoder for the equivalence suite."""
-    values = _result_values(op, result)
-    encoder = CdrEncoder()
-    index = 0
-    if not op.return_type.is_void:
-        op.return_type.marshal(encoder, values[index])
-        index += 1
-    for param in op.out_params:
-        param.idl_type.marshal(encoder, values[index])
-        index += 1
-    return encoder.getvalue()
-
-
 def _unmarshal_result(op: "ResolvedOperation", body) -> Any:
     values = _result_plan(op).unmarshal(body)
     if not values:
@@ -175,21 +140,6 @@ def _unmarshal_result(op: "ResolvedOperation", body) -> Any:
     if len(values) == 1:
         return values[0]
     return values
-
-
-def _unmarshal_result_slow(op: "ResolvedOperation", body) -> Any:
-    decoder = CdrDecoder(body)
-    values: list = []
-    if not op.return_type.is_void:
-        values.append(op.return_type.unmarshal(decoder))
-    for param in op.out_params:
-        values.append(param.idl_type.unmarshal(decoder))
-    decoder.expect_exhausted()
-    if not values:
-        return None
-    if len(values) == 1:
-        return values[0]
-    return tuple(values)
 
 
 def _marshal_user_exception(op: "ResolvedOperation", exc: Exception) -> bytes:

@@ -33,6 +33,7 @@ from repro.telemetry.metrics import (
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
+    NULL_REGISTRY,
 )
 from repro.telemetry.runtime import (
     active_registry,
@@ -63,6 +64,7 @@ __all__ = [
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
+    "NULL_REGISTRY",
     "active_registry",
     "chrome_trace_document",
     "disable",

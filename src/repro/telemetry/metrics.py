@@ -318,3 +318,23 @@ class MetricsRegistry:
             families = sorted(self._families.items())
         for _, family in families:
             yield family
+
+
+class NullRegistry:
+    """Stand-in where no registry is attached: every family is the
+    matching no-op singleton, so a call site writes ``registry or
+    NULL_REGISTRY`` and binds its handles once, on one code path."""
+
+    __slots__ = ()
+
+    def counter(self, *_args, **_kwargs) -> NullCounter:
+        return NULL_COUNTER
+
+    def gauge(self, *_args, **_kwargs) -> NullGauge:
+        return NULL_GAUGE
+
+    def histogram(self, *_args, **_kwargs) -> NullHistogram:
+        return NULL_HISTOGRAM
+
+
+NULL_REGISTRY = NullRegistry()

@@ -35,7 +35,8 @@ def metrics_binder(
     """Register (and immediately run) a module's metric-handle binder.
 
     ``bind`` receives the active registry, or ``None`` meaning "reset
-    your handles to the no-op singletons".
+    your handles to the no-op singletons" (``registry or NULL_REGISTRY``
+    yields them from the same registration calls).
     """
     with _lock:
         _binders.append(bind)

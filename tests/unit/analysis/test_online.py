@@ -1,12 +1,21 @@
 """Unit tests for the on-line monitor (future-work extension)."""
 
+import copy
+
 from repro.analysis import Alert, OnlineMonitor
 from repro.core import MonitorMode
+from repro.telemetry import MetricsRegistry
 from tests.helpers import Call, simulate
 
 
 def records_for(calls, **kwargs):
     return simulate(calls, mode=MonitorMode.LATENCY, **kwargs).records
+
+
+def _renumbered(record, event_seq):
+    clone = copy.copy(record)
+    clone.event_seq = event_seq
+    return clone
 
 
 class TestLiveState:
@@ -135,3 +144,70 @@ class TestBoundedPending:
             monitor.ingest(record)
         assert monitor.pending_records() == len(records) - 1
         assert monitor.pending_dropped == 0
+
+
+class TestRidesTheStreamingReconstructor:
+    def test_completed_chains_hold_no_builder(self):
+        # A monitor never finalizes: what it retains must be bounded by
+        # live chains, not by every chain it has ever seen.
+        records = simulate(
+            [Call("I::F", cpu_ns=1)] * 10_000,
+            mode=MonitorMode.LATENCY,
+            fresh_chain_per_top_call=True,
+        ).records
+        monitor = OnlineMonitor()
+        monitor.ingest_many(records)
+        assert monitor.completed_calls() == 10_000
+        streams = monitor._stream._chains.values()
+        assert len(streams) == 10_000
+        assert [s for s in streams if s.builder is not None] == []
+
+    def test_sibling_roots_on_one_chain_survive_release(self):
+        # Both top-level calls share a chain; the first root's release
+        # must not lose the chain's place in the event numbering.
+        records = records_for([Call("I::F", cpu_ns=5), Call("I::G", cpu_ns=7)])
+        assert len({r.chain_uuid for r in records}) == 1
+        monitor = OnlineMonitor()
+        monitor.ingest_many(reversed(records))
+        assert monitor.alerts() == []
+        assert monitor.completed_calls() == 2
+        assert monitor.latency_stats()["I::G"].max_ns == 7
+
+    def test_replayed_stub_start_opens_no_phantom_frame(self):
+        records = records_for([Call("I::F", cpu_ns=5, children=(Call("I::G"),))])
+        monitor = OnlineMonitor()
+        monitor.ingest_many(records[:3])  # F and G in flight
+        monitor.ingest(records[2])  # G's stub_start again
+        assert [c.function for c in monitor.open_invocations()] == ["I::F", "I::G"]
+        (alert,) = monitor.alerts()
+        assert alert.kind == "abnormal" and alert.function == "I::G"
+        monitor.ingest_many(records[3:])
+        assert monitor.open_invocations() == []
+        assert monitor.completed_calls() == 2
+
+    def test_abnormal_alert_carries_the_machine_reason(self):
+        records = records_for([Call("I::F", cpu_ns=5, children=(Call("I::G"),))])
+        # Lose G's stub_start but close the numbering gap, as a mingled
+        # chain would: G's skel_start meets F's open frame.
+        mingled = [records[0], records[1]] + [
+            _renumbered(r, r.event_seq - 1) for r in records[3:]
+        ]
+        monitor = OnlineMonitor()
+        monitor.ingest_many(mingled)
+        abnormal = [a for a in monitor.alerts() if a.kind == "abnormal"]
+        assert abnormal and "does not match open frame I::F" in abnormal[0].detail
+
+    def test_gauges_track_the_stream(self):
+        records = records_for([Call("I::F", cpu_ns=5, children=(Call("I::G"),))])
+        registry = MetricsRegistry()
+        monitor = OnlineMonitor(registry=registry)
+        monitor.ingest_many(records[:3])
+        monitor.ingest(records[5])
+        assert registry.gauge("repro_online_inflight_invocations").value() == 2
+        assert registry.gauge("repro_online_live_chains").value() == 1
+        assert registry.gauge("repro_online_pending_records").value() == 1
+        monitor.ingest_many(records[3:5] + records[6:])
+        assert registry.gauge("repro_online_inflight_invocations").value() == 0
+        assert registry.gauge("repro_online_live_chains").value() == 0
+        assert registry.gauge("repro_online_pending_records").value() == 0
+        assert registry.counter("repro_online_completed_calls_total").value() == 2

@@ -132,6 +132,76 @@ class TestStreamingReconstructor:
         assert dscg.node_count() >= 1
         assert streaming.pending_records() == 0
 
+    def test_late_duplicate_is_flagged_not_applied(self):
+        records = records_for([Call("I::F", cpu_ns=10)])
+        flagged = []
+        streaming = StreamingReconstructor(on_abnormal=flagged.append)
+        streaming.ingest_many(records)
+        streaming.ingest(records[0])  # stub_start replayed after the call closed
+        dscg = streaming.finalize()
+        assert dscg.node_count() == 1  # no phantom frame
+        (event,) = dscg.abnormal_events()
+        assert flagged == [event]
+        assert event.record is records[0]
+        assert "late stub_start for I::F" in event.reason
+
+    def test_duplicate_of_a_buffered_record_is_flagged(self):
+        records = records_for([Call("I::F", cpu_ns=10)])
+        flagged = []
+        streaming = StreamingReconstructor(on_abnormal=flagged.append)
+        streaming.ingest_many([records[2], records[2]])
+        assert streaming.pending_records() == 1
+        assert len(flagged) == 1 and flagged[0].record is records[2]
+        streaming.ingest_many([records[0], records[1], records[3]])
+        dscg = streaming.finalize()
+        assert dscg.node_count() == 1
+        assert dscg.abnormal_events() == flagged
+
+    def test_abnormal_hook_fires_per_machine_transition(self):
+        records = records_for([Call("I::F", cpu_ns=10)])
+        flagged = []
+        streaming = StreamingReconstructor(on_abnormal=flagged.append)
+        streaming.ingest_many(records[1:])  # stub_start lost
+        dscg = streaming.finalize()  # flushes the stalled chain
+        assert flagged and flagged == dscg.abnormal_events()
+
+    def test_drop_hook_fires_per_overflowed_record(self):
+        records = records_for([Call("I::F", cpu_ns=10, children=(Call("I::G"),))])
+        dropped = []
+        streaming = StreamingReconstructor(max_pending=2, on_drop=dropped.append)
+        streaming.ingest_many(records[1:])
+        assert dropped == records[3:]
+        assert streaming.pending_dropped == len(dropped)
+
+    def test_release_forgets_the_tree_but_not_the_numbering(self):
+        # Two top-level calls on one chain: event numbers 0-3 and 4-7.
+        records = simulate(
+            [Call("I::F", cpu_ns=10), Call("I::G", cpu_ns=10)],
+            mode=MonitorMode.LATENCY,
+        ).records
+        flagged = []
+        streaming = StreamingReconstructor(on_abnormal=flagged.append)
+        streaming.ingest_many(records[:4] + [records[5]])
+        streaming.release(records[0].chain_uuid)
+        streaming.release("no-such-chain")
+        assert streaming.pending_records() == 1  # seq 5 still waits for 4
+        streaming.ingest(records[1])  # late: remembered across the release
+        assert len(flagged) == 1
+        streaming.ingest_many([records[4]] + records[6:])
+        assert streaming.completed_nodes() == 2
+        # Only what came after the release is in the final graph.
+        assert [n.function for n in streaming.finalize().walk()] == ["I::G"]
+
+    def test_release_with_open_frames_keeps_live_counters_right(self):
+        records = records_for([Call("I::F", cpu_ns=10, children=(Call("I::G"),))])
+        streaming = StreamingReconstructor()
+        streaming.ingest_many(records[:3])
+        assert streaming.stats()["open_frames"] == 2
+        streaming.release(records[0].chain_uuid)
+        stats = streaming.stats()
+        assert (stats["open_frames"], stats["live_chains"]) == (0, 0)
+        assert streaming.open_frames() == []
+
 
 class TestRollingBaseline:
     def test_score_is_robust_z_before_observe(self):

@@ -35,18 +35,14 @@ from repro.idl.types import (
     SequenceType,
     StructType,
 )
-from repro.orb.cdr import CdrEncoder
+from repro.orb.cdr import CdrDecoder, CdrEncoder
 from repro.orb.fastcdr import MarshalPlan
 from repro.orb.runtime import (
     InterfaceRegistry,
     _marshal_args,
-    _marshal_args_slow,
     _marshal_result,
-    _marshal_result_slow,
     _unmarshal_args,
-    _unmarshal_args_slow,
     _unmarshal_result,
-    _unmarshal_result_slow,
 )
 
 
@@ -102,6 +98,45 @@ def _slow_marshal(types, values) -> bytes:
     for idl_type, value in zip(types, values):
         idl_type.marshal(encoder, value)
     return encoder.getvalue()
+
+
+def _slow_unmarshal(types, body) -> tuple:
+    decoder = CdrDecoder(body)
+    values = tuple(idl_type.unmarshal(decoder) for idl_type in types)
+    decoder.expect_exhausted()
+    return values
+
+
+# The per-field reference for whole operations: one ``idl_type.marshal``
+# / ``unmarshal`` call per parameter through the unfused ``orb.cdr``
+# codec, in in-parameter order and in [return?] + out-parameter order.
+
+
+def _in_types(op):
+    return [param.idl_type for param in op.in_params]
+
+
+def _result_types(op):
+    types = [] if op.return_type.is_void else [op.return_type]
+    return types + [param.idl_type for param in op.out_params]
+
+
+def _marshal_args_slow(op, values) -> bytes:
+    return _slow_marshal(_in_types(op), values)
+
+
+def _unmarshal_args_slow(op, body) -> tuple:
+    return _slow_unmarshal(_in_types(op), body)
+
+
+def _marshal_result_slow(op, result) -> bytes:
+    types = _result_types(op)
+    return _slow_marshal(types, result if len(types) > 1 else [result])
+
+
+def _unmarshal_result_slow(op, body):
+    values = _slow_unmarshal(_result_types(op), body)
+    return values if len(values) > 1 else values[0]
 
 
 class TestPlanEquivalence:
