@@ -9,6 +9,7 @@ CLI, without re-reading the monitoring database.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from repro.analysis.cpu import CpuAnalysis
@@ -17,55 +18,123 @@ from repro.analysis.latency import end_to_end_latency
 from repro.core.events import CallKind, Domain
 
 
-def _node_to_dict(node: CallNode, cpu: CpuAnalysis | None) -> dict[str, Any]:
-    payload: dict[str, Any] = {
-        "interface": node.interface,
-        "operation": node.operation,
-        "object_id": node.object_id,
-        "component": node.component,
-        "call_kind": node.call_kind.value,
-        "collocated": node.collocated,
-        "domain": node.domain.value,
-        "oneway_side": node.oneway_side,
-        "partial": node.partial,
-        "children": [_node_to_dict(child, cpu) for child in node.children],
-    }
-    if node.forked_chain_uuid:
-        payload["forked_chain_uuid"] = node.forked_chain_uuid
-    latency = end_to_end_latency(node)
-    if latency is not None:
-        payload["latency_ns"] = latency
-    if cpu is not None:
-        self_cpu = cpu.self_cpu(node)
-        if self_cpu is not None:
-            payload["self_cpu_ns"] = self_cpu
-        descendant = cpu.descendant_cpu(node)
-        if descendant.by_processor:
-            payload["descendant_cpu_ns"] = dict(descendant.by_processor)
-    return payload
+#: Keys every node carries, in document order, ahead of ``children``.
+_NODE_KEYS = (
+    "interface", "operation", "object_id", "component", "call_kind",
+    "collocated", "domain", "oneway_side", "partial",
+)
 
 
-def dscg_to_json(dscg: Dscg, include_cpu: bool = True, indent: int = 2) -> str:
-    """Serialize a DSCG (with annotations) to a JSON document."""
+class _Quoted(dict):
+    """JSON string literals, escaped once per distinct string."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = encode_basestring_ascii(text)
+        return literal
+
+
+def _flag(value) -> str:
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)  # a truthy non-bool prints as what it is
+
+
+def _layout(depth: int) -> tuple[str, ...]:
+    """The fixed text of a node object at call-tree ``depth``: its head as
+    a ``%`` template up to the ``children`` value, what precedes the first
+    and each further node of an array, what precedes an optional key, and
+    what closes the node and the array."""
+    brace = " " * (8 + 4 * depth)
+    key = brace + "  "
+    head = "{\n" + "".join(f'{key}"{name}": %s,\n' for name in _NODE_KEYS)
+    return (
+        head + f'{key}"children": ', "[\n" + brace, ",\n" + brace,
+        ",\n" + key, "\n" + brace + "}", "\n" + brace[2:] + "]",
+    )
+
+
+def dscg_to_json(dscg: Dscg, include_cpu: bool = True) -> str:
+    """Serialize a DSCG (with annotations) to a JSON document.
+
+    The text is written straight from the nodes, with no dict per node in
+    between, and is byte-identical to ``json.dumps(document, indent=2)``
+    of the equivalent nested-dict document — which
+    ``tests/property/test_serialize_oracle.py`` builds as the oracle.
+    """
     cpu = CpuAnalysis(dscg) if include_cpu else None
-    document = {
-        "format": "repro-dscg",
-        "version": 1,
-        "stats": dscg.stats(),
-        "chains": [
-            {
-                "chain_uuid": tree.chain_uuid,
-                "parent_chain_uuid": tree.parent_chain_uuid,
-                "abnormal": [
-                    {"event_seq": a.event_seq, "reason": a.reason}
-                    for a in tree.abnormal
-                ],
-                "roots": [_node_to_dict(root, cpu) for root in tree.roots],
-            }
-            for tree in dscg.chains.values()
-        ],
-    }
-    return json.dumps(document, indent=indent)
+    quoted = _Quoted()
+    layouts: list[tuple[str, ...]] = []
+    out: list[str] = []
+    write = out.append
+
+    def write_nodes(nodes: list[CallNode], depth: int) -> None:
+        if not nodes:
+            write("[]")
+            return
+        if depth == len(layouts):
+            layouts.append(_layout(depth))
+        head, before, before_next, before_key, end_node, end_array = layouts[depth]
+        for node in nodes:
+            write(before)
+            before = before_next
+            write(head % (
+                quoted[node.interface], quoted[node.operation],
+                quoted[node.object_id], quoted[node.component],
+                quoted[node.call_kind.value], _flag(node.collocated),
+                quoted[node.domain.value], quoted[node.oneway_side],
+                _flag(node.partial),
+            ))
+            write_nodes(node.children, depth + 1)
+            if node.forked_chain_uuid:
+                write(f'{before_key}"forked_chain_uuid": {quoted[node.forked_chain_uuid]}')
+            latency = end_to_end_latency(node)
+            if latency is not None:
+                write(f'{before_key}"latency_ns": {latency}')
+            if cpu is not None:
+                self_cpu = cpu.self_cpu(node)
+                if self_cpu is not None:
+                    write(f'{before_key}"self_cpu_ns": {self_cpu}')
+                by_processor = cpu.descendant_cpu(node).by_processor
+                if by_processor:
+                    item = before_key[1:] + "  "
+                    write(f'{before_key}"descendant_cpu_ns": {{')
+                    write(",".join(
+                        f"{item}{quoted[processor]}: {ns}"
+                        for processor, ns in by_processor.items()
+                    ))
+                    write(before_key[1:] + "}")
+            write(end_node)
+        write(end_array)
+
+    write('{\n  "format": "repro-dscg",\n  "version": 1,\n  "stats": {\n')
+    write(",\n".join(
+        f"    {quoted[key]}: {value}" for key, value in dscg.stats().items()
+    ))
+    write('\n  },\n  "chains": ')
+    before = "[\n    {\n"
+    for tree in dscg.chains.values():
+        parent = tree.parent_chain_uuid
+        write(
+            f'{before}      "chain_uuid": {quoted[tree.chain_uuid]},\n'
+            f'      "parent_chain_uuid": {"null" if parent is None else quoted[parent]},\n'
+            '      "abnormal": '
+        )
+        before = ",\n    {\n"
+        if tree.abnormal:
+            write("[\n        {\n" + "\n        },\n        {\n".join(
+                f'          "event_seq": {abnormal.event_seq},\n'
+                f'          "reason": {quoted[abnormal.reason]}'
+                for abnormal in tree.abnormal
+            ) + "\n        }\n      ]")
+        else:
+            write("[]")
+        write(',\n      "roots": ')
+        write_nodes(tree.roots, 0)
+        write("\n    }")
+    write("\n  ]\n}" if dscg.chains else "[]\n}")
+    return "".join(out)
 
 
 def _node_from_dict(payload: dict[str, Any], chain_uuid: str) -> CallNode:

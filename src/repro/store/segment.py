@@ -119,6 +119,53 @@ _I32_MAX = (1 << 31) - 1
 #: unpacks this and skips the timestamp tail entirely.
 _STAT_HEAD = struct.Struct("<IqBBBIIIIIqIqII")
 
+#: What compaction's indexing pass reads of a frame (narrow / wide): chain
+#: id, event number, presence byte, semantics length and the two *start*
+#: deltas; every other byte is skipped as padding.
+_INDEX_NARROW = struct.Struct("<Iq2xB52xIi4xi4x")
+_INDEX_WIDE = struct.Struct("<Iq2xB52xIq8xq8x")
+
+
+class FrameTable:
+    """Where the frames of some source segments sit, as flat columns.
+
+    This is what compaction sorts and relocates in place of decoded
+    records. Frames are numbered in source order, then in the order
+    :meth:`SegmentReader.load_ranked` would yield them; per frame the
+    table holds its source, byte offset, event number, arrival rank and
+    *absolute* ``wall_start`` / ``cpu_start`` (what a frame stores
+    relative to its predecessor; meaningless where the reading is
+    absent), and per chain uuid the numbers of its frames. Everything per
+    frame is an int in one of six lists, so GC-tracked allocations scale
+    with chains, not frames.
+    """
+
+    def __init__(self):
+        self.readers: list[SegmentReader] = []
+        self.source: list[int] = []
+        self.offset: list[int] = []
+        self.seq: list[int] = []
+        self.rank: list[int] = []
+        self.wall_start: list[int] = []
+        self.cpu_start: list[int] = []
+        self.chains: dict[str, list[int]] = {}
+
+
+class _Remap(dict):
+    """A source segment's string ids -> the writer's, interned on first use."""
+
+    def __init__(self, reader: SegmentReader, intern):
+        self.reader, self.intern = reader, intern
+
+    def __missing__(self, sid: int) -> int:
+        if sid >= len(self.reader.strings):
+            raise StoreError(
+                f"frame in {self.reader.path} refers past the segment's"
+                " string dictionary"
+            )
+        out = self[sid] = self.intern(self.reader.strings[sid])
+        return out
+
 
 class SegmentWriter:
     """Streams probe records into one segment file.
@@ -346,6 +393,104 @@ class SegmentWriter:
             self._flush_dict()
             self._flush_records()
         return count
+
+    def relocate(self, table: FrameTable, uuids) -> None:
+        """Compaction's write pass: re-emit ``table``'s frames, one chain
+        group per uuid of ``uuids`` in that order, a group's frames by
+        event number (source-then-file order breaks ties).
+
+        Writes byte for byte what ``start_group()`` + ``append(records,
+        ranks)`` per group write for the decoded records — the record-level
+        oracle the tests compare against — without decoding any: string
+        ids pass through a per-source remap table filled in ``append``'s
+        interning order, the two start readings are re-delta'd against the
+        group's own anchor, the frame width is re-decided, and every other
+        field and the semantics bytes are carried over as they are.
+        """
+        index = self._index
+        rbuf = self._rbuf
+        fn_open_add = self._fn_open.add
+        fn_pack, fw_pack = FRAME_NARROW.pack, FRAME_WIDE.pack
+        fn_unpack, fw_unpack = FRAME_NARROW.unpack_from, FRAME_WIDE.unpack_from
+        source_of, offset_of, rank_of = table.source, table.offset, table.rank
+        wall_of, cpu_of = table.wall_start, table.cpu_start
+        seq_of = table.seq.__getitem__
+        remaps = [_Remap(reader, self._intern) for reader in table.readers]
+        current = -1
+        file_pos = self._file_pos
+        for uuid in uuids:
+            frames = table.chains[uuid]
+            frames.sort(key=seq_of)
+            if not rbuf or len(rbuf) >= _FLUSH_BYTES:
+                # The only states start_group() acts on; every other
+                # group just restarts the delta chain below.
+                self.start_group()
+                file_pos = self._file_pos
+            if index:
+                self._close_group()
+            cid = self._intern(uuid)
+            start_off = file_pos + 9 + len(rbuf)
+            prev_ws = prev_cs = 0
+            tmin = tmax = None
+            for i in frames:
+                if source_of[i] != current:
+                    current = source_of[i]
+                    mm, remap = table.readers[current]._mm, remaps[current]
+                off = offset_of[i]
+                wide = mm[off + _MISC_OFF] & 16
+                (_cid, seq, ev, misc, pres, ifc, op, obj, comp, proc, pid, host,
+                 tid, ptype, plat, child, semlen, wsd, wed, csd, ced,
+                 ) = (fw_unpack if wide else fn_unpack)(mm, off)
+                off += _FW_SIZE if wide else _FN_SIZE
+                if pres & 1:
+                    anchor = wall_of[i]
+                    wsd = anchor - prev_ws
+                    prev_ws = anchor
+                else:
+                    anchor = wed if pres & 2 else None
+                if pres & 4:
+                    csd = cpu_of[i] - prev_cs
+                    prev_cs = cpu_of[i]
+                if (
+                    _I32_MIN <= wsd <= _I32_MAX
+                    and _I32_MIN <= wed <= _I32_MAX
+                    and _I32_MIN <= csd <= _I32_MAX
+                    and _I32_MIN <= ced <= _I32_MAX
+                ):
+                    pack, misc = fn_pack, misc & 0xEF
+                else:
+                    pack, misc = fw_pack, misc | 16
+                # Arguments evaluate left to right: append()'s
+                # interning order (the chain went first, above).
+                ifc, op = remap[ifc], remap[op]
+                rbuf += pack(
+                    cid, seq, ev, misc, pres, ifc, op, remap[obj], remap[comp],
+                    remap[proc], pid, remap[host], tid, remap[ptype], remap[plat],
+                    remap[child] if pres & 16 else 0, semlen, wsd, wed, csd, ced,
+                )
+                if semlen:
+                    rbuf += mm[off:off + semlen]
+                if anchor is not None:
+                    if tmin is None:
+                        tmin = tmax = anchor
+                    elif anchor < tmin:
+                        tmin = anchor
+                    elif anchor > tmax:
+                        tmax = anchor
+                fn_open_add(ifc << 32 | op)
+            index[cid] = [
+                len(frames), start_off, [rank_of[i] for i in frames], tmin, tmax,
+            ]
+            self._rcount += len(frames)
+            self.record_count += len(frames)
+
+    def _intern(self, text: str) -> int:
+        out = self._ids.get(text)
+        if out is None:
+            out = self._ids[text] = len(self._strings)
+            self._strings.append(text)
+            self._pending.append(text)
+        return out
 
     # ------------------------------------------------------------------
 
@@ -880,6 +1025,79 @@ class SegmentReader:
                 ranks = range(next_rank, next_rank + count)
             next_rank += count
             out.extend(zip(ranks, group))
+
+    def index_frames(self, table: FrameTable) -> None:
+        """Add this segment's frames to ``table``: the record-free twin of
+        :meth:`load_ranked` — same frame order, same arrival ranks."""
+        table.readers.append(self)
+        first = len(table.offset)
+        try:
+            if not self.sealed or self.partial:
+                for start, end in self._regions:
+                    self._index_span(table, start, end, 1 << 62)
+                base = self.arrival_base
+                table.rank.extend(range(base, base + len(table.offset) - first))
+            else:
+                next_rank = self.arrival_base
+                for _cid, count, start_off, ranks in self.chains:
+                    found = self._index_span(table, start_off, self.size_bytes, count)
+                    if found != count:
+                        raise StoreError(f"chain group cut short in {self.path}")
+                    table.rank.extend(
+                        range(next_rank, next_rank + count) if ranks is None else ranks
+                    )
+                    next_rank += count
+        except (IndexError, struct.error):
+            raise StoreError(f"corrupt frame in {self.path}") from None
+        table.source.extend([len(table.readers) - 1] * (len(table.offset) - first))
+
+    def _index_span(self, table: FrameTable, off: int, end: int, limit: int) -> int:
+        """Index up to ``limit`` frames of ``[off, end)``; returns how many.
+
+        Walks the frames and undoes the timestamp delta chain exactly as
+        :meth:`_decode_span` does, but unpacks six integers per frame and
+        builds nothing per frame.
+        """
+        mm = self._mm
+        strings = self.strings
+        narrow = _INDEX_NARROW.unpack_from
+        wide = _INDEX_WIDE.unpack_from
+        sealed = self.sealed
+        chains = table.chains
+        chains_get = chains.get
+        add_offset = table.offset.append
+        add_seq = table.seq.append
+        add_wall = table.wall_start.append
+        add_cpu = table.cpu_start.append
+        first = number = len(table.offset)
+        stop = first + limit
+        prev_ws = prev_cs = 0
+        last_cid = -1
+        while off < end and number < stop:
+            add_offset(off)
+            if mm[off + _MISC_OFF] & 16:
+                cid, seq, pres, semlen, wsd, csd = wide(mm, off)
+                off += _FW_SIZE + semlen
+            else:
+                cid, seq, pres, semlen, wsd, csd = narrow(mm, off)
+                off += _FN_SIZE + semlen
+            if sealed and cid != last_cid:
+                prev_ws = prev_cs = 0
+                last_cid = cid
+            if pres & 1:
+                prev_ws += wsd
+            if pres & 4:
+                prev_cs += csd
+            add_wall(prev_ws)
+            add_cpu(prev_cs)
+            add_seq(seq)
+            uuid = strings[cid]
+            frames = chains_get(uuid)
+            if frames is None:
+                frames = chains[uuid] = []
+            frames.append(number)
+            number += 1
+        return number - first
 
     def decode_group(self, start_off: int, count: int) -> list[ProbeRecord]:
         """Decode one sealed chain group from its byte range (zero-copy)."""

@@ -46,6 +46,7 @@ from repro.store.query import (
 from repro.store.segment import (
     KIND_SEALED,
     KIND_SPOOL,
+    FrameTable,
     SegmentReader,
     SegmentWriter,
     segment_info,
@@ -143,17 +144,36 @@ class SegmentStore:
             if not os.path.isdir(run_path):
                 continue
             run = _Run(run_id, run_path)
-            numbers = [0]
+            found: list[tuple[int, SegmentReader]] = []
             for name in sorted(os.listdir(run_path)):
                 if not name.endswith(".seg") or name.startswith(".tmp"):
                     continue
-                run.readers.append(SegmentReader(os.path.join(run_path, name)))
                 try:
-                    numbers.append(int(name.split(".", 1)[0]))
+                    number = int(name.split(".", 1)[0])
                 except ValueError:
-                    pass
+                    number = 0
+                found.append((number, SegmentReader(os.path.join(run_path, name))))
+            # Compaction swaps a complete sealed segment in for *all* of
+            # its run's segments, each numbered below it, and spools that
+            # land later are numbered above it. A lower-numbered segment
+            # still on disk was left by a crash (or a failed unlink)
+            # between the rename and the unlinks: its records are already
+            # in the sealed segment, so loading it would yield them twice.
+            newest_sealed = max(
+                (n for n, r in found if r.sealed and not r.partial), default=0
+            )
+            for number, reader in found:
+                if 0 < number < newest_sealed:
+                    logger.warning(
+                        "run %r: dropping %s, superseded by sealed segment %06d",
+                        run_id, os.path.basename(reader.path), newest_sealed,
+                    )
+                    reader.close()
+                    _unlink_segment(reader.path)
+                else:
+                    run.readers.append(reader)
             run.readers.sort(key=lambda r: r.arrival_base)
-            run.next_seg = max(numbers) + 1
+            run.next_seg = max((n for n, _r in found), default=0) + 1
             self._runs[run_id] = run
 
     def _run(self, run_id: str, create: bool = False) -> _Run:
@@ -313,24 +333,16 @@ class SegmentStore:
                 return False
             seg_number = run.next_seg
             run.next_seg += 1
-        # Merge outside the lock: sources are immutable once sealed.
-        groups: dict[str, list] = {}
-        for reader in sources:
-            ranked: list = []
-            reader.load_ranked(ranked)
-            for rank, record in ranked:
-                groups.setdefault(record.chain_uuid, []).append((rank, record))
+        # Merge outside the lock: sources are immutable once sealed. No
+        # record is decoded: the frames are indexed where they lie, then
+        # relocated chain by chain (see SegmentWriter.relocate).
         tmp_path = os.path.join(run.path, f".tmp-{seg_number:06d}.sealed.seg")
         writer = SegmentWriter(tmp_path, kind=KIND_SEALED)
         try:
-            for uuid in sorted(groups, key=_uuid_key):
-                entries = groups[uuid]
-                entries.sort(key=lambda e: e[1].event_seq)  # stable: rank order kept
-                writer.start_group()
-                writer.append(
-                    [record for _rank, record in entries],
-                    ranks=[rank for rank, _record in entries],
-                )
+            table = FrameTable()
+            for reader in sources:
+                reader.index_frames(table)
+            writer.relocate(table, sorted(table.chains, key=_uuid_key))
             writer.seal()
         except BaseException:
             writer.abort()
@@ -351,10 +363,7 @@ class SegmentStore:
                 # unlinked file stays readable until the last reference
                 # drops (POSIX semantics), and the mmap is released when
                 # the final scan lets go of the reader object.
-                try:
-                    os.unlink(reader.path)
-                except OSError:
-                    pass
+                _unlink_segment(reader.path)
         return True
 
     def compact_all(self, workers: int | None = None) -> dict[str, bool]:
@@ -397,10 +406,7 @@ class SegmentStore:
             for reader in readers:
                 # Unlink only (scans in flight keep their mmaps); the
                 # readers are closed when the last scan releases them.
-                try:
-                    os.unlink(reader.path)
-                except OSError:
-                    pass
+                _unlink_segment(reader.path)
         return dropped
 
     def prepare_sharded_scan(self, run_id: str) -> None:
@@ -746,6 +752,16 @@ class SegmentStore:
             writer.seal()
         else:
             writer.abort()
+
+
+def _unlink_segment(path: str) -> None:
+    """Best effort: a segment that cannot be removed is reported, and
+    :meth:`SegmentStore._discover` retries once a sealed segment
+    supersedes it."""
+    try:
+        os.unlink(path)
+    except OSError as exc:
+        logger.warning("could not remove segment %s: %s", path, exc)
 
 
 def _event_seq_key(record: ProbeRecord) -> int:

@@ -61,3 +61,52 @@ class TestRoundtrip:
     def test_stats_recorded(self):
         document = json.loads(dscg_to_json(self.make()))
         assert document["stats"]["nodes"] == 4  # root, a, cast stub, cast skel
+
+
+class TestEmittedText:
+    """The emitter writes text itself; these pin the cases a hand-written
+    encoder gets wrong. The oracle is ``json.dumps(document, indent=2)``
+    over the document ``tests/property/test_serialize_oracle.py`` builds."""
+
+    def assert_oracle(self, dscg):
+        from tests.property.test_serialize_oracle import reference_document
+
+        text = dscg_to_json(dscg)
+        assert text == json.dumps(reference_document(dscg), indent=2)
+        return json.loads(text)
+
+    def test_empty_dscg(self):
+        from repro.analysis.dscg import Dscg
+
+        document = self.assert_oracle(Dscg())
+        assert document["chains"] == []
+        assert dscg_from_json(dscg_to_json(Dscg())).chains == {}
+
+    def test_identifiers_are_escaped(self):
+        nasty = 'a"b\\c\n\x00\x7f é \U0001f600 \ud800'
+        dscg = dscg_for([Call(f"I{nasty}::op{nasty}", object_id=nasty, component=nasty)])
+        document = self.assert_oracle(dscg)
+        (root,) = document["chains"][0]["roots"]
+        assert root["object_id"] == nasty and root["operation"] == f"op{nasty}"
+        assert dscg_to_json(dscg).isascii()
+
+    def test_abnormal_events_are_listed(self):
+        sim = simulate([Call("I::a", children=(Call("I::b"),)), Call("I::c")],
+                       mode=MonitorMode.FULL)
+        dscg = reconstruct_from_records(sim.records[1:4] + sim.records[6:])
+        assert dscg.abnormal_events()
+        (tree,) = dscg.chains.values()
+        tree.abnormal[0].reason = 'quote " backslash \\ newline \n'
+        document = self.assert_oracle(dscg)
+        listed = document["chains"][0]["abnormal"]
+        assert [a["event_seq"] for a in listed] == [a.event_seq for a in tree.abnormal]
+        assert listed[0]["reason"] == tree.abnormal[0].reason
+
+    def test_truthy_non_bool_collocated_prints_as_itself(self):
+        dscg = dscg_for([Call("I::a", collocated=True), Call("I::b")])
+        first, second = next(iter(dscg.chains.values())).roots
+        first.collocated, second.collocated = 1, None
+        document = self.assert_oracle(dscg)
+        roots = document["chains"][0]["roots"]
+        assert [r["collocated"] for r in roots] == [1, None]
+        assert '"collocated": 1,' in dscg_to_json(dscg)

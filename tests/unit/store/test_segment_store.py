@@ -138,6 +138,78 @@ class TestSegmentStoreLifecycle:
         assert list(reopened.all_records("r1")) == records
         reopened.close()
 
+    def crashed_after_rename(self, tmp_path, sealed_bytes=None):
+        """The directory a kill between compaction's rename and its
+        unlinks leaves: the spools beside the sealed segment made of them
+        (``sealed_bytes`` keeps only that much of it)."""
+        import shutil
+
+        path = str(tmp_path / "store")
+        store = SegmentStore(path, auto_compact=0)
+        store.create_run(RunMetadata(run_id="r1"))
+        records = seeded_records()
+        store.insert_records("r1", records[:70])
+        store.insert_records("r1", records[70:])
+        run_dir = os.path.join(path, "runs", "r1")
+        spools = sorted(os.listdir(run_dir))
+        shutil.copytree(run_dir, str(tmp_path / "before"))
+        assert store.compact("r1") is True
+        store.close()
+        for name in spools:
+            shutil.copy(str(tmp_path / "before" / name), run_dir)
+        sealed = os.path.join(run_dir, "000003.sealed.seg")
+        if sealed_bytes is not None:
+            os.truncate(sealed, sealed_bytes)
+        assert sorted(os.listdir(run_dir)) == sorted(spools + ["000003.sealed.seg"])
+        return path, run_dir, records
+
+    def test_sealed_segment_supersedes_leftover_sources(self, tmp_path, caplog):
+        import logging
+
+        path, run_dir, records = self.crashed_after_rename(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="repro.store.store"):
+            reopened = SegmentStore(path, auto_compact=0)
+        assert "000001.spool.seg" in caplog.text and "superseded" in caplog.text
+        assert sorted(os.listdir(run_dir)) == ["000003.sealed.seg", "meta.json"]
+        assert list(reopened.all_records("r1")) == records
+        assert sum(len(g) for _c, g in reopened.chains_for_run("r1")) == len(records)
+        (run,) = reopened.store_info()["runs"]
+        assert run["records"] == len(records)
+        # Later spools are numbered above the sealed segment and survive.
+        reopened.insert_records("r1", [make_record(chain="ff" * 16)])
+        reopened.close()
+        again = SegmentStore(path, auto_compact=0)
+        assert again.record_count("r1") == len(records) + 1
+        again.close()
+
+    def test_partial_sealed_segment_supersedes_nothing(self, tmp_path):
+        path, run_dir, records = self.crashed_after_rename(tmp_path, sealed_bytes=600)
+        reopened = SegmentStore(path, auto_compact=0)
+        assert "000001.spool.seg" in os.listdir(run_dir)
+        assert "000002.spool.seg" in os.listdir(run_dir)
+        # A torn sealed copy is not trusted to replace anything: every
+        # record is still served from the spools it was made of.
+        served = list(reopened.all_records("r1"))
+        assert all(record in served for record in records)
+        reopened.close()
+
+    def test_failed_unlink_is_logged(self, store, caplog, monkeypatch):
+        import logging
+
+        store.create_run(RunMetadata(run_id="r1"))
+        store.insert_records("r1", seeded_records())
+
+        def refuse(path):
+            raise PermissionError(13, "read-only", path)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        with caplog.at_level(logging.WARNING, logger="repro.store.store"):
+            assert store.compact("r1") is True
+        monkeypatch.undo()
+        assert "could not remove segment" in caplog.text
+        assert "000001.spool.seg" in caplog.text
+        assert store.record_count("r1") == 120
+
     def test_close_seals_open_transaction(self, tmp_path):
         path = str(tmp_path / "store")
         store = SegmentStore(path, auto_compact=0)
