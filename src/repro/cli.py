@@ -357,15 +357,13 @@ def cmd_query(args) -> int:
 
     predicate = _build_predicate(args)
     if args.last is not None:
-        # Cross-run catalog mode: fan the predicated scan over the newest
-        # N runs, merging per-operation latency deterministically.
+        # Cross-run catalog mode: the predicated scan over each of the
+        # newest N runs, per-operation latency merged deterministically.
         database = open_store(args.database)
         if not isinstance(database, SegmentStore):
             raise SystemExit("query --last needs a segment store (the run"
                              " catalog lives in its directory layout)")
-        result = RunCatalog(database).query(
-            predicate, last_n=args.last, workers=args.workers
-        ).to_dict()
+        result = RunCatalog(database).query(predicate, last_n=args.last).to_dict()
     else:
         database, run_id = _open_run(args)
         stats = ScanStats()
@@ -667,8 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--last", type=int, default=None, metavar="N",
                        help="cross-run mode: aggregate over the newest N"
                             " runs via the catalog (segment stores only)")
-    query.add_argument("--workers", type=int, default=1,
-                       help="catalog scan fan-out width (cross-run mode)")
     query.add_argument("--output", default=None)
     query.set_defaults(func=cmd_query)
 

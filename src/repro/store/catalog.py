@@ -9,20 +9,14 @@ bounded:
   folded into deterministic log2 histograms), built from one predicated
   scan and invalidated by record count;
 - **cross-run queries** — "p99 of operation X over the last 50 runs":
-  per-run predicated scans fan out across a worker pool and merge
-  deterministically (results are consumed in catalog order, never
-  completion order), so ``workers=4`` answers bit-identically to
-  ``workers=1``;
+  one predicated scan per live run, merged in catalog order;
 - **retention / TTL** — :meth:`RunCatalog.apply_retention` downsamples
   runs beyond a count or age budget: the summary is built (if missing),
   marked ``downsampled``, and the run's segment files are deleted.
   Cross-run queries keep answering over downsampled runs from their
   summaries — interface/operation filters exactly, time ranges at
   run-bounds granularity, latency quantiles at histogram (log2)
-  resolution;
-- **parallel compaction** — :meth:`RunCatalog.compact` drives the
-  store's compactor pool over disjoint runs so sealing keeps up with
-  sustained multi-run ingest.
+  resolution.
 
 Latency quantiles: when every selected run is scanned live the pooled
 durations give exact nearest-rank percentiles
@@ -37,129 +31,23 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import StoreError
-from repro.store.query import ScanPredicate, ScanStats, record_anchor
+from repro.store.query import (
+    OpStats,
+    ScanPredicate,
+    ScanStats,
+    fold_operations,
+    record_anchor,
+)
 
 if TYPE_CHECKING:
     from repro.store.store import SegmentStore
 
 SUMMARY_FILE = "summary.json"
 SUMMARY_VERSION = 1
-
-#: log2 histogram: bin b holds durations in [2**b, 2**(b+1)) ns
-#: (non-positive durations land in bin 0). 64 bins cover any i64.
-HIST_BINS = 64
-
-
-def _hist_bin(ns: int) -> int:
-    if ns <= 0:
-        return 0
-    return min(HIST_BINS - 1, ns.bit_length() - 1)
-
-
-def _hist_quantile(hist: dict[int, int], q: float) -> int | None:
-    """Nearest-rank quantile over a log2 histogram (bin upper bound)."""
-    total = sum(hist.values())
-    if total == 0:
-        return None
-    rank = max(0, min(total - 1, int(round(q * (total - 1)))))
-    seen = 0
-    for bin_index in sorted(hist):
-        seen += hist[bin_index]
-        if seen > rank:
-            return (1 << (bin_index + 1)) - 1
-    return (1 << HIST_BINS) - 1  # unreachable
-
-
-def _exact_quantile(sorted_values: list[int], q: float) -> int:
-    index = max(0, min(len(sorted_values) - 1,
-                       int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[index]
-
-
-@dataclass
-class _OpStats:
-    """Per-operation accumulator, mergeable across runs."""
-
-    records: int = 0
-    timed: int = 0
-    wall_sum: int = 0
-    wall_min: int | None = None
-    wall_max: int | None = None
-    hist: dict[int, int] = field(default_factory=dict)
-    durations: list[int] | None = None  # raw values (live scans only)
-
-    def add(self, duration: int) -> None:
-        self.timed += 1
-        self.wall_sum += duration
-        if self.wall_min is None or duration < self.wall_min:
-            self.wall_min = duration
-        if self.wall_max is None or duration > self.wall_max:
-            self.wall_max = duration
-        bin_index = _hist_bin(duration)
-        self.hist[bin_index] = self.hist.get(bin_index, 0) + 1
-        if self.durations is not None:
-            self.durations.append(duration)
-
-    def merge(self, other: "_OpStats") -> None:
-        self.records += other.records
-        self.timed += other.timed
-        self.wall_sum += other.wall_sum
-        for bound, pick in (("wall_min", min), ("wall_max", max)):
-            theirs = getattr(other, bound)
-            if theirs is not None:
-                ours = getattr(self, bound)
-                setattr(self, bound, theirs if ours is None else pick(ours, theirs))
-        for bin_index, count in other.hist.items():
-            self.hist[bin_index] = self.hist.get(bin_index, 0) + count
-        if self.durations is not None and other.durations is not None:
-            self.durations.extend(other.durations)
-        else:
-            self.durations = None
-
-    def to_dict(self) -> dict:
-        return {
-            "records": self.records,
-            "timed": self.timed,
-            "wall_sum": self.wall_sum,
-            "wall_min": self.wall_min,
-            "wall_max": self.wall_max,
-            "hist": {str(k): v for k, v in sorted(self.hist.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "_OpStats":
-        return cls(
-            records=data["records"],
-            timed=data["timed"],
-            wall_sum=data["wall_sum"],
-            wall_min=data["wall_min"],
-            wall_max=data["wall_max"],
-            hist={int(k): v for k, v in data["hist"].items()},
-        )
-
-    def render(self, exact: bool) -> dict:
-        """JSON row: counts plus latency percentiles."""
-        row: dict = {"records": self.records, "timed": self.timed}
-        if self.timed:
-            wall: dict = {
-                "min": self.wall_min,
-                "max": self.wall_max,
-                "mean": round(self.wall_sum / self.timed, 1),
-            }
-            if exact and self.durations is not None:
-                values = sorted(self.durations)
-                for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-                    wall[name] = _exact_quantile(values, q)
-            else:
-                for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-                    wall[name] = _hist_quantile(self.hist, q)
-            row["wall_ns"] = wall
-        return row
 
 
 @dataclass
@@ -172,7 +60,7 @@ class RunSummary:
     chains: int
     ts_min: int | None
     ts_max: int | None
-    operations: dict[str, _OpStats]
+    operations: dict[str, OpStats]
     downsampled: bool = False
     #: record count at build time — the cache-invalidation token.
     source_records: int = 0
@@ -203,7 +91,7 @@ class RunSummary:
             downsampled=data.get("downsampled", False),
             source_records=data.get("source_records", data["records"]),
             operations={
-                key: _OpStats.from_dict(value)
+                key: OpStats.from_dict(value)
                 for key, value in data["operations"].items()
             },
         )
@@ -300,27 +188,27 @@ class RunCatalog:
         return [self.summary(run_id, refresh=refresh) for run_id in self.run_ids()]
 
     def _build_summary(self, run_id: str) -> RunSummary:
-        operations: dict[str, _OpStats] = {}
-        chains = 0
-        records = 0
         ts_min = ts_max = None
-        for _chain, group in self.store.chains_for_run(run_id):
-            chains += 1
-            for record in group:
-                records += 1
-                key = f"{record.interface}::{record.operation}"
-                stats = operations.get(key)
-                if stats is None:
-                    stats = operations[key] = _OpStats()
-                stats.records += 1
-                if record.wall_start is not None and record.wall_end is not None:
-                    stats.add(record.wall_end - record.wall_start)
-                anchor = record_anchor(record.wall_start, record.wall_end)
-                if anchor is not None:
-                    if ts_min is None or anchor < ts_min:
-                        ts_min = anchor
-                    if ts_max is None or anchor > ts_max:
-                        ts_max = anchor
+
+        def watch_anchors(groups):
+            nonlocal ts_min, ts_max
+            for chain, group in groups:
+                for record in group:
+                    anchor = record_anchor(record.wall_start, record.wall_end)
+                    if anchor is not None:
+                        if ts_min is None or anchor < ts_min:
+                            ts_min = anchor
+                        if ts_max is None or anchor > ts_max:
+                            ts_max = anchor
+                yield chain, group
+
+        operations, chains = fold_operations(
+            watch_anchors(self.store.chains_for_run(run_id))
+        )
+        for stats in operations.values():
+            # A summary keeps the histogram, not the raw intervals.
+            stats.hist, stats.durations = stats.histogram(), None
+        records = sum(stats.records for stats in operations.values())
         return RunSummary(
             run_id=run_id, records=records, chains=chains,
             ts_min=ts_min, ts_max=ts_max, operations=operations,
@@ -346,7 +234,6 @@ class RunCatalog:
         predicate: ScanPredicate | None = None,
         last_n: int | None = None,
         run_ids: Iterable[str] | None = None,
-        workers: int = 1,
     ) -> CrossRunResult:
         """Aggregate per-operation stats across runs under one predicate.
 
@@ -355,64 +242,29 @@ class RunCatalog:
         exact, time range at run-bounds granularity — a partially
         overlapping downsampled run contributes whole and is flagged
         ``approximate``; chain-prefix predicates skip downsampled runs
-        entirely, listed under ``skipped``). Per-run scans fan out over
-        ``workers`` threads; the merge consumes results in catalog
-        order, so the answer is independent of scheduling.
+        entirely, listed under ``skipped``). Runs are scanned one after
+        another: the decode is pure Python, and a thread pool over it
+        measured slower than the serial loop at every width.
         """
         predicate = predicate or ScanPredicate()
         selected = list(run_ids) if run_ids is not None else self.run_ids(last_n)
-        plans: list[tuple[str, RunSummary | None]] = []
+        merged: dict[str, OpStats] = {}
+        rows: list[dict] = []
         skipped: list[dict] = []
+        any_summary = False
         for run_id in selected:
             summary = self._peek_summary(run_id)
-            downsampled = summary is not None and summary.downsampled
-            plans.append((run_id, summary if downsampled else None))
-
-        def scan_run(run_id: str) -> tuple[dict[str, _OpStats], dict]:
-            ops: dict[str, _OpStats] = {}
-            stats = ScanStats()
-            for _chain, group in self.store.chains_for_run(
-                run_id, predicate=predicate, stats=stats
-            ):
-                for record in group:
-                    key = f"{record.interface}::{record.operation}"
-                    entry = ops.get(key)
-                    if entry is None:
-                        entry = ops[key] = _OpStats(durations=[])
-                    entry.records += 1
-                    if record.wall_start is not None and record.wall_end is not None:
-                        entry.add(record.wall_end - record.wall_start)
-            row = {
-                "run_id": run_id,
-                "source": "scan",
-                "records": sum(op.records for op in ops.values()),
-                "scan": stats.to_dict(),
-            }
-            return ops, row
-
-        live_ids = [run_id for run_id, summary in plans if summary is None]
-        workers = max(1, min(workers, len(live_ids) or 1))
-        scanned: dict[str, tuple[dict, dict]] = {}
-        if workers == 1 or len(live_ids) <= 1:
-            for run_id in live_ids:
-                scanned[run_id] = scan_run(run_id)
-        else:
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-catalog-query"
-            ) as pool:
-                futures = {
-                    run_id: pool.submit(scan_run, run_id) for run_id in live_ids
-                }
-                for run_id in live_ids:  # catalog order, not completion order
-                    scanned[run_id] = futures[run_id].result()
-
-        merged: dict[str, _OpStats] = {}
-        rows: list[dict] = []
-        any_summary = False
-        for run_id, summary in plans:
-            if summary is None:
-                ops, row = scanned[run_id]
-                rows.append(row)
+            if summary is None or not summary.downsampled:
+                scan = ScanStats()
+                ops, _chains = fold_operations(self.store.chains_for_run(
+                    run_id, predicate=predicate, stats=scan
+                ))
+                rows.append({
+                    "run_id": run_id,
+                    "source": "scan",
+                    "records": sum(op.records for op in ops.values()),
+                    "scan": scan.to_dict(),
+                })
             else:
                 ops, row, skip = self._summary_slice(summary, predicate)
                 if skip is not None:
@@ -424,7 +276,7 @@ class RunCatalog:
             for key, stats in ops.items():
                 target = merged.get(key)
                 if target is None:
-                    merged[key] = target = _OpStats(durations=[])
+                    merged[key] = target = OpStats(durations=[])
                 target.merge(stats)
         exact = not any_summary
         operations = {
@@ -452,7 +304,7 @@ class RunCatalog:
 
     def _summary_slice(
         self, summary: RunSummary, predicate: ScanPredicate
-    ) -> tuple[dict[str, _OpStats], dict, dict | None]:
+    ) -> tuple[dict[str, OpStats], dict, dict | None]:
         """Apply what a summary *can* of the predicate; else skip-report."""
         if predicate.chain_prefix is not None:
             return {}, {}, {
@@ -482,7 +334,7 @@ class RunCatalog:
             approximate = not (
                 (lo is None or bounds[0] >= lo) and (hi is None or bounds[1] <= hi)
             )
-        ops: dict[str, _OpStats] = {}
+        ops: dict[str, OpStats] = {}
         for key, stats in summary.operations.items():
             # Interfaces are themselves "Module::Name" qualified, so the
             # operation is everything after the LAST separator.
@@ -491,7 +343,7 @@ class RunCatalog:
                 continue
             if predicate.operations is not None and operation not in predicate.operations:
                 continue
-            copy = _OpStats()
+            copy = OpStats()
             copy.merge(stats)
             ops[key] = copy
         row = {
@@ -548,9 +400,9 @@ class RunCatalog:
             ),
         }
 
-    def compact(self, workers: int | None = None) -> dict[str, bool]:
-        """Parallel tiered compaction over disjoint runs (store pool)."""
-        return self.store.compact_all(workers)
+    def compact(self) -> dict[str, bool]:
+        """Compact every run (see :meth:`SegmentStore.compact_all`)."""
+        return self.store.compact_all()
 
     # ------------------------------------------------------------------
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import StoreError
-from repro.store.segment import bounds_overlap  # re-exported: store.py imports it here
+from repro.store.segment import ScanStats, bounds_overlap  # ScanStats re-exported
 
 if TYPE_CHECKING:
     from repro.core.records import ProbeRecord
@@ -136,9 +136,6 @@ class ScanPredicate:
                 return False
         return True
 
-    def matches_chain(self, chain_uuid: str) -> bool:
-        return self.chain_prefix is None or chain_uuid.startswith(self.chain_prefix)
-
     def to_dict(self) -> dict:
         """JSON-friendly form (sorted sets), also the CLI echo format."""
         return {
@@ -147,47 +144,6 @@ class ScanPredicate:
             "interfaces": sorted(self.interfaces) if self.interfaces else None,
             "operations": sorted(self.operations) if self.operations else None,
             "chain_prefix": self.chain_prefix,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScanPredicate":
-        return cls(
-            ts_min=data.get("ts_min"),
-            ts_max=data.get("ts_max"),
-            interfaces=(
-                frozenset(data["interfaces"]) if data.get("interfaces") else None
-            ),
-            operations=(
-                frozenset(data["operations"]) if data.get("operations") else None
-            ),
-            chain_prefix=data.get("chain_prefix"),
-        )
-
-
-@dataclass
-class ScanStats:
-    """Where a predicated scan spent (and saved) its work.
-
-    ``frames_decoded`` counts frames the decode loop actually walked —
-    the honest pushdown figure: a predicated scan must never decode more
-    frames than the unpredicated scan of the same data (the CI gate).
-    """
-
-    segments: int = 0
-    segments_pruned: int = 0
-    groups: int = 0
-    groups_pruned: int = 0
-    frames_decoded: int = 0
-    records_matched: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "segments": self.segments,
-            "segments_pruned": self.segments_pruned,
-            "groups": self.groups,
-            "groups_pruned": self.groups_pruned,
-            "frames_decoded": self.frames_decoded,
-            "records_matched": self.records_matched,
         }
 
 
@@ -200,8 +156,8 @@ class SegmentFilter:
     wanted function, by the function zone map? — and is ``None`` when
     there is nothing to prune on: no interface/operation predicate, no
     map in the file, or every function of the segment wanted. Built
-    by :func:`segment_filter`; consumed by the ``*_filtered`` decode
-    methods of :class:`~repro.store.segment.SegmentReader`.
+    by :func:`segment_filter`; consumed by
+    :meth:`SegmentReader.scan <repro.store.segment.SegmentReader.scan>`.
     """
 
     __slots__ = ("cids", "ifc_ids", "op_ids", "ts_lo", "ts_hi", "fn_groups")
@@ -225,14 +181,14 @@ class SegmentFilter:
             and self.ts_hi is None
         )
 
-    def without_chain_test(self) -> "SegmentFilter":
-        """The same filter minus the chain-id test (for decoding one
-        already-matched sealed chain group, where cid is constant)."""
-        if self.cids is None:
-            return self
-        return SegmentFilter(
+    def within_group(self) -> "SegmentFilter | None":
+        """The per-frame filter inside one sealed chain group that group
+        pruning let through: the chain test is settled there (cid is
+        constant), and ``None`` means no per-frame test remains."""
+        rest = SegmentFilter(
             None, self.ifc_ids, self.op_ids, self.ts_lo, self.ts_hi, self.fn_groups
         )
+        return None if rest.is_pass else rest
 
 
 def segment_filter(
@@ -339,7 +295,13 @@ def fold_population_stats(records: Iterable["ProbeRecord"]) -> dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# Query execution over a StorageBackend (the CLI `repro query` engine)
+# Per-operation latency: the one fold behind `repro query` and the catalog
+
+#: log2 histogram: bin b holds durations in [2**b, 2**(b+1)) ns
+#: (non-positive durations land in bin 0). 64 bins cover any i64.
+HIST_BINS = 64
+
+_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
 
 def _nearest_rank(sorted_values: list[int], q: float) -> int:
@@ -347,6 +309,138 @@ def _nearest_rank(sorted_values: list[int], q: float) -> int:
     index = max(0, min(len(sorted_values) - 1,
                        int(round(q * (len(sorted_values) - 1)))))
     return sorted_values[index]
+
+
+def _hist_quantile(hist: dict[int, int], q: float) -> int | None:
+    """Nearest-rank quantile over a log2 histogram (bin upper bound)."""
+    total = sum(hist.values())
+    if total == 0:
+        return None
+    rank = max(0, min(total - 1, int(round(q * (total - 1)))))
+    seen = 0
+    for bin_index in sorted(hist):
+        seen += hist[bin_index]
+        if seen > rank:
+            return (1 << (bin_index + 1)) - 1
+    return (1 << HIST_BINS) - 1  # unreachable
+
+
+@dataclass
+class OpStats:
+    """One operation's record count and wall intervals (``wall_end -
+    wall_start`` of the records that carry both), mergeable across runs.
+
+    A live scan holds the intervals raw in ``durations`` and leaves
+    ``hist`` empty; what a run summary keeps is their log2 histogram
+    (``durations`` is then ``None``). Never both: a pool that a
+    histogram-only side joins drops to histogram resolution.
+    """
+
+    records: int = 0
+    timed: int = 0
+    wall_sum: int = 0
+    wall_min: int | None = None
+    wall_max: int | None = None
+    hist: dict[int, int] = field(default_factory=dict)
+    durations: list[int] | None = None
+
+    def histogram(self) -> dict[int, int]:
+        """The intervals' log2 histogram, binned now if still held raw."""
+        if self.durations is None:
+            return self.hist
+        hist: dict[int, int] = {}
+        for ns in self.durations:
+            bin_index = min(HIST_BINS - 1, ns.bit_length() - 1) if ns > 0 else 0
+            hist[bin_index] = hist.get(bin_index, 0) + 1
+        return hist
+
+    def merge(self, other: "OpStats") -> None:
+        self.records += other.records
+        self.timed += other.timed
+        self.wall_sum += other.wall_sum
+        for bound, pick in (("wall_min", min), ("wall_max", max)):
+            theirs = getattr(other, bound)
+            if theirs is not None:
+                ours = getattr(self, bound)
+                setattr(self, bound, theirs if ours is None else pick(ours, theirs))
+        if self.durations is not None and other.durations is not None:
+            self.durations.extend(other.durations)
+            return
+        self.hist, self.durations = self.histogram(), None
+        for bin_index, count in other.histogram().items():
+            self.hist[bin_index] = self.hist.get(bin_index, 0) + count
+
+    def to_dict(self) -> dict:
+        return {
+            "records": self.records,
+            "timed": self.timed,
+            "wall_sum": self.wall_sum,
+            "wall_min": self.wall_min,
+            "wall_max": self.wall_max,
+            "hist": {str(k): v for k, v in sorted(self.histogram().items())},
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "OpStats":
+        return cls(
+            records=data["records"],
+            timed=data["timed"],
+            wall_sum=data["wall_sum"],
+            wall_min=data["wall_min"],
+            wall_max=data["wall_max"],
+            hist={int(k): v for k, v in data["hist"].items()},
+        )
+
+    def render(self, exact: bool) -> dict:
+        """JSON row: counts plus latency percentiles."""
+        row: dict = {"records": self.records, "timed": self.timed}
+        if self.timed:
+            row["wall_ns"] = self.wall_ns(exact)
+        return row
+
+    def wall_ns(self, exact: bool) -> dict:
+        """Interval statistics of a non-empty pool; percentiles exact
+        (nearest rank over the raw values) or at histogram resolution."""
+        wall = {
+            "min": self.wall_min,
+            "max": self.wall_max,
+            "mean": round(self.wall_sum / self.timed, 1),
+        }
+        if exact and self.durations is not None:
+            values = sorted(self.durations)
+            for name, q in _QUANTILES:
+                wall[name] = _nearest_rank(values, q)
+        else:
+            hist = self.histogram()
+            for name, q in _QUANTILES:
+                wall[name] = _hist_quantile(hist, q)
+        return wall
+
+
+def fold_operations(groups) -> tuple[dict[str, OpStats], int]:
+    """Fold ``chains_for_run`` groups into ``{"Interface::operation":
+    OpStats}`` (intervals held raw) and the number of groups seen."""
+    counts: dict[str, int] = {}
+    durations: dict[str, list[int]] = {}
+    chains = 0
+    for _chain, group in groups:
+        chains += 1
+        for record in group:
+            key = f"{record.interface}::{record.operation}"
+            counts[key] = counts.get(key, 0) + 1
+            if record.wall_start is not None and record.wall_end is not None:
+                durations.setdefault(key, []).append(
+                    record.wall_end - record.wall_start
+                )
+    operations = {}
+    for key, records in counts.items():
+        values = durations.get(key, [])
+        operations[key] = OpStats(
+            records, len(values), sum(values),
+            min(values, default=None), max(values, default=None),
+            durations=values,
+        )
+    return operations, chains
 
 
 def run_query(
@@ -366,10 +460,6 @@ def run_query(
     needs no chain reconstruction.
     """
     predicate = predicate or ScanPredicate()
-    durations: dict[str, list[int]] = {}
-    counts: dict[str, int] = {}
-    chains: set[str] = set()
-    records = 0
     kwargs = {"predicate": predicate}
     if stats is not None:
         kwargs["stats"] = stats
@@ -381,37 +471,19 @@ def run_query(
         # the result carries no (all-zero) pruning counters.
         groups = backend.chains_for_run(run_id, predicate=predicate)
         stats_filled = False
-    for chain_uuid, group in groups:
-        chains.add(chain_uuid)
-        for record in group:
-            records += 1
-            key = f"{record.interface}::{record.operation}"
-            counts[key] = counts.get(key, 0) + 1
-            if record.wall_start is not None and record.wall_end is not None:
-                durations.setdefault(key, []).append(
-                    record.wall_end - record.wall_start
-                )
+    folded, chains = fold_operations(groups)
     operations = {}
-    for key in sorted(counts):
-        entry: dict = {"records": counts[key]}
-        values = durations.get(key)
-        if values:
-            values.sort()
-            entry["wall_ns"] = {
-                "count": len(values),
-                "min": values[0],
-                "max": values[-1],
-                "mean": round(sum(values) / len(values), 1),
-                "p50": _nearest_rank(values, 0.50),
-                "p95": _nearest_rank(values, 0.95),
-                "p99": _nearest_rank(values, 0.99),
-            }
+    for key in sorted(folded):
+        op = folded[key]
+        entry: dict = {"records": op.records}
+        if op.timed:
+            entry["wall_ns"] = {"count": op.timed, **op.wall_ns(exact=True)}
         operations[key] = entry
     result = {
         "run_id": run_id,
         "predicate": predicate.to_dict(),
-        "records": records,
-        "chains": len(chains),
+        "records": sum(op.records for op in folded.values()),
+        "chains": chains,
         "operations": operations,
     }
     if stats_filled:

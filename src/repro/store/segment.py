@@ -54,11 +54,13 @@ whole file vanishing.
 
 from __future__ import annotations
 
+import logging
 import mmap
 import os
 import struct
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from itertools import accumulate
 from json import dumps as _dumps, loads as _loads
 
@@ -74,6 +76,8 @@ from repro.store.codec import (
     SYNC,
 )
 from repro.core.events import Domain
+
+logger = logging.getLogger(__name__)
 
 MAGIC = b"RSG1"
 TRAILER_MAGIC = b"RSEGEND1"
@@ -124,6 +128,41 @@ _STAT_HEAD = struct.Struct("<IqBBBIIIIIqIqII")
 #: deltas; every other byte is skipped as padding.
 _INDEX_NARROW = struct.Struct("<Iq2xB52xIi4xi4x")
 _INDEX_WIDE = struct.Struct("<Iq2xB52xIq8xq8x")
+
+
+def uuid_key(uuid: str) -> bytes:
+    """The order sealed chain groups are stored in, and the stores' chain
+    order: UTF-8 byte order, matching SQLite's BINARY collation."""
+    return uuid.encode("utf-8", "surrogatepass")
+
+
+@dataclass
+class ScanStats:
+    """Where a scan spent (and saved) its work.
+
+    ``frames_decoded`` counts frames the decode loop actually walked —
+    the honest pushdown figure: a predicated scan must never decode more
+    frames than the unpredicated scan of the same data. ``groups`` counts
+    the sealed chain groups a predicated scan examined (those inside its
+    shard bounds), ``groups_pruned`` the ones of them it skipped unread.
+    """
+
+    segments: int = 0
+    segments_pruned: int = 0
+    groups: int = 0
+    groups_pruned: int = 0
+    frames_decoded: int = 0
+    records_matched: int = 0
+
+    def to_dict(self) -> dict:
+        return {
+            "segments": self.segments,
+            "segments_pruned": self.segments_pruned,
+            "groups": self.groups,
+            "groups_pruned": self.groups_pruned,
+            "frames_decoded": self.frames_decoded,
+            "records_matched": self.records_matched,
+        }
 
 
 class FrameTable:
@@ -604,8 +643,8 @@ class SegmentWriter:
         self._file.close()
         try:
             os.unlink(self.path)
-        except OSError:
-            pass
+        except OSError as exc:
+            logger.warning("could not remove aborted segment %s: %s", self.path, exc)
 
 
 class SegmentReader:
@@ -637,8 +676,9 @@ class SegmentReader:
         self.partial = False
         self.dropped_bytes = 0
         self.strings: list[str] = []
-        #: list of (cid, count, start_off, ranks-or-None) in group order.
-        self.chains: list[tuple[int, int, int, list | None]] = []
+        #: list of (cid, count, start_off, ranks) in group order; ranks are
+        #: a sealed group's arrival ranks, ``None`` in spools and salvage.
+        self.chains: list[tuple[int, int, int, list | range | None]] = []
         #: anchor-timestamp (min, max) over the whole segment; ``None``
         #: = unknown (salvaged / pre-extension file — never prune),
         #: inverted = no anchored frames (prunable).
@@ -699,6 +739,7 @@ class SegmentReader:
         if has_ranks > 2:
             raise StoreError(f"unknown rank width code {has_ranks} in {self.path}")
         rank_code, rank_size = ("Q", 8) if has_ranks == 1 else ("I", 4)
+        next_rank = self.arrival_base
         for _ in range(n_chains):
             cid, count, start_off = struct.unpack_from("<IIQ", mm, pos)
             pos += 16
@@ -706,6 +747,11 @@ class SegmentReader:
             if has_ranks:
                 ranks = list(struct.unpack_from(f"<{count}{rank_code}", mm, pos))
                 pos += rank_size * count
+            elif self.sealed:
+                # No recorded arrival order (sealed segment written
+                # directly, not by compaction): file order stands in.
+                ranks = range(next_rank, next_rank + count)
+            next_rank += count
             chains.append((cid, count, start_off, ranks))
         self.chains = chains
         # Optional timestamp-bounds extension (absent in files written
@@ -828,12 +874,20 @@ class SegmentReader:
     # ------------------------------------------------------------------
     # Decoding
 
-    def _decode_span(self, off: int, end: int, limit: int, sink) -> int:
-        """Decode up to ``limit`` frames from ``[off, end)`` into ``sink``.
+    def _decode_span(
+        self, off: int, end: int, limit: int, out: list, flt=None, hits=None
+    ) -> int:
+        """Decode up to ``limit`` frames of ``[off, end)`` onto ``out``.
 
-        ``sink(cid, record)`` is called per record. This is the scan fast
+        The one loop that builds records from frames, and the scan fast
         path: one fused unpack per frame, tuple-indexed enum lookups,
-        delta state in locals. Returns the number of records decoded.
+        delta state in locals. With ``flt`` (the per-segment integer-id
+        filter compiled by :func:`repro.store.query.segment_filter`) the
+        delta chain still advances over every frame, but a
+        :class:`ProbeRecord` is only built for a match, whose position
+        within the span goes onto ``hits`` (a list, required with
+        ``flt``) — how callers recover arrival ranks without decoding the
+        rest. Returns the number of frames walked.
         """
         mm = self._mm
         strings = self.strings
@@ -846,6 +900,16 @@ class SegmentReader:
         event_by_num = EVENT_BY_NUM
         domain_by_num = DOMAIN_BY_NUM
         sealed = self.sealed
+        append = out.append
+        filtered = flt is not None
+        if filtered:
+            cids = flt.cids
+            ifc_ids = flt.ifc_ids
+            op_ids = flt.op_ids
+            ts_lo = flt.ts_lo
+            ts_hi = flt.ts_hi
+            timed = ts_lo is not None or ts_hi is not None
+            hit = hits.append
         prev_ws = prev_cs = None
         last_cid = -1
         done = 0
@@ -863,6 +927,8 @@ class SegmentReader:
             if sealed and cid != last_cid:
                 prev_ws = prev_cs = None
                 last_cid = cid
+            # Timestamps decode unconditionally: the delta chain must
+            # advance even across frames the filter skips.
             if pres & 1:
                 ws = wsd if prev_ws is None else prev_ws + wsd
                 prev_ws = ws
@@ -877,12 +943,29 @@ class SegmentReader:
             else:
                 cs = None
                 ce = ced if pres & 8 else None
+            if filtered:
+                keep = (
+                    (cids is None or cid in cids)
+                    and (op_ids is None or op in op_ids)
+                    and (ifc_ids is None or ifc in ifc_ids)
+                )
+                if keep and timed:
+                    anchor = ws if ws is not None else we
+                    keep = anchor is not None and (
+                        (ts_lo is None or anchor >= ts_lo)
+                        and (ts_hi is None or anchor <= ts_hi)
+                    )
+                if not keep:
+                    off += semlen
+                    done += 1
+                    continue
+                hit(done)
             if semlen:
                 sem = loads(mm[off:off + semlen]) if pres & 32 else None
                 off += semlen
             else:
                 sem = None
-            sink(cid, record(
+            append(record(
                 strings[cid], seq, event_by_num[ev], strings[ifc], strings[op],
                 strings[obj], strings[comp], strings[proc], pid, strings[host],
                 tid, strings[ptype], strings[plat],
@@ -893,138 +976,93 @@ class SegmentReader:
             done += 1
         return done
 
-    def _decode_span_filtered(
-        self, off: int, end: int, limit: int, sink, flt
-    ) -> tuple[int, int]:
-        """Predicated twin of :meth:`_decode_span`.
+    def scan(
+        self, flt, stats: ScanStats, lo: bytes | None = None, hi: bytes | None = None
+    ):
+        """Yield ``(cid, ranks, records)`` per decode unit — the one way
+        records leave a segment.
 
-        Walks up to ``limit`` frames of ``[off, end)``, maintaining the
-        delta chain for every frame, but only materializes (and sinks) a
-        :class:`ProbeRecord` for frames matching ``flt`` — the
-        per-segment integer-id filter compiled by
-        :func:`repro.store.query.segment_filter`. ``sink(cid, record,
-        frame_index)`` receives the frame's position within the span so
-        callers can recover arrival ranks without decoding non-matches.
-        Returns ``(frames_scanned, records_matched)``.
+        A complete sealed segment yields one unit per chain group, in
+        stored (uuid) order: ``cid`` is the group's chain id, ``ranks``
+        the records' arrival ranks from the footer. ``lo`` / ``hi``
+        (inclusive :func:`uuid_key` bounds, a shard's) are bisected for
+        in the chain index, groups being stored sorted, so nothing
+        outside them is looked at; under a filter, a group the footer
+        rules out — chain index, ``FXTS`` group bounds, ``FXFN`` zone
+        map — is skipped unread and counted, and a group no frame of
+        which matches is not yielded. A spool yields one unit per
+        records block with ``cid`` ``None`` and ignores the bounds: its
+        chains interleave, so callers regroup. So does a salvaged sealed
+        segment, whose footer (and with it the group offsets and ranks)
+        was lost: file order is the best arrival order available.
+
+        ``flt`` is the segment's :class:`~repro.store.query.SegmentFilter`
+        (``None`` without a predicate). Ranks are positional over *all*
+        frames — matched or not — so a filtered scan merges as a
+        subsequence of the unfiltered order: skipping a frame never
+        compacts the rank space.
         """
-        mm = self._mm
-        strings = self.strings
-        fn_unpack = FRAME_NARROW.unpack_from
-        fw_unpack = FRAME_WIDE.unpack_from
-        fn_size = _FN_SIZE
-        fw_size = _FW_SIZE
-        loads = _loads
-        record = ProbeRecord
-        event_by_num = EVENT_BY_NUM
-        domain_by_num = DOMAIN_BY_NUM
-        sealed = self.sealed
-        cids = flt.cids
-        ifc_ids = flt.ifc_ids
-        op_ids = flt.op_ids
-        ts_lo = flt.ts_lo
-        ts_hi = flt.ts_hi
-        timed = ts_lo is not None or ts_hi is not None
-        prev_ws = prev_cs = None
-        last_cid = -1
-        scanned = matched = 0
-        while off < end and scanned < limit:
-            if mm[off + _MISC_OFF] & 16:
-                (cid, seq, ev, misc, pres, ifc, op, obj, comp, proc, pid, host,
-                 tid, ptype, plat, childid, semlen, wsd, wed, csd, ced,
-                 ) = fw_unpack(mm, off)
-                off += fw_size
-            else:
-                (cid, seq, ev, misc, pres, ifc, op, obj, comp, proc, pid, host,
-                 tid, ptype, plat, childid, semlen, wsd, wed, csd, ced,
-                 ) = fn_unpack(mm, off)
-                off += fn_size
-            if sealed and cid != last_cid:
-                prev_ws = prev_cs = None
-                last_cid = cid
-            # Timestamps decode unconditionally: the delta chain must
-            # advance even across skipped frames.
-            if pres & 1:
-                ws = wsd if prev_ws is None else prev_ws + wsd
-                prev_ws = ws
-                we = ws + wed if pres & 2 else None
-            else:
-                ws = None
-                we = wed if pres & 2 else None
-            if pres & 4:
-                cs = csd if prev_cs is None else prev_cs + csd
-                prev_cs = cs
-                ce = cs + ced if pres & 8 else None
-            else:
-                cs = None
-                ce = ced if pres & 8 else None
-            keep = (
-                (cids is None or cid in cids)
-                and (op_ids is None or op in op_ids)
-                and (ifc_ids is None or ifc in ifc_ids)
-            )
-            if keep and timed:
-                anchor = ws if ws is not None else we
-                keep = anchor is not None and (
-                    (ts_lo is None or anchor >= ts_lo)
-                    and (ts_hi is None or anchor <= ts_hi)
+        predicated = flt is not None
+        if predicated and flt.is_pass:
+            flt = None  # every frame matches: nothing to test or prune on
+        if not self.sealed or self.partial:
+            base = self.arrival_base
+            for start, end in self._regions:
+                records: list[ProbeRecord] = []
+                hits = None if flt is None else []
+                walked = self._decode_span(start, end, 1 << 62, records, flt, hits)
+                stats.frames_decoded += walked
+                stats.records_matched += len(records)
+                if records:
+                    ranks = (
+                        range(base, base + walked) if hits is None
+                        else [base + i for i in hits]
+                    )
+                    yield None, ranks, records
+                base += walked
+            return
+        chains = self.chains
+        first, last = 0, len(chains)
+        if lo is not None or hi is not None:
+            strings = self.strings
+            key = lambda entry: uuid_key(strings[entry[0]])
+            if lo is not None:
+                first = bisect_left(chains, lo, key=key)
+            if hi is not None:
+                last = max(first, bisect_right(chains, hi, key=key))
+        survivors = range(first, last)
+        frame_flt = None
+        if flt is not None:
+            cids, fn_groups, ts_lo, ts_hi = flt.cids, flt.fn_groups, flt.ts_lo, flt.ts_hi
+            chain_ts = self.chain_ts
+            timed = chain_ts is not None and (ts_lo is not None or ts_hi is not None)
+            survivors = [
+                gi for gi, (cid, _n, _off, _ranks) in enumerate(chains[first:last], first)
+                if not (
+                    (cids is not None and cid not in cids)
+                    or (timed and not bounds_overlap(chain_ts[gi], ts_lo, ts_hi))
+                    or (fn_groups is not None and not fn_groups[gi])
                 )
-            if keep:
-                if semlen:
-                    sem = loads(mm[off:off + semlen]) if pres & 32 else None
-                else:
-                    sem = None
-                sink(cid, record(
-                    strings[cid], seq, event_by_num[ev], strings[ifc],
-                    strings[op], strings[obj], strings[comp], strings[proc],
-                    pid, strings[host], tid, strings[ptype], strings[plat],
-                    ONEWAY if misc & 1 else SYNC, True if misc & 2 else False,
-                    domain_by_num[(misc >> 2) & 3], ws, we, cs, ce,
-                    strings[childid] if pres & 16 else None, sem,
-                ), scanned)
-                matched += 1
-            off += semlen
-            scanned += 1
-        return scanned, matched
-
-    def load_groups(self, groups) -> None:
-        """Append every record to ``groups[chain_uuid]`` in file order.
-
-        ``groups`` should be a ``defaultdict(list)`` keyed by chain uuid
-        string; callers merge several segments into one mapping.
-        """
-        strings = self.strings
-        sink = lambda cid, rec, _g=groups: _g[strings[cid]].append(rec)
-        for start, end in self._regions:
-            self._decode_span(start, end, 1 << 62, sink)
+            ]
+            stats.groups_pruned += last - first - len(survivors)
+            frame_flt = flt.within_group()
+        if predicated:
+            stats.groups += last - first
+        for gi in survivors:
+            cid, count, start_off, ranks = chains[gi]
+            records = []
+            hits = None if frame_flt is None else []
+            stats.frames_decoded += self._decode_span(
+                start_off, self.size_bytes, count, records, frame_flt, hits
+            )
+            stats.records_matched += len(records)
+            if records:
+                yield cid, ranks if hits is None else [ranks[i] for i in hits], records
 
     def load_ranked(self, out: list) -> None:
-        """Append ``(arrival_rank, record)`` pairs to ``out``.
-
-        Spool ranks are the arrival base plus the frame position; sealed
-        segments carry the original ranks per chain group in the footer.
-        """
-        if not self.sealed or self.partial:
-            # Spools, and salvaged sealed segments whose footer (and with
-            # it the group offsets/ranks) was lost: file order is the
-            # best arrival order available.
-            base = self.arrival_base
-            pairs = []
-            sink = lambda cid, rec, _p=pairs: _p.append(rec)
-            for start, end in self._regions:
-                self._decode_span(start, end, 1 << 62, sink)
-            out.extend((base + i, rec) for i, rec in enumerate(pairs))
-            return
-        next_rank = self.arrival_base
-        for cid, count, start_off, ranks in self.chains:
-            group: list[ProbeRecord] = []
-            sink = lambda _cid, rec, _g=group: _g.append(rec)
-            self._decode_span(start_off, self.size_bytes, count, sink)
-            if ranks is None:
-                # No recorded arrival order (sealed segment written
-                # directly, not by compaction): file order stands in.
-                ranks = range(next_rank, next_rank + count)
-            next_rank += count
-            out.extend(zip(ranks, group))
+        """Append every ``(arrival_rank, record)`` pair to ``out``."""
+        for _cid, ranks, records in self.scan(None, ScanStats()):
+            out.extend(zip(ranks, records))
 
     def index_frames(self, table: FrameTable) -> None:
         """Add this segment's frames to ``table``: the record-free twin of
@@ -1038,15 +1076,11 @@ class SegmentReader:
                 base = self.arrival_base
                 table.rank.extend(range(base, base + len(table.offset) - first))
             else:
-                next_rank = self.arrival_base
                 for _cid, count, start_off, ranks in self.chains:
                     found = self._index_span(table, start_off, self.size_bytes, count)
                     if found != count:
                         raise StoreError(f"chain group cut short in {self.path}")
-                    table.rank.extend(
-                        range(next_rank, next_rank + count) if ranks is None else ranks
-                    )
-                    next_rank += count
+                    table.rank.extend(ranks)
         except (IndexError, struct.error):
             raise StoreError(f"corrupt frame in {self.path}") from None
         table.source.extend([len(table.readers) - 1] * (len(table.offset) - first))
@@ -1102,87 +1136,8 @@ class SegmentReader:
     def decode_group(self, start_off: int, count: int) -> list[ProbeRecord]:
         """Decode one sealed chain group from its byte range (zero-copy)."""
         group: list[ProbeRecord] = []
-        sink = lambda _cid, rec, _g=group: _g.append(rec)
-        self._decode_span(start_off, self.size_bytes, count, sink)
+        self._decode_span(start_off, self.size_bytes, count, group)
         return group
-
-    # ------------------------------------------------------------------
-    # Predicated decoding (see repro.store.query)
-
-    def load_groups_filtered(self, groups, flt) -> tuple[int, int]:
-        """Filtered :meth:`load_groups`; returns (scanned, matched)."""
-        strings = self.strings
-        sink = lambda cid, rec, _idx, _g=groups: _g[strings[cid]].append(rec)
-        scanned = matched = 0
-        for start, end in self._regions:
-            s, m = self._decode_span_filtered(start, end, 1 << 62, sink, flt)
-            scanned += s
-            matched += m
-        return scanned, matched
-
-    def decode_group_filtered(
-        self, start_off: int, count: int, flt
-    ) -> list[ProbeRecord]:
-        """Filtered :meth:`decode_group` (scans exactly ``count`` frames)."""
-        group: list[ProbeRecord] = []
-        sink = lambda _cid, rec, _idx, _g=group: _g.append(rec)
-        self._decode_span_filtered(start_off, self.size_bytes, count, sink, flt)
-        return group
-
-    def load_ranked_filtered(self, out: list, flt, stats=None) -> tuple[int, int]:
-        """Filtered :meth:`load_ranked`; returns (scanned, matched).
-
-        Arrival ranks are positional over *all* frames — matched or not —
-        so a predicated ``all_records`` merge interleaves identically
-        with (a subsequence of) the unpredicated order: skipping a frame
-        must never compact the rank space. Sealed chain groups the footer
-        rules out (chain index, timestamp bounds, function zone map) are
-        skipped unread and counted into ``stats``.
-        """
-        scanned = matched = 0
-        if not self.sealed or self.partial:
-            base = self.arrival_base
-            for start, end in self._regions:
-                span_base = base + scanned
-                sink = (
-                    lambda _cid, rec, idx, _b=span_base, _o=out:
-                    _o.append((_b + idx, rec))
-                )
-                s, m = self._decode_span_filtered(start, end, 1 << 62, sink, flt)
-                scanned += s
-                matched += m
-            return scanned, matched
-        next_rank = self.arrival_base
-        chain_ts = self.chain_ts
-        group_flt = flt.without_chain_test()
-        timed = flt.ts_lo is not None or flt.ts_hi is not None
-        fn_groups = flt.fn_groups
-        if stats is not None:
-            stats.groups += len(self.chains)
-        for gi, (cid, count, start_off, ranks) in enumerate(self.chains):
-            group_base = next_rank
-            next_rank += count
-            if (
-                (flt.cids is not None and cid not in flt.cids)
-                or (timed and chain_ts is not None and not bounds_overlap(
-                    chain_ts[gi], flt.ts_lo, flt.ts_hi))
-                or (fn_groups is not None and not fn_groups[gi])
-            ):
-                if stats is not None:
-                    stats.groups_pruned += 1
-                continue
-            pairs: list[tuple[int, ProbeRecord]] = []
-            sink = lambda _cid, rec, idx, _p=pairs: _p.append((idx, rec))
-            s, m = self._decode_span_filtered(
-                start_off, self.size_bytes, count, sink, group_flt
-            )
-            scanned += s
-            matched += m
-            if ranks is None:
-                out.extend((group_base + idx, rec) for idx, rec in pairs)
-            else:
-                out.extend((ranks[idx], rec) for idx, rec in pairs)
-        return scanned, matched
 
     def groups_holding(self, fns) -> bytearray:
         """One flag per chain group: may it hold a function whose table

@@ -30,37 +30,29 @@ import json
 import logging
 import os
 import threading
+from collections import defaultdict
 from contextlib import contextmanager
 from heapq import merge as _heapq_merge
 from typing import Iterable, Iterator
 
 from repro.core.records import SCHEMA_VERSION, ProbeRecord, RunMetadata
 from repro.errors import StoreError
-from repro.store.query import (
-    ScanPredicate,
-    ScanStats,
-    bounds_overlap,
-    fold_population_stats,
-    segment_filter,
-)
+from repro.store.query import ScanPredicate, fold_population_stats, segment_filter
 from repro.store.segment import (
     KIND_SEALED,
     KIND_SPOOL,
     FrameTable,
+    ScanStats,
     SegmentReader,
     SegmentWriter,
     segment_info,
+    uuid_key,
 )
 
 MARKER_FILE = "repro-store.json"
 _RUNS_DIR = "runs"
 
 logger = logging.getLogger(__name__)
-
-
-def _uuid_key(uuid: str) -> bytes:
-    """Sort key matching SQLite's BINARY collation (UTF-8 byte order)."""
-    return uuid.encode("utf-8", "surrogatepass")
 
 
 class _Run:
@@ -342,7 +334,7 @@ class SegmentStore:
             table = FrameTable()
             for reader in sources:
                 reader.index_frames(table)
-            writer.relocate(table, sorted(table.chains, key=_uuid_key))
+            writer.relocate(table, sorted(table.chains, key=uuid_key))
             writer.seal()
         except BaseException:
             writer.abort()
@@ -366,26 +358,14 @@ class SegmentStore:
                 _unlink_segment(reader.path)
         return True
 
-    def compact_all(self, workers: int | None = None) -> dict[str, bool]:
-        """Compact every run, ``workers`` runs at a time (disjoint runs
-        merge independently). Returns ``{run_id: produced_new_segment}``
-        in sorted run order; the first failure propagates."""
-        from concurrent.futures import ThreadPoolExecutor
-
+    def compact_all(self) -> dict[str, bool]:
+        """Compact every run, one after another (a merge is pure Python:
+        threads over disjoint runs measured no faster). Returns ``{run_id:
+        produced_new_segment}`` in sorted run order; the first failure
+        propagates."""
         with self._lock:
-            run_ids = sorted(self._runs, key=_uuid_key)
-        if not run_ids:
-            return {}
-        workers = max(1, min(workers or self.max_compactors, len(run_ids)))
-        if workers == 1:
-            return {run_id: self.compact(run_id) for run_id in run_ids}
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-store-compact-all"
-        ) as pool:
-            futures = {
-                run_id: pool.submit(self.compact, run_id) for run_id in run_ids
-            }
-            return {run_id: futures[run_id].result() for run_id in run_ids}
+            run_ids = sorted(self._runs, key=uuid_key)
+        return {run_id: self.compact(run_id) for run_id in run_ids}
 
     def drop_segments(self, run_id: str) -> int:
         """Delete a run's segment files (the catalog's downsampling step).
@@ -441,7 +421,7 @@ class SegmentStore:
         for reader in self._segments(self._run(run_id)):
             strings = reader.strings
             uuids.update(strings[cid] for cid, _c, _o, _r in reader.chains)
-        return sorted(uuids, key=_uuid_key)
+        return sorted(uuids, key=uuid_key)
 
     def events_for_chain(self, run_id: str, chain_uuid: str) -> list[ProbeRecord]:
         """All events of one chain, ascending by event number (query 2)."""
@@ -463,12 +443,13 @@ class SegmentStore:
 
         On a compacted run this is the zero-copy fast path: one sealed
         segment, chain groups already sorted and byte-contiguous, so each
-        group is decoded straight out of the ``mmap`` at its footer
-        offset — a bounded scan reads only its shard's byte range.
-        Uncompacted runs take the merged path: every segment is decoded
-        once and the groups are merged in memory (arrival order is
-        preserved segment-by-segment, so the ``event_seq``-stable sort
-        reproduces SQLite's ``event_seq, id`` order exactly).
+        group streams straight out of the ``mmap`` at its footer offset —
+        a bounded scan reads only its shard's byte range. Any other run
+        takes the merged path: every segment is scanned once (a sealed
+        one still only its shard's, unpruned groups) and the groups are
+        merged in memory (arrival order is preserved segment-by-segment,
+        so the ``event_seq``-stable sort reproduces SQLite's
+        ``event_seq, id`` order exactly).
 
         ``predicate`` pushes a :class:`~repro.store.query.ScanPredicate`
         below decode: footer metadata prunes whole segments and (sealed)
@@ -478,95 +459,27 @@ class SegmentStore:
         :class:`~repro.store.query.ScanStats`) collects the pruning
         counters.
         """
-        if predicate is not None and predicate.is_empty:
-            predicate = None
         readers = self._segments(self._run(run_id))
-        if not readers:
-            return
-        lo = _uuid_key(first_chain) if first_chain is not None else None
-        hi = _uuid_key(last_chain) if last_chain is not None else None
-
+        lo = uuid_key(first_chain) if first_chain is not None else None
+        hi = uuid_key(last_chain) if last_chain is not None else None
+        scans = self._scan(readers, predicate, stats, lo, hi)
         if len(readers) == 1 and readers[0].sealed and not readers[0].partial:
-            reader = readers[0]
-            if stats is not None:
-                stats.segments += 1
-            flt = None
-            if predicate is not None:
-                flt = segment_filter(reader, predicate)
-                if flt is None:
-                    if stats is not None:
-                        stats.segments_pruned += 1
-                    return
-            group_flt = flt.without_chain_test() if flt is not None else None
-            timed = predicate is not None and predicate.has_time_range
-            chain_ts = reader.chain_ts
-            fn_groups = flt.fn_groups if flt is not None else None
-            strings = reader.strings
-            for gi, (cid, count, start_off, _ranks) in enumerate(reader.chains):
-                uuid = strings[cid]
-                key = _uuid_key(uuid)
-                if lo is not None and key < lo:
-                    continue
-                if hi is not None and key > hi:
-                    # Groups are stored sorted; nothing further matches.
-                    break
-                if flt is None:
-                    if stats is not None:
-                        stats.frames_decoded += count
-                        stats.records_matched += count
-                    yield uuid, reader.decode_group(start_off, count)
-                    continue
-                if stats is not None:
-                    stats.groups += 1
-                if (
-                    (flt.cids is not None and cid not in flt.cids)
-                    or (timed and chain_ts is not None and not bounds_overlap(
-                        chain_ts[gi], flt.ts_lo, flt.ts_hi))
-                    or (fn_groups is not None and not fn_groups[gi])
-                ):
-                    if stats is not None:
-                        stats.groups_pruned += 1
-                    continue
-                if group_flt.is_pass:
-                    group = reader.decode_group(start_off, count)
-                else:
-                    group = reader.decode_group_filtered(
-                        start_off, count, group_flt
-                    )
-                if stats is not None:
-                    stats.frames_decoded += count
-                    stats.records_matched += len(group)
-                if group:
-                    yield uuid, group
+            for reader, units in scans:
+                strings = reader.strings
+                for cid, _ranks, records in units:
+                    yield strings[cid], records
             return
-
-        from collections import defaultdict
 
         groups: dict[str, list[ProbeRecord]] = defaultdict(list)
-        for reader in readers:
-            if stats is not None:
-                stats.segments += 1
-            if predicate is None:
-                reader.load_groups(groups)
-                if stats is not None:
-                    stats.frames_decoded += reader.record_count
-                    stats.records_matched += reader.record_count
-                continue
-            flt = segment_filter(reader, predicate)
-            if flt is None:
-                if stats is not None:
-                    stats.segments_pruned += 1
-                continue
-            if flt.is_pass:
-                reader.load_groups(groups)
-                scanned = matched = reader.record_count
-            else:
-                scanned, matched = reader.load_groups_filtered(groups, flt)
-            if stats is not None:
-                stats.frames_decoded += scanned
-                stats.records_matched += matched
-        for uuid in sorted(groups, key=_uuid_key):
-            key = _uuid_key(uuid)
+        for reader, units in scans:
+            for cid, _ranks, records in units:
+                if cid is not None:
+                    groups[reader.strings[cid]] += records
+                else:
+                    for record in records:
+                        groups[record.chain_uuid].append(record)
+        for uuid in sorted(groups, key=uuid_key):
+            key = uuid_key(uuid)
             if lo is not None and key < lo:
                 continue
             if hi is not None and key > hi:
@@ -574,6 +487,24 @@ class SegmentStore:
             records = groups[uuid]
             records.sort(key=_event_seq_key)  # stable → arrival breaks ties
             yield uuid, records
+
+    def _scan(self, readers, predicate, stats, lo=None, hi=None):
+        """The store's one read path: per segment the footer does not rule
+        out whole, its reader and its decode units (see
+        :meth:`SegmentReader.scan`), work counted into ``stats``."""
+        if predicate is not None and predicate.is_empty:
+            predicate = None
+        if stats is None:
+            stats = ScanStats()
+        for reader in readers:
+            stats.segments += 1
+            flt = None
+            if predicate is not None:
+                flt = segment_filter(reader, predicate)
+                if flt is None:
+                    stats.segments_pruned += 1
+                    continue
+            yield reader, reader.scan(flt, stats, lo, hi)
 
     # ------------------------------------------------------------------
     # Supporting queries
@@ -593,37 +524,13 @@ class SegmentStore:
         unpredicated order: arrival ranks are positional over all frames,
         so filtering can neither reorder nor double-count records.
         """
-        if predicate is not None and predicate.is_empty:
-            predicate = None
-        readers = self._segments(self._run(run_id))
         streams = []
-        for reader in readers:
-            if stats is not None:
-                stats.segments += 1
+        for _reader, units in self._scan(
+            self._segments(self._run(run_id)), predicate, stats
+        ):
             ranked: list = []
-            if predicate is None:
-                reader.load_ranked(ranked)
-                if stats is not None:
-                    stats.frames_decoded += reader.record_count
-                    stats.records_matched += reader.record_count
-            else:
-                flt = segment_filter(reader, predicate)
-                if flt is None:
-                    if stats is not None:
-                        stats.segments_pruned += 1
-                    continue
-                if flt.is_pass:
-                    reader.load_ranked(ranked)
-                    if stats is not None:
-                        stats.frames_decoded += reader.record_count
-                        stats.records_matched += reader.record_count
-                else:
-                    scanned, matched = reader.load_ranked_filtered(
-                        ranked, flt, stats
-                    )
-                    if stats is not None:
-                        stats.frames_decoded += scanned
-                        stats.records_matched += matched
+            for _cid, ranks, records in units:
+                ranked.extend(zip(ranks, records))
             ranked.sort(key=_rank_key)
             streams.append(ranked)
         if len(streams) == 1:
@@ -685,7 +592,7 @@ class SegmentStore:
                     extra=data.get("extra", {}),
                 )
             )
-        metas.sort(key=lambda m: _uuid_key(m.run_id))
+        metas.sort(key=lambda m: uuid_key(m.run_id))
         return metas
 
     # ------------------------------------------------------------------
@@ -696,7 +603,7 @@ class SegmentStore:
         with self._lock:
             runs = list(self._runs.values())
         info_runs = []
-        for run in sorted(runs, key=lambda r: _uuid_key(r.run_id)):
+        for run in sorted(runs, key=lambda r: uuid_key(r.run_id)):
             readers = self._segments(run)
             segments = [segment_info(reader) for reader in readers]
             ts_mins = [s["ts_min"] for s in segments if s["ts_min"] is not None]

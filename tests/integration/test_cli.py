@@ -220,7 +220,7 @@ class TestSegmentStoreCli:
     def test_query_cross_run_catalog(self, segment_store, tmp_path):
         out_file = tmp_path / "xq.json"
         assert main(["query", segment_store, "--last", "5",
-                     "--workers", "2", "--output", str(out_file)]) == 0
+                     "--output", str(out_file)]) == 0
         result = json.loads(out_file.read_text())
         assert len(result["runs"]) == 1  # the fixture collected one run
         assert result["quantile_source"] == "exact"

@@ -5,7 +5,9 @@ segment, sealed + fresh spools, recompacted) — some with a chain group
 past the 254-function overflow marker — under random interface /
 operation predicates, alone and combined with a time range and a chain
 prefix: ``chains_for_run`` and ``all_records`` must equal a brute-force
-:meth:`ScanPredicate.matches` pass over the unpredicated scan, a fully
+:meth:`ScanPredicate.matches` pass over the unpredicated scan and report
+the same :class:`ScanStats` as each other (one scan serves both, so a
+sealed segment's groups are pruned whatever else the run holds), a fully
 sealed run must decode exactly the groups that hold a wanted function,
 and an interface and an operation that both exist but never on one
 record must prune the sealed segment outright.
@@ -117,6 +119,7 @@ def test_pruned_scans_equal_brute_force(
             assert list(
                 store.all_records("p", predicate=predicate, stats=flat_stats)
             ) == [r for r in full_records if predicate.matches(r)]
+            assert flat_stats == stats
             functions_only = (
                 not predicate.has_time_range and predicate.chain_prefix is None
             )

@@ -1,9 +1,9 @@
 """RunCatalog: cached summaries, cross-run queries, TTL downsampling.
 
-Determinism is the load-bearing property: a cross-run query must give
-the same answer at ``workers=4`` as at ``workers=1``, and keep
+Determinism is the load-bearing property: a cross-run query must keep
 answering (at histogram resolution) after retention replaced old runs'
-segments with their summaries.
+segments with their summaries, and must fold a run's operations exactly
+as ``run_query`` does.
 """
 
 import json
@@ -17,6 +17,7 @@ from repro.store import (
     RunCatalog,
     ScanPredicate,
     SegmentStore,
+    run_query,
 )
 
 from tests.unit.store.test_segment_codec import make_record
@@ -80,11 +81,21 @@ class TestSummaries:
 
 
 class TestCrossRunQueries:
-    def test_workers_do_not_change_the_answer(self, catalog):
-        predicate = ScanPredicate(operations=frozenset({"op1"}))
-        serial = catalog.query(predicate, workers=1).to_dict()
-        for workers in (2, 4):
-            assert catalog.query(predicate, workers=workers).to_dict() == serial
+    @pytest.mark.parametrize("predicate", [
+        None, ScanPredicate(operations=frozenset({"op1", "op2"})),
+    ], ids=["all", "two-operations"])
+    def test_one_run_folds_as_run_query_does(self, catalog, store, predicate):
+        single = run_query(store, "run-b", predicate)["operations"]
+        across = catalog.query(predicate, run_ids=["run-b"]).operations
+        assert list(across) == list(single) and single
+        for key, row in single.items():
+            # Same fold, two documented shapes: ``count`` inside
+            # ``wall_ns`` here, ``timed`` beside it there.
+            wall = dict(row["wall_ns"])
+            assert across[key] == {
+                "records": row["records"], "timed": wall.pop("count"),
+                "wall_ns": wall,
+            }
 
     def test_exact_quantiles_over_live_runs(self, catalog):
         result = catalog.query(ScanPredicate(operations=frozenset({"op2"})))
@@ -169,7 +180,7 @@ class TestLifecycle:
             reopened.close()
 
     def test_compact_all_runs(self, catalog, store):
-        report = catalog.compact(workers=2)
+        report = catalog.compact()
         assert report == {"run-a": True, "run-b": True, "run-c": True}
         for run_id in report:
             assert store.compaction_state(run_id)["compacted"]

@@ -12,9 +12,11 @@ import os
 
 import pytest
 
+from repro.analysis import reconstruct
 from repro.core import RunMetadata
 from repro.errors import StoreError
 from repro.store import ScanPredicate, ScanStats, SegmentStore, run_query
+from repro.store import segment as segment_module
 from repro.store.segment import SegmentReader, segment_info
 
 from tests.unit.store.test_segment_codec import make_record
@@ -97,10 +99,6 @@ class TestPredicateSemantics:
         assert predicate.matches(only_end)
         neither = make_record(wall_start=None, wall_end=None)
         assert not predicate.matches(neither)
-
-    def test_dict_roundtrip(self):
-        for predicate in PREDICATES:
-            assert ScanPredicate.from_dict(predicate.to_dict()) == predicate
 
     def test_empty_predicate(self):
         assert ScanPredicate().is_empty
@@ -197,6 +195,172 @@ class TestPruning:
         assert info["ts_max"] == 10**12 + 100 * 239
         assert info["index"]["coverage"] == "footer"
         assert info["index"]["group_ts_bounds"] is True
+
+
+def sliced_records():
+    """Twelve chains of twenty records, each chain in its own slice of
+    the timeline and on one of three interfaces: a time window, a
+    function and a uuid prefix each rule most chain groups out."""
+    return [
+        make_record(
+            chain=f"{c:032x}", seq=20 * c + i, interface=f"M::I{c % 3}",
+            operation=f"op{i % 4}", wall_start=10**12 + 1000 * c + 10 * i,
+            wall_end=10**12 + 1000 * c + 10 * i + 5, semantics=None,
+        )
+        for c in range(12) for i in range(20)
+    ]
+
+
+class _StatsTap:
+    """A backend whose ``chains_for_run`` records the scan's counters —
+    for consumers (``reconstruct``) that do not pass ``stats`` on."""
+
+    def __init__(self, store):
+        self.store, self.stats = store, ScanStats()
+
+    def chains_for_run(self, run_id, **kwargs):
+        return self.store.chains_for_run(run_id, stats=self.stats, **kwargs)
+
+
+class TestSealedPlusSpool:
+    """Compacted history plus a fresh drain — the commonest live layout.
+    The sealed part's chain groups are pruned under every consumer, not
+    only under ``all_records``."""
+
+    SEALED, SPOOL = 12 * 18, 12 * 2
+
+    @pytest.fixture
+    def layout(self, store):
+        records = sliced_records()
+        late = [r for r in records if r.event_seq % 20 >= 18]
+        ingest(store, [r for r in records if r.event_seq % 20 < 18])
+        assert store.compact("r1") is True
+        store.insert_records("r1", late)  # every chain grows by two
+        state = store.compaction_state("r1")
+        assert (state["sealed_segments"], state["spool_segments"]) == (1, 1)
+        return store
+
+    @pytest.mark.parametrize("predicate, groups_left", [
+        (ScanPredicate(chain_prefix=f"{3:032x}"), 1),
+        (ScanPredicate(interfaces={"M::I1"}, operations={"op2"}), 4),
+        (ScanPredicate(ts_min=10**12 + 4000, ts_max=10**12 + 5999), 2),
+    ], ids=["chain-prefix", "function", "time-window"])
+    def test_every_consumer_prunes_the_sealed_groups(
+        self, layout, predicate, groups_left
+    ):
+        store = layout
+        expected = brute_chains(store, "r1", predicate)
+        matching = [r for r in store.all_records("r1") if predicate.matches(r)]
+        assert matching
+
+        by_chain, by_query, flat = ScanStats(), ScanStats(), ScanStats()
+        tap = _StatsTap(store)
+        assert list(
+            store.chains_for_run("r1", predicate=predicate, stats=by_chain)
+        ) == expected
+        answer = run_query(store, "r1", predicate, stats=by_query)
+        assert (answer["records"], answer["chains"]) == (len(matching), len(expected))
+        dscg = reconstruct(tap, "r1", predicate=predicate)
+        assert list(dscg.chains) == [chain for chain, _group in expected]
+        assert list(
+            store.all_records("r1", predicate=predicate, stats=flat)
+        ) == matching
+
+        assert by_chain == by_query == tap.stats == flat
+        assert (by_chain.groups, by_chain.groups_pruned) == (12, 12 - groups_left)
+        assert by_chain.segments_pruned == 0
+        assert by_chain.records_matched == len(matching)
+        # The surviving sealed groups plus the (unindexed) spool.
+        assert by_chain.frames_decoded == 18 * groups_left + self.SPOOL
+        assert by_chain.frames_decoded < store.record_count("r1")
+
+    def test_shard_bounds_reach_the_sealed_part(self, layout):
+        store = layout
+        first, last = f"{2:032x}", f"{4:032x}"
+        stats = ScanStats()
+        assert list(store.chains_for_run("r1", first, last, stats=stats)) == [
+            (chain, group) for chain, group in store.chains_for_run("r1")
+            if first <= chain <= last
+        ]
+        assert stats.frames_decoded == 3 * 18 + self.SPOOL
+
+
+class TestMergedDecodeLoop:
+    """The one frame loop, filtering: ranks stay positional over all
+    frames, and a decoded group without a match is dropped."""
+
+    PREDICATE = ScanPredicate(interfaces={"M::I1"}, operations={"op2"})
+
+    def many_blocks(self, store, monkeypatch):
+        """One spool of several records blocks, then its readers."""
+        monkeypatch.setattr(segment_module, "_FLUSH_BYTES", 1024)
+        records = sliced_records()
+        store.create_run(RunMetadata(run_id="r1"))
+        with store.bulk_ingest():
+            for lo in range(0, len(records), 30):
+                store.insert_records("r1", records[lo:lo + 30])
+        return records
+
+    def blocks(self, store):
+        (info,) = store.store_info()["runs"]
+        (segment,) = info["segments"]
+        run_dir = os.path.join(store.path, "runs", "r1")
+        reader = SegmentReader(os.path.join(run_dir, segment["path"]))
+        try:
+            return len(reader._regions), reader.partial
+        finally:
+            reader.close()
+
+    def test_ranks_stay_positional_across_spool_blocks(self, store, monkeypatch):
+        records = self.many_blocks(store, monkeypatch)
+        assert self.blocks(store) == (8, False)
+        assert list(store.all_records("r1")) == records
+        assert list(store.all_records("r1", predicate=self.PREDICATE)) == [
+            r for r in records if self.PREDICATE.matches(r)
+        ]
+
+    def test_ranks_stay_positional_in_a_salvaged_sealed_segment(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "torn")
+        store = SegmentStore(path, auto_compact=0)
+        self.many_blocks(store, monkeypatch)
+        assert store.compact("r1") is True
+        store.close()
+        (name,) = [n for n in os.listdir(os.path.join(path, "runs", "r1"))
+                   if n.endswith(".seg")]
+        victim = os.path.join(path, "runs", "r1", name)
+        os.truncate(victim, int(os.path.getsize(victim) * 0.7))
+        store = SegmentStore(path, auto_compact=0)
+        try:
+            regions, partial = self.blocks(store)
+            assert partial and regions > 1
+            full = list(store.all_records("r1"))
+            assert 0 < len(full) < 240
+            stats = ScanStats()
+            assert list(
+                store.all_records("r1", predicate=self.PREDICATE, stats=stats)
+            ) == [r for r in full if self.PREDICATE.matches(r)]
+            # Salvaged: frame-filtered, never pruned.
+            assert (stats.groups, stats.frames_decoded) == (0, len(full))
+        finally:
+            store.close()
+
+    def test_decoded_group_without_a_match_is_not_yielded(self, store):
+        # Both chains' bounds overlap the window; only one has a record in it.
+        records = [
+            make_record(chain=f"{c:032x}", seq=10 * c + i,
+                        wall_start=1000 * i + 100 * c, wall_end=None)
+            for c in range(2) for i in range(10)
+        ]
+        ingest(store, records)
+        store.compact("r1")
+        predicate, stats = ScanPredicate(ts_min=2050, ts_max=2150), ScanStats()
+        assert list(store.chains_for_run("r1", predicate=predicate, stats=stats)) \
+            == [(f"{1:032x}", [records[12]])]
+        assert (stats.groups, stats.groups_pruned) == (2, 0)
+        assert (stats.frames_decoded, stats.records_matched) == (20, 1)
+        assert list(store.all_records("r1", predicate=predicate)) == [records[12]]
 
 
 class TestSalvagedScans:

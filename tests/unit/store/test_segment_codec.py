@@ -224,3 +224,28 @@ class TestSegmentValidation:
         from repro.core.records import ProbeRecord
 
         assert tuple(f.name for f in RECORD_SCHEMA) == ProbeRecord.__slots__
+
+
+class TestWriterAbort:
+    def test_abort_removes_the_unsealed_file(self, tmp_path):
+        path = str(tmp_path / "a.seg")
+        writer = SegmentWriter(path)
+        writer.append([make_record()])
+        writer.abort()
+        assert not os.path.exists(path)
+
+    def test_failed_unlink_is_logged_not_raised(self, tmp_path, caplog, monkeypatch):
+        import logging
+
+        path = str(tmp_path / "a.seg")
+        writer = SegmentWriter(path)
+
+        def refuse(target):
+            raise PermissionError(13, "read-only", target)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        with caplog.at_level(logging.WARNING, logger="repro.store.segment"):
+            writer.abort()  # must not raise: it runs inside error handling
+        monkeypatch.undo()
+        assert "could not remove aborted segment" in caplog.text
+        assert "a.seg" in caplog.text
