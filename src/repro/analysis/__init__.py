@@ -38,7 +38,7 @@ from repro.analysis.statemachine import (
     reconstruct_chain,
     reconstruct_from_records,
 )
-from repro.analysis.parallel import default_workers, reconstruct_sharded
+from repro.analysis.parallel import reconstruct_sharded
 from repro.analysis.xmlview import render_ccsg_xml, split_sec_usec
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "layout_to_json",
     "layout_to_svg",
     "path_of",
-    "default_workers",
     "reconstruct",
     "reconstruct_chain",
     "reconstruct_from_records",

@@ -1,20 +1,24 @@
-"""Sharded parallel DSCG reconstruction.
+"""Sharded DSCG reconstruction — kept for the ledger, not for speed.
 
-The analyzer is embarrassingly parallel by construction: each Function
-UUID's chain reconstructs from its own sorted event records (the Figure-4
-state machine never looks across chains), and the chain-local annotations
+Chains are independent by construction: each Function UUID's chain
+reconstructs from its own sorted event records (the Figure-4 state
+machine never looks across chains), and the chain-local annotations
 — end-to-end latency L(F) and self CPU SC_F — read only records inside
 one chain. Concurrency-preserving monitoring work (Nazarpour et al.)
 makes the same observation for multi-threaded CBSs: per-trace analysis
-need not serialize.
+need not serialize. Under the GIL that buys no speed — the work is pure
+Python, and the ledger's ``analysis.parallel.sharded2_records_per_s``
+never resolves above the serial pass — so :func:`repro.analysis.reconstruct`
+is serial and nothing in ``src/`` calls this module. It stays because
+``bench/pipeline.py`` imports :func:`reconstruct_sharded` to measure that
+metric (retiring it is a ``benchmark``-archetype change) and because it
+is the unit a free-threaded interpreter would scale.
 
 Sharding model: the sorted chain-uuid space is split into contiguous
 ranges, one per worker, each handed to the backend as a bounded
-``chains_for_run(first_chain, last_chain)`` scan. On SQLite that is a
-fused index scan (``chain_uuid BETWEEN lo AND hi ORDER BY chain_uuid,
-event_seq, id``) over a per-thread read connection (WAL journal on
-file-backed databases, so readers never contend; ``:memory:`` falls back
-to the serialized shared connection). On the segment store the chain
+``chains_for_run(first_chain, last_chain)`` scan. SQLite serves every
+shard over its one connection, the lock taken per row batch, so shard
+scans interleave rather than overlap. On the segment store the chain
 groups of a sealed segment are byte-contiguous and sorted, so each shard
 decodes a disjoint ``mmap`` range — backends that benefit from
 preparation (the store compacts its spools) expose a
@@ -30,57 +34,15 @@ call raises).
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
 import repro.analysis.statemachine as statemachine
-from repro.analysis.cpu import annotate_chain_self_cpu
-from repro.analysis.dscg import ChainTree, Dscg
-from repro.analysis.latency import annotate_chain_latency
+from repro.analysis.dscg import Dscg
 
 if TYPE_CHECKING:
     from repro.store.backend import StorageBackend
     from repro.store.query import ScanPredicate
-
-#: Upper bound on the auto-selected pool: analyzer shards are CPU-heavy,
-#: so there is no point outnumbering the cores by much.
-_MAX_AUTO_WORKERS = 8
-
-
-def default_workers() -> int:
-    """Pool size when the caller asks for automatic sharding."""
-    return max(1, min(_MAX_AUTO_WORKERS, os.cpu_count() or 1))
-
-
-def _env_worker_ceiling() -> int | None:
-    """Parse the ``REPRO_ANALYZER_WORKERS`` override (None if unset/bad)."""
-    raw = os.environ.get("REPRO_ANALYZER_WORKERS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
-
-
-def effective_workers(requested: int | None, oversubscribe: bool = False) -> int:
-    """Pool width actually used for a requested worker count.
-
-    Normally the request is clamped to the core count (threads beyond it
-    only contend on the GIL). ``REPRO_ANALYZER_WORKERS`` replaces that
-    ceiling, letting CI exercise real multi-shard pools on one-core
-    containers; ``oversubscribe=True`` skips the clamp entirely.
-    """
-    if requested is None or requested <= 0:
-        requested = default_workers()
-    if oversubscribe:
-        return requested
-    ceiling = _env_worker_ceiling()
-    if ceiling is None:
-        ceiling = os.cpu_count() or 1
-    return max(1, min(requested, ceiling))
 
 
 def shard_bounds(
@@ -106,79 +68,46 @@ def shard_bounds(
     return bounds
 
 
-def _reconstruct_shard(
-    database: "StorageBackend",
-    run_id: str,
-    bounds: tuple[str, str],
-    annotate: bool,
-    predicate: "ScanPredicate | None" = None,
-) -> list[ChainTree]:
-    """Worker body: rebuild (and annotate) one contiguous uuid range."""
-    first, last = bounds
-    trees: list[ChainTree] = []
-    for chain_uuid, records in database.chains_for_run(
-        run_id, first_chain=first, last_chain=last, predicate=predicate
-    ):
-        tree = statemachine.reconstruct_chain(chain_uuid, records)
-        if annotate:
-            annotate_chain_latency(tree)
-            annotate_chain_self_cpu(tree)
-        trees.append(tree)
-    return trees
-
-
 def reconstruct_sharded(
     database: "StorageBackend",
     run_id: str,
-    workers: int | None = None,
+    workers: int,
     annotate: bool = False,
-    oversubscribe: bool = False,
     predicate: "ScanPredicate | None" = None,
 ) -> Dscg:
-    """Parallel drop-in for :func:`repro.analysis.reconstruct`.
+    """:func:`repro.analysis.reconstruct` over a pool of shard scans.
 
-    Produces a DSCG identical (including chain iteration order and
-    serialized JSON) to the serial single-scan reconstruction. A
-    ``predicate`` is pushed into every shard's bounded scan; chains whose
-    records are all filtered out simply do not appear, so the sharded
-    predicated result matches the serial predicated one.
-
-    The pool is sized ``min(workers, cpu_count)``: reconstruction is
-    CPU-bound, so threads beyond the core count only add GIL contention
-    and scheduler churn (on a one-core host ``workers=8`` degrades to
-    the plain fused scan rather than running 8x slower). Pass
-    ``oversubscribe=True`` to force the requested width anyway.
+    The chain-uuid space is cut exactly ``min(workers, chains)`` ways,
+    one thread per shard, whatever the host's core count, and the shards
+    merge in range order: the DSCG — chain iteration order and serialized
+    JSON included — is identical to the serial pass. A ``predicate`` is
+    pushed into every shard's bounded scan; chains whose records are all
+    filtered out simply do not appear, as in the serial predicated pass.
     """
-    workers = effective_workers(workers, oversubscribe)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     prepare = getattr(database, "prepare_sharded_scan", None)
     if prepare is not None:
         # Segment store: compact the run's spools so every shard becomes
         # a disjoint byte-range decode of one sealed segment.
         prepare(run_id)
-    chain_uuids = database.unique_chain_uuids(run_id)
-    bounds = shard_bounds(chain_uuids, workers)
+    bounds = shard_bounds(database.unique_chain_uuids(run_id), workers)
     dscg = Dscg()
-    if len(bounds) <= 1:
-        # Nothing to shard — run the scan inline, skipping pool overhead.
-        if bounds:
-            dscg.add_chains(
-                _reconstruct_shard(database, run_id, bounds[0], annotate, predicate)
-            )
-        dscg.link_chains()
-        return dscg
-    with ThreadPoolExecutor(
-        max_workers=len(bounds), thread_name_prefix="repro-analyzer"
-    ) as pool:
-        futures = [
-            pool.submit(
-                _reconstruct_shard, database, run_id, shard, annotate, predicate
-            )
-            for shard in bounds
-        ]
-        # Consume in shard order (not completion order): the merged chain
-        # sequence is then globally sorted by chain uuid, exactly like the
-        # serial scan. result() re-raises the first worker failure.
-        for future in futures:
-            dscg.add_chains(future.result())
+    if bounds:
+        with ThreadPoolExecutor(
+            max_workers=len(bounds), thread_name_prefix="repro-analyzer"
+        ) as pool:
+            futures = [
+                pool.submit(
+                    statemachine.reconstruct_range,
+                    database, run_id, annotate, predicate, first, last,
+                )
+                for first, last in bounds
+            ]
+            # Consume in shard order, not completion order: the merged chain
+            # sequence is then sorted by chain uuid exactly like the serial
+            # scan. result() re-raises the first worker failure.
+            for future in futures:
+                dscg.add_chains(future.result())
     dscg.link_chains()
     return dscg

@@ -29,7 +29,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.events import CallKind, TracingEvent
 from repro.core.records import ProbeRecord
+from repro.analysis.cpu import annotate_chain_self_cpu
 from repro.analysis.dscg import AbnormalEvent, CallNode, ChainTree, Dscg
+from repro.analysis.latency import annotate_chain_latency
 
 if TYPE_CHECKING:
     from repro.store.backend import StorageBackend
@@ -228,10 +230,32 @@ def reconstruct_from_records(records: Iterable[ProbeRecord]) -> Dscg:
     return dscg
 
 
+def reconstruct_range(
+    database: "StorageBackend",
+    run_id: str,
+    annotate: bool = False,
+    predicate: "ScanPredicate | None" = None,
+    first_chain: str | None = None,
+    last_chain: str | None = None,
+) -> list[ChainTree]:
+    """Rebuild, in uuid order, the chains of one inclusive chain-uuid
+    range of a run — by default all of it. The one per-chain loop: the
+    whole of :func:`reconstruct`, and one shard of ``reconstruct_sharded``."""
+    trees: list[ChainTree] = []
+    for chain_uuid, records in database.chains_for_run(
+        run_id, first_chain=first_chain, last_chain=last_chain, predicate=predicate
+    ):
+        tree = reconstruct_chain(chain_uuid, records)
+        if annotate:
+            annotate_chain_latency(tree)
+            annotate_chain_self_cpu(tree)
+        trees.append(tree)
+    return trees
+
+
 def reconstruct(
     database: "StorageBackend",
     run_id: str,
-    workers: int = 1,
     annotate: bool = False,
     predicate: "ScanPredicate | None" = None,
 ) -> Dscg:
@@ -244,11 +268,10 @@ def reconstruct(
     DSCG is bit-identical whether the run lives in SQLite or in the
     segment store.
 
-    ``workers > 1`` shards the sorted chain-uuid space across a worker
-    pool (chains reconstruct independently; see
-    :mod:`repro.analysis.parallel`); ``workers=0`` picks a pool size from
-    the host CPU count. ``annotate=True`` additionally stamps each node's
-    chain-local ``latency_ns``/``self_cpu_ns`` inside the same pass.
+    One serial pass — chains are independent, but a thread pool over them
+    never measured faster under the GIL (:mod:`repro.analysis.parallel`).
+    ``annotate=True`` additionally stamps each node's chain-local
+    ``latency_ns``/``self_cpu_ns`` inside the same pass.
 
     ``predicate`` pushes a :class:`~repro.store.ScanPredicate` down into
     the backend scan, reconstructing only matching records (entire
@@ -257,27 +280,7 @@ def reconstruct(
     calls in half — can of course surface as abnormal events; that is
     the record stream the caller asked to analyze.
     """
-    if workers == 0 or workers > 1:
-        from repro.analysis.parallel import reconstruct_sharded
-
-        return reconstruct_sharded(
-            database,
-            run_id,
-            workers=workers or None,
-            annotate=annotate,
-            predicate=predicate,
-        )
-    from repro.analysis.cpu import annotate_chain_self_cpu
-    from repro.analysis.latency import annotate_chain_latency
-
     dscg = Dscg()
-    for chain_uuid, records in database.chains_for_run(
-        run_id, predicate=predicate
-    ):
-        tree = reconstruct_chain(chain_uuid, records)
-        if annotate:
-            annotate_chain_latency(tree)
-            annotate_chain_self_cpu(tree)
-        dscg.add_chain(tree)
+    dscg.add_chains(reconstruct_range(database, run_id, annotate, predicate))
     dscg.link_chains()
     return dscg

@@ -67,15 +67,15 @@ _DSCG_CACHE: dict[tuple[str, str], "object"] = {}
 _DSCG_CACHE_LIMIT = 4
 
 
-def load_dscg(database: StorageBackend, run_id: str, workers: int = 1):
+def load_dscg(database: StorageBackend, run_id: str):
     """Memoized ``reconstruct(database, run_id)`` for the CLI subcommands."""
     if database.path == ":memory:":
         # Distinct in-memory databases share the same path; never alias them.
-        return reconstruct(database, run_id, workers=workers)
+        return reconstruct(database, run_id)
     key = (database.path, run_id)
     dscg = _DSCG_CACHE.get(key)
     if dscg is None:
-        dscg = reconstruct(database, run_id, workers=workers)
+        dscg = reconstruct(database, run_id)
         while len(_DSCG_CACHE) >= _DSCG_CACHE_LIMIT:
             _DSCG_CACHE.pop(next(iter(_DSCG_CACHE)))
         _DSCG_CACHE[key] = dscg
@@ -84,9 +84,7 @@ def load_dscg(database: StorageBackend, run_id: str, workers: int = 1):
 
 def _load_dscg(args) -> "object":
     database, run_id = _open_run(args)
-    return database, run_id, load_dscg(
-        database, run_id, workers=getattr(args, "workers", 1)
-    )
+    return database, run_id, load_dscg(database, run_id)
 
 
 def _demo_backend(args) -> StorageBackend:
@@ -672,11 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         command.add_argument("database")
         command.add_argument("--run", default=None, help="run id (default: latest)")
-        command.add_argument(
-            "--workers", type=int, default=1,
-            help="analyzer worker pool size: 1 = serial single-scan,"
-                 " N = shard chains over N workers, 0 = one per CPU",
-        )
         if extra:
             extra(command)
         command.set_defaults(func=func)

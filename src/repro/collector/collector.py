@@ -95,8 +95,9 @@ class LogCollector:
     the run's metadata (``extra["loss"]``) instead of silently vanishing.
 
     Any :class:`~repro.store.StorageBackend` works as the sink — the
-    SQLite default, or the segment store via ``backend=`` (an explicit
-    alias of ``database=`` for call sites that select a backend).
+    zero-setup in-memory SQLite reference backend by default, or the
+    segment store (the product path) via ``backend=`` (an explicit alias
+    of ``database=`` for call sites that select a backend).
     """
 
     def __init__(

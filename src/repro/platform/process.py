@@ -148,6 +148,9 @@ class LocalLogBuffer:
 class SimProcess:
     """One simulated OS process pinned to a host."""
 
+    #: Tracked threads below which :meth:`spawn_thread` never prunes.
+    _PRUNE_FLOOR = 16
+
     def __init__(self, name: str, host: Host):
         self.pid = next(_pid_counter)
         self.name = name
@@ -160,6 +163,7 @@ class SimProcess:
         self.fault_hook: Any = None  # attached by repro.faults.FaultInjector
         self._threads: list[threading.Thread] = []
         self._threads_lock = threading.Lock()
+        self._prune_at = self._PRUNE_FLOOR  # tracked count that triggers a prune
         self._alive = True
 
     def spawn_thread(
@@ -169,9 +173,16 @@ class SimProcess:
         thread = threading.Thread(
             target=target, args=args, name=f"{self.name}/{name}", daemon=daemon
         )
-        with self._threads_lock:
-            self._threads.append(thread)
         thread.start()
+        with self._threads_lock:
+            # A thread-per-request server spawns one thread per call, so
+            # finished ones are dropped — one scan per doubling, keeping
+            # tracked <= 2 x live + _PRUNE_FLOOR. Every tracked thread was
+            # started, which is what lets is_alive() mean "not finished".
+            if len(self._threads) >= self._prune_at:
+                self._threads = [t for t in self._threads if t.is_alive()]
+                self._prune_at = 2 * len(self._threads) + self._PRUNE_FLOOR
+            self._threads.append(thread)
         return thread
 
     def join_threads(self, timeout: float = 2.0) -> None:

@@ -3,8 +3,11 @@
 :class:`StorageBackend` is the structural (``Protocol``) contract the
 collector, CLI and analyzers program against. Two implementations ship:
 
-- :class:`repro.collector.MonitoringDatabase` — the SQLite default;
-- :class:`repro.store.SegmentStore` — the columnar segment store.
+- :class:`repro.store.SegmentStore` — the columnar segment store, the
+  product path everything measured runs on;
+- :class:`repro.collector.MonitoringDatabase` — SQLite, the paper's
+  relational database: reference backend, in-memory default and the
+  oracle the segment store is held to (one connection, no read scaling).
 
 :func:`open_store` autodetects which one a path holds: a directory (or a
 path ending in the store marker) is a segment store, a file is SQLite.

@@ -83,25 +83,15 @@ class SegmentStore:
     keeps read amplification bounded without blocking the drain path.
     """
 
-    def __init__(
-        self,
-        path: str,
-        auto_compact: int = 8,
-        compact_in_background: bool = True,
-        max_compactors: int = 2,
-    ):
-        if max_compactors < 1:
-            raise StoreError("max_compactors must be >= 1")
+    def __init__(self, path: str, auto_compact: int = 8):
         self.path = path
         self.auto_compact = auto_compact
-        self.compact_in_background = compact_in_background
-        self.max_compactors = max_compactors
         self._lock = threading.RLock()
         self._runs: dict[str, _Run] = {}
         self._bulk_depth = 0
-        # Bounded compactor pool: disjoint runs compact concurrently
-        # (compact() serializes per run via run.lock), but the pool caps
-        # how many merge passes contend with ingest for CPU/disk.
+        # One background compactor thread: it is there to keep the merge
+        # off the drain thread, which one thread does (a merge is pure
+        # Python; a second thread measured no faster).
         self._compactor_pool = None
         self._compact_pending: set[str] = set()
         self._compact_running = 0
@@ -268,9 +258,6 @@ class SegmentStore:
     # Compaction
 
     def _schedule_compaction(self, run_id: str) -> None:
-        if not self.compact_in_background:
-            self.compact(run_id)
-            return
         with self._lock:
             if self._closed or run_id in self._compact_pending:
                 return  # already queued: one merge will cover the new spools
@@ -279,8 +266,7 @@ class SegmentStore:
                 from concurrent.futures import ThreadPoolExecutor
 
                 self._compactor_pool = ThreadPoolExecutor(
-                    max_workers=self.max_compactors,
-                    thread_name_prefix="repro-store-compact",
+                    max_workers=1, thread_name_prefix="repro-store-compact"
                 )
             self._compactor_pool.submit(self._compact_quietly, run_id)
 
@@ -297,7 +283,7 @@ class SegmentStore:
                 # Background compaction must never take down the host
                 # process; the spool segments stay readable as they are.
                 # But a failure must not be invisible either — repeated
-                # ones quietly lose the sharded-scan fast path.
+                # ones quietly lose the sealed-scan fast path.
                 logger.exception("background compaction of run %r failed", run_id)
                 try:
                     run = self._run(run_id)

@@ -154,9 +154,12 @@ class TestSegmentStoreCli:
         assert main(["latency", segment_store, "--limit", "3"]) == 0
         assert "function" in capsys.readouterr().out
 
-    def test_workers_flag_on_segment_store(self, segment_store, capsys):
-        assert main(["summary", segment_store, "--workers", "2"]) == 0
-        assert "DSCG:" in capsys.readouterr().out
+    def test_analysis_commands_take_no_workers_flag(self, segment_store, capsys):
+        # Reconstruction is one serial pass; the pool-width option is gone.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["summary", segment_store, "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_store_info_segment(self, segment_store, tmp_path):
         out_file = tmp_path / "info.json"

@@ -90,8 +90,7 @@ class TestCrossBackendIdentity:
         for workers in (2, 4):
             sharded = dscg_to_json(
                 reconstruct_sharded(
-                    segment, "xb", workers=workers, annotate=True,
-                    oversubscribe=True,
+                    segment, "xb", workers=workers, annotate=True
                 )
             )
             assert sharded == serial
@@ -171,7 +170,7 @@ class TestCrossBackendPredicates:
         assert dscg_to_json(dscg_a) == dscg_to_json(dscg_b)
         # Sharded predicated reconstruction merges to the same DSCG.
         sharded = reconstruct_sharded(
-            segment, "xb", workers=3, predicate=predicate, oversubscribe=True
+            segment, "xb", workers=3, predicate=predicate
         )
         assert dscg_to_json(sharded) == dscg_to_json(dscg_a)
 

@@ -76,6 +76,32 @@ def test_chains_never_intertwine(cluster, policy_factory):
         assert len(tree.roots) == 3
 
 
+def test_thread_per_request_does_not_keep_finished_threads(cluster):
+    # One thread per call served: the server process must not go on
+    # tracking every thread it ever spawned.
+    registry = InterfaceRegistry()
+    compiled = compile_idl(IDL, instrument=True, registry=registry)
+    server = cluster.process("server-tpr")
+    server_orb = Orb(server, cluster.network, policy=ThreadPerRequest(),
+                     registry=registry)
+
+    class SvcImpl(compiled.Svc):
+        def step(self, depth):
+            return depth
+
+    ref = server_orb.activate(SvcImpl())
+    client = cluster.process("client-tpr")
+    stub = Orb(client, cluster.network, registry=registry).resolve(ref)
+    calls = 300
+    for index in range(calls):
+        assert stub.step(index) == index
+    tracked = server._threads
+    live = sum(1 for thread in tracked if thread.is_alive())
+    assert len(tracked) <= 2 * live + 16 < calls
+    server.shutdown()
+    assert not any(thread.is_alive() for thread in server._threads)
+
+
 def test_pool_threads_are_recycled_with_fresh_ftls(cluster):
     # A pool of ONE thread serves every request; the single recycled
     # thread must be re-annotated with each incoming call's FTL (O2).

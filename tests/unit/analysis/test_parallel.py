@@ -1,9 +1,10 @@
-"""Unit tests for the sharded parallel analyzer.
+"""Unit tests for the sharded analyzer.
 
-The contract: ``reconstruct_sharded`` is a drop-in for the serial
-single-scan ``reconstruct`` — identical DSCG, identical chain order,
-identical serialized JSON — and worker failures surface as exceptions
-rather than silently dropped chains.
+The contract: ``reconstruct_sharded`` yields what the serial single-scan
+``reconstruct`` yields — identical DSCG, identical chain order,
+identical serialized JSON — over exactly ``min(workers, chains)`` shard
+scans, and worker failures surface as exceptions rather than silently
+dropped chains.
 """
 
 import pytest
@@ -72,9 +73,7 @@ class TestEquivalence:
     def test_parallel_equals_serial_file_backed(self, tmp_path):
         database, run_id = _collected_workload(tmp_path)
         serial = reconstruct(database, run_id)
-        parallel = reconstruct_sharded(
-            database, run_id, workers=3, oversubscribe=True
-        )
+        parallel = reconstruct_sharded(database, run_id, workers=3)
         assert list(parallel.chains) == list(serial.chains)
         assert dscg_to_json(parallel) == dscg_to_json(serial)
         assert len(serial.abnormal_events()) >= 2  # the mingled chains
@@ -85,18 +84,13 @@ class TestEquivalence:
         database, run_id = collect_run([sim.process])
         assert database.path == ":memory:"
         serial = reconstruct(database, run_id)
-        parallel = reconstruct(database, run_id, workers=4)
+        parallel = reconstruct_sharded(database, run_id, workers=4)
         assert dscg_to_json(parallel) == dscg_to_json(serial)
-
-    def test_workers_via_reconstruct_entry_point(self, tmp_path):
-        database, run_id = _collected_workload(tmp_path)
-        assert dscg_to_json(reconstruct(database, run_id, workers=2)) == \
-            dscg_to_json(reconstruct(database, run_id))
 
     def test_annotation_matches_serial(self, tmp_path):
         database, run_id = _collected_workload(tmp_path)
         serial = reconstruct(database, run_id, annotate=True)
-        parallel = reconstruct(
+        parallel = reconstruct_sharded(
             database, run_id, workers=3, annotate=True
         )
         for uuid, tree in serial.chains.items():
@@ -107,9 +101,7 @@ class TestEquivalence:
 
     def test_more_workers_than_chains(self, tmp_path):
         database, run_id = _collected_workload(tmp_path)
-        parallel = reconstruct_sharded(
-            database, run_id, workers=64, oversubscribe=True
-        )
+        parallel = reconstruct_sharded(database, run_id, workers=64)
         assert dscg_to_json(parallel) == dscg_to_json(reconstruct(database, run_id))
 
     def test_empty_run(self, tmp_path):
@@ -119,6 +111,40 @@ class TestEquivalence:
         database.create_run(RunMetadata(run_id="r0"))
         dscg = reconstruct_sharded(database, "r0", workers=4)
         assert dscg.chains == {}
+
+
+class TestPoolWidth:
+    """The width is the caller's number — never the host's core count."""
+
+    @pytest.fixture
+    def collected(self, tmp_path, monkeypatch):
+        """(database, run_id, shard scans): every bounded scan is noted."""
+        database, run_id = _collected_workload(tmp_path)
+        scans = []
+        real = database.chains_for_run
+
+        def counting(run_id, first_chain=None, last_chain=None, predicate=None):
+            scans.append((first_chain, last_chain))
+            return real(run_id, first_chain, last_chain, predicate)
+
+        monkeypatch.setattr(database, "chains_for_run", counting)
+        return database, run_id, scans
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 6, 64])
+    def test_runs_exactly_min_workers_chains_shard_scans(self, collected, workers):
+        database, run_id, scans = collected
+        chains = database.unique_chain_uuids(run_id)
+        assert len(chains) == 6
+        reconstruct_sharded(database, run_id, workers=workers)
+        assert sorted(scans) == shard_bounds(chains, workers)
+        assert len(scans) == min(workers, len(chains))
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_width_below_one_is_rejected(self, collected, workers):
+        database, run_id, scans = collected
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            reconstruct_sharded(database, run_id, workers=workers)
+        assert scans == []
 
 
 class TestShardBounds:
@@ -150,7 +176,7 @@ class TestFailureSurfacing:
             parallel_mod.statemachine, "reconstruct_chain", explode
         )
         with pytest.raises(RuntimeError, match="worker died"):
-            reconstruct_sharded(database, run_id, workers=3, oversubscribe=True)
+            reconstruct_sharded(database, run_id, workers=3)
 
     def test_partial_failure_does_not_drop_chains(self, tmp_path, monkeypatch):
         """A failure in one shard must not yield a silently truncated DSCG."""
@@ -166,4 +192,4 @@ class TestFailureSurfacing:
 
         monkeypatch.setattr(parallel_mod.statemachine, "reconstruct_chain", flaky)
         with pytest.raises(ValueError, match="flaky shard"):
-            reconstruct_sharded(database, run_id, workers=2, oversubscribe=True)
+            reconstruct_sharded(database, run_id, workers=2)

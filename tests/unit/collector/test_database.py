@@ -127,32 +127,6 @@ class TestDatabase:
         seqs = [r.event_seq for r in db.all_records("r1")]
         assert seqs == list(range(count))
 
-    def test_fetch_batch_size_does_not_change_iteration_order(self):
-        # The streaming batch size is a pure throughput knob: every
-        # size must produce the identical record sequence, including
-        # sizes that split chains mid-group.
-        records = [
-            make_record(chain=f"{i % 5:032x}", seq=i, semantics={"i": i})
-            for i in range(83)
-        ]
-        reference = MonitoringDatabase(fetch_batch=1024)
-        reference.create_run(RunMetadata(run_id="r1"))
-        reference.insert_records("r1", records)
-        expected_all = list(reference.all_records("r1"))
-        expected_chains = list(reference.chains_for_run("r1"))
-        for batch in (1, 2, 7, 83, 10_000):
-            db = MonitoringDatabase(fetch_batch=batch)
-            db.create_run(RunMetadata(run_id="r1"))
-            db.insert_records("r1", records)
-            assert list(db.all_records("r1")) == expected_all, batch
-            assert list(db.chains_for_run("r1")) == expected_chains, batch
-
-    def test_fetch_batch_must_be_positive(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            MonitoringDatabase(fetch_batch=0)
-
     def test_chains_for_run_groups_sorted(self):
         db = MonitoringDatabase()
         db.create_run(RunMetadata(run_id="r1"))
@@ -191,30 +165,59 @@ class TestDatabase:
         for uuid, records in fused.items():
             assert records == db.events_for_chain("r1", uuid)
 
-    def test_file_backed_reads_from_other_threads(self, tmp_path):
+    def test_file_backed_reads_from_other_threads(self, tmp_path, monkeypatch):
+        # The path reconstruct_sharded takes over SQLite: every shard scan
+        # shares the one connection, the lock taken per fetchmany batch —
+        # here while a fifth thread holds a bulk_ingest() of another run
+        # open. Small batches force the scans to interleave mid-chain (and
+        # must not change what a scan yields).
         import threading
+
+        from repro.analysis.parallel import shard_bounds
+        from repro.collector import database as database_module
 
         db = MonitoringDatabase(str(tmp_path / "wal.db"))
         db.create_run(RunMetadata(run_id="r1"))
-        db.insert_records("r1", [make_record(seq=s) for s in range(10)])
-        results = []
+        db.create_run(RunMetadata(run_id="r2"))
+        db.insert_records(
+            "r1",
+            [make_record(chain=f"{i % 12:032x}", seq=i) for i in range(300)],
+        )
+        serial = list(db.chains_for_run("r1"))  # one default-size batch
+        monkeypatch.setattr(database_module, "_FETCH_BATCH", 7)
+        bounds = shard_bounds([uuid for uuid, _ in serial], 4)
+        assert len(bounds) == 4
+        shards = [None] * len(bounds)
+        start = threading.Barrier(len(bounds) + 1)
 
-        def read():
-            results.append(len(list(db.all_records("r1"))))
+        def read(index):
+            first, last = bounds[index]
+            start.wait()
+            shards[index] = list(
+                db.chains_for_run("r1", first_chain=first, last_chain=last)
+            )
 
-        threads = [threading.Thread(target=read) for _ in range(4)]
+        def ingest():
+            start.wait()
+            with db.bulk_ingest():
+                for s in range(40):
+                    db.insert_records("r2", [make_record(seq=s)])
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        threads.append(threading.Thread(target=ingest))
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert results == [10, 10, 10, 10]
+        assert [group for shard in shards for group in shard] == serial
+        assert db.record_count("r2") == 40
         db.close()
 
     def test_insert_records_chunks(self):
         db = MonitoringDatabase()
         db.create_run(RunMetadata(run_id="r1"))
         inserted = db.insert_records(
-            "r1", (make_record(seq=s) for s in range(25)), chunk_size=10
+            "r1", (make_record(seq=s) for s in range(25))
         )
         assert inserted == 25
         assert db.record_count("r1") == 25
@@ -235,6 +238,18 @@ class TestDatabase:
         assert visible == 3
         observer.close()
         db.close()
+
+    def test_reads_inside_bulk_ingest_see_the_open_transaction(self, tmp_path):
+        # One connection: a read issued inside bulk_ingest() sees the
+        # transaction's own rows, file-backed exactly as :memory:.
+        for path in (":memory:", str(tmp_path / "own.db")):
+            db = MonitoringDatabase(path)
+            with db.bulk_ingest():
+                db.create_run(RunMetadata(run_id="r1"))
+                db.insert_records("r1", [make_record(seq=s) for s in range(3)])
+                assert db.record_count("r1") == 3, path
+                assert len(list(db.all_records("r1"))) == 3, path
+            db.close()
 
 
 class TestCollector:

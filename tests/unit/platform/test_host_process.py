@@ -85,6 +85,31 @@ class TestSimProcess:
         process.join_threads(timeout=2)
         assert seen == [1]
 
+    def test_finished_threads_are_pruned_and_live_ones_still_joined(self):
+        import threading
+
+        process = SimProcess("p", Host("h"))
+        release = threading.Event()
+        finished = []
+
+        def linger(index):
+            release.wait(5)
+            finished.append(index)
+
+        live = [
+            process.spawn_thread(linger, name=f"live-{i}", args=(i,))
+            for i in range(3)
+        ]
+        for i in range(500):
+            process.spawn_thread(lambda: None, name=f"short-{i}").join()
+            # tracked <= 2 x live + a small constant, at every step
+            assert len(process._threads) <= 2 * (len(live) + 1) + 16
+        assert all(t in process._threads for t in live)
+        release.set()
+        process.shutdown()
+        assert sorted(finished) == [0, 1, 2]
+        assert not any(t.is_alive() for t in live)
+
     def test_shutdown_marks_dead(self):
         process = SimProcess("p", Host("h"))
         assert process.alive

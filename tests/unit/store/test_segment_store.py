@@ -1,6 +1,7 @@
 """SegmentStore backend: parity with SQLite, compaction, durability."""
 
 import os
+import time
 
 import pytest
 
@@ -246,11 +247,15 @@ class TestSegmentStoreLifecycle:
         assert [n for n in os.listdir(run_dir) if n.endswith(".seg")] == []
 
     def test_auto_compact_threshold(self, tmp_path):
-        store = SegmentStore(str(tmp_path / "s"), auto_compact=3,
-                             compact_in_background=False)
+        store = SegmentStore(str(tmp_path / "s"), auto_compact=3)
         store.create_run(RunMetadata(run_id="r1"))
         for i in range(3):
             store.insert_records("r1", [make_record(seq=i)])
+        # The third seal queued the merge on the compactor thread.
+        deadline = time.monotonic() + 10
+        while store.compaction_state("r1")["compaction_running"]:
+            assert time.monotonic() < deadline, "compaction never finished"
+            time.sleep(0.005)
         state = store.compaction_state("r1")
         assert state["sealed_segments"] == 1
         assert state["spool_segments"] == 0
