@@ -4,6 +4,16 @@ The paper keeps probes "light-weighted" by updating the constant-size FTL
 in place. This microbenchmark measures the cost our instrumentation adds
 to one remote invocation: the same IDL compiled with both back-end flags,
 the same servant, the same transport, on real clocks.
+
+This is an illustration, not the claim. What a probe costs is carried by
+the ledger (``python3 -m bench run``): ``monitor_overhead_ratio`` — on
+``collocated_nested``, where the probes are nearly all of a call — with
+``core.monitor.{stub_start,skel_start,skel_end,stub_end}_ns`` and
+``core.monitor.probe_ns.*`` beside it, and a gain is shown with
+``benchmarks/ledger_pairs.py``. Its deterministic tier-1 tripwire is the
+frame budget of ``tests/unit/core/test_probe_budget.py``.
+
+Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_probe_overhead.py -q``
 """
 
 import time

@@ -62,10 +62,25 @@ class ObjectIdentity:
         self.obj = obj
         self.apartment = apartment
         self.runtime = runtime
+        self._op_infos: dict[tuple[str, str], OperationInfo] = {}
 
     @property
     def object_id(self) -> str:
         return f"{self.runtime.process.name}.{self.obj.instance_id}"
+
+    def op_info(self, interface: ComInterface, method: str) -> OperationInfo:
+        """The one ``OperationInfo`` of (this object, interface, method).
+
+        The probes cache their site on it, so it is built once and dies
+        with the identity instead of being rebuilt on every call.
+        """
+        key = (interface.name, method)
+        info = self._op_infos.get(key)
+        if info is None:
+            info = self._op_infos[key] = OperationInfo(
+                interface.name, method, self.object_id, self.obj.component, Domain.COM
+            )
+        return info
 
 
 class Proxy:
@@ -114,16 +129,6 @@ class Proxy:
         return f"<proxy {self._interface.name} -> {self._identity.object_id}>"
 
 
-def _op_info(identity: ObjectIdentity, interface: ComInterface, method: str) -> OperationInfo:
-    return OperationInfo(
-        interface=interface.name,
-        operation=method,
-        object_id=identity.object_id,
-        component=identity.obj.component,
-        domain=Domain.COM,
-    )
-
-
 def invoke_through_channel(
     client_runtime,
     identity: ObjectIdentity,
@@ -139,7 +144,7 @@ def invoke_through_channel(
     """
     apartment = identity.apartment
     monitor = client_runtime.process.monitor if client_runtime.instrumented else None
-    op = _op_info(identity, interface, method)
+    op = identity.op_info(interface, method)
 
     if apartment.hosts_current_thread():
         # Direct call within the apartment — degenerate probe pairs, like
@@ -204,7 +209,7 @@ def _dispatch_on_server(
 ):
     """Server side of the channel: stub-manager dispatch with probes 2/3."""
     monitor = server_runtime.process.monitor if server_runtime.instrumented else None
-    op = _op_info(identity, interface, method)
+    op = identity.op_info(interface, method)
     saved_ftl = None
     hooks = server_runtime.causality_hooks and monitor is not None
     if hooks:

@@ -14,7 +14,7 @@ from repro.core.monitor import (
     MonitorMode,
     install_monitoring,
 )
-from repro.core.probes import CallContext, ProbeSample
+from repro.core.probes import CallContext
 from repro.core.records import ChainLink, OperationInfo, ProbeRecord, RunMetadata
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "MonitoringRuntime",
     "OperationInfo",
     "ProbeRecord",
-    "ProbeSample",
     "RunMetadata",
     "SequentialUuidFactory",
     "TracingEvent",

@@ -22,13 +22,14 @@ happens.
 from __future__ import annotations
 
 import enum
+import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.events import CallKind, TracingEvent
-from repro.core.ftl import FunctionTxLog, new_chain, random_uuid_factory
-from repro.core.probes import CallContext, ProbeSample
+from repro.core.ftl import _WIRE, FunctionTxLog, new_chain, random_uuid_factory
+from repro.core.probes import CallContext
 from repro.core.records import OperationInfo, ProbeRecord
 from repro.errors import MonitorError
 from repro.platform.process import SimProcess
@@ -37,13 +38,26 @@ from repro.telemetry.runtime import metrics_binder
 
 _FTL_SLOT = "ftl"
 
+# Probe-path constants: one cached global load each (an enum member
+# reached through its class costs two).
+_STUB_START = TracingEvent.STUB_START
+_SKEL_START = TracingEvent.SKEL_START
+_SKEL_END = TracingEvent.SKEL_END
+_STUB_END = TracingEvent.STUB_END
+_SYNC = CallKind.SYNC
+_ONEWAY = CallKind.ONEWAY
+_get_ident = threading.get_ident
+_unpack_ftl = _WIRE.unpack
+
 
 def _no_cpu_counter() -> None:
     """Prebound stand-in for hosts without per-thread CPU counters."""
     return None
 
-# Framework self-metrics (no-ops until repro.telemetry.enable()).
+# Framework self-metrics (no-ops until repro.telemetry.enable(), which
+# rebinds them under live runtimes: the probes read them per activation).
 _PROBE_RECORDS = dict.fromkeys(TracingEvent, NULL_COUNTER)
+_FTL_MALFORMED = {_SKEL_START: NULL_COUNTER, _STUB_END: NULL_COUNTER}
 _CHAINS_STARTED = NULL_COUNTER
 
 
@@ -58,6 +72,13 @@ def _bind_metrics(registry) -> None:
     )
     for event in TracingEvent:
         _PROBE_RECORDS[event] = family.labels(event.name.lower())
+    malformed = registry.counter(
+        "repro_ftl_malformed_total",
+        "Tunnel payloads a probe could not unmarshal and carried on without, by probe.",
+        labels=("probe",),
+    )
+    for event in _FTL_MALFORMED:
+        _FTL_MALFORMED[event] = malformed.labels(event.name.lower())
     _CHAINS_STARTED = registry.counter(
         "repro_chains_started_total",
         "Causal chains started (fresh Function UUIDs minted at root calls).",
@@ -81,26 +102,10 @@ class MonitorMode(enum.Enum):
     SEMANTICS = "semantics"
     FULL = "full"
 
-    @property
-    def samples_wall(self) -> bool:
-        return self in (MonitorMode.LATENCY, MonitorMode.FULL)
-
-    @property
-    def samples_cpu(self) -> bool:
-        return self in (MonitorMode.CPU, MonitorMode.FULL)
-
-    @property
-    def samples_semantics(self) -> bool:
-        return self in (MonitorMode.SEMANTICS, MonitorMode.FULL)
-
-
-#: Probe-path flag table: (samples_wall, samples_cpu, samples_semantics)
-#: per mode, so a probe reads its three gates with one dict lookup
-#: instead of three enum property calls.
-_MODE_FLAGS = {
-    _mode: (_mode.samples_wall, _mode.samples_cpu, _mode.samples_semantics)
-    for _mode in MonitorMode
-}
+    def __init__(self, value: str):
+        #: (samples wall clock, samples thread CPU, captures semantics):
+        #: a probe reads its three gates with this one attribute.
+        self.flags = tuple(value in (aspect, "full") for aspect in ("latency", "cpu", "semantics"))
 
 
 @dataclass
@@ -110,117 +115,67 @@ class MonitorConfig:
     mode: MonitorMode = MonitorMode.CAUSALITY
     enabled: bool = True
     uuid_factory: Callable[[], str] = random_uuid_factory
-    extra: dict[str, Any] = field(default_factory=dict)
 
 
 class MonitoringRuntime:
-    """Probe implementation attached to one simulated process."""
+    """Probe implementation attached to one simulated process.
+
+    Each probe is one Python frame that reads ``config`` once and builds
+    its record in place. Prebound: the clock, the FTL slot's context
+    variable and, per operation (:meth:`_bind_site`), the ten record
+    fields constant per *(process, operation)*. Read on every probe,
+    because the tree changes them under a live runtime: the telemetry
+    counters, ``process.log_buffer`` and every ``config`` field.
+    """
 
     def __init__(self, process: SimProcess, config: MonitorConfig | None = None):
         self.process = process
         self.config = config if config is not None else MonitorConfig()
         process.monitor = self
-        # Probe fast path: every record carries the same process/host
-        # identity, and every sample reads the same (immutable) clock.
-        # Prebinding both cuts attribute-chain walks out of the paper's
-        # per-probe overhead term O_F. The monitor *mode* stays dynamic —
-        # tests flip it mid-run — so it is re-read on each probe.
         host = process.host
         self._wall_ns = host.clock.wall_ns
         if host.capabilities.supports_thread_cpu:
             self._cpu_ns = host.clock.thread_cpu_ns
         else:
             self._cpu_ns = _no_cpu_counter
-        self._process_name = process.name
-        self._pid = process.pid
-        self._host_name = host.name
-        self._processor_type = host.processor_type.value
-        self._platform = host.platform_kind.value
+        self._locality = (process.name, process.pid, host.name,
+                          host.processor_type.value, host.platform_kind.value)
+        # The in-process half of the virtual tunnel, resolved once: task-
+        # and thread-locality are the variable's (observations O1/O2).
+        self._ftl_var = process.tss.var(_FTL_SLOT)
 
-    # ------------------------------------------------------------------
-    # Clock sampling
-
-    def _sample(self) -> ProbeSample:
-        wall, cpu, _ = _MODE_FLAGS[self.config.mode]
-        return ProbeSample(
-            self._wall_ns() if wall else None,
-            self._cpu_ns() if cpu else None,
-        )
+    def _bind_site(self, op: OperationInfo) -> tuple:
+        """Cache on ``op`` the record fields this runtime stamps for it: one
+        slot tagged with its runtime, so an operation object probed by two
+        processes' runtimes is re-bound on each switch, never read stale."""
+        site = (self, op.interface, op.operation, op.object_id, op.component,
+                *self._locality, op.domain)
+        object.__setattr__(op, "_site", site)  # frozen; the slot is not identity
+        return site
 
     # ------------------------------------------------------------------
     # FTL / TSS plumbing
 
     def current_ftl(self) -> FunctionTxLog | None:
         """The FTL bound to the calling thread, if any."""
-        return self.process.tss.get(_FTL_SLOT)
+        return self._ftl_var.get()
 
-    def _ftl_for_call(self) -> FunctionTxLog:
-        """Fetch the thread's FTL, starting a new chain at a root call."""
-        ftl = self.process.tss.get(_FTL_SLOT)
-        if ftl is None:
-            ftl = new_chain(self.config.uuid_factory)
-            self.process.tss.set(_FTL_SLOT, ftl)
-            _CHAINS_STARTED.inc()
+    def bind_ftl(self, ftl: FunctionTxLog) -> FunctionTxLog:
+        """Bind an FTL to the calling thread (channel hooks); returns it."""
+        self._ftl_var.set(ftl)
         return ftl
-
-    def bind_ftl(self, ftl: FunctionTxLog) -> None:
-        """Bind an FTL to the calling thread (used by channel hooks)."""
-        self.process.tss.set(_FTL_SLOT, ftl)
 
     def unbind_ftl(self) -> FunctionTxLog | None:
         """Detach and return the calling thread's FTL (channel hooks)."""
-        return self.process.tss.pop(_FTL_SLOT)
+        ftl = self._ftl_var.get()
+        if ftl is not None:
+            self._ftl_var.set(None)
+        return ftl
 
-    # ------------------------------------------------------------------
-    # Record construction
-
-    def _make_record(
-        self,
-        op: OperationInfo,
-        event: TracingEvent,
-        ftl: FunctionTxLog,
-        wall: int | None,
-        cpu: int | None,
-        call_kind: CallKind,
-        collocated: bool,
-        child_chain_uuid: str | None = None,
-        semantics: dict[str, Any] | None = None,
-    ) -> ProbeRecord:
-        # Positional construction in declared field order: slotted
-        # dataclass __init__ with keywords costs measurably more, and
-        # this constructor runs four times per monitored invocation.
-        record = ProbeRecord(
-            ftl.chain_uuid,
-            ftl.advance(),
-            event,
-            op.interface,
-            op.operation,
-            op.object_id,
-            op.component,
-            self._process_name,
-            self._pid,
-            self._host_name,
-            threading.get_ident(),
-            self._processor_type,
-            self._platform,
-            call_kind,
-            collocated,
-            op.domain,
-            wall,
-            None,
-            cpu,
-            None,
-            child_chain_uuid,
-            semantics,
-        )
-        self.process.log_buffer.append(record)
-        _PROBE_RECORDS[event].inc()
-        return record
-
-    def _finish(self, record: ProbeRecord) -> None:
-        wall, cpu, _ = _MODE_FLAGS[self.config.mode]
-        record.wall_end = self._wall_ns() if wall else None
-        record.cpu_end = self._cpu_ns() if cpu else None
+    def _start_chain(self, uuid_factory: Callable[[], str]) -> FunctionTxLog:
+        """A root call: mint a chain and bind it to the calling thread."""
+        _CHAINS_STARTED.inc()
+        return self.bind_ftl(new_chain(uuid_factory))
 
     # ------------------------------------------------------------------
     # Probe 1: stub start
@@ -235,46 +190,50 @@ class MonitoringRuntime:
         """Probe 1 — fired in the stub right after the client invokes.
 
         For synchronous calls the current chain's FTL is advanced and its
-        snapshot travels with the request. For oneway calls a *child*
-        chain is forked; the parent chain records the link in this probe's
-        record ("such a parent/child chain relationship is recorded in the
-        stub start probes of the one-way function calls") and the child
-        FTL travels with the request instead.
+        snapshot travels with the request (nothing is marshalled for a
+        collocated call, which sends no message). For oneway calls a
+        *child* chain is forked; the parent chain records the link in this
+        probe's record ("such a parent/child chain relationship is recorded
+        in the stub start probes of the one-way function calls") and the
+        child FTL travels with the request instead.
         """
-        if not self.config.enabled:
+        config = self.config
+        if not config.enabled:
             return None
-        samples_wall, samples_cpu, samples_sem = _MODE_FLAGS[self.config.mode]
-        wall = self._wall_ns() if samples_wall else None
-        cpu = self._cpu_ns() if samples_cpu else None
-        ftl = self._ftl_for_call()
-        child_ftl: FunctionTxLog | None = None
-        child_uuid: str | None = None
+        wall_on, cpu_on, semantics_on = config.mode.flags
+        wall = self._wall_ns() if wall_on else None
+        cpu = self._cpu_ns() if cpu_on else None
+        ftl = self._ftl_var.get() or self._start_chain(config.uuid_factory)
+        site = op._site
+        if site is None or site[0] is not self:
+            site = self._bind_site(op)
+        (_, interface, operation, object_id, component,
+         process, pid, host, processor_type, platform, domain) = site
+        seq = ftl.event_seq_no = ftl.event_seq_no + 1
         if oneway:
-            child_ftl = ftl.fork_child(self.config.uuid_factory)
+            kind = _ONEWAY
+            child_ftl = ftl.fork_child(config.uuid_factory)
             child_uuid = child_ftl.chain_uuid
-        record = self._make_record(
-            op,
-            TracingEvent.STUB_START,
-            ftl,
-            wall,
-            cpu,
-            CallKind.ONEWAY if oneway else CallKind.SYNC,
-            collocated,
-            child_chain_uuid=child_uuid,
-            semantics=semantics if samples_sem else None,
+            payload = child_ftl.to_bytes()
+        else:
+            kind = _SYNC
+            child_ftl = child_uuid = None
+            payload = None if collocated else ftl.to_bytes()
+        # Positional, in declared field order: the slotted dataclass
+        # __init__ costs measurably more with keywords.
+        record = ProbeRecord(
+            ftl.chain_uuid, seq, _STUB_START, interface, operation, object_id,
+            component, process, pid, host, _get_ident(), processor_type, platform,
+            kind, collocated, domain, wall, None, cpu, None, child_uuid,
+            semantics if semantics_on else None,
         )
-        carried = child_ftl if oneway else ftl
-        ctx = CallContext(
-            op=op,
-            ftl=ftl,
-            call_kind=CallKind.ONEWAY if oneway else CallKind.SYNC,
-            collocated=collocated,
-            start_record=record,
-            child_ftl=child_ftl,
-            request_ftl_payload=carried.to_bytes(),
-        )
-        record.wall_end = self._wall_ns() if samples_wall else None
-        record.cpu_end = self._cpu_ns() if samples_cpu else None
+        self.process.log_buffer.append(record)
+        _PROBE_RECORDS[_STUB_START].inc()
+        ctx = CallContext(op, site, ftl, kind, collocated, child_ftl, payload)
+        if wall_on:
+            record.wall_end = self._wall_ns()
+        if cpu_on:
+            record.cpu_end = self._cpu_ns()
         return ctx
 
     # ------------------------------------------------------------------
@@ -292,39 +251,48 @@ class MonitoringRuntime:
         rather than from the call context: this is the behaviour that is
         correct under every CORBA threading policy (observations O1/O2)
         but *mingles* causal chains under COM STA nested pumping — the
-        hazard Section 2.2 describes and the channel hooks repair.
+        hazard Section 2.2 describes and the channel hooks repair. (A
+        thread that lost its chain, possible only through misuse of the
+        runtime, gets the context's FTL back: the record stays
+        attributable.) A reply payload that cannot be unmarshalled is
+        counted and ignored — a probe never raises into the application.
         """
-        if ctx is None or not self.config.enabled:
+        if ctx is None:
             return
-        samples_wall, samples_cpu, samples_sem = _MODE_FLAGS[self.config.mode]
-        wall = self._wall_ns() if samples_wall else None
-        cpu = self._cpu_ns() if samples_cpu else None
-        ftl = self.process.tss.get(_FTL_SLOT)
-        if ftl is None:
-            # The thread lost its chain (possible only through misuse of
-            # the runtime); fall back to the context's FTL so the record
-            # is still attributable.
-            ftl = ctx.ftl
-            self.process.tss.set(_FTL_SLOT, ftl)
+        config = self.config
+        if not config.enabled:
+            return
+        wall_on, cpu_on, semantics_on = config.mode.flags
+        wall = self._wall_ns() if wall_on else None
+        cpu = self._cpu_ns() if cpu_on else None
+        ftl = self._ftl_var.get() or self.bind_ftl(ctx.ftl)
         if reply_ftl_payload is not None:
-            returned = FunctionTxLog.from_bytes(reply_ftl_payload)
-            # Adopt the event number the callee side advanced to. If the
-            # UUIDs disagree the chains were intertwined; the record keeps
-            # whatever the thread holds and the analyzer flags it.
-            if returned.chain_uuid == ftl.chain_uuid:
-                ftl.event_seq_no = returned.event_seq_no
-        record = self._make_record(
-            ctx.op,
-            TracingEvent.STUB_END,
-            ftl,
-            wall,
-            cpu,
-            ctx.call_kind,
-            ctx.collocated,
-            semantics=semantics if samples_sem else None,
+            try:
+                raw, seq = _unpack_ftl(reply_ftl_payload)
+            except struct.error:
+                _FTL_MALFORMED[_STUB_END].inc()
+            else:
+                # Adopt the event number the callee side advanced to. If the
+                # UUIDs disagree the chains were intertwined: the record keeps
+                # whatever the thread holds and the analyzer flags it.
+                own = ftl._raw_uuid
+                if (raw == own) if own is not None else (raw.hex() == ftl.chain_uuid):
+                    ftl.event_seq_no = seq
+        (_, interface, operation, object_id, component,
+         process, pid, host, processor_type, platform, domain) = ctx.site
+        seq = ftl.event_seq_no = ftl.event_seq_no + 1
+        record = ProbeRecord(
+            ftl.chain_uuid, seq, _STUB_END, interface, operation, object_id,
+            component, process, pid, host, _get_ident(), processor_type, platform,
+            ctx.call_kind, ctx.collocated, domain, wall, None, cpu, None, None,
+            semantics if semantics_on else None,
         )
-        record.wall_end = self._wall_ns() if samples_wall else None
-        record.cpu_end = self._cpu_ns() if samples_cpu else None
+        self.process.log_buffer.append(record)
+        _PROBE_RECORDS[_STUB_END].inc()
+        if wall_on:
+            record.wall_end = self._wall_ns()
+        if cpu_on:
+            record.cpu_end = self._cpu_ns()
 
     # ------------------------------------------------------------------
     # Probe 2: skeleton start
@@ -341,41 +309,51 @@ class MonitoringRuntime:
 
         Unmarshals the FTL from the request, advances it, stores it into
         thread-specific storage (refreshing any stale FTL a recycled pool
-        thread may hold — observation O2), and records the event.
+        thread may hold — observation O2), and records the event. A
+        payload that cannot be unmarshalled is counted and replaced by a
+        *fresh* chain: the refresh still happens, the servant's children
+        cannot attach to a stale chain, the dispatching thread lives.
 
         For collocated calls the caller passes ``request_ftl_payload=None``
         and the skeleton continues with the FTL already bound to the
         (shared) thread.
         """
-        if not self.config.enabled:
+        config = self.config
+        if not config.enabled:
             return None
-        samples_wall, samples_cpu, samples_sem = _MODE_FLAGS[self.config.mode]
-        wall = self._wall_ns() if samples_wall else None
-        cpu = self._cpu_ns() if samples_cpu else None
-        if request_ftl_payload is not None:
-            ftl = FunctionTxLog.from_bytes(request_ftl_payload)
-            self.process.tss.set(_FTL_SLOT, ftl)
+        wall_on, cpu_on, semantics_on = config.mode.flags
+        wall = self._wall_ns() if wall_on else None
+        cpu = self._cpu_ns() if cpu_on else None
+        if request_ftl_payload is None:
+            ftl = self._ftl_var.get() or self._start_chain(config.uuid_factory)
         else:
-            ftl = self._ftl_for_call()
-        record = self._make_record(
-            op,
-            TracingEvent.SKEL_START,
-            ftl,
-            wall,
-            cpu,
-            CallKind.ONEWAY if oneway else CallKind.SYNC,
-            collocated,
-            semantics=semantics if samples_sem else None,
+            try:
+                raw, seq = _unpack_ftl(request_ftl_payload)
+                ftl = FunctionTxLog(raw.hex(), seq, raw)
+            except struct.error:
+                ftl = new_chain(config.uuid_factory)
+                _FTL_MALFORMED[_SKEL_START].inc()
+            self._ftl_var.set(ftl)
+        site = op._site
+        if site is None or site[0] is not self:
+            site = self._bind_site(op)
+        (_, interface, operation, object_id, component,
+         process, pid, host, processor_type, platform, domain) = site
+        seq = ftl.event_seq_no = ftl.event_seq_no + 1
+        kind = _ONEWAY if oneway else _SYNC
+        record = ProbeRecord(
+            ftl.chain_uuid, seq, _SKEL_START, interface, operation, object_id,
+            component, process, pid, host, _get_ident(), processor_type, platform,
+            kind, collocated, domain, wall, None, cpu, None, None,
+            semantics if semantics_on else None,
         )
-        ctx = CallContext(
-            op=op,
-            ftl=ftl,
-            call_kind=CallKind.ONEWAY if oneway else CallKind.SYNC,
-            collocated=collocated,
-            start_record=record,
-        )
-        record.wall_end = self._wall_ns() if samples_wall else None
-        record.cpu_end = self._cpu_ns() if samples_cpu else None
+        self.process.log_buffer.append(record)
+        _PROBE_RECORDS[_SKEL_START].inc()
+        ctx = CallContext(op, site, ftl, kind, collocated)
+        if wall_on:
+            record.wall_end = self._wall_ns()
+        if cpu_on:
+            record.cpu_end = self._cpu_ns()
         return ctx
 
     # ------------------------------------------------------------------
@@ -391,35 +369,39 @@ class MonitoringRuntime:
         Reads the FTL back from thread-specific storage (children executed
         inside the implementation advanced it there), records the event,
         and returns the updated FTL payload for the reply message (``None``
-        for oneway calls, which have no reply).
+        for oneway and collocated calls, which send no reply).
         """
-        if ctx is None or not self.config.enabled:
+        if ctx is None:
             return None
-        samples_wall, samples_cpu, samples_sem = _MODE_FLAGS[self.config.mode]
-        wall = self._wall_ns() if samples_wall else None
-        cpu = self._cpu_ns() if samples_cpu else None
-        ftl = self.process.tss.get(_FTL_SLOT)
-        if ftl is None:
-            ftl = ctx.ftl
-            self.process.tss.set(_FTL_SLOT, ftl)
-        record = self._make_record(
-            ctx.op,
-            TracingEvent.SKEL_END,
-            ftl,
-            wall,
-            cpu,
-            ctx.call_kind,
-            ctx.collocated,
-            semantics=semantics if samples_sem else None,
+        config = self.config
+        if not config.enabled:
+            return None
+        wall_on, cpu_on, semantics_on = config.mode.flags
+        wall = self._wall_ns() if wall_on else None
+        cpu = self._cpu_ns() if cpu_on else None
+        ftl = self._ftl_var.get() or self.bind_ftl(ctx.ftl)
+        (_, interface, operation, object_id, component,
+         process, pid, host, processor_type, platform, domain) = ctx.site
+        seq = ftl.event_seq_no = ftl.event_seq_no + 1
+        kind, collocated = ctx.call_kind, ctx.collocated
+        record = ProbeRecord(
+            ftl.chain_uuid, seq, _SKEL_END, interface, operation, object_id,
+            component, process, pid, host, _get_ident(), processor_type, platform,
+            kind, collocated, domain, wall, None, cpu, None, None,
+            semantics if semantics_on else None,
         )
-        record.wall_end = self._wall_ns() if samples_wall else None
-        record.cpu_end = self._cpu_ns() if samples_cpu else None
-        if ctx.call_kind is CallKind.ONEWAY:
+        self.process.log_buffer.append(record)
+        _PROBE_RECORDS[_SKEL_END].inc()
+        if wall_on:
+            record.wall_end = self._wall_ns()
+        if cpu_on:
+            record.cpu_end = self._cpu_ns()
+        if collocated or kind is _ONEWAY:
             return None
         return ftl.to_bytes()
 
     # ------------------------------------------------------------------
-    # Convenience wrappers for collocated (degenerate) probe pairs
+    # Collocated (degenerate) probe pairs
 
     def collocated_call_start(
         self, op: OperationInfo, semantics: dict[str, Any] | None = None
@@ -429,11 +411,53 @@ class MonitoringRuntime:
         With collocation optimization the stub locates the servant
         directly, so "both stub start and skeleton start probes are
         triggered before the execution falls into the user-defined
-        function implementation" (Section 2.2).
+        function implementation" (Section 2.2). Nothing runs between the
+        two, so the pair shares one frame, one read of gates, carrier and
+        site, and one context; each record keeps its own clock readings.
         """
-        stub_ctx = self.stub_start(op, collocated=True, semantics=semantics)
-        skel_ctx = self.skel_start(op, None, collocated=True)
-        return stub_ctx, skel_ctx
+        config = self.config
+        if not config.enabled:
+            return None, None
+        wall_on, cpu_on, semantics_on = config.mode.flags
+        wall = self._wall_ns() if wall_on else None
+        cpu = self._cpu_ns() if cpu_on else None
+        ftl = self._ftl_var.get() or self._start_chain(config.uuid_factory)
+        site = op._site
+        if site is None or site[0] is not self:
+            site = self._bind_site(op)
+        (_, interface, operation, object_id, component,
+         process, pid, host, processor_type, platform, domain) = site
+        chain_uuid, thread_id = ftl.chain_uuid, _get_ident()
+        seq = ftl.event_seq_no + 1
+        ftl.event_seq_no = seq + 1
+        record = ProbeRecord(
+            chain_uuid, seq, _STUB_START, interface, operation, object_id,
+            component, process, pid, host, thread_id, processor_type, platform,
+            _SYNC, True, domain, wall, None, cpu, None, None,
+            semantics if semantics_on else None,
+        )
+        append = self.process.log_buffer.append
+        append(record)
+        _PROBE_RECORDS[_STUB_START].inc()
+        ctx = CallContext(op, site, ftl, _SYNC, True)
+        if wall_on:
+            record.wall_end = self._wall_ns()
+            wall = self._wall_ns()
+        if cpu_on:
+            record.cpu_end = self._cpu_ns()
+            cpu = self._cpu_ns()
+        record = ProbeRecord(
+            chain_uuid, seq + 1, _SKEL_START, interface, operation, object_id,
+            component, process, pid, host, thread_id, processor_type, platform,
+            _SYNC, True, domain, wall, None, cpu,
+        )
+        append(record)
+        _PROBE_RECORDS[_SKEL_START].inc()
+        if wall_on:
+            record.wall_end = self._wall_ns()
+        if cpu_on:
+            record.cpu_end = self._cpu_ns()
+        return ctx, ctx
 
     def collocated_call_end(
         self,
@@ -441,9 +465,50 @@ class MonitoringRuntime:
         skel_ctx: CallContext | None,
         semantics: dict[str, Any] | None = None,
     ) -> None:
-        """Fire probes 3 and 4 back-to-back at collocated call return."""
-        self.skel_end(skel_ctx, semantics=semantics)
-        self.stub_end(stub_ctx, None)
+        """Fire probes 3 and 4 back-to-back at collocated call return.
+
+        Takes :meth:`collocated_call_start`'s pair; re-reads the carrier's FTL.
+        """
+        if stub_ctx is None:
+            return
+        config = self.config
+        if not config.enabled:
+            return
+        wall_on, cpu_on, semantics_on = config.mode.flags
+        wall = self._wall_ns() if wall_on else None
+        cpu = self._cpu_ns() if cpu_on else None
+        ftl = self._ftl_var.get() or self.bind_ftl(stub_ctx.ftl)
+        (_, interface, operation, object_id, component,
+         process, pid, host, processor_type, platform, domain) = stub_ctx.site
+        chain_uuid, thread_id = ftl.chain_uuid, _get_ident()
+        seq = ftl.event_seq_no + 1
+        ftl.event_seq_no = seq + 1
+        record = ProbeRecord(
+            chain_uuid, seq, _SKEL_END, interface, operation, object_id,
+            component, process, pid, host, thread_id, processor_type, platform,
+            _SYNC, True, domain, wall, None, cpu, None, None,
+            semantics if semantics_on else None,
+        )
+        append = self.process.log_buffer.append
+        append(record)
+        _PROBE_RECORDS[_SKEL_END].inc()
+        if wall_on:
+            record.wall_end = self._wall_ns()
+            wall = self._wall_ns()
+        if cpu_on:
+            record.cpu_end = self._cpu_ns()
+            cpu = self._cpu_ns()
+        record = ProbeRecord(
+            chain_uuid, seq + 1, _STUB_END, interface, operation, object_id,
+            component, process, pid, host, thread_id, processor_type, platform,
+            _SYNC, True, domain, wall, None, cpu,
+        )
+        append(record)
+        _PROBE_RECORDS[_STUB_END].inc()
+        if wall_on:
+            record.wall_end = self._wall_ns()
+        if cpu_on:
+            record.cpu_end = self._cpu_ns()
 
 
 def install_monitoring(

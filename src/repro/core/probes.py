@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.events import CallKind
 from repro.core.ftl import FunctionTxLog
-from repro.core.records import OperationInfo, ProbeRecord
-
-
-@dataclass(slots=True)
-class ProbeSample:
-    """One paired reading of the local clocks."""
-
-    wall: int | None
-    cpu: int | None
+from repro.core.records import OperationInfo
 
 
 @dataclass(slots=True)
@@ -36,15 +28,19 @@ class CallContext:
     """State threaded from a start probe to the matching end probe.
 
     The stub keeps one across the request/reply round trip; the skeleton
-    keeps one across the servant up-call.
+    keeps one across the servant up-call. The start probes build it
+    positionally, in field order.
     """
 
     op: OperationInfo
+    #: The probe site the start probe resolved for ``op`` (see
+    #: ``OperationInfo._site``): the end probe stamps the same identity.
+    site: tuple
     ftl: FunctionTxLog
     call_kind: CallKind
     collocated: bool
-    start_record: ProbeRecord
     #: For oneway stubs: the forked child chain's FTL (sent in the request).
     child_ftl: FunctionTxLog | None = None
-    #: Wire payload of the FTL to transport with the request, if any.
+    #: Wire payload of the FTL to transport with the request; ``None`` for
+    #: a skeleton context and for a collocated call, which sends nothing.
     request_ftl_payload: bytes | None = None

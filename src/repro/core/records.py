@@ -92,6 +92,10 @@ class OperationInfo:
     object_id: str
     component: str
     domain: Domain = Domain.CORBA
+    #: Probe-site cache of ``MonitoringRuntime._bind_site``: ``(runtime, *the
+    #: ten record fields constant per (process, operation))``. Not part of the
+    #: operation's identity (excluded from init/eq/hash/repr).
+    _site: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def qualified_name(self) -> str:
@@ -135,11 +139,6 @@ class ProbeRecord:
     child_chain_uuid: str | None = None
     # Application-semantics capture (parameters, results, exceptions).
     semantics: dict[str, Any] | None = None
-
-    def finish(self, wall_end: int | None, cpu_end: int | None) -> None:
-        """Stamp the probe's completion readings (called by the probe)."""
-        self.wall_end = wall_end
-        self.cpu_end = cpu_end
 
     @property
     def function(self) -> str:

@@ -74,6 +74,9 @@ class BeanHandle:
         self.bean_name = bean_name
         self.handle_id = handle_id
         self.methods = methods
+        #: method -> the container's one ``OperationInfo`` for it (the
+        #: probes cache their site there); dies with the handle.
+        self.op_infos: dict = {}
 
     @property
     def object_id(self) -> str:

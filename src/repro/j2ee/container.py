@@ -70,6 +70,17 @@ class _EjbCall:
     reply_ftl: bytes | None = None
 
 
+def _op_info(deployment: _Deployment, handle: BeanHandle, method: str) -> OperationInfo:
+    """One ``OperationInfo`` per (bean handle, method), kept on the handle."""
+    info = handle.op_infos.get(method)
+    if info is None:
+        info = handle.op_infos[method] = OperationInfo(
+            handle.bean_name, method, handle.object_id,
+            deployment.bean_class.__name__, Domain.J2EE,
+        )
+    return info
+
+
 class Container:
     """One EJB-style container bound to a simulated process."""
 
@@ -174,13 +185,7 @@ class Container:
 
     def _execute(self, call: _EjbCall) -> None:
         monitor = self.process.monitor if self.instrumented else None
-        op = OperationInfo(
-            interface=call.handle.bean_name,
-            operation=call.method,
-            object_id=call.handle.object_id,
-            component=call.deployment.bean_class.__name__,
-            domain=Domain.J2EE,
-        )
+        op = _op_info(call.deployment, call.handle, call.method)
         skel_ctx = monitor.skel_start(op, call.ftl) if monitor is not None else None
         try:
             call.value = self._invoke_bean(call)
@@ -224,13 +229,7 @@ class Container:
         if method not in deployment.methods:
             raise EjbError(f"{handle.bean_name} exports no method {method!r}")
         monitor = client_process.monitor if client_instrumented else None
-        op = OperationInfo(
-            interface=handle.bean_name,
-            operation=method,
-            object_id=handle.object_id,
-            component=deployment.bean_class.__name__,
-            domain=Domain.J2EE,
-        )
+        op = _op_info(deployment, handle, method)
         ctx = monitor.stub_start(op) if monitor is not None else None
         call = _EjbCall(
             deployment=deployment,

@@ -21,7 +21,6 @@ import threading
 from typing import TYPE_CHECKING, Any
 
 from repro.core.events import Domain
-from repro.core.monitor import _MODE_FLAGS
 from repro.core.records import OperationInfo
 from repro.errors import ComponentCrash, MarshalError, OrbError, RemoteApplicationError
 from repro.orb.cdr import CdrDecoder, CdrEncoder
@@ -214,8 +213,8 @@ class StubBase:
 
     def _semantics_args(self, op_name: str, args: tuple) -> dict | None:
         """Application-semantics payload for probe 1 (parameters)."""
-        monitor = self._monitor
-        if monitor is None or not _MODE_FLAGS[monitor.config.mode][2]:
+        monitor = self._orb.process.monitor
+        if monitor is None or not monitor.config.mode.flags[2]:
             return None
         return {"operation": op_name, "args": [repr(a) for a in args]}
 
@@ -396,8 +395,8 @@ class SkeletonBase:
 
     def _semantics_outcome(self, status: ReplyStatus, result: Any) -> dict | None:
         """Application-semantics payload for probe 3 (result/exception)."""
-        monitor = self._monitor
-        if monitor is None or not _MODE_FLAGS[monitor.config.mode][2]:
+        monitor = self._orb.process.monitor
+        if monitor is None or not monitor.config.mode.flags[2]:
             return None
         if status is ReplyStatus.OK:
             return {"status": "ok", "result": repr(result)}

@@ -98,9 +98,6 @@ class ThreadSpecificStorage:
             return len(self._slots)
 
 
-_MISSING = object()
-
-
 class ContextVarStorage:
     """Execution-local slots backed by :mod:`contextvars`.
 
@@ -114,37 +111,40 @@ class ContextVarStorage:
     semantics the virtual tunnel needs for ``gather`` fan-outs.
 
     One :class:`~contextvars.ContextVar` is created per slot name, on
-    first use, under a lock; the hot path (slot already known) is a
-    single dict lookup plus a ContextVar op, both GIL-atomic.
+    first use, under a lock. An unbound slot reads ``None`` (the
+    variable's default, and what ``pop`` leaves behind), so a hot path
+    resolves :meth:`var` once and pays one ``ContextVar`` op per access,
+    as the monitoring runtime does for its FTL slot.
     """
 
     def __init__(self):
         self._vars: dict[str, ContextVar[Any]] = {}
         self._lock = threading.Lock()
 
-    def _var(self, slot: str) -> ContextVar[Any]:
+    def var(self, slot: str) -> ContextVar[Any]:
+        """The slot's context variable (created on first use)."""
         var = self._vars.get(slot)
         if var is None:
             with self._lock:
                 var = self._vars.get(slot)
                 if var is None:
-                    var = ContextVar(f"repro-tss-{slot}", default=_MISSING)
+                    var = ContextVar(f"repro-tss-{slot}", default=None)
                     self._vars[slot] = var
         return var
 
     def get(self, slot: str, default: Any = None) -> Any:
-        value = self._var(slot).get()
-        return default if value is _MISSING else value
+        value = self.var(slot).get()
+        return default if value is None else value
 
     def set(self, slot: str, value: Any) -> None:
-        self._var(slot).set(value)
+        self.var(slot).set(value)
 
     def pop(self, slot: str, default: Any = None) -> Any:
-        var = self._var(slot)
+        var = self.var(slot)
         value = var.get()
-        if value is _MISSING:
+        if value is None:
             return default
-        var.set(_MISSING)
+        var.set(None)
         return value
 
     def clear_thread(self) -> None:
@@ -154,7 +154,7 @@ class ContextVarStorage:
         (the monitor calls it when a pooled server thread is recycled).
         """
         for var in list(self._vars.values()):
-            var.set(_MISSING)
+            var.set(None)
 
     def slots(self) -> Iterator[str]:
         """Iterate over slot names that have ever been bound anywhere."""
@@ -163,4 +163,4 @@ class ContextVarStorage:
 
     def __len__(self) -> int:
         """Number of slots bound (to a real value) in the current context."""
-        return sum(1 for var in self._vars.values() if var.get() is not _MISSING)
+        return sum(1 for var in self._vars.values() if var.get() is not None)
