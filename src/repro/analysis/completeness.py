@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 from repro.core.events import CallKind, TracingEvent
 from repro.analysis.dscg import CallNode, Dscg
 
-_EXPECTED_SYNC = (
-    TracingEvent.STUB_START,
-    TracingEvent.SKEL_START,
-    TracingEvent.SKEL_END,
-    TracingEvent.STUB_END,
-)
+_EXPECTED_SYNC = tuple(TracingEvent)
 _EXPECTED_ONEWAY_STUB = (TracingEvent.STUB_START, TracingEvent.STUB_END)
 _EXPECTED_ONEWAY_SKEL = (TracingEvent.SKEL_START, TracingEvent.SKEL_END)
 
@@ -37,7 +32,7 @@ def expected_events(node: CallNode) -> tuple[TracingEvent, ...]:
 
 def missing_events(node: CallNode) -> tuple[TracingEvent, ...]:
     """The probe records this node should have but does not."""
-    return tuple(e for e in expected_events(node) if e not in node.records)
+    return tuple(e for e in expected_events(node) if node.reading(e) is None)
 
 
 @dataclass

@@ -29,30 +29,28 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.core.events import CallKind, TracingEvent
-from repro.analysis.dscg import CallNode, Dscg
+from repro.core.events import CallKind
+from repro.analysis.dscg import CPU_END, CPU_START, CallNode, Dscg
 
 
 def _child_cpu_window(child: CallNode) -> int | None:
     """CPU charged to the caller's thread across one child call."""
-    start = child.records.get(TracingEvent.STUB_START)
-    end = child.records.get(TracingEvent.STUB_END)
+    start, end = child.stub_start, child.stub_end
     if start is None or end is None:
         return None
-    if start.cpu_start is None or end.cpu_end is None:
+    if start[CPU_START] is None or end[CPU_END] is None:
         return None
-    return end.cpu_end - start.cpu_start
+    return end[CPU_END] - start[CPU_START]
 
 
 def self_cpu(node: CallNode) -> int | None:
     """SC_F in nanoseconds; None when the readings are unavailable."""
-    skel_start = node.records.get(TracingEvent.SKEL_START)
-    skel_end = node.records.get(TracingEvent.SKEL_END)
+    skel_start, skel_end = node.skel_start, node.skel_end
     if skel_start is None or skel_end is None:
         return None
-    if skel_start.cpu_end is None or skel_end.cpu_start is None:
+    if skel_start[CPU_END] is None or skel_end[CPU_START] is None:
         return None
-    total = skel_end.cpu_start - skel_start.cpu_end
+    total = skel_end[CPU_START] - skel_start[CPU_END]
     for child in node.children:
         window = _child_cpu_window(child)
         if window is not None:
@@ -64,9 +62,8 @@ def annotate_chain_self_cpu(tree) -> None:
     """Attach ``self_cpu_ns`` to every node of one chain tree.
 
     SC_F reads only the node's skeleton probes and its immediate
-    children's stub windows — all chain-local — so the sharded analyzer
-    computes it per worker. Descendent vectors (DC_F) cross oneway chain
-    boundaries and stay in :class:`CpuAnalysis`.
+    children's stub windows — all chain-local. Descendent vectors (DC_F)
+    cross oneway chain boundaries and stay in :class:`CpuAnalysis`.
     """
     for node in tree.walk():
         node.self_cpu_ns = self_cpu(node)
@@ -102,6 +99,10 @@ class CpuVector:
         return f"CpuVector({body}, uncovered={self.uncovered})"
 
 
+#: DC_F of every node with neither children nor a fork.
+_NO_DESCENDANTS = CpuVector()
+
+
 class CpuAnalysis:
     """Memoized SC/DC computation over one DSCG."""
 
@@ -120,17 +121,17 @@ class CpuAnalysis:
         return self._self_cpu[key]
 
     def descendant_cpu(self, node: CallNode) -> CpuVector:
-        """DC_F as a per-processor-type vector."""
+        """DC_F as a per-processor-type vector (shared: copy to change)."""
+        forks = self.include_oneway_forks and node.forked_chain_uuid
+        if not node.children and not forks:
+            return _NO_DESCENDANTS
         key = id(node)
         cached = self._descendant.get(key)
         if cached is not None:
             return cached
         vector = CpuVector()
         for child in node.children:
-            oneway_stub = (
-                child.call_kind is CallKind.ONEWAY and child.oneway_side == "stub"
-            )
-            if not oneway_stub:
+            if self._accountable(child):
                 # Oneway stub-side children have no skeleton probes here;
                 # their execution is accounted through the forked chain.
                 vector.add(child.server_processor_type, self.self_cpu(child))
@@ -138,21 +139,12 @@ class CpuAnalysis:
         # A oneway stub-side node owns the chain it forked: the fork's
         # inclusive CPU lands in this node's DC and is inherited upward
         # through the ordinary child sums.
-        vector.merge(self._forked_cpu(node))
+        forked = self.dscg.chains.get(node.forked_chain_uuid) if forks else None
+        if forked is not None:
+            for root in forked.roots:
+                vector.add(root.server_processor_type, self.self_cpu(root))
+                vector.merge(self.descendant_cpu(root))
         self._descendant[key] = vector
-        return vector
-
-    def _forked_cpu(self, node: CallNode) -> CpuVector:
-        """Inclusive CPU of the chain forked by a oneway stub-side node."""
-        vector = CpuVector()
-        if not self.include_oneway_forks or not node.forked_chain_uuid:
-            return vector
-        child_chain = self.dscg.chains.get(node.forked_chain_uuid)
-        if child_chain is None:
-            return vector
-        for root in child_chain.roots:
-            vector.add(root.server_processor_type, self.self_cpu(root))
-            vector.merge(self.descendant_cpu(root))
         return vector
 
     def inclusive_cpu(self, node: CallNode) -> CpuVector:

@@ -10,49 +10,119 @@ paths, not the depth-1 caller/callee pairs of GPROF-style profilers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.events import CallKind, Domain, TracingEvent
 from repro.core.records import ProbeRecord
 
+#: Index of each field of a *reading*: what one probe record says that its
+#: frame does not already hold. A reading is an exact ``tuple`` of atoms
+#: (``semantics`` aside), which the collector untracks at its first young
+#: pass — a ``NamedTuple`` is a subclass and would stay tracked for good.
+(
+    EVENT_SEQ, PROCESS, PID, HOST, THREAD_ID, PROCESSOR_TYPE, PLATFORM,
+    WALL_START, WALL_END, CPU_START, CPU_END, CHILD_CHAIN_UUID, SEMANTICS,
+) = range(13)
 
-@dataclass
+#: ``CallNode`` slot holding each event's reading, by ``event - 1``.
+_READING_SLOTS = ("stub_start", "skel_start", "skel_end", "stub_end")
+
+
+def reading_of(record: ProbeRecord) -> tuple:
+    """The reading of one record, in the index order above."""
+    return (
+        record.event_seq, record.process, record.pid, record.host, record.thread_id,
+        record.processor_type, record.platform, record.wall_start, record.wall_end,
+        record.cpu_start, record.cpu_end, record.child_chain_uuid, record.semantics,
+    )
+
+
 class CallNode:
-    """One function invocation in the reconstructed call hierarchy."""
+    """One function invocation in the reconstructed call hierarchy.
 
-    interface: str
-    operation: str
-    object_id: str
-    component: str
-    chain_uuid: str
-    call_kind: CallKind = CallKind.SYNC
-    collocated: bool = False
-    domain: Domain = Domain.CORBA
-    #: Which side(s) of a oneway call this node represents.
-    oneway_side: str = ""  # "" | "stub" | "skel"
-    records: dict[TracingEvent, ProbeRecord] = field(default_factory=dict)
-    children: list["CallNode"] = field(default_factory=list)
-    parent: "CallNode | None" = None
-    #: UUID of the chain forked by this oneway stub-side call, if any.
-    forked_chain_uuid: str | None = None
-    #: Set when some probe records are missing (e.g. unmonitored peer).
-    partial: bool = False
+    The one GC-tracked object a call costs: identity and flags, the tree
+    links (``children`` is the shared empty tuple until :meth:`add_child`
+    allocates a list), one reading slot per :class:`TracingEvent` (``None``
+    until that probe's record is applied) and the three annotation slots,
+    which stay unset until an annotator fills them. ``records=`` snapshots
+    the readings of the given records.
+    """
+
+    __slots__ = (
+        "interface", "operation", "object_id", "component", "chain_uuid",
+        "call_kind", "collocated", "domain", "oneway_side",
+        "forked_chain_uuid", "partial", "parent", "children",
+        *_READING_SLOTS,
+        "latency_ns", "self_cpu_ns", "descendant_cpu",
+    )
+
+    def __init__(
+        self, interface: str, operation: str, object_id: str, component: str,
+        chain_uuid: str, call_kind: CallKind = CallKind.SYNC,
+        collocated: bool = False, domain: Domain = Domain.CORBA,
+        oneway_side: str = "",
+        records: "dict[TracingEvent, ProbeRecord] | None" = None,
+        children: "list[CallNode] | tuple[()]" = (),
+        parent: "CallNode | None" = None,
+        forked_chain_uuid: str | None = None, partial: bool = False,
+    ):
+        self.interface = interface
+        self.operation = operation
+        self.object_id = object_id
+        self.component = component
+        self.chain_uuid = chain_uuid
+        self.call_kind = call_kind
+        self.collocated = collocated
+        self.domain = domain
+        #: Which side(s) of a oneway call this node represents.
+        self.oneway_side = oneway_side  # "" | "stub" | "skel"
+        #: UUID of the chain forked by this oneway stub-side call, if any.
+        self.forked_chain_uuid = forked_chain_uuid
+        #: Set when some probe records are missing (e.g. unmonitored peer).
+        self.partial = partial
+        self.parent = parent
+        self.children = children
+        self.stub_start = self.skel_start = self.skel_end = self.stub_end = None
+        if records:
+            for event, record in records.items():
+                setattr(self, _READING_SLOTS[event - 1], reading_of(record))
 
     @property
     def function(self) -> str:
         return f"{self.interface}::{self.operation}"
 
-    @property
-    def qualified(self) -> str:
-        return f"{self.function}@{self.object_id}"
+    def reading(self, event: TracingEvent) -> tuple | None:
+        """The reading of ``event``'s record, or None while it is missing."""
+        return getattr(self, _READING_SLOTS[event - 1])
 
     def record(self, event: TracingEvent) -> ProbeRecord | None:
-        return self.records.get(event)
+        """The probe record of ``event``, rebuilt from the frame and the
+        reading: equal to the one applied, not identical to it, and
+        changing it changes nothing here. Identity fields read back with
+        the frame's value. For tests, one-off lookups and user code — the
+        analyzers read the reading slots."""
+        reading = self.reading(event)
+        if reading is None:
+            return None
+        return ProbeRecord(
+            self.chain_uuid, reading[EVENT_SEQ], event, self.interface,
+            self.operation, self.object_id, self.component,
+            *reading[PROCESS:WALL_START], self.call_kind, self.collocated,
+            self.domain, *reading[WALL_START:],
+        )
+
+    @property
+    def records(self) -> dict[TracingEvent, ProbeRecord]:
+        """Read-only view of every record present (see :meth:`record`)."""
+        return {e: self.record(e) for e in TracingEvent if self.reading(e) is not None}
 
     def add_child(self, child: "CallNode") -> None:
         child.parent = self
-        self.children.append(child)
+        if self.children:
+            self.children.append(child)
+        else:
+            self.children = [child]
 
     def depth(self) -> int:
         depth, node = 0, self
@@ -62,34 +132,35 @@ class CallNode:
         return depth
 
     def walk(self) -> Iterator["CallNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def subtree_size(self) -> int:
-        return sum(1 for _ in self.walk())
+        """This node's subtree in pre-order (no generator per node)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack.extend(reversed(node.children))
 
     #: Execution locality helpers -------------------------------------
 
     @property
     def client_process(self) -> str | None:
-        record = self.records.get(TracingEvent.STUB_START)
-        return record.process if record else None
+        reading = self.stub_start
+        return reading[PROCESS] if reading else None
 
     @property
     def server_process(self) -> str | None:
-        record = self.records.get(TracingEvent.SKEL_START)
-        return record.process if record else None
+        reading = self.skel_start
+        return reading[PROCESS] if reading else None
 
     @property
     def server_processor_type(self) -> str | None:
-        record = self.records.get(TracingEvent.SKEL_START)
-        return record.processor_type if record else None
+        reading = self.skel_start
+        return reading[PROCESSOR_TYPE] if reading else None
 
     @property
     def server_thread(self) -> tuple[str, int] | None:
-        record = self.records.get(TracingEvent.SKEL_START)
-        return (record.process, record.thread_id) if record else None
+        reading = self.skel_start
+        return (reading[PROCESS], reading[THREAD_ID]) if reading else None
 
     def __repr__(self) -> str:
         return (
@@ -108,15 +179,24 @@ class AbnormalEvent:
     record: ProbeRecord | None = None
 
 
-@dataclass
 class ChainTree:
     """One causal chain unfolded into a tree (Ti in the paper)."""
 
-    chain_uuid: str
-    roots: list[CallNode] = field(default_factory=list)
-    abnormal: list[AbnormalEvent] = field(default_factory=list)
-    #: Chain that forked this one via a oneway call (if any).
-    parent_chain_uuid: str | None = None
+    __slots__ = ("chain_uuid", "roots", "abnormal", "parent_chain_uuid")
+
+    def __init__(self, chain_uuid: str):
+        self.chain_uuid = chain_uuid
+        self.roots: list[CallNode] = []
+        #: The shared empty tuple until :meth:`flag` allocates a list.
+        self.abnormal: "list[AbnormalEvent] | tuple[()]" = ()
+        #: Chain that forked this one via a oneway call (if any).
+        self.parent_chain_uuid: str | None = None
+
+    def flag(self, event: AbnormalEvent) -> None:
+        if self.abnormal:
+            self.abnormal.append(event)
+        else:
+            self.abnormal = [event]
 
     def walk(self) -> Iterator[CallNode]:
         for root in self.roots:
@@ -139,12 +219,8 @@ class Dscg:
         self.links: list[tuple[str, CallNode, str]] = []
 
     def add_chain(self, tree: ChainTree) -> None:
+        """Add one chain tree (insertion order defines iteration order)."""
         self.chains[tree.chain_uuid] = tree
-
-    def add_chains(self, trees: "Iterator[ChainTree] | list[ChainTree]") -> None:
-        """Bulk-add chain trees (insertion order defines iteration order)."""
-        for tree in trees:
-            self.chains[tree.chain_uuid] = tree
 
     def link_chains(self) -> None:
         """Wire oneway forks: parent stub-side node → child chain tree."""
@@ -170,18 +246,13 @@ class Dscg:
         return sum(tree.node_count() for tree in self.chains.values())
 
     def abnormal_events(self) -> list[AbnormalEvent]:
-        result: list[AbnormalEvent] = []
-        for tree in self.chains.values():
-            result.extend(tree.abnormal)
-        return result
-
-    def find_nodes(self, predicate: Callable[[CallNode], bool]) -> list[CallNode]:
-        return [node for node in self.walk() if predicate(node)]
+        return [event for tree in self.chains.values() for event in tree.abnormal]
 
     def nodes_for_function(self, interface: str, operation: str) -> list[CallNode]:
-        return self.find_nodes(
-            lambda n: n.interface == interface and n.operation == operation
-        )
+        return [
+            node for node in self.walk()
+            if node.interface == interface and node.operation == operation
+        ]
 
     def max_depth(self) -> int:
         best = 0

@@ -21,23 +21,8 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.core.events import CallKind, TracingEvent
-from repro.analysis.dscg import CallNode, Dscg
-
-_SYNC_PROBES = (
-    TracingEvent.STUB_START,
-    TracingEvent.SKEL_START,
-    TracingEvent.SKEL_END,
-    TracingEvent.STUB_END,
-)
-_ONEWAY_STUB_PROBES = (TracingEvent.STUB_START, TracingEvent.STUB_END)
-
-
-def probe_set(node: CallNode) -> tuple[TracingEvent, ...]:
-    """R(F): which probes' overhead a child contributes (paper Sec. 3.2)."""
-    if node.call_kind is CallKind.ONEWAY and node.oneway_side == "stub":
-        return _ONEWAY_STUB_PROBES
-    return _SYNC_PROBES
+from repro.core.events import CallKind
+from repro.analysis.dscg import WALL_END, WALL_START, CallNode, ChainTree, Dscg
 
 
 def causality_overhead(node: CallNode) -> int:
@@ -49,56 +34,46 @@ def causality_overhead(node: CallNode) -> int:
     """
     total = 0
     for child in node.children:
-        records = [child.records.get(event) for event in probe_set(child)]
-        if any(record is None for record in records):
-            continue
-        total += sum(record.probe_wall_cost() for record in records)
+        # R(F): probes {1,4} of a oneway child, {1,2,3,4} of a synchronous one.
+        if child.call_kind is CallKind.ONEWAY and child.oneway_side == "stub":
+            readings = (child.stub_start, child.stub_end)
+        else:
+            readings = (
+                child.stub_start, child.skel_start, child.skel_end, child.stub_end
+            )
+        if None not in readings:
+            for reading in readings:  # each probe's own wall-clock interval
+                if reading[WALL_START] is not None and reading[WALL_END] is not None:
+                    total += reading[WALL_END] - reading[WALL_START]
     return total
 
 
 def end_to_end_latency(node: CallNode) -> int | None:
     """L(F) in nanoseconds, or None when the needed readings are missing."""
-    overhead = causality_overhead(node)
-    records = node.records
-    use_skel_window = node.collocated or (
+    if node.collocated or (
         node.call_kind is CallKind.ONEWAY and node.oneway_side == "skel"
-    )
-    if use_skel_window:
-        start = records.get(TracingEvent.SKEL_START)
-        end = records.get(TracingEvent.SKEL_END)
-        if start is None or end is None:
-            return None
-        if start.wall_end is None or end.wall_start is None:
-            return None
-        return end.wall_start - start.wall_end - overhead
-    start = records.get(TracingEvent.STUB_START)
-    end = records.get(TracingEvent.STUB_END)
+    ):
+        start, end = node.skel_start, node.skel_end
+    else:
+        start, end = node.stub_start, node.stub_end
     if start is None or end is None:
         return None
-    if start.wall_end is None or end.wall_start is None:
+    if start[WALL_END] is None or end[WALL_START] is None:
         return None
-    return end.wall_start - start.wall_end - overhead
+    return end[WALL_START] - start[WALL_END] - causality_overhead(node)
 
 
-def annotate_chain_latency(tree) -> None:
-    """Attach ``latency_ns`` to every node of one chain tree.
-
-    L(F) reads only the node's own probe records and its immediate
-    children's — all within one chain — so chains annotate independently
-    and the sharded analyzer runs this inside its workers.
-    """
-    for node in tree.walk():
-        node.latency_ns = end_to_end_latency(node)
-
-
-def annotate_latency(dscg: Dscg) -> None:
-    """Attach ``latency_ns`` to every node (None when not measurable).
+def annotate_latency(scope: "Dscg | ChainTree") -> None:
+    """Attach ``latency_ns`` to every node of a DSCG, or of one chain tree
+    (None when not measurable).
 
     "Latency can be annotated to the DSCG's nodes to help perceive latency
-    dispersed throughout the system-wide call hierarchy."
+    dispersed throughout the system-wide call hierarchy." L(F) reads only
+    the node's own readings and its immediate children's — all within one
+    chain — so chains annotate independently.
     """
-    for tree in dscg.chains.values():
-        annotate_chain_latency(tree)
+    for node in scope.walk():
+        node.latency_ns = end_to_end_latency(node)
 
 
 @dataclass

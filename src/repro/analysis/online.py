@@ -27,20 +27,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from repro.analysis.dscg import AbnormalEvent, CallNode
+from repro.analysis.dscg import WALL_END, AbnormalEvent, CallNode
 from repro.analysis.quantiles import P2Quantile
 from repro.analysis.streaming.reconstructor import StreamingReconstructor
-from repro.core.events import TracingEvent
 from repro.core.records import ProbeRecord
 from repro.platform.process import SimProcess
 from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
-
-
-def _start_record(node: CallNode) -> ProbeRecord:
-    """The record that opened a frame: probe 1, or probe 2 for a frame
-    with no stub side (oneway skeleton side, unmonitored client)."""
-    records = node.records
-    return records.get(TracingEvent.STUB_START) or records[TracingEvent.SKEL_START]
 
 
 @dataclass
@@ -224,7 +216,9 @@ class OnlineMonitor:
             # finalizes holds state for live chains only.
             self._stream.release(node.chain_uuid)
         self._m_completed.inc()
-        started_wall_ns = _start_record(node).wall_end
+        # The frame was opened by probe 1, or by probe 2 when it has no
+        # stub side (oneway skeleton side, unmonitored client).
+        started_wall_ns = (node.stub_start or node.skel_start)[WALL_END]
         if started_wall_ns is None or record.wall_start is None:
             return
         latency = record.wall_start - started_wall_ns
@@ -281,15 +275,14 @@ class OnlineMonitor:
         """Everything currently in flight, deepest frames last."""
         result = []
         for node in self._stream.open_frames():
-            start = _start_record(node)
             result.append(
                 OpenInvocation(
                     function=node.function,
                     object_id=node.object_id,
                     chain_uuid=node.chain_uuid,
-                    started_wall_ns=start.wall_end,
+                    started_wall_ns=(node.stub_start or node.skel_start)[WALL_END],
                     depth=node.depth() + 1,
-                    opened_by="stub" if start.event is TracingEvent.STUB_START else "skel",
+                    opened_by="stub" if node.stub_start is not None else "skel",
                 )
             )
         return result

@@ -108,6 +108,7 @@ def reconstruct_sharded(
             # sequence is then sorted by chain uuid exactly like the serial
             # scan. result() re-raises the first worker failure.
             for future in futures:
-                dscg.add_chains(future.result())
+                for tree in future.result():
+                    dscg.add_chain(tree)
     dscg.link_chains()
     return dscg

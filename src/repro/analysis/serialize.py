@@ -55,6 +55,49 @@ def _layout(depth: int) -> tuple[str, ...]:
     )
 
 
+def _write_nodes(nodes, depth: int, write, quoted: _Quoted, layouts: list, cpu) -> None:
+    """Emit one ``children`` / ``roots`` array. A module-level function
+    taking its state as arguments: a recursive closure is a reference cycle
+    that would strand the whole document until the next full collection."""
+    if not nodes:
+        write("[]")
+        return
+    if depth == len(layouts):
+        layouts.append(_layout(depth))
+    head, before, before_next, before_key, end_node, end_array = layouts[depth]
+    for node in nodes:
+        write(before)
+        before = before_next
+        write(head % (
+            quoted[node.interface], quoted[node.operation],
+            quoted[node.object_id], quoted[node.component],
+            quoted[node.call_kind.value], _flag(node.collocated),
+            quoted[node.domain.value], quoted[node.oneway_side],
+            _flag(node.partial),
+        ))
+        _write_nodes(node.children, depth + 1, write, quoted, layouts, cpu)
+        if node.forked_chain_uuid:
+            write(f'{before_key}"forked_chain_uuid": {quoted[node.forked_chain_uuid]}')
+        latency = end_to_end_latency(node)
+        if latency is not None:
+            write(f'{before_key}"latency_ns": {latency}')
+        if cpu is not None:
+            self_cpu = cpu.self_cpu(node)
+            if self_cpu is not None:
+                write(f'{before_key}"self_cpu_ns": {self_cpu}')
+            by_processor = cpu.descendant_cpu(node).by_processor
+            if by_processor:
+                item = before_key[1:] + "  "
+                write(f'{before_key}"descendant_cpu_ns": {{')
+                write(",".join(
+                    f"{item}{quoted[processor]}: {ns}"
+                    for processor, ns in by_processor.items()
+                ))
+                write(before_key[1:] + "}")
+        write(end_node)
+    write(end_array)
+
+
 def dscg_to_json(dscg: Dscg, include_cpu: bool = True) -> str:
     """Serialize a DSCG (with annotations) to a JSON document.
 
@@ -63,50 +106,10 @@ def dscg_to_json(dscg: Dscg, include_cpu: bool = True) -> str:
     of the equivalent nested-dict document — which
     ``tests/property/test_serialize_oracle.py`` builds as the oracle.
     """
-    cpu = CpuAnalysis(dscg) if include_cpu else None
     quoted = _Quoted()
     layouts: list[tuple[str, ...]] = []
     out: list[str] = []
     write = out.append
-
-    def write_nodes(nodes: list[CallNode], depth: int) -> None:
-        if not nodes:
-            write("[]")
-            return
-        if depth == len(layouts):
-            layouts.append(_layout(depth))
-        head, before, before_next, before_key, end_node, end_array = layouts[depth]
-        for node in nodes:
-            write(before)
-            before = before_next
-            write(head % (
-                quoted[node.interface], quoted[node.operation],
-                quoted[node.object_id], quoted[node.component],
-                quoted[node.call_kind.value], _flag(node.collocated),
-                quoted[node.domain.value], quoted[node.oneway_side],
-                _flag(node.partial),
-            ))
-            write_nodes(node.children, depth + 1)
-            if node.forked_chain_uuid:
-                write(f'{before_key}"forked_chain_uuid": {quoted[node.forked_chain_uuid]}')
-            latency = end_to_end_latency(node)
-            if latency is not None:
-                write(f'{before_key}"latency_ns": {latency}')
-            if cpu is not None:
-                self_cpu = cpu.self_cpu(node)
-                if self_cpu is not None:
-                    write(f'{before_key}"self_cpu_ns": {self_cpu}')
-                by_processor = cpu.descendant_cpu(node).by_processor
-                if by_processor:
-                    item = before_key[1:] + "  "
-                    write(f'{before_key}"descendant_cpu_ns": {{')
-                    write(",".join(
-                        f"{item}{quoted[processor]}: {ns}"
-                        for processor, ns in by_processor.items()
-                    ))
-                    write(before_key[1:] + "}")
-            write(end_node)
-        write(end_array)
 
     write('{\n  "format": "repro-dscg",\n  "version": 1,\n  "stats": {\n')
     write(",\n".join(
@@ -115,6 +118,9 @@ def dscg_to_json(dscg: Dscg, include_cpu: bool = True) -> str:
     write('\n  },\n  "chains": ')
     before = "[\n    {\n"
     for tree in dscg.chains.values():
+        # A memo per chain: its vectors die with the chain, and a fork's
+        # chain is simply computed again when its own turn comes.
+        cpu = CpuAnalysis(dscg) if include_cpu else None
         parent = tree.parent_chain_uuid
         write(
             f'{before}      "chain_uuid": {quoted[tree.chain_uuid]},\n'
@@ -131,7 +137,7 @@ def dscg_to_json(dscg: Dscg, include_cpu: bool = True) -> str:
         else:
             write("[]")
         write(',\n      "roots": ')
-        write_nodes(tree.roots, 0)
+        _write_nodes(tree.roots, 0, write, quoted, layouts, cpu)
         write("\n    }")
     write("\n  ]\n}" if dscg.chains else "[]\n}")
     return "".join(out)
@@ -165,7 +171,7 @@ def dscg_from_json(document: str) -> Dscg:
         raise ValueError("not a repro DSCG document")
     dscg = Dscg()
     for chain_payload in payload["chains"]:
-        tree = ChainTree(chain_uuid=chain_payload["chain_uuid"])
+        tree = ChainTree(chain_payload["chain_uuid"])
         tree.parent_chain_uuid = chain_payload.get("parent_chain_uuid")
         for root_payload in chain_payload["roots"]:
             tree.roots.append(_node_from_dict(root_payload, tree.chain_uuid))

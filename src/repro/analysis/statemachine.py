@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.core.events import CallKind, TracingEvent
 from repro.core.records import ProbeRecord
 from repro.analysis.cpu import annotate_chain_self_cpu
-from repro.analysis.dscg import AbnormalEvent, CallNode, ChainTree, Dscg
-from repro.analysis.latency import annotate_chain_latency
+from repro.analysis.dscg import AbnormalEvent, CallNode, ChainTree, Dscg, reading_of
+from repro.analysis.latency import annotate_latency
 
 if TYPE_CHECKING:
     from repro.store.backend import StorageBackend
@@ -46,25 +46,12 @@ _STUB_END = TracingEvent.STUB_END
 _ONEWAY = CallKind.ONEWAY
 
 
-def _same_call(node: CallNode, record: ProbeRecord) -> bool:
-    return (
-        node.interface == record.interface
-        and node.operation == record.operation
-        and node.object_id == record.object_id
-    )
-
-
-def _node_from_record(record: ProbeRecord, oneway_side: str) -> CallNode:
+def _node_from_record(record: ProbeRecord, side: str) -> CallNode:
+    """The frame ``record`` opens on the ``side`` ("stub" | "skel") it ran on."""
     return CallNode(
-        interface=record.interface,
-        operation=record.operation,
-        object_id=record.object_id,
-        component=record.component,
-        chain_uuid=record.chain_uuid,
-        call_kind=record.call_kind,
-        collocated=record.collocated,
-        domain=record.domain,
-        oneway_side=oneway_side,
+        record.interface, record.operation, record.object_id, record.component,
+        record.chain_uuid, record.call_kind, record.collocated, record.domain,
+        side if record.call_kind is _ONEWAY else "",
         forked_chain_uuid=record.child_chain_uuid,
     )
 
@@ -88,18 +75,13 @@ class ChainBuilder:
     __slots__ = ("tree", "stack", "finished")
 
     def __init__(self, chain_uuid: str):
-        self.tree = ChainTree(chain_uuid=chain_uuid)
+        self.tree = ChainTree(chain_uuid)
         self.stack: list[CallNode] = []
         self.finished = False
 
     def _abnormal(self, reason: str, record: ProbeRecord) -> None:
-        self.tree.abnormal.append(
-            AbnormalEvent(
-                chain_uuid=self.tree.chain_uuid,
-                event_seq=record.event_seq,
-                reason=reason,
-                record=record,
-            )
+        self.tree.flag(
+            AbnormalEvent(self.tree.chain_uuid, record.event_seq, reason, record)
         )
 
     def apply(self, record: ProbeRecord) -> CallNode | None:
@@ -109,9 +91,8 @@ class ChainBuilder:
         top = stack[-1] if stack else None
 
         if event is _STUB_START:
-            oneway_side = "stub" if record.call_kind is _ONEWAY else ""
-            node = _node_from_record(record, oneway_side)
-            node.records[event] = record
+            node = _node_from_record(record, "stub")
+            node.stub_start = reading_of(record)
             if top is not None:
                 top.add_child(node)
             else:
@@ -119,21 +100,23 @@ class ChainBuilder:
             stack.append(node)
             return None
 
+        # Every other transition needs the record to be of the open frame's call.
+        fits = (
+            top is not None
+            and top.interface == record.interface
+            and top.operation == record.operation
+            and top.object_id == record.object_id
+        )
+
         if event is _SKEL_START:
-            if (
-                top is not None
-                and _same_call(top, record)
-                and _STUB_START in top.records
-                and _SKEL_START not in top.records
-            ):
-                top.records[event] = record
+            if fits and top.stub_start is not None and top.skel_start is None:
+                top.skel_start = reading_of(record)
             elif top is None:
                 # Chain begins at a skeleton: either the skeleton side of a
                 # oneway fork (the dashed Figure-4 path) or a sync call
                 # whose client process is unmonitored.
-                oneway_side = "skel" if record.call_kind is _ONEWAY else ""
-                node = _node_from_record(record, oneway_side)
-                node.records[event] = record
+                node = _node_from_record(record, "skel")
+                node.skel_start = reading_of(record)
                 if record.call_kind is not _ONEWAY:
                     node.partial = True
                 self.tree.roots.append(node)
@@ -147,16 +130,11 @@ class ChainBuilder:
             return None
 
         if event is _SKEL_END:
-            if (
-                top is not None
-                and _same_call(top, record)
-                and _SKEL_START in top.records
-                and _SKEL_END not in top.records
-            ):
-                top.records[event] = record
+            if fits and top.skel_start is not None and top.skel_end is None:
+                top.skel_end = reading_of(record)
                 # A skeleton-side frame with no stub side closes here:
                 # oneway skeleton-side return, or an unmonitored client.
-                if _STUB_START not in top.records:
+                if top.stub_start is None:
                     return stack.pop()
             else:
                 self._abnormal(
@@ -167,16 +145,10 @@ class ChainBuilder:
             return None
 
         if event is _STUB_END:
-            if (
-                top is not None
-                and _same_call(top, record)
-                and _STUB_START in top.records
-                and _STUB_END not in top.records
-            ):
-                top.records[event] = record
+            if fits and top.stub_start is not None and top.stub_end is None:
+                top.stub_end = reading_of(record)
                 if top.call_kind is not _ONEWAY and (
-                    _SKEL_START not in top.records
-                    or _SKEL_END not in top.records
+                    top.skel_start is None or top.skel_end is None
                 ):
                     # Sync call whose server side produced no records
                     # (unmonitored peer process).
@@ -198,14 +170,8 @@ class ChainBuilder:
                 # tree but is flagged partial so latency math and reports
                 # can exclude it.
                 leftover.partial = True
-                self.tree.abnormal.append(
-                    AbnormalEvent(
-                        chain_uuid=self.tree.chain_uuid,
-                        event_seq=-1,
-                        reason=f"call {leftover.function} never completed"
-                        " (missing end events)",
-                    )
-                )
+                reason = f"call {leftover.function} never completed (missing end events)"
+                self.tree.flag(AbnormalEvent(self.tree.chain_uuid, -1, reason))
         return self.tree
 
 
@@ -247,7 +213,7 @@ def reconstruct_range(
     ):
         tree = reconstruct_chain(chain_uuid, records)
         if annotate:
-            annotate_chain_latency(tree)
+            annotate_latency(tree)
             annotate_chain_self_cpu(tree)
         trees.append(tree)
     return trees
@@ -281,6 +247,7 @@ def reconstruct(
     the record stream the caller asked to analyze.
     """
     dscg = Dscg()
-    dscg.add_chains(reconstruct_range(database, run_id, annotate, predicate))
+    for tree in reconstruct_range(database, run_id, annotate, predicate):
+        dscg.add_chain(tree)
     dscg.link_chains()
     return dscg

@@ -166,7 +166,7 @@ class StreamingReconstructor:
                 record,
             )
             if stream.builder is not None:
-                stream.builder.tree.abnormal.append(event)
+                stream.builder.tree.flag(event)
             if self.on_abnormal is not None:
                 self.on_abnormal(event)
 
@@ -174,9 +174,8 @@ class StreamingReconstructor:
         builder = stream.builder
         if builder is None:
             builder = stream.builder = ChainBuilder(record.chain_uuid)
-        stack = builder.stack
-        abnormal = builder.tree.abnormal
-        depth, flagged = len(stack), len(abnormal)
+        stack, tree = builder.stack, builder.tree
+        depth, flagged = len(stack), len(tree.abnormal)
         completed = builder.apply(record)
         if completed is not None:
             self._completed_nodes += 1
@@ -189,8 +188,8 @@ class StreamingReconstructor:
             self._open_frames += 1
             if not depth:
                 self._live_chains += 1
-        elif len(abnormal) != flagged and self.on_abnormal is not None:
-            self.on_abnormal(abnormal[-1])
+        elif len(tree.abnormal) != flagged and self.on_abnormal is not None:
+            self.on_abnormal(tree.abnormal[-1])
 
     def release(self, chain_uuid: str) -> None:
         """Forget a chain's builder and tree; keep its next event number.

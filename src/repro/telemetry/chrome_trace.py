@@ -28,24 +28,24 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.dscg import CallNode, Dscg
+from repro.analysis.dscg import (
+    EVENT_SEQ, PID, PROCESS, THREAD_ID, WALL_END, WALL_START, CallNode, Dscg,
+)
 from repro.analysis.latency import causality_overhead, end_to_end_latency
-from repro.core.events import CallKind, TracingEvent
+from repro.core.events import CallKind
 
 _NS_PER_US = 1_000.0
 
 
 def _window(node: CallNode, side: str):
-    """(start_record, end_record) of one side's measured window, or None."""
+    """(start reading, end reading) of one side's measured window, or None."""
     if side == "client":
-        start_event, end_event = TracingEvent.STUB_START, TracingEvent.STUB_END
+        start, end = node.stub_start, node.stub_end
     else:
-        start_event, end_event = TracingEvent.SKEL_START, TracingEvent.SKEL_END
-    start = node.records.get(start_event)
-    end = node.records.get(end_event)
+        start, end = node.skel_start, node.skel_end
     if start is None or end is None:
         return None
-    if start.wall_end is None or end.wall_start is None:
+    if start[WALL_END] is None or end[WALL_START] is None:
         return None
     return start, end
 
@@ -131,18 +131,18 @@ def chrome_trace_document(dscg: Dscg, run_id: str = "", incidents=None) -> dict:
                 if window is None:
                     continue
                 start, end = window
-                pid = start.pid
-                tid = tids.tid(pid, start.thread_id)
-                processes.setdefault(pid, start.process)
-                ts_us = start.wall_end / _NS_PER_US
-                dur_us = max(end.wall_start - start.wall_end, 0) / _NS_PER_US
+                pid = start[PID]
+                tid = tids.tid(pid, start[THREAD_ID])
+                processes.setdefault(pid, start[PROCESS])
+                ts_us = start[WALL_END] / _NS_PER_US
+                dur_us = max(end[WALL_START] - start[WALL_END], 0) / _NS_PER_US
                 args: dict = {
                     "trace_id": node.chain_uuid,
                     "side": side,
                     "object_id": node.object_id,
                     "component": node.component,
                     "domain": node.domain.value,
-                    "event_seq": start.event_seq,
+                    "event_seq": start[EVENT_SEQ],
                 }
                 incident_ids = implicated.get(node.chain_uuid)
                 if incident_ids:

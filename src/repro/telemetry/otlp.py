@@ -26,9 +26,10 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.analysis.dscg import CallNode, Dscg
+from repro.analysis.dscg import (
+    EVENT_SEQ, HOST, PID, PLATFORM, PROCESS, WALL_END, WALL_START, CallNode, Dscg,
+)
 from repro.analysis.latency import causality_overhead, end_to_end_latency
-from repro.core.events import TracingEvent
 from repro.telemetry.chrome_trace import (
     _implicated_chains,
     _incident_summaries,
@@ -48,7 +49,11 @@ def _span_id(chain_uuid: str, node_seq: int, side: str) -> str:
 
 def _node_seq(node: CallNode) -> int:
     """Stable per-node discriminator: its earliest probe event number."""
-    return min(record.event_seq for record in node.records.values())
+    return min(
+        reading[EVENT_SEQ]
+        for reading in (node.stub_start, node.skel_start, node.skel_end, node.stub_end)
+        if reading is not None
+    )
 
 
 def _attr(key: str, value) -> dict:
@@ -75,21 +80,21 @@ def otlp_document(dscg: Dscg, run_id: str = "", incidents=None) -> dict:
     chain_root_span: dict[str, tuple[str, str]] = {}
     pending_links: list[tuple[str, str, str]] = []  # child chain, parent trace, parent span
 
-    def resource_bucket(record) -> list[dict]:
-        entry = by_process.get(record.process)
+    def resource_bucket(reading: tuple) -> list[dict]:
+        entry = by_process.get(reading[PROCESS])
         if entry is None:
             entry = {
                 "resource": {
                     "attributes": [
-                        _attr("service.name", record.process),
-                        _attr("host.name", record.host),
-                        _attr("process.pid", record.pid),
-                        _attr("repro.platform", record.platform),
+                        _attr("service.name", reading[PROCESS]),
+                        _attr("host.name", reading[HOST]),
+                        _attr("process.pid", reading[PID]),
+                        _attr("repro.platform", reading[PLATFORM]),
                     ]
                 },
                 "spans": [],
             }
-            by_process[record.process] = entry
+            by_process[reading[PROCESS]] = entry
         return entry["spans"]
 
     def parent_span_id(node: CallNode) -> str:
@@ -138,7 +143,7 @@ def otlp_document(dscg: Dscg, run_id: str = "", incidents=None) -> dict:
                     _attr("repro.domain", node.domain.value),
                     _attr("repro.call_kind", node.call_kind.value),
                     _attr("repro.collocated", node.collocated),
-                    _attr("repro.event_seq", start.event_seq),
+                    _attr("repro.event_seq", start[EVENT_SEQ]),
                 ]
                 incident_ids = implicated.get(node.chain_uuid)
                 if incident_ids:
@@ -160,8 +165,8 @@ def otlp_document(dscg: Dscg, run_id: str = "", incidents=None) -> dict:
                     "parentSpanId": parent_id,
                     "name": node.function,
                     "kind": kind,
-                    "startTimeUnixNano": str(start.wall_end),
-                    "endTimeUnixNano": str(end.wall_start),
+                    "startTimeUnixNano": str(start[WALL_END]),
+                    "endTimeUnixNano": str(end[WALL_START]),
                     "attributes": attributes,
                     "links": [],
                 }

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.dscg import CallNode, Dscg
-from repro.core.events import TracingEvent
+from repro.analysis.dscg import SEMANTICS, CallNode, Dscg
 
 
 @dataclass
@@ -57,9 +56,9 @@ class ReplayPlan:
 
 
 def _args_of(node: CallNode) -> list[str]:
-    record = node.records.get(TracingEvent.STUB_START)
-    if record is not None and record.semantics and "args" in record.semantics:
-        return list(record.semantics["args"])
+    semantics = node.stub_start[SEMANTICS] if node.stub_start else None
+    if semantics and "args" in semantics:
+        return list(semantics["args"])
     return []
 
 

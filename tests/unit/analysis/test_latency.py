@@ -39,12 +39,16 @@ class TestSyncLatency:
         assert end_to_end_latency(f) == 150
 
     def test_overhead_term_subtracts_child_probe_costs(self):
-        dscg = dscg_for([Call("I::F", cpu_ns=100, children=(Call("I::G", cpu_ns=50),))])
-        f = only_node(dscg, "I::F")
-        g = only_node(dscg, "I::G")
-        # Inflate each of G's probe intervals artificially by 10ns.
-        for record in g.records.values():
-            record.wall_end += 10
+        sim = simulate(
+            [Call("I::F", cpu_ns=100, children=(Call("I::G", cpu_ns=50),))],
+            mode=MonitorMode.LATENCY,
+        )
+        # Inflate each of G's probe intervals artificially by 10ns (in the
+        # source records: a node keeps readings, not the records).
+        for record in sim.records:
+            if record.function == "I::G":
+                record.wall_end += 10
+        f = only_node(reconstruct_from_records(sim.records), "I::F")
         assert causality_overhead(f) == 40
         assert end_to_end_latency(f) == 150 - 40
 

@@ -1,5 +1,6 @@
 """Unit tests for DSCG JSON serialization."""
 
+import gc
 import json
 
 import pytest
@@ -57,6 +58,20 @@ class TestRoundtrip:
     def test_bad_document_rejected(self):
         with pytest.raises(ValueError):
             dscg_from_json('{"format": "something-else"}')
+
+    @pytest.mark.parametrize("include_cpu", [True, False])
+    def test_emitter_strands_nothing_for_the_collector(self, include_cpu):
+        """The emitter's working set (its CPU vectors, every fragment of
+        the document) dies with the call: a recursive closure used to hold
+        it in a cycle until the next full collection."""
+        dscg = dscg_for([Call("I::root", cpu_ns=9, children=(Call("I::a"),))] * 100)
+        gc.collect()
+        gc.disable()
+        try:
+            dscg_to_json(dscg, include_cpu=include_cpu)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_stats_recorded(self):
         document = json.loads(dscg_to_json(self.make()))
