@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.events import CallKind, Domain, TracingEvent
-from repro.core.records import ProbeRecord
+from repro.core.records import ProbeRecord, Site
 
 #: Index of each field of a *reading*: what one probe record says that its
 #: frame does not already hold. A reading is an exact ``tuple`` of atoms
@@ -31,9 +31,10 @@ _READING_SLOTS = ("stub_start", "skel_start", "skel_end", "stub_end")
 
 def reading_of(record: ProbeRecord) -> tuple:
     """The reading of one record, in the index order above."""
+    site = record.site
     return (
-        record.event_seq, record.process, record.pid, record.host, record.thread_id,
-        record.processor_type, record.platform, record.wall_start, record.wall_end,
+        record.event_seq, site.process, site.pid, site.host, record.thread_id,
+        site.processor_type, site.platform, record.wall_start, record.wall_end,
         record.cpu_start, record.cpu_end, record.child_chain_uuid, record.semantics,
     )
 
@@ -105,11 +106,14 @@ class CallNode:
         reading = self.reading(event)
         if reading is None:
             return None
+        site = Site(
+            self.interface, self.operation, self.object_id, self.component,
+            reading[PROCESS], reading[PID], reading[HOST], reading[PROCESSOR_TYPE],
+            reading[PLATFORM], self.domain,
+        )
         return ProbeRecord(
-            self.chain_uuid, reading[EVENT_SEQ], event, self.interface,
-            self.operation, self.object_id, self.component,
-            *reading[PROCESS:WALL_START], self.call_kind, self.collocated,
-            self.domain, *reading[WALL_START:],
+            site, self.chain_uuid, reading[EVENT_SEQ], event, reading[THREAD_ID],
+            self.call_kind, self.collocated, *reading[WALL_START:],
         )
 
     @property

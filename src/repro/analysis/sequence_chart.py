@@ -49,8 +49,9 @@ def spans_from_records(records: list[ProbeRecord]) -> list[InvocationSpan]:
     for record in sorted(
         records, key=lambda r: (r.wall_start if r.wall_start is not None else 0)
     ):
-        key = (record.process, record.thread_id, record.interface, record.operation,
-               record.object_id)
+        site = record.site
+        key = (site.process, record.thread_id, site.interface, site.operation,
+               site.object_id)
         if record.event is TracingEvent.SKEL_START:
             open_spans[key] = record
         elif record.event is TracingEvent.SKEL_END:
@@ -60,9 +61,9 @@ def spans_from_records(records: list[ProbeRecord]) -> list[InvocationSpan]:
             spans.append(
                 InvocationSpan(
                     function=record.function,
-                    object_id=record.object_id,
-                    process=record.process,
-                    host=record.host,
+                    object_id=site.object_id,
+                    process=site.process,
+                    host=site.host,
                     thread_id=record.thread_id,
                     start_ns=start.wall_end,
                     end_ns=record.wall_start,

@@ -48,9 +48,10 @@ _ONEWAY = CallKind.ONEWAY
 
 def _node_from_record(record: ProbeRecord, side: str) -> CallNode:
     """The frame ``record`` opens on the ``side`` ("stub" | "skel") it ran on."""
+    site = record.site
     return CallNode(
-        record.interface, record.operation, record.object_id, record.component,
-        record.chain_uuid, record.call_kind, record.collocated, record.domain,
+        site.interface, site.operation, site.object_id, site.component,
+        record.chain_uuid, record.call_kind, record.collocated, site.domain,
         side if record.call_kind is _ONEWAY else "",
         forked_chain_uuid=record.child_chain_uuid,
     )
@@ -101,11 +102,12 @@ class ChainBuilder:
             return None
 
         # Every other transition needs the record to be of the open frame's call.
+        site = record.site
         fits = (
             top is not None
-            and top.interface == record.interface
-            and top.operation == record.operation
-            and top.object_id == record.object_id
+            and top.interface == site.interface
+            and top.operation == site.operation
+            and top.object_id == site.object_id
         )
 
         if event is _SKEL_START:
@@ -123,7 +125,7 @@ class ChainBuilder:
                 stack.append(node)
             else:
                 self._abnormal(
-                    f"skel_start for {record.interface}::{record.operation} does not"
+                    f"skel_start for {record.function} does not"
                     f" match open frame {top.function if top else '<none>'}",
                     record,
                 )
@@ -138,7 +140,7 @@ class ChainBuilder:
                     return stack.pop()
             else:
                 self._abnormal(
-                    f"skel_end for {record.interface}::{record.operation} without"
+                    f"skel_end for {record.function} without"
                     " a matching open skel_start",
                     record,
                 )
@@ -155,7 +157,7 @@ class ChainBuilder:
                     top.partial = True
                 return stack.pop()
             self._abnormal(
-                f"stub_end for {record.interface}::{record.operation} does not"
+                f"stub_end for {record.function} does not"
                 f" close open frame {top.function if top else '<none>'}",
                 record,
             )

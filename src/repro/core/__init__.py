@@ -15,7 +15,7 @@ from repro.core.monitor import (
     install_monitoring,
 )
 from repro.core.probes import CallContext
-from repro.core.records import ChainLink, OperationInfo, ProbeRecord, RunMetadata
+from repro.core.records import ChainLink, OperationInfo, ProbeRecord, RunMetadata, Site
 
 __all__ = [
     "CallContext",
@@ -31,6 +31,7 @@ __all__ = [
     "ProbeRecord",
     "RunMetadata",
     "SequentialUuidFactory",
+    "Site",
     "TracingEvent",
     "install_monitoring",
     "new_chain",

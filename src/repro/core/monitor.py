@@ -30,7 +30,7 @@ from typing import Any, Callable
 from repro.core.events import CallKind, TracingEvent
 from repro.core.ftl import _WIRE, FunctionTxLog, new_chain, random_uuid_factory
 from repro.core.probes import CallContext
-from repro.core.records import OperationInfo, ProbeRecord
+from repro.core.records import OperationInfo, ProbeRecord, Site
 from repro.errors import MonitorError
 from repro.platform.process import SimProcess
 from repro.telemetry.metrics import NULL_COUNTER, NULL_REGISTRY
@@ -122,8 +122,9 @@ class MonitoringRuntime:
 
     Each probe is one Python frame that reads ``config`` once and builds
     its record in place. Prebound: the clock, the FTL slot's context
-    variable and, per operation (:meth:`_bind_site`), the ten record
-    fields constant per *(process, operation)*. Read on every probe,
+    variable and, per operation (:meth:`_bind_site`), the :class:`Site` —
+    the ten record fields constant per *(process, operation)*, which a
+    record refers to instead of copying. Read on every probe,
     because the tree changes them under a live runtime: the telemetry
     counters, ``process.log_buffer`` and every ``config`` field.
     """
@@ -140,17 +141,25 @@ class MonitoringRuntime:
             self._cpu_ns = _no_cpu_counter
         self._locality = (process.name, process.pid, host.name,
                           host.processor_type.value, host.platform_kind.value)
+        #: This runtime's site per operation (by value): a re-bind costs a
+        #: lookup, and a record of the operation always holds the same object.
+        self._sites: dict[OperationInfo, Site] = {}
         # The in-process half of the virtual tunnel, resolved once: task-
         # and thread-locality are the variable's (observations O1/O2).
         self._ftl_var = process.tss.var(_FTL_SLOT)
 
-    def _bind_site(self, op: OperationInfo) -> tuple:
-        """Cache on ``op`` the record fields this runtime stamps for it: one
-        slot tagged with its runtime, so an operation object probed by two
-        processes' runtimes is re-bound on each switch, never read stale."""
-        site = (self, op.interface, op.operation, op.object_id, op.component,
-                *self._locality, op.domain)
-        object.__setattr__(op, "_site", site)  # frozen; the slot is not identity
+    def _bind_site(self, op: OperationInfo) -> Site:
+        """Cache on ``op`` the site this runtime's records of it refer to
+        (built on first sight of the operation): one slot tagged with its
+        runtime, so an operation object probed by two processes' runtimes is
+        re-bound on each switch, never read stale."""
+        site = self._sites.get(op)
+        if site is None:
+            site = self._sites[op] = Site(
+                op.interface, op.operation, op.object_id, op.component,
+                *self._locality, op.domain,
+            )
+        object.__setattr__(op, "_site", (self, site))  # frozen; the slot is not identity
         return site
 
     # ------------------------------------------------------------------
@@ -204,11 +213,8 @@ class MonitoringRuntime:
         wall = self._wall_ns() if wall_on else None
         cpu = self._cpu_ns() if cpu_on else None
         ftl = self._ftl_var.get() or self._start_chain(config.uuid_factory)
-        site = op._site
-        if site is None or site[0] is not self:
-            site = self._bind_site(op)
-        (_, interface, operation, object_id, component,
-         process, pid, host, processor_type, platform, domain) = site
+        bound = op._site
+        site = bound[1] if bound is not None and bound[0] is self else self._bind_site(op)
         seq = ftl.event_seq_no = ftl.event_seq_no + 1
         if oneway:
             kind = _ONEWAY
@@ -222,10 +228,8 @@ class MonitoringRuntime:
         # Positional, in declared field order: the slotted dataclass
         # __init__ costs measurably more with keywords.
         record = ProbeRecord(
-            ftl.chain_uuid, seq, _STUB_START, interface, operation, object_id,
-            component, process, pid, host, _get_ident(), processor_type, platform,
-            kind, collocated, domain, wall, None, cpu, None, child_uuid,
-            semantics if semantics_on else None,
+            site, ftl.chain_uuid, seq, _STUB_START, _get_ident(), kind, collocated,
+            wall, None, cpu, None, child_uuid, semantics if semantics_on else None,
         )
         self.process.log_buffer.append(record)
         _PROBE_RECORDS[_STUB_START].inc()
@@ -278,13 +282,10 @@ class MonitoringRuntime:
                 own = ftl._raw_uuid
                 if (raw == own) if own is not None else (raw.hex() == ftl.chain_uuid):
                     ftl.event_seq_no = seq
-        (_, interface, operation, object_id, component,
-         process, pid, host, processor_type, platform, domain) = ctx.site
         seq = ftl.event_seq_no = ftl.event_seq_no + 1
         record = ProbeRecord(
-            ftl.chain_uuid, seq, _STUB_END, interface, operation, object_id,
-            component, process, pid, host, _get_ident(), processor_type, platform,
-            ctx.call_kind, ctx.collocated, domain, wall, None, cpu, None, None,
+            ctx.site, ftl.chain_uuid, seq, _STUB_END, _get_ident(), ctx.call_kind,
+            ctx.collocated, wall, None, cpu, None, None,
             semantics if semantics_on else None,
         )
         self.process.log_buffer.append(record)
@@ -334,18 +335,13 @@ class MonitoringRuntime:
                 ftl = new_chain(config.uuid_factory)
                 _FTL_MALFORMED[_SKEL_START].inc()
             self._ftl_var.set(ftl)
-        site = op._site
-        if site is None or site[0] is not self:
-            site = self._bind_site(op)
-        (_, interface, operation, object_id, component,
-         process, pid, host, processor_type, platform, domain) = site
+        bound = op._site
+        site = bound[1] if bound is not None and bound[0] is self else self._bind_site(op)
         seq = ftl.event_seq_no = ftl.event_seq_no + 1
         kind = _ONEWAY if oneway else _SYNC
         record = ProbeRecord(
-            ftl.chain_uuid, seq, _SKEL_START, interface, operation, object_id,
-            component, process, pid, host, _get_ident(), processor_type, platform,
-            kind, collocated, domain, wall, None, cpu, None, None,
-            semantics if semantics_on else None,
+            site, ftl.chain_uuid, seq, _SKEL_START, _get_ident(), kind, collocated,
+            wall, None, cpu, None, None, semantics if semantics_on else None,
         )
         self.process.log_buffer.append(record)
         _PROBE_RECORDS[_SKEL_START].inc()
@@ -380,15 +376,11 @@ class MonitoringRuntime:
         wall = self._wall_ns() if wall_on else None
         cpu = self._cpu_ns() if cpu_on else None
         ftl = self._ftl_var.get() or self.bind_ftl(ctx.ftl)
-        (_, interface, operation, object_id, component,
-         process, pid, host, processor_type, platform, domain) = ctx.site
         seq = ftl.event_seq_no = ftl.event_seq_no + 1
         kind, collocated = ctx.call_kind, ctx.collocated
         record = ProbeRecord(
-            ftl.chain_uuid, seq, _SKEL_END, interface, operation, object_id,
-            component, process, pid, host, _get_ident(), processor_type, platform,
-            kind, collocated, domain, wall, None, cpu, None, None,
-            semantics if semantics_on else None,
+            ctx.site, ftl.chain_uuid, seq, _SKEL_END, _get_ident(), kind, collocated,
+            wall, None, cpu, None, None, semantics if semantics_on else None,
         )
         self.process.log_buffer.append(record)
         _PROBE_RECORDS[_SKEL_END].inc()
@@ -422,19 +414,14 @@ class MonitoringRuntime:
         wall = self._wall_ns() if wall_on else None
         cpu = self._cpu_ns() if cpu_on else None
         ftl = self._ftl_var.get() or self._start_chain(config.uuid_factory)
-        site = op._site
-        if site is None or site[0] is not self:
-            site = self._bind_site(op)
-        (_, interface, operation, object_id, component,
-         process, pid, host, processor_type, platform, domain) = site
+        bound = op._site
+        site = bound[1] if bound is not None and bound[0] is self else self._bind_site(op)
         chain_uuid, thread_id = ftl.chain_uuid, _get_ident()
         seq = ftl.event_seq_no + 1
         ftl.event_seq_no = seq + 1
         record = ProbeRecord(
-            chain_uuid, seq, _STUB_START, interface, operation, object_id,
-            component, process, pid, host, thread_id, processor_type, platform,
-            _SYNC, True, domain, wall, None, cpu, None, None,
-            semantics if semantics_on else None,
+            site, chain_uuid, seq, _STUB_START, thread_id, _SYNC, True,
+            wall, None, cpu, None, None, semantics if semantics_on else None,
         )
         append = self.process.log_buffer.append
         append(record)
@@ -447,9 +434,7 @@ class MonitoringRuntime:
             record.cpu_end = self._cpu_ns()
             cpu = self._cpu_ns()
         record = ProbeRecord(
-            chain_uuid, seq + 1, _SKEL_START, interface, operation, object_id,
-            component, process, pid, host, thread_id, processor_type, platform,
-            _SYNC, True, domain, wall, None, cpu,
+            site, chain_uuid, seq + 1, _SKEL_START, thread_id, _SYNC, True, wall, None, cpu,
         )
         append(record)
         _PROBE_RECORDS[_SKEL_START].inc()
@@ -478,16 +463,12 @@ class MonitoringRuntime:
         wall = self._wall_ns() if wall_on else None
         cpu = self._cpu_ns() if cpu_on else None
         ftl = self._ftl_var.get() or self.bind_ftl(stub_ctx.ftl)
-        (_, interface, operation, object_id, component,
-         process, pid, host, processor_type, platform, domain) = stub_ctx.site
-        chain_uuid, thread_id = ftl.chain_uuid, _get_ident()
+        site, chain_uuid, thread_id = stub_ctx.site, ftl.chain_uuid, _get_ident()
         seq = ftl.event_seq_no + 1
         ftl.event_seq_no = seq + 1
         record = ProbeRecord(
-            chain_uuid, seq, _SKEL_END, interface, operation, object_id,
-            component, process, pid, host, thread_id, processor_type, platform,
-            _SYNC, True, domain, wall, None, cpu, None, None,
-            semantics if semantics_on else None,
+            site, chain_uuid, seq, _SKEL_END, thread_id, _SYNC, True,
+            wall, None, cpu, None, None, semantics if semantics_on else None,
         )
         append = self.process.log_buffer.append
         append(record)
@@ -499,9 +480,7 @@ class MonitoringRuntime:
             record.cpu_end = self._cpu_ns()
             cpu = self._cpu_ns()
         record = ProbeRecord(
-            chain_uuid, seq + 1, _STUB_END, interface, operation, object_id,
-            component, process, pid, host, thread_id, processor_type, platform,
-            _SYNC, True, domain, wall, None, cpu,
+            site, chain_uuid, seq + 1, _STUB_END, thread_id, _SYNC, True, wall, None, cpu,
         )
         append(record)
         _PROBE_RECORDS[_STUB_END].inc()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.events import CallKind
 from repro.core.ftl import FunctionTxLog
-from repro.core.records import OperationInfo
+from repro.core.records import OperationInfo, Site
 
 
 @dataclass(slots=True)
@@ -33,9 +33,9 @@ class CallContext:
     """
 
     op: OperationInfo
-    #: The probe site the start probe resolved for ``op`` (see
-    #: ``OperationInfo._site``): the end probe stamps the same identity.
-    site: tuple
+    #: The site the start probe resolved for ``op`` (see
+    #: ``OperationInfo._site``): the end probe's record refers to the same.
+    site: Site
     ftl: FunctionTxLog
     call_kind: CallKind
     collocated: bool

@@ -1,10 +1,13 @@
 """Probe records: what each probe writes to its process-local log.
 
-A record is self-contained — it carries the FTL snapshot (chain UUID and
-event number), the identity of the call (interface, operation, object,
-component), the execution locality (process, thread, host, processor
-type), and the probe's own start/finish readings of the local wall clock
-and/or per-thread CPU counter.
+A record is a reference to its *site* plus what the event itself adds. A
+:class:`Site` holds the ten fields constant per *(process, operation)* —
+the identity of the call (interface, operation, object, component, domain)
+and the execution locality (process, pid, host, processor type, platform);
+every record of one operation probed in one process shares one. The
+:class:`ProbeRecord` adds the FTL snapshot (chain UUID and event number),
+the probe, the thread, the call kind and the probe's own start/finish
+readings of the local wall clock and/or per-thread CPU counter.
 
 The probe's *own* interval (``wall_start``..``wall_end``) is what the
 analyzer sums into the overhead term O_F when compensating end-to-end
@@ -15,15 +18,19 @@ though only one of them is "the" timestamp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from repro.core.events import CallKind, Domain, TracingEvent
 
-#: Version of the 23-field record layout (``run_id`` + the 22
-#: :class:`ProbeRecord` fields below). Stamped into run metadata by the
+#: Version of the 23-field record layout (``run_id`` + the 22 fields of
+#: :data:`RECORD_SCHEMA`) as persisted. Stamped into run metadata by the
 #: collector and into every segment-file header so a reader can refuse
-#: data written under a different layout instead of mis-decoding it.
-SCHEMA_VERSION = 1
+#: data written under a different layout instead of mis-decoding it
+#: (v2: a site table per segment, a site id per frame; v1's fields).
+SCHEMA_VERSION = 2
+#: Layouts this build reads; it writes only :data:`SCHEMA_VERSION`.
+READABLE_SCHEMA_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,33 +54,37 @@ class RecordField:
     ``interned`` marks strings drawn from a small population (chain
     uuids, operation names, host/thread identity): the segment codec
     dictionary-encodes them instead of repeating the bytes per record.
+    ``site`` marks the fields a record holds through its :class:`Site`
+    and the segment codec stores once per segment, in the site table.
     """
 
     name: str
     kind: str
     interned: bool = False
+    site: bool = False
 
 
-#: The persisted :class:`ProbeRecord` layout, in dataclass field order.
-#: ``run_id`` (the 23rd field) is context every store carries separately:
-#: a SQLite column, a segment-store run directory.
+#: The persisted record layout: :class:`Site`'s fields and
+#: :class:`ProbeRecord`'s own, each in declaration order, in the column
+#: order of the SQLite table. ``run_id`` (the 23rd field) is context every
+#: store carries separately: a SQLite column, a segment-store run directory.
 RECORD_SCHEMA: tuple[RecordField, ...] = (
     RecordField("chain_uuid", "str", interned=True),
     RecordField("event_seq", "int"),
     RecordField("event", "event"),
-    RecordField("interface", "str", interned=True),
-    RecordField("operation", "str", interned=True),
-    RecordField("object_id", "str", interned=True),
-    RecordField("component", "str", interned=True),
-    RecordField("process", "str", interned=True),
-    RecordField("pid", "int"),
-    RecordField("host", "str", interned=True),
+    RecordField("interface", "str", interned=True, site=True),
+    RecordField("operation", "str", interned=True, site=True),
+    RecordField("object_id", "str", interned=True, site=True),
+    RecordField("component", "str", interned=True, site=True),
+    RecordField("process", "str", interned=True, site=True),
+    RecordField("pid", "int", site=True),
+    RecordField("host", "str", interned=True, site=True),
     RecordField("thread_id", "int"),
-    RecordField("processor_type", "str", interned=True),
-    RecordField("platform", "str", interned=True),
+    RecordField("processor_type", "str", interned=True, site=True),
+    RecordField("platform", "str", interned=True, site=True),
     RecordField("call_kind", "call_kind"),
     RecordField("collocated", "bool"),
-    RecordField("domain", "domain"),
+    RecordField("domain", "domain", site=True),
     RecordField("wall_start", "opt_int"),
     RecordField("wall_end", "opt_int"),
     RecordField("cpu_start", "opt_int"),
@@ -81,6 +92,9 @@ RECORD_SCHEMA: tuple[RecordField, ...] = (
     RecordField("child_chain_uuid", "opt_str", interned=True),
     RecordField("semantics", "json"),
 )
+
+SITE_FIELDS = tuple(f.name for f in RECORD_SCHEMA if f.site)
+EVENT_FIELDS = tuple(f.name for f in RECORD_SCHEMA if not f.site)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +106,8 @@ class OperationInfo:
     object_id: str
     component: str
     domain: Domain = Domain.CORBA
-    #: Probe-site cache of ``MonitoringRuntime._bind_site``: ``(runtime, *the
-    #: ten record fields constant per (process, operation))``. Not part of the
+    #: Probe-site cache of ``MonitoringRuntime._bind_site``: ``(runtime, the
+    #: Site that runtime stamps for this operation)``. Not part of the
     #: operation's identity (excluded from init/eq/hash/repr).
     _site: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -102,20 +116,15 @@ class OperationInfo:
         return f"{self.interface}::{self.operation}"
 
 
-@dataclass(slots=True)
-class ProbeRecord:
-    """One tracing event as logged by a probe.
+@dataclass(frozen=True, slots=True)
+class Site:
+    """What every record of one operation probed in one process has in common.
 
-    ``slots=True`` because the monitored system materializes four of
-    these per invocation: the slotted layout drops the per-record
-    ``__dict__`` (roughly halving footprint) and makes the probe-side
-    field stores cheaper, both of which land directly in the paper's
-    probe-overhead term O_F.
+    Built once per *(runtime, operation)* by ``MonitoringRuntime._bind_site``
+    and once per site-table row by a segment reader. Compared and hashed by
+    value (the hash computed once: a segment writer looks one up per record).
     """
 
-    chain_uuid: str
-    event_seq: int
-    event: TracingEvent
     interface: str
     operation: str
     object_id: str
@@ -123,12 +132,40 @@ class ProbeRecord:
     process: str
     pid: int
     host: str
-    thread_id: int
     processor_type: str
     platform: str
+    domain: Domain = Domain.CORBA
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.interface, self.operation, self.object_id, self.process, self.pid)
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@dataclass(slots=True)
+class ProbeRecord:
+    """One tracing event as logged by a probe: its site + the event's own fields.
+
+    ``slots=True`` because the monitored system materializes four of
+    these per invocation: the slotted layout drops the per-record
+    ``__dict__`` (roughly halving footprint) and makes the probe-side
+    field stores cheaper, both of which land directly in the paper's
+    probe-overhead term O_F. The ten :class:`Site` fields read through
+    the delegating properties attached below (for tests, the CLI, user
+    code; per-record loops read ``record.site`` once instead).
+    """
+
+    site: Site
+    chain_uuid: str
+    event_seq: int
+    event: TracingEvent
+    thread_id: int
     call_kind: CallKind = CallKind.SYNC
     collocated: bool = False
-    domain: Domain = Domain.CORBA
     # Probe-local readings; None when the active monitor mode does not
     # sample that quantity (latency and CPU probes are never simultaneous).
     wall_start: int | None = None
@@ -142,7 +179,8 @@ class ProbeRecord:
 
     @property
     def function(self) -> str:
-        return f"{self.interface}::{self.operation}"
+        site = self.site
+        return f"{site.interface}::{site.operation}"
 
     @property
     def event_label(self) -> str:
@@ -160,6 +198,11 @@ class ProbeRecord:
         if self.cpu_start is None or self.cpu_end is None:
             return 0
         return self.cpu_end - self.cpu_start
+
+
+for _name in SITE_FIELDS:
+    setattr(ProbeRecord, _name, property(attrgetter(f"site.{_name}")))
+del _name
 
 
 @dataclass(slots=True)
@@ -182,10 +225,11 @@ class RunMetadata:
     extra: dict[str, Any] = field(default_factory=dict)
 
 
-# The schema table and the dataclass must never drift apart: every codec
-# below trusts RECORD_SCHEMA's order to be ProbeRecord's field order.
-if tuple(f.name for f in RECORD_SCHEMA) != ProbeRecord.__slots__:
+# The schema table and the two classes must never drift apart: every codec
+# trusts RECORD_SCHEMA's two halves to be Site's and ProbeRecord's field order.
+if (SITE_FIELDS, ("site", *EVENT_FIELDS)) != (Site.__slots__[:-1], ProbeRecord.__slots__):
     raise AssertionError(
-        "RECORD_SCHEMA is out of sync with ProbeRecord: "
-        f"{[f.name for f in RECORD_SCHEMA]} != {list(ProbeRecord.__slots__)}"
+        "RECORD_SCHEMA is out of sync with Site / ProbeRecord: "
+        f"{SITE_FIELDS} != {Site.__slots__[:-1]} or "
+        f"{EVENT_FIELDS} != {ProbeRecord.__slots__[1:]}"
     )

@@ -1,31 +1,40 @@
-"""Binary probe-record frame codec for the segment store.
+"""Binary probe-record frame codec for the segment store (record format v2).
 
-One :class:`~repro.core.records.ProbeRecord` becomes one *frame*:
+One :class:`~repro.core.records.ProbeRecord` becomes one *frame*; what its
+:class:`~repro.core.records.Site` holds is stored once per segment, as a
+row of the segment's *site table* (:data:`SITE_ROW`: the dictionary ids of
+the site's eight strings, its ``pid``, its domain number). A frame is one
+precompiled :class:`struct.Struct` (the discipline of
+:mod:`repro.orb.fastcdr`): a fixed head — dictionary id of the chain uuid,
+event number 1..4, flag byte (call kind, collocation, frame width),
+field-presence bitmap, site id, raw ``thread_id``, dictionary id of the
+child chain, byte length of the semantics payload — then ``event_seq`` and
+the four probe clock readings as five ``i32`` words (*narrow*) or five
+``i64`` (*wide*, flag bit 16), then the optional JSON payload
+of captured application semantics.
 
-- a fused fixed head packed by a single precompiled :class:`struct.Struct`
-  (the same precompiled-codec discipline as :mod:`repro.orb.fastcdr`):
-  dictionary ids for the eight interned strings, raw integers for
-  ``event_seq``/``pid``/``thread_id``, and three packed bytes for the
-  event number, call kind / collocation / domain / frame-width flags and
-  the field-presence bitmap;
-- a timestamp tail holding the four probe clock readings
-  **delta-encoded**: ``wall_start`` and ``cpu_start`` are stored relative
-  to the previous frame's values (per the encoder's delta policy),
-  ``wall_end``/``cpu_end`` relative to their own start reading. Deltas
-  are small, so the tail is four ``i32`` words for most frames and only
-  widens to ``i64`` (the ``_MISC_WIDE`` flag) when a delta overflows —
-  chiefly the raw re-anchor frames;
-- an optional JSON payload for captured application semantics.
+**The anchor rule.** ``wall_end`` / ``cpu_end`` are stored relative to
+their own start reading. A *narrow* frame stores ``wall_start`` /
+``cpu_start`` relative to the last frame before it that carried that
+reading; a *wide* frame stores them absolute. A writer forgets its
+predecessors wherever a reader may start decoding (a records block, a
+sealed chain group), so the first frame there to carry a reading is wide;
+a frame also widens when one of its five words overflows ``i32``. A reader
+needs no knowledge of blocks or groups: it adds on a narrow frame and
+takes over on a wide one.
 
-Interned strings are *dictionary-encoded*: each segment carries one
-string table, ids are assigned in first-appearance order, and new
-entries are spooled into dict-delta blocks ahead of the frames that
-reference them (so a truncated segment can still be decoded
-front-to-back without its footer).
+Interned strings are *dictionary-encoded*: each segment carries one string
+table, ids assigned in first-appearance order; new entries are spooled
+into dict-delta blocks — then new site rows into site-delta blocks — ahead
+of the frames that reference them, so a truncated segment still decodes
+front-to-back without its footer.
 
-The field layout is derived from — and import-time-checked against —
-the single 23-field schema table :data:`repro.core.records.RECORD_SCHEMA`
-shared with the SQLite row codecs.
+The layout is derived from, and import-time-checked against, the one
+schema table :data:`repro.core.records.RECORD_SCHEMA` shared with the
+SQLite row codecs. Format v1 (a frame carried the site's fields itself;
+start readings re-anchored implicitly per block and per sealed group)
+stays readable: its structs and the per-version size table are at the
+bottom.
 """
 
 from __future__ import annotations
@@ -33,56 +42,48 @@ from __future__ import annotations
 import struct
 
 from repro.core.events import CallKind, Domain, TracingEvent
-from repro.core.records import RECORD_SCHEMA
+from repro.core.records import EVENT_FIELDS, RECORD_SCHEMA, SITE_FIELDS
 
-#: Fields the frame head covers, in the order they are packed. The
-#: timestamp tail covers the four clock readings; ``semantics`` rides as
-#: the variable-length payload after the tail.
-_HEAD_FIELDS = (
-    "chain_uuid", "event_seq", "event",
-    # misc byte: call_kind, collocated, domain, (frame width flag)
-    "call_kind", "collocated", "domain",
-    # presence byte tracks which optional fields are materialized
-    "interface", "operation", "object_id", "component", "process",
-    "pid", "host", "thread_id", "processor_type", "platform",
-    "child_chain_uuid", "semantics",
+#: What a site row covers, in the order it is packed.
+_ROW_FIELDS = (
+    "interface", "operation", "object_id", "component", "process", "host",
+    "processor_type", "platform", "pid", "domain",
 )
-_TAIL_FIELDS = ("wall_start", "wall_end", "cpu_start", "cpu_end")
+#: What a frame covers: head, then the five-word tail; ``semantics`` rides
+#: as the variable-length payload after the tail.
+_HEAD_FIELDS = (
+    "chain_uuid", "event",
+    # misc byte: call_kind, collocated, (frame width flag)
+    "call_kind", "collocated",
+    # presence byte tracks which optional fields are materialized
+    "thread_id", "child_chain_uuid", "semantics",
+)
+_TAIL_FIELDS = ("event_seq", "wall_start", "wall_end", "cpu_start", "cpu_end")
 
-if set(_HEAD_FIELDS) | set(_TAIL_FIELDS) != {f.name for f in RECORD_SCHEMA}:
+if (set(_ROW_FIELDS), set(_HEAD_FIELDS) | set(_TAIL_FIELDS)) != (
+    set(SITE_FIELDS), set(EVENT_FIELDS)
+):
     raise AssertionError(
         "segment frame codec is out of sync with RECORD_SCHEMA: "
-        f"{sorted(set(_HEAD_FIELDS) | set(_TAIL_FIELDS))} != "
-        f"{sorted(f.name for f in RECORD_SCHEMA)}"
+        f"{sorted(_ROW_FIELDS)} != {sorted(SITE_FIELDS)} or "
+        f"{sorted(_HEAD_FIELDS + _TAIL_FIELDS)} != {sorted(EVENT_FIELDS)}"
     )
 
-# Head layout (little-endian):
-#   I  chain_uuid dict id          B  event (probe number 1..4)
-#   q  event_seq                   B  misc flag byte
-#                                  B  presence byte
-#   I  interface id    I operation id    I object_id id   I component id
-#   I  process id      q pid             I host id        q thread_id
-#   I  processor_type id              I  platform id
-#   I  child_chain_uuid id          I  semantics byte length
-# followed by the four-word timestamp tail (i32 narrow / i64 wide).
-FRAME_NARROW = struct.Struct("<IqBBBIIIIIqIqIIIIiiii")
-FRAME_WIDE = struct.Struct("<IqBBBIIIIIqIqIIIIqqqq")
-HEAD_SIZE = FRAME_NARROW.size - 16  # head bytes shared by both widths
+# Site row (little-endian): the eight string ids in _ROW_FIELDS order,
+# q pid, B domain number.
+SITE_ROW = struct.Struct("<8IqB")
 
-_MISC_ONEWAY = 1
-_MISC_COLLOCATED = 2
-_MISC_DOMAIN_SHIFT = 2  # two bits
-_MISC_WIDE = 16
-
-_PRES_WALL_START = 1
-_PRES_WALL_END = 2
-_PRES_CPU_START = 4
-_PRES_CPU_END = 8
-_PRES_CHILD = 16
-_PRES_SEMANTICS = 32
-
-_I32_MIN = -(1 << 31)
-_I32_MAX = (1 << 31) - 1
+# Frame head (little-endian):
+#   I  chain_uuid dict id     B  event (probe number 1..4)
+#   B  misc flag byte: 1 oneway, 2 collocated, 16 wide frame
+#   B  presence byte: 1 wall_start, 2 wall_end, 4 cpu_start, 8 cpu_end,
+#                     16 child_chain_uuid, 32 semantics
+#   I  site id                q  thread_id
+#   I  child_chain_uuid id    I  semantics byte length
+# followed by event_seq and the four readings (5 x i32 narrow / i64 wide).
+FRAME_NARROW = struct.Struct("<IBBBIqIIiiiii")
+FRAME_WIDE = struct.Struct("<IBBBIqIIqqqqq")
+HEAD_SIZE = FRAME_NARROW.size - 20  # head bytes shared by both widths
 
 #: Enum round-trips by position; tuple indexing beats Enum constructors
 #: (and dict lookups) on the million-record decode path.
@@ -92,3 +93,21 @@ DOMAIN_NUM = {domain: num for num, domain in enumerate(DOMAIN_BY_NUM)}
 
 SYNC = CallKind.SYNC
 ONEWAY = CallKind.ONEWAY
+
+# ----------------------------------------------------------------------
+# Format v1, read-only. Head: I chain id | q event_seq | B event | B misc
+# (bits 2-3: domain number) | B presence | I interface | I operation |
+# I object_id | I component | I process | q pid | I host | q thread_id |
+# I processor_type | I platform | I child id | I semantics length; tail:
+# the four readings (i32 narrow / i64 wide).
+FRAME_NARROW_V1 = struct.Struct("<IqBBBIIIIIqIqIIIIiiii")
+FRAME_WIDE_V1 = struct.Struct("<IqBBBIIIIIqIqIIIIqqqq")
+
+#: Per format version: narrow size, wide size, offset of the misc byte, and
+#: the struct salvage probes a frame with — ``(chain id, presence, an id
+#: the frame must resolve [v2: site id; v1: interface id], child id,
+#: semantics length)``.
+FRAME_LAYOUT = {
+    1: (FRAME_NARROW_V1.size, FRAME_WIDE_V1.size, 13, struct.Struct("<I10xBI44xII")),
+    2: (FRAME_NARROW.size, FRAME_WIDE.size, 5, struct.Struct("<I2xBI8xII")),
+}

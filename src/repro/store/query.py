@@ -13,17 +13,18 @@ The predicate is *pushed down* into the segment store so filtering
 happens before decode, at three pruning levels:
 
 1. **segment level** — the footer's timestamp bounds skip segments whose
-   time range cannot overlap; the function table (else the string
-   dictionary) proves no frame carries a wanted interface/operation
-   pair; the footer chain index proves no chain carries the prefix;
+   time range cannot overlap; the function table and the site table
+   prove no frame carries a wanted interface/operation pair; the footer
+   chain index proves no chain carries the prefix;
 2. **chain-group level** (sealed segments) — the chain index, the
    per-group timestamp bounds and the per-group function sets skip
    whole byte ranges without touching them;
 3. **frame level** — inside the fused decode loop, string predicates are
-   resolved to this segment's interned integer ids once
+   resolved once to the ids of this segment's chains and *sites*
    (:func:`segment_filter`), so the per-frame test is set membership on
    ints and no :class:`~repro.core.records.ProbeRecord` is built for a
-   non-matching frame.
+   non-matching frame. (A schema v1 segment has no site table: it is
+   pruned whole or decoded whole and tested record by record.)
 
 The SQLite backend accepts the same predicate and compiles it to indexed
 ``WHERE`` clauses; both backends return bit-identical results for any
@@ -122,9 +123,9 @@ class ScanPredicate:
             self.chain_prefix
         ):
             return False
-        if self.interfaces is not None and record.interface not in self.interfaces:
+        if self.interfaces is not None and record.site.interface not in self.interfaces:
             return False
-        if self.operations is not None and record.operation not in self.operations:
+        if self.operations is not None and record.site.operation not in self.operations:
             return False
         if self.has_time_range:
             anchor = record_anchor(record.wall_start, record.wall_end)
@@ -148,37 +149,40 @@ class ScanPredicate:
 
 
 class SegmentFilter:
-    """A :class:`ScanPredicate` resolved against one segment's dictionary.
+    """A :class:`ScanPredicate` resolved against one segment's tables.
 
     String predicates become integer id sets (``None`` = that axis needs
-    no per-frame test), so the decode loop filters on ints only.
-    ``fn_groups`` holds one flag per sealed chain group — may it carry a
-    wanted function, by the function zone map? — and is ``None`` when
-    there is nothing to prune on: no interface/operation predicate, no
-    map in the file, or every function of the segment wanted. Built
-    by :func:`segment_filter`; consumed by
+    no per-frame test), so the decode loop filters on ints only:
+    ``sites`` is the set of site ids whose interface and operation the
+    predicate accepts. ``fn_groups`` holds one flag per sealed chain
+    group — may it carry a wanted function, by the function zone map? —
+    and is ``None`` when there is nothing to prune on: no
+    interface/operation predicate, no map in the file, or every function
+    of the segment wanted. ``matches`` is the predicate's record-level
+    test, set only for a schema v1 segment, whose frames carry no site
+    id to test. Built by :func:`segment_filter`; consumed by
     :meth:`SegmentReader.scan <repro.store.segment.SegmentReader.scan>`.
     """
 
-    __slots__ = ("cids", "ifc_ids", "op_ids", "ts_lo", "ts_hi", "fn_groups")
+    __slots__ = ("cids", "sites", "ts_lo", "ts_hi", "fn_groups", "matches")
 
-    def __init__(self, cids, ifc_ids, op_ids, ts_lo, ts_hi, fn_groups):
+    def __init__(self, cids, sites, ts_lo, ts_hi, fn_groups, matches=None):
         self.cids = cids
-        self.ifc_ids = ifc_ids
-        self.op_ids = op_ids
+        self.sites = sites
         self.ts_lo = ts_lo
         self.ts_hi = ts_hi
         self.fn_groups = fn_groups
+        self.matches = matches
 
     @property
     def is_pass(self) -> bool:
         """True when no per-frame test remains (decode everything)."""
         return (
             self.cids is None
-            and self.ifc_ids is None
-            and self.op_ids is None
+            and self.sites is None
             and self.ts_lo is None
             and self.ts_hi is None
+            and self.matches is None
         )
 
     def within_group(self) -> "SegmentFilter | None":
@@ -186,7 +190,7 @@ class SegmentFilter:
         pruning let through: the chain test is settled there (cid is
         constant), and ``None`` means no per-frame test remains."""
         rest = SegmentFilter(
-            None, self.ifc_ids, self.op_ids, self.ts_lo, self.ts_hi, self.fn_groups
+            None, self.sites, self.ts_lo, self.ts_hi, self.fn_groups, self.matches
         )
         return None if rest.is_pass else rest
 
@@ -197,9 +201,9 @@ def segment_filter(
     """Resolve ``predicate`` against one segment; ``None`` prunes it.
 
     Segment-level pruning uses only footer metadata — the function
-    table (else the string dictionary), the chain index, and the
-    timestamp-bounds extension — so a pruned segment costs zero frame
-    decodes.
+    table, the site table (else, in a v1 segment, the string dictionary),
+    the chain index, and the timestamp-bounds extension — so a pruned
+    segment costs zero frame decodes.
     """
     ts_lo = ts_hi = None
     if predicate.has_time_range:
@@ -207,38 +211,42 @@ def segment_filter(
         if not bounds_overlap(reader.ts_bounds, ts_lo, ts_hi):
             return None
 
-    ifc_ids = op_ids = fn_groups = None
+    sites = fn_groups = None
     strings = reader.strings
     ifcs, ops = predicate.interfaces, predicate.operations
-    table = reader.fn_table
-    if table is not None and (ifcs is not None or ops is not None):
-        # The table lists every (interface, operation) pair some frame
-        # carries: the pairs both sets accept are exactly the functions
-        # (and so the interface and operation ids) that can match.
-        fns = {
-            k >> 1 for k in range(0, len(table), 2)
-            if (ifcs is None or strings[table[k]] in ifcs)
-            and (ops is None or strings[table[k + 1]] in ops)
-        }
-        if not fns:
-            return None
-        # With every function of the segment wanted there is nothing
-        # left to test, per frame or per group.
-        if 2 * len(fns) < len(table):
-            if ifcs is not None:
-                ifc_ids = {table[2 * f] for f in fns}
-            if ops is not None:
-                op_ids = {table[2 * f + 1] for f in fns}
-            fn_groups = reader.groups_holding(fns)
-    else:
-        if ifcs is not None:
-            ifc_ids = {i for i, s in enumerate(strings) if s in ifcs}
-            if not ifc_ids:
+    if ifcs is not None or ops is not None:
+        table = reader.fn_table
+        if table is not None:
+            # The table lists every (interface, operation) pair some frame
+            # carries: no pair accepted, no frame can match; not all of
+            # them wanted, groups can be pruned on the zone map.
+            fns = {
+                k >> 1 for k in range(0, len(table), 2)
+                if (ifcs is None or strings[table[k]] in ifcs)
+                and (ops is None or strings[table[k + 1]] in ops)
+            }
+            if not fns:
                 return None
-        if ops is not None:
-            op_ids = {i for i, s in enumerate(strings) if s in ops}
-            if not op_ids:
+            if 2 * len(fns) < len(table):
+                fn_groups = reader.groups_holding(fns)
+        if reader.schema_version == 1:
+            if (ifcs is not None and ifcs.isdisjoint(strings)) or (
+                ops is not None and ops.isdisjoint(strings)
+            ):
                 return None
+        else:
+            # Every frame names a site: the sites both sets accept are
+            # exactly the frames that can match, and with every site of
+            # the segment wanted there is nothing left to test per frame.
+            sites = {
+                sid for sid, site in enumerate(reader.sites)
+                if (ifcs is None or site.interface in ifcs)
+                and (ops is None or site.operation in ops)
+            }
+            if not sites:
+                return None
+            if len(sites) == len(reader.sites):
+                sites = None
 
     cids = None
     if predicate.chain_prefix is not None:
@@ -250,7 +258,10 @@ def segment_filter(
         if len(cids) == len(reader.chains):
             cids = None  # every chain matches: no per-frame test needed
 
-    return SegmentFilter(cids, ifc_ids, op_ids, ts_lo, ts_hi, fn_groups)
+    return SegmentFilter(
+        cids, sites, ts_lo, ts_hi, fn_groups,
+        predicate.matches if reader.schema_version == 1 else None,
+    )
 
 
 def fold_population_stats(records: Iterable["ProbeRecord"]) -> dict[str, int]:
@@ -275,12 +286,13 @@ def fold_population_stats(records: Iterable["ProbeRecord"]) -> dict[str, int]:
     for record in records:
         if record.event == 1:
             calls += 1
-        methods.add(f"{record.interface}::{record.operation}")
-        interfaces.add(record.interface)
-        components.add(record.component)
-        objects.add(record.object_id)
-        processes.add(record.process)
-        threads.add(f"{record.process}/{record.thread_id}")
+        site = record.site
+        methods.add(f"{site.interface}::{site.operation}")
+        interfaces.add(site.interface)
+        components.add(site.component)
+        objects.add(site.object_id)
+        processes.add(site.process)
+        threads.add(f"{site.process}/{record.thread_id}")
         chains.add(record.chain_uuid)
     return {
         "calls": calls,
@@ -426,7 +438,8 @@ def fold_operations(groups) -> tuple[dict[str, OpStats], int]:
     for _chain, group in groups:
         chains += 1
         for record in group:
-            key = f"{record.interface}::{record.operation}"
+            site = record.site
+            key = f"{site.interface}::{site.operation}"
             counts[key] = counts.get(key, 0) + 1
             if record.wall_start is not None and record.wall_end is not None:
                 durations.setdefault(key, []).append(

@@ -1,13 +1,15 @@
 """Append-only segment files: the on-disk unit of the segment store.
 
-Layout (little-endian throughout)::
+Layout (little-endian throughout; record schema v2)::
 
     header   "RSG1" | u8 format | u8 kind | u16 schema_version | u64 arrival_base
     block*   u8 tag | u32 payload_len | payload
       tag 1  dict-delta: u32 first_id | u32 count | (u16 len | utf8)*
       tag 2  records:    u32 count | frame*          (see repro.store.codec)
+      tag 3  site-delta: u32 first_id | u32 count | site row*
     footer   u64 record_count | u8 has_ranks  (0 none, 1 u64 ranks, 2 u32 ranks)
              u32 n_strings | (u16 len | utf8)*
+             u32 n_sites   | site row*    (8 x u32 string id | i64 pid | u8 domain)
              u32 n_chains  | (u32 cid | u32 count | u64 start_off
                               | rank * count if has_ranks)*
              ext?  "FXTS" | u8 flags | i64 ts_min | i64 ts_max
@@ -16,17 +18,22 @@ Layout (little-endian throughout)::
                    | u8 fcount * n_chains | u16 function_index * sum(fcount != 255)
     trailer  u64 footer_off | "RSEGEND1"
 
+A frame names its chain and its *site* by id: the site table holds one
+row per distinct :class:`~repro.core.records.Site` — the ten record fields
+constant per *(process, operation)*. Like the string dictionary it grows
+through delta blocks written ahead of the first frame that uses an entry
+and is authoritative in the footer.
+
 The optional ``FXTS`` footer extension carries min/max *anchor*
 timestamps (``wall_start``, else ``wall_end``) for the whole segment and
 per chain group — the metadata predicate pushdown prunes on. An
 inverted pair (min > max) means "no frame here carries an anchor", which
 a time-range predicate may also prune. Readers that predate the
-extension simply stop after the chain index, so the format version is
-unchanged.
+extension simply stop after the chain index.
 
 The optional ``FXFN`` extension (sealed segments only, after ``FXTS``)
 is the *function zone map*: a table of every ``(interface id, operation
-id)`` pair the frames carry and, per chain group, how many distinct
+id)`` pair the frames' sites carry and, per chain group, how many distinct
 functions it holds, then all groups' indexes into that table — what an
 interface/operation predicate prunes groups on. A count of 255 is the
 overflow marker (over 254 functions, or an index past ``u16``):
@@ -36,20 +43,29 @@ predicate that no pair of it matches prunes the whole segment.
 Two segment kinds share the format:
 
 - *spool* segments are what the collector drain path appends: records in
-  arrival order, chains interleaved, dict-delta blocks always written
+  arrival order, chains interleaved, delta blocks always written
   before the frames that reference them so a truncated file decodes
   front-to-back.
 - *sealed* segments are produced by compaction: frames grouped by chain
-  (uuid byte order), each group's first frame re-anchored so any
-  chain-aligned byte range decodes independently — this is what lets
-  analyzer shards read disjoint file ranges. The footer carries each
-  group's start offset and the records' original arrival ranks.
+  (uuid byte order), so any chain-aligned byte range decodes
+  independently — this is what lets analyzer shards read disjoint file
+  ranges. The footer carries each group's start offset and the records'
+  original arrival ranks.
+
+Both decode from any block or group start by one anchor rule (see
+:mod:`repro.store.codec`): a wide frame stores its start readings
+absolute, a narrow one relative to the last frame that carried the
+reading, and the writer forgets its predecessors at every records block
+and chain group.
 
 A segment missing its trailer (a crash mid-drain) is *partial*: the
 reader salvages every complete frame front-to-back, rebuilds the string
-dictionary from the inline dict-delta blocks, and reports the bytes it
-had to drop — loss accounting survives partial segments instead of the
-whole file vanishing.
+dictionary and the site table from the inline delta blocks, and reports
+the bytes it had to drop — loss accounting survives partial segments
+instead of the whole file vanishing.
+
+Schema v1 segments (no site table; a frame carried the site's fields)
+stay readable through :meth:`SegmentReader.scan` alone.
 """
 
 from __future__ import annotations
@@ -64,18 +80,26 @@ from dataclasses import dataclass
 from itertools import accumulate
 from json import dumps as _dumps, loads as _loads
 
-from repro.core.records import SCHEMA_VERSION, ProbeRecord
+from repro.core.records import (
+    READABLE_SCHEMA_VERSIONS,
+    SCHEMA_VERSION,
+    ProbeRecord,
+    Site,
+)
 from repro.errors import StoreError
 from repro.store.codec import (
     DOMAIN_BY_NUM,
     DOMAIN_NUM,
     EVENT_BY_NUM,
+    FRAME_LAYOUT,
     FRAME_NARROW,
+    FRAME_NARROW_V1,
     FRAME_WIDE,
+    FRAME_WIDE_V1,
     ONEWAY,
+    SITE_ROW,
     SYNC,
 )
-from repro.core.events import Domain
 
 logger = logging.getLogger(__name__)
 
@@ -89,9 +113,11 @@ KIND_SEALED = 1
 _HEADER = struct.Struct("<4sBBHQ")
 _BLOCK = struct.Struct("<BI")
 _TRAILER = struct.Struct("<Q8s")
+_U32 = struct.Struct("<I")
 
 _TAG_DICT = 1
 _TAG_RECORDS = 2
+_TAG_SITES = 3
 
 _FXTS_MAGIC = b"FXTS"
 _FXTS_SEGMENT = 1  # flags bit: segment-level bounds present
@@ -108,26 +134,20 @@ _FN_STORED = bytes(range(_FN_OVERFLOW)) + b"\0"
 _FN_UNKNOWN = bytes(_FN_OVERFLOW) + b"\1"
 _U32_MAX = (1 << 32) - 1
 
-_FN_SIZE = FRAME_NARROW.size
-_FW_SIZE = FRAME_WIDE.size
-_MISC_OFF = 13  # byte offset of the misc flag byte inside a frame
-_SEMLEN_OFF = 67  # byte offset of the semantics length (last head field)
+_FN_SIZE, _FW_SIZE, _MISC_OFF, _ = FRAME_LAYOUT[SCHEMA_VERSION]
 
 #: Flush the records block once it holds this many payload bytes.
 _FLUSH_BYTES = 4 << 20
 
-_I32_MIN = -(1 << 31)
-_I32_MAX = (1 << 31) - 1
-
-#: Frame head only (both widths share it) — the population-stats scan
-#: unpacks this and skips the timestamp tail entirely.
-_STAT_HEAD = struct.Struct("<IqBBBIIIIIqIqII")
+#: What the population-stats scan reads of a frame (both widths share the
+#: head): chain id, event, misc byte, site id, thread id, semantics length.
+_STAT_HEAD = struct.Struct("<IBBxIq4xI")
 
 #: What compaction's indexing pass reads of a frame (narrow / wide): chain
-#: id, event number, presence byte, semantics length and the two *start*
-#: deltas; every other byte is skipped as padding.
-_INDEX_NARROW = struct.Struct("<Iq2xB52xIi4xi4x")
-_INDEX_WIDE = struct.Struct("<Iq2xB52xIq8xq8x")
+#: id, presence byte, semantics length, event number and the two *start*
+#: readings; every other byte is skipped as padding.
+_INDEX_NARROW = struct.Struct("<I2xB16xIii4xi4x")
+_INDEX_WIDE = struct.Struct("<I2xB16xIqq8xq8x")
 
 
 def uuid_key(uuid: str) -> bytes:
@@ -190,19 +210,27 @@ class FrameTable:
         self.chains: dict[str, list[int]] = {}
 
 
+def _pack_strings(strings: list[str]) -> bytes:
+    """``(u16 len | utf8)*`` — how both the dict-delta blocks and the footer
+    hold strings."""
+    raws = [s.encode("utf-8", "surrogatepass") for s in strings]
+    return b"".join([struct.pack("<H", len(raw)) + raw for raw in raws])
+
+
 class _Remap(dict):
-    """A source segment's string ids -> the writer's, interned on first use."""
+    """A source segment's string (or site) ids -> the writer's, interned on
+    first use."""
 
-    def __init__(self, reader: SegmentReader, intern):
-        self.reader, self.intern = reader, intern
+    def __init__(self, reader: SegmentReader, table: list, intern):
+        self.path, self.table, self.intern = reader.path, table, intern
 
-    def __missing__(self, sid: int) -> int:
-        if sid >= len(self.reader.strings):
+    def __missing__(self, key: int) -> int:
+        if key >= len(self.table):
             raise StoreError(
-                f"frame in {self.reader.path} refers past the segment's"
-                " string dictionary"
+                f"frame in {self.path} refers past the segment's"
+                " string dictionary or site table"
             )
-        out = self[sid] = self.intern(self.reader.strings[sid])
+        out = self[key] = self.intern(self.table[key])
         return out
 
 
@@ -210,8 +238,9 @@ class SegmentWriter:
     """Streams probe records into one segment file.
 
     The per-record encode loop is the collector's ingest fast path: it
-    is deliberately flat — inlined dictionary interning, one fused
-    ``struct.Struct`` pack per frame, delta state in locals.
+    is deliberately flat — one chain lookup and one site lookup per
+    record, one fused ``struct.Struct`` pack per frame, delta state in
+    locals.
     """
 
     def __init__(
@@ -234,6 +263,13 @@ class SegmentWriter:
         self._strings: list[str] = []
         self._pending_first_id = 0
         self._pending: list[str] = []
+        # The site table: site -> row id, the packed rows (those from
+        # ``_sites_flushed`` on not yet in a site-delta block), and per row
+        # its function key (ifc id << 32 | op id) for the zone map.
+        self._site_ids: dict[Site, int] = {}
+        self._site_rows: list[bytes] = []
+        self._sites_flushed = 0
+        self._site_fn: list[int] = []
         self._rbuf = bytearray()
         self._rcount = 0
         self.record_count = 0
@@ -242,13 +278,14 @@ class SegmentWriter:
         # ts_min/ts_max bound the chain's anchor timestamps (None until
         # an anchored record lands) and feed the footer FXTS extension.
         self._index: dict[int, list] = {}
-        # Delta anchors; None forces the next frame to carry raw readings.
+        # The last start readings written, for the next narrow frame to
+        # count from; None: the next frame carrying the reading is wide.
         self._prev_ws: int | None = None
         self._prev_cs: int | None = None
         self._sealed_kind = kind == KIND_SEALED
         # Function zone map (sealed only), flat — no per-group object
-        # survives: the open group's (ifc id << 32 | op id) keys, key ->
-        # table index, and per closed group a count byte + its indexes.
+        # survives: the open group's function keys, key -> table index,
+        # and per closed group a count byte + its indexes.
         self._fn_open: set[int] = set()
         self._fn_ids: dict[int, int] = {}
         self._fn_counts = bytearray()
@@ -259,7 +296,7 @@ class SegmentWriter:
     def start_group(self) -> None:
         """Mark a chain-group boundary (sealed segments only).
 
-        Re-anchors the timestamp deltas so the group decodes from its
+        Forgets the previous start readings so the group decodes from its
         own start offset, and keeps a group's frames inside one records
         block so they are byte-contiguous in the file.
         """
@@ -267,8 +304,8 @@ class SegmentWriter:
         self._prev_cs = None
         if len(self._rbuf) >= _FLUSH_BYTES:
             self._flush_records()
-        if self._pending and not self._rbuf:
-            self._flush_dict()
+        if not self._rbuf:
+            self._flush_tables()
 
     def append(self, records, ranks: list[int] | None = None) -> int:
         """Encode and buffer ``records``; returns how many were written.
@@ -277,17 +314,15 @@ class SegmentWriter:
         arrival ranks to their chain's footer entry — all records of a
         ranked append must belong to one chain.
         """
-        ids = self._ids
-        ids_get = ids.get
-        pending = self._pending
-        pending_append = pending.append
-        strings = self._strings
-        strings_append = strings.append
+        ids_get = self._ids.get
+        intern = self._intern
+        site_ids_get = self._site_ids.get
+        intern_site = self._intern_site
+        site_fn = self._site_fn
         index = self._index
         rbuf = self._rbuf
         fn_pack = FRAME_NARROW.pack
         fw_pack = FRAME_WIDE.pack
-        domain_num = DOMAIN_NUM
         dumps = _dumps
         sealed = self._sealed_kind
         fn_open = self._fn_open
@@ -297,29 +332,15 @@ class SegmentWriter:
         count = 0
         cid = -1
 
-        def intern(s):
-            i = ids_get(s)
-            if i is None:
-                i = ids[s] = len(strings)
-                strings_append(s)
-                pending_append(s)
-            return i
-
         for r in records:
-            chain = r.chain_uuid
-            cid = ids_get(chain)
+            # Interning order — chain, the site's strings, child — is what
+            # relocate() reproduces id for id.
+            cid = ids_get(r.chain_uuid)
             if cid is None:
-                cid = ids[chain] = len(strings)
-                strings_append(chain)
-                pending_append(chain)
-            ifc = intern(r.interface)
-            op = intern(r.operation)
-            obj = intern(r.object_id)
-            comp = intern(r.component)
-            proc = intern(r.process)
-            host = intern(r.host)
-            ptype = intern(r.processor_type)
-            plat = intern(r.platform)
+                cid = intern(r.chain_uuid)
+            sid = site_ids_get(r.site)
+            if sid is None:
+                sid = intern_site(r.site)
 
             ws = r.wall_start
             we = r.wall_end
@@ -327,9 +348,13 @@ class SegmentWriter:
             ce = r.cpu_end
             pres = 0
             wsd = wed = csd = ced = 0
+            narrow = True
             if ws is not None:
                 pres = 1
-                wsd = ws if prev_ws is None else ws - prev_ws
+                if prev_ws is None:
+                    narrow = False
+                else:
+                    wsd = ws - prev_ws
                 prev_ws = ws
                 if we is not None:
                     pres = 3
@@ -339,7 +364,10 @@ class SegmentWriter:
                 wed = we
             if cs is not None:
                 pres |= 4
-                csd = cs if prev_cs is None else cs - prev_cs
+                if prev_cs is None:
+                    narrow = False
+                else:
+                    csd = cs - prev_cs
                 prev_cs = cs
                 if ce is not None:
                     pres |= 8
@@ -369,26 +397,22 @@ class SegmentWriter:
                 misc = 1
             if r.collocated:
                 misc |= 2
-            dom = r.domain
-            if dom is not Domain.CORBA:
-                misc |= domain_num[dom] << 2
 
-            if (
-                _I32_MIN <= wsd <= _I32_MAX
-                and _I32_MIN <= wed <= _I32_MAX
-                and _I32_MIN <= csd <= _I32_MAX
-                and _I32_MIN <= ced <= _I32_MAX
-            ):
-                frame = fn_pack(
-                    cid, r.event_seq, r.event, misc, pres, ifc, op, obj, comp,
-                    proc, r.pid, host, r.thread_id, ptype, plat, childid,
-                    semlen, wsd, wed, csd, ced,
-                )
-            else:
+            # Narrow unless a reading has no predecessor here, or one of
+            # the five words overflows i32 (the narrow pack refuses it).
+            frame = None
+            if narrow:
+                try:
+                    frame = fn_pack(
+                        cid, r.event, misc, pres, sid, r.thread_id, childid,
+                        semlen, r.event_seq, wsd, wed, csd, ced,
+                    )
+                except struct.error:
+                    pass
+            if frame is None:
                 frame = fw_pack(
-                    cid, r.event_seq, r.event, misc | 16, pres, ifc, op, obj,
-                    comp, proc, r.pid, host, r.thread_id, ptype, plat, childid,
-                    semlen, wsd, wed, csd, ced,
+                    cid, r.event, misc | 16, pres, sid, r.thread_id, childid,
+                    semlen, r.event_seq, ws or 0, wed, cs or 0, ced,
                 )
 
             try:
@@ -413,7 +437,7 @@ class SegmentWriter:
                 elif anchor > entry[4]:
                     entry[4] = anchor
             if sealed:
-                fn_open.add(ifc << 32 | op)
+                fn_open.add(site_fn[sid])
             rbuf += frame
             if semb:
                 rbuf += semb
@@ -429,7 +453,7 @@ class SegmentWriter:
             entry = self._index[cid]
             entry[2] = list(ranks) if entry[2] is None else entry[2] + list(ranks)
         if not sealed and len(self._rbuf) >= _FLUSH_BYTES:
-            self._flush_dict()
+            self._flush_tables()
             self._flush_records()
         return count
 
@@ -440,21 +464,27 @@ class SegmentWriter:
 
         Writes byte for byte what ``start_group()`` + ``append(records,
         ranks)`` per group write for the decoded records — the record-level
-        oracle the tests compare against — without decoding any: string
-        ids pass through a per-source remap table filled in ``append``'s
-        interning order, the two start readings are re-delta'd against the
-        group's own anchor, the frame width is re-decided, and every other
-        field and the semantics bytes are carried over as they are.
+        oracle the tests compare against — without decoding any: the three
+        ids a frame carries (chain, site, child) pass through per-source
+        remap tables filled in ``append``'s interning order, the two start
+        readings are re-anchored on the group, the frame width is
+        re-decided, and every other field and the semantics bytes are
+        carried over as they are.
         """
         index = self._index
         rbuf = self._rbuf
         fn_open_add = self._fn_open.add
+        site_fn = self._site_fn
         fn_pack, fw_pack = FRAME_NARROW.pack, FRAME_WIDE.pack
         fn_unpack, fw_unpack = FRAME_NARROW.unpack_from, FRAME_WIDE.unpack_from
         source_of, offset_of, rank_of = table.source, table.offset, table.rank
         wall_of, cpu_of = table.wall_start, table.cpu_start
         seq_of = table.seq.__getitem__
-        remaps = [_Remap(reader, self._intern) for reader in table.readers]
+        remaps = [
+            (_Remap(reader, reader.strings, self._intern),
+             _Remap(reader, reader.sites, self._intern_site))
+            for reader in table.readers
+        ]
         current = -1
         file_pos = self._file_pos
         for uuid in uuids:
@@ -462,50 +492,58 @@ class SegmentWriter:
             frames.sort(key=seq_of)
             if not rbuf or len(rbuf) >= _FLUSH_BYTES:
                 # The only states start_group() acts on; every other
-                # group just restarts the delta chain below.
+                # group just forgets its predecessor's readings below.
                 self.start_group()
                 file_pos = self._file_pos
             if index:
                 self._close_group()
             cid = self._intern(uuid)
             start_off = file_pos + 9 + len(rbuf)
-            prev_ws = prev_cs = 0
+            prev_ws = prev_cs = None
             tmin = tmax = None
             for i in frames:
                 if source_of[i] != current:
                     current = source_of[i]
-                    mm, remap = table.readers[current]._mm, remaps[current]
+                    mm = table.readers[current]._mm
+                    string_of, site_of = remaps[current]
                 off = offset_of[i]
                 wide = mm[off + _MISC_OFF] & 16
-                (_cid, seq, ev, misc, pres, ifc, op, obj, comp, proc, pid, host,
-                 tid, ptype, plat, child, semlen, wsd, wed, csd, ced,
+                (_cid, ev, misc, pres, sid, tid, child, semlen, seq, wsd, wed, csd, ced,
                  ) = (fw_unpack if wide else fn_unpack)(mm, off)
                 off += _FW_SIZE if wide else _FN_SIZE
+                narrow = True
+                ws = cs = wsd = csd = 0
                 if pres & 1:
-                    anchor = wall_of[i]
-                    wsd = anchor - prev_ws
-                    prev_ws = anchor
+                    anchor = ws = wall_of[i]
+                    if prev_ws is None:
+                        narrow = False
+                    else:
+                        wsd = ws - prev_ws
+                    prev_ws = ws
                 else:
                     anchor = wed if pres & 2 else None
                 if pres & 4:
-                    csd = cpu_of[i] - prev_cs
-                    prev_cs = cpu_of[i]
-                if (
-                    _I32_MIN <= wsd <= _I32_MAX
-                    and _I32_MIN <= wed <= _I32_MAX
-                    and _I32_MIN <= csd <= _I32_MAX
-                    and _I32_MIN <= ced <= _I32_MAX
-                ):
-                    pack, misc = fn_pack, misc & 0xEF
-                else:
-                    pack, misc = fw_pack, misc | 16
-                # Arguments evaluate left to right: append()'s
-                # interning order (the chain went first, above).
-                ifc, op = remap[ifc], remap[op]
-                rbuf += pack(
-                    cid, seq, ev, misc, pres, ifc, op, remap[obj], remap[comp],
-                    remap[proc], pid, remap[host], tid, remap[ptype], remap[plat],
-                    remap[child] if pres & 16 else 0, semlen, wsd, wed, csd, ced,
+                    cs = cpu_of[i]
+                    if prev_cs is None:
+                        narrow = False
+                    else:
+                        csd = cs - prev_cs
+                    prev_cs = cs
+                # append()'s interning order (the chain went first, above).
+                sid = site_of[sid]
+                child = string_of[child] if pres & 16 else 0
+                frame = None
+                if narrow:
+                    try:
+                        frame = fn_pack(
+                            cid, ev, misc & 0xEF, pres, sid, tid, child, semlen,
+                            seq, wsd, wed, csd, ced,
+                        )
+                    except struct.error:
+                        pass  # a word past i32
+                rbuf += frame or fw_pack(
+                    cid, ev, misc | 16, pres, sid, tid, child, semlen,
+                    seq, ws, wed, cs, ced,
                 )
                 if semlen:
                     rbuf += mm[off:off + semlen]
@@ -516,7 +554,7 @@ class SegmentWriter:
                         tmin = anchor
                     elif anchor > tmax:
                         tmax = anchor
-                fn_open_add(ifc << 32 | op)
+                fn_open_add(site_fn[sid])
             index[cid] = [
                 len(frames), start_off, [rank_of[i] for i in frames], tmin, tmax,
             ]
@@ -529,6 +567,23 @@ class SegmentWriter:
             out = self._ids[text] = len(self._strings)
             self._strings.append(text)
             self._pending.append(text)
+        return out
+
+    def _intern_site(self, site: Site) -> int:
+        """``site``'s row in this segment's site table; equal sites share one."""
+        out = self._site_ids.get(site)
+        if out is None:
+            intern = self._intern
+            ifc, op = intern(site.interface), intern(site.operation)
+            row = SITE_ROW.pack(
+                ifc, op, intern(site.object_id), intern(site.component),
+                intern(site.process), intern(site.host),
+                intern(site.processor_type), intern(site.platform),
+                site.pid, DOMAIN_NUM[site.domain],
+            )
+            out = self._site_ids[site] = len(self._site_rows)
+            self._site_rows.append(row)
+            self._site_fn.append(ifc << 32 | op)
         return out
 
     # ------------------------------------------------------------------
@@ -546,19 +601,29 @@ class SegmentWriter:
             self._fn_counts.append(len(fns))
             self._fn_index.extend(fns)
 
-    def _flush_dict(self) -> None:
-        if not self._pending:
-            return
-        payload = bytearray(struct.pack("<II", self._pending_first_id, len(self._pending)))
-        for s in self._pending:
-            raw = s.encode("utf-8", "surrogatepass")
-            payload += struct.pack("<H", len(raw))
-            payload += raw
-        self._file.write(_BLOCK.pack(_TAG_DICT, len(payload)))
+    def _flush_tables(self) -> None:
+        """Write the pending dict-delta block, then the pending site rows
+        (which name strings up to and including that block's)."""
+        if self._pending:
+            self._write_block(
+                _TAG_DICT,
+                struct.pack("<II", self._pending_first_id, len(self._pending))
+                + _pack_strings(self._pending),
+            )
+            self._pending_first_id += len(self._pending)
+            self._pending.clear()
+        rows = self._site_rows[self._sites_flushed:]
+        if rows:
+            self._write_block(
+                _TAG_SITES,
+                struct.pack("<II", self._sites_flushed, len(rows)) + b"".join(rows),
+            )
+            self._sites_flushed += len(rows)
+
+    def _write_block(self, tag: int, payload) -> None:
+        self._file.write(_BLOCK.pack(tag, len(payload)))
         self._file.write(payload)
         self._file_pos += _BLOCK.size + len(payload)
-        self._pending_first_id += len(self._pending)
-        self._pending.clear()
 
     def _flush_records(self) -> None:
         if not self._rcount:
@@ -570,9 +635,8 @@ class SegmentWriter:
         self._file_pos += _BLOCK.size + payload_len
         self._rbuf.clear()
         self._rcount = 0
-        # The reader resets its delta state per records block, so each
-        # block must be self-anchored: the first frame of the next block
-        # carries raw readings, not deltas against the flushed block.
+        # A reader may start decoding at any records block: the first
+        # frame of the next block to carry a reading carries it absolute.
         self._prev_ws = None
         self._prev_cs = None
 
@@ -580,11 +644,11 @@ class SegmentWriter:
         """Write the footer + trailer and close the file."""
         if self._sealed_kind:
             # Offsets were computed against the current block layout, so
-            # frames flush first; the footer dictionary is authoritative.
+            # frames flush first; the footer tables are authoritative.
             self._flush_records()
-            self._flush_dict()
+            self._flush_tables()
         else:
-            self._flush_dict()
+            self._flush_tables()
             self._flush_records()
         footer_off = self._file_pos
         has_ranks = 0
@@ -594,11 +658,9 @@ class SegmentWriter:
             has_ranks = 1 if wide else 2
         rank_code = "Q" if has_ranks == 1 else "I"
         out = bytearray(struct.pack("<QB", self.record_count, has_ranks))
-        out += struct.pack("<I", len(self._strings))
-        for s in self._strings:
-            raw = s.encode("utf-8", "surrogatepass")
-            out += struct.pack("<H", len(raw))
-            out += raw
+        out += struct.pack("<I", len(self._strings)) + _pack_strings(self._strings)
+        out += struct.pack("<I", len(self._site_rows))
+        out += b"".join(self._site_rows)
         out += struct.pack("<I", len(self._index))
         for cid, (count, start_off, ranks, _tmin, _tmax) in self._index.items():
             out += struct.pack("<IIQ", cid, count, start_off)
@@ -664,18 +726,22 @@ class SegmentReader:
             raise StoreError(f"not a segment file (bad magic): {path}")
         if fmt != FORMAT_VERSION:
             raise StoreError(f"unsupported segment format {fmt}: {path}")
-        if schema_version != SCHEMA_VERSION:
+        if schema_version not in READABLE_SCHEMA_VERSIONS:
             raise StoreError(
                 f"segment {path} uses record schema v{schema_version}, "
-                f"this build reads v{SCHEMA_VERSION}"
+                f"this build reads v{READABLE_SCHEMA_VERSIONS}"
             )
         self.kind = kind
         self.sealed = kind == KIND_SEALED
         self.schema_version = schema_version
+        if schema_version == 1:
+            self._decode_span = self._decode_span_v1
         self.arrival_base = arrival_base
         self.partial = False
         self.dropped_bytes = 0
         self.strings: list[str] = []
+        #: one :class:`Site` per site-table row (a v1 segment has no table).
+        self.sites: list[Site] = []
         #: list of (cid, count, start_off, ranks) in group order; ranks are
         #: a sealed group's arrival ranks, ``None`` in spools and salvage.
         self.chains: list[tuple[int, int, int, list | range | None]] = []
@@ -692,7 +758,8 @@ class SegmentReader:
         self.fn_table: array | None = None
         self._fn_unknown, self._fn_index, self._fn_offsets = b"", array("H"), array("I")
         self.record_count = 0
-        #: frame byte ranges of the records blocks, in file order.
+        #: frame byte ranges of the records blocks, in file order (a
+        #: block's frame count word sits in the four bytes before its range).
         self._regions: list[tuple[int, int]] = []
         if not self._load_with_footer():
             self._salvage()
@@ -712,28 +779,54 @@ class SegmentReader:
             return False
         try:
             return self._parse_footer(footer_off)
-        except (struct.error, ValueError, MemoryError, OverflowError, StoreError):
+        except (
+            struct.error, ValueError, IndexError, MemoryError, OverflowError, StoreError
+        ):
             # A valid trailer over a corrupt footer body (bad counts,
-            # lengths past the mmap, unknown block tags): salvage the
-            # record blocks instead of losing the whole segment.
+            # lengths past the mmap, ids past a table, unknown block
+            # tags): salvage the record blocks instead of losing the
+            # whole segment.
             return False
 
-    def _parse_footer(self, footer_off: int) -> bool:
+    def _read_strings(self, pos: int, count: int) -> tuple[list[str], int]:
+        """``count`` length-prefixed strings at ``pos``, and where they end."""
         mm = self._mm
-        # Footer: counts, dictionary, chain index.
-        pos = footer_off
-        self.record_count, has_ranks = struct.unpack_from("<QB", mm, pos)
-        pos += 9
-        (n_strings,) = struct.unpack_from("<I", mm, pos)
-        pos += 4
         strings = []
-        for _ in range(n_strings):
+        for _ in range(count):
             (slen,) = struct.unpack_from("<H", mm, pos)
             pos += 2
             strings.append(mm[pos:pos + slen].decode("utf-8", "surrogatepass"))
             pos += slen
+        return strings, pos
+
+    def _read_sites(self, pos: int, count: int, strings: list[str]) -> list[Site]:
+        """The sites of ``count`` packed rows at ``pos``."""
+        raw = self._mm[pos:pos + count * SITE_ROW.size]
+        if len(raw) != count * SITE_ROW.size:
+            raise StoreError(f"site rows cut short in {self.path}")
+        return [
+            Site(
+                strings[ifc], strings[op], strings[obj], strings[comp], strings[proc],
+                pid, strings[host], strings[ptype], strings[plat], DOMAIN_BY_NUM[dom],
+            )
+            for ifc, op, obj, comp, proc, host, ptype, plat, pid, dom
+            in SITE_ROW.iter_unpack(raw)
+        ]
+
+    def _parse_footer(self, footer_off: int) -> bool:
+        mm = self._mm
+        # Footer: counts, dictionary, site table, chain index.
+        pos = footer_off
+        self.record_count, has_ranks = struct.unpack_from("<QB", mm, pos)
+        pos += 9
+        (n_strings,) = _U32.unpack_from(mm, pos)
+        strings, pos = self._read_strings(pos + 4, n_strings)
         self.strings = strings
-        (n_chains,) = struct.unpack_from("<I", mm, pos)
+        if self.schema_version != 1:
+            (n_sites,) = _U32.unpack_from(mm, pos)
+            self.sites = self._read_sites(pos + 4, n_sites, strings)
+            pos += 4 + n_sites * SITE_ROW.size
+        (n_chains,) = _U32.unpack_from(mm, pos)
         pos += 4
         chains = []
         if has_ranks > 2:
@@ -769,7 +862,7 @@ class SegmentReader:
                     (pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2)
                 ]
         if pos + 4 <= footer_end and mm[pos:pos + 4] == _FXFN_MAGIC:
-            (n_functions,) = struct.unpack_from("<I", mm, pos + 4)
+            (n_functions,) = _U32.unpack_from(mm, pos + 4)
             pos += 8
             table = array("I", struct.unpack_from(f"<{2 * n_functions}I", mm, pos))
             pos += 8 * n_functions
@@ -791,13 +884,21 @@ class SegmentReader:
         # Hop the block headers to map the frame regions.
         pos = _HEADER.size
         regions = []
+        frames = 0
         while pos < footer_off:
             tag, plen = _BLOCK.unpack_from(mm, pos)
             if tag == _TAG_RECORDS:
                 regions.append((pos + _BLOCK.size + 4, pos + _BLOCK.size + plen))
-            elif tag != _TAG_DICT:
+                frames += _U32.unpack_from(mm, pos + _BLOCK.size)[0]
+            elif tag != _TAG_DICT and (tag != _TAG_SITES or self.schema_version == 1):
                 raise StoreError(f"unknown block tag {tag} in {self.path}")
             pos += _BLOCK.size + plen
+        if (
+            frames != self.record_count
+            or sum(entry[1] for entry in chains) != frames
+            or any(entry[0] >= n_strings for entry in chains)
+        ):
+            raise StoreError(f"chain index and record blocks disagree in {self.path}")
         self._regions = regions
         return True
 
@@ -807,23 +908,26 @@ class SegmentReader:
         end = self.size_bytes
         pos = _HEADER.size
         strings: list[str] = []
+        sites: list[Site] = []
         regions: list[tuple[int, int]] = []
         while pos + _BLOCK.size <= end:
             tag, plen = _BLOCK.unpack_from(mm, pos)
             payload_end = pos + _BLOCK.size + plen
-            if tag == _TAG_DICT:
+            if tag == _TAG_DICT or (tag == _TAG_SITES and self.schema_version != 1):
                 if payload_end > end:
-                    break  # truncated mid-dictionary: nothing after is decodable
-                dpos = pos + _BLOCK.size
-                first_id, count = struct.unpack_from("<II", mm, dpos)
-                dpos += 8
-                if first_id != len(strings):
-                    break  # dictionary gap: stop before mis-decoding ids
-                for _ in range(count):
-                    (slen,) = struct.unpack_from("<H", mm, dpos)
-                    dpos += 2
-                    strings.append(mm[dpos:dpos + slen].decode("utf-8", "surrogatepass"))
-                    dpos += slen
+                    break  # truncated mid-table: nothing after is decodable
+                table = strings if tag == _TAG_DICT else sites
+                try:
+                    first_id, count = struct.unpack_from("<II", mm, pos + _BLOCK.size)
+                    if first_id != len(table):
+                        break  # table gap: stop before mis-decoding ids
+                    table += (
+                        self._read_strings(pos + _BLOCK.size + 8, count)[0]
+                        if tag == _TAG_DICT
+                        else self._read_sites(pos + _BLOCK.size + 8, count, strings)
+                    )
+                except (struct.error, ValueError, IndexError, StoreError):
+                    break  # a damaged table: no id after it can be trusted
             elif tag == _TAG_RECORDS:
                 frame_start = pos + _BLOCK.size + 4
                 if frame_start > end:
@@ -840,36 +944,52 @@ class SegmentReader:
         # trusted: a salvaged segment is frame-filtered, never pruned.
         self.ts_bounds = self.chain_ts = self.fn_table = None
         self.strings = strings
-        self._regions = regions
-        # One lean pass to count what actually decodes; frames referring
-        # past the salvaged dictionary (or cut mid-frame) are dropped.
+        self.sites = sites
+        # One lean pass to count what actually decodes: a region ends at
+        # its block's frame count, at a frame cut short, or before a frame
+        # whose chain, site or child id points past the salvaged tables —
+        # and so does the segment (the rest goes to ``dropped_bytes``).
         counts: dict[int, int] = {}
         n_strings = len(strings)
-        record_count = 0
-        decoded_end = regions[-1][0] if regions else pos
+        fn_size, fw_size, misc_off, probe = FRAME_LAYOUT[self.schema_version]
+        n_sites = n_strings if self.schema_version == 1 else len(sites)
+        decoded_end = min(pos, end)
+        kept = []
         for start, region_end in regions:
             off = start
-            while off + _FN_SIZE <= region_end:
-                misc = mm[off + _MISC_OFF]
-                size = _FW_SIZE if misc & 16 else _FN_SIZE
+            left = _U32.unpack_from(mm, start - 4)[0]
+            while left and off + fn_size <= region_end:
+                size = fw_size if mm[off + misc_off] & 16 else fn_size
                 if off + size > region_end:
                     break
-                cid, _seq = struct.unpack_from("<Iq", mm, off)
-                (semlen,) = struct.unpack_from("<I", mm, off + _SEMLEN_OFF)
-                if off + size + semlen > region_end or cid >= n_strings:
+                cid, pres, sid, child, semlen = probe.unpack_from(mm, off)
+                if (
+                    off + size + semlen > region_end
+                    or cid >= n_strings
+                    or sid >= n_sites
+                    or (pres & 16 and child >= n_strings)
+                ):
                     break
                 counts[cid] = counts.get(cid, 0) + 1
-                record_count += 1
+                left -= 1
                 off += size + semlen
+            # Clamped to the decodable prefix, so the decode loops never
+            # trip over a truncated or undecodable tail.
+            kept.append((start, off))
             decoded_end = off
+            if left:
+                break
+        self._regions = kept
         self.dropped_bytes = max(0, end - decoded_end)
-        self.record_count = record_count
+        self.record_count = sum(counts.values())
         self.chains = [(cid, count, 0, None) for cid, count in counts.items()]
-        # Clamp the last region to the decodable prefix so the decode
-        # loops below never trip over the truncated tail.
-        if regions:
-            last_start, _ = regions[-1]
-            regions[-1] = (last_start, max(last_start, decoded_end))
+
+    def _current_format_only(self) -> None:
+        if self.schema_version != SCHEMA_VERSION:
+            raise StoreError(
+                f"{self.path} is record schema v{self.schema_version}:"
+                " only scan() reads it"
+            )
 
     # ------------------------------------------------------------------
     # Decoding
@@ -880,17 +1000,20 @@ class SegmentReader:
         """Decode up to ``limit`` frames of ``[off, end)`` onto ``out``.
 
         The one loop that builds records from frames, and the scan fast
-        path: one fused unpack per frame, tuple-indexed enum lookups,
-        delta state in locals. With ``flt`` (the per-segment integer-id
-        filter compiled by :func:`repro.store.query.segment_filter`) the
-        delta chain still advances over every frame, but a
-        :class:`ProbeRecord` is only built for a match, whose position
-        within the span goes onto ``hits`` (a list, required with
-        ``flt``) — how callers recover arrival ranks without decoding the
-        rest. Returns the number of frames walked.
+        path: one fused unpack per frame, the site by one list index,
+        tuple-indexed enum lookups, reading state in locals. With ``flt``
+        (the per-segment integer-id filter compiled by
+        :func:`repro.store.query.segment_filter`) the readings still
+        advance over every frame, but a :class:`ProbeRecord` is only built
+        for a match, whose position within the span goes onto ``hits`` (a
+        list, required with ``flt``) — how callers recover arrival ranks
+        without decoding the rest. Returns the number of frames walked; a
+        frame that is cut short, or whose ids point past the string
+        dictionary or the site table, raises :class:`StoreError`.
         """
         mm = self._mm
         strings = self.strings
+        sites = self.sites
         fn_unpack = FRAME_NARROW.unpack_from
         fw_unpack = FRAME_WIDE.unpack_from
         fn_size = _FN_SIZE
@@ -898,82 +1021,156 @@ class SegmentReader:
         loads = _loads
         record = ProbeRecord
         event_by_num = EVENT_BY_NUM
-        domain_by_num = DOMAIN_BY_NUM
-        sealed = self.sealed
         append = out.append
         filtered = flt is not None
         if filtered:
             cids = flt.cids
-            ifc_ids = flt.ifc_ids
-            op_ids = flt.op_ids
+            site_ids = flt.sites
             ts_lo = flt.ts_lo
             ts_hi = flt.ts_hi
             timed = ts_lo is not None or ts_hi is not None
             hit = hits.append
+        prev_ws = prev_cs = 0
+        done = 0
+        try:
+            while off < end and done < limit:
+                wide = mm[off + _MISC_OFF] & 16
+                if wide:
+                    (cid, ev, misc, pres, sid, tid, childid, semlen, seq, wsd, wed,
+                     csd, ced) = fw_unpack(mm, off)
+                    off += fw_size
+                else:
+                    (cid, ev, misc, pres, sid, tid, childid, semlen, seq, wsd, wed,
+                     csd, ced) = fn_unpack(mm, off)
+                    off += fn_size
+                # The anchor rule; readings decode unconditionally, since
+                # the next narrow frame counts from them even when the
+                # filter skips this one.
+                if pres & 1:
+                    ws = prev_ws = wsd if wide else prev_ws + wsd
+                    we = ws + wed if pres & 2 else None
+                else:
+                    ws = None
+                    we = wed if pres & 2 else None
+                if pres & 4:
+                    cs = prev_cs = csd if wide else prev_cs + csd
+                    ce = cs + ced if pres & 8 else None
+                else:
+                    cs = None
+                    ce = ced if pres & 8 else None
+                if filtered:
+                    keep = (
+                        (cids is None or cid in cids)
+                        and (site_ids is None or sid in site_ids)
+                    )
+                    if keep and timed:
+                        anchor = ws if ws is not None else we
+                        keep = anchor is not None and (
+                            (ts_lo is None or anchor >= ts_lo)
+                            and (ts_hi is None or anchor <= ts_hi)
+                        )
+                    if not keep:
+                        off += semlen
+                        done += 1
+                        continue
+                    hit(done)
+                if semlen:
+                    sem = loads(mm[off:off + semlen]) if pres & 32 else None
+                    off += semlen
+                else:
+                    sem = None
+                append(record(
+                    sites[sid], strings[cid], seq, event_by_num[ev], tid,
+                    ONEWAY if misc & 1 else SYNC, True if misc & 2 else False,
+                    ws, we, cs, ce, strings[childid] if pres & 16 else None, sem,
+                ))
+                done += 1
+        except (IndexError, struct.error, ValueError):
+            raise StoreError(
+                f"corrupt frame in {self.path}: cut short, or an id past the"
+                " string dictionary or the site table"
+            ) from None
+        return done
+
+    def _decode_span_v1(
+        self, off: int, end: int, limit: int, out: list, flt=None, hits=None
+    ) -> int:
+        """:meth:`_decode_span` for a schema v1 segment — the v1 build's
+        loop: ten site fields per frame (one :class:`Site` per distinct
+        combination), both start readings re-anchored at the span's start
+        and, in a sealed segment, wherever the chain id changes. There is
+        no frame-level pushdown: with ``flt`` every frame is decoded and
+        ``flt.matches`` picks the records."""
+        mm = self._mm
+        strings = self.strings
+        fn_unpack = FRAME_NARROW_V1.unpack_from
+        fw_unpack = FRAME_WIDE_V1.unpack_from
+        fn_size, fw_size, misc_off, _ = FRAME_LAYOUT[1]
+        loads = _loads
+        record = ProbeRecord
+        event_by_num = EVENT_BY_NUM
+        domain_by_num = DOMAIN_BY_NUM
+        sealed = self.sealed
+        append = out.append
+        sites: dict[tuple, Site] = {}
+        first = len(out)
         prev_ws = prev_cs = None
         last_cid = -1
         done = 0
-        while off < end and done < limit:
-            if mm[off + _MISC_OFF] & 16:
-                (cid, seq, ev, misc, pres, ifc, op, obj, comp, proc, pid, host,
-                 tid, ptype, plat, childid, semlen, wsd, wed, csd, ced,
-                 ) = fw_unpack(mm, off)
-                off += fw_size
-            else:
-                (cid, seq, ev, misc, pres, ifc, op, obj, comp, proc, pid, host,
-                 tid, ptype, plat, childid, semlen, wsd, wed, csd, ced,
-                 ) = fn_unpack(mm, off)
-                off += fn_size
-            if sealed and cid != last_cid:
-                prev_ws = prev_cs = None
-                last_cid = cid
-            # Timestamps decode unconditionally: the delta chain must
-            # advance even across frames the filter skips.
-            if pres & 1:
-                ws = wsd if prev_ws is None else prev_ws + wsd
-                prev_ws = ws
-                we = ws + wed if pres & 2 else None
-            else:
-                ws = None
-                we = wed if pres & 2 else None
-            if pres & 4:
-                cs = csd if prev_cs is None else prev_cs + csd
-                prev_cs = cs
-                ce = cs + ced if pres & 8 else None
-            else:
-                cs = None
-                ce = ced if pres & 8 else None
-            if filtered:
-                keep = (
-                    (cids is None or cid in cids)
-                    and (op_ids is None or op in op_ids)
-                    and (ifc_ids is None or ifc in ifc_ids)
-                )
-                if keep and timed:
-                    anchor = ws if ws is not None else we
-                    keep = anchor is not None and (
-                        (ts_lo is None or anchor >= ts_lo)
-                        and (ts_hi is None or anchor <= ts_hi)
-                    )
-                if not keep:
+        try:
+            while off < end and done < limit:
+                if mm[off + misc_off] & 16:
+                    (cid, seq, ev, misc, pres, ifc, op, obj, comp, proc, pid, host,
+                     tid, ptype, plat, childid, semlen, wsd, wed, csd, ced,
+                     ) = fw_unpack(mm, off)
+                    off += fw_size
+                else:
+                    (cid, seq, ev, misc, pres, ifc, op, obj, comp, proc, pid, host,
+                     tid, ptype, plat, childid, semlen, wsd, wed, csd, ced,
+                     ) = fn_unpack(mm, off)
+                    off += fn_size
+                if sealed and cid != last_cid:
+                    prev_ws = prev_cs = None
+                    last_cid = cid
+                if pres & 1:
+                    ws = wsd if prev_ws is None else prev_ws + wsd
+                    prev_ws = ws
+                    we = ws + wed if pres & 2 else None
+                else:
+                    ws = None
+                    we = wed if pres & 2 else None
+                if pres & 4:
+                    cs = csd if prev_cs is None else prev_cs + csd
+                    prev_cs = cs
+                    ce = cs + ced if pres & 8 else None
+                else:
+                    cs = None
+                    ce = ced if pres & 8 else None
+                if semlen:
+                    sem = loads(mm[off:off + semlen]) if pres & 32 else None
                     off += semlen
-                    done += 1
-                    continue
-                hit(done)
-            if semlen:
-                sem = loads(mm[off:off + semlen]) if pres & 32 else None
-                off += semlen
-            else:
-                sem = None
-            append(record(
-                strings[cid], seq, event_by_num[ev], strings[ifc], strings[op],
-                strings[obj], strings[comp], strings[proc], pid, strings[host],
-                tid, strings[ptype], strings[plat],
-                ONEWAY if misc & 1 else SYNC, True if misc & 2 else False,
-                domain_by_num[(misc >> 2) & 3], ws, we, cs, ce,
-                strings[childid] if pres & 16 else None, sem,
-            ))
-            done += 1
+                else:
+                    sem = None
+                key = (ifc, op, obj, comp, proc, pid, host, ptype, plat, misc & 12)
+                site = sites.get(key)
+                if site is None:
+                    site = sites[key] = Site(
+                        strings[ifc], strings[op], strings[obj], strings[comp],
+                        strings[proc], pid, strings[host], strings[ptype],
+                        strings[plat], domain_by_num[(misc >> 2) & 3],
+                    )
+                append(record(
+                    site, strings[cid], seq, event_by_num[ev], tid,
+                    ONEWAY if misc & 1 else SYNC, True if misc & 2 else False,
+                    ws, we, cs, ce, strings[childid] if pres & 16 else None, sem,
+                ))
+                done += 1
+        except (IndexError, struct.error, ValueError):
+            raise StoreError(f"corrupt frame in {self.path}") from None
+        if flt is not None:
+            matches = flt.matches
+            hits += [i for i, r in enumerate(out[first:]) if matches(r)]
+            out[first:] = [out[first + i] for i in hits]
         return done
 
     def scan(
@@ -1010,7 +1207,8 @@ class SegmentReader:
             for start, end in self._regions:
                 records: list[ProbeRecord] = []
                 hits = None if flt is None else []
-                walked = self._decode_span(start, end, 1 << 62, records, flt, hits)
+                frames = _U32.unpack_from(self._mm, start - 4)[0]
+                walked = self._decode_span(start, end, frames, records, flt, hits)
                 stats.frames_decoded += walked
                 stats.records_matched += len(records)
                 if records:
@@ -1067,12 +1265,14 @@ class SegmentReader:
     def index_frames(self, table: FrameTable) -> None:
         """Add this segment's frames to ``table``: the record-free twin of
         :meth:`load_ranked` — same frame order, same arrival ranks."""
+        self._current_format_only()
         table.readers.append(self)
         first = len(table.offset)
         try:
             if not self.sealed or self.partial:
                 for start, end in self._regions:
-                    self._index_span(table, start, end, 1 << 62)
+                    frames = _U32.unpack_from(self._mm, start - 4)[0]
+                    self._index_span(table, start, end, frames)
                 base = self.arrival_base
                 table.rank.extend(range(base, base + len(table.offset) - first))
             else:
@@ -1088,7 +1288,7 @@ class SegmentReader:
     def _index_span(self, table: FrameTable, off: int, end: int, limit: int) -> int:
         """Index up to ``limit`` frames of ``[off, end)``; returns how many.
 
-        Walks the frames and undoes the timestamp delta chain exactly as
+        Walks the frames and applies the anchor rule exactly as
         :meth:`_decode_span` does, but unpacks six integers per frame and
         builds nothing per frame.
         """
@@ -1096,7 +1296,6 @@ class SegmentReader:
         strings = self.strings
         narrow = _INDEX_NARROW.unpack_from
         wide = _INDEX_WIDE.unpack_from
-        sealed = self.sealed
         chains = table.chains
         chains_get = chains.get
         add_offset = table.offset.append
@@ -1106,22 +1305,22 @@ class SegmentReader:
         first = number = len(table.offset)
         stop = first + limit
         prev_ws = prev_cs = 0
-        last_cid = -1
         while off < end and number < stop:
             add_offset(off)
             if mm[off + _MISC_OFF] & 16:
-                cid, seq, pres, semlen, wsd, csd = wide(mm, off)
+                cid, pres, semlen, seq, ws, cs = wide(mm, off)
                 off += _FW_SIZE + semlen
+                if pres & 1:
+                    prev_ws = ws
+                if pres & 4:
+                    prev_cs = cs
             else:
-                cid, seq, pres, semlen, wsd, csd = narrow(mm, off)
+                cid, pres, semlen, seq, wsd, csd = narrow(mm, off)
                 off += _FN_SIZE + semlen
-            if sealed and cid != last_cid:
-                prev_ws = prev_cs = 0
-                last_cid = cid
-            if pres & 1:
-                prev_ws += wsd
-            if pres & 4:
-                prev_cs += csd
+                if pres & 1:
+                    prev_ws += wsd
+                if pres & 4:
+                    prev_cs += csd
             add_wall(prev_ws)
             add_cpu(prev_cs)
             add_seq(seq)
@@ -1159,41 +1358,41 @@ class SegmentReader:
     def stat_scan(self, stats: dict) -> None:
         """Fold this segment into population statistics.
 
-        A lean pass: no ProbeRecords are built, only the head integers
-        are unpacked and the distinct sets collect strings/tuples, which
-        merge across segments in the store's ``population_stats``.
+        A lean pass: no ProbeRecords are built, only six head integers
+        are unpacked per frame; what is the same for every frame of a site
+        is folded once per site seen. The distinct sets collect
+        strings/tuples, which merge across segments in the store's
+        ``population_stats``.
         """
+        self._current_format_only()
         mm = self._mm
-        strings = self.strings
         head_unpack = _STAT_HEAD.unpack_from
         calls = stats["calls"]
-        methods = stats["methods"]
-        interfaces = stats["interfaces"]
-        components = stats["components"]
-        objects = stats["objects"]
-        processes = stats["processes"]
-        threads = stats["threads"]
-        chains = stats["chains"]
+        site_threads: set[tuple[int, int]] = set()
+        chain_ids: set[int] = set()
         fn_size = _FN_SIZE
         fw_size = _FW_SIZE
-        for start, end in self._regions:
-            off = start
-            while off < end:
-                size = fw_size if mm[off + _MISC_OFF] & 16 else fn_size
-                (cid, _seq, ev, _misc, _pres, ifc, op, obj, comp, proc, _pid,
-                 _host, tid, _ptype, _plat) = head_unpack(mm, off)
-                (semlen,) = struct.unpack_from("<I", mm, off + _SEMLEN_OFF)
-                if ev == 1:
-                    calls += 1
-                methods.add((strings[ifc], strings[op]))
-                interfaces.add(strings[ifc])
-                components.add(strings[comp])
-                objects.add(strings[obj])
-                process = strings[proc]
-                processes.add(process)
-                threads.add((process, tid))
-                chains.add(strings[cid])
-                off += size + semlen
+        try:
+            for start, end in self._regions:
+                off = start
+                while off < end:
+                    cid, ev, misc, sid, tid, semlen = head_unpack(mm, off)
+                    off += (fw_size if misc & 16 else fn_size) + semlen
+                    if ev == 1:
+                        calls += 1
+                    site_threads.add((sid, tid))
+                    chain_ids.add(cid)
+            sites, strings = self.sites, self.strings
+            for site in [sites[sid] for sid in {sid for sid, _tid in site_threads}]:
+                stats["methods"].add((site.interface, site.operation))
+                stats["interfaces"].add(site.interface)
+                stats["components"].add(site.component)
+                stats["objects"].add(site.object_id)
+                stats["processes"].add(site.process)
+            stats["threads"].update((sites[sid].process, tid) for sid, tid in site_threads)
+            stats["chains"].update([strings[cid] for cid in chain_ids])
+        except (IndexError, struct.error):
+            raise StoreError(f"corrupt frame in {self.path}") from None
         stats["calls"] = calls
 
 
@@ -1232,10 +1431,12 @@ def segment_info(reader: SegmentReader) -> dict:
     return {
         "path": os.path.basename(reader.path),
         "kind": "sealed" if reader.sealed else "spool",
+        "schema_version": reader.schema_version,
         "records": reader.record_count,
         "chains": len(reader.chains),
         "bytes": reader.size_bytes,
         "dictionary_strings": len(reader.strings),
+        "sites": len(reader.sites),
         "partial": reader.partial,
         "salvaged": reader.partial,
         "dropped_bytes": reader.dropped_bytes,

@@ -33,9 +33,15 @@ import threading
 from collections import defaultdict
 from contextlib import contextmanager
 from heapq import merge as _heapq_merge
+from itertools import groupby
 from typing import Iterable, Iterator
 
-from repro.core.records import SCHEMA_VERSION, ProbeRecord, RunMetadata
+from repro.core.records import (
+    READABLE_SCHEMA_VERSIONS,
+    SCHEMA_VERSION,
+    ProbeRecord,
+    RunMetadata,
+)
 from repro.errors import StoreError
 from repro.store.query import ScanPredicate, fold_population_stats, segment_filter
 from repro.store.segment import (
@@ -98,16 +104,17 @@ class SegmentStore:
         self._closed = False
         os.makedirs(os.path.join(path, _RUNS_DIR), exist_ok=True)
         marker = os.path.join(path, MARKER_FILE)
+        found = None
         if os.path.exists(marker):
             with open(marker) as handle:
-                meta = json.load(handle)
-            if meta.get("schema_version") != SCHEMA_VERSION:
+                found = json.load(handle).get("schema_version")
+            if found not in READABLE_SCHEMA_VERSIONS:
                 raise StoreError(
-                    f"store {path} has record schema "
-                    f"v{meta.get('schema_version')}, this build uses "
-                    f"v{SCHEMA_VERSION}"
+                    f"store {path} has record schema v{found}, this build "
+                    f"reads v{READABLE_SCHEMA_VERSIONS}"
                 )
-        else:
+        if found != SCHEMA_VERSION:
+            # A new store, or an older one this build will now append to.
             with open(marker, "w") as handle:
                 json.dump(
                     {"format": "repro-segment-store", "version": 1,
@@ -317,10 +324,13 @@ class SegmentStore:
         tmp_path = os.path.join(run.path, f".tmp-{seg_number:06d}.sealed.seg")
         writer = SegmentWriter(tmp_path, kind=KIND_SEALED)
         try:
-            table = FrameTable()
-            for reader in sources:
-                reader.index_frames(table)
-            writer.relocate(table, sorted(table.chains, key=uuid_key))
+            if all(reader.schema_version == SCHEMA_VERSION for reader in sources):
+                table = FrameTable()
+                for reader in sources:
+                    reader.index_frames(table)
+                writer.relocate(table, sorted(table.chains, key=uuid_key))
+            else:
+                _append_groups(writer, sources)
             writer.seal()
         except BaseException:
             writer.abort()
@@ -537,7 +547,10 @@ class SegmentStore:
         narrows the population via the pushed-down filtered scan; the
         unpredicated path keeps the lean no-record stat scan.
         """
-        if predicate is not None and not predicate.is_empty:
+        readers = self._segments(self._run(run_id))
+        if (predicate is not None and not predicate.is_empty) or any(
+            reader.schema_version != SCHEMA_VERSION for reader in readers
+        ):
             return fold_population_stats(
                 self.all_records(run_id, predicate=predicate)
             )
@@ -547,7 +560,7 @@ class SegmentStore:
             "objects": set(), "processes": set(), "threads": set(),
             "chains": set(),
         }
-        for reader in self._segments(self._run(run_id)):
+        for reader in readers:
             reader.stat_scan(state)
         return {
             "calls": state["calls"],
@@ -655,6 +668,21 @@ def _unlink_segment(path: str) -> None:
         os.unlink(path)
     except OSError as exc:
         logger.warning("could not remove segment %s: %s", path, exc)
+
+
+def _append_groups(writer: SegmentWriter, sources: list[SegmentReader]) -> None:
+    """Compaction through records, for a run holding a schema v1 segment
+    (whose frames cannot be relocated): decode every source, then write
+    chain by chain what :meth:`SegmentWriter.relocate` would."""
+    ranked: list = []
+    for reader in sources:
+        reader.load_ranked(ranked)
+    # Stable: load order breaks event-number ties, as in relocate().
+    ranked.sort(key=lambda pair: (uuid_key(pair[1].chain_uuid), pair[1].event_seq))
+    for _uuid, group in groupby(ranked, key=lambda pair: pair[1].chain_uuid):
+        ranks, records = zip(*group)
+        writer.start_group()
+        writer.append(records, ranks=ranks)
 
 
 def _event_seq_key(record: ProbeRecord) -> int:

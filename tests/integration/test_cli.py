@@ -172,6 +172,12 @@ class TestSegmentStoreCli:
         assert run["records"] > 0
         assert run["segments"]
 
+    def test_store_info_segments_say_what_they_hold(self, segment_store, tmp_path):
+        out_file = tmp_path / "info.json"
+        assert main(["store-info", segment_store, "--output", str(out_file)]) == 0
+        (run,) = json.loads(out_file.read_text())["runs"]
+        assert all(s["schema_version"] == 2 and s["sites"] > 0 for s in run["segments"])
+
     def test_query_predicated(self, segment_store, tmp_path):
         out_file = tmp_path / "q.json"
         assert main(["query", segment_store, "--operation", "m0",

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import dscg_to_json, reconstruct, reconstruct_sharded
 from repro.collector import MonitoringDatabase, collect_run
-from repro.core import CallKind, Domain, MonitorMode, ProbeRecord, TracingEvent
+from repro.core import CallKind, Domain, MonitorMode, ProbeRecord, Site, TracingEvent
 from tests.helpers import Call, simulate
 
 _NAMES = ["A::f", "A::g", "B::h", "C::m"]
@@ -44,19 +44,21 @@ def _stray_record(chain_uuid, seq, event):
         chain_uuid=chain_uuid,
         event_seq=seq,
         event=event,
-        interface="Rogue",
-        operation="mingled",
-        object_id="rogue.obj",
-        component="Rogue",
-        process="sim",
-        pid=1,
-        host="sim-host",
+        site=Site(
+            interface="Rogue",
+            operation="mingled",
+            object_id="rogue.obj",
+            component="Rogue",
+            process="sim",
+            pid=1,
+            host="sim-host",
+            processor_type="PA-RISC",
+            platform="HPUX 11",
+            domain=Domain.CORBA,
+        ),
         thread_id=7,
-        processor_type="PA-RISC",
-        platform="HPUX 11",
         call_kind=CallKind.SYNC,
         collocated=False,
-        domain=Domain.CORBA,
         wall_start=1,
         wall_end=2,
     )

@@ -2,8 +2,8 @@
 
 The probes are hand-inlined for speed (one frame each, a prebound site,
 fused collocated pairs), so what they *write* is pinned here the way
-``orb/cdr.py`` pins fastcdr: a model in this file builds the expected
-:class:`ProbeRecord` of every probe activation **by keyword, from first
+``orb/cdr.py`` pins fastcdr: a model in this file writes down the 22
+persisted fields of every probe activation **by keyword, from first
 principles** — site fields from the ``OperationInfo`` and the
 ``SimProcess``/``Host`` it fired in, chain uuid and event number from a
 model FTL (a counter along the chain; a oneway forks a chain numbered
@@ -11,7 +11,10 @@ from 0), uuids from a model of ``SequentialUuidFactory``, readings from a
 model of the clock — and hypothesis drives call forests through the real
 probes: sync, oneway, collocated, nested, over three processes on three
 platforms, in all five monitor modes. Drained records must equal the
-model field by field, in per-thread order.
+model in per-thread order: as records (a :class:`Site` built from the ten
+site fields + the twelve per-event ones) and field by field, all 22 read
+off the record — the ten site fields through its delegating properties.
+The last two tests pin *which* ``Site`` object a record holds.
 
 Two drivers share the model. The direct one calls the probes itself, on a
 clock whose every *reading* ticks, so the model also has to know how many
@@ -38,6 +41,7 @@ from repro.core import (
     OperationInfo,
     ProbeRecord,
     SequentialUuidFactory,
+    Site,
     TracingEvent,
 )
 from repro.idl import compile_idl
@@ -61,6 +65,12 @@ PLACES = (
     ("alpha", PlatformKind.HPUX_11, ProcessorType.PA_RISC),
     ("beta", PlatformKind.WINDOWS_NT, ProcessorType.X86),
     ("gamma", PlatformKind.VXWORKS, ProcessorType.EMBEDDED),
+)
+
+#: The fields a record holds through its site; the other twelve are its own.
+SITE_FIELDS = (
+    "interface", "operation", "object_id", "component", "process", "pid", "host",
+    "processor_type", "platform", "domain",
 )
 
 
@@ -133,7 +143,7 @@ class Oracle:
         wall_start = self.clock.read_wall() if wall_on else None
         cpu_start = self.clock.read_cpu(thread) if cpu_on else None
         chain[1] += 1
-        self.expected[where, thread].append(ProbeRecord(
+        self.expected[where, thread].append(dict(
             chain_uuid=chain[0],
             event_seq=chain[1],
             event=event,
@@ -206,18 +216,23 @@ class Oracle:
 def assert_records_match(oracle: Oracle, processes, idents: dict) -> None:
     """Every process's drained records equal the model's, thread by thread."""
     expected: dict = defaultdict(list)
-    for (where, token), records in oracle.expected.items():
-        for record in records:
-            record.thread_id = idents[token]
-        expected[where, idents[token]] += records
+    for (where, token), rows in oracle.expected.items():
+        for fields in rows:
+            fields["thread_id"] = idents[token]
+        expected[where, idents[token]] += rows
     actual: dict = defaultdict(list)
     for where, process in enumerate(processes):
         for record in process.log_buffer.drain():
             actual[where, record.thread_id].append(record)
     assert set(actual) == set(expected)
     for key in expected:
-        for index, (got, want) in enumerate(zip(actual[key], expected[key])):
-            assert got == want, f"process/thread {key}, record {index}"
+        for index, (got, fields) in enumerate(zip(actual[key], expected[key])):
+            at = f"process/thread {key}, record {index}"
+            assert len(fields) == 22
+            for name, value in fields.items():
+                assert getattr(got, name) == value, f"{at}, field {name}"
+            own = {name: value for name, value in fields.items() if name not in SITE_FIELDS}
+            assert got == ProbeRecord(Site(**{name: fields[name] for name in SITE_FIELDS}), **own), at
         assert len(actual[key]) == len(expected[key])
 
 
@@ -501,3 +516,70 @@ def test_generated_stubs_over_the_network_write_the_model_records(plan, mode, ro
         assert_records_match(oracle, run.processes, run.idents)
     finally:
         run.close()
+
+
+# ----------------------------------------------------------------------
+# Which Site object a record holds
+
+
+def _site_runtime(name: str):
+    process = SimProcess(name, Host(f"{name}-host", clock=VirtualClock()))
+    runtime = MonitoringRuntime(
+        process, MonitorConfig(mode=MonitorMode.FULL, uuid_factory=SequentialUuidFactory("51"))
+    )
+    return runtime, process
+
+
+def _every_probe(runtime, op: OperationInfo, peer, peer_op: OperationInfo) -> None:
+    """All eight record-writing sites of ``runtime`` on ``op``: a sync and a
+    oneway call that ``peer`` serves (on ``peer_op``), one it serves for
+    ``peer``, and a collocated pair."""
+    ctx = runtime.stub_start(op)
+    skel = peer.skel_start(peer_op, ctx.request_ftl_payload)
+    runtime.stub_end(ctx, peer.skel_end(skel))
+    ctx = runtime.stub_start(op, oneway=True)
+    runtime.stub_end(ctx, None)
+    skel = runtime.skel_start(op, peer.stub_start(peer_op).request_ftl_payload)
+    runtime.skel_end(skel)
+    runtime.collocated_call_end(*runtime.collocated_call_start(op))
+
+
+def test_every_record_of_one_runtime_and_operation_holds_the_same_site_object():
+    here, p_here = _site_runtime("here")
+    there, p_there = _site_runtime("there")
+    # An operation object per process, as generated stubs and skeletons have.
+    mine = [OperationInfo("Mod::I", f"op{j}", "obj-1", "Comp", Domain.COM) for j in range(2)]
+    theirs = [OperationInfo("Mod::I", f"op{j}", "obj-1", "Comp", Domain.COM) for j in range(2)]
+    for _ in range(2):
+        for op, peer_op in zip(mine, theirs):
+            _every_probe(here, op, there, peer_op)
+            _every_probe(there, peer_op, here, op)
+    for process in (p_here, p_there):
+        records = process.log_buffer.snapshot()
+        by_operation = defaultdict(list)
+        for record in records:
+            by_operation[record.operation].append(record.site)
+        assert {len(sites) for sites in by_operation.values()} == {26}
+        for sites in by_operation.values():
+            assert all(site is sites[0] for site in sites)
+        assert by_operation["op0"][0] is not by_operation["op1"][0]
+        assert {site.process for sites in by_operation.values() for site in sites} == {process.name}
+
+
+def test_a_runtime_switch_on_a_shared_operation_rebinds_the_site():
+    here, p_here = _site_runtime("here")
+    there, p_there = _site_runtime("there")
+    op = OperationInfo("Mod::I", "op", "obj-1", "Comp")
+    rounds = []
+    for _ in range(3):  # here, there, here, there, ...: a switch every time
+        _every_probe(here, op, there, op)
+        rounds.append((p_here.log_buffer.drain(), p_there.log_buffer.drain()))
+    for mine, theirs in rounds:
+        # A process's records name its own locality, whoever bound the slot last ...
+        assert {r.site.process for r in mine} == {"here"}
+        assert {r.site.host for r in theirs} == {"there-host"}
+    # Re-binding finds the runtime's own site again: one object per (runtime,
+    # operation) however often the slot changed hands.
+    assert len({id(r.site) for mine, _theirs in rounds for r in mine}) == 1
+    assert len({id(r.site) for _mine, theirs in rounds for r in theirs}) == 1
+    assert rounds[0][0][0].site != rounds[0][1][0].site

@@ -1,0 +1,191 @@
+"""Byte-level fuzzing of the segment reader (record format v2).
+
+Take a valid spool or sealed segment, damage its bytes anywhere — flip a
+bit, overwrite a run, delete a run, truncate — and open it. Every way
+records (or their statistics) leave a segment must then either work or
+raise :class:`StoreError`: ``SegmentReader(path)``, a full ``scan``, a
+predicated ``scan``, ``index_frames`` and ``stat_scan``. Never another
+exception, never more records than the undamaged file holds, and a
+``dropped_bytes`` that stays inside the file.
+
+The pristine files cover what a frame can look like: with and without
+semantics, processes in LATENCY and in CPU mode (so frames lack one
+reading or the other), a collocated call, a oneway fork (child link), a
+wide frame in mid-block, several records blocks and several site-delta
+blocks.
+
+Derandomized: the examples are a function of this file alone. Tier-1
+runs hypothesis's default budget; CI's chaos job raises it through
+``REPRO_FUZZ_EXAMPLES``.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import CallKind, TracingEvent
+from repro.errors import StoreError
+from repro.store import ScanPredicate, ScanStats
+from repro.store import segment as segment_module
+from repro.store.query import segment_filter
+from repro.store.segment import (
+    KIND_SEALED,
+    KIND_SPOOL,
+    FrameTable,
+    SegmentReader,
+    SegmentWriter,
+)
+
+from tests.unit.store.test_segment_codec import make_record
+
+EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0")) or settings.default.max_examples
+
+PREDICATES = (
+    ScanPredicate(interfaces={"Fz::A"}, operations={"op1"}),
+    ScanPredicate(ts_min=10**12 + 5_000, ts_max=10**12 + 20_000),
+    ScanPredicate(chain_prefix="0" * 31 + "2"),
+)
+
+
+def pristine_records(semantics: bool) -> list:
+    records = []
+    for i in range(48):
+        latency = i % 3 != 2  # every third record comes from a CPU-mode process
+        oneway = i % 13 == 5
+        records.append(make_record(
+            chain=f"{i % 5:032x}", seq=i // 5, event=TracingEvent(1 + i % 4),
+            interface="Fz::A" if i % 4 < 2 else "Fz::B", operation=f"op{i % 3}",
+            process="lat" if latency else "cpu", pid=7 if latency else 8,
+            thread_id=140_000_000_000_000 + i % 3,
+            call_kind=CallKind.ONEWAY if oneway else CallKind.SYNC,
+            collocated=i % 7 == 0,
+            wall_start=(10**12 + 700 * i if i != 30 else 3 * 10**12) if latency else None,
+            wall_end=10**12 + 700 * i + 9 if latency and i % 10 != 9 else None,
+            cpu_start=None if latency else 5_000 * i,
+            cpu_end=None if latency else 5_000 * i + 3,
+            child_chain_uuid=f"{(i + 1) % 5:032x}" if oneway else None,
+            semantics={"args": [i, "é"]} if semantics and i % 4 == 0 else None,
+        ))
+    return records
+
+
+def pristine_segment(tmp_path, kind: int, semantics: bool) -> tuple[bytes, int]:
+    """The bytes of a valid segment of ``kind`` and how many records it holds."""
+    records = pristine_records(semantics)
+    path = str(tmp_path / "pristine.seg")
+    writer = SegmentWriter(path, kind=kind, arrival_base=100)
+    if kind == KIND_SEALED:
+        groups: dict = {}
+        for rank, record in enumerate(records):
+            groups.setdefault(record.chain_uuid, []).append((rank, record))
+        for uuid in sorted(groups):
+            writer.start_group()
+            writer.append([r for _k, r in groups[uuid]], ranks=[k for k, _r in groups[uuid]])
+    else:
+        for lo in range(0, len(records), 12):
+            writer.append(records[lo:lo + 12])
+    writer.seal()
+    with open(path, "rb") as handle:
+        return handle.read(), len(records)
+
+
+@pytest.fixture(scope="module", params=[
+    (KIND_SPOOL, False), (KIND_SPOOL, True), (KIND_SEALED, False), (KIND_SEALED, True),
+], ids=["spool", "spool-semantics", "sealed", "sealed-semantics"])
+def pristine(request, tmp_path_factory):
+    kind, semantics = request.param
+    # Blocks of a few hundred bytes: several records, dict-delta and
+    # site-delta blocks per file.
+    flush, segment_module._FLUSH_BYTES = segment_module._FLUSH_BYTES, 600
+    try:
+        data, count = pristine_segment(tmp_path_factory.mktemp("pristine"), kind, semantics)
+    finally:
+        segment_module._FLUSH_BYTES = flush
+    path = str(tmp_path_factory.mktemp("fuzzed") / "fuzzed.seg")
+    assert exercise(data, path) == count  # the undamaged file answers in full
+    return data, count, path
+
+
+MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, 1 << 30), st.integers(0, 7)),
+        st.tuples(st.just("overwrite"), st.integers(0, 1 << 30), st.binary(min_size=1, max_size=8)),
+        st.tuples(st.just("delete"), st.integers(0, 1 << 30), st.integers(1, 64)),
+        st.tuples(st.just("truncate"), st.integers(0, 1 << 30), st.none()),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    out = bytearray(data)
+    for kind, where, what in mutations:
+        if not out:
+            break
+        pos = where % len(out)
+        if kind == "flip":
+            out[pos] ^= 1 << what
+        elif kind == "overwrite":
+            out[pos:pos + len(what)] = what
+        elif kind == "delete":
+            del out[pos:pos + what]
+        else:
+            del out[pos:]
+    return bytes(out)
+
+
+def exercise(data: bytes, path: str) -> int:
+    """Open ``data`` as a segment and read it every way there is; returns
+    the most records any one scan yielded (0 for a refused file)."""
+    with open(path, "wb") as handle:
+        handle.write(data)
+    try:
+        reader = SegmentReader(path)
+    except StoreError:
+        return 0
+    try:
+        assert 0 <= reader.dropped_bytes <= len(data)
+        assert reader.record_count >= 0
+        scanned = 0
+        try:
+            for _cid, ranks, records in reader.scan(None, ScanStats()):
+                assert len(ranks) >= len(records)
+                scanned += len(records)
+        except StoreError:
+            pass
+        for predicate in PREDICATES:
+            try:
+                flt = segment_filter(reader, predicate)
+                if flt is not None:
+                    matched = sum(len(r) for _c, _k, r in reader.scan(flt, ScanStats()))
+                    scanned = max(scanned, matched)
+            except StoreError:
+                pass
+        try:
+            reader.index_frames(FrameTable())
+        except StoreError:
+            pass
+        try:
+            reader.stat_scan({
+                "calls": 0, "methods": set(), "interfaces": set(), "components": set(),
+                "objects": set(), "processes": set(), "threads": set(), "chains": set(),
+            })
+        except StoreError:
+            pass
+        return scanned
+    finally:
+        reader.close()
+
+
+@settings(
+    max_examples=EXAMPLES, derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(mutations=MUTATIONS)
+def test_a_damaged_segment_reads_or_raises_store_error(pristine, mutations):
+    data, count, path = pristine
+    assert exercise(mutate(data, mutations), path) <= count

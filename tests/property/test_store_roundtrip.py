@@ -17,6 +17,7 @@ from repro.core import (
     Domain,
     ProbeRecord,
     RunMetadata,
+    Site,
     TracingEvent,
 )
 from repro.store import SegmentStore
@@ -49,19 +50,21 @@ def probe_records(draw):
         chain_uuid=draw(st.sampled_from([f"{i:032x}" for i in range(6)])),
         event_seq=draw(st.integers(0, 2**40)),
         event=draw(st.sampled_from(list(TracingEvent))),
-        interface=draw(_name),
-        operation=draw(_name),
-        object_id=draw(_name),
-        component=draw(_name),
-        process=draw(_name),
-        pid=draw(st.integers(0, 2**31)),
-        host=draw(_name),
+        site=Site(
+            interface=draw(_name),
+            operation=draw(_name),
+            object_id=draw(_name),
+            component=draw(_name),
+            process=draw(_name),
+            pid=draw(st.integers(0, 2**31)),
+            host=draw(_name),
+            processor_type=draw(_name),
+            platform=draw(_text),
+            domain=draw(st.sampled_from(list(Domain))),
+        ),
         thread_id=draw(st.integers(0, 2**40)),
-        processor_type=draw(_name),
-        platform=draw(_text),
         call_kind=draw(st.sampled_from(list(CallKind))),
         collocated=draw(st.booleans()),
-        domain=draw(st.sampled_from(list(Domain))),
         wall_start=draw(_wall),
         wall_end=draw(_wall),
         cpu_start=draw(_cpu),

@@ -113,8 +113,8 @@ def test_a_record_reads_back_with_its_frames_identity():
         r for r in simulate([Call("I::F", cpu_ns=5)]).records
         if r.event is TracingEvent.SKEL_END
     ]
-    odd = replace(applied, component="Other", call_kind=CallKind.ONEWAY,
-                  collocated=True, domain=Domain.COM)
+    odd = replace(applied, site=replace(applied.site, component="Other", domain=Domain.COM),
+                  call_kind=CallKind.ONEWAY, collocated=True)
     node = CallNode("I", "F", "obj-1", "Comp", applied.chain_uuid,
                     records={TracingEvent.SKEL_END: odd})
     assert node.record(TracingEvent.SKEL_END) == applied != odd

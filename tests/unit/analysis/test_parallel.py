@@ -17,7 +17,7 @@ from repro.analysis import (
 from repro.analysis.parallel import shard_bounds
 import repro.analysis.parallel as parallel_mod
 from repro.collector import MonitoringDatabase, collect_run
-from repro.core import CallKind, Domain, MonitorMode, ProbeRecord, TracingEvent
+from repro.core import CallKind, Domain, MonitorMode, ProbeRecord, Site, TracingEvent
 from tests.helpers import Call, simulate
 
 
@@ -27,19 +27,21 @@ def _mingled_record(chain, seq):
         chain_uuid=chain,
         event_seq=seq,
         event=TracingEvent.SKEL_END,
-        interface="Rogue",
-        operation="mingled",
-        object_id="rogue.obj",
-        component="Rogue",
-        process="sim",
-        pid=1,
-        host="sim-host",
+        site=Site(
+            interface="Rogue",
+            operation="mingled",
+            object_id="rogue.obj",
+            component="Rogue",
+            process="sim",
+            pid=1,
+            host="sim-host",
+            processor_type="PA-RISC",
+            platform="HPUX 11",
+            domain=Domain.CORBA,
+        ),
         thread_id=9,
-        processor_type="PA-RISC",
-        platform="HPUX 11",
         call_kind=CallKind.SYNC,
         collocated=False,
-        domain=Domain.CORBA,
         wall_start=1,
         wall_end=2,
     )

@@ -1,5 +1,7 @@
 """Unit tests for the Figure-4 reconstruction state machine."""
 
+from dataclasses import replace
+
 from repro.analysis import reconstruct_from_records
 from repro.core import CallKind, TracingEvent
 from tests.helpers import Call, simulate
@@ -119,9 +121,11 @@ class TestAbnormal:
     def test_mismatched_stub_end_reported(self):
         records = self._records([Call("I::F")])
         # Rename the stub_end so it cannot close the open F frame.
-        for record in records:
-            if record.event is TracingEvent.STUB_END:
-                record.operation = "WRONG"
+        records = [
+            replace(record, site=replace(record.site, operation="WRONG"))
+            if record.event is TracingEvent.STUB_END else record
+            for record in records
+        ]
         dscg = reconstruct_from_records(records)
         assert any("stub_end" in a.reason for a in dscg.abnormal_events())
 

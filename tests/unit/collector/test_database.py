@@ -6,8 +6,10 @@ from repro.core import (
     Domain,
     ProbeRecord,
     RunMetadata,
+    Site,
     TracingEvent,
 )
+from repro.core.records import SITE_FIELDS
 from repro.platform import Host, PlatformKind, SimProcess, VirtualClock
 
 
@@ -37,7 +39,8 @@ def make_record(chain="aa" * 16, seq=0, event=TracingEvent.STUB_START, **overrid
         semantics={"args": ["1"]},
     )
     fields.update(overrides)
-    return ProbeRecord(**fields)
+    site = Site(**{name: fields.pop(name) for name in SITE_FIELDS})
+    return ProbeRecord(site, **fields)
 
 
 class TestDatabase:

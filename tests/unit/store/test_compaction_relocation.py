@@ -263,7 +263,7 @@ class TestHowItRuns:
         third_frame = list(frame_offsets(reader, reader._regions[0][0], 3))[2]
         reader.close()
         with open(bad, "r+b") as handle:
-            handle.seek(third_frame + 19)  # the frame's operation id
+            handle.seek(third_frame + 7)  # the frame's site id
             handle.write(struct.pack("<I", 0x00FFFFFF))
         before = {path: open(path, "rb").read() for path in (good, bad)}
         store = SegmentStore(str(tmp_path), auto_compact=0)
@@ -283,6 +283,6 @@ def frame_offsets(reader, off, count):
         yield off
         if off + HEAD_SIZE > reader.size_bytes:
             return
-        wide = reader._mm[off + 13] & 16
+        wide = reader._mm[off + 5] & 16
         (semlen,) = struct.unpack_from("<I", reader._mm, off + HEAD_SIZE - 4)
         off += (FRAME_WIDE if wide else FRAME_NARROW).size + semlen

@@ -170,10 +170,17 @@ class TestRankWidth:
     def test_compacted_store_writes_u32_ranks(self, tmp_path):
         data = sealed_bytes(tmp_path, old_format_records())
         old = open(OLD_FORMAT_SEGMENT, "rb").read()
-        # Same records, same layout: 4 bytes saved per record on ranks;
-        # the zone map (6 functions, 6 single-function groups) costs
-        # magic + count + 6 pairs + 6 count bytes + 6 indexes.
-        assert len(old) - len(data) == 4 * 72 - (8 + 6 * 8 + 6 + 6 * 2)
+        # Same records, v1 -> v2 layout: 40 bytes saved per frame (87 ->
+        # 47; one wide frame per group in both, 16 more bytes there, 20
+        # here) and 4 per record on ranks; the zone map
+        # (6 functions, 6 single-function groups) costs magic + count +
+        # 6 pairs + 6 count bytes + 6 indexes, and the site table (6 rows
+        # of 41 bytes) is there twice: behind its count in the footer, and
+        # inline behind a block header and its first-id / count words.
+        assert len(old) - len(data) == (
+            40 * 72 + 6 * 16 - 6 * 20 + 4 * 72
+            - (8 + 6 * 8 + 6 + 6 * 2) - (4 + 6 * 41) - (5 + 8 + 6 * 41)
+        )
 
 
 class TestOldFormat:

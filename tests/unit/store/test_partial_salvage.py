@@ -12,8 +12,9 @@ import os
 import pytest
 
 from repro.core import RunMetadata
+from repro.errors import StoreError
 from repro.store import SegmentStore
-from repro.store.segment import KIND_SPOOL, SegmentReader, SegmentWriter
+from repro.store.segment import KIND_SEALED, KIND_SPOOL, SegmentReader, SegmentWriter
 
 from tests.unit.store.test_segment_codec import make_record
 
@@ -132,3 +133,69 @@ class TestSalvage:
         assert list(reopened.all_records("r1")) == records[:count]
         assert reopened.store_info()["runs"][0]["partial_segments"] == 0
         reopened.close()
+
+
+class TestIdsPastTheTables:
+    """A frame carries three ids — chain, site, child. One that points past
+    the string dictionary or the site table is a typed error from a
+    complete segment, and the end of the decodable prefix of a salvaged one."""
+
+    #: byte offsets of the three ids within a frame
+    CHAIN, SITE, CHILD = 0, 7, 19
+
+    def segment(self, tmp_path, kind):
+        """A segment of ``kind`` whose every frame carries a child id; its
+        path, where its frames start, and the frame size."""
+        records = [
+            make_record(
+                chain="0a" * 16, seq=i, wall_start=10**12 + i, wall_end=10**12 + i + 1,
+                child_chain_uuid="0b" * 16, semantics=None,
+            )
+            for i in range(100)
+        ]
+        path = str(tmp_path / "ids.seg")
+        writer = SegmentWriter(path, kind=kind)
+        writer.start_group()
+        writer.append(records)
+        writer.seal()
+        reader = SegmentReader(path)
+        start = reader._regions[0][0]
+        reader.close()
+        return path, start + 67, 47  # past the wide first frame; narrow frames
+
+    @staticmethod
+    def overwrite(path, at):
+        with open(path, "r+b") as handle:
+            handle.seek(at)
+            handle.write((0x00FFFFFF).to_bytes(4, "little"))
+
+    @pytest.mark.parametrize("kind", [KIND_SPOOL, KIND_SEALED])
+    @pytest.mark.parametrize("which", ["CHAIN", "SITE", "CHILD"])
+    def test_complete_segment_raises_store_error_naming_the_file(self, tmp_path, kind, which):
+        path, second_frame, _size = self.segment(tmp_path, kind)
+        self.overwrite(path, second_frame + getattr(self, which))
+        reader = SegmentReader(path)
+        try:
+            assert not reader.partial  # the footer is intact: nothing warned of it
+            with pytest.raises(StoreError, match="ids.seg"):
+                reader.load_ranked([])
+        finally:
+            reader.close()
+
+    @pytest.mark.parametrize("kind", [KIND_SPOOL, KIND_SEALED])
+    @pytest.mark.parametrize("which", ["CHAIN", "SITE", "CHILD"])
+    def test_salvage_stops_before_the_frame(self, tmp_path, kind, which):
+        path, second_frame, size = self.segment(tmp_path, kind)
+        self.overwrite(path, second_frame + 10 * size + getattr(self, which))
+        os.truncate(path, os.path.getsize(path) - 40)  # into the footer: salvage
+        reader = SegmentReader(path)
+        try:
+            assert reader.partial
+            # The wide first frame and ten narrow ones precede the damage.
+            assert reader.record_count == 11
+            assert reader.dropped_bytes == os.path.getsize(path) - (second_frame + 10 * size)
+            ranked = []
+            reader.load_ranked(ranked)
+            assert [record.event_seq for _rank, record in ranked] == list(range(11))
+        finally:
+            reader.close()

@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from repro.core import CallKind, Domain, ProbeRecord, TracingEvent
-from repro.core.records import RECORD_SCHEMA, SCHEMA_VERSION
+from repro.core import CallKind, Domain, ProbeRecord, Site, TracingEvent
+from repro.core.records import RECORD_SCHEMA, SCHEMA_VERSION, SITE_FIELDS
 from repro.errors import StoreError
 from repro.store.segment import (
     KIND_SEALED,
@@ -41,7 +41,8 @@ def make_record(chain="aa" * 16, seq=0, **overrides):
         semantics={"args": ["1"]},
     )
     fields.update(overrides)
-    return ProbeRecord(**fields)
+    site = Site(**{name: fields.pop(name) for name in SITE_FIELDS})
+    return ProbeRecord(site, **fields)
 
 
 def roundtrip(tmp_path, records, kind=KIND_SPOOL):
@@ -221,9 +222,12 @@ class TestSegmentValidation:
             SegmentReader(str(path))
 
     def test_schema_table_covers_probe_record(self):
-        from repro.core.records import ProbeRecord
-
-        assert tuple(f.name for f in RECORD_SCHEMA) == ProbeRecord.__slots__
+        # A record stores its site and the per-event fields; the ten site
+        # fields are the Site's slots (plus its cached hash).
+        per_event = tuple(f.name for f in RECORD_SCHEMA if not f.site)
+        assert ("site", *per_event) == ProbeRecord.__slots__
+        assert (*SITE_FIELDS, "_hash") == Site.__slots__
+        assert len(RECORD_SCHEMA) == 22 and len(SITE_FIELDS) == 10
 
 
 class TestWriterAbort:

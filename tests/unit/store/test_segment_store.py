@@ -300,6 +300,19 @@ class TestSegmentStoreLifecycle:
         assert run["chains"] == 7
         assert run["segments"][0]["kind"] == "spool"
 
+    def test_store_info_says_what_each_segment_holds(self, store):
+        store.create_run(RunMetadata(run_id="r1"))
+        store.insert_records("r1", seeded_records()[:60])
+        store.insert_records("r1", seeded_records()[60:])
+        for kinds in (["spool", "spool"], ["sealed"]):
+            (run,) = store.store_info()["runs"]
+            assert [s["kind"] for s in run["segments"]] == kinds
+            # Three processes call one operation: three sites per segment.
+            assert [(s["schema_version"], s["sites"]) for s in run["segments"]] == [
+                (2, 3) for _ in kinds
+            ]
+            store.compact("r1")
+
     def test_prepare_sharded_scan_compacts(self, store):
         store.create_run(RunMetadata(run_id="r1"))
         for i in range(4):
