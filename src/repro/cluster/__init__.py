@@ -3,9 +3,9 @@
 The paper's Section-3 architecture run for real: ORB endpoints in
 separate OS processes over a framed TCP transport
 (:class:`SocketTransport`, the in-memory network seam over actual
-sockets), one sharded collector per host spooling locally
+sockets), one sharded collector per host collecting locally
 (:class:`~repro.collector.sharded.ShardedSpoolCollector`), sealed
-``.seg`` spools shipped to a central store
+``.seg`` files shipped to a central store
 (:mod:`repro.cluster.shipping` → :mod:`repro.store.ingest`) where the
 unchanged analyzer runs — and an open-loop load generator
 (:mod:`repro.cluster.loadgen`) that sweeps offered load across worker

@@ -3,7 +3,7 @@ coordinator.
 
 One TCP connection per worker carries everything: hello/endpoint-map
 exchange, heartbeats, run commands, and — at collection time — the
-worker's sealed ``.seg`` spool files streamed to the coordinator, which
+worker's sealed ``.seg`` files streamed to the coordinator, which
 re-ingests them into the central store (:mod:`repro.store.ingest`).
 
 The wire format reuses the data plane's length-prefixed framing
@@ -15,13 +15,15 @@ bytes). A shipment is::
     {"type": "ship-begin", "run_id": ..., "segments": N,
      "record_count": ..., "loss": {...}, "processes": [...],
      "monitor_mode": ..., "schema_version": ...}
-    {"type": "segment", "name": "000001.spool.seg", "bytes": M}
+    {"type": "segment", "name": "000001.sealed.seg", "bytes": M}
     <M raw bytes>                      # repeated per segment
     {"type": "ship-end", "run_id": ...}
 
 Segments ship as their exact on-disk bytes — the coordinator decodes
-them with the ordinary :class:`~repro.store.SegmentReader`, so the spool
-format is the shipping format and there is no second codec to drift.
+them with the ordinary :class:`~repro.store.SegmentReader`, so the
+segment format is the shipping format and there is no second codec to
+drift. A collection commits as one sealed segment (about a tenth larger
+than an arrival-order spool of the same records: ranks, zone map).
 """
 
 from __future__ import annotations
@@ -117,8 +119,9 @@ def ship_run(
     """Stream one sealed local run (worker side of the protocol).
 
     The local :class:`~repro.store.SegmentStore` must be closed first so
-    every spool is sealed; segments ship in filename order, which is the
-    store's arrival order.
+    every segment is complete; segments ship in filename order, which is
+    the order they were committed in (within one, the footer's ranks say
+    how its records arrived).
     """
     run_dir = os.path.join(store_path, "runs", run_id)
     names = sorted(

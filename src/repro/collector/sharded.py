@@ -1,18 +1,20 @@
-"""Per-host sharded collection into a local segment spool.
+"""Per-host sharded collection into a local spool directory.
 
 The paper's Section-3 architecture puts a collector *on each host*: it
 drains that host's process-local logs at quiescence into local storage,
 and only the sealed result crosses the network to the central analyzer.
 :class:`ShardedSpoolCollector` is that per-host shard — a thin
 composition of the ordinary :class:`~repro.collector.LogCollector` over
-a host-local :class:`~repro.store.SegmentStore` whose output directory
-is a temporary spool area, sealed on close and then *shipped* (see
-:mod:`repro.cluster.shipping`) rather than analyzed in place.
+a host-local :class:`~repro.store.SegmentStore` whose directory is a
+temporary spool area: each collection commits there as one sealed
+segment, which is then *shipped* (see :mod:`repro.cluster.shipping`)
+rather than analyzed in place.
 
 Compaction is disabled on the shard: the central store re-ingests and
-compacts globally, so local merge passes would burn CPU on the monitored
-host for nothing (and the shipping protocol wants the drain-order spool
-segments, whose arrival ranks the central ingest preserves).
+merges globally, so local merge passes would burn CPU on the monitored
+host for nothing. A sealed segment is chain-grouped on disk; its footer
+carries the records' arrival ranks, from which the central ingest
+restores the worker's drain order.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from repro.store.store import SegmentStore
 
 
 class ShardedSpoolCollector:
-    """Drain local process buffers into a sealed, shippable spool.
+    """Drain local process buffers into sealed, shippable segments.
 
     Usage::
 
         shard = ShardedSpoolCollector(spool_dir)
-        shard.collect(processes, run_id="...")
-        manifest = shard.seal()       # closes the store; spools now sealed
+        shard.collect(processes, run_id="...")   # commits one sealed segment
+        manifest = shard.manifest(run_id)
+        shard.seal()                  # closes the store
         # ship manifest + segment files, then discard spool_dir
 
     One shard instance serves one shipment; reuse the spool directory
@@ -43,7 +46,7 @@ class ShardedSpoolCollector:
     def __init__(self, spool_dir: str, retries: int = 3, backoff_s: float = 0.05):
         os.makedirs(spool_dir, exist_ok=True)
         self.spool_dir = spool_dir
-        # auto_compact=0: spools seal at collection commit and ship as-is.
+        # auto_compact=0: a collection commits sealed and ships as it is.
         self.store = SegmentStore(spool_dir, auto_compact=0)
         self._collector = LogCollector(
             backend=self.store, retries=retries, backoff_s=backoff_s
@@ -56,7 +59,7 @@ class ShardedSpoolCollector:
         run_id: str,
         description: str = "",
     ) -> str:
-        """Drain ``processes`` into the local spool under ``run_id``.
+        """Drain ``processes`` into the local store under ``run_id``.
 
         Loss accounting (drain retries, failed drains, probe drops,
         delivery loss, uncollected buffers) lands in the run metadata
@@ -87,8 +90,8 @@ class ShardedSpoolCollector:
         raise KeyError(f"run {run_id!r} not collected into this spool")
 
     def seal(self) -> None:
-        """Close the local store: every spool segment becomes sealed and
-        durable, ready for shipping."""
+        """Close the local store: every committed segment is complete on
+        disk, ready for shipping."""
         if not self._sealed:
             self._sealed = True
             self.store.close()

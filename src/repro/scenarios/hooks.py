@@ -9,7 +9,7 @@ gets callbacks at fixed points of every scenario's lifecycle —
 - ``collect(...)``      replaces the default collection step (at most one
   collection hook per scenario);
 - ``after_collect(...)`` once records are stored, before invariants run
-  (e.g. trigger compaction so invariants see the compacted store).
+  (e.g. merge a multi-segment run so invariants see one sealed segment).
 
 Hooks append deterministic event dicts to ``self.events``; the executor
 embeds them in the scenario's report entry, and a hook that sets
@@ -18,6 +18,7 @@ embeds them in the scenario's report entry, and a hook that sets
 
 from __future__ import annotations
 
+import tempfile
 from typing import TYPE_CHECKING
 
 from repro.collector import LogCollector
@@ -127,9 +128,12 @@ class CompactionTriggerHook(Hook):
 
     Fires after records land, before any invariant scans them — so every
     invariant (identity, streaming equivalence, SLOs) runs against the
-    compacted representation. The hook itself holds the
-    compaction-under-use contract: the record stream must be identical
-    before and after.
+    sealed representation. The hook itself holds the compaction contract:
+    the record stream must be identical before and after a merge
+    (``compacted``). A run that is one committed collection has nothing
+    to merge (``already_sealed``); its stream and chain groups must then
+    equal those of the same records spooled into a scratch store and
+    force-merged there — the merge the commit stands in for.
     """
 
     kind = "compaction"
@@ -140,13 +144,27 @@ class CompactionTriggerHook(Hook):
             return
         before = list(backend.all_records(run_id))
         compacted = backend.compact(run_id)
-        after = list(backend.all_records(run_id))
-        identical = before == after
+        identical = before == list(backend.all_records(run_id))
+        if not compacted and before:
+            with tempfile.TemporaryDirectory() as scratch:
+                merged = SegmentStore(scratch, auto_compact=0)
+                try:
+                    merged.insert_records(run_id, before)
+                    identical = (
+                        merged.compact(run_id)
+                        and list(merged.all_records(run_id)) == before
+                        and list(merged.chains_for_run(run_id))
+                        == list(backend.chains_for_run(run_id))
+                    )
+                finally:
+                    merged.close()
         if not identical:
             self.failed = True
         self.record(
             backend="segment",
             compacted=bool(compacted),
+            already_sealed=backend.compaction_state(run_id)["compacted"]
+            and not compacted,
             records=len(before),
             identical_scan=identical,
             skipped=False,

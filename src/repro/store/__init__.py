@@ -1,11 +1,12 @@
 """repro.store — the columnar segment store and the backend seam.
 
-An append-only, log-structured storage backend for probe records: the
-collector drain path spools binary frames (precompiled ``struct``
-codecs, delta-encoded timestamps, dictionary-interned strings),
-background compaction merges the spools into chain-sorted sealed
-segments, and analyzer scans decode straight out of ``mmap``ed files —
-no SQL on the hot path.
+An append-only, log-structured storage backend for probe records:
+binary frames (precompiled ``struct`` codecs, delta-encoded timestamps,
+dictionary-interned strings) in segment files. A collection transaction
+commits one chain-sorted *sealed* segment, a non-transactional insert
+appends an arrival-order *spool*; background compaction merges a run
+that holds several segments into one sealed segment, and analyzer scans
+decode straight out of ``mmap``ed files — no SQL on the hot path.
 
 The :class:`StorageBackend` protocol is the seam: the SQLite-backed
 :class:`repro.collector.MonitoringDatabase` and :class:`SegmentStore`

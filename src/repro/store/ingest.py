@@ -1,12 +1,13 @@
-"""Remote spool ingest: shipped ``.seg`` spools into the central store.
+"""Remote ingest: shipped ``.seg`` files into the central store.
 
 The coordinator side of the cluster's shipping protocol
-(:mod:`repro.cluster.shipping`). Each worker ships its sealed spool
-segments as exact file bytes; this module decodes them with the
-ordinary :class:`~repro.store.SegmentReader` and re-inserts the records
+(:mod:`repro.cluster.shipping`). Each worker ships the sealed segments
+its collections committed as exact file bytes; this module decodes them
+with the ordinary :class:`~repro.store.SegmentReader`, restores each
+worker's arrival order from the footer's ranks, and re-inserts the records
 into the central :class:`~repro.store.backend.StorageBackend` in worker
-order, under one run whose merged metadata is what a single
-:class:`~repro.collector.LogCollector` pass over the concatenated
+order, in one transaction, under one run whose merged metadata is what a
+single :class:`~repro.collector.LogCollector` pass over the concatenated
 process list would have written — that equality is what makes a cluster
 run's DSCG/CCSG output bit-identical to the single-process reference.
 """

@@ -42,15 +42,15 @@ predicate that no pair of it matches prunes the whole segment.
 
 Two segment kinds share the format:
 
-- *spool* segments are what the collector drain path appends: records in
-  arrival order, chains interleaved, delta blocks always written
+- *spool* segments are what a non-transactional insert appends: records
+  in arrival order, chains interleaved, delta blocks always written
   before the frames that reference them so a truncated file decodes
   front-to-back.
-- *sealed* segments are produced by compaction: frames grouped by chain
-  (uuid byte order), so any chain-aligned byte range decodes
-  independently — this is what lets analyzer shards read disjoint file
-  ranges. The footer carries each group's start offset and the records'
-  original arrival ranks.
+- *sealed* segments are what a collection commit and compaction write:
+  frames grouped by chain (uuid byte order), so any chain-aligned byte
+  range decodes independently — this is what lets analyzer shards read
+  disjoint file ranges. The footer carries each group's start offset and
+  the records' original arrival ranks.
 
 Both decode from any block or group start by one anchor rule (see
 :mod:`repro.store.codec`): a wide frame stores its start readings
@@ -273,11 +273,13 @@ class SegmentWriter:
         self._rbuf = bytearray()
         self._rcount = 0
         self.record_count = 0
-        # cid -> [count, start_off, ranks, ts_min, ts_max]; insertion
-        # order == group order for sealed segments (one chain per group).
+        # cid -> [count, start_off, ts_min, ts_max]; insertion order ==
+        # group order for sealed segments (one chain per group).
         # ts_min/ts_max bound the chain's anchor timestamps (None until
         # an anchored record lands) and feed the footer FXTS extension.
         self._index: dict[int, list] = {}
+        #: arrival ranks, frame by frame (sealed; empty: none recorded).
+        self._ranks: list[int] = []
         # The last start readings written, for the next narrow frame to
         # count from; None: the next frame carrying the reading is wide.
         self._prev_ws: int | None = None
@@ -310,16 +312,28 @@ class SegmentWriter:
     def append(self, records, ranks: list[int] | None = None) -> int:
         """Encode and buffer ``records``; returns how many were written.
 
-        ``ranks`` (compaction only) attaches the records' original
-        arrival ranks to their chain's footer entry — all records of a
-        ranked append must belong to one chain.
+        ``ranks`` (sealed segments only) are the records' original arrival
+        ranks, one to one, for the footer — for all of a segment's
+        records or none.
         """
+        return self._encode(records, ranks, False)
+
+    def append_groups(self, records, ranks: list[int]) -> int:
+        """Write whole chain groups (sealed segments only): ``records``
+        holds each chain's records side by side, and every change of chain
+        starts a group — what ``start_group()`` + ``append`` per chain
+        write, the per-call cost paid once."""
+        return self._encode(records, ranks, True)
+
+    def _encode(self, records, ranks, grouped: bool) -> int:
+        """The one per-record encode loop."""
         ids_get = self._ids.get
         intern = self._intern
         site_ids_get = self._site_ids.get
         intern_site = self._intern_site
         site_fn = self._site_fn
         index = self._index
+        index_get = index.get
         rbuf = self._rbuf
         fn_pack = FRAME_NARROW.pack
         fw_pack = FRAME_WIDE.pack
@@ -329,15 +343,39 @@ class SegmentWriter:
         file_pos = self._file_pos
         prev_ws = self._prev_ws
         prev_cs = self._prev_cs
-        count = 0
-        cid = -1
+        count = 0  # frames written by this call
+        flushed = 0  # ...of them, in records blocks already on file
+        last_uuid = None
 
         for r in records:
             # Interning order — chain, the site's strings, child — is what
             # relocate() reproduces id for id.
-            cid = ids_get(r.chain_uuid)
-            if cid is None:
-                cid = intern(r.chain_uuid)
+            uuid = r.chain_uuid
+            if uuid != last_uuid:
+                last_uuid = uuid
+                if grouped:
+                    prev_ws = prev_cs = None
+                    if not rbuf or len(rbuf) >= _FLUSH_BYTES:
+                        # The only states start_group() does more in than
+                        # forget the previous group's readings.
+                        self._rcount += count - flushed
+                        flushed = count
+                        self.start_group()
+                        file_pos = self._file_pos
+                cid = ids_get(uuid)
+                if cid is None:
+                    cid = intern(uuid)
+                entry = index_get(cid)
+                if entry is None:
+                    # First frame of this chain; for sealed segments this is
+                    # the group start (one chain per group), and the +9
+                    # accounts for the pending records-block header and its
+                    # frame count word.
+                    if sealed and index:
+                        self._close_group()
+                    entry = index[cid] = [
+                        0, file_pos + 9 + len(rbuf) if sealed else 0, None, None,
+                    ]
             sid = site_ids_get(r.site)
             if sid is None:
                 sid = intern_site(r.site)
@@ -415,27 +453,15 @@ class SegmentWriter:
                     semlen, r.event_seq, ws or 0, wed, cs or 0, ced,
                 )
 
-            try:
-                entry = index[cid]
-                entry[0] += 1
-            except KeyError:
-                # First frame of this chain; for sealed segments this is
-                # the group start (one chain per group), and the +9
-                # accounts for the pending records-block header and its
-                # frame count word.
-                if sealed and index:
-                    self._close_group()
-                entry = index[cid] = [
-                    1, file_pos + 9 + len(rbuf) if sealed else 0, None, None, None,
-                ]
+            entry[0] += 1
             anchor = ws if ws is not None else we
             if anchor is not None:
-                if entry[3] is None:
-                    entry[3] = entry[4] = anchor
-                elif anchor < entry[3]:
+                if entry[2] is None:
+                    entry[2] = entry[3] = anchor
+                elif anchor < entry[2]:
+                    entry[2] = anchor
+                elif anchor > entry[3]:
                     entry[3] = anchor
-                elif anchor > entry[4]:
-                    entry[4] = anchor
             if sealed:
                 fn_open.add(site_fn[sid])
             rbuf += frame
@@ -443,16 +469,15 @@ class SegmentWriter:
                 rbuf += semb
             count += 1
 
-        self._prev_ws = prev_ws
-        self._prev_cs = prev_cs
-        self._rcount += count
+        self._rcount += count - flushed
         self.record_count += count
-        if ranks is not None and count:
+        if ranks is not None:
             if len(ranks) != count:
                 raise StoreError("ranks must align one-to-one with records")
-            entry = self._index[cid]
-            entry[2] = list(ranks) if entry[2] is None else entry[2] + list(ranks)
-        if not sealed and len(self._rbuf) >= _FLUSH_BYTES:
+            self._ranks += ranks
+        self._prev_ws = prev_ws
+        self._prev_cs = prev_cs
+        if not sealed and len(rbuf) >= _FLUSH_BYTES:
             self._flush_tables()
             self._flush_records()
         return count
@@ -555,9 +580,8 @@ class SegmentWriter:
                     elif anchor > tmax:
                         tmax = anchor
                 fn_open_add(site_fn[sid])
-            index[cid] = [
-                len(frames), start_off, [rank_of[i] for i in frames], tmin, tmax,
-            ]
+            index[cid] = [len(frames), start_off, tmin, tmax]
+            self._ranks += [rank_of[i] for i in frames]
             self._rcount += len(frames)
             self.record_count += len(frames)
 
@@ -592,9 +616,12 @@ class SegmentWriter:
         """Fold the finished chain group's function set into the flat
         zone-map buffers (a sealed chain's frames are contiguous, so the
         open set is always the last index entry's)."""
-        fn_ids = self._fn_ids
-        fns = [fn_ids.setdefault(key, len(fn_ids)) for key in sorted(self._fn_open)]
-        self._fn_open.clear()
+        fn_ids, fn_open = self._fn_ids, self._fn_open
+        if len(fn_open) == 1:  # nearly every group: spare it the sort
+            fns = [fn_ids.setdefault(fn_open.pop(), len(fn_ids))]
+        else:
+            fns = [fn_ids.setdefault(key, len(fn_ids)) for key in sorted(fn_open)]
+            fn_open.clear()
         if len(fns) >= _FN_OVERFLOW or max(fns) > 0xFFFF:
             self._fn_counts.append(_FN_OVERFLOW)
         else:
@@ -651,38 +678,37 @@ class SegmentWriter:
             self._flush_tables()
             self._flush_records()
         footer_off = self._file_pos
-        has_ranks = 0
-        if any(entry[2] is not None for entry in self._index.values()):
-            # u32 whenever every rank fits (2), else u64 (1).
-            wide = any(e[2] and max(e[2]) > _U32_MAX for e in self._index.values())
-            has_ranks = 1 if wide else 2
-        rank_code = "Q" if has_ranks == 1 else "I"
+        ranks = self._ranks
+        if ranks and len(ranks) != self.record_count:
+            raise StoreError("segment footer ranks out of sync")
+        # u32 whenever every rank fits (2), else u64 (1); 0: none recorded.
+        has_ranks = (1 if max(ranks) > _U32_MAX else 2) if ranks else 0
+        rank_code, width = ("Q", 8) if has_ranks == 1 else ("I", 4)
+        # Packed once (empty without ranks); each chain entry takes its slice.
+        packed = struct.pack(f"<{len(ranks)}{rank_code}", *ranks)
         out = bytearray(struct.pack("<QB", self.record_count, has_ranks))
         out += struct.pack("<I", len(self._strings)) + _pack_strings(self._strings)
         out += struct.pack("<I", len(self._site_rows))
         out += b"".join(self._site_rows)
         out += struct.pack("<I", len(self._index))
-        for cid, (count, start_off, ranks, _tmin, _tmax) in self._index.items():
+        done = 0
+        bounds: list[int] = []
+        for cid, (count, start_off, tmin, tmax) in self._index.items():
             out += struct.pack("<IIQ", cid, count, start_off)
-            if has_ranks:
-                ranks = ranks if ranks is not None else range(count)
-                if len(ranks) != count:
-                    raise StoreError("segment footer ranks out of sync")
-                out += struct.pack(f"<{count}{rank_code}", *ranks)
+            out += packed[done:done + width * count]
+            done += width * count
+            bounds += _TS_EMPTY if tmin is None else (tmin, tmax)
         # Timestamp-bounds extension: segment-level + per-group anchor
         # (wall_start, else wall_end) min/max — what predicate pushdown
         # prunes on without decoding a single frame.
-        anchored = [e for e in self._index.values() if e[3] is not None]
+        anchored = [e for e in self._index.values() if e[2] is not None]
         seg_min, seg_max = (
-            (min(e[3] for e in anchored), max(e[4] for e in anchored))
+            (min(e[2] for e in anchored), max(e[3] for e in anchored))
             if anchored else _TS_EMPTY
         )
         out += _FXTS_MAGIC
         out += struct.pack("<Bqq", _FXTS_SEGMENT | _FXTS_GROUPS, seg_min, seg_max)
-        for _cid, (_count, _off, _ranks, tmin, tmax) in self._index.items():
-            out += struct.pack(
-                "<qq", *(_TS_EMPTY if tmin is None else (tmin, tmax))
-            )
+        out += struct.pack(f"<{len(bounds)}q", *bounds)
         if self._sealed_kind:
             if self._index:
                 self._close_group()

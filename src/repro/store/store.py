@@ -4,15 +4,17 @@ A store is a directory::
 
     <root>/repro-store.json          marker + format/schema version
     <root>/runs/<run_id>/meta.json   RunMetadata (+ schema_version)
-    <root>/runs/<run_id>/NNNNNN.spool.seg    drain increments
-    <root>/runs/<run_id>/NNNNNN.sealed.seg   compacted, chain-sorted
+    <root>/runs/<run_id>/NNNNNN.spool.seg    non-transactional inserts
+    <root>/runs/<run_id>/NNNNNN.sealed.seg   chain-sorted: commits, merges
 
-The collector drain path appends *spool* segments (one per collection
-transaction); *background compaction* merges them into one *sealed*
-segment whose frames are grouped by chain and sorted — after which
-``chains_for_run`` is a grouped zero-copy scan over the ``mmap``ed file
-with no SQL and no sort step, and analyzer shards read disjoint byte
-ranges.
+A collection transaction (:meth:`SegmentStore.bulk_ingest`) commits one
+*sealed* segment — frames grouped by chain and sorted, what compaction
+would have made of it — so ``chains_for_run`` is a grouped zero-copy scan
+over the ``mmap``ed file with no SQL and no sort step from the first
+scan, and analyzer shards read disjoint byte ranges. An ``insert_records``
+outside a transaction appends an arrival-order *spool*. *Background
+compaction* still runs where a run holds more than one segment (a second
+collection, spools, a salvaged or schema v1 file) and merges them into one.
 
 Ordering contract (kept bit-identical to the SQLite backend so the two
 are interchangeable under ``reconstruct()``):
@@ -33,7 +35,7 @@ import threading
 from collections import defaultdict
 from contextlib import contextmanager
 from heapq import merge as _heapq_merge
-from itertools import groupby
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.core.records import (
@@ -65,7 +67,7 @@ class _Run:
     """In-memory state for one run directory."""
 
     __slots__ = (
-        "run_id", "path", "lock", "readers", "writer", "next_seg",
+        "run_id", "path", "lock", "readers", "pending", "next_seg",
         "compact_error",
     )
 
@@ -74,7 +76,9 @@ class _Run:
         self.path = path
         self.lock = threading.RLock()
         self.readers: list[SegmentReader] = []
-        self.writer: SegmentWriter | None = None
+        #: the batches an open :meth:`SegmentStore.bulk_ingest` handed over,
+        #: in arrival order, until its commit writes them.
+        self.pending: list[list[ProbeRecord]] = []
         self.next_seg = 1
         #: last background-compaction failure, cleared on the next success.
         self.compact_error: str | None = None
@@ -142,25 +146,35 @@ class SegmentStore:
                 except ValueError:
                     number = 0
                 found.append((number, SegmentReader(os.path.join(run_path, name))))
-            # Compaction swaps a complete sealed segment in for *all* of
-            # its run's segments, each numbered below it, and spools that
-            # land later are numbered above it. A lower-numbered segment
-            # still on disk was left by a crash (or a failed unlink)
-            # between the rename and the unlinks: its records are already
-            # in the sealed segment, so loading it would yield them twice.
-            newest_sealed = max(
-                (n for n, r in found if r.sealed and not r.partial), default=0
-            )
+            # Compaction swaps a complete sealed segment in for the
+            # segments it merged: each numbered below it and inside its
+            # arrival range (a merge's starts at 0; a collection's where the
+            # run then ended, so it covers nothing before it). One still on
+            # disk was left by a crash (or a failed unlink) between the
+            # rename and the unlinks; loading it would yield its records
+            # twice. A sealed segment that lost its footer and starts inside
+            # an intact lower-numbered one is a merge torn after its rename.
             for number, reader in found:
-                if 0 < number < newest_sealed:
-                    logger.warning(
-                        "run %r: dropping %s, superseded by sealed segment %06d",
-                        run_id, os.path.basename(reader.path), newest_sealed,
-                    )
-                    reader.close()
-                    _unlink_segment(reader.path)
+                base = reader.arrival_base
+                if reader.sealed and reader.partial and any(
+                    0 < n < number and not r.partial and _covers(r, base, base + 1)
+                    for n, r in found
+                ):
+                    why = "a torn merge of segments that are intact"
+                elif any(
+                    0 < number < n and r.sealed and not r.partial
+                    and _covers(r, base, base + reader.record_count)
+                    for n, r in found
+                ):
+                    why = "superseded by a sealed segment covering its arrival range"
                 else:
                     run.readers.append(reader)
+                    continue
+                logger.warning(
+                    "run %r: dropping %s, %s", run_id, os.path.basename(reader.path), why
+                )
+                reader.close()
+                _unlink_segment(reader.path)
             run.readers.sort(key=lambda r: r.arrival_base)
             run.next_seg = max((n for n, _r in found), default=0) + 1
             self._runs[run_id] = run
@@ -202,11 +216,11 @@ class SegmentStore:
                 )
 
     def insert_records(self, run_id: str, records: Iterable[ProbeRecord]) -> int:
-        """Append records to the run's open spool segment.
+        """Add records to the run, after everything it holds.
 
-        Outside :meth:`bulk_ingest` every call seals its own segment
-        (the records become immediately visible); inside, one segment
-        spans the whole collection transaction.
+        Outside :meth:`bulk_ingest` every call writes its own spool
+        segment (the records become immediately visible); inside, the
+        batch is held — not copied — until the transaction commits.
         """
         run = self._run(run_id, create=True)
         # Snapshot the bulk depth under the store lock (bulk_ingest
@@ -214,18 +228,19 @@ class SegmentStore:
         # nesting would invite a lock-order inversion with close().
         with self._lock:
             in_bulk = self._bulk_depth > 0
+        if not isinstance(records, list):
+            records = list(records)
         with run.lock:
-            writer = run.writer
-            if writer is None:
-                writer = run.writer = self._open_spool(run)
-            written = writer.append(records)
-            if not in_bulk:
-                self._seal(run)
-        return written
+            if in_bulk:
+                run.pending.append(records)
+            else:
+                self._write_segment(run, KIND_SPOOL, records)
+        return len(records)
 
     @contextmanager
     def bulk_ingest(self):
-        """One collection = one spool segment per run touched."""
+        """One collection = one sealed segment per run touched, whole or
+        absent: it is written under a ``.tmp-`` name and renamed."""
         with self._lock:
             self._bulk_depth += 1
         try:
@@ -235,28 +250,52 @@ class SegmentStore:
                 self._bulk_depth -= 1
                 done = self._bulk_depth == 0
             if done:
-                for run in list(self._runs.values()):
-                    with run.lock:
-                        if run.writer is not None:
-                            self._seal(run)
+                self._commit_pending()
 
-    def _open_spool(self, run: _Run) -> SegmentWriter:
+    def _commit_pending(self) -> None:
+        """Write every run's held batches. A run whose write fails keeps
+        none of them; the runs after it keep theirs for the next commit."""
+        with self._lock:
+            runs = list(self._runs.values())
+        for run in runs:
+            with run.lock:
+                batches, run.pending = run.pending, []
+                self._write_segment(run, KIND_SEALED, list(chain.from_iterable(batches)))
+
+    def _write_segment(self, run: _Run, kind: int, records: list[ProbeRecord]) -> None:
+        """``records`` as the run's next segment: a spool in the order
+        given, or sealed — what compacting that spool would write."""
         # Caller holds run.lock.
+        if not records:
+            return
         base = sum(reader.record_count for reader in run.readers)
-        path = os.path.join(run.path, f"{run.next_seg:06d}.spool.seg")
+        name = f"{run.next_seg:06d}.{'sealed' if kind == KIND_SEALED else 'spool'}.seg"
+        path = os.path.join(run.path, name)
         run.next_seg += 1
-        return SegmentWriter(path, kind=KIND_SPOOL, arrival_base=base)
-
-    def _seal(self, run: _Run) -> None:
-        # Caller holds run.lock.
-        writer, run.writer = run.writer, None
-        if writer is None:
-            return
-        if writer.record_count == 0:
-            writer.abort()
-            return
-        writer.seal()
-        run.readers.append(SegmentReader(writer.path))
+        grouping = None
+        if kind == KIND_SPOOL:
+            # Written in place: a torn spool is salvaged front to back.
+            writer = SegmentWriter(path, kind, arrival_base=base)
+            writer.append(records)
+            writer.seal()
+        else:
+            writer = SegmentWriter(
+                os.path.join(run.path, ".tmp-" + name), kind, arrival_base=base
+            )
+            try:
+                grouping = _write_groups(writer, records, range(base, base + len(records)))
+                writer.seal()
+                os.rename(writer.path, path)
+            except BaseException:
+                writer.abort()
+                raise
+        run.readers.append(SegmentReader(path))
+        # Released only now. The grouping's ints took the scattered blocks
+        # the allocator had free; freed before the reader parsed its footer,
+        # they would go, hole by hole, to an index that lives as long as the
+        # run and that every scan walks (ledger: the query medians +15-20 %,
+        # the first scan +8 %; docs/performance.md).
+        del grouping
         run.readers.sort(key=lambda r: r.arrival_base)
         if self.auto_compact and len(run.readers) >= self.auto_compact:
             self._schedule_compaction(run.run_id)
@@ -312,7 +351,7 @@ class SegmentStore:
         run = self._run(run_id)
         with run.lock:
             sources = list(run.readers)
-            if run.writer is not None or not sources:
+            if run.pending or not sources:
                 return False  # mid-transaction or nothing to do
             if len(sources) == 1 and sources[0].sealed and not sources[0].partial:
                 return False
@@ -330,14 +369,21 @@ class SegmentStore:
                     reader.index_frames(table)
                 writer.relocate(table, sorted(table.chains, key=uuid_key))
             else:
-                _append_groups(writer, sources)
+                ranked: list = []
+                for reader in sources:
+                    reader.load_ranked(ranked)
+                # A schema v1 frame cannot be relocated: through records.
+                _write_groups(
+                    writer, [record for _rank, record in ranked],
+                    [rank for rank, _record in ranked],
+                )
             writer.seal()
         except BaseException:
             writer.abort()
             raise
         final_path = os.path.join(run.path, f"{seg_number:06d}.sealed.seg")
         with run.lock:
-            if run.readers != sources or run.writer is not None:
+            if run.readers != sources or run.pending:
                 # A drain landed while we merged; merging again later is
                 # cheaper than reasoning about a partial swap.
                 os.unlink(tmp_path)
@@ -372,7 +418,7 @@ class SegmentStore:
         """
         run = self._run(run_id)
         with run.lock:
-            if run.writer is not None:
+            if run.pending:
                 raise StoreError(
                     f"run {run_id!r} has an open ingest transaction;"
                     " cannot drop its segments"
@@ -638,26 +684,25 @@ class SegmentStore:
             pool, self._compactor_pool = self._compactor_pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        with self._lock:
-            runs = list(self._runs.values())
-        # Take run locks without holding the store lock: sealing paths
-        # nest run.lock -> self._lock, so nesting the other way here
-        # would deadlock against a concurrent drain.
-        for run in runs:
-            with run.lock:
-                if run.writer is not None:
-                    self._seal_for_close(run)
-                for reader in run.readers:
-                    reader.close()
-                run.readers = []
+        try:
+            # Close with an open transaction: commit it so the data is durable.
+            self._commit_pending()
+        finally:
+            with self._lock:
+                runs = list(self._runs.values())
+            # Take run locks without holding the store lock: the write
+            # paths nest run.lock -> self._lock, so nesting the other way
+            # here would deadlock against a concurrent drain.
+            for run in runs:
+                with run.lock:
+                    for reader in run.readers:
+                        reader.close()
+                    run.readers = []
 
-    def _seal_for_close(self, run: _Run) -> None:
-        # Close with an open transaction: seal so the data is durable.
-        writer, run.writer = run.writer, None
-        if writer.record_count:
-            writer.seal()
-        else:
-            writer.abort()
+
+def _covers(reader: SegmentReader, base: int, end: int) -> bool:
+    """Does ``reader``'s arrival range hold the ranks ``[base, end)``?"""
+    return reader.arrival_base <= base and end <= reader.arrival_base + reader.record_count
 
 
 def _unlink_segment(path: str) -> None:
@@ -670,19 +715,27 @@ def _unlink_segment(path: str) -> None:
         logger.warning("could not remove segment %s: %s", path, exc)
 
 
-def _append_groups(writer: SegmentWriter, sources: list[SegmentReader]) -> None:
-    """Compaction through records, for a run holding a schema v1 segment
-    (whose frames cannot be relocated): decode every source, then write
-    chain by chain what :meth:`SegmentWriter.relocate` would."""
-    ranked: list = []
-    for reader in sources:
-        reader.load_ranked(ranked)
-    # Stable: load order breaks event-number ties, as in relocate().
-    ranked.sort(key=lambda pair: (uuid_key(pair[1].chain_uuid), pair[1].event_seq))
-    for _uuid, group in groupby(ranked, key=lambda pair: pair[1].chain_uuid):
-        ranks, records = zip(*group)
-        writer.start_group()
-        writer.append(records, ranks=ranks)
+def _write_groups(writer: SegmentWriter, records: list[ProbeRecord], ranks) -> dict:
+    """The one record-level grouped write: ``records`` — in load order,
+    ``ranks[i]`` the arrival rank of ``records[i]`` — as chain groups in
+    uuid order, each by event number with load order breaking ties: chain
+    by chain what :meth:`SegmentWriter.relocate` writes for their frames.
+    Returns the grouping it built, for the caller to release when it chooses."""
+    total = len(records)
+    groups: dict[str, list[int]] = defaultdict(list)
+    for position, record in enumerate(records):
+        # One int per record that sorts by (event number, position).
+        groups[record.chain_uuid].append(record.event_seq * total + position)
+    order: list[int] = []
+    for uuid in sorted(groups, key=uuid_key):
+        keys = groups[uuid]
+        keys.sort()
+        order += keys
+    order = [key % total for key in order]
+    writer.append_groups(
+        list(map(records.__getitem__, order)), list(map(ranks.__getitem__, order))
+    )
+    return groups
 
 
 def _event_seq_key(record: ProbeRecord) -> int:

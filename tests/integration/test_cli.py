@@ -201,7 +201,9 @@ class TestSegmentStoreCli:
                      "--calls", "200", "--roots", "20"]) == 0
         store = SegmentStore(path, auto_compact=0)
         (meta,) = store.runs()
-        assert store.compact(meta.run_id) is True
+        # The collection committed sealed: nothing is left to compact.
+        assert store.compaction_state(meta.run_id)["compacted"]
+        assert store.compact(meta.run_id) is False
         store.close()
 
         info_file = tmp_path / "info.json"

@@ -1,7 +1,9 @@
 """Byte-level fuzzing of the segment reader (record format v2).
 
-Take a valid spool or sealed segment, damage its bytes anywhere — flip a
-bit, overwrite a run, delete a run, truncate — and open it. Every way
+Take a valid spool or sealed segment — written through ``SegmentWriter``,
+or by a store's second collection commit (``arrival_base > 0``) — damage
+its bytes anywhere — flip a bit, overwrite a run, delete a run, truncate —
+and open it. Every way
 records (or their statistics) leave a segment must then either work or
 raise :class:`StoreError`: ``SegmentReader(path)``, a full ``scan``, a
 predicated ``scan``, ``index_frames`` and ``stat_scan``. Never another
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core import CallKind, TracingEvent
 from repro.errors import StoreError
-from repro.store import ScanPredicate, ScanStats
+from repro.store import ScanPredicate, ScanStats, SegmentStore
 from repro.store import segment as segment_module
 from repro.store.query import segment_filter
 from repro.store.segment import (
@@ -73,9 +75,23 @@ def pristine_records(semantics: bool) -> list:
     return records
 
 
-def pristine_segment(tmp_path, kind: int, semantics: bool) -> tuple[bytes, int]:
+COMMITTED = "committed"  # in place of a kind: the store's own sealed write
+
+
+def pristine_segment(tmp_path, kind, semantics: bool) -> tuple[bytes, int]:
     """The bytes of a valid segment of ``kind`` and how many records it holds."""
     records = pristine_records(semantics)
+    if kind == COMMITTED:
+        store = SegmentStore(str(tmp_path / "store"), auto_compact=0)
+        for batch in (records[:10], records[10:30], records[30:]):
+            with store.bulk_ingest():  # the second and third land at a base > 0
+                store.insert_records("r", batch[:7])
+                store.insert_records("r", batch[7:])
+        *_earlier, last = store._segments(store._run("r"))
+        store.close()
+        assert (last.sealed, last.arrival_base) == (True, 30)
+        with open(last.path, "rb") as handle:
+            return handle.read(), len(records) - 30
     path = str(tmp_path / "pristine.seg")
     writer = SegmentWriter(path, kind=kind, arrival_base=100)
     if kind == KIND_SEALED:
@@ -95,7 +111,8 @@ def pristine_segment(tmp_path, kind: int, semantics: bool) -> tuple[bytes, int]:
 
 @pytest.fixture(scope="module", params=[
     (KIND_SPOOL, False), (KIND_SPOOL, True), (KIND_SEALED, False), (KIND_SEALED, True),
-], ids=["spool", "spool-semantics", "sealed", "sealed-semantics"])
+    (COMMITTED, True),
+], ids=["spool", "spool-semantics", "sealed", "sealed-semantics", "committed"])
 def pristine(request, tmp_path_factory):
     kind, semantics = request.param
     # Blocks of a few hundred bytes: several records, dict-delta and

@@ -252,8 +252,58 @@ class TestHooks:
         )
         (event,) = outcome.hook_events
         assert event["hook"] == "compaction"
-        assert event["compacted"] and event["identical_scan"]
+        # One collection commits sealed: nothing merges in the store, and
+        # the scan is held against a forced merge of the same records.
+        assert event["already_sealed"] and not event["compacted"]
+        assert event["identical_scan"]
         assert outcome.passed
+
+    def test_compaction_hook_merges_a_run_of_several_segments(self, tmp_path):
+        from repro.store import SegmentStore
+
+        from tests.unit.store.test_segment_store import seeded_records
+
+        store = SegmentStore(str(tmp_path / "store"), auto_compact=0)
+        try:
+            for lo in (0, 60):  # two collections: two sealed segments
+                with store.bulk_ingest():
+                    store.insert_records("r1", seeded_records()[lo:lo + 60])
+            hook = make_hook(HookSpec("compaction"))
+            hook.after_collect(store, "r1")
+            (event,) = hook.events
+            assert event["compacted"] and not event["already_sealed"]
+            assert event["identical_scan"] and not hook.failed
+            assert store.compaction_state("r1")["compacted"]
+        finally:
+            store.close()
+
+    def test_compaction_hook_catches_a_commit_unlike_a_merge(self, tmp_path, monkeypatch):
+        """``identical_scan`` is not vacuous on a sealed run: a commit that
+        breaks an event-number tie the other way round is told apart from
+        the merge of the same records."""
+        from repro.store import SegmentStore
+        from repro.store import store as store_module
+
+        from tests.unit.store.test_segment_codec import make_record
+
+        real = store_module._write_groups
+        monkeypatch.setattr(
+            store_module, "_write_groups",
+            lambda writer, records, ranks: real(writer, records[::-1], ranks[::-1]),
+        )
+        store = SegmentStore(str(tmp_path / "store"), auto_compact=0)
+        try:
+            with store.bulk_ingest():
+                store.insert_records("r1", [
+                    make_record(seq=1, thread_id=1), make_record(seq=1, thread_id=2),
+                ])
+            hook = make_hook(HookSpec("compaction"))
+            hook.after_collect(store, "r1")
+            (event,) = hook.events
+            assert event["already_sealed"] and not event["identical_scan"]
+            assert hook.failed
+        finally:
+            store.close()
 
     def test_compaction_hook_skips_sqlite(self):
         outcome = self._outcome(

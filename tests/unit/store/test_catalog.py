@@ -180,8 +180,11 @@ class TestLifecycle:
             reopened.close()
 
     def test_compact_all_runs(self, catalog, store):
+        # A committed collection is sealed already; only a run that grew
+        # since has anything to merge.
+        store.insert_records("run-b", [make_record(chain="bb" * 16, seq=1)])
         report = catalog.compact()
-        assert report == {"run-a": True, "run-b": True, "run-c": True}
+        assert report == {"run-a": False, "run-b": True, "run-c": False}
         for run_id in report:
             assert store.compaction_state(run_id)["compacted"]
 

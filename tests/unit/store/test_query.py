@@ -17,7 +17,7 @@ from repro.core import RunMetadata
 from repro.errors import StoreError
 from repro.store import ScanPredicate, ScanStats, SegmentStore, run_query
 from repro.store import segment as segment_module
-from repro.store.segment import SegmentReader, segment_info
+from repro.store.segment import SegmentReader, SegmentWriter, segment_info
 
 from tests.unit.store.test_segment_codec import make_record
 
@@ -50,10 +50,17 @@ def seeded_records():
     return records
 
 
-def ingest(store, records, run_id="r1"):
+def ingest(store, records, run_id="r1", sealed=True):
+    """One collection: a transaction commits a sealed segment, a plain
+    ``insert_records`` writes a spool."""
     store.create_run(RunMetadata(run_id=run_id))
-    with store.bulk_ingest():
+    if sealed:
+        with store.bulk_ingest():
+            store.insert_records(run_id, records)
+    else:
         store.insert_records(run_id, records)
+    state = store.compaction_state(run_id)
+    assert (state["segments"], state["compacted"]) == (1, sealed)
 
 
 def brute_chains(store, run_id, predicate):
@@ -109,18 +116,14 @@ class TestPredicatedScans:
     @pytest.mark.parametrize("compacted", [False, True], ids=["spool", "sealed"])
     @pytest.mark.parametrize("predicate", PREDICATES)
     def test_chains_match_brute_force(self, store, compacted, predicate):
-        ingest(store, seeded_records())
-        if compacted:
-            assert store.compact("r1") is True
+        ingest(store, seeded_records(), sealed=compacted)
         expected = brute_chains(store, "r1", predicate)
         assert list(store.chains_for_run("r1", predicate=predicate)) == expected
 
     @pytest.mark.parametrize("compacted", [False, True], ids=["spool", "sealed"])
     @pytest.mark.parametrize("predicate", PREDICATES)
     def test_all_records_is_arrival_subsequence(self, store, compacted, predicate):
-        ingest(store, seeded_records())
-        if compacted:
-            assert store.compact("r1") is True
+        ingest(store, seeded_records(), sealed=compacted)
         full = list(store.all_records("r1"))
         expected = [r for r in full if predicate.matches(r)]
         assert list(store.all_records("r1", predicate=predicate)) == expected
@@ -234,7 +237,7 @@ class TestSealedPlusSpool:
         records = sliced_records()
         late = [r for r in records if r.event_seq % 20 >= 18]
         ingest(store, [r for r in records if r.event_seq % 20 < 18])
-        assert store.compact("r1") is True
+        assert store.compact("r1") is False  # committed sealed
         store.insert_records("r1", late)  # every chain grows by two
         state = store.compaction_state("r1")
         assert (state["sealed_segments"], state["spool_segments"]) == (1, 1)
@@ -291,15 +294,18 @@ class TestMergedDecodeLoop:
 
     PREDICATE = ScanPredicate(interfaces={"M::I1"}, operations={"op2"})
 
-    def many_blocks(self, store, monkeypatch):
-        """One spool of several records blocks, then its readers."""
+    def many_blocks(self, path, monkeypatch):
+        """A store at ``path`` whose run is one spool of several records
+        blocks (the store's own spools hold one; older stores' did not)."""
         monkeypatch.setattr(segment_module, "_FLUSH_BYTES", 1024)
         records = sliced_records()
-        store.create_run(RunMetadata(run_id="r1"))
-        with store.bulk_ingest():
-            for lo in range(0, len(records), 30):
-                store.insert_records("r1", records[lo:lo + 30])
-        return records
+        run_dir = os.path.join(path, "runs", "r1")
+        os.makedirs(run_dir)
+        writer = SegmentWriter(os.path.join(run_dir, "000001.spool.seg"))
+        for lo in range(0, len(records), 30):
+            writer.append(records[lo:lo + 30])
+        writer.seal()
+        return SegmentStore(path, auto_compact=0), records
 
     def blocks(self, store):
         (info,) = store.store_info()["runs"]
@@ -311,20 +317,22 @@ class TestMergedDecodeLoop:
         finally:
             reader.close()
 
-    def test_ranks_stay_positional_across_spool_blocks(self, store, monkeypatch):
-        records = self.many_blocks(store, monkeypatch)
-        assert self.blocks(store) == (8, False)
-        assert list(store.all_records("r1")) == records
-        assert list(store.all_records("r1", predicate=self.PREDICATE)) == [
-            r for r in records if self.PREDICATE.matches(r)
-        ]
+    def test_ranks_stay_positional_across_spool_blocks(self, tmp_path, monkeypatch):
+        store, records = self.many_blocks(str(tmp_path / "blocks"), monkeypatch)
+        try:
+            assert self.blocks(store) == (8, False)
+            assert list(store.all_records("r1")) == records
+            assert list(store.all_records("r1", predicate=self.PREDICATE)) == [
+                r for r in records if self.PREDICATE.matches(r)
+            ]
+        finally:
+            store.close()
 
     def test_ranks_stay_positional_in_a_salvaged_sealed_segment(
         self, tmp_path, monkeypatch
     ):
         path = str(tmp_path / "torn")
-        store = SegmentStore(path, auto_compact=0)
-        self.many_blocks(store, monkeypatch)
+        store, _records = self.many_blocks(path, monkeypatch)
         assert store.compact("r1") is True
         store.close()
         (name,) = [n for n in os.listdir(os.path.join(path, "runs", "r1"))
@@ -367,7 +375,9 @@ class TestSalvagedScans:
     def truncated_store(self, tmp_path):
         path = str(tmp_path / "sv")
         store = SegmentStore(path, auto_compact=0)
-        ingest(store, seeded_records())
+        # A spool: its tables precede the frames that use them, so a cut
+        # file salvages a prefix (a one-block sealed segment's follow).
+        ingest(store, seeded_records(), sealed=False)
         store.close()
         run_dir = os.path.join(path, "runs", "r1")
         (name,) = [n for n in os.listdir(run_dir) if n.endswith(".seg")]
@@ -411,7 +421,7 @@ class TestSalvagedScans:
 class TestSwapSafety:
     def test_predicated_scan_survives_compaction_swap(self, store):
         ingest(store, seeded_records())
-        assert store.compact("r1") is True
+        assert store.compact("r1") is False  # committed sealed
         predicate = ScanPredicate(interfaces=frozenset({"M::A"}))
         expected = list(store.chains_for_run("r1", predicate=predicate))
         scan = store.chains_for_run("r1", predicate=predicate)

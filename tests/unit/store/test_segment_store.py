@@ -1,6 +1,7 @@
 """SegmentStore backend: parity with SQLite, compaction, durability."""
 
 import os
+import struct
 import time
 
 import pytest
@@ -9,6 +10,8 @@ from repro.collector import MonitoringDatabase
 from repro.core import RunMetadata
 from repro.errors import StoreError
 from repro.store import SegmentStore, detect_backend, open_store
+from repro.store import segment as segment_module
+from repro.store.segment import SegmentReader
 
 from tests.unit.store.test_segment_codec import make_record
 
@@ -194,6 +197,174 @@ class TestSegmentStoreLifecycle:
         assert all(record in served for record in records)
         reopened.close()
 
+    def test_torn_merge_beside_intact_sources_is_dropped(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        """A merge torn after its rename, with a prefix that salvages
+        (several records blocks): served beside its sources, that prefix
+        would come back twice."""
+        import logging
+
+        monkeypatch.setattr(segment_module, "_FLUSH_BYTES", 1024)
+        path, run_dir, records = self.crashed_after_rename(tmp_path)
+        sealed = os.path.join(run_dir, "000003.sealed.seg")
+        os.truncate(sealed, int(os.path.getsize(sealed) * 0.7))
+        torn = SegmentReader(sealed)
+        assert torn.partial and 0 < torn.record_count < len(records)
+        torn.close()
+        with caplog.at_level(logging.WARNING, logger="repro.store.store"):
+            reopened = SegmentStore(path, auto_compact=0)
+        assert "000003.sealed.seg" in caplog.text and "torn merge" in caplog.text
+        assert sorted(os.listdir(run_dir)) == [
+            "000001.spool.seg", "000002.spool.seg", "meta.json",
+        ]
+        assert list(reopened.all_records("r1")) == records
+        assert reopened.record_count("r1") == len(records)
+        # The merge can be made again, above the number it had.
+        assert reopened.compact("r1") is True
+        assert list(reopened.all_records("r1")) == records
+        reopened.close()
+
+    def test_torn_collection_is_kept_and_salvaged(self, tmp_path, monkeypatch):
+        """A sealed segment without its footer that no lower-numbered
+        segment covers is a collection damaged later, not a failed merge."""
+        monkeypatch.setattr(segment_module, "_FLUSH_BYTES", 1024)
+        path = str(tmp_path / "store")
+        store = SegmentStore(path, auto_compact=0)
+        records = seeded_records()
+        mirrored(store, records, batches=2)
+        store.close()
+        second = os.path.join(path, "runs", "r1", "000002.sealed.seg")
+        os.truncate(second, int(os.path.getsize(second) * 0.7))
+        reopened = SegmentStore(path, auto_compact=0)
+        try:
+            state = reopened.compaction_state("r1")
+            assert (state["segments"], state["sealed_segments"]) == (2, 2)
+            (run,) = reopened.store_info()["runs"]
+            assert run["partial_segments"] == 1
+            served = list(reopened.all_records("r1"))
+            assert served[:60] == records[:60]
+            assert 60 < len(served) < 120
+            assert all(record in records[60:] for record in served[60:])
+        finally:
+            reopened.close()
+
+    def test_two_collections_survive_reopen_like_sqlite(self, tmp_path):
+        """A second collection is a second sealed segment — it supersedes
+        nothing, and the first must not be taken for its leftover."""
+        path = str(tmp_path / "store")
+        store = SegmentStore(path, auto_compact=0)
+        reference = mirrored(store, seeded_records(), batches=2)
+        assert_parity(store, reference)
+        store.close()
+        reopened = SegmentStore(path, auto_compact=0)
+        try:
+            state = reopened.compaction_state("r1")
+            assert (state["sealed_segments"], state["spool_segments"]) == (2, 0)
+            assert_parity(reopened, reference)
+            assert reopened.compact("r1") is True
+            assert_parity(reopened, reference)
+        finally:
+            reopened.close()
+
+    def test_merged_collections_supersede_their_leftovers(self, tmp_path):
+        """Sealed sources left under the merge made of them are dropped
+        like spools: its arrival range covers theirs."""
+        import shutil
+
+        path = str(tmp_path / "store")
+        store = SegmentStore(path, auto_compact=0)
+        records = seeded_records()
+        mirrored(store, records, batches=3)
+        run_dir = os.path.join(path, "runs", "r1")
+        shutil.copytree(run_dir, str(tmp_path / "before"))
+        assert store.compact("r1") is True
+        store.close()
+        for name in ("000001.sealed.seg", "000002.sealed.seg", "000003.sealed.seg"):
+            shutil.copy(str(tmp_path / "before" / name), run_dir)
+        reopened = SegmentStore(path, auto_compact=0)
+        assert sorted(os.listdir(run_dir)) == ["000004.sealed.seg", "meta.json"]
+        assert list(reopened.all_records("r1")) == records
+        reopened.close()
+
+    @pytest.mark.parametrize("stage", ["encode", "write", "rename"])
+    def test_failed_commit_is_absent_as_a_whole(self, tmp_path, monkeypatch, stage):
+        path = str(tmp_path / "store")
+        store = SegmentStore(path, auto_compact=0)
+        store.create_run(RunMetadata(run_id="r1"))
+        records = seeded_records()
+        run_dir = os.path.join(path, "runs", "r1")
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if stage == "encode":
+            # No frame holds a thread id past i64.
+            records[100] = make_record(chain="ee" * 16, thread_id=2**70)
+            expected = struct.error
+        elif stage == "write":
+            monkeypatch.setattr(segment_module.SegmentWriter, "_flush_records", disk_full)
+            expected = OSError
+        else:
+            monkeypatch.setattr(os, "rename", disk_full)
+            expected = OSError
+        with pytest.raises(expected):
+            with store.bulk_ingest():
+                store.insert_records("r1", records[:50])
+                store.insert_records("r1", records[50:])
+        monkeypatch.undo()
+        # Nothing at a final name, nothing left aside, nothing half-visible.
+        assert os.listdir(run_dir) == ["meta.json"]
+        assert store.record_count("r1") == 0
+        assert store.drop_segments("r1") == 0  # no transaction left open
+        # The store goes on, and reopens.
+        good = seeded_records()
+        with store.bulk_ingest():
+            store.insert_records("r1", good)
+        store.close()
+        reopened = SegmentStore(path, auto_compact=0)
+        assert list(reopened.all_records("r1")) == good
+        reopened.close()
+
+    def test_open_transaction_blocks_compaction_and_dropping(self, store):
+        store.create_run(RunMetadata(run_id="r1"))
+        store.insert_records("r1", seeded_records()[:60])
+        store.insert_records("r1", seeded_records()[60:90])
+        with store.bulk_ingest():
+            store.insert_records("r1", seeded_records()[90:])
+            assert store.record_count("r1") == 90  # held, not yet visible
+            assert store.compact("r1") is False
+            with pytest.raises(StoreError, match="open ingest transaction"):
+                store.drop_segments("r1")
+        assert store.record_count("r1") == 120
+        assert store.compact("r1") is True
+        assert list(store.all_records("r1")) == seeded_records()
+
+    def test_compaction_yields_to_a_commit_that_lands_meanwhile(
+        self, store, monkeypatch
+    ):
+        records = seeded_records()
+        store.create_run(RunMetadata(run_id="r1"))
+        store.insert_records("r1", records[:40])
+        store.insert_records("r1", records[40:80])
+        relocate = segment_module.SegmentWriter.relocate
+
+        def relocate_while_a_collection_commits(writer, table, uuids):
+            with store.bulk_ingest():
+                store.insert_records("r1", records[80:])
+            relocate(writer, table, uuids)
+
+        monkeypatch.setattr(
+            segment_module.SegmentWriter, "relocate", relocate_while_a_collection_commits
+        )
+        assert store.compact("r1") is False  # its sources are no longer the run
+        monkeypatch.undo()
+        run_dir = os.path.join(store.path, "runs", "r1")
+        assert not [n for n in os.listdir(run_dir) if n.startswith(".tmp")]
+        assert list(store.all_records("r1")) == records
+        assert store.compact("r1") is True
+        assert list(store.all_records("r1")) == records
+
     def test_failed_unlink_is_logged(self, store, caplog, monkeypatch):
         import logging
 
@@ -218,7 +389,7 @@ class TestSegmentStoreLifecycle:
         ctx = store.bulk_ingest()
         ctx.__enter__()
         store.insert_records("r1", [make_record()])
-        store.close()  # never __exit__ed: close must not lose the spool
+        store.close()  # never __exit__ed: close must commit what it holds
         reopened = SegmentStore(path)
         assert reopened.record_count("r1") == 1
         reopened.close()
