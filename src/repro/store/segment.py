@@ -143,12 +143,6 @@ _FLUSH_BYTES = 4 << 20
 #: head): chain id, event, misc byte, site id, thread id, semantics length.
 _STAT_HEAD = struct.Struct("<IBBxIq4xI")
 
-#: What compaction's indexing pass reads of a frame (narrow / wide): chain
-#: id, presence byte, semantics length, event number and the two *start*
-#: readings; every other byte is skipped as padding.
-_INDEX_NARROW = struct.Struct("<I2xB16xIii4xi4x")
-_INDEX_WIDE = struct.Struct("<I2xB16xIqq8xq8x")
-
 
 def uuid_key(uuid: str) -> bytes:
     """The order sealed chain groups are stored in, and the stores' chain
@@ -185,53 +179,11 @@ class ScanStats:
         }
 
 
-class FrameTable:
-    """Where the frames of some source segments sit, as flat columns.
-
-    This is what compaction sorts and relocates in place of decoded
-    records. Frames are numbered in source order, then in the order
-    :meth:`SegmentReader.load_ranked` would yield them; per frame the
-    table holds its source, byte offset, event number, arrival rank and
-    *absolute* ``wall_start`` / ``cpu_start`` (what a frame stores
-    relative to its predecessor; meaningless where the reading is
-    absent), and per chain uuid the numbers of its frames. Everything per
-    frame is an int in one of six lists, so GC-tracked allocations scale
-    with chains, not frames.
-    """
-
-    def __init__(self):
-        self.readers: list[SegmentReader] = []
-        self.source: list[int] = []
-        self.offset: list[int] = []
-        self.seq: list[int] = []
-        self.rank: list[int] = []
-        self.wall_start: list[int] = []
-        self.cpu_start: list[int] = []
-        self.chains: dict[str, list[int]] = {}
-
-
 def _pack_strings(strings: list[str]) -> bytes:
     """``(u16 len | utf8)*`` — how both the dict-delta blocks and the footer
     hold strings."""
     raws = [s.encode("utf-8", "surrogatepass") for s in strings]
     return b"".join([struct.pack("<H", len(raw)) + raw for raw in raws])
-
-
-class _Remap(dict):
-    """A source segment's string (or site) ids -> the writer's, interned on
-    first use."""
-
-    def __init__(self, reader: SegmentReader, table: list, intern):
-        self.path, self.table, self.intern = reader.path, table, intern
-
-    def __missing__(self, key: int) -> int:
-        if key >= len(self.table):
-            raise StoreError(
-                f"frame in {self.path} refers past the segment's"
-                " string dictionary or site table"
-            )
-        out = self[key] = self.intern(self.table[key])
-        return out
 
 
 class SegmentWriter:
@@ -348,8 +300,8 @@ class SegmentWriter:
         last_uuid = None
 
         for r in records:
-            # Interning order — chain, the site's strings, child — is what
-            # relocate() reproduces id for id.
+            # Ids are interned in first-use order — chain, the site's
+            # strings, child — so equal records make equal files.
             uuid = r.chain_uuid
             if uuid != last_uuid:
                 last_uuid = uuid
@@ -481,109 +433,6 @@ class SegmentWriter:
             self._flush_tables()
             self._flush_records()
         return count
-
-    def relocate(self, table: FrameTable, uuids) -> None:
-        """Compaction's write pass: re-emit ``table``'s frames, one chain
-        group per uuid of ``uuids`` in that order, a group's frames by
-        event number (source-then-file order breaks ties).
-
-        Writes byte for byte what ``start_group()`` + ``append(records,
-        ranks)`` per group write for the decoded records — the record-level
-        oracle the tests compare against — without decoding any: the three
-        ids a frame carries (chain, site, child) pass through per-source
-        remap tables filled in ``append``'s interning order, the two start
-        readings are re-anchored on the group, the frame width is
-        re-decided, and every other field and the semantics bytes are
-        carried over as they are.
-        """
-        index = self._index
-        rbuf = self._rbuf
-        fn_open_add = self._fn_open.add
-        site_fn = self._site_fn
-        fn_pack, fw_pack = FRAME_NARROW.pack, FRAME_WIDE.pack
-        fn_unpack, fw_unpack = FRAME_NARROW.unpack_from, FRAME_WIDE.unpack_from
-        source_of, offset_of, rank_of = table.source, table.offset, table.rank
-        wall_of, cpu_of = table.wall_start, table.cpu_start
-        seq_of = table.seq.__getitem__
-        remaps = [
-            (_Remap(reader, reader.strings, self._intern),
-             _Remap(reader, reader.sites, self._intern_site))
-            for reader in table.readers
-        ]
-        current = -1
-        file_pos = self._file_pos
-        for uuid in uuids:
-            frames = table.chains[uuid]
-            frames.sort(key=seq_of)
-            if not rbuf or len(rbuf) >= _FLUSH_BYTES:
-                # The only states start_group() acts on; every other
-                # group just forgets its predecessor's readings below.
-                self.start_group()
-                file_pos = self._file_pos
-            if index:
-                self._close_group()
-            cid = self._intern(uuid)
-            start_off = file_pos + 9 + len(rbuf)
-            prev_ws = prev_cs = None
-            tmin = tmax = None
-            for i in frames:
-                if source_of[i] != current:
-                    current = source_of[i]
-                    mm = table.readers[current]._mm
-                    string_of, site_of = remaps[current]
-                off = offset_of[i]
-                wide = mm[off + _MISC_OFF] & 16
-                (_cid, ev, misc, pres, sid, tid, child, semlen, seq, wsd, wed, csd, ced,
-                 ) = (fw_unpack if wide else fn_unpack)(mm, off)
-                off += _FW_SIZE if wide else _FN_SIZE
-                narrow = True
-                ws = cs = wsd = csd = 0
-                if pres & 1:
-                    anchor = ws = wall_of[i]
-                    if prev_ws is None:
-                        narrow = False
-                    else:
-                        wsd = ws - prev_ws
-                    prev_ws = ws
-                else:
-                    anchor = wed if pres & 2 else None
-                if pres & 4:
-                    cs = cpu_of[i]
-                    if prev_cs is None:
-                        narrow = False
-                    else:
-                        csd = cs - prev_cs
-                    prev_cs = cs
-                # append()'s interning order (the chain went first, above).
-                sid = site_of[sid]
-                child = string_of[child] if pres & 16 else 0
-                frame = None
-                if narrow:
-                    try:
-                        frame = fn_pack(
-                            cid, ev, misc & 0xEF, pres, sid, tid, child, semlen,
-                            seq, wsd, wed, csd, ced,
-                        )
-                    except struct.error:
-                        pass  # a word past i32
-                rbuf += frame or fw_pack(
-                    cid, ev, misc | 16, pres, sid, tid, child, semlen,
-                    seq, ws, wed, cs, ced,
-                )
-                if semlen:
-                    rbuf += mm[off:off + semlen]
-                if anchor is not None:
-                    if tmin is None:
-                        tmin = tmax = anchor
-                    elif anchor < tmin:
-                        tmin = anchor
-                    elif anchor > tmax:
-                        tmax = anchor
-                fn_open_add(site_fn[sid])
-            index[cid] = [len(frames), start_off, tmin, tmax]
-            self._ranks += [rank_of[i] for i in frames]
-            self._rcount += len(frames)
-            self.record_count += len(frames)
 
     def _intern(self, text: str) -> int:
         out = self._ids.get(text)
@@ -1010,13 +859,6 @@ class SegmentReader:
         self.record_count = sum(counts.values())
         self.chains = [(cid, count, 0, None) for cid, count in counts.items()]
 
-    def _current_format_only(self) -> None:
-        if self.schema_version != SCHEMA_VERSION:
-            raise StoreError(
-                f"{self.path} is record schema v{self.schema_version}:"
-                " only scan() reads it"
-            )
-
     # ------------------------------------------------------------------
     # Decoding
 
@@ -1288,76 +1130,6 @@ class SegmentReader:
         for _cid, ranks, records in self.scan(None, ScanStats()):
             out.extend(zip(ranks, records))
 
-    def index_frames(self, table: FrameTable) -> None:
-        """Add this segment's frames to ``table``: the record-free twin of
-        :meth:`load_ranked` — same frame order, same arrival ranks."""
-        self._current_format_only()
-        table.readers.append(self)
-        first = len(table.offset)
-        try:
-            if not self.sealed or self.partial:
-                for start, end in self._regions:
-                    frames = _U32.unpack_from(self._mm, start - 4)[0]
-                    self._index_span(table, start, end, frames)
-                base = self.arrival_base
-                table.rank.extend(range(base, base + len(table.offset) - first))
-            else:
-                for _cid, count, start_off, ranks in self.chains:
-                    found = self._index_span(table, start_off, self.size_bytes, count)
-                    if found != count:
-                        raise StoreError(f"chain group cut short in {self.path}")
-                    table.rank.extend(ranks)
-        except (IndexError, struct.error):
-            raise StoreError(f"corrupt frame in {self.path}") from None
-        table.source.extend([len(table.readers) - 1] * (len(table.offset) - first))
-
-    def _index_span(self, table: FrameTable, off: int, end: int, limit: int) -> int:
-        """Index up to ``limit`` frames of ``[off, end)``; returns how many.
-
-        Walks the frames and applies the anchor rule exactly as
-        :meth:`_decode_span` does, but unpacks six integers per frame and
-        builds nothing per frame.
-        """
-        mm = self._mm
-        strings = self.strings
-        narrow = _INDEX_NARROW.unpack_from
-        wide = _INDEX_WIDE.unpack_from
-        chains = table.chains
-        chains_get = chains.get
-        add_offset = table.offset.append
-        add_seq = table.seq.append
-        add_wall = table.wall_start.append
-        add_cpu = table.cpu_start.append
-        first = number = len(table.offset)
-        stop = first + limit
-        prev_ws = prev_cs = 0
-        while off < end and number < stop:
-            add_offset(off)
-            if mm[off + _MISC_OFF] & 16:
-                cid, pres, semlen, seq, ws, cs = wide(mm, off)
-                off += _FW_SIZE + semlen
-                if pres & 1:
-                    prev_ws = ws
-                if pres & 4:
-                    prev_cs = cs
-            else:
-                cid, pres, semlen, seq, wsd, csd = narrow(mm, off)
-                off += _FN_SIZE + semlen
-                if pres & 1:
-                    prev_ws += wsd
-                if pres & 4:
-                    prev_cs += csd
-            add_wall(prev_ws)
-            add_cpu(prev_cs)
-            add_seq(seq)
-            uuid = strings[cid]
-            frames = chains_get(uuid)
-            if frames is None:
-                frames = chains[uuid] = []
-            frames.append(number)
-            number += 1
-        return number - first
-
     def decode_group(self, start_off: int, count: int) -> list[ProbeRecord]:
         """Decode one sealed chain group from its byte range (zero-copy)."""
         group: list[ProbeRecord] = []
@@ -1390,7 +1162,11 @@ class SegmentReader:
         strings/tuples, which merge across segments in the store's
         ``population_stats``.
         """
-        self._current_format_only()
+        if self.schema_version != SCHEMA_VERSION:
+            raise StoreError(
+                f"{self.path} is record schema v{self.schema_version}:"
+                " only scan() reads it"
+            )
         mm = self._mm
         head_unpack = _STAT_HEAD.unpack_from
         calls = stats["calls"]

@@ -49,7 +49,6 @@ from repro.store.query import ScanPredicate, fold_population_stats, segment_filt
 from repro.store.segment import (
     KIND_SEALED,
     KIND_SPOOL,
-    FrameTable,
     ScanStats,
     SegmentReader,
     SegmentWriter,
@@ -269,36 +268,73 @@ class SegmentStore:
         if not records:
             return
         base = sum(reader.record_count for reader in run.readers)
-        name = f"{run.next_seg:06d}.{'sealed' if kind == KIND_SEALED else 'spool'}.seg"
-        path = os.path.join(run.path, name)
+        number = run.next_seg
         run.next_seg += 1
-        grouping = None
         if kind == KIND_SPOOL:
             # Written in place: a torn spool is salvaged front to back.
+            path = os.path.join(run.path, f"{number:06d}.spool.seg")
             writer = SegmentWriter(path, kind, arrival_base=base)
             writer.append(records)
             writer.seal()
+            run.readers.append(SegmentReader(path))
         else:
-            writer = SegmentWriter(
-                os.path.join(run.path, ".tmp-" + name), kind, arrival_base=base
-            )
+            self._publish_sealed(run, number, records, range(base, base + len(records)), base)
+        if self.auto_compact and len(run.readers) >= self.auto_compact:
+            self._schedule_compaction(run.run_id)
+
+    def _publish_sealed(
+        self, run: _Run, number: int, records: list[ProbeRecord], ranks, base: int = 0,
+        replaces: list[SegmentReader] | None = None,
+    ) -> bool:
+        """Write ``records`` (``ranks[i]`` the arrival rank of ``records[i]``)
+        as the run's sealed segment ``number`` — chain-grouped by
+        :func:`_write_groups` under a ``.tmp-`` name, sealed, renamed — and
+        serve it: beside the run's segments (a commit), or in place of
+        ``replaces`` (a merge). A merge whose sources are no longer the run,
+        or that an open transaction would race, is dropped: ``False``."""
+        name = f"{number:06d}.sealed.seg"
+        path = os.path.join(run.path, name)
+        writer = SegmentWriter(
+            os.path.join(run.path, ".tmp-" + name), KIND_SEALED, arrival_base=base
+        )
+        try:
+            grouping = _write_groups(writer, records, ranks)
+            writer.seal()
+        except BaseException:
+            writer.abort()
+            raise
+        with run.lock:
+            if replaces is not None and (run.readers != replaces or run.pending):
+                # A commit landed while this merged; merging again later is
+                # cheaper than reasoning about a partial swap.
+                writer.abort()
+                return False
             try:
-                grouping = _write_groups(writer, records, range(base, base + len(records)))
-                writer.seal()
                 os.rename(writer.path, path)
             except BaseException:
                 writer.abort()
                 raise
-        run.readers.append(SegmentReader(path))
+            reader = SegmentReader(path)
+            if replaces is None:
+                run.readers.append(reader)
+                run.readers.sort(key=lambda r: r.arrival_base)
+            else:
+                run.readers = [reader]
+                run.compact_error = None
+                for source in replaces:
+                    # Unlink only — do NOT close: scans that snapshotted the
+                    # old readers may still be decoding from their mmaps. The
+                    # unlinked file stays readable until the last reference
+                    # drops (POSIX semantics), and the mmap is released when
+                    # the final scan lets go of the reader object.
+                    _unlink_segment(source.path)
         # Released only now. The grouping's ints took the scattered blocks
         # the allocator had free; freed before the reader parsed its footer,
         # they would go, hole by hole, to an index that lives as long as the
         # run and that every scan walks (ledger: the query medians +15-20 %,
         # the first scan +8 %; docs/performance.md).
         del grouping
-        run.readers.sort(key=lambda r: r.arrival_base)
-        if self.auto_compact and len(run.readers) >= self.auto_compact:
-            self._schedule_compaction(run.run_id)
+        return True
 
     # ------------------------------------------------------------------
     # Compaction
@@ -344,6 +380,9 @@ class SegmentStore:
     def compact(self, run_id: str) -> bool:
         """Merge the run's segments into one sorted sealed segment.
 
+        The merge goes through records, the way a collection commits:
+        every source's ``(rank, record)`` pairs are loaded and written by
+        :meth:`_publish_sealed`, so one encoder writes every sealed byte.
         Returns True if a new sealed segment was produced. Readers that
         started scanning before the swap keep their mmaps (POSIX unlink
         semantics); new scans see the sealed segment only.
@@ -351,54 +390,23 @@ class SegmentStore:
         run = self._run(run_id)
         with run.lock:
             sources = list(run.readers)
-            if run.pending or not sources:
+            if run.pending or _compacted(sources):
                 return False  # mid-transaction or nothing to do
-            if len(sources) == 1 and sources[0].sealed and not sources[0].partial:
-                return False
-            seg_number = run.next_seg
+            number = run.next_seg
             run.next_seg += 1
-        # Merge outside the lock: sources are immutable once sealed. No
-        # record is decoded: the frames are indexed where they lie, then
-        # relocated chain by chain (see SegmentWriter.relocate).
-        tmp_path = os.path.join(run.path, f".tmp-{seg_number:06d}.sealed.seg")
-        writer = SegmentWriter(tmp_path, kind=KIND_SEALED)
-        try:
-            if all(reader.schema_version == SCHEMA_VERSION for reader in sources):
-                table = FrameTable()
-                for reader in sources:
-                    reader.index_frames(table)
-                writer.relocate(table, sorted(table.chains, key=uuid_key))
-            else:
-                ranked: list = []
-                for reader in sources:
-                    reader.load_ranked(ranked)
-                # A schema v1 frame cannot be relocated: through records.
-                _write_groups(
-                    writer, [record for _rank, record in ranked],
-                    [rank for rank, _record in ranked],
-                )
-            writer.seal()
-        except BaseException:
-            writer.abort()
-            raise
-        final_path = os.path.join(run.path, f"{seg_number:06d}.sealed.seg")
-        with run.lock:
-            if run.readers != sources or run.pending:
-                # A drain landed while we merged; merging again later is
-                # cheaper than reasoning about a partial swap.
-                os.unlink(tmp_path)
-                return False
-            os.rename(tmp_path, final_path)
-            run.readers = [SegmentReader(final_path)]
-            run.compact_error = None
-            for reader in sources:
-                # Unlink only — do NOT close: scans that snapshotted the
-                # old readers may still be decoding from their mmaps. The
-                # unlinked file stays readable until the last reference
-                # drops (POSIX semantics), and the mmap is released when
-                # the final scan lets go of the reader object.
-                _unlink_segment(reader.path)
-        return True
+        # Merge outside the lock: sources are immutable once written. Equal
+        # sites of different sources become one object first, so the
+        # encoder's per-record site lookup is an identity hit, not a
+        # ten-field compare (a sixth of an eight-spool merge's time).
+        shared: dict = {}
+        ranked: list = []
+        for reader in sources:
+            reader.sites = [shared.setdefault(site, site) for site in reader.sites]
+            reader.load_ranked(ranked)
+        return self._publish_sealed(
+            run, number, [record for _rank, record in ranked],
+            [rank for rank, _record in ranked], replaces=sources,
+        )
 
     def compact_all(self) -> dict[str, bool]:
         """Compact every run, one after another (a merge is pure Python:
@@ -448,7 +456,7 @@ class SegmentStore:
             "segments": len(readers),
             "spool_segments": spool,
             "sealed_segments": len(readers) - spool,
-            "compacted": spool == 0 and len(readers) <= 1,
+            "compacted": _compacted(readers),
             "compaction_running": busy,
             "last_error": last_error,
         }
@@ -505,7 +513,7 @@ class SegmentStore:
         lo = uuid_key(first_chain) if first_chain is not None else None
         hi = uuid_key(last_chain) if last_chain is not None else None
         scans = self._scan(readers, predicate, stats, lo, hi)
-        if len(readers) == 1 and readers[0].sealed and not readers[0].partial:
+        if _compacted(readers):
             for reader, units in scans:
                 strings = reader.strings
                 for cid, _ranks, records in units:
@@ -700,6 +708,14 @@ class SegmentStore:
                     run.readers = []
 
 
+def _compacted(readers: list[SegmentReader]) -> bool:
+    """Has compaction nothing to do: no segment, or one intact sealed one
+    (a torn sealed segment is rewritten whole)?"""
+    return not readers or (
+        len(readers) == 1 and readers[0].sealed and not readers[0].partial
+    )
+
+
 def _covers(reader: SegmentReader, base: int, end: int) -> bool:
     """Does ``reader``'s arrival range hold the ranks ``[base, end)``?"""
     return reader.arrival_base <= base and end <= reader.arrival_base + reader.record_count
@@ -718,9 +734,9 @@ def _unlink_segment(path: str) -> None:
 def _write_groups(writer: SegmentWriter, records: list[ProbeRecord], ranks) -> dict:
     """The one record-level grouped write: ``records`` — in load order,
     ``ranks[i]`` the arrival rank of ``records[i]`` — as chain groups in
-    uuid order, each by event number with load order breaking ties: chain
-    by chain what :meth:`SegmentWriter.relocate` writes for their frames.
-    Returns the grouping it built, for the caller to release when it chooses."""
+    uuid order, each by event number with load order breaking ties — what
+    ``start_group()`` + ``append(records, ranks)`` per chain write. Returns
+    the grouping it built, for the caller to release when it chooses."""
     total = len(records)
     groups: dict[str, list[int]] = defaultdict(list)
     for position, record in enumerate(records):

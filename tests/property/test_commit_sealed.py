@@ -10,8 +10,8 @@ threshold low enough that most files hold several blocks:
 - the sealed segment the commit writes is, byte for byte, what
   ``reference_compact`` (decode + ``start_group()`` + ``append(records,
   ranks)``, the record-level oracle) writes over a spool of the same
-  batches, *and* what the parent tree's path — a non-transactional insert,
-  then ``compact()``, i.e. ``SegmentWriter.relocate`` — writes;
+  batches, *and* what a non-transactional insert of the same batches,
+  then ``compact()``, writes;
 - a second collection into the run commits a second sealed segment whose
   ranks are ``base + position`` (its header says ``arrival_base = base``,
   the only bytes the oracle's file differs in); the first stays, through a
@@ -89,7 +89,7 @@ def test_commit_writes_what_compaction_would(tmp_path_factory, records, parts, f
             pairs = reference_compact([spool], str(root / "expected.sealed.seg"))
             assert committed == read(root / "expected.sealed.seg")
 
-            # (b) the parent's path: spool(s), then the relocating compaction.
+            # (b) spool(s), then the merge.
             for batch in batches:
                 parent.insert_records(RUN, batch)
             assert parent.compact(RUN) is True

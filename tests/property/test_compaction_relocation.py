@@ -1,4 +1,4 @@
-"""Property: relocating compaction writes what the record-level path writes.
+"""Property: compaction writes what the record-level oracle writes.
 
 Generated record sets — every presence combination of the four clock
 readings, start readings whose deltas fall on both sides of the i32
@@ -13,6 +13,8 @@ the file that decoding every source and feeding a sealed
 rank width, ``FXTS`` bounds and the ``FXFN`` zone map are equal by
 construction — and the compacted run must answer ``chains_for_run``,
 ``all_records`` and a pruned function scan as the decoded records say.
+
+CI's chaos job raises the example count through ``REPRO_FUZZ_EXAMPLES``.
 """
 
 import os
@@ -43,6 +45,8 @@ from tests.unit.store.test_segment_codec import make_record
 CHAINS = [f"{i:032x}" for i in (3, 1, 2)] + ["é" * 16, "\ud800chain"]
 NAMES = ["M::A", "M::B", "op0", "op1", "Comp", "p0", "p1", "höst", "x86", ""]
 _HEADER_BYTES = 20
+
+EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0")) or 120
 
 _WALL = 10**18
 _I32 = 2**31
@@ -133,7 +137,7 @@ def build_sources(root, records, spools, head, cut):
     return paths
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(
     records=st.lists(_record, min_size=1, max_size=40),
     spools=st.integers(1, 4),

@@ -6,7 +6,7 @@ its bytes anywhere — flip a bit, overwrite a run, delete a run, truncate —
 and open it. Every way
 records (or their statistics) leave a segment must then either work or
 raise :class:`StoreError`: ``SegmentReader(path)``, a full ``scan``, a
-predicated ``scan``, ``index_frames`` and ``stat_scan``. Never another
+predicated ``scan`` and ``stat_scan``. Never another
 exception, never more records than the undamaged file holds, and a
 ``dropped_bytes`` that stays inside the file.
 
@@ -37,7 +37,6 @@ from repro.store.query import segment_filter
 from repro.store.segment import (
     KIND_SEALED,
     KIND_SPOOL,
-    FrameTable,
     SegmentReader,
     SegmentWriter,
 )
@@ -182,10 +181,6 @@ def exercise(data: bytes, path: str) -> int:
                     scanned = max(scanned, matched)
             except StoreError:
                 pass
-        try:
-            reader.index_frames(FrameTable())
-        except StoreError:
-            pass
         try:
             reader.stat_scan({
                 "calls": 0, "methods": set(), "interfaces": set(), "components": set(),

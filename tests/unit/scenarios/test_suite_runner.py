@@ -286,11 +286,14 @@ class TestHooks:
 
         from tests.unit.store.test_segment_codec import make_record
 
-        real = store_module._write_groups
-        monkeypatch.setattr(
-            store_module, "_write_groups",
-            lambda writer, records, ranks: real(writer, records[::-1], ranks[::-1]),
-        )
+        real = store_module.SegmentStore._publish_sealed
+
+        def reversed_commit(store, run, number, records, ranks, base=0, replaces=None):
+            if replaces is None:  # a commit; a merge has sources it replaces
+                records, ranks = records[::-1], ranks[::-1]
+            return real(store, run, number, records, ranks, base, replaces)
+
+        monkeypatch.setattr(store_module.SegmentStore, "_publish_sealed", reversed_commit)
         store = SegmentStore(str(tmp_path / "store"), auto_compact=0)
         try:
             with store.bulk_ingest():

@@ -1,17 +1,16 @@
-"""Compaction relocates frames; the record-level writer is its oracle.
+"""Compaction writes what the record-level writer writes, byte for byte.
 
-``SegmentStore.compact`` no longer decodes a record: it indexes the source
-frames where they lie (``SegmentReader.index_frames``) and re-emits them
-chain by chain (``SegmentWriter.relocate``). What it must write is, byte
-for byte, what decoding every source and feeding a sealed
-``SegmentWriter`` through ``start_group()`` + ``append(records, ranks)``
-writes — :func:`reference_compact` below, the compactor this repo had
-before. The generated source mixes live in
+``SegmentStore.compact`` loads every source's ``(rank, record)`` pairs and
+writes them through the grouped encoder a collection commit uses. What it
+must write is, byte for byte, what decoding every source and feeding a
+sealed ``SegmentWriter`` through ``start_group()`` + ``append(records,
+ranks)`` writes — :func:`reference_compact` below, the oracle. The
+generated source mixes live in
 ``tests/property/test_compaction_relocation.py``; here are the fixed cases
-and the properties that are about *how* it runs, not what it writes.
+and the properties that are about *how* it runs: records blocks that flush
+mid-merge, and a source that cannot be decoded.
 """
 
-import gc
 import os
 import shutil
 import struct
@@ -128,21 +127,6 @@ def brute_arrival(pairs):
     return [record for _rank, record in sorted(pairs, key=lambda pair: pair[0])]
 
 
-def many_chains(chains, per_chain):
-    """``chains`` chains of ``per_chain`` records, interleaved as drains
-    interleave them."""
-    return [
-        make_record(
-            chain=f"{chain:032x}", seq=seq, operation=f"op{seq % 3}",
-            wall_start=10**12 + 1000 * seq + chain,
-            wall_end=10**12 + 1000 * seq + chain + 7,
-            cpu_start=5 * seq, cpu_end=5 * seq + 2, semantics=None,
-        )
-        for seq in range(per_chain)
-        for chain in range(chains)
-    ]
-
-
 class TestByteIdentity:
     def test_three_spools(self, tmp_path):
         run_dir = new_run_dir(tmp_path)
@@ -192,47 +176,6 @@ class TestByteIdentity:
 
 
 class TestHowItRuns:
-    def test_no_record_is_ever_built(self, tmp_path, monkeypatch):
-        run_dir = new_run_dir(tmp_path)
-        records = seeded_records()
-        write_sealed(run_dir, 1, records[:50])
-        write_spool(run_dir, 2, records[50:], 50)
-        store = SegmentStore(str(tmp_path), auto_compact=0)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("compaction decoded a ProbeRecord")
-
-        monkeypatch.setattr(segment_module, "ProbeRecord", refuse)
-        assert store.compact(RUN) is True
-        monkeypatch.undo()
-        assert list(store.all_records(RUN)) == records
-        store.close()
-
-    def test_gc_pressure_scales_with_chains_not_records(self, tmp_path):
-        """Gen-0 collections count net GC-tracked allocations: four times
-        the records at the same chain count must not add any."""
-        collections = {}
-        for per_chain in (4, 16):
-            root = tmp_path / f"per-chain-{per_chain}"
-            write_spool(new_run_dir(root), 1, many_chains(600, per_chain), 0)
-            store = SegmentStore(str(root), auto_compact=0)
-            seen = []
-
-            def count(phase, info, seen=seen):
-                if phase == "start" and info["generation"] == 0:
-                    seen.append(info)
-
-            gc.collect()
-            gc.callbacks.append(count)
-            try:
-                assert store.compact(RUN) is True
-            finally:
-                gc.callbacks.remove(count)
-            collections[per_chain] = len(seen)
-            store.close()
-        assert collections[4] > 0
-        assert collections[16] <= collections[4] + 1
-
     def test_flushed_blocks_keep_every_group_whole(self, tmp_path, monkeypatch):
         # The same lowered threshold drives the oracle's start_group().
         monkeypatch.setattr(segment_module, "_FLUSH_BYTES", 2000)

@@ -12,8 +12,7 @@ from each: ``[rank, the 22 fields]`` pairs.
 
 What v1 support consists of is ``SegmentReader.scan`` alone: a v1
 segment is pruned whole by its footer or decoded whole and tested record
-by record; it is never relocated — a run holding one compacts through
-records.
+by record; a run holding one compacts through records, as every run does.
 """
 
 import json
@@ -27,7 +26,7 @@ from repro.core.records import SITE_FIELDS
 from repro.errors import StoreError
 from repro.store import ScanPredicate, ScanStats, SegmentStore
 from repro.store.query import segment_filter
-from repro.store.segment import FrameTable, SegmentReader, segment_info
+from repro.store.segment import SegmentReader, segment_info
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FILES = ("v1_sealed.seg", "v1_spool.seg", "v1_spool_cut.seg")
@@ -106,8 +105,6 @@ class TestReader:
     def test_frames_are_neither_indexed_nor_stat_scanned(self, v1):
         _name, reader = v1
         with pytest.raises(StoreError, match="schema v1"):
-            reader.index_frames(FrameTable())
-        with pytest.raises(StoreError, match="schema v1"):
             reader.stat_scan({})
 
 
@@ -159,7 +156,7 @@ class TestStore:
         assert info["schema_version"] == 2
         assert info["sites"] == len({record.site for _rank, record in expected})
         assert info["index"]["group_functions"] is True
-        # ... and the run now takes the relocating path.
+        # ... and, a v2 segment now, it merges with a later spool.
         late = [r for _k, r in expected[:5]]
         store.insert_records("r1", late)
         assert store.compact("r1") is True

@@ -249,6 +249,31 @@ class TestSegmentStoreLifecycle:
         finally:
             reopened.close()
 
+    def test_a_lone_torn_sealed_segment_is_not_compacted(self, tmp_path):
+        """``compacted`` means ``compact()`` has nothing to do: one sealed
+        segment that lost its trailer is still to be rewritten whole."""
+        path = str(tmp_path / "store")
+        store = SegmentStore(path, auto_compact=0)
+        records = seeded_records()
+        with store.bulk_ingest():
+            store.insert_records("r1", records)
+        chains = list(store.chains_for_run("r1"))
+        store.close()
+        sealed = os.path.join(path, "runs", "r1", "000001.sealed.seg")
+        os.truncate(sealed, os.path.getsize(sealed) - 9)
+        reopened = SegmentStore(path, auto_compact=0)
+        try:
+            state = reopened.compaction_state("r1")
+            assert (state["segments"], state["compacted"]) == (1, False)
+            assert list(reopened.chains_for_run("r1")) == chains
+            assert reopened.compact("r1") is True
+            state = reopened.compaction_state("r1")
+            assert (state["segments"], state["compacted"]) == (1, True)
+            assert reopened.compact("r1") is False
+            assert list(reopened.chains_for_run("r1")) == chains
+        finally:
+            reopened.close()
+
     def test_two_collections_survive_reopen_like_sqlite(self, tmp_path):
         """A second collection is a second sealed segment — it supersedes
         nothing, and the first must not be taken for its leftover."""
@@ -347,15 +372,18 @@ class TestSegmentStoreLifecycle:
         store.create_run(RunMetadata(run_id="r1"))
         store.insert_records("r1", records[:40])
         store.insert_records("r1", records[40:80])
-        relocate = segment_module.SegmentWriter.relocate
+        load_ranked = segment_module.SegmentReader.load_ranked
+        landed = []
 
-        def relocate_while_a_collection_commits(writer, table, uuids):
-            with store.bulk_ingest():
-                store.insert_records("r1", records[80:])
-            relocate(writer, table, uuids)
+        def load_while_a_collection_commits(reader, out):
+            if not landed:
+                landed.append(True)
+                with store.bulk_ingest():
+                    store.insert_records("r1", records[80:])
+            load_ranked(reader, out)
 
         monkeypatch.setattr(
-            segment_module.SegmentWriter, "relocate", relocate_while_a_collection_commits
+            segment_module.SegmentReader, "load_ranked", load_while_a_collection_commits
         )
         assert store.compact("r1") is False  # its sources are no longer the run
         monkeypatch.undo()
