@@ -20,7 +20,6 @@ Two jobs live here:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +35,7 @@ from repro.core import (
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.idl import compile_idl
 from repro.orb import InterfaceRegistry, Orb, ThreadPerConnection
-from repro.platform import Host, PlatformKind, SimProcess, VirtualClock
+from repro.platform import Host, PlatformKind, SimProcess, VirtualClock, quiesce
 from repro.telemetry.metrics import MetricsRegistry
 
 IDL = """
@@ -96,20 +95,6 @@ class ScenarioResult:
     results: list[int]
     fault: dict
     faults_injected: dict
-
-
-def _quiesce(processes, settle=3, interval=0.002, timeout=2.0):
-    deadline = time.monotonic() + timeout
-    last, stable = -1, 0
-    while time.monotonic() < deadline:
-        size = sum(len(p.log_buffer) for p in processes)
-        if size == last:
-            stable += 1
-            if stable >= settle:
-                return
-        else:
-            stable, last = 0, size
-        time.sleep(interval)
 
 
 def run_seeded_delay_scenario(
@@ -193,7 +178,7 @@ def run_seeded_delay_scenario(
                 driver.monitor.unbind_ftl()
             if live_detector is not None:
                 live_detector.poll(processes)
-        _quiesce(processes)
+        quiesce(processes)
         if live_detector is not None:
             live_detector.poll(processes)
         run_id = f"seeded-delay-{seed}"

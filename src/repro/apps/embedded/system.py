@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 from repro.apps.embedded.generator import (
@@ -28,6 +27,7 @@ from repro.platform import (
     ProcessorType,
     SimProcess,
     VirtualClock,
+    quiesce,
 )
 from repro.workloads.burn import burn_cpu
 
@@ -175,17 +175,7 @@ class EmbeddedSystem:
                 monitor.unbind_ftl()
 
     def quiesce(self, timeout: float = 10.0) -> None:
-        deadline = time.monotonic() + timeout
-        last, stable = -1, 0
-        while time.monotonic() < deadline:
-            size = sum(len(p.log_buffer) for p in self.processes)
-            if size == last:
-                stable += 1
-                if stable >= 3:
-                    return
-            else:
-                stable, last = 0, size
-            time.sleep(0.01)
+        quiesce(self.processes, interval=0.01, timeout=timeout)
 
     def collect(
         self, database: MonitoringDatabase | None = None, description: str = ""

@@ -17,7 +17,6 @@ platforms". Canonical configurations used by the experiments:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -40,6 +39,7 @@ from repro.platform import (
     ProcessorType,
     SimProcess,
     VirtualClock,
+    quiesce,
 )
 
 
@@ -238,19 +238,7 @@ class PpsSystem:
 
     def quiesce(self, timeout: float = 5.0) -> None:
         """Wait until oneway dispatches drain and log buffers stabilize."""
-        deadline = time.monotonic() + timeout
-        last = -1
-        stable = 0
-        while time.monotonic() < deadline:
-            size = sum(len(p.log_buffer) for p in self.processes.values())
-            if size == last:
-                stable += 1
-                if stable >= 3:
-                    return
-            else:
-                stable = 0
-                last = size
-            time.sleep(0.01)
+        quiesce(self.processes.values(), interval=0.01, timeout=timeout)
 
     def collect(
         self, database: MonitoringDatabase | None = None, description: str = ""

@@ -519,39 +519,41 @@ def cmd_cluster_run(args) -> int:
     """Drive work on a running cluster (monitored calls or a load step)."""
     import json
 
-    from repro.cluster.service import request
+    from repro.cluster.control import load_result
+    from repro.cluster.loadgen import merge_results
+    from repro.cluster.service import service
 
-    if args.rate is not None:
-        reply = request(args.state, {
-            "type": "run-load",
-            "rate": args.rate,
-            "arrivals": args.arrivals,
-            "seed": args.seed,
-            "max_inflight": args.max_inflight,
-        })
-    else:
-        reply = request(args.state, {"type": "run-calls", "calls": args.calls})
-    if not reply.get("ok"):
-        raise SystemExit(f"cluster run failed: {reply.get('error')}")
-    reply.pop("ok", None)
+    with service(args.state) as cluster:
+        if args.rate is not None:
+            loads = cluster.run_load(
+                args.rate, args.arrivals, args.seed, args.max_inflight
+            )
+            per_worker = [load_result(load) for load in loads]
+            reply = {
+                "merged": merge_results(per_worker).to_json(),
+                "per_worker": [result.to_json() for result in per_worker],
+            }
+        else:
+            errors = cluster.run_calls(args.calls)
+            reply = {
+                "errors": sum(errors),
+                "calls": args.calls * len(errors),
+                "workers": len(errors),
+            }
     _emit(args.output, json.dumps(reply, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_cluster_collect(args) -> int:
     """Collect every worker's spool into a store as one merged run."""
-    from repro.cluster.service import request
+    from repro.cluster.service import service
 
-    reply = request(args.state, {
-        "type": "collect",
-        "database": args.database,
-        "run_id": args.run_id,
-        "backend": getattr(args, "store", None),
-        "description": args.description,
-    })
-    if not reply.get("ok"):
-        raise SystemExit(f"cluster collect failed: {reply.get('error')}")
-    print(f"collected run {args.run_id!r} ({reply['records']} records)"
+    with service(args.state) as cluster:
+        records = cluster.collect(
+            args.database, getattr(args, "store", None) or "", args.run_id,
+            args.description,
+        )
+    print(f"collected run {args.run_id!r} ({records} records)"
           f" into {args.database}")
     return 0
 
@@ -559,12 +561,20 @@ def cmd_cluster_collect(args) -> int:
 def cmd_cluster_status(args) -> int:
     import json
 
-    from repro.cluster.service import request
+    from repro.cluster.service import read_state, service
 
-    reply = request(args.state, {"type": "status"}, timeout=30.0)
-    if not reply.get("ok"):
-        raise SystemExit(f"cluster status failed: {reply.get('error')}")
-    reply.pop("ok", None)
+    state = read_state(args.state)
+    with service(args.state, timeout=30.0) as cluster:
+        liveness = cluster.status()
+    reply = {
+        "workers": state["workers"],
+        "plane": state["plane"],
+        "alive": {str(w.index): w.alive for w in liveness},
+        "buffered": {
+            str(w.index): {o.process: o.records for o in w.buffered}
+            for w in liveness
+        },
+    }
     print(json.dumps(reply, indent=2, sort_keys=True))
     return 0 if all(reply["alive"].values()) else 1
 
@@ -575,18 +585,16 @@ def cmd_cluster_down(args) -> int:
     With ``--drain-into`` the workers are SIGTERMed and their final
     spools shipped into the given store before teardown.
     """
-    from repro.cluster.service import request
+    from repro.cluster.service import service
 
-    message: dict = {"type": "down"}
-    if args.drain_into:
-        message["drain_database"] = args.drain_into
-        message["run_id"] = args.run_id
-        message["backend"] = getattr(args, "store", None)
-    reply = request(args.state, message)
-    if not reply.get("ok"):
-        raise SystemExit(f"cluster down failed: {reply.get('error')}")
-    if "records" in reply:
-        print(f"drained {reply['records']} record(s) into {args.drain_into}")
+    with service(args.state) as cluster:
+        if args.drain_into:
+            records = cluster.drain(
+                args.drain_into, getattr(args, "store", None) or "", args.run_id
+            )
+            print(f"drained {records} record(s) into {args.drain_into}")
+        else:
+            cluster.down()
     print("cluster down")
     return 0
 

@@ -5,11 +5,11 @@ separate OS processes over a framed TCP transport
 (:class:`SocketTransport`, the in-memory network seam over actual
 sockets), one sharded collector per host collecting locally
 (:class:`~repro.collector.sharded.ShardedSpoolCollector`), sealed
-``.seg`` files shipped to a central store
-(:mod:`repro.cluster.shipping` → :mod:`repro.store.ingest`) where the
-unchanged analyzer runs — and an open-loop load generator
+``.seg`` files shipped to a central store (:mod:`repro.store.ingest`)
+where the unchanged analyzer runs — and an open-loop load generator
 (:mod:`repro.cluster.loadgen`) that sweeps offered load across worker
-processes to find the saturation knee.
+processes to find the saturation knee. The control plane itself is IDL
+(:mod:`repro.cluster.control`) on the same ORB and transport.
 
 The deployment topology is provably transparent:
 :mod:`repro.cluster.identity` shows a seeded cluster run's DSCG/CCSG
@@ -25,7 +25,6 @@ from repro.cluster.loadgen import (
     modeled_users,
     open_loop,
 )
-from repro.cluster.shipping import ChannelTimeout, FrameChannel, ship_run
 from repro.cluster.transport import SocketConnection, SocketTransport
 from repro.cluster.workload import (
     CLUSTER_IDL,
@@ -38,9 +37,7 @@ from repro.cluster.workload import (
 
 __all__ = [
     "CLUSTER_IDL",
-    "ChannelTimeout",
     "Cluster",
-    "FrameChannel",
     "LatencyHistogram",
     "LoadResult",
     "SocketConnection",
@@ -55,5 +52,4 @@ __all__ = [
     "merge_results",
     "modeled_users",
     "open_loop",
-    "ship_run",
 ]

@@ -29,8 +29,7 @@ from repro.analysis import (
 from repro.cluster.coordinator import Cluster
 from repro.cluster.workload import build_reference_deployments, drive_calls
 from repro.collector import LogCollector
-from repro.platform import Network
-from repro.scenarios.workloads import quiesce
+from repro.platform import Network, quiesce
 from repro.store import SegmentStore
 
 #: Fixed run id for both passes, so run-scoped strings (the CCSG XML

@@ -125,17 +125,6 @@ class LoadResult:
         payload.update(self.histogram.summary_ms())
         return payload
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LoadResult":
-        return cls(
-            offered=int(data["offered"]),
-            completed=int(data["completed"]),
-            shed=int(data["shed"]),
-            errors=int(data["errors"]),
-            duration_ns=int(data["duration_ns"]),
-            histogram=LatencyHistogram.from_counts(data["histogram"]),
-        )
-
 
 def merge_results(parts: list[LoadResult]) -> LoadResult:
     """Aggregate per-worker results for one load step (duration = max:

@@ -1,32 +1,38 @@
 """Long-lived cluster service behind ``repro cluster up/run/down``.
 
 A :class:`~repro.cluster.coordinator.Cluster` lives only as long as the
-process that created it (it holds the worker control sockets), so the
-CLI's ``up`` command spawns *this* module as a detached daemon. The
-daemon brings the cluster up, records its own control port in
-``<state>/state.json``, then serves one framed-JSON request per client
-connection: later ``repro cluster run/collect/status/down`` invocations
-read the state file, dial the port, and proxy their command.
+process that created it, so the CLI's ``up`` command spawns *this*
+module as a detached daemon. The daemon brings the cluster up, activates
+the ``Control::Service`` servant (:mod:`repro.cluster.control`) on a
+control ORB of its own, and records the servant's object ref URL and
+endpoint in ``<state>/state.json``. Later ``repro cluster
+run/collect/status/down`` invocations resolve that ref (:func:`service`)
+and call it.
 
 The state directory is the handle: one directory == one running
-cluster. ``down`` tears the cluster down (optionally via the SIGTERM
-drain path, shipping final spools into a store first), removes the
-state file, and exits the daemon.
+cluster. ``down`` and ``drain`` tear the cluster down (``drain`` via the
+SIGTERM path, shipping final spools into a store first); once the reply
+has gone out the daemon removes the state file and exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
-import socket
 import sys
+import threading
 
+from repro.cluster import control
 from repro.cluster.coordinator import Cluster
-from repro.cluster.shipping import FrameChannel
-from repro.errors import TransportError
+from repro.cluster.transport import SocketTransport
+from repro.errors import RemoteApplicationError
+from repro.store import open_store
 
 STATE_FILE = "state.json"
+#: The service servant's address and object key.
+SERVICE = "service"
 
 
 def state_path(state_dir: str) -> str:
@@ -42,36 +48,47 @@ def read_state(state_dir: str) -> dict:
         raise SystemExit(f"no cluster state at {path} (is the cluster up?)")
 
 
-def request(state_dir: str, message: dict, timeout: float = 600.0) -> dict:
-    """One round-trip to the service daemon named by ``state_dir``."""
+@contextlib.contextmanager
+def service(state_dir: str, timeout: float = 600.0):
+    """A ``Control::Service`` stub for the daemon named by ``state_dir``,
+    whose calls fail after ``timeout`` seconds; a failure the daemon
+    reports exits with its message."""
     state = read_state(state_dir)
-    sock = socket.create_connection(("127.0.0.1", state["port"]), timeout=10.0)
-    channel = FrameChannel(sock)
+    transport = SocketTransport()
+    transport.set_endpoints({SERVICE: ("127.0.0.1", state["port"])})
+    orb = control.control_orb("cli", transport, timeout)
     try:
-        channel.send_json(message)
-        return channel.recv_json(timeout=timeout)
+        yield orb.resolve(state["url"])
+    except RemoteApplicationError as exc:
+        raise SystemExit(f"cluster service failed: {exc}") from exc
     finally:
-        channel.close()
+        orb.process.shutdown()
+        transport.close()
 
 
 class ClusterService:
+    """The daemon's cluster, and its ``Control::Service`` servant."""
+
     def __init__(self, state_dir: str, workers: int, plane: str):
         self.state_dir = state_dir
         self.cluster = Cluster(workers, plane=plane, spool_root=state_dir)
-        self.plane = plane
+        self._done = threading.Event()
+        self._answering: threading.Thread | None = None
 
     def serve(self) -> int:
         os.makedirs(self.state_dir, exist_ok=True)
-        control = socket.create_server(("127.0.0.1", 0))
-        port = control.getsockname()[1]
         self.cluster.up()
+        transport = SocketTransport()
+        orb = control.control_orb(SERVICE, transport)
+        ref = orb.activate(self, interface="Control::Service", object_key=SERVICE)
         with open(state_path(self.state_dir), "w") as handle:
             json.dump(
                 {
                     "pid": os.getpid(),
-                    "port": port,
+                    "port": transport.local_endpoints()[SERVICE][1],
+                    "url": ref.to_url(),
                     "workers": self.cluster.workers,
-                    "plane": self.plane,
+                    "plane": self.cluster.plane,
                     "worker_pids": [h.pid for h in self.cluster.handles],
                 },
                 handle,
@@ -80,110 +97,59 @@ class ClusterService:
             )
             handle.write("\n")
         try:
-            while True:
-                sock, _peer = control.accept()
-                sock.settimeout(None)
-                channel = FrameChannel(sock)
-                try:
-                    message = channel.recv_json(timeout=30.0)
-                    stop = self._handle(channel, message)
-                except TransportError:
-                    continue
-                finally:
-                    channel.close()
-                if stop:
-                    return 0
+            self._done.wait()
+            # The thread that served down/drain sends its reply on return.
+            self._answering.join()
         finally:
-            control.close()
-            try:
-                os.unlink(state_path(self.state_dir))
-            except OSError:
-                pass
+            os.unlink(state_path(self.state_dir))
+            orb.process.shutdown()
+            transport.close()
+        return 0
 
-    def _handle(self, channel: FrameChannel, message: dict) -> bool:
-        """Serve one request; True means the daemon should exit."""
-        kind = message.get("type")
+    def _finish(self) -> None:
+        self._answering = threading.current_thread()
+        self._done.set()
+
+    # -- Control::Service -------------------------------------------------
+
+    def status(self):
+        alive = self.cluster.poll()
+        return [
+            control.idl().Liveness(
+                h.index, alive[h.index], control.occupancy(h.last_buffered)
+            )
+            for h in self.cluster.handles
+        ]
+
+    def run_calls(self, calls):
+        return [reply["errors"] for reply in self.cluster.run_calls(calls)]
+
+    def run_load(self, rate, arrivals, seed, max_inflight):
+        _merged, per_worker = self.cluster.run_load(
+            rate_per_worker=rate, arrivals_per_worker=arrivals, seed=seed,
+            max_inflight=max_inflight,
+        )
+        return [control.load_struct(result) for result in per_worker]
+
+    def collect(self, database, backend, run_id, description):
+        store = open_store(database, backend=backend or None)
         try:
-            if kind == "status":
-                alive = self.cluster.poll()
-                channel.send_json(
-                    {
-                        "ok": True,
-                        "workers": self.cluster.workers,
-                        "plane": self.plane,
-                        "alive": {str(i): up for i, up in alive.items()},
-                        "buffered": {
-                            str(h.index): h.last_buffered
-                            for h in self.cluster.handles
-                        },
-                    }
-                )
-            elif kind == "run-calls":
-                replies = self.cluster.run_calls(int(message["calls"]))
-                channel.send_json(
-                    {
-                        "ok": True,
-                        "errors": sum(int(r.get("errors", 0)) for r in replies),
-                        "calls": int(message["calls"]) * len(replies),
-                        "workers": len(replies),
-                    }
-                )
-            elif kind == "run-load":
-                merged, per_worker = self.cluster.run_load(
-                    rate_per_worker=float(message["rate"]),
-                    arrivals_per_worker=int(message["arrivals"]),
-                    seed=int(message["seed"]),
-                    max_inflight=int(message.get("max_inflight", 4096)),
-                )
-                channel.send_json(
-                    {
-                        "ok": True,
-                        "merged": merged.to_json(),
-                        "per_worker": [r.to_json() for r in per_worker],
-                    }
-                )
-            elif kind == "collect":
-                from repro.store import open_store
+            return self.cluster.collect(store, run_id, description=description)
+        finally:
+            store.close()
 
-                backend = open_store(
-                    message["database"], backend=message.get("backend")
-                )
-                try:
-                    inserted = self.cluster.collect(
-                        backend,
-                        message["run_id"],
-                        description=message.get("description", ""),
-                    )
-                finally:
-                    backend.close()
-                channel.send_json({"ok": True, "records": inserted})
-            elif kind == "down":
-                if message.get("drain_database"):
-                    from repro.store import open_store
+    def drain(self, database, backend, run_id):
+        store = open_store(database, backend=backend or None)
+        try:
+            records = self.cluster.drain(store, run_id=run_id)
+        finally:
+            store.close()
+        self._finish()
+        return records
 
-                    backend = open_store(
-                        message["drain_database"],
-                        backend=message.get("backend"),
-                    )
-                    try:
-                        inserted = self.cluster.drain(
-                            backend, run_id=message.get("run_id", "drain")
-                        )
-                    finally:
-                        backend.close()
-                    channel.send_json({"ok": True, "records": inserted})
-                else:
-                    self.cluster.down()
-                    channel.send_json({"ok": True})
-                return True
-            else:
-                channel.send_json({"ok": False, "error": f"unknown: {kind!r}"})
-        except Exception as exc:  # surfaced to the CLI client, not lost
-            try:
-                channel.send_json({"ok": False, "error": str(exc)})
-            except TransportError:
-                pass
-        return False
+    def down(self) -> None:
+        self.cluster.down()
+        self._finish()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -126,8 +126,11 @@ class SocketConnection:
         return payload
 
     def close(self) -> None:
-        """Close both directions; local and remote receivers unblock."""
-        if self._closed:
+        """Close both directions; local and remote receivers unblock.
+
+        Also after the peer closed first (``closed`` already true): the
+        socket itself is still open until this call."""
+        if self._sock.fileno() == -1:
             return
         self._closed = True
         try:

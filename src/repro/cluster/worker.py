@@ -1,51 +1,49 @@
 """One cluster worker: a real OS process hosting ORB endpoints.
 
 Launched by the coordinator as ``python -m repro.cluster.worker`` with
-its ring index; the worker
+its ring index, the worker builds its driver/server deployment on a
+:class:`~repro.cluster.transport.SocketTransport`, adds a control ORB on
+a process of its own, and calls ``Coordinator.hello`` with its endpoints
+and object refs. From then on it is the ``Control::Worker`` servant of
+:mod:`repro.cluster.control`: ``wire`` resolves its ring neighbour,
+``run_calls`` / ``run_load`` drive the data plane, ``collect`` returns
+its local spool's sealed segments, and ``shutdown`` ends the process.
 
-1. dials the coordinator's control port and says hello (its local
-   data-plane endpoints plus its server's object-ref URL),
-2. receives the cluster-wide endpoint/ref map, wires its driver to its
-   ring neighbour over the :class:`~repro.cluster.transport.SocketTransport`,
-3. reports ready and starts a heartbeat thread (liveness + current
-   log-buffer occupancy, which is what lets the coordinator charge an
-   abruptly killed worker's records to ``records_uncollected``),
-4. serves framed-JSON commands — drive a monitored call sequence, run
-   an open-loop load step, collect-and-ship its local spool, shut down,
-5. on SIGTERM, drains gracefully: stops serving, quiesces, ships a
-   final spool under ``drain-<index>``, and exits 0.
-
-All sends to the coordinator go through one lock so heartbeats can
-never interleave with a multi-frame spool shipment.
+A heartbeat thread reports log-buffer occupancy as a oneway call — what
+lets the coordinator charge an abruptly killed worker's records to
+``records_uncollected``. SIGTERM drains: the main thread collects a
+final spool under ``drain-<index>``, ``deliver``s it to the coordinator
+and exits 0. A heartbeat that cannot reach the coordinator ends the
+worker with status 1, telling a lost coordinator from a clean stop.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
+import itertools
 import os
+import queue
 import shutil
 import signal
-import socket
 import sys
 import tempfile
 import threading
 
+from repro.cluster import control
 from repro.cluster.loadgen import open_loop
-from repro.cluster.shipping import ChannelTimeout, FrameChannel, ship_run
 from repro.cluster.transport import SocketTransport
 from repro.cluster.workload import (
     build_load_deployment,
     build_worker_deployment,
     drive_calls,
-    server_name,
 )
 from repro.collector.sharded import ShardedSpoolCollector
-from repro.errors import TransportError
-from repro.scenarios.workloads import quiesce
+from repro.errors import OrbError, TransportError
+from repro.orb.refs import ObjectRef
+from repro.platform import quiesce
 
 HEARTBEAT_INTERVAL_S = 0.5
-#: Command-poll period; also bounds SIGTERM-to-drain latency.
-POLL_TIMEOUT_S = 0.2
 
 
 class Worker:
@@ -62,141 +60,103 @@ class Worker:
         self.coordinator = coordinator
         self.plane = plane
         self.spool_root = spool_root
-        self.channel: FrameChannel | None = None
         self.deployment = None
         self.transport = SocketTransport()
-        self._channel_lock = threading.Lock()
-        self._drain_requested = threading.Event()
+        #: Serializes commands, and the drain after them.
+        self._lock = threading.Lock()
+        #: Report sequence numbers, taken with the reading they stamp.
+        self._reports = itertools.count()
+        self._report_lock = threading.Lock()
+        #: Why the main thread should stop. ``SimpleQueue.put`` is
+        #: reentrant, so the SIGTERM handler may call it.
+        self._wake: queue.SimpleQueue[str] = queue.SimpleQueue()
         self._stopped = threading.Event()
 
     # -- lifecycle -------------------------------------------------------
 
     def run(self) -> int:
-        signal.signal(signal.SIGTERM, self._on_sigterm)
-        sock = socket.create_connection(self.coordinator, timeout=10.0)
-        sock.settimeout(None)
-        self.channel = FrameChannel(sock)
-        if self.plane == "load":
-            self.deployment = build_load_deployment(
-                self.index, self.workers, self.transport
-            )
-        else:
-            self.deployment = build_worker_deployment(
-                self.index, self.workers, self.transport
-            )
-        self._send(
-            {
-                "type": "hello",
-                "index": self.index,
-                "pid": os.getpid(),
-                "endpoints": {
-                    address: list(endpoint)
-                    for address, endpoint in self.transport.local_endpoints().items()
-                },
-                "refs": {server_name(self.index): self.deployment.local_ref_url},
-            }
+        signal.signal(signal.SIGTERM, lambda _signum, _frame: self._wake.put("drain"))
+        build = build_load_deployment if self.plane == "load" else build_worker_deployment
+        self.deployment = build(self.index, self.workers, self.transport)
+        orb = control.control_orb(f"control-{self.index:02d}", self.transport)
+        ref = orb.activate(self, interface="Control::Worker")
+        self.transport.set_endpoints({control.COORDINATOR.address: self.coordinator})
+        coordinator = orb.resolve(control.COORDINATOR)
+        endpoints = [
+            control.idl().Endpoint(address, host, port)
+            for address, (host, port) in self.transport.local_endpoints().items()
+        ]
+        coordinator.hello(
+            self.index, os.getpid(), ref.to_url(), self.deployment.local_ref_url, endpoints
         )
-        mapping = self.channel.recv_json(timeout=30.0)
-        if mapping.get("type") != "map":
-            raise TransportError(f"expected map, got {mapping.get('type')!r}")
-        self.transport.set_endpoints(
-            {
-                address: (host, int(port))
-                for address, (host, port) in mapping["endpoints"].items()
-            }
-        )
-        self.deployment.connect(mapping["refs"])
-        self._send({"type": "ready", "index": self.index})
-        heartbeat = threading.Thread(
-            target=self._heartbeat_loop, name="cluster-heartbeat", daemon=True
-        )
-        heartbeat.start()
+        threading.Thread(
+            target=self._heartbeat_loop, args=(coordinator,),
+            name="cluster-heartbeat", daemon=True,
+        ).start()
+        reason = self._wake.get()
         try:
-            return self._serve()
+            if reason == "drain":
+                with self._lock:
+                    coordinator.deliver(self.index, self._ship(f"drain-{self.index:02d}"))
         finally:
             self._stopped.set()
+            orb.process.shutdown()
             self.transport.close()
+        return 1 if reason == "lost" else 0
 
-    def _serve(self) -> int:
-        while True:
-            if self._drain_requested.is_set():
-                self._drain()
-                return 0
-            try:
-                message = self.channel.recv_json(timeout=POLL_TIMEOUT_S)
-            except ChannelTimeout:
-                continue
-            except TransportError:
-                # Coordinator died; nothing to ship to. Exit non-zero so
-                # a supervising launcher can tell this from a clean stop.
-                return 1
-            kind = message.get("type")
-            if kind == "run-calls":
-                self._run_calls(message)
-            elif kind == "run-load":
-                self._run_load(message)
-            elif kind == "collect":
-                self._collect(message["run_id"])
-            elif kind == "shutdown":
-                self._send({"type": "bye", "index": self.index})
-                return 0
-            # Unknown messages are ignored: forward protocol compatibility.
+    def _heartbeat_loop(self, coordinator) -> None:
+        try:
+            while not self._stopped.wait(HEARTBEAT_INTERVAL_S):
+                coordinator.heartbeat(self.index, self._report())
+        except (TransportError, OrbError):
+            self._wake.put("lost")
 
-    def _on_sigterm(self, _signum, _frame) -> None:
-        self._drain_requested.set()
+    def _report(self):
+        with self._report_lock:
+            buffered = {p.name: len(p.log_buffer) for p in self.deployment.processes}
+            seq = next(self._reports)
+        return control.idl().Report(seq, control.occupancy(buffered))
 
-    # -- command handlers ------------------------------------------------
+    # -- Control::Worker --------------------------------------------------
 
-    def _buffered(self) -> dict[str, int]:
-        return {
-            process.name: len(process.log_buffer)
-            for process in self.deployment.processes
-        }
+    def wire(self, endpoints, refs) -> None:
+        self.transport.set_endpoints({e.address: (e.host, e.port) for e in endpoints})
+        self.deployment.connect({ObjectRef.from_url(url).address: url for url in refs})
 
-    def _run_calls(self, message: dict) -> None:
-        errors, results = drive_calls(
-            self.deployment, int(message["calls"])
-        )
-        quiesce(self.deployment.processes)
-        self._send(
-            {
-                "type": "done",
-                "index": self.index,
-                "run_seq": message.get("run_seq"),
-                "errors": errors,
-                "results": results,
-                "buffered": self._buffered(),
-            }
-        )
+    def run_calls(self, calls):
+        types = control.idl()
+        with self._lock:
+            _errors, results = drive_calls(self.deployment, calls)
+            quiesce(self.deployment.processes)
+            outcomes = [
+                types.Outcome(0, r) if isinstance(r, str) else types.Outcome(r, "")
+                for r in results
+            ]
+            return types.CallsDone(outcomes, self._report())
 
-    def _run_load(self, message: dict) -> None:
-        import asyncio
-
+    def run_load(self, rate, arrivals, seed, max_inflight):
         stub = self.deployment.stub
 
-        async def _call(i):
+        async def call(i):
             await stub.ping(i)
 
-        result = asyncio.run(
-            open_loop(
-                _call,
-                rate_per_s=float(message["rate"]),
-                arrivals=int(message["arrivals"]),
-                seed=int(message["seed"]),
-                max_inflight=int(message.get("max_inflight", 4096)),
-            )
-        )
-        self._send(
-            {
-                "type": "done",
-                "index": self.index,
-                "run_seq": message.get("run_seq"),
-                "result": result.to_json(),
-                "buffered": self._buffered(),
-            }
-        )
+        with self._lock:
+            result = asyncio.run(open_loop(
+                call, rate_per_s=rate, arrivals=arrivals, seed=seed,
+                max_inflight=max_inflight,
+            ))
+        return control.load_struct(result)
 
-    def _collect(self, run_id: str) -> None:
+    def collect(self, run_id):
+        with self._lock:
+            return self._ship(run_id)
+
+    def shutdown(self) -> None:
+        self._wake.put("shutdown")
+
+    def _ship(self, run_id: str):
+        """Collect the local buffers into a sealed spool and return it as a
+        ``Shipment``: the manifest plus every segment's exact bytes."""
         quiesce(self.deployment.processes)
         spool = tempfile.mkdtemp(
             prefix=f"repro-spool-{self.index:02d}-", dir=self.spool_root
@@ -206,43 +166,12 @@ class Worker:
             shard.collect(self.deployment.processes, run_id=run_id)
             manifest = shard.manifest(run_id)
             shard.seal()
-            with self._channel_lock:
-                ship_run(
-                    self.channel,
-                    spool,
-                    run_id,
-                    loss=manifest["loss"],
-                    processes=manifest["processes"],
-                    monitor_mode=manifest["monitor_mode"],
-                    record_count=manifest["record_count"],
-                    schema_version=manifest["schema_version"],
-                )
+            segments = shard.segments(run_id)
         finally:
             shutil.rmtree(spool, ignore_errors=True)
-
-    def _drain(self) -> None:
-        """SIGTERM path: quiesce, ship whatever is buffered, exit clean."""
-        self._collect(f"drain-{self.index:02d}")
-        self._send({"type": "drain-complete", "index": self.index})
-
-    # -- heartbeats ------------------------------------------------------
-
-    def _send(self, message: dict) -> None:
-        with self._channel_lock:
-            self.channel.send_json(message)
-
-    def _heartbeat_loop(self) -> None:
-        while not self._stopped.wait(HEARTBEAT_INTERVAL_S):
-            try:
-                self._send(
-                    {
-                        "type": "heartbeat",
-                        "index": self.index,
-                        "buffered": self._buffered(),
-                    }
-                )
-            except TransportError:
-                return  # coordinator gone; the serve loop will notice
+        types = control.idl()
+        manifest["loss"] = types.Loss(**manifest["loss"])
+        return types.Shipment(types.Manifest(**manifest), segments)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,7 +7,7 @@ and only the sealed result crosses the network to the central analyzer.
 composition of the ordinary :class:`~repro.collector.LogCollector` over
 a host-local :class:`~repro.store.SegmentStore` whose directory is a
 temporary spool area: each collection commits there as one sealed
-segment, which is then *shipped* (see :mod:`repro.cluster.shipping`)
+segment, which is then *shipped* (see :mod:`repro.cluster.control`)
 rather than analyzed in place.
 
 Compaction is disabled on the shard: the central store re-ingests and
@@ -37,7 +37,8 @@ class ShardedSpoolCollector:
         shard.collect(processes, run_id="...")   # commits one sealed segment
         manifest = shard.manifest(run_id)
         shard.seal()                  # closes the store
-        # ship manifest + segment files, then discard spool_dir
+        segments = shard.segments(run_id)
+        # ship manifest + segments, then discard spool_dir
 
     One shard instance serves one shipment; reuse the spool directory
     only after the previous shipment is acknowledged.
@@ -88,6 +89,20 @@ class ShardedSpoolCollector:
                     ),
                 }
         raise KeyError(f"run {run_id!r} not collected into this spool")
+
+    def segments(self, run_id: str) -> list[bytes]:
+        """The sealed segment files of ``run_id``, as exact bytes, in
+        commit order (call after :meth:`seal`)."""
+        run_dir = os.path.join(self.spool_dir, "runs", run_id)
+        names = sorted(
+            name for name in os.listdir(run_dir)
+            if name.endswith(".seg") and not name.startswith(".tmp")
+        )
+        segments = []
+        for name in names:
+            with open(os.path.join(run_dir, name), "rb") as handle:
+                segments.append(handle.read())
+        return segments
 
     def seal(self) -> None:
         """Close the local store: every committed segment is complete on

@@ -55,7 +55,7 @@ class ComRuntime:
         self._thread_apartments: dict[int, Apartment] = {}
         self._factories: dict[str, ClassFactory] = {}
         self._lock = threading.Lock()
-        process.com = self
+        process.attach(self)
 
     # ------------------------------------------------------------------
     # Apartments

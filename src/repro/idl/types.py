@@ -114,8 +114,15 @@ class SequenceType(IdlType):
     def __init__(self, element: IdlType):
         self.element = element
         self.idl_name = f"sequence<{element.idl_name}>"
+        #: ``sequence<octet>`` maps to ``bytes`` (the OMG Python mapping)
+        #: and travels as one block. An octet has no alignment, so the
+        #: block is byte for byte the element-by-element encoding.
+        self.octets = getattr(element, "kind", None) == "octet"
 
     def marshal(self, encoder: CdrEncoder, value: Any) -> None:
+        if self.octets and isinstance(value, (bytes, bytearray)):
+            encoder.write_bytes(value)
+            return
         if not isinstance(value, (list, tuple)):
             raise MarshalError(f"sequence expects a list, got {type(value).__name__}")
         encoder.write_length(len(value))
@@ -123,11 +130,13 @@ class SequenceType(IdlType):
             self.element.marshal(encoder, item)
 
     def unmarshal(self, decoder: CdrDecoder) -> Any:
+        if self.octets:
+            return decoder.read_bytes()
         length = decoder.read_length()
         return [self.element.unmarshal(decoder) for _ in range(length)]
 
     def default(self) -> Any:
-        return []
+        return b"" if self.octets else []
 
 
 class EnumType(IdlType):

@@ -111,6 +111,7 @@ class Container:
             process.spawn_thread(self._worker, name=f"ejb-{self.name}-{i}")
             for i in range(worker_threads)
         ]
+        process.attach(self)
 
     # ------------------------------------------------------------------
     # Deployment

@@ -171,7 +171,7 @@ class Orb:
         self._server_connections: list[Connection] = []
         self._server_connections_lock = threading.Lock()
         self._shut_down = False
-        process.orb = self
+        process.attach(self)
         self.policy.start(process)
         network.listen(self.address, self._on_connect)
 
@@ -315,6 +315,8 @@ class Orb:
         with self._channels_lock:
             chan = self._async_channels.get(address)
             if chan is None or chan.closed or chan.loop is not loop:
+                if chan is not None:
+                    chan.close()  # else its reader thread outlives its loop
                 label = f"{self.address}/t{next(self._connection_serial)}"
                 conn = self.network.connect(label, address)
                 chan = AsyncMuxChannel(conn, self.process, loop)

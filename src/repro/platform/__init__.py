@@ -9,7 +9,7 @@ from repro.platform.capabilities import (
 from repro.platform.clocks import Clock, RealClock, SkewedClock, VirtualClock
 from repro.platform.host import Host
 from repro.platform.network import Connection, Network
-from repro.platform.process import LocalLogBuffer, SimProcess
+from repro.platform.process import LocalLogBuffer, SimProcess, quiesce
 from repro.platform.tss import ContextVarStorage, ThreadSpecificStorage
 
 __all__ = [
@@ -28,4 +28,5 @@ __all__ = [
     "ThreadSpecificStorage",
     "VirtualClock",
     "capabilities_for",
+    "quiesce",
 ]

@@ -10,14 +10,17 @@ A :class:`SimProcess` is the deployment unit of the paper's experiments
   coordination; the collector gathers buffers at quiescence),
 - the threads it spawned, so shutdown can join them.
 
-Runtimes (the ORB, the COM runtime, the monitoring runtime) attach
-themselves to the process via plain attributes.
+The monitoring runtime attaches itself as ``process.monitor``; runtimes
+that own threads (an ORB, the COM runtime, a J2EE container) register
+with :meth:`SimProcess.attach`, and :meth:`SimProcess.shutdown` stops
+them all.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import time
 from typing import Any, Callable
 
 from repro.platform.host import Host
@@ -158,9 +161,10 @@ class SimProcess:
         self.tss = ContextVarStorage()
         self.log_buffer = LocalLogBuffer()
         self.monitor: Any = None  # attached by repro.core.monitor
-        self.orb: Any = None  # attached by repro.orb.orb
-        self.com: Any = None  # attached by repro.com.runtime
         self.fault_hook: Any = None  # attached by repro.faults.FaultInjector
+        #: Runtimes that own threads here (ORB, COM, container), in attach
+        #: order; :meth:`shutdown` stops every one of them.
+        self._runtimes: list[Any] = []
         self._threads: list[threading.Thread] = []
         self._threads_lock = threading.Lock()
         self._prune_at = self._PRUNE_FLOOR  # tracked count that triggers a prune
@@ -185,31 +189,31 @@ class SimProcess:
             self._threads.append(thread)
         return thread
 
-    def join_threads(self, timeout: float = 2.0) -> None:
+    def join_threads(self, timeout: float = 2.0) -> list[threading.Thread]:
         """Join all spawned threads, bounded by ``timeout`` overall.
 
         Threads are daemons, so a straggler blocked on I/O cannot keep the
         interpreter alive; we only wait briefly for orderly completion.
+        Returns the stragglers: the threads still alive at the deadline.
         """
-        import time
-
         deadline = time.monotonic() + timeout
         with self._threads_lock:
             threads = list(self._threads)
         for thread in threads:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            thread.join(timeout=remaining)
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        return [thread for thread in threads if thread.is_alive()]
 
-    def shutdown(self) -> None:
-        """Mark the process dead and stop its attached runtimes."""
+    def attach(self, runtime: Any) -> None:
+        """Register a runtime whose ``shutdown()`` this process calls."""
+        self._runtimes.append(runtime)
+
+    def shutdown(self) -> list[threading.Thread]:
+        """Mark the process dead, stop every attached runtime and join
+        the threads; returns the stragglers (see :meth:`join_threads`)."""
         self._alive = False
-        for runtime in (self.orb, self.com):
-            stop = getattr(runtime, "shutdown", None)
-            if callable(stop):
-                stop()
-        self.join_threads()
+        for runtime in self._runtimes:
+            runtime.shutdown()
+        return self.join_threads()
 
     @property
     def alive(self) -> bool:
@@ -217,3 +221,24 @@ class SimProcess:
 
     def __repr__(self) -> str:
         return f"SimProcess(pid={self.pid}, name={self.name!r}, host={self.host.name!r})"
+
+
+def quiesce(processes, settle: int = 3, interval: float = 0.002,
+            timeout: float = 2.0) -> None:
+    """Wait until the processes' log buffers stop growing.
+
+    Oneway dispatch and pooled servers finish asynchronously, so callers
+    settle before collecting: ``settle`` equal readings ``interval``
+    seconds apart, or ``timeout`` seconds, whichever comes first.
+    """
+    deadline = time.monotonic() + timeout
+    last, stable = -1, 0
+    while time.monotonic() < deadline:
+        size = sum(len(p.log_buffer) for p in processes)
+        if size == last:
+            stable += 1
+            if stable >= settle:
+                return
+        else:
+            stable, last = 0, size
+        time.sleep(interval)

@@ -22,7 +22,6 @@ used to hand-code:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -41,7 +40,7 @@ from repro.orb import (
     ThreadPerRequest,
     ThreadPool,
 )
-from repro.platform import Host, PlatformKind, SimProcess, VirtualClock
+from repro.platform import Host, PlatformKind, SimProcess, VirtualClock, quiesce
 from repro.scenarios.config import ScenarioSpec, SuiteError
 
 #: Two-process CORBA workload IDL (the chaos matrix's service).
@@ -127,26 +126,6 @@ class WorkloadHarness:
 
     def shutdown(self) -> None:
         self._shutdown()
-
-
-def quiesce(processes, settle: int = 3, interval: float = 0.002,
-            timeout: float = 2.0) -> None:
-    """Wait until the processes' log buffers stop growing.
-
-    Oneway dispatch and pooled servers finish asynchronously; scenarios
-    settle before collection so accounting is schedule-independent.
-    """
-    deadline = time.monotonic() + timeout
-    last, stable = -1, 0
-    while time.monotonic() < deadline:
-        size = sum(len(p.log_buffer) for p in processes)
-        if size == last:
-            stable += 1
-            if stable >= settle:
-                return
-        else:
-            stable, last = 0, size
-        time.sleep(interval)
 
 
 def _monitored_process(name: str, host: Host, uuid_factory,

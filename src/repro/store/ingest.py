@@ -1,7 +1,7 @@
 """Remote ingest: shipped ``.seg`` files into the central store.
 
-The coordinator side of the cluster's shipping protocol
-(:mod:`repro.cluster.shipping`). Each worker ships the sealed segments
+The coordinator side of a cluster collection
+(:mod:`repro.cluster.control`). Each worker ships the sealed segments
 its collections committed as exact file bytes; this module decodes them
 with the ordinary :class:`~repro.store.SegmentReader`, restores each
 worker's arrival order from the footer's ranks, and re-inserts the records
@@ -36,43 +36,34 @@ class Shipment:
     records: list[ProbeRecord] = field(default_factory=list)
 
 
-def receive_shipment(channel, begin: dict, workdir: str | None = None) -> Shipment:
-    """Decode one shipment from ``channel`` (after its ``ship-begin``).
+def receive_shipment(
+    manifest: dict, segments: list[bytes], workdir: str | None = None
+) -> Shipment:
+    """Decode one worker's shipment: its manifest plus segment bytes.
 
-    ``begin`` is the already-received ``ship-begin`` message. Segment
-    bytes are staged to ``workdir`` (a private temp dir by default) so
-    :class:`SegmentReader` can mmap them, then decoded to records in the
-    worker's arrival order. Raises :class:`StoreError` on protocol or
-    schema mismatch.
+    ``manifest`` is what :meth:`ShardedSpoolCollector.manifest` recorded
+    (run id, record count, loss, processes, monitor mode, schema
+    version); ``segments`` are the sealed files' exact bytes in commit
+    order. The bytes are staged to ``workdir`` (a private temp dir by
+    default) so :class:`SegmentReader` can mmap them, then decoded to
+    records in the worker's arrival order. Raises :class:`StoreError` on
+    a schema or record-count mismatch.
     """
-    if begin.get("type") != "ship-begin":
-        raise StoreError(f"expected ship-begin, got {begin.get('type')!r}")
-    if begin.get("schema_version") != SCHEMA_VERSION:
+    if manifest.get("schema_version") != SCHEMA_VERSION:
         raise StoreError(
-            f"shipment has record schema v{begin.get('schema_version')}, "
+            f"shipment has record schema v{manifest.get('schema_version')}, "
             f"this build uses v{SCHEMA_VERSION}"
         )
     shipment = Shipment(
-        run_id=str(begin["run_id"]),
-        processes=list(begin.get("processes", [])),
-        loss=dict(begin.get("loss", {})),
-        monitor_mode=str(begin.get("monitor_mode", "")),
-        record_count=int(begin.get("record_count", 0)),
+        run_id=str(manifest["run_id"]),
+        processes=list(manifest.get("processes", [])),
+        loss=dict(manifest.get("loss", {})),
+        monitor_mode=str(manifest.get("monitor_mode", "")),
+        record_count=int(manifest.get("record_count", 0)),
     )
     ranked: list[tuple[int, ProbeRecord]] = []
     with tempfile.TemporaryDirectory(dir=workdir) as staging:
-        for index in range(int(begin.get("segments", 0))):
-            header = channel.recv_json()
-            if header.get("type") != "segment":
-                raise StoreError(
-                    f"expected segment header, got {header.get('type')!r}"
-                )
-            data = channel.recv()
-            if len(data) != int(header.get("bytes", -1)):
-                raise StoreError(
-                    f"segment {header.get('name')}: expected "
-                    f"{header.get('bytes')} bytes, received {len(data)}"
-                )
+        for index, data in enumerate(segments):
             path = os.path.join(staging, f"{index:06d}.seg")
             with open(path, "wb") as handle:
                 handle.write(data)
@@ -81,9 +72,6 @@ def receive_shipment(channel, begin: dict, workdir: str | None = None) -> Shipme
                 reader.load_ranked(ranked)
             finally:
                 reader.close()
-    end = channel.recv_json()
-    if end.get("type") != "ship-end":
-        raise StoreError(f"expected ship-end, got {end.get('type')!r}")
     ranked.sort(key=lambda pair: pair[0])
     shipment.records = [record for _rank, record in ranked]
     if len(shipment.records) != shipment.record_count:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core import (
     MonitorConfig,
@@ -11,6 +14,20 @@ from repro.core import (
     SequentialUuidFactory,
 )
 from repro.platform import Host, Network, PlatformKind, SimProcess, VirtualClock
+
+# One hypothesis profile for every property. A loaded box must not fail a
+# property on wall time, so there is no deadline and no too_slow check.
+# REPRO_FUZZ_EXAMPLES sets the example budget (CI's fuzz job: 2000), and
+# CI derandomizes, so a red CI run replays from the same examples.
+settings.register_profile(
+    "repro",
+    deadline=None,
+    max_examples=int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0"))
+    or settings.default.max_examples,
+    derandomize=bool(os.environ.get("CI")),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("repro")
 
 
 class Cluster:

@@ -11,6 +11,9 @@ heartbeat, so ``stored + uncollected == produced`` cluster-wide.
 
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 
 from repro.cluster import Cluster
@@ -79,6 +82,29 @@ class TestKillNineAccounting:
             assert meta.extra["processes"][:2] == [
                 driver_name(0), server_name(0),
             ]
+        finally:
+            store.close()
+
+    def test_unanswering_worker_is_charged_and_the_rest_collected(self, tmp_path):
+        # A stopped worker never answers ``collect``: after the timeout it
+        # is charged like a dead one, and the live worker's records land.
+        store = SegmentStore(str(tmp_path / "central"))
+        try:
+            cluster = Cluster(2, spool_root=str(tmp_path))
+            cluster.up()
+            try:
+                cluster.run_calls(2)
+                held = [sum(h.last_buffered.values()) for h in cluster.handles]
+                os.kill(cluster.handles[1].pid, signal.SIGSTOP)
+                stored = cluster.collect(store, "stopped", timeout=5.0)
+                cluster.kill(1)
+            finally:
+                cluster.down()
+            loss = _run_meta(store, "stopped").extra["loss"]
+            assert stored == held[0] == 2 * RECORDS_PER_CALL
+            assert store.record_count("stopped") == stored
+            assert loss["records_uncollected"] == held[1] == 2 * RECORDS_PER_CALL
+            assert sorted(loss["failed_drains"]) == [driver_name(1), server_name(1)]
         finally:
             store.close()
 

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis import (
     CpuAnalysis,
@@ -33,7 +33,6 @@ def build_dscg(top_calls):
 
 
 @given(st.lists(call_trees(), min_size=1, max_size=3))
-@settings(max_examples=40, deadline=None)
 def test_serialize_roundtrip_preserves_structure(top_calls):
     dscg = build_dscg(top_calls)
     restored = dscg_from_json(dscg_to_json(dscg))
@@ -53,7 +52,6 @@ def test_serialize_roundtrip_preserves_structure(top_calls):
 @given(st.lists(call_trees(), min_size=1, max_size=3),
        st.sampled_from(_NAMES),
        st.floats(0.0, 1.0))
-@settings(max_examples=40, deadline=None)
 def test_impact_estimation_is_consistent(top_calls, function, scale):
     dscg = build_dscg(top_calls)
     estimator = ImpactEstimator(dscg)
@@ -72,7 +70,6 @@ def test_impact_estimation_is_consistent(top_calls, function, scale):
 
 @given(st.lists(call_trees(), min_size=1, max_size=3),
        st.floats(0.2, 0.8))
-@settings(max_examples=30, deadline=None)
 def test_hyperbolic_layout_always_inside_disk(top_calls, step):
     dscg = build_dscg(top_calls)
     root = HyperbolicLayout(step=step).layout_dscg(dscg)
@@ -83,7 +80,6 @@ def test_hyperbolic_layout_always_inside_disk(top_calls, step):
 
 
 @given(st.lists(call_trees(), min_size=1, max_size=3))
-@settings(max_examples=40, deadline=None)
 def test_descendant_cpu_monotone_down_the_tree(top_calls):
     """A parent's inclusive CPU always >= any child's inclusive CPU."""
     dscg = build_dscg(top_calls)

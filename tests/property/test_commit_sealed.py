@@ -18,7 +18,7 @@ threshold low enough that most files hold several blocks:
   close and reopen; and compacting the two equals ``reference_compact`` of
   both.
 
-CI's chaos job raises the example count through ``REPRO_FUZZ_EXAMPLES``.
+CI's fuzz job raises the example count through ``REPRO_FUZZ_EXAMPLES``.
 """
 
 import os
@@ -40,6 +40,8 @@ from tests.unit.store.test_compaction_relocation import (
     write_spool,
 )
 
+#: Each example commits, compacts and reads back two stores (about 60 ms),
+#: so tier-1 keeps 60 of them; ``REPRO_FUZZ_EXAMPLES`` overrides.
 EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0")) or 60
 
 _records = st.lists(_record, min_size=1, max_size=40)
@@ -71,7 +73,7 @@ def read(path):
         return handle.read()
 
 
-@settings(max_examples=EXAMPLES, deadline=None)
+@settings(max_examples=EXAMPLES)
 @given(records=_records, parts=st.integers(1, 4), flush=_flush)
 def test_commit_writes_what_compaction_would(tmp_path_factory, records, parts, flush):
     root = tmp_path_factory.mktemp("commit")
@@ -103,7 +105,7 @@ def test_commit_writes_what_compaction_would(tmp_path_factory, records, parts, f
             parent.close()
 
 
-@settings(max_examples=EXAMPLES, deadline=None)
+@settings(max_examples=EXAMPLES)
 @given(first=_records, second=_records, parts=st.integers(1, 3), flush=_flush)
 def test_second_collection_is_a_second_sealed_segment(
     tmp_path_factory, first, second, parts, flush

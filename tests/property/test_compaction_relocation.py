@@ -14,13 +14,14 @@ rank width, ``FXTS`` bounds and the ``FXFN`` zone map are equal by
 construction — and the compacted run must answer ``chains_for_run``,
 ``all_records`` and a pruned function scan as the decoded records say.
 
-CI's chaos job raises the example count through ``REPRO_FUZZ_EXAMPLES``.
+CI's fuzz job raises the example count through ``REPRO_FUZZ_EXAMPLES``
+(the suite-wide hypothesis profile in ``tests/conftest.py``).
 """
 
 import os
 import shutil
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core import CallKind, Domain, TracingEvent
 from repro.store import ScanPredicate, ScanStats
@@ -45,8 +46,6 @@ from tests.unit.store.test_segment_codec import make_record
 CHAINS = [f"{i:032x}" for i in (3, 1, 2)] + ["é" * 16, "\ud800chain"]
 NAMES = ["M::A", "M::B", "op0", "op1", "Comp", "p0", "p1", "höst", "x86", ""]
 _HEADER_BYTES = 20
-
-EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0")) or 120
 
 _WALL = 10**18
 _I32 = 2**31
@@ -137,7 +136,6 @@ def build_sources(root, records, spools, head, cut):
     return paths
 
 
-@settings(max_examples=EXAMPLES, deadline=None)
 @given(
     records=st.lists(_record, min_size=1, max_size=40),
     spools=st.integers(1, 4),

@@ -13,7 +13,7 @@ and an interface and an operation that both exist but never on one
 record must prune the sealed segment outright.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core import RunMetadata
 from repro.store import ScanPredicate, ScanStats, SegmentStore
@@ -84,9 +84,6 @@ def build_store(root, fields, layout, batches, overflow):
         if layout == "recompacted":
             store.compact("p")
     return store, records
-
-
-@settings(max_examples=60, deadline=None)
 @given(
     fields=st.lists(_record, min_size=1, max_size=40),
     layout=st.sampled_from(["spools", "sealed", "sealed+spool", "recompacted"]),

@@ -9,7 +9,7 @@ round-trip.
 
 import keyword
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.idl import compile_idl, parse_idl
 from repro.idl.semantics import analyze
@@ -71,7 +71,6 @@ def idl_specs(draw):
 
 
 @given(idl_specs())
-@settings(max_examples=50, deadline=None)
 def test_pipeline_accepts_generated_idl(source):
     spec = analyze(parse_idl(source))
     assert spec.interfaces
@@ -86,7 +85,6 @@ def test_pipeline_accepts_generated_idl(source):
 
 
 @given(idl_specs())
-@settings(max_examples=30, deadline=None)
 def test_generated_source_is_clean_python(source):
     compiled = compile_idl(source, instrument=True, registry=InterfaceRegistry())
     compile(compiled.source, "<gen>", "exec")
@@ -96,7 +94,6 @@ def test_generated_source_is_clean_python(source):
 
 
 @given(idl_specs(), st.data())
-@settings(max_examples=30, deadline=None)
 def test_generated_signatures_marshal_roundtrip(source, data):
     from repro.idl.types import EnumType, PrimitiveType, StringType, StructType
     from repro.orb.cdr import CdrDecoder, CdrEncoder

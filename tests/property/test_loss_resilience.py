@@ -7,7 +7,7 @@ nodes, abnormal events, or both. That is the resilience contract the
 fault-injection subsystem exercises end to end.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis import loss_report, reconstruct_from_records
 from repro.core import MonitorMode
@@ -45,7 +45,6 @@ def _records(tree_seed_calls):
     calls=st.lists(call_trees(), min_size=1, max_size=3),
     data=st.data(),
 )
-@settings(max_examples=60, deadline=None)
 def test_reconstruction_never_raises_on_any_subset(calls, data):
     records = _records(calls)
     keep = data.draw(
@@ -64,7 +63,6 @@ def test_reconstruction_never_raises_on_any_subset(calls, data):
     calls=st.lists(call_trees(), min_size=1, max_size=3),
     dropped_index=st.integers(min_value=0, max_value=10_000),
 )
-@settings(max_examples=60, deadline=None)
 def test_single_missing_record_flags_its_chain(calls, dropped_index):
     records = _records(calls)
     victim = records[dropped_index % len(records)]
@@ -87,7 +85,6 @@ def test_single_missing_record_flags_its_chain(calls, dropped_index):
     seed=st.integers(min_value=0, max_value=2**32),
     rate=st.floats(min_value=0.05, max_value=0.9),
 )
-@settings(max_examples=40, deadline=None)
 def test_seed_logged_loss_is_reproducible(calls, seed, rate):
     """FaultPlan-scheduled deletions: never raise, identical loss twice."""
     records = _records(calls)
@@ -103,7 +100,6 @@ def test_seed_logged_loss_is_reproducible(calls, seed, rate):
 
 
 @given(calls=st.lists(call_trees(), min_size=1, max_size=3))
-@settings(max_examples=30, deadline=None)
 def test_full_record_set_reports_no_loss(calls):
     dscg = reconstruct_from_records(_records(calls))
     report = loss_report(dscg)

@@ -11,7 +11,7 @@ once and its live state is unharmed.
 
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis import OnlineMonitor, reconstruct_from_records
 from repro.core import MonitorMode
@@ -52,7 +52,6 @@ def _abnormal(monitor):
 
 
 @given(captures())
-@settings(max_examples=80, deadline=None)
 def test_any_arrival_order_matches_batch(capture):
     records, arrival = capture
     dscg = reconstruct_from_records(records)
@@ -68,7 +67,6 @@ def test_any_arrival_order_matches_batch(capture):
 
 
 @given(captures(), st.data())
-@settings(max_examples=80, deadline=None)
 def test_dropped_record_never_invents_a_completion(capture, data):
     _, arrival = capture
     lost = data.draw(st.integers(0, len(arrival) - 1))
@@ -86,7 +84,6 @@ def test_dropped_record_never_invents_a_completion(capture, data):
 
 
 @given(captures(), st.data())
-@settings(max_examples=80, deadline=None)
 def test_duplicated_record_alerts_once_and_leaves_nothing_open(capture, data):
     records, arrival = capture
     arrival = list(arrival)

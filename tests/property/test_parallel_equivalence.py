@@ -11,7 +11,7 @@ single-scan analyzer's, for every worker count and for both file-backed
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis import dscg_to_json, reconstruct, reconstruct_sharded
 from repro.collector import MonitoringDatabase, collect_run
@@ -70,7 +70,6 @@ def _stray_record(chain_uuid, seq, event):
     mingle=st.booleans(),
     file_backed=st.booleans(),
 )
-@settings(max_examples=30, deadline=None)
 def test_sharded_reconstruction_matches_serial(top_calls, workers, mingle,
                                                file_backed):
     sim = simulate(top_calls, mode=MonitorMode.FULL, fresh_chain_per_top_call=True)

@@ -1,6 +1,6 @@
 """Property tests: framing, references and clock-skew invariance."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis import latency_report, reconstruct_from_records
 from repro.core import MonitorMode
@@ -23,7 +23,6 @@ _name = st.text(
     body=st.binary(max_size=512),
     ftl=st.one_of(st.none(), st.binary(min_size=24, max_size=24)),
 )
-@settings(max_examples=200)
 def test_request_framing_roundtrip(request_id, object_key, interface, operation,
                                    oneway, body, ftl):
     message = RequestMessage(
@@ -44,7 +43,6 @@ def test_request_framing_roundtrip(request_id, object_key, interface, operation,
     body=st.binary(max_size=512),
     ftl=st.one_of(st.none(), st.binary(min_size=24, max_size=24)),
 )
-@settings(max_examples=200)
 def test_reply_framing_roundtrip(request_id, status, body, ftl):
     message = ReplyMessage(request_id=request_id, status=status, body=body, ftl=ftl)
     assert decode_message(message.encode()) == message
@@ -58,14 +56,12 @@ _segment = st.text(
 
 
 @given(address=_segment, key=_segment, interface=_segment, component=_segment)
-@settings(max_examples=200)
 def test_object_ref_url_roundtrip(address, key, interface, component):
     ref = ObjectRef(address, key, interface, component)
     assert ObjectRef.from_url(ref.to_url()) == ref
 
 
 @given(skew_ns=st.integers(-10**12, 10**12))
-@settings(max_examples=25, deadline=None)
 def test_latency_analysis_invariant_under_clock_skew(skew_ns):
     """Shifting every wall reading taken on one host by a constant must
     not change any latency result — the paper's no-global-clock-sync

@@ -29,7 +29,7 @@ import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -367,9 +367,6 @@ FORESTS = st.lists(
                  max_leaves=8),
     min_size=1, max_size=3,
 )
-
-
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(forest=FORESTS, mode=st.sampled_from(list(MonitorMode)), share_chain=st.booleans())
 def test_direct_probes_write_the_model_records(forest, mode, share_chain):
     run = DirectRun(mode, "d1")
@@ -483,9 +480,6 @@ def _orb_call(stub, operation: str, shape: str, target: int, cpu_ns: int, arg: i
         semantics_1={"operation": operation, "args": [repr(arg)]} if shape == "sync" else None,
         semantics_3={"status": "ok", "result": repr(result)},
     )
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     plan=st.lists(st.sampled_from(["leaf", "local", "note"]), max_size=4),
     mode=st.sampled_from(list(MonitorMode)),

@@ -17,13 +17,12 @@ wide frame in mid-block, several records blocks and several site-delta
 blocks.
 
 Derandomized: the examples are a function of this file alone. Tier-1
-runs hypothesis's default budget; CI's chaos job raises it through
-``REPRO_FUZZ_EXAMPLES``.
+runs the suite profile's budget (``tests/conftest.py``); CI's fuzz job
+raises it through ``REPRO_FUZZ_EXAMPLES``.
 """
 
 from __future__ import annotations
 
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,8 +41,6 @@ from repro.store.segment import (
 )
 
 from tests.unit.store.test_segment_codec import make_record
-
-EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0")) or settings.default.max_examples
 
 PREDICATES = (
     ScanPredicate(interfaces={"Fz::A"}, operations={"op1"}),
@@ -194,8 +191,8 @@ def exercise(data: bytes, path: str) -> int:
 
 
 @settings(
-    max_examples=EXAMPLES, derandomize=True, deadline=None, database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(mutations=MUTATIONS)
 def test_a_damaged_segment_reads_or_raises_store_error(pristine, mutations):

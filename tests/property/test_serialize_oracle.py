@@ -13,7 +13,7 @@ empty, and oneway stubs name forked chains that may or may not exist.
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis import (
     CpuAnalysis,
@@ -101,9 +101,6 @@ def calls(draw, depth=2):
         cpu_ns=draw(st.integers(0, 500)), idle_ns=draw(st.integers(0, 500)),
         children=children, oneway=shape == "oneway", collocated=shape == "collocated",
     )
-
-
-@settings(max_examples=60, deadline=None)
 @given(
     top_calls=st.lists(calls(), min_size=1, max_size=3),
     mode=st.sampled_from([MonitorMode.FULL, MonitorMode.LATENCY, MonitorMode.CPU]),
@@ -181,9 +178,6 @@ def forests(draw):
     if draw(st.booleans()):
         dscg.link_chains()  # forks that resolve get a parent_chain_uuid
     return dscg
-
-
-@settings(max_examples=150, deadline=None)
 @given(forests())
 def test_built_forests_match_oracle(dscg):
     assert_matches_oracle(dscg)

@@ -6,7 +6,7 @@ state machine must rebuild a structure isomorphic to what was executed,
 with zero abnormal transitions.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis import CpuAnalysis, reconstruct_from_records
 from repro.analysis.latency import end_to_end_latency
@@ -56,7 +56,6 @@ def node_shape(node, dscg):
 
 
 @given(st.lists(call_trees(), min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
 def test_reconstruction_is_inverse_of_execution(top_calls):
     sim = simulate(top_calls, mode=MonitorMode.FULL)
     dscg = reconstruct_from_records(sim.records)
@@ -68,7 +67,6 @@ def test_reconstruction_is_inverse_of_execution(top_calls):
 
 
 @given(st.lists(call_trees(), min_size=1, max_size=3))
-@settings(max_examples=60, deadline=None)
 def test_cpu_conservation(top_calls):
     """Sum of self CPU over all nodes equals the total CPU charged."""
     sim = simulate(top_calls, mode=MonitorMode.CPU)
@@ -83,7 +81,6 @@ def test_cpu_conservation(top_calls):
 
 
 @given(st.lists(call_trees(), min_size=1, max_size=3))
-@settings(max_examples=60, deadline=None)
 def test_latency_non_negative_and_root_covers_children(top_calls):
     sim = simulate(top_calls, mode=MonitorMode.LATENCY)
     dscg = reconstruct_from_records(sim.records)
@@ -99,7 +96,6 @@ def test_latency_non_negative_and_root_covers_children(top_calls):
 
 
 @given(st.lists(call_trees(), min_size=1, max_size=3))
-@settings(max_examples=40, deadline=None)
 def test_event_numbering_dense_per_chain(top_calls):
     """Each chain's event numbers are exactly 0..N-1 (no gaps, no dupes)."""
     sim = simulate(top_calls, mode=MonitorMode.CAUSALITY)

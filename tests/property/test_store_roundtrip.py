@@ -9,7 +9,7 @@ Two invariants:
   depend on which backend held the records.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.collector import MonitoringDatabase
 from repro.core import (
@@ -72,9 +72,6 @@ def probe_records(draw):
         child_chain_uuid=draw(st.one_of(st.none(), _name)),
         semantics=draw(_semantics),
     )
-
-
-@settings(max_examples=60, deadline=None)
 @given(records=st.lists(probe_records(), max_size=40))
 def test_spool_segment_roundtrips_any_records(tmp_path_factory, records):
     path = str(tmp_path_factory.mktemp("seg") / "prop.spool.seg")
@@ -86,9 +83,6 @@ def test_spool_segment_roundtrips_any_records(tmp_path_factory, records):
     reader.load_ranked(ranked)
     reader.close()
     assert [r for _k, r in sorted(ranked, key=lambda p: p[0])] == records
-
-
-@settings(max_examples=25, deadline=None)
 @given(
     records=st.lists(probe_records(), max_size=40),
     batches=st.integers(1, 5),

@@ -10,7 +10,7 @@ Two contracts from :mod:`repro.scenarios.config`:
   order, ids and derived seeds never depend on anything else.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.scenarios import (
     BACKEND_NAMES,
@@ -117,9 +117,6 @@ _suites = st.builds(
         _grids, min_size=1, max_size=3, unique_by=lambda g: g.name
     ).map(tuple),
 )
-
-
-@settings(max_examples=60, deadline=None)
 @given(config=_suites)
 def test_yaml_round_trip_is_identity(config):
     text = dump_yaml(config)
@@ -128,15 +125,9 @@ def test_yaml_round_trip_is_identity(config):
     # The canonical YAML text is itself a fixed point: dumping the
     # reloaded config reproduces the bytes, so suite files never churn.
     assert dump_yaml(reloaded) == text
-
-
-@settings(max_examples=60, deadline=None)
 @given(config=_suites)
 def test_to_dict_round_trip_is_identity(config):
     assert SuiteConfig.from_dict(config.to_dict()) == config
-
-
-@settings(max_examples=40, deadline=None)
 @given(config=_suites)
 def test_expansion_is_order_deterministic(config):
     first = expand_grid(config)
@@ -151,9 +142,6 @@ def test_expansion_is_order_deterministic(config):
     assert sorted(range(len(seen)), key=lambda i: grid_order.index(seen[i])) == list(
         range(len(seen))
     )
-
-
-@settings(max_examples=40, deadline=None)
 @given(config=_suites, other_seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_seed_override_changes_only_seeds(config, other_seed):
     base = expand_grid(config)

@@ -20,7 +20,7 @@ import gc
 from dataclasses import replace
 from operator import attrgetter
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis import CpuAnalysis, annotate_latency, reconstruct_from_records
@@ -75,9 +75,6 @@ def test_a_reconstructed_call_costs_the_collector_three_objects():
         for reading in filter(None, readings):
             assert type(reading) is tuple and not gc.is_tracked(reading)
         assert node.latency_ns is not None and node.descendant_cpu is not None
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(forest=FORESTS, mode=st.sampled_from(list(MonitorMode)))
 def test_the_records_view_rebuilds_the_records_applied(forest, mode):
     """``node.record(event)`` equals the record the machine was given, for

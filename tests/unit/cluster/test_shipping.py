@@ -1,15 +1,13 @@
 """What a worker ships, and what the coordinator makes of it.
 
 A sharded collector commits its collection as one *sealed* segment
-(chain-grouped, arrival ranks in the footer); the shipping protocol
+(chain-grouped, arrival ranks in the footer); a worker's ``Shipment``
 carries those bytes as they are, and the central re-ingest must recover
 the worker's arrival order from the ranks, not from file order.
 """
 
 import os
-import socket
 
-from repro.cluster.shipping import FrameChannel, ship_run
 from repro.collector.sharded import ShardedSpoolCollector
 from repro.store import ScanStats, SegmentReader, SegmentStore
 from repro.store.ingest import ingest_shipments, receive_shipment
@@ -32,26 +30,14 @@ def worker_processes(prefix):
 
 
 def ship(spool_dir, processes, run_id):
-    """Collect ``processes`` on a shard and ship the run over a socket
-    pair; returns the shipped segment names and the decoded shipment."""
+    """Collect ``processes`` on a shard and decode what it would ship;
+    returns the shipped segment names and the decoded shipment."""
     shard = ShardedSpoolCollector(spool_dir, retries=0, backoff_s=0.0)
     shard.collect(processes, run_id=run_id)
     manifest = shard.manifest(run_id)
     shard.seal()
     names = sorted(os.listdir(os.path.join(spool_dir, "runs", run_id)))
-    ours, theirs = socket.socketpair()
-    sender, receiver = FrameChannel(ours), FrameChannel(theirs)
-    try:
-        ship_run(
-            sender, spool_dir, run_id, loss=manifest["loss"],
-            processes=manifest["processes"], monitor_mode=manifest["monitor_mode"],
-            record_count=manifest["record_count"],
-            schema_version=manifest["schema_version"],
-        )
-        shipment = receive_shipment(receiver, receiver.recv_json(timeout=5.0))
-    finally:
-        sender.close()
-        receiver.close()
+    shipment = receive_shipment(manifest, shard.segments(run_id))
     return [name for name in names if name.endswith(".seg")], shipment
 
 

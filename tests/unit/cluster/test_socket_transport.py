@@ -60,11 +60,7 @@ class TestLoopbackFragmentation:
         ),
         cuts=st.lists(st.integers(min_value=0, max_value=10_000), max_size=24),
     )
-    @settings(
-        max_examples=30,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_segmentation_reslices_to_sent_messages(
         self, listener, payloads, cuts
     ):
@@ -88,11 +84,7 @@ class TestLoopbackFragmentation:
             client.close()
 
     @given(payload=st.binary(min_size=0, max_size=48))
-    @settings(
-        max_examples=15,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_one_byte_trickle(self, listener, payload):
         (host, port), accepted = listener
         stream = _HELLO + frame_message(payload)

@@ -1,6 +1,7 @@
 """Unit tests for the J2EE-like container."""
 
 import threading
+import time
 
 import pytest
 
@@ -84,7 +85,7 @@ class TestStateless:
         proxy = jndi.lookup("echo", process)
         assert proxy.ping(7) == 7
         assert proxy.shout("hi") == "HI"
-        process.shutdown()
+        assert process.shutdown() == []
 
     def test_pool_shares_instances_across_calls(self):
         clock, process, container = make_env("eb")
@@ -107,7 +108,7 @@ class TestStateless:
         ids = {p.whoami() for _ in range(10)}
         assert len(created) == container.stateless_pool_size
         assert ids <= {id(instance) for instance in created}
-        process.shutdown()
+        assert process.shutdown() == []
 
     def test_private_method_not_callable(self):
         clock, process, container = make_env("ec")
@@ -117,7 +118,7 @@ class TestStateless:
         proxy = jndi.lookup("echo", process)
         with pytest.raises(AttributeError):
             proxy._internal()
-        process.shutdown()
+        assert process.shutdown() == []
 
     def test_exceptions_propagate(self):
         clock, process, container = make_env("ed")
@@ -132,7 +133,7 @@ class TestStateless:
         jndi.bind("bomb", container, handle)
         with pytest.raises(ValueError, match="boom"):
             jndi.lookup("bomb", process).go()
-        process.shutdown()
+        assert process.shutdown() == []
 
     def test_args_are_serialized_copies(self):
         clock, process, container = make_env("ee")
@@ -150,7 +151,7 @@ class TestStateless:
         result = jndi.lookup("taker", process).take(original)
         assert original == ["client"]
         assert result == ["client", "server"]
-        process.shutdown()
+        assert process.shutdown() == []
 
 
 class TestStateful:
@@ -161,7 +162,7 @@ class TestStateful:
         jndi.bind("counter", container, handle)
         proxy = jndi.lookup("counter", process)
         assert [proxy.bump() for _ in range(3)] == [1, 2, 3]
-        process.shutdown()
+        assert process.shutdown() == []
 
     def test_handles_are_isolated(self):
         clock, process, container = make_env("f0")
@@ -175,14 +176,14 @@ class TestStateful:
         a.bump()
         a.bump()
         assert b.bump() == 1
-        process.shutdown()
+        assert process.shutdown() == []
 
     def test_create_handle_rejects_stateless(self):
         clock, process, container = make_env("f1")
         container.deploy(Echo)
         with pytest.raises(EjbError):
             container.create_handle("Echo")
-        process.shutdown()
+        assert process.shutdown() == []
 
 
 class TestContainerLifecycle:
@@ -191,13 +192,13 @@ class TestContainerLifecycle:
         container.deploy(Echo)
         with pytest.raises(EjbError):
             container.deploy(Echo)
-        process.shutdown()
+        assert process.shutdown() == []
 
     def test_unknown_jndi_name(self):
         clock, process, container = make_env("f3")
         with pytest.raises(EjbError):
             Jndi().lookup("ghost", process)
-        process.shutdown()
+        assert process.shutdown() == []
 
     def test_duplicate_jndi_bind_rejected(self):
         clock, process, container = make_env("f4")
@@ -206,7 +207,7 @@ class TestContainerLifecycle:
         jndi.bind("echo", container, handle)
         with pytest.raises(EjbError):
             jndi.bind("echo", container, handle)
-        process.shutdown()
+        assert process.shutdown() == []
 
     def test_concurrent_clients(self):
         clock, process, container = make_env("f5")
@@ -224,4 +225,13 @@ class TestContainerLifecycle:
         for thread in threads:
             thread.join()
         assert sorted(results) == list(range(8))
-        process.shutdown()
+        assert process.shutdown() == []
+
+    def test_process_shutdown_stops_the_container_workers(self):
+        # The container registers with its process, so shutdown wakes its
+        # workers instead of waiting out the join budget on their inbox.
+        _, process, container = make_env()
+        assert container.invoke(process, container.deploy(Echo), "ping", (1,), {}, True) == 1
+        started = time.monotonic()
+        assert process.shutdown() == []
+        assert time.monotonic() - started < 1.5

@@ -9,7 +9,7 @@ splits, length prefixes straddling chunks, many frames per chunk.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import MarshalError
@@ -41,7 +41,6 @@ class TestFragmentationProperty:
         payloads=st.lists(st.binary(min_size=0, max_size=64), max_size=12),
         cuts=st.lists(st.integers(min_value=0, max_value=10_000), max_size=40),
     )
-    @settings(max_examples=200, deadline=None)
     def test_incremental_matches_blocking_reference(self, payloads, cuts):
         stream = b"".join(frame_message(p) for p in payloads)
         parser = StreamFrameParser()
@@ -52,7 +51,6 @@ class TestFragmentationProperty:
         assert parser.pending_bytes == 0
 
     @given(payloads=st.lists(st.binary(min_size=0, max_size=32), max_size=6))
-    @settings(max_examples=50, deadline=None)
     def test_one_byte_splits(self, payloads):
         stream = b"".join(frame_message(p) for p in payloads)
         parser = StreamFrameParser()

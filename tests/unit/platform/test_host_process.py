@@ -82,7 +82,7 @@ class TestSimProcess:
         process = SimProcess("p", host)
         seen = []
         process.spawn_thread(lambda: seen.append(1), name="w")
-        process.join_threads(timeout=2)
+        assert process.join_threads(timeout=2) == []
         assert seen == [1]
 
     def test_finished_threads_are_pruned_and_live_ones_still_joined(self):
@@ -106,7 +106,7 @@ class TestSimProcess:
             assert len(process._threads) <= 2 * (len(live) + 1) + 16
         assert all(t in process._threads for t in live)
         release.set()
-        process.shutdown()
+        assert process.shutdown() == []
         assert sorted(finished) == [0, 1, 2]
         assert not any(t.is_alive() for t in live)
 
