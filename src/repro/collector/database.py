@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 from repro.core.events import CallKind, Domain, TracingEvent
 from repro.core.records import RECORD_SCHEMA, ProbeRecord, RunMetadata, Site
 from repro.collector.schema import RECORD_COLUMNS, SCHEMA_STATEMENTS
-from repro.store.query import ScanPredicate
+from repro.store.query import OpStats, ScanPredicate, ScanStats, fold_operations
 
 #: Column order used by every record SELECT; positions are relied on by
 #: the tuple-based :func:`_row_to_record` conversion below.
@@ -318,6 +318,18 @@ class MonitoringDatabase:
                 group.append(_row_to_record(row, sites))
         if current is not None:
             yield current, group
+
+    def fold_operations(
+        self,
+        run_id: str,
+        predicate: ScanPredicate | None = None,
+        stats: ScanStats | None = None,
+    ) -> tuple[dict[str, OpStats], int]:
+        """Per-operation counts and wall intervals of the matching records,
+        and how many chains hold one: the record-level fold over
+        :meth:`chains_for_run`. SQL prunes nothing to count: ``stats`` is
+        left as it is."""
+        return fold_operations(self.chains_for_run(run_id, predicate=predicate))
 
     # ------------------------------------------------------------------
     # Supporting queries

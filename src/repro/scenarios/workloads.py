@@ -71,6 +71,11 @@ module HB {
 """
 
 
+#: Message faults that always deliver what was sent (a DELAY spike is
+#: charged to the virtual clock, not slept).
+_NEVER_SWALLOWED = frozenset({"duplicate", "delay"})
+
+
 @dataclass
 class ScenarioContext:
     """Everything a workload adapter needs to build its deployment."""
@@ -105,12 +110,15 @@ class ScenarioContext:
     def request_timeout(self) -> float:
         # Short timeouts keep dropped-message scenarios fast — a dropped
         # request is only discovered when the client gives up waiting.
-        # Faults that never swallow a message (record loss, drain
-        # failures) keep the generous timeout: a tight real-time bound
-        # there would let host scheduling jitter fail legitimate calls
-        # on a loaded machine, breaking run-twice determinism.
+        # Faults that never swallow a message (duplicate, delay — charged
+        # to the virtual clock — record loss, drain failures) keep the
+        # generous timeout: a tight real-time bound there would let host
+        # scheduling jitter fail legitimate calls on a loaded machine,
+        # breaking run-twice determinism.
         fault = self.spec.fault
-        if fault.rates or fault.crash_calls:
+        if fault.crash_calls or any(
+            rate and kind not in _NEVER_SWALLOWED for kind, rate in fault.rates.items()
+        ):
             return 0.1
         return 5.0
 

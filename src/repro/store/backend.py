@@ -19,7 +19,7 @@ import os
 from typing import ContextManager, Iterable, Iterator, Protocol, runtime_checkable
 
 from repro.core.records import ProbeRecord, RunMetadata
-from repro.store.query import ScanPredicate
+from repro.store.query import OpStats, ScanPredicate, ScanStats
 from repro.store.store import MARKER_FILE, SegmentStore
 
 
@@ -32,7 +32,10 @@ class StorageBackend(Protocol):
     chain uuid (UTF-8 byte order) with records sorted by ``event_seq``
     (arrival order breaking ties), and ``all_records`` in arrival order —
     :func:`repro.analysis.reconstruct` output is bit-identical across
-    backends because of it.
+    backends because of it. ``fold_operations`` must equal
+    :func:`repro.store.query.fold_operations` over ``chains_for_run``
+    under the same predicate; ``stats`` is for a backend that counts its
+    pruning, and one that does not leaves it as it is.
     """
 
     path: str
@@ -54,6 +57,13 @@ class StorageBackend(Protocol):
         last_chain: str | None = None,
         predicate: ScanPredicate | None = None,
     ) -> Iterator[tuple[str, list[ProbeRecord]]]: ...
+
+    def fold_operations(
+        self,
+        run_id: str,
+        predicate: ScanPredicate | None = None,
+        stats: ScanStats | None = None,
+    ) -> tuple[dict[str, OpStats], int]: ...
 
     def record_count(self, run_id: str) -> int: ...
 

@@ -6,10 +6,10 @@ bounded:
 
 - **per-run summaries** — one cached JSON per run (record/chain counts,
   anchor-timestamp bounds, and per-operation wall-interval statistics
-  folded into deterministic log2 histograms), built from one predicated
-  scan and invalidated by record count;
+  folded into deterministic log2 histograms), folded straight from the
+  run's frames and invalidated by record count;
 - **cross-run queries** — "p99 of operation X over the last 50 runs":
-  one predicated scan per live run, merged in catalog order;
+  one predicated fold per live run, merged in catalog order;
 - **retention / TTL** — :meth:`RunCatalog.apply_retention` downsamples
   runs beyond a count or age budget: the summary is built (if missing),
   marked ``downsampled``, and the run's segment files are deleted.
@@ -35,13 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import StoreError
-from repro.store.query import (
-    OpStats,
-    ScanPredicate,
-    ScanStats,
-    fold_operations,
-    record_anchor,
-)
+from repro.store.query import OpStats, ScanPredicate, ScanStats, merge_operations
 
 if TYPE_CHECKING:
     from repro.store.store import SegmentStore
@@ -188,23 +182,11 @@ class RunCatalog:
         return [self.summary(run_id, refresh=refresh) for run_id in self.run_ids()]
 
     def _build_summary(self, run_id: str) -> RunSummary:
-        ts_min = ts_max = None
-
-        def watch_anchors(groups):
-            nonlocal ts_min, ts_max
-            for chain, group in groups:
-                for record in group:
-                    anchor = record_anchor(record.wall_start, record.wall_end)
-                    if anchor is not None:
-                        if ts_min is None or anchor < ts_min:
-                            ts_min = anchor
-                        if ts_max is None or anchor > ts_max:
-                            ts_max = anchor
-                yield chain, group
-
-        operations, chains = fold_operations(
-            watch_anchors(self.store.chains_for_run(run_id))
-        )
+        folds = self.store.fold_segments(run_id, anchors=True)
+        bounds = [fold.bounds for fold in folds if fold.bounds is not None]
+        ts_min = min((lo for lo, _hi in bounds), default=None)
+        ts_max = max((hi for _lo, hi in bounds), default=None)
+        operations, chains = merge_operations(folds)
         for stats in operations.values():
             # A summary keeps the histogram, not the raw intervals.
             stats.hist, stats.durations = stats.histogram(), None
@@ -256,9 +238,7 @@ class RunCatalog:
             summary = self._peek_summary(run_id)
             if summary is None or not summary.downsampled:
                 scan = ScanStats()
-                ops, _chains = fold_operations(self.store.chains_for_run(
-                    run_id, predicate=predicate, stats=scan
-                ))
+                ops, _chains = self.store.fold_operations(run_id, predicate, scan)
                 rows.append({
                     "run_id": run_id,
                     "source": "scan",

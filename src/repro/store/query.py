@@ -39,21 +39,16 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import StoreError
-from repro.store.segment import ScanStats, bounds_overlap  # ScanStats re-exported
+from repro.store.segment import (  # ScanStats, record_anchor re-exported
+    ScanStats,
+    SegmentFold,
+    bounds_overlap,
+    record_anchor,
+)
 
 if TYPE_CHECKING:
     from repro.core.records import ProbeRecord
     from repro.store.segment import SegmentReader
-
-
-def record_anchor(wall_start: int | None, wall_end: int | None) -> int | None:
-    """The timestamp a time-range predicate tests a record against.
-
-    ``wall_start`` when the probe captured it, else ``wall_end``; records
-    with neither never match a time-range predicate. Both backends and
-    the segment footer bounds use this one definition.
-    """
-    return wall_start if wall_start is not None else wall_end
 
 
 @dataclass(frozen=True)
@@ -271,9 +266,9 @@ def fold_population_stats(records: Iterable["ProbeRecord"]) -> dict[str, int]:
     agree with: ``calls`` counts STUB_START events, the ``unique_*``
     figures count distinct values using the same string identities the
     SQLite aggregation uses (``interface || '::' || operation``,
-    ``process || '/' || thread_id``). The segment store routes its
-    *predicated* stats through this fold (over the pushed-down scan);
-    SQLite compiles the identical semantics to WHERE clauses.
+    ``process || '/' || thread_id``). The segment store folds the same
+    figures from its frames (:func:`merge_population`); SQLite compiles
+    the identical semantics to WHERE clauses.
     """
     calls = 0
     methods: set[str] = set()
@@ -306,8 +301,31 @@ def fold_population_stats(records: Iterable["ProbeRecord"]) -> dict[str, int]:
     }
 
 
+def merge_population(folds: Iterable[SegmentFold]) -> dict[str, int]:
+    """The population statistics of segment folds made with ``threads``."""
+    sites: set = set()
+    threads: set[tuple[str, int]] = set()
+    chains: set[str] = set()
+    calls = 0
+    for fold in folds:
+        sites.update(fold.sites)
+        threads |= fold.threads
+        chains |= fold.chains
+        calls += fold.calls
+    return {
+        "calls": calls,
+        "unique_methods": len({f"{s.interface}::{s.operation}" for s in sites}),
+        "unique_interfaces": len({s.interface for s in sites}),
+        "unique_components": len({s.component for s in sites}),
+        "unique_objects": len({s.object_id for s in sites}),
+        "processes": len({s.process for s in sites}),
+        "threads": len({f"{process}/{tid}" for process, tid in threads}),
+        "chains": len(chains),
+    }
+
+
 # ----------------------------------------------------------------------
-# Per-operation latency: the one fold behind `repro query` and the catalog
+# Per-operation latency: what `repro query` and the catalog answer
 
 #: log2 histogram: bin b holds durations in [2**b, 2**(b+1)) ns
 #: (non-positive durations land in bin 0). 64 bins cover any i64.
@@ -431,7 +449,8 @@ class OpStats:
 
 def fold_operations(groups) -> tuple[dict[str, OpStats], int]:
     """Fold ``chains_for_run`` groups into ``{"Interface::operation":
-    OpStats}`` (intervals held raw) and the number of groups seen."""
+    OpStats}`` (intervals held raw) and the number of groups seen — the
+    record-level definition of a backend's ``fold_operations``."""
     counts: dict[str, int] = {}
     durations: dict[str, list[int]] = {}
     chains = 0
@@ -445,6 +464,27 @@ def fold_operations(groups) -> tuple[dict[str, OpStats], int]:
                 durations.setdefault(key, []).append(
                     record.wall_end - record.wall_start
                 )
+    return _op_stats(counts, durations), chains
+
+
+def merge_operations(folds: Iterable[SegmentFold]) -> tuple[dict[str, OpStats], int]:
+    """Segment folds merged by ``"Interface::operation"`` (intervals held
+    raw) and by chain uuid: the operations and how many chains hold one."""
+    counts: dict[str, int] = {}
+    durations: dict[str, list[int]] = {}
+    chains: set[str] = set()
+    for fold in folds:
+        chains |= fold.chains
+        for site, (frames, intervals) in fold.sites.items():
+            key = f"{site.interface}::{site.operation}"
+            counts[key] = counts.get(key, 0) + frames
+            durations.setdefault(key, []).extend(intervals)
+    return _op_stats(counts, durations), len(chains)
+
+
+def _op_stats(
+    counts: dict[str, int], durations: dict[str, list[int]]
+) -> dict[str, OpStats]:
     operations = {}
     for key, records in counts.items():
         values = durations.get(key, [])
@@ -453,7 +493,7 @@ def fold_operations(groups) -> tuple[dict[str, OpStats], int]:
             min(values, default=None), max(values, default=None),
             durations=values,
         )
-    return operations, chains
+    return operations
 
 
 def run_query(
@@ -464,27 +504,19 @@ def run_query(
 ) -> dict:
     """Execute a predicated scan and aggregate per-operation latency.
 
-    Works against any :class:`~repro.store.StorageBackend`; the segment
-    store additionally fills ``stats`` with its pruning counters. The
-    result is JSON-ready and deterministic for a given store.
+    Works against any :class:`~repro.store.StorageBackend` through its
+    ``fold_operations``; the segment store additionally fills ``stats``
+    with its pruning counters, which the result then carries. The result
+    is JSON-ready and deterministic for a given store.
 
     Per-operation ``wall_ns`` aggregates the record's own probe interval
     (``wall_end - wall_start``) — the store-level latency figure that
     needs no chain reconstruction.
     """
+    from repro.store.store import SegmentStore
+
     predicate = predicate or ScanPredicate()
-    kwargs = {"predicate": predicate}
-    if stats is not None:
-        kwargs["stats"] = stats
-    stats_filled = stats is not None
-    try:
-        groups = backend.chains_for_run(run_id, **kwargs)
-    except TypeError:
-        # Backend without stats plumbing (SQLite): predicate only, and
-        # the result carries no (all-zero) pruning counters.
-        groups = backend.chains_for_run(run_id, predicate=predicate)
-        stats_filled = False
-    folded, chains = fold_operations(groups)
+    folded, chains = backend.fold_operations(run_id, predicate, stats)
     operations = {}
     for key in sorted(folded):
         op = folded[key]
@@ -499,6 +531,6 @@ def run_query(
         "chains": chains,
         "operations": operations,
     }
-    if stats_filled:
+    if stats is not None and isinstance(backend, SegmentStore):
         result["scan"] = stats.to_dict()
     return result

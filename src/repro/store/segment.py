@@ -65,7 +65,8 @@ the bytes it had to drop — loss accounting survives partial segments
 instead of the whole file vanishing.
 
 Schema v1 segments (no site table; a frame carried the site's fields)
-stay readable through :meth:`SegmentReader.scan` alone.
+stay readable through :meth:`SegmentReader.scan` alone (their
+:meth:`~SegmentReader.fold` folds what it decodes).
 """
 
 from __future__ import annotations
@@ -139,9 +140,14 @@ _FN_SIZE, _FW_SIZE, _MISC_OFF, _ = FRAME_LAYOUT[SCHEMA_VERSION]
 #: Flush the records block once it holds this many payload bytes.
 _FLUSH_BYTES = 4 << 20
 
-#: What the population-stats scan reads of a frame (both widths share the
-#: head): chain id, event, misc byte, site id, thread id, semantics length.
-_STAT_HEAD = struct.Struct("<IBBxIq4xI")
+#: What the aggregate walk reads of a frame, per width: chain id, event,
+#: presence, site id, thread id, child id, semantics length, the
+#: ``wall_start`` and ``wall_end`` words — padded to the whole frame, so a
+#: frame cut short fails here as it fails a decode.
+_FOLD_NARROW = struct.Struct("<IBxBIqII4xii8x")
+_FOLD_WIDE = struct.Struct("<IBxBIqII8xqq16x")
+if (_FOLD_NARROW.size, _FOLD_WIDE.size) != (_FN_SIZE, _FW_SIZE):
+    raise AssertionError("the aggregate walk's frame structs are out of sync")
 
 
 def uuid_key(uuid: str) -> bytes:
@@ -177,6 +183,66 @@ class ScanStats:
             "frames_decoded": self.frames_decoded,
             "records_matched": self.records_matched,
         }
+
+
+def record_anchor(wall_start: int | None, wall_end: int | None) -> int | None:
+    """The timestamp a time-range predicate tests a record against.
+
+    ``wall_start`` when the probe captured it, else ``wall_end``; records
+    with neither never match a time-range predicate. Both backends and
+    the segment footer bounds use this one definition (the frame loops
+    of :class:`SegmentReader` spell it inline).
+    """
+    return wall_start if wall_start is not None else wall_end
+
+
+class SegmentFold:
+    """One segment's frames that a filter passed, folded: what per-operation
+    latency and the population statistics are made of.
+
+    ``sites`` maps each :class:`Site` matched to ``[frames, intervals]`` —
+    how many frames it has, and ``wall_end - wall_start`` of each of them
+    that carries both readings. ``calls`` counts the STUB_START frames and
+    ``chains`` holds the uuids of the chains matched. ``threads`` (``None``
+    unless asked for) holds the ``(process, thread_id)`` pairs, and
+    ``bounds`` the (min, max) anchor timestamp over the matched frames
+    (``None`` unless asked for, or when no frame carries an anchor).
+    """
+
+    __slots__ = ("sites", "calls", "chains", "threads", "bounds")
+
+    def __init__(self, threads: bool = False):
+        self.sites: dict[Site, list] = {}
+        self.calls = 0
+        self.chains: set[str] = set()
+        self.threads: set[tuple[str, int]] | None = set() if threads else None
+        self.bounds: tuple[int, int] | None = None
+
+    def add_site(self, site: Site, frames: int, intervals: list[int]) -> None:
+        entry = self.sites.get(site)
+        if entry is None:
+            self.sites[site] = [frames, intervals]
+        else:
+            entry[0] += frames
+            entry[1] += intervals
+
+    def add_records(self, records, anchors: bool = False) -> None:
+        """Fold decoded records the way :meth:`SegmentReader.fold` folds
+        frames — how a schema v1 segment, which has no site table, folds."""
+        for record in records:
+            ws, we = record.wall_start, record.wall_end
+            self.add_site(
+                record.site, 1, [] if ws is None or we is None else [we - ws]
+            )
+            if record.event == 1:
+                self.calls += 1
+            self.chains.add(record.chain_uuid)
+            if self.threads is not None:
+                self.threads.add((record.site.process, record.thread_id))
+            anchor = record_anchor(ws, we)
+            if anchors and anchor is not None:
+                lo, hi = self.bounds or (anchor, anchor)
+                self.bounds = (min(lo, anchor), max(hi, anchor))
 
 
 def _pack_strings(strings: list[str]) -> bytes:
@@ -1041,52 +1107,35 @@ class SegmentReader:
             out[first:] = [out[first + i] for i in hits]
         return done
 
-    def scan(
+    def _units(
         self, flt, stats: ScanStats, lo: bytes | None = None, hi: bytes | None = None
-    ):
-        """Yield ``(cid, ranks, records)`` per decode unit — the one way
-        records leave a segment.
+    ) -> tuple:
+        """What a read of this segment walks: the per-frame filter left
+        (``None``: every frame passes) and the decode units, each ``(cid,
+        ranks, start, end, limit)`` — up to ``limit`` frames from byte
+        ``start`` on, before ``end``.
 
-        A complete sealed segment yields one unit per chain group, in
-        stored (uuid) order: ``cid`` is the group's chain id, ``ranks``
-        the records' arrival ranks from the footer. ``lo`` / ``hi``
-        (inclusive :func:`uuid_key` bounds, a shard's) are bisected for
-        in the chain index, groups being stored sorted, so nothing
-        outside them is looked at; under a filter, a group the footer
-        rules out — chain index, ``FXTS`` group bounds, ``FXFN`` zone
-        map — is skipped unread and counted, and a group no frame of
-        which matches is not yielded. A spool yields one unit per
-        records block with ``cid`` ``None`` and ignores the bounds: its
-        chains interleave, so callers regroup. So does a salvaged sealed
-        segment, whose footer (and with it the group offsets and ranks)
-        was lost: file order is the best arrival order available.
-
-        ``flt`` is the segment's :class:`~repro.store.query.SegmentFilter`
-        (``None`` without a predicate). Ranks are positional over *all*
-        frames — matched or not — so a filtered scan merges as a
-        subsequence of the unfiltered order: skipping a frame never
-        compacts the rank space.
+        A complete sealed segment has one unit per chain group, in stored
+        (uuid) order: ``cid`` is the group's chain id, ``ranks`` the
+        frames' arrival ranks from the footer. ``lo`` / ``hi`` (inclusive
+        :func:`uuid_key` bounds, a shard's) are bisected for in the chain
+        index, groups being stored sorted, so nothing outside them is
+        looked at; under a filter, a group the footer rules out — chain
+        index, ``FXTS`` group bounds, ``FXFN`` zone map — is left out and
+        counted. A spool has one unit per records block with ``cid`` and
+        ``ranks`` ``None`` and ignores the bounds: its chains interleave.
+        So does a salvaged sealed segment, whose footer (and with it the
+        group offsets and ranks) was lost.
         """
         predicated = flt is not None
         if predicated and flt.is_pass:
             flt = None  # every frame matches: nothing to test or prune on
         if not self.sealed or self.partial:
-            base = self.arrival_base
-            for start, end in self._regions:
-                records: list[ProbeRecord] = []
-                hits = None if flt is None else []
-                frames = _U32.unpack_from(self._mm, start - 4)[0]
-                walked = self._decode_span(start, end, frames, records, flt, hits)
-                stats.frames_decoded += walked
-                stats.records_matched += len(records)
-                if records:
-                    ranks = (
-                        range(base, base + walked) if hits is None
-                        else [base + i for i in hits]
-                    )
-                    yield None, ranks, records
-                base += walked
-            return
+            count = _U32.unpack_from
+            return flt, [
+                (None, None, start, end, count(self._mm, start - 4)[0])
+                for start, end in self._regions
+            ]
         chains = self.chains
         first, last = 0, len(chains)
         if lo is not None or hi is not None:
@@ -1114,16 +1163,163 @@ class SegmentReader:
             frame_flt = flt.within_group()
         if predicated:
             stats.groups += last - first
-        for gi in survivors:
-            cid, count, start_off, ranks = chains[gi]
-            records = []
-            hits = None if frame_flt is None else []
-            stats.frames_decoded += self._decode_span(
-                start_off, self.size_bytes, count, records, frame_flt, hits
-            )
+        size = self.size_bytes
+        return frame_flt, [
+            (cid, ranks, start_off, size, count)
+            for cid, count, start_off, ranks in map(chains.__getitem__, survivors)
+        ]
+
+    def scan(
+        self, flt, stats: ScanStats, lo: bytes | None = None, hi: bytes | None = None
+    ):
+        """Yield ``(cid, ranks, records)`` per decode unit (see
+        :meth:`_units`) that holds a match — the one way records leave a
+        segment.
+
+        ``cid`` is a sealed group's chain id, ``None`` for a records block
+        of a spool or a salvaged segment, whose chains callers regroup (in
+        file order, the best arrival order a lost footer leaves). ``flt``
+        is the segment's :class:`~repro.store.query.SegmentFilter`
+        (``None`` without a predicate). Ranks are positional over *all*
+        frames — matched or not — so a filtered scan merges as a
+        subsequence of the unfiltered order: skipping a frame never
+        compacts the rank space.
+        """
+        flt, units = self._units(flt, stats, lo, hi)
+        base = self.arrival_base
+        for cid, ranks, start, end, limit in units:
+            records: list[ProbeRecord] = []
+            hits = None if flt is None else []
+            walked = self._decode_span(start, end, limit, records, flt, hits)
+            stats.frames_decoded += walked
             stats.records_matched += len(records)
+            if cid is None:
+                ranks = range(base, base + walked)
+                base += walked
             if records:
                 yield cid, ranks if hits is None else [ranks[i] for i in hits], records
+
+    def fold(
+        self, flt, stats: ScanStats, anchors: bool = False, threads: bool = False
+    ) -> SegmentFold:
+        """Fold the frames ``flt`` passes into a :class:`SegmentFold` —
+        the one loop that answers aggregates, with no record built.
+
+        It walks the units :meth:`scan` decodes, with the same per-frame
+        id and time tests and the same anchor rule, and counts into
+        ``stats`` exactly as the scan does. What it needs of a frame is in
+        the frame: the site id, the event number, and — for a frame that
+        carries both wall readings — the stored ``wall_end`` word, which
+        *is* ``wall_end - wall_start``. It makes every check a decode
+        makes of a frame it matches: cut short, a chain, child or site id
+        past its table, an event number out of range, or semantics that
+        are not JSON raise :class:`StoreError`. With ``anchors`` the fold
+        carries the matched frames' anchor bounds (from the ``FXTS``
+        footer when every frame passes and the file has one), with
+        ``threads`` their ``(process, thread_id)`` pairs. A schema v1
+        segment has no site table: it folds the records :meth:`scan`
+        decodes.
+        """
+        out = SegmentFold(threads)
+        track = anchors and (
+            (flt is not None and not flt.is_pass) or self.ts_bounds is None
+        )
+        if anchors and not track:
+            lo, hi = self.ts_bounds
+            out.bounds = (lo, hi) if lo <= hi else None
+        if self.schema_version == 1:
+            for _cid, _ranks, records in self.scan(flt, stats):
+                out.add_records(records, track)
+            return out
+        flt, units = self._units(flt, stats)
+        mm = self._mm
+        strings, sites = self.strings, self.sites
+        n_strings = len(strings)
+        fn_unpack, fw_unpack = _FOLD_NARROW.unpack_from, _FOLD_WIDE.unpack_from
+        fn_size, fw_size, misc_off = _FN_SIZE, _FW_SIZE, _MISC_OFF
+        loads = _loads
+        counts = [0] * len(sites)
+        intervals: list[list[int]] = [[] for _ in sites]
+        events = [0] * len(EVENT_BY_NUM)  # an event number past it raises
+        cids: set[int] = set()
+        add_cid = cids.add
+        pairs: set[tuple[int, int]] | None = set() if threads else None
+        filtered = flt is not None
+        want_cids = want_sites = ts_lo = ts_hi = None
+        if filtered:
+            want_cids, want_sites, ts_lo, ts_hi = flt.cids, flt.sites, flt.ts_lo, flt.ts_hi
+        timed = ts_lo is not None or ts_hi is not None
+        anchored = timed or track
+        lo = hi = None
+        try:
+            for _cid, _ranks, off, end, limit in units:
+                prev_ws = 0
+                done = matched = 0
+                while off < end and done < limit:
+                    if mm[off + misc_off] & 16:
+                        cid, ev, pres, sid, tid, child, semlen, ws, wed = fw_unpack(mm, off)
+                        off += fw_size
+                        if pres & 1:
+                            prev_ws = ws
+                    else:
+                        cid, ev, pres, sid, tid, child, semlen, wsd, wed = fn_unpack(mm, off)
+                        off += fn_size
+                        if pres & 1:
+                            prev_ws += wsd
+                    done += 1
+                    if filtered and (
+                        (want_cids is not None and cid not in want_cids)
+                        or (want_sites is not None and sid not in want_sites)
+                    ):
+                        off += semlen
+                        continue
+                    if anchored:
+                        anchor = prev_ws if pres & 1 else wed if pres & 2 else None
+                        if timed and (
+                            anchor is None
+                            or (ts_lo is not None and anchor < ts_lo)
+                            or (ts_hi is not None and anchor > ts_hi)
+                        ):
+                            off += semlen
+                            continue
+                        if track and anchor is not None:
+                            if lo is None or anchor < lo:
+                                lo = anchor
+                            if hi is None or anchor > hi:
+                                hi = anchor
+                    events[ev] += 1
+                    if pres & 16 and child >= n_strings:
+                        raise IndexError
+                    if semlen:
+                        if pres & 32:
+                            loads(mm[off:off + semlen])
+                        off += semlen
+                    counts[sid] += 1
+                    if pres & 3 == 3:
+                        intervals[sid].append(wed)
+                    add_cid(cid)
+                    if pairs is not None:
+                        pairs.add((sid, tid))
+                    matched += 1
+                stats.frames_decoded += done
+                stats.records_matched += matched
+            if cids and max(cids) >= n_strings:
+                raise IndexError
+        except (IndexError, struct.error, ValueError):
+            raise StoreError(
+                f"corrupt frame in {self.path}: cut short, or an id past the"
+                " string dictionary or the site table"
+            ) from None
+        for sid, count in enumerate(counts):
+            if count:
+                out.add_site(sites[sid], count, intervals[sid])
+        out.calls = events[1]
+        out.chains.update([strings[cid] for cid in cids])
+        if pairs is not None:
+            out.threads.update([(sites[sid].process, tid) for sid, tid in pairs])
+        if track and lo is not None:
+            out.bounds = (lo, hi)
+        return out
 
     def load_ranked(self, out: list) -> None:
         """Append every ``(arrival_rank, record)`` pair to ``out``."""
@@ -1152,50 +1348,6 @@ class SegmentReader:
             except ValueError:
                 pass
         return keep
-
-    def stat_scan(self, stats: dict) -> None:
-        """Fold this segment into population statistics.
-
-        A lean pass: no ProbeRecords are built, only six head integers
-        are unpacked per frame; what is the same for every frame of a site
-        is folded once per site seen. The distinct sets collect
-        strings/tuples, which merge across segments in the store's
-        ``population_stats``.
-        """
-        if self.schema_version != SCHEMA_VERSION:
-            raise StoreError(
-                f"{self.path} is record schema v{self.schema_version}:"
-                " only scan() reads it"
-            )
-        mm = self._mm
-        head_unpack = _STAT_HEAD.unpack_from
-        calls = stats["calls"]
-        site_threads: set[tuple[int, int]] = set()
-        chain_ids: set[int] = set()
-        fn_size = _FN_SIZE
-        fw_size = _FW_SIZE
-        try:
-            for start, end in self._regions:
-                off = start
-                while off < end:
-                    cid, ev, misc, sid, tid, semlen = head_unpack(mm, off)
-                    off += (fw_size if misc & 16 else fn_size) + semlen
-                    if ev == 1:
-                        calls += 1
-                    site_threads.add((sid, tid))
-                    chain_ids.add(cid)
-            sites, strings = self.sites, self.strings
-            for site in [sites[sid] for sid in {sid for sid, _tid in site_threads}]:
-                stats["methods"].add((site.interface, site.operation))
-                stats["interfaces"].add(site.interface)
-                stats["components"].add(site.component)
-                stats["objects"].add(site.object_id)
-                stats["processes"].add(site.process)
-            stats["threads"].update((sites[sid].process, tid) for sid, tid in site_threads)
-            stats["chains"].update([strings[cid] for cid in chain_ids])
-        except (IndexError, struct.error):
-            raise StoreError(f"corrupt frame in {self.path}") from None
-        stats["calls"] = calls
 
 
 def bounds_overlap(

@@ -45,11 +45,18 @@ from repro.core.records import (
     RunMetadata,
 )
 from repro.errors import StoreError
-from repro.store.query import ScanPredicate, fold_population_stats, segment_filter
+from repro.store.query import (
+    OpStats,
+    ScanPredicate,
+    merge_operations,
+    merge_population,
+    segment_filter,
+)
 from repro.store.segment import (
     KIND_SEALED,
     KIND_SPOOL,
     ScanStats,
+    SegmentFold,
     SegmentReader,
     SegmentWriter,
     segment_info,
@@ -542,19 +549,45 @@ class SegmentStore:
         """The store's one read path: per segment the footer does not rule
         out whole, its reader and its decode units (see
         :meth:`SegmentReader.scan`), work counted into ``stats``."""
-        if predicate is not None and predicate.is_empty:
-            predicate = None
         if stats is None:
             stats = ScanStats()
-        for reader in readers:
-            stats.segments += 1
-            flt = None
-            if predicate is not None:
-                flt = segment_filter(reader, predicate)
-                if flt is None:
-                    stats.segments_pruned += 1
-                    continue
+        for reader, flt in _filters(readers, predicate, stats):
             yield reader, reader.scan(flt, stats, lo, hi)
+
+    def fold_segments(
+        self,
+        run_id: str,
+        predicate: ScanPredicate | None = None,
+        stats: ScanStats | None = None,
+        anchors: bool = False,
+        threads: bool = False,
+    ) -> list[SegmentFold]:
+        """The aggregate read path: one :class:`SegmentFold` per segment
+        the footer does not rule out, folded from its frames with no
+        record built (:meth:`SegmentReader.fold`; ``anchors`` and
+        ``threads`` ask it for anchor bounds and thread pairs). Pruning
+        and work count into ``stats`` exactly as :meth:`chains_for_run`
+        counts them."""
+        if stats is None:
+            stats = ScanStats()
+        return [
+            reader.fold(flt, stats, anchors, threads)
+            for reader, flt in _filters(
+                self._segments(self._run(run_id)), predicate, stats
+            )
+        ]
+
+    def fold_operations(
+        self,
+        run_id: str,
+        predicate: ScanPredicate | None = None,
+        stats: ScanStats | None = None,
+    ) -> tuple[dict[str, OpStats], int]:
+        """Per-operation record counts and wall intervals of the records
+        ``predicate`` matches, and how many chains hold one — what
+        :func:`repro.store.query.fold_operations` makes of
+        ``chains_for_run``, folded from the frames instead."""
+        return merge_operations(self.fold_segments(run_id, predicate, stats))
 
     # ------------------------------------------------------------------
     # Supporting queries
@@ -597,35 +630,11 @@ class SegmentStore:
 
         Mirrors the SQLite backend's semantics exactly, including the
         string-concatenation identity of ``interface || '::' ||
-        operation`` and ``process || '/' || thread_id``. A predicate
-        narrows the population via the pushed-down filtered scan; the
-        unpredicated path keeps the lean no-record stat scan.
+        operation`` and ``process || '/' || thread_id``: folded from the
+        frames the predicate passes (:meth:`fold_segments`), no record
+        built.
         """
-        readers = self._segments(self._run(run_id))
-        if (predicate is not None and not predicate.is_empty) or any(
-            reader.schema_version != SCHEMA_VERSION for reader in readers
-        ):
-            return fold_population_stats(
-                self.all_records(run_id, predicate=predicate)
-            )
-        state = {
-            "calls": 0,
-            "methods": set(), "interfaces": set(), "components": set(),
-            "objects": set(), "processes": set(), "threads": set(),
-            "chains": set(),
-        }
-        for reader in readers:
-            reader.stat_scan(state)
-        return {
-            "calls": state["calls"],
-            "unique_methods": len({f"{i}::{o}" for i, o in state["methods"]}),
-            "unique_interfaces": len(state["interfaces"]),
-            "unique_components": len(state["components"]),
-            "unique_objects": len(state["objects"]),
-            "processes": len(state["processes"]),
-            "threads": len({f"{p}/{t}" for p, t in state["threads"]}),
-            "chains": len(state["chains"]),
-        }
+        return merge_population(self.fold_segments(run_id, predicate, threads=True))
 
     def runs(self) -> list[RunMetadata]:
         metas = []
@@ -706,6 +715,23 @@ class SegmentStore:
                     for reader in run.readers:
                         reader.close()
                     run.readers = []
+
+
+def _filters(readers, predicate, stats: ScanStats):
+    """Each segment the footer does not rule out whole, with its
+    :class:`~repro.store.query.SegmentFilter` (``None``: no predicate);
+    the segments seen and pruned count into ``stats``."""
+    if predicate is not None and predicate.is_empty:
+        predicate = None
+    for reader in readers:
+        stats.segments += 1
+        flt = None
+        if predicate is not None:
+            flt = segment_filter(reader, predicate)
+            if flt is None:
+                stats.segments_pruned += 1
+                continue
+        yield reader, flt
 
 
 def _compacted(readers: list[SegmentReader]) -> bool:

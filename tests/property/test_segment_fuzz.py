@@ -4,11 +4,14 @@ Take a valid spool or sealed segment — written through ``SegmentWriter``,
 or by a store's second collection commit (``arrival_base > 0``) — damage
 its bytes anywhere — flip a bit, overwrite a run, delete a run, truncate —
 and open it. Every way
-records (or their statistics) leave a segment must then either work or
+records (or their aggregates) leave a segment must then either work or
 raise :class:`StoreError`: ``SegmentReader(path)``, a full ``scan``, a
-predicated ``scan`` and ``stat_scan``. Never another
+predicated ``scan`` and ``fold``, full and predicated. Never another
 exception, never more records than the undamaged file holds, and a
-``dropped_bytes`` that stays inside the file.
+``dropped_bytes`` that stays inside the file. Where both the fold and the
+scan of one filter succeed they agree: the fold equals the record-level
+folds of what the scan decoded — per-operation counts and intervals,
+chains, population statistics — and counts the same :class:`ScanStats`.
 
 The pristine files cover what a frame can look like: with and without
 semantics, processes in LATENCY and in CPU mode (so frames lack one
@@ -32,7 +35,13 @@ from repro.core import CallKind, TracingEvent
 from repro.errors import StoreError
 from repro.store import ScanPredicate, ScanStats, SegmentStore
 from repro.store import segment as segment_module
-from repro.store.query import segment_filter
+from repro.store.query import (
+    fold_operations,
+    fold_population_stats,
+    merge_operations,
+    merge_population,
+    segment_filter,
+)
 from repro.store.segment import (
     KIND_SEALED,
     KIND_SPOOL,
@@ -151,6 +160,23 @@ def mutate(data: bytes, mutations) -> bytes:
     return bytes(out)
 
 
+def assert_fold_is_record_fold(fold, records) -> None:
+    chains: dict = {}
+    for record in records:
+        chains.setdefault(record.chain_uuid, []).append(record)
+    folded, folded_chains = merge_operations([fold])
+    expected, expected_chains = fold_operations(chains.items())
+    assert folded_chains == expected_chains
+    assert {
+        key: (op.records, op.wall_sum, sorted(op.durations))
+        for key, op in folded.items()
+    } == {
+        key: (op.records, op.wall_sum, sorted(op.durations))
+        for key, op in expected.items()
+    }
+    assert merge_population([fold]) == fold_population_stats(records)
+
+
 def exercise(data: bytes, path: str) -> int:
     """Open ``data`` as a segment and read it every way there is; returns
     the most records any one scan yielded (0 for a refused file)."""
@@ -164,27 +190,30 @@ def exercise(data: bytes, path: str) -> int:
         assert 0 <= reader.dropped_bytes <= len(data)
         assert reader.record_count >= 0
         scanned = 0
-        try:
-            for _cid, ranks, records in reader.scan(None, ScanStats()):
-                assert len(ranks) >= len(records)
-                scanned += len(records)
-        except StoreError:
-            pass
-        for predicate in PREDICATES:
+        for predicate in (None, *PREDICATES):
             try:
-                flt = segment_filter(reader, predicate)
-                if flt is not None:
-                    matched = sum(len(r) for _c, _k, r in reader.scan(flt, ScanStats()))
-                    scanned = max(scanned, matched)
+                flt = None if predicate is None else segment_filter(reader, predicate)
             except StoreError:
-                pass
-        try:
-            reader.stat_scan({
-                "calls": 0, "methods": set(), "interfaces": set(), "components": set(),
-                "objects": set(), "processes": set(), "threads": set(), "chains": set(),
-            })
-        except StoreError:
-            pass
+                continue
+            if predicate is not None and flt is None:
+                continue
+            records, by_records = None, ScanStats()
+            try:
+                records = []
+                for _cid, ranks, unit in reader.scan(flt, by_records):
+                    assert len(ranks) >= len(unit)
+                    records += unit
+                    scanned = max(scanned, len(records))
+            except StoreError:
+                records = None
+            by_frames = ScanStats()
+            try:
+                fold = reader.fold(flt, by_frames, threads=True)
+            except StoreError:
+                continue
+            if records is not None:
+                assert_fold_is_record_fold(fold, records)
+                assert by_frames == by_records
         return scanned
     finally:
         reader.close()

@@ -6,6 +6,7 @@ implementations, grid expansion and validation, seed derivation, hook
 behavior against live backends, and report assembly.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from repro.scenarios import (
     HookSpec,
     InvariantSpec,
     PolicySpec,
+    ScenarioContext,
     SuiteConfig,
     SuiteError,
     WorkloadSpec,
@@ -230,6 +232,26 @@ class TestExecutor:
         assert [o.scenario_id for o in report.failures()] == [
             "g/corba(calls=4,style=sync)|sqlite|mux/per-connection|none"
         ]
+
+    @pytest.mark.parametrize("fault, timeout", [
+        (FaultSpec("none"), 5.0),
+        (FaultSpec("dup", rates={"duplicate": 0.3}), 5.0),
+        (FaultSpec("delay", rates={"delay": 0.2, "duplicate": 0.1}), 5.0),
+        (FaultSpec("off", rates={"drop": 0.0, "duplicate": 0.2}), 5.0),
+        (FaultSpec("loss", record_loss_rate=0.5, collect_fail_attempts=2), 5.0),
+        (FaultSpec("drop", rates={"drop": 0.1, "duplicate": 0.1}), 0.1),
+        (FaultSpec("reset", rates={"reset": 0.05}), 0.1),
+        (FaultSpec("crash", crash_calls={"add": 2}), 0.1),
+    ], ids=lambda v: v.name if isinstance(v, FaultSpec) else None)
+    def test_only_a_fault_that_can_swallow_a_message_shortens_the_timeout(
+        self, fault, timeout
+    ):
+        (spec,) = expand_grid(_suite())
+        ctx = ScenarioContext(
+            spec=dataclasses.replace(spec, fault=fault),
+            injector=None, network=None, clock=None,
+        )
+        assert ctx.request_timeout == timeout
 
 
 class TestHooks:

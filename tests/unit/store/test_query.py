@@ -465,3 +465,24 @@ class TestRunQuery:
             row["records"] for row in result["operations"].values()
         )
         assert result["scan"]["records_matched"] == result["records"]
+
+    def test_a_full_run_query_builds_no_record(self, store, monkeypatch):
+        # Counts and intervals come straight from the frames: the loop that
+        # builds records is never entered.
+        ingest(store, seeded_records())
+        assert store.compact("r1") is False  # one sealed segment
+        calls = []
+        decode = SegmentReader._decode_span
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(SegmentReader, "_decode_span", counting)
+        stats = ScanStats()
+        answer = run_query(store, "r1", stats=stats)
+        assert calls == []
+        assert (answer["records"], answer["chains"]) == (250, 8)
+        assert stats.frames_decoded == stats.records_matched == 250
+        list(store.chains_for_run("r1"))
+        assert calls  # ...which a record scan does enter

@@ -12,7 +12,8 @@ from each: ``[rank, the 22 fields]`` pairs.
 
 What v1 support consists of is ``SegmentReader.scan`` alone: a v1
 segment is pruned whole by its footer or decoded whole and tested record
-by record; a run holding one compacts through records, as every run does.
+by record, its aggregates are folded from those records, and a run
+holding one compacts through records, as every run does.
 """
 
 import json
@@ -23,9 +24,14 @@ import pytest
 
 from repro.core import CallKind, Domain, ProbeRecord, Site, TracingEvent
 from repro.core.records import SITE_FIELDS
-from repro.errors import StoreError
 from repro.store import ScanPredicate, ScanStats, SegmentStore
-from repro.store.query import segment_filter
+from repro.store.query import (
+    fold_operations,
+    fold_population_stats,
+    merge_operations,
+    merge_population,
+    segment_filter,
+)
 from repro.store.segment import SegmentReader, segment_info
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -102,10 +108,27 @@ class TestReader:
         # No frame-level pushdown: every frame of a decoded unit is built.
         assert stats.frames_decoded >= stats.records_matched == len(wanted)
 
-    def test_frames_are_neither_indexed_nor_stat_scanned(self, v1):
-        _name, reader = v1
-        with pytest.raises(StoreError, match="schema v1"):
-            reader.stat_scan({})
+    def test_folds_the_records_it_decodes(self, v1):
+        # No site table to fold frames by: the fold is its records' fold.
+        name, reader = v1
+        records = [record for _rank, record in expected_pairs(name)]
+        chains = {}
+        for record in records:
+            chains.setdefault(record.chain_uuid, []).append(record)
+        fold = reader.fold(None, ScanStats(), anchors=True, threads=True)
+        assert merge_operations([fold])[1] == fold_operations(chains.items())[1]
+        assert {
+            key: (op.records, op.timed, op.wall_sum, sorted(op.durations))
+            for key, op in merge_operations([fold])[0].items()
+        } == {
+            key: (op.records, op.timed, op.wall_sum, sorted(op.durations))
+            for key, op in fold_operations(chains.items())[0].items()
+        }
+        assert merge_population([fold]) == fold_population_stats(records)
+        anchors = [r.wall_start if r.wall_start is not None else r.wall_end
+                   for r in records]
+        anchors = [a for a in anchors if a is not None]
+        assert fold.bounds == (min(anchors), max(anchors))
 
 
 class TestStore:
