@@ -163,7 +163,7 @@ def _measure_cell(kind: str, threads: int, monitored: bool, plane: str,
     elapsed_ns = time.perf_counter_ns() - start
 
     def _records() -> int:
-        return len(server.log_buffer.snapshot()) + len(client.log_buffer.snapshot())
+        return len(server.log_buffer) + len(client.log_buffer)
 
     records = 0
     if monitored:
@@ -269,8 +269,7 @@ def _measure_async_cell(kind: str, inflight: int, monitored: bool,
     oneway = kind == "oneway_remote"
 
     def _records() -> int:
-        return (len(server.log_buffer.snapshot())
-                + len(client.log_buffer.snapshot()))
+        return len(server.log_buffer) + len(client.log_buffer)
 
     async def worker():
         invoke = stub.cast if oneway else stub.ping

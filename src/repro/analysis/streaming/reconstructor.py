@@ -113,6 +113,9 @@ class StreamingReconstructor:
         Reads go through the buffer's ``read_from`` cursor: with
         per-thread segmented buffers a flat index into ``snapshot()``
         would re-read (or skip) records as older segments keep growing.
+        A collector draining the same buffers meanwhile moves no cursor;
+        records it took before this poll saw them are counted in the
+        buffer's ``unread_drained``.
         """
         new = 0
         with self._lock:

@@ -120,7 +120,9 @@ class LogCollector:
     def _drain_with_retry(self, process: SimProcess, drain: bool) -> tuple[list, int, int]:
         """Drain one buffer, retrying transient failures.
 
-        Returns ``(records, expected, retries_used)``; ``expected`` is the
+        Returns ``(records, expected, retries_used)`` — probe rows when
+        draining, which go to the store's encoder as they are, records
+        from a snapshot (``drain=False``); ``expected`` is the
         buffer occupancy before the successful attempt, so the caller can
         charge ``expected - len(records)`` to in-delivery loss. Raises
         :class:`TransientCollectorError` once retries are exhausted.
@@ -130,7 +132,7 @@ class LogCollector:
         while True:
             expected = len(buffer)
             try:
-                records = buffer.drain() if drain else buffer.snapshot()
+                records = buffer.drain_rows() if drain else buffer.snapshot()
                 return records, expected, attempt
             except TransientCollectorError:
                 if attempt >= self.retries:

@@ -35,7 +35,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from repro.core.events import CallKind, Domain, TracingEvent
-from repro.core.records import RECORD_SCHEMA, ProbeRecord, RunMetadata, Site
+from repro.core.records import RECORD_SCHEMA, ProbeRecord, RunMetadata, Site, as_row
 from repro.collector.schema import RECORD_COLUMNS, SCHEMA_STATEMENTS
 from repro.store.query import OpStats, ScanPredicate, ScanStats, fold_operations
 
@@ -64,19 +64,18 @@ _FETCH_BATCH = 2048
 # analysis, so they must stay flat positional code — but hand-maintaining
 # two 23-line functions against the dataclass invites silent drift. Both
 # are compiled here from repro.core.records.RECORD_SCHEMA (the same table
-# the SQL DDL and the binary segment codec derive from), keeping the
-# generated bytecode identical to the previous hand-written versions.
+# the SQL DDL and the binary segment codec derive from).
 
 _TO_ROW_EXPR = {
-    "str": "{o}.{name}",
-    "int": "{o}.{name}",
-    "event": "int({o}.{name})",
-    "call_kind": "{o}.{name}.value",
-    "bool": "int({o}.{name})",
-    "domain": "{o}.{name}.value",
-    "opt_int": "{o}.{name}",
-    "opt_str": "{o}.{name}",
-    "json": "(None if {o}.{name} is None else _dumps({o}.{name}))",
+    "str": "{v}",
+    "int": "{v}",
+    "event": "int({v})",
+    "call_kind": "{v}.value",
+    "bool": "int({v})",
+    "domain": "{v}.value",
+    "opt_int": "{v}",
+    "opt_str": "{v}",
+    "json": "(None if {v} is None else _dumps({v}))",
 }
 
 _FROM_ROW_EXPR = {
@@ -93,13 +92,16 @@ _FROM_ROW_EXPR = {
 
 
 def _compile_row_codecs():
-    # A row is the 22 fields in schema order; a record holds the site
-    # fields through ``r.site`` (read once per row, never through the
-    # delegating properties) and is rebuilt around one Site per distinct
-    # combination of site columns a query returns (``sites``: the caller's
-    # cache for that query).
+    # A table row is the 22 fields in schema order. It is encoded from a
+    # probe row (``r``: ProbeRecord.__slots__ order, the site first, read
+    # once per row) and decoded to a record, rebuilt around one Site per
+    # distinct combination of site columns a query returns (``sites``: the
+    # caller's cache for that query).
     encode_fields = ",\n        ".join(
-        _TO_ROW_EXPR[field.kind].format(name=field.name, o="s" if field.site else "r")
+        _TO_ROW_EXPR[field.kind].format(
+            v=f"s.{field.name}" if field.site
+            else f"r[{ProbeRecord.__slots__.index(field.name)}]"
+        )
         for field in RECORD_SCHEMA
     )
     decode = {
@@ -114,7 +116,7 @@ def _compile_row_codecs():
     )
     source = (
         "def _record_row(run_id, r):\n"
-        "    s = r.site\n"
+        "    s = r[0]\n"
         f"    return (run_id,\n        {encode_fields})\n"
         "def _row_to_record(row, sites):\n"
         f"    key = ({site_columns})\n"
@@ -136,7 +138,7 @@ def _compile_row_codecs():
     return namespace["_record_row"], namespace["_row_to_record"]
 
 
-#: ``_record_row(run_id, record) -> tuple`` and
+#: ``_record_row(run_id, probe_row) -> tuple`` and
 #: ``_row_to_record(row, sites) -> ProbeRecord`` (positional, in schema order).
 _record_row, _row_to_record = _compile_row_codecs()
 
@@ -218,12 +220,18 @@ class MonitoringDatabase:
             )
             self._maybe_commit()
 
-    def insert_records(self, run_id: str, records: Iterable[ProbeRecord]) -> int:
+    def insert_records(self, run_id: str, records: Iterable) -> int:
         """One ``executemany`` over a generator (rows are never all in
-        memory at once); one commit (unless deferred). Returns the count."""
+        memory at once); one commit (unless deferred). Returns the count.
+        ``records`` are probe rows or :class:`ProbeRecord` objects; a record
+        becomes a row once, as it enters."""
         with self._lock:
             inserted = self._conn.executemany(
-                _INSERT_SQL, (_record_row(run_id, record) for record in records)
+                _INSERT_SQL,
+                (
+                    _record_row(run_id, r if r.__class__ is list else as_row(r))
+                    for r in records
+                ),
             ).rowcount
             self._maybe_commit()
         return inserted

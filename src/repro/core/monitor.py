@@ -25,16 +25,18 @@ import enum
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.events import CallKind, TracingEvent
 from repro.core.ftl import _WIRE, FunctionTxLog, new_chain, random_uuid_factory
 from repro.core.probes import CallContext
-from repro.core.records import OperationInfo, ProbeRecord, Site
+from repro.core.records import CPU_END, WALL_END, OperationInfo, Site
 from repro.errors import MonitorError
-from repro.platform.process import SimProcess
 from repro.telemetry.metrics import NULL_COUNTER, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
+
+if TYPE_CHECKING:
+    from repro.platform.process import SimProcess
 
 _FTL_SLOT = "ftl"
 
@@ -120,8 +122,10 @@ class MonitorConfig:
 class MonitoringRuntime:
     """Probe implementation attached to one simulated process.
 
-    Each probe is one Python frame that reads ``config`` once and builds
-    its record in place. Prebound: the clock, the FTL slot's context
+    Each probe is one Python frame that reads ``config`` once and logs
+    its record as a probe row (a list literal in ``ProbeRecord.__slots__``
+    order; no record is built on the probe path), stamping the row's end
+    readings after the append. Prebound: the clock, the FTL slot's context
     variable and, per operation (:meth:`_bind_site`), the :class:`Site` —
     the ten record fields constant per *(process, operation)*, which a
     record refers to instead of copying. Read on every probe,
@@ -225,19 +229,18 @@ class MonitoringRuntime:
             kind = _SYNC
             child_ftl = child_uuid = None
             payload = None if collocated else ftl.to_bytes()
-        # Positional, in declared field order: the slotted dataclass
-        # __init__ costs measurably more with keywords.
-        record = ProbeRecord(
+        # A probe row: the record's fields in ProbeRecord.__slots__ order.
+        row = [
             site, ftl.chain_uuid, seq, _STUB_START, _get_ident(), kind, collocated,
             wall, None, cpu, None, child_uuid, semantics if semantics_on else None,
-        )
-        self.process.log_buffer.append(record)
+        ]
+        self.process.log_buffer.append_row(row)
         _PROBE_RECORDS[_STUB_START].inc()
         ctx = CallContext(op, site, ftl, kind, collocated, child_ftl, payload)
         if wall_on:
-            record.wall_end = self._wall_ns()
+            row[WALL_END] = self._wall_ns()
         if cpu_on:
-            record.cpu_end = self._cpu_ns()
+            row[CPU_END] = self._cpu_ns()
         return ctx
 
     # ------------------------------------------------------------------
@@ -283,17 +286,17 @@ class MonitoringRuntime:
                 if (raw == own) if own is not None else (raw.hex() == ftl.chain_uuid):
                     ftl.event_seq_no = seq
         seq = ftl.event_seq_no = ftl.event_seq_no + 1
-        record = ProbeRecord(
+        row = [
             ctx.site, ftl.chain_uuid, seq, _STUB_END, _get_ident(), ctx.call_kind,
             ctx.collocated, wall, None, cpu, None, None,
             semantics if semantics_on else None,
-        )
-        self.process.log_buffer.append(record)
+        ]
+        self.process.log_buffer.append_row(row)
         _PROBE_RECORDS[_STUB_END].inc()
         if wall_on:
-            record.wall_end = self._wall_ns()
+            row[WALL_END] = self._wall_ns()
         if cpu_on:
-            record.cpu_end = self._cpu_ns()
+            row[CPU_END] = self._cpu_ns()
 
     # ------------------------------------------------------------------
     # Probe 2: skeleton start
@@ -339,17 +342,17 @@ class MonitoringRuntime:
         site = bound[1] if bound is not None and bound[0] is self else self._bind_site(op)
         seq = ftl.event_seq_no = ftl.event_seq_no + 1
         kind = _ONEWAY if oneway else _SYNC
-        record = ProbeRecord(
+        row = [
             site, ftl.chain_uuid, seq, _SKEL_START, _get_ident(), kind, collocated,
             wall, None, cpu, None, None, semantics if semantics_on else None,
-        )
-        self.process.log_buffer.append(record)
+        ]
+        self.process.log_buffer.append_row(row)
         _PROBE_RECORDS[_SKEL_START].inc()
         ctx = CallContext(op, site, ftl, kind, collocated)
         if wall_on:
-            record.wall_end = self._wall_ns()
+            row[WALL_END] = self._wall_ns()
         if cpu_on:
-            record.cpu_end = self._cpu_ns()
+            row[CPU_END] = self._cpu_ns()
         return ctx
 
     # ------------------------------------------------------------------
@@ -378,16 +381,16 @@ class MonitoringRuntime:
         ftl = self._ftl_var.get() or self.bind_ftl(ctx.ftl)
         seq = ftl.event_seq_no = ftl.event_seq_no + 1
         kind, collocated = ctx.call_kind, ctx.collocated
-        record = ProbeRecord(
+        row = [
             ctx.site, ftl.chain_uuid, seq, _SKEL_END, _get_ident(), kind, collocated,
             wall, None, cpu, None, None, semantics if semantics_on else None,
-        )
-        self.process.log_buffer.append(record)
+        ]
+        self.process.log_buffer.append_row(row)
         _PROBE_RECORDS[_SKEL_END].inc()
         if wall_on:
-            record.wall_end = self._wall_ns()
+            row[WALL_END] = self._wall_ns()
         if cpu_on:
-            record.cpu_end = self._cpu_ns()
+            row[CPU_END] = self._cpu_ns()
         if collocated or kind is _ONEWAY:
             return None
         return ftl.to_bytes()
@@ -419,29 +422,30 @@ class MonitoringRuntime:
         chain_uuid, thread_id = ftl.chain_uuid, _get_ident()
         seq = ftl.event_seq_no + 1
         ftl.event_seq_no = seq + 1
-        record = ProbeRecord(
+        row = [
             site, chain_uuid, seq, _STUB_START, thread_id, _SYNC, True,
             wall, None, cpu, None, None, semantics if semantics_on else None,
-        )
-        append = self.process.log_buffer.append
-        append(record)
+        ]
+        append = self.process.log_buffer.append_row
+        append(row)
         _PROBE_RECORDS[_STUB_START].inc()
         ctx = CallContext(op, site, ftl, _SYNC, True)
         if wall_on:
-            record.wall_end = self._wall_ns()
+            row[WALL_END] = self._wall_ns()
             wall = self._wall_ns()
         if cpu_on:
-            record.cpu_end = self._cpu_ns()
+            row[CPU_END] = self._cpu_ns()
             cpu = self._cpu_ns()
-        record = ProbeRecord(
+        row = [
             site, chain_uuid, seq + 1, _SKEL_START, thread_id, _SYNC, True, wall, None, cpu,
-        )
-        append(record)
+            None, None, None,
+        ]
+        append(row)
         _PROBE_RECORDS[_SKEL_START].inc()
         if wall_on:
-            record.wall_end = self._wall_ns()
+            row[WALL_END] = self._wall_ns()
         if cpu_on:
-            record.cpu_end = self._cpu_ns()
+            row[CPU_END] = self._cpu_ns()
         return ctx, ctx
 
     def collocated_call_end(
@@ -466,28 +470,29 @@ class MonitoringRuntime:
         site, chain_uuid, thread_id = stub_ctx.site, ftl.chain_uuid, _get_ident()
         seq = ftl.event_seq_no + 1
         ftl.event_seq_no = seq + 1
-        record = ProbeRecord(
+        row = [
             site, chain_uuid, seq, _SKEL_END, thread_id, _SYNC, True,
             wall, None, cpu, None, None, semantics if semantics_on else None,
-        )
-        append = self.process.log_buffer.append
-        append(record)
+        ]
+        append = self.process.log_buffer.append_row
+        append(row)
         _PROBE_RECORDS[_SKEL_END].inc()
         if wall_on:
-            record.wall_end = self._wall_ns()
+            row[WALL_END] = self._wall_ns()
             wall = self._wall_ns()
         if cpu_on:
-            record.cpu_end = self._cpu_ns()
+            row[CPU_END] = self._cpu_ns()
             cpu = self._cpu_ns()
-        record = ProbeRecord(
+        row = [
             site, chain_uuid, seq + 1, _STUB_END, thread_id, _SYNC, True, wall, None, cpu,
-        )
-        append(record)
+            None, None, None,
+        ]
+        append(row)
         _PROBE_RECORDS[_STUB_END].inc()
         if wall_on:
-            record.wall_end = self._wall_ns()
+            row[WALL_END] = self._wall_ns()
         if cpu_on:
-            record.cpu_end = self._cpu_ns()
+            row[CPU_END] = self._cpu_ns()
 
 
 def install_monitoring(

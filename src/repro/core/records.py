@@ -1,4 +1,4 @@
-"""Probe records: what each probe writes to its process-local log.
+"""Probe records: what each probe logs, and how the analyzer reads it.
 
 A record is a reference to its *site* plus what the event itself adds. A
 :class:`Site` holds the ten fields constant per *(process, operation)* —
@@ -13,13 +13,17 @@ The probe's *own* interval (``wall_start``..``wall_end``) is what the
 analyzer sums into the overhead term O_F when compensating end-to-end
 latency (paper Section 3.2), so every record keeps both readings even
 though only one of them is "the" timestamp.
+
+The probe itself logs a *probe row* — the record's fields as a plain list —
+and a :class:`ProbeRecord` is built from it only where something reads one
+(see the helpers at the end of the record classes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.events import CallKind, Domain, TracingEvent
 
@@ -150,13 +154,13 @@ class Site:
 class ProbeRecord:
     """One tracing event as logged by a probe: its site + the event's own fields.
 
-    ``slots=True`` because the monitored system materializes four of
-    these per invocation: the slotted layout drops the per-record
-    ``__dict__`` (roughly halving footprint) and makes the probe-side
-    field stores cheaper, both of which land directly in the paper's
-    probe-overhead term O_F. The ten :class:`Site` fields read through
-    the delegating properties attached below (for tests, the CLI, user
-    code; per-record loops read ``record.site`` once instead).
+    The analyzer's type: a probe logs a *probe row* (below) and a record
+    is built from it only where something reads one. ``slots=True``
+    because analysis holds millions of these: the slotted layout drops
+    the per-record ``__dict__`` (roughly halving footprint). The ten
+    :class:`Site` fields read through the delegating properties attached
+    below (for tests, the CLI, user code; per-record loops read
+    ``record.site`` once instead).
     """
 
     site: Site
@@ -205,6 +209,40 @@ for _name in SITE_FIELDS:
 del _name
 
 
+# ----------------------------------------------------------------------
+# Probe rows: what travels from a probe to a store.
+#
+# A probe row is a plain ``list`` of a record's fields in
+# ``ProbeRecord.__slots__`` order (the site first). A probe builds one as a
+# list literal, a third of the slotted constructor's cost, and stamps its
+# end readings by index; log buffers hold rows and both stores encode from
+# them. A ProbeRecord is built only where something reads one.
+
+#: Row indexes of the two readings a probe stamps after logging its row.
+WALL_END = 8
+CPU_END = 10
+
+def as_row(record: ProbeRecord) -> list:
+    """The probe row of ``record`` (a literal: half the cost of an
+    ``attrgetter`` over the slots)."""
+    r = record
+    return [
+        r.site, r.chain_uuid, r.event_seq, r.event, r.thread_id, r.call_kind,
+        r.collocated, r.wall_start, r.wall_end, r.cpu_start, r.cpu_end,
+        r.child_chain_uuid, r.semantics,
+    ]
+
+
+def from_row(row: list) -> ProbeRecord:
+    """The record a probe row describes."""
+    return ProbeRecord(*row)
+
+
+def as_rows(items: Iterable) -> list[list]:
+    """Probe rows for ``items``: a row passes as it is, a record becomes one."""
+    return [item if item.__class__ is list else as_row(item) for item in items]
+
+
 @dataclass(slots=True)
 class ChainLink:
     """Parent/child relationship between two causal chains (oneway fork)."""
@@ -233,3 +271,14 @@ if (SITE_FIELDS, ("site", *EVENT_FIELDS)) != (Site.__slots__[:-1], ProbeRecord._
         f"{SITE_FIELDS} != {Site.__slots__[:-1]} or "
         f"{EVENT_FIELDS} != {ProbeRecord.__slots__[1:]}"
     )
+# ...nor may a probe row and ProbeRecord.__slots__: as_row keeps the slot
+# order, and the row indexes the probes stamp name the readings they mean.
+_ORDER = list(range(len(ProbeRecord.__slots__)))
+if as_row(ProbeRecord(*_ORDER)) != _ORDER or (
+    ProbeRecord.__slots__[WALL_END], ProbeRecord.__slots__[CPU_END]
+) != ("wall_end", "cpu_end"):
+    raise AssertionError(
+        "probe rows are out of sync with ProbeRecord.__slots__"
+        f" {ProbeRecord.__slots__}: as_row, or WALL_END={WALL_END} / CPU_END={CPU_END}"
+    )
+del _ORDER

@@ -11,8 +11,8 @@ in a real deployment where the log store outlives a flaky uplink.
 from __future__ import annotations
 
 import threading
-from typing import Any
 
+from repro.core.records import ProbeRecord, from_row
 from repro.errors import TransientCollectorError
 from repro.faults.plan import FaultKind
 
@@ -30,10 +30,13 @@ class LossyLogBuffer:
 
     # -- probe side: appends pass straight through ----------------------
 
-    def append(self, record: Any) -> None:
+    def append_row(self, row: list) -> None:
+        self._inner.append_row(row)
+
+    def append(self, record: ProbeRecord) -> None:
         self._inner.append(record)
 
-    def snapshot(self) -> list[Any]:
+    def snapshot(self) -> list[ProbeRecord]:
         return self._inner.snapshot()
 
     def read_from(self, cursor):
@@ -52,10 +55,18 @@ class LossyLogBuffer:
     def dropped(self) -> int:
         return getattr(self._inner, "dropped", 0)
 
+    @property
+    def unread_drained(self) -> int:
+        return getattr(self._inner, "unread_drained", 0)
+
     # -- collector side: delivery is faulty -----------------------------
 
-    def drain(self) -> list[Any]:
-        """Deliver the buffered records, subject to the fault plan.
+    def drain(self) -> list[ProbeRecord]:
+        """:meth:`drain_rows`, as records."""
+        return list(map(from_row, self.drain_rows()))
+
+    def drain_rows(self) -> list[list]:
+        """Deliver the buffered probe rows, subject to the fault plan.
 
         A transient failure raises *before* the inner buffer is touched,
         so a retry sees the records intact. On success, each record is
@@ -73,14 +84,14 @@ class LossyLogBuffer:
             raise TransientCollectorError(
                 f"injected drain failure for {self._scope} (attempt {attempt})"
             )
-        records = self._inner.drain()
+        rows = self._inner.drain_rows()
         delivered = []
         with self._lock:
             base = self._record_index
-            self._record_index += len(records)
-        for offset, record in enumerate(records):
+            self._record_index += len(rows)
+        for offset, row in enumerate(rows):
             if plan.loses_record(self._scope, base + offset):
                 self._injector.record(FaultKind.RECORD_LOSS, self._scope, base + offset)
                 continue
-            delivered.append(record)
+            delivered.append(row)
         return delivered

@@ -23,6 +23,7 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.core.records import ProbeRecord, as_row, from_row
 from repro.platform.host import Host
 from repro.platform.tss import ContextVarStorage
 
@@ -30,23 +31,30 @@ _pid_counter = itertools.count(1)
 
 
 class LocalLogBuffer:
-    """Append-only per-process store for probe records.
+    """Append-only per-process store for probe rows.
 
     Probes append without any cross-process coordination (paper: "all
     runtime behavior information is recorded individually by probes
     without coordination and global clock synchronization").
 
-    The unbounded default takes that to its conclusion *within* the
-    process too: each appending thread owns a private segment list
-    (registered once, under the lock, the first time the thread logs),
-    and every subsequent ``append`` is a single GIL-atomic
-    ``list.append`` — no lock acquisition on the probe hot path. The
-    collector's ``drain`` copies-then-trims each segment under the lock,
-    so a record appended concurrently with a drain is either delivered
-    in that drain or kept for the next one, never lost. Records stay
-    ordered within a thread; cross-thread interleaving is surrendered
-    (the analyzer orders by chain UUID and event number, never by
-    buffer position).
+    What a probe logs is a *probe row* (:mod:`repro.core.records`): the
+    buffer holds rows, the collector takes them with :meth:`drain_rows`
+    straight to a store's encoder, and :meth:`drain`, :meth:`snapshot`
+    and :meth:`read_from` build :class:`~repro.core.records.ProbeRecord`
+    objects for the callers that read them. :meth:`append` takes a record
+    (a replayed capture, a shipped spool) and logs its row.
+
+    The unbounded default takes "without coordination" to its conclusion
+    *within* the process too: each appending thread owns a private
+    segment list (registered once, under the lock, the first time the
+    thread logs), and every subsequent :meth:`append_row` is a single
+    GIL-atomic ``list.append`` — no lock acquisition on the probe hot
+    path. The collector's drain copies-then-trims each segment under the
+    lock, so a row appended concurrently with a drain is either delivered
+    in that drain or kept for the next one, never lost. Rows stay ordered
+    within a thread; cross-thread interleaving is surrendered (the
+    analyzer orders by chain UUID and event number, never by buffer
+    position).
 
     ``capacity`` bounds the buffer: once full, further appends are
     *dropped and counted* rather than blocking the probe or growing
@@ -61,19 +69,25 @@ class LocalLogBuffer:
         if capacity is not None and capacity < 1:
             raise ValueError("log buffer capacity must be >= 1")
         self.capacity = capacity
-        self._records: list[Any] = []  # bounded mode only
-        self._segments: list[list[Any]] = []  # unbounded mode, creation order
+        self._rows: list[list] = []  # bounded mode only
+        self._segments: list[list[list]] = []  # unbounded mode, creation order
+        #: Per list above (``_rows``, or each segment), the rows drains have
+        #: taken from its front: a ``read_from`` cursor counts positions
+        #: from the list's creation, so it stays valid across a drain.
+        self._drained: list[int] = [0] if capacity is not None else []
         self._tls = threading.local()
         self._dropped = 0
+        self._unread_drained = 0
         self._lock = threading.Lock()
 
-    def append(self, record: Any) -> None:
+    def append_row(self, row: list) -> None:
+        """Log one probe row (the probe path)."""
         if self.capacity is not None:
             with self._lock:
-                if len(self._records) >= self.capacity:
+                if len(self._rows) >= self.capacity:
                     self._dropped += 1
                     return
-                self._records.append(record)
+                self._rows.append(row)
             return
         try:
             segment = self._tls.segment
@@ -81,8 +95,13 @@ class LocalLogBuffer:
             segment = []
             with self._lock:
                 self._segments.append(segment)
+                self._drained.append(0)
             self._tls.segment = segment
-        segment.append(record)
+        segment.append(row)
+
+    def append(self, record: ProbeRecord) -> None:
+        """Log ``record`` as a row (replays; probes call :meth:`append_row`)."""
+        self.append_row(as_row(record))
 
     @property
     def dropped(self) -> int:
@@ -90,62 +109,81 @@ class LocalLogBuffer:
         with self._lock:
             return self._dropped
 
-    def drain(self) -> list[Any]:
-        """Return and clear all records (used by the collector).
+    @property
+    def unread_drained(self) -> int:
+        """Rows a drain took before a :meth:`read_from` cursor reached them,
+        summed over every call that found its cursor behind a drain."""
+        with self._lock:
+            return self._unread_drained
+
+    def _lists(self) -> list[list[list]]:
+        # Caller holds the lock. Pairs one to one with ``_drained``.
+        return [self._rows] if self.capacity is not None else self._segments
+
+    def drain_rows(self) -> list[list]:
+        """Return and clear all rows (the collector's path to a store).
 
         Segments are consumed copy-then-trim: an append racing the drain
         lands after the copied prefix and survives into the next drain.
         """
+        rows: list[list] = []
         with self._lock:
-            if self.capacity is not None:
-                records = self._records
-                self._records = []
-                return records
-            records = []
-            for segment in self._segments:
-                count = len(segment)
-                records.extend(segment[:count])
-                del segment[:count]
-            return records
+            drained = self._drained
+            for index, held in enumerate(self._lists()):
+                count = len(held)
+                rows += held[:count]
+                del held[:count]
+                drained[index] += count
+        return rows
 
-    def snapshot(self) -> list[Any]:
+    def drain(self) -> list[ProbeRecord]:
+        """Return and clear all records."""
+        return list(map(from_row, self.drain_rows()))
+
+    def snapshot(self) -> list[ProbeRecord]:
         with self._lock:
-            if self.capacity is not None:
-                return list(self._records)
-            out: list[Any] = []
-            for segment in self._segments:
-                out.extend(segment)
-            return out
+            rows = [row for held in self._lists() for row in held]
+        return list(map(from_row, rows))
 
-    def read_from(self, cursor: tuple[int, ...] | None) -> tuple[list[Any], tuple[int, ...]]:
+    def read_from(
+        self, cursor: tuple[int, ...] | None
+    ) -> tuple[list[ProbeRecord], tuple[int, ...]]:
         """Incremental, non-draining read for live consumers.
 
         ``cursor`` is the opaque position returned by the previous call
-        (``None`` to start from the beginning). Returns ``(new_records,
-        new_cursor)``. Unlike indexing into ``snapshot()`` — whose
-        cross-thread interleaving shifts as older segments keep growing —
-        the cursor tracks a per-segment offset, so every record is
-        observed exactly once and in per-thread order.
+        (``None`` to start from what the buffer holds). Returns
+        ``(new_records, new_cursor)``. Unlike indexing into ``snapshot()``
+        — whose cross-thread interleaving shifts as older segments keep
+        growing — the cursor tracks a per-segment position counted from
+        the segment's creation, so every record is observed exactly once
+        and in per-thread order, and a drain between two reads moves no
+        position: what is appended after it is read next. Rows a drain
+        took before this cursor reached them are counted in
+        :attr:`unread_drained`.
         """
+        rows: list[list] = []
         with self._lock:
-            if self.capacity is not None:
-                offset = cursor[0] if cursor else 0
-                records = self._records[offset:]
-                return records, (offset + len(records),)
-            offsets = list(cursor) if cursor else []
-            offsets.extend(0 for _ in range(len(self._segments) - len(offsets)))
-            out: list[Any] = []
-            for index, segment in enumerate(self._segments):
-                count = len(segment)
-                out.extend(segment[offsets[index] : count])
-                offsets[index] = count
-            return out, tuple(offsets)
+            drained = self._drained
+            lists = self._lists()
+            if cursor is None:
+                positions = list(drained)
+            else:  # a segment born after the cursor is read from its start
+                positions = [*cursor, *[0] * (len(lists) - len(cursor))]
+            for index, held in enumerate(lists):
+                # Appends do not take the lock: read up to one length, so a
+                # row landing meanwhile is left for the next read.
+                count = len(held)
+                start = positions[index] - drained[index]
+                if start < 0:
+                    self._unread_drained -= start
+                    start = 0
+                rows += held[start:count]
+                positions[index] = drained[index] + count
+        return list(map(from_row, rows)), tuple(positions)
 
     def __len__(self) -> int:
         with self._lock:
-            if self.capacity is not None:
-                return len(self._records)
-            return sum(len(segment) for segment in self._segments)
+            return sum(len(held) for held in self._lists())
 
 
 class SimProcess:

@@ -35,14 +35,16 @@ class StorageBackend(Protocol):
     backends because of it. ``fold_operations`` must equal
     :func:`repro.store.query.fold_operations` over ``chains_for_run``
     under the same predicate; ``stats`` is for a backend that counts its
-    pruning, and one that does not leaves it as it is.
+    pruning, and one that does not leaves it as it is. ``insert_records``
+    takes probe rows (what a collection drains) or :class:`ProbeRecord`
+    objects, and stores a record exactly as it stores its row.
     """
 
     path: str
 
     def create_run(self, meta: RunMetadata) -> None: ...
 
-    def insert_records(self, run_id: str, records: Iterable[ProbeRecord]) -> int: ...
+    def insert_records(self, run_id: str, records: Iterable) -> int: ...
 
     def bulk_ingest(self) -> ContextManager: ...
 

@@ -86,6 +86,7 @@ from repro.core.records import (
     SCHEMA_VERSION,
     ProbeRecord,
     Site,
+    as_rows,
 )
 from repro.errors import StoreError
 from repro.store.codec import (
@@ -253,11 +254,12 @@ def _pack_strings(strings: list[str]) -> bytes:
 
 
 class SegmentWriter:
-    """Streams probe records into one segment file.
+    """Streams probe rows into one segment file.
 
     The per-record encode loop is the collector's ingest fast path: it
-    is deliberately flat — one chain lookup and one site lookup per
-    record, one fused ``struct.Struct`` pack per frame, delta state in
+    is deliberately flat — one unpack of the probe row (fields in
+    ``ProbeRecord.__slots__`` order), one chain lookup and one site lookup
+    per record, one fused ``struct.Struct`` pack per frame, delta state in
     locals.
     """
 
@@ -330,21 +332,22 @@ class SegmentWriter:
     def append(self, records, ranks: list[int] | None = None) -> int:
         """Encode and buffer ``records``; returns how many were written.
 
-        ``ranks`` (sealed segments only) are the records' original arrival
-        ranks, one to one, for the footer — for all of a segment's
-        records or none.
+        ``records`` are probe rows or :class:`ProbeRecord` objects (a
+        record becomes a row once, as it enters). ``ranks`` (sealed
+        segments only) are the records' original arrival ranks, one to
+        one, for the footer — for all of a segment's records or none.
         """
-        return self._encode(records, ranks, False)
+        return self._encode(as_rows(records), ranks, False)
 
-    def append_groups(self, records, ranks: list[int]) -> int:
-        """Write whole chain groups (sealed segments only): ``records``
-        holds each chain's records side by side, and every change of chain
-        starts a group — what ``start_group()`` + ``append`` per chain
-        write, the per-call cost paid once."""
-        return self._encode(records, ranks, True)
+    def append_groups(self, rows: list[list], ranks: list[int]) -> int:
+        """Write whole chain groups (sealed segments only): ``rows``
+        holds each chain's probe rows side by side, and every change of
+        chain starts a group — what ``start_group()`` + ``append`` per
+        chain write, the per-call cost paid once."""
+        return self._encode(rows, ranks, True)
 
-    def _encode(self, records, ranks, grouped: bool) -> int:
-        """The one per-record encode loop."""
+    def _encode(self, rows: list[list], ranks, grouped: bool) -> int:
+        """The one per-record encode loop, over probe rows."""
         ids_get = self._ids.get
         intern = self._intern
         site_ids_get = self._site_ids.get
@@ -365,10 +368,10 @@ class SegmentWriter:
         flushed = 0  # ...of them, in records blocks already on file
         last_uuid = None
 
-        for r in records:
+        for (site, uuid, seq, event, tid, kind, collocated,
+             ws, we, cs, ce, child, sem) in rows:
             # Ids are interned in first-use order — chain, the site's
             # strings, child — so equal records make equal files.
-            uuid = r.chain_uuid
             if uuid != last_uuid:
                 last_uuid = uuid
                 if grouped:
@@ -394,14 +397,10 @@ class SegmentWriter:
                     entry = index[cid] = [
                         0, file_pos + 9 + len(rbuf) if sealed else 0, None, None,
                     ]
-            sid = site_ids_get(r.site)
+            sid = site_ids_get(site)
             if sid is None:
-                sid = intern_site(r.site)
+                sid = intern_site(site)
 
-            ws = r.wall_start
-            we = r.wall_end
-            cs = r.cpu_start
-            ce = r.cpu_end
             pres = 0
             wsd = wed = csd = ced = 0
             narrow = True
@@ -432,14 +431,12 @@ class SegmentWriter:
                 pres |= 8
                 ced = ce
 
-            child = r.child_chain_uuid
             if child is None:
                 childid = 0
             else:
                 pres |= 16
                 childid = intern(child)
 
-            sem = r.semantics
             if sem is None:
                 semb = b""
                 semlen = 0
@@ -449,9 +446,9 @@ class SegmentWriter:
                 semlen = len(semb)
 
             misc = 0
-            if r.call_kind is ONEWAY:
+            if kind is ONEWAY:
                 misc = 1
-            if r.collocated:
+            if collocated:
                 misc |= 2
 
             # Narrow unless a reading has no predecessor here, or one of
@@ -460,15 +457,15 @@ class SegmentWriter:
             if narrow:
                 try:
                     frame = fn_pack(
-                        cid, r.event, misc, pres, sid, r.thread_id, childid,
-                        semlen, r.event_seq, wsd, wed, csd, ced,
+                        cid, event, misc, pres, sid, tid, childid,
+                        semlen, seq, wsd, wed, csd, ced,
                     )
                 except struct.error:
                     pass
             if frame is None:
                 frame = fw_pack(
-                    cid, r.event, misc | 16, pres, sid, r.thread_id, childid,
-                    semlen, r.event_seq, ws or 0, wed, cs or 0, ced,
+                    cid, event, misc | 16, pres, sid, tid, childid,
+                    semlen, seq, ws or 0, wed, cs or 0, ced,
                 )
 
             entry[0] += 1

@@ -43,6 +43,8 @@ from repro.core.records import (
     SCHEMA_VERSION,
     ProbeRecord,
     RunMetadata,
+    as_row,
+    as_rows,
 )
 from repro.errors import StoreError
 from repro.store.query import (
@@ -82,9 +84,9 @@ class _Run:
         self.path = path
         self.lock = threading.RLock()
         self.readers: list[SegmentReader] = []
-        #: the batches an open :meth:`SegmentStore.bulk_ingest` handed over,
-        #: in arrival order, until its commit writes them.
-        self.pending: list[list[ProbeRecord]] = []
+        #: the probe-row batches an open :meth:`SegmentStore.bulk_ingest`
+        #: handed over, in arrival order, until its commit writes them.
+        self.pending: list[list[list]] = []
         self.next_seg = 1
         #: last background-compaction failure, cleared on the next success.
         self.compact_error: str | None = None
@@ -221,12 +223,14 @@ class SegmentStore:
                     handle,
                 )
 
-    def insert_records(self, run_id: str, records: Iterable[ProbeRecord]) -> int:
+    def insert_records(self, run_id: str, records: Iterable) -> int:
         """Add records to the run, after everything it holds.
 
-        Outside :meth:`bulk_ingest` every call writes its own spool
-        segment (the records become immediately visible); inside, the
-        batch is held — not copied — until the transaction commits.
+        ``records`` are probe rows or :class:`ProbeRecord` objects; a
+        record becomes a row once, as it enters. Outside
+        :meth:`bulk_ingest` every call writes its own spool segment (the
+        records become immediately visible); inside, the batch of rows is
+        held until the transaction commits.
         """
         run = self._run(run_id, create=True)
         # Snapshot the bulk depth under the store lock (bulk_ingest
@@ -234,14 +238,13 @@ class SegmentStore:
         # nesting would invite a lock-order inversion with close().
         with self._lock:
             in_bulk = self._bulk_depth > 0
-        if not isinstance(records, list):
-            records = list(records)
+        rows = as_rows(records)
         with run.lock:
             if in_bulk:
-                run.pending.append(records)
+                run.pending.append(rows)
             else:
-                self._write_segment(run, KIND_SPOOL, records)
-        return len(records)
+                self._write_segment(run, KIND_SPOOL, rows)
+        return len(rows)
 
     @contextmanager
     def bulk_ingest(self):
@@ -268,11 +271,11 @@ class SegmentStore:
                 batches, run.pending = run.pending, []
                 self._write_segment(run, KIND_SEALED, list(chain.from_iterable(batches)))
 
-    def _write_segment(self, run: _Run, kind: int, records: list[ProbeRecord]) -> None:
-        """``records`` as the run's next segment: a spool in the order
+    def _write_segment(self, run: _Run, kind: int, rows: list[list]) -> None:
+        """Probe ``rows`` as the run's next segment: a spool in the order
         given, or sealed — what compacting that spool would write."""
         # Caller holds run.lock.
-        if not records:
+        if not rows:
             return
         base = sum(reader.record_count for reader in run.readers)
         number = run.next_seg
@@ -281,19 +284,19 @@ class SegmentStore:
             # Written in place: a torn spool is salvaged front to back.
             path = os.path.join(run.path, f"{number:06d}.spool.seg")
             writer = SegmentWriter(path, kind, arrival_base=base)
-            writer.append(records)
+            writer.append(rows)
             writer.seal()
             run.readers.append(SegmentReader(path))
         else:
-            self._publish_sealed(run, number, records, range(base, base + len(records)), base)
+            self._publish_sealed(run, number, rows, range(base, base + len(rows)), base)
         if self.auto_compact and len(run.readers) >= self.auto_compact:
             self._schedule_compaction(run.run_id)
 
     def _publish_sealed(
-        self, run: _Run, number: int, records: list[ProbeRecord], ranks, base: int = 0,
+        self, run: _Run, number: int, rows: list[list], ranks, base: int = 0,
         replaces: list[SegmentReader] | None = None,
     ) -> bool:
-        """Write ``records`` (``ranks[i]`` the arrival rank of ``records[i]``)
+        """Write probe ``rows`` (``ranks[i]`` the arrival rank of ``rows[i]``)
         as the run's sealed segment ``number`` — chain-grouped by
         :func:`_write_groups` under a ``.tmp-`` name, sealed, renamed — and
         serve it: beside the run's segments (a commit), or in place of
@@ -305,7 +308,7 @@ class SegmentStore:
             os.path.join(run.path, ".tmp-" + name), KIND_SEALED, arrival_base=base
         )
         try:
-            grouping = _write_groups(writer, records, ranks)
+            grouping = _write_groups(writer, rows, ranks)
             writer.seal()
         except BaseException:
             writer.abort()
@@ -387,9 +390,10 @@ class SegmentStore:
     def compact(self, run_id: str) -> bool:
         """Merge the run's segments into one sorted sealed segment.
 
-        The merge goes through records, the way a collection commits:
-        every source's ``(rank, record)`` pairs are loaded and written by
-        :meth:`_publish_sealed`, so one encoder writes every sealed byte.
+        The merge goes through probe rows, the way a collection commits:
+        every source's ``(rank, record)`` pairs are loaded, the records
+        turned into rows and written by :meth:`_publish_sealed`, so one
+        encoder writes every sealed byte.
         Returns True if a new sealed segment was produced. Readers that
         started scanning before the swap keep their mmaps (POSIX unlink
         semantics); new scans see the sealed segment only.
@@ -405,15 +409,18 @@ class SegmentStore:
         # sites of different sources become one object first, so the
         # encoder's per-record site lookup is an identity hit, not a
         # ten-field compare (a sixth of an eight-spool merge's time).
+        # Each source's records become rows before the next source loads,
+        # so the merge never holds every record and every row at once.
         shared: dict = {}
-        ranked: list = []
+        rows: list = []
+        ranks: list = []
         for reader in sources:
             reader.sites = [shared.setdefault(site, site) for site in reader.sites]
+            ranked: list = []
             reader.load_ranked(ranked)
-        return self._publish_sealed(
-            run, number, [record for _rank, record in ranked],
-            [rank for rank, _record in ranked], replaces=sources,
-        )
+            ranks += [rank for rank, _record in ranked]
+            rows += [as_row(record) for _rank, record in ranked]
+        return self._publish_sealed(run, number, rows, ranks, replaces=sources)
 
     def compact_all(self) -> dict[str, bool]:
         """Compact every run, one after another (a merge is pure Python:
@@ -757,17 +764,18 @@ def _unlink_segment(path: str) -> None:
         logger.warning("could not remove segment %s: %s", path, exc)
 
 
-def _write_groups(writer: SegmentWriter, records: list[ProbeRecord], ranks) -> dict:
-    """The one record-level grouped write: ``records`` — in load order,
-    ``ranks[i]`` the arrival rank of ``records[i]`` — as chain groups in
-    uuid order, each by event number with load order breaking ties — what
-    ``start_group()`` + ``append(records, ranks)`` per chain write. Returns
-    the grouping it built, for the caller to release when it chooses."""
-    total = len(records)
+def _write_groups(writer: SegmentWriter, rows: list[list], ranks) -> dict:
+    """The one grouped write: probe ``rows`` — in load order, ``ranks[i]``
+    the arrival rank of ``rows[i]`` — as chain groups in uuid order, each
+    by event number with load order breaking ties — what ``start_group()``
+    + ``append(rows, ranks)`` per chain write. Returns the grouping it
+    built, for the caller to release when it chooses."""
+    total = len(rows)
     groups: dict[str, list[int]] = defaultdict(list)
-    for position, record in enumerate(records):
-        # One int per record that sorts by (event number, position).
-        groups[record.chain_uuid].append(record.event_seq * total + position)
+    for position, row in enumerate(rows):
+        # One int per record that sorts by (event number, position); a
+        # row's [1] and [2] are its chain uuid and event number.
+        groups[row[1]].append(row[2] * total + position)
     order: list[int] = []
     for uuid in sorted(groups, key=uuid_key):
         keys = groups[uuid]
@@ -775,7 +783,7 @@ def _write_groups(writer: SegmentWriter, records: list[ProbeRecord], ranks) -> d
         order += keys
     order = [key % total for key in order]
     writer.append_groups(
-        list(map(records.__getitem__, order)), list(map(ranks.__getitem__, order))
+        list(map(rows.__getitem__, order)), list(map(ranks.__getitem__, order))
     )
     return groups
 

@@ -11,8 +11,9 @@ context variable, ``struct``) are not frames and are not counted.
 Before the probes were inlined the collocated figure was 11.6 frames per
 probe (``_make_record``, ``advance``, ``_ftl_for_call``, the carrier's
 ``get`` -> ``_var``, two wrapper levels, ...). What is left is the probe
-pair itself, the two ``ProbeRecord.__init__``, one shared ``CallContext``,
-two ``LocalLogBuffer.append`` and two counter ``inc`` per pair.
+pair itself, one shared ``CallContext``, two ``LocalLogBuffer.append_row``
+and two counter ``inc`` per pair: a probe logs its record as a list (a
+probe row), which builds no frame.
 """
 
 from __future__ import annotations
@@ -37,14 +38,16 @@ module Budget {
 """
 
 #: Frames per probe, collocated depth-4 chain (16 probes per root call):
-#: 4.375 when the probes were inlined and the pairs fused, 11.75 before.
-COLLOCATED_BUDGET = 5.0
+#: 3.375 since probes log rows, 4.375 when the probes were inlined and the
+#: pairs fused, 11.75 before.
+COLLOCATED_BUDGET = 4.0
 #: Frames per probe, one remote sync root call (4 probes): exactly what was
-#: measured when the probes were inlined (15.75 before). Beside the probes
+#: measured once probes logged rows (8.25 with a ``ProbeRecord`` per probe,
+#: 15.75 before the probes were inlined). Beside the probes
 #: it holds what else only a monitored remote call runs — the root's chain
 #: start, two ``FunctionTxLog.to_bytes``, and the generated code's
 #: ``_op_info`` / ``_semantics_args`` / ``_semantics_outcome``.
-REMOTE_BUDGET = 8.25
+REMOTE_BUDGET = 7.25
 
 
 def _process(name: str, host: Host, monitored: bool) -> SimProcess:

@@ -3,11 +3,18 @@
 import pytest
 
 from repro.collector import LogCollector, MonitoringDatabase
-from repro.core import MonitorMode
+from repro.core import MonitorMode, ProbeRecord, Site, TracingEvent
 from repro.errors import TransientCollectorError
 from repro.faults import FaultInjector, FaultPlan, LossyLogBuffer
 from repro.platform.process import LocalLogBuffer
 from tests.helpers import Call, simulate
+
+_SITE = Site("M::I", "op", "p.obj-1", "Comp", "p", 1, "h", "x86", "Linux")
+
+
+def rec(tag) -> ProbeRecord:
+    """A record told apart from the others by its chain uuid."""
+    return ProbeRecord(_SITE, str(tag), 0, TracingEvent.STUB_START, 0)
 
 
 def _simulated_process(calls=3):
@@ -23,15 +30,15 @@ class TestBoundedLogBuffer:
     def test_capacity_drops_and_counts(self):
         buffer = LocalLogBuffer(capacity=3)
         for i in range(5):
-            buffer.append(i)
+            buffer.append(rec(i))
         assert len(buffer) == 3
         assert buffer.dropped == 2
-        assert buffer.snapshot() == [0, 1, 2]
+        assert buffer.snapshot() == [rec(0), rec(1), rec(2)]
 
     def test_unbounded_by_default(self):
         buffer = LocalLogBuffer()
         for i in range(1000):
-            buffer.append(i)
+            buffer.append(rec(i))
         assert len(buffer) == 1000
         assert buffer.dropped == 0
 
@@ -45,28 +52,28 @@ class TestLossyLogBuffer:
         injector = FaultInjector(FaultPlan(seed=1))
         inner = LocalLogBuffer()
         lossy = LossyLogBuffer(inner, injector, "proc")
-        lossy.append("r1")
+        lossy.append(rec("r1"))
         assert len(lossy) == 1
-        assert lossy.snapshot() == ["r1"]
-        assert lossy.drain() == ["r1"]
+        assert lossy.snapshot() == [rec("r1")]
+        assert lossy.drain() == [rec("r1")]
         assert len(inner) == 0
 
     def test_transient_failure_leaves_records_intact(self):
         injector = FaultInjector(FaultPlan(seed=1, collect_fail_attempts=2))
         lossy = LossyLogBuffer(LocalLogBuffer(), injector, "proc")
-        lossy.append("r1")
+        lossy.append(rec("r1"))
         for _ in range(2):
             with pytest.raises(TransientCollectorError):
                 lossy.drain()
             assert len(lossy) == 1
-        assert lossy.drain() == ["r1"]
+        assert lossy.drain() == [rec("r1")]
 
     def test_record_loss_filters_deterministically(self):
         def run():
             injector = FaultInjector(FaultPlan(seed=5, record_loss_rate=0.4))
             lossy = LossyLogBuffer(LocalLogBuffer(), injector, "proc")
             for i in range(100):
-                lossy.append(i)
+                lossy.append(rec(i))
             return lossy.drain()
 
         first, second = run(), run()

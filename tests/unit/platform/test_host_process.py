@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ProbeRecord, Site, TracingEvent
 from repro.platform import (
     Host,
     LocalLogBuffer,
@@ -11,6 +12,11 @@ from repro.platform import (
     VirtualClock,
     capabilities_for,
 )
+
+
+def _record(chain: str) -> ProbeRecord:
+    site = Site("M::I", "op", "p.obj-1", "Comp", "p", 1, "h", "x86", "Linux")
+    return ProbeRecord(site, chain, 0, TracingEvent.STUB_START, 0)
 
 
 class TestHost:
@@ -57,15 +63,15 @@ class TestHost:
 class TestLocalLogBuffer:
     def test_append_and_snapshot(self):
         buf = LocalLogBuffer()
-        buf.append("a")
-        buf.append("b")
-        assert buf.snapshot() == ["a", "b"]
+        buf.append(_record("a"))
+        buf.append(_record("b"))
+        assert buf.snapshot() == [_record("a"), _record("b")]
         assert len(buf) == 2
 
     def test_drain_empties(self):
         buf = LocalLogBuffer()
-        buf.append(1)
-        assert buf.drain() == [1]
+        buf.append(_record("a"))
+        assert buf.drain() == [_record("a")]
         assert len(buf) == 0
         assert buf.drain() == []
 
