@@ -21,6 +21,7 @@ figure to quote, run it alone (``-k journey``).
 """
 
 import gc
+import hashlib
 import os
 import resource
 import time
@@ -104,6 +105,8 @@ def test_fig5_segment_store_journey(reporter, tmp_path):
                       f" ({collections.full_pause_s:.3f} s in full passes)")
         reporter.line(f"  outputs          : JSON {len(document):,} chars, XML {len(xml):,} chars,"
                       f" {sum(1 for _ in layout.walk()):,} nodes placed")
+        reporter.line(f"  DSCG JSON sha256 : {hashlib.sha256(document.encode()).hexdigest()}")
+        reporter.line(f"  CCSG XML sha256  : {hashlib.sha256(xml.encode()).hexdigest()}")
 
         assert dscg.node_count() == CALLS
         assert dscg.abnormal_events() == []

@@ -6,7 +6,7 @@ object along the same call path aggregate into one node carrying
 
 - ``ObjectID`` — the universal identifier of the object,
 - ``InvocationTimes`` — how many times the function was invoked there,
-- ``IncludedFunctionInstances`` — the aggregated invocation instances,
+- ``IncludedFunctionInstances`` — how many invocation instances it aggregates,
 - ``SelfCPUConsumption`` / ``DescendentCPUConsumption`` — vectors over
   processor types, printed in the paper's ``[second, microsecond]``
   format by :mod:`repro.analysis.xmlview`.
@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.cpu import CpuAnalysis, CpuVector
+from repro.analysis.cpu import CpuAnalysis, CpuVector, self_cpu
 from repro.analysis.dscg import CallNode, Dscg
 
 AggKey = tuple[str, str, str]  # (interface, operation, object_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class CcsgNode:
     """One aggregated function node of the CCSG."""
 
@@ -34,7 +34,6 @@ class CcsgNode:
     object_id: str
     component: str = ""
     invocation_times: int = 0
-    instances: list[CallNode] = field(default_factory=list)
     self_cpu: CpuVector = field(default_factory=CpuVector)
     descendant_cpu: CpuVector = field(default_factory=CpuVector)
     children: dict[AggKey, "CcsgNode"] = field(default_factory=dict)
@@ -93,30 +92,23 @@ def _aggregate_into(
         )
         bucket[key] = node
     node.invocation_times += 1
-    node.instances.append(call_node)
-    node.self_cpu.add(call_node.server_processor_type, cpu.self_cpu(call_node))
+    node.self_cpu.add(call_node.server_processor_type, self_cpu(call_node))
     node.descendant_cpu.merge(cpu.descendant_cpu(call_node))
     for child in call_node.children:
         _aggregate_into(node.children, child, cpu)
 
 
-def build_ccsg(
-    dscg: Dscg,
-    cpu: CpuAnalysis | None = None,
-    roots_only: bool = True,
-) -> Ccsg:
+def build_ccsg(dscg: Dscg, cpu: CpuAnalysis | None = None) -> Ccsg:
     """Aggregate a DSCG into its CCSG.
 
-    With ``roots_only=True`` only chains that were not forked from another
-    chain start top-level aggregates; forked chains are reachable through
-    their forking node's descendent vector (and through ``roots_only=False``
-    if a flat view is desired).
+    Only chains that were not forked from another chain start top-level
+    aggregates; forked chains are reachable through their forking node's
+    descendent vector.
     """
     if cpu is None:
         cpu = CpuAnalysis(dscg)
     ccsg = Ccsg()
-    trees = dscg.root_chains() if roots_only else list(dscg.chains.values())
-    for tree in trees:
+    for tree in dscg.root_chains():
         for root in tree.roots:
             _aggregate_into(ccsg.roots, root, cpu)
     return ccsg

@@ -17,11 +17,15 @@ Three phases, following the paper:
 3. The CCSG synthesis lives in :mod:`repro.analysis.ccsg`.
 
 Oneway forks: the stub side of a oneway call has no skeleton probes in
-its own chain; with ``include_oneway_forks=True`` (default) the forked
-chain's inclusive CPU is charged to the forking node's descendent vector,
-so CPU propagation crosses chain boundaries the same way causality does.
-Hosts without per-thread CPU counters (the paper's VxWorks case) yield
-``None`` self-CPU, which propagates as an uncovered contribution.
+its own chain; the forked chain's inclusive CPU is charged to the forking
+node's descendent vector, so CPU propagation crosses chain boundaries the
+same way causality does. Hosts without per-thread CPU counters (the
+paper's VxWorks case) yield ``None`` self-CPU, which propagates as an
+uncovered contribution.
+
+SC_F and DC_F are memoized in the node's own ``self_cpu_ns`` and
+``descendant_cpu`` slots: the first read computes and stores, every later
+reader gets the stored value (see :class:`~repro.analysis.dscg.CallNode`).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.core.events import CallKind
-from repro.analysis.dscg import CPU_END, CPU_START, CallNode, Dscg
+from repro.analysis.dscg import CPU_END, CPU_START, UNSET, CallNode, Dscg
 
 
 def _child_cpu_window(child: CallNode) -> int | None:
@@ -45,28 +49,24 @@ def _child_cpu_window(child: CallNode) -> int | None:
 
 def self_cpu(node: CallNode) -> int | None:
     """SC_F in nanoseconds; None when the readings are unavailable."""
+    total = node.self_cpu_ns
+    if total is not UNSET:
+        return total
     skel_start, skel_end = node.skel_start, node.skel_end
-    if skel_start is None or skel_end is None:
-        return None
-    if skel_start[CPU_END] is None or skel_end[CPU_START] is None:
-        return None
-    total = skel_end[CPU_START] - skel_start[CPU_END]
-    for child in node.children:
-        window = _child_cpu_window(child)
-        if window is not None:
-            total -= window
-    return max(total, 0)
-
-
-def annotate_chain_self_cpu(tree) -> None:
-    """Attach ``self_cpu_ns`` to every node of one chain tree.
-
-    SC_F reads only the node's skeleton probes and its immediate
-    children's stub windows — all chain-local. Descendent vectors (DC_F)
-    cross oneway chain boundaries and stay in :class:`CpuAnalysis`.
-    """
-    for node in tree.walk():
-        node.self_cpu_ns = self_cpu(node)
+    if (
+        skel_start is None or skel_end is None
+        or skel_start[CPU_END] is None or skel_end[CPU_START] is None
+    ):
+        total = None
+    else:
+        total = skel_end[CPU_START] - skel_start[CPU_END]
+        for child in node.children:
+            window = _child_cpu_window(child)
+            if window is not None:
+                total -= window
+        total = max(total, 0)
+    node.self_cpu_ns = total
+    return total
 
 
 @dataclass
@@ -104,62 +104,54 @@ _NO_DESCENDANTS = CpuVector()
 
 
 class CpuAnalysis:
-    """Memoized SC/DC computation over one DSCG."""
+    """SC/DC over one DSCG, memoized in the nodes' annotation slots."""
 
-    def __init__(self, dscg: Dscg, include_oneway_forks: bool = True):
+    def __init__(self, dscg: Dscg):
         self.dscg = dscg
-        self.include_oneway_forks = include_oneway_forks
-        self._self_cpu: dict[int, int | None] = {}
-        self._descendant: dict[int, CpuVector] = {}
 
     # ------------------------------------------------------------------
 
-    def self_cpu(self, node: CallNode) -> int | None:
-        key = id(node)
-        if key not in self._self_cpu:
-            self._self_cpu[key] = self_cpu(node)
-        return self._self_cpu[key]
+    self_cpu = staticmethod(self_cpu)
 
     def descendant_cpu(self, node: CallNode) -> CpuVector:
         """DC_F as a per-processor-type vector (shared: copy to change)."""
-        forks = self.include_oneway_forks and node.forked_chain_uuid
-        if not node.children and not forks:
+        vector = node.descendant_cpu
+        if vector is not UNSET:
+            return vector
+        if not node.children and not node.forked_chain_uuid:
+            node.descendant_cpu = _NO_DESCENDANTS
             return _NO_DESCENDANTS
-        key = id(node)
-        cached = self._descendant.get(key)
-        if cached is not None:
-            return cached
         vector = CpuVector()
         for child in node.children:
             if self._accountable(child):
                 # Oneway stub-side children have no skeleton probes here;
                 # their execution is accounted through the forked chain.
-                vector.add(child.server_processor_type, self.self_cpu(child))
+                vector.add(child.server_processor_type, self_cpu(child))
             vector.merge(self.descendant_cpu(child))
         # A oneway stub-side node owns the chain it forked: the fork's
         # inclusive CPU lands in this node's DC and is inherited upward
         # through the ordinary child sums.
-        forked = self.dscg.chains.get(node.forked_chain_uuid) if forks else None
+        forked = self.dscg.chains.get(node.forked_chain_uuid)
         if forked is not None:
             for root in forked.roots:
-                vector.add(root.server_processor_type, self.self_cpu(root))
+                vector.add(root.server_processor_type, self_cpu(root))
                 vector.merge(self.descendant_cpu(root))
-        self._descendant[key] = vector
+        node.descendant_cpu = vector
         return vector
 
     def inclusive_cpu(self, node: CallNode) -> CpuVector:
         """SC_F + DC_F (the paper's total/inherited CPU of a function)."""
         vector = self.descendant_cpu(node).copy()
-        vector.add(node.server_processor_type, self.self_cpu(node))
+        vector.add(node.server_processor_type, self_cpu(node))
         return vector
 
     # ------------------------------------------------------------------
 
     def annotate(self) -> None:
-        """Attach ``self_cpu_ns`` and ``descendant_cpu`` to every node."""
+        """Fill ``self_cpu_ns`` and ``descendant_cpu`` on every node."""
         for node in self.dscg.walk():
-            node.self_cpu_ns = self.self_cpu(node)
-            node.descendant_cpu = self.descendant_cpu(node)
+            self_cpu(node)
+            self.descendant_cpu(node)
 
     def total_by_processor(self) -> CpuVector:
         """Sum of self CPU over every node, grouped by processor type.
@@ -170,16 +162,14 @@ class CpuAnalysis:
         vector = CpuVector()
         for node in self.dscg.walk():
             if self._accountable(node):
-                vector.add(node.server_processor_type, self.self_cpu(node))
+                vector.add(node.server_processor_type, self_cpu(node))
         return vector
 
     def per_function_self_cpu(self) -> dict[str, CpuVector]:
         result: dict[str, CpuVector] = defaultdict(CpuVector)
         for node in self.dscg.walk():
             if self._accountable(node):
-                result[node.function].add(
-                    node.server_processor_type, self.self_cpu(node)
-                )
+                result[node.function].add(node.server_processor_type, self_cpu(node))
         return dict(result)
 
     @staticmethod

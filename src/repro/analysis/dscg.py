@@ -39,15 +39,22 @@ def reading_of(record: ProbeRecord) -> tuple:
     )
 
 
+#: What an annotation slot holds until its first read fills it; ``None``
+#: there means "not measurable".
+UNSET = object()
+
+
 class CallNode:
     """One function invocation in the reconstructed call hierarchy.
 
     The one GC-tracked object a call costs: identity and flags, the tree
     links (``children`` is the shared empty tuple until :meth:`add_child`
     allocates a list), one reading slot per :class:`TracingEvent` (``None``
-    until that probe's record is applied) and the three annotation slots,
-    which stay unset until an annotator fills them. ``records=`` snapshots
-    the readings of the given records.
+    until that probe's record is applied) and the three annotation slots
+    — L(F), SC_F, DC_F — the only memo of each value: :data:`UNSET` until
+    the first read (``end_to_end_latency``, ``self_cpu``,
+    ``CpuAnalysis.descendant_cpu``) computes and fills it. ``records=``
+    snapshots the readings of the given records.
     """
 
     __slots__ = (
@@ -85,6 +92,7 @@ class CallNode:
         self.parent = parent
         self.children = children
         self.stub_start = self.skel_start = self.skel_end = self.stub_end = None
+        self.latency_ns = self.self_cpu_ns = self.descendant_cpu = UNSET
         if records:
             for event, record in records.items():
                 setattr(self, _READING_SLOTS[event - 1], reading_of(record))

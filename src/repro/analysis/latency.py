@@ -13,6 +13,9 @@ measured window: the summed probe self-intervals of F's immediate child
 invocations, where the probe set R is {1,2,3,4} for synchronous children
 and {1,4} for oneway children (which have no skeleton probes in this
 chain). All O_F terms are *durations*, so mixing hosts is safe.
+
+L(F) is memoized in the node's ``latency_ns`` slot: the first read
+computes and stores it, every later reader gets the stored value.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.core.events import CallKind
-from repro.analysis.dscg import WALL_END, WALL_START, CallNode, ChainTree, Dscg
+from repro.analysis.dscg import UNSET, WALL_END, WALL_START, CallNode, ChainTree, Dscg
 
 
 def causality_overhead(node: CallNode) -> int:
@@ -50,21 +53,28 @@ def causality_overhead(node: CallNode) -> int:
 
 def end_to_end_latency(node: CallNode) -> int | None:
     """L(F) in nanoseconds, or None when the needed readings are missing."""
+    latency = node.latency_ns
+    if latency is not UNSET:
+        return latency
     if node.collocated or (
         node.call_kind is CallKind.ONEWAY and node.oneway_side == "skel"
     ):
         start, end = node.skel_start, node.skel_end
     else:
         start, end = node.stub_start, node.stub_end
-    if start is None or end is None:
-        return None
-    if start[WALL_END] is None or end[WALL_START] is None:
-        return None
-    return end[WALL_START] - start[WALL_END] - causality_overhead(node)
+    if (
+        start is None or end is None
+        or start[WALL_END] is None or end[WALL_START] is None
+    ):
+        latency = None
+    else:
+        latency = end[WALL_START] - start[WALL_END] - causality_overhead(node)
+    node.latency_ns = latency
+    return latency
 
 
 def annotate_latency(scope: "Dscg | ChainTree") -> None:
-    """Attach ``latency_ns`` to every node of a DSCG, or of one chain tree
+    """Fill ``latency_ns`` on every node of a DSCG, or of one chain tree
     (None when not measurable).
 
     "Latency can be annotated to the DSCG's nodes to help perceive latency
@@ -73,7 +83,7 @@ def annotate_latency(scope: "Dscg | ChainTree") -> None:
     chain — so chains annotate independently.
     """
     for node in scope.walk():
-        node.latency_ns = end_to_end_latency(node)
+        end_to_end_latency(node)
 
 
 @dataclass

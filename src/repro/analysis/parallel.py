@@ -72,7 +72,6 @@ def reconstruct_sharded(
     database: "StorageBackend",
     run_id: str,
     workers: int,
-    annotate: bool = False,
     predicate: "ScanPredicate | None" = None,
 ) -> Dscg:
     """:func:`repro.analysis.reconstruct` over a pool of shard scans.
@@ -100,7 +99,7 @@ def reconstruct_sharded(
             futures = [
                 pool.submit(
                     statemachine.reconstruct_range,
-                    database, run_id, annotate, predicate, first, last,
+                    database, run_id, predicate, first, last,
                 )
                 for first, last in bounds
             ]

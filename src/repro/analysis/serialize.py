@@ -12,7 +12,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from repro.analysis.cpu import CpuAnalysis
+from repro.analysis.cpu import CpuAnalysis, CpuVector, self_cpu
 from repro.analysis.dscg import CallNode, ChainTree, Dscg
 from repro.analysis.latency import end_to_end_latency
 from repro.core.events import CallKind, Domain
@@ -82,9 +82,9 @@ def _write_nodes(nodes, depth: int, write, quoted: _Quoted, layouts: list, cpu) 
         if latency is not None:
             write(f'{before_key}"latency_ns": {latency}')
         if cpu is not None:
-            self_cpu = cpu.self_cpu(node)
-            if self_cpu is not None:
-                write(f'{before_key}"self_cpu_ns": {self_cpu}')
+            self_ns = self_cpu(node)
+            if self_ns is not None:
+                write(f'{before_key}"self_cpu_ns": {self_ns}')
             by_processor = cpu.descendant_cpu(node).by_processor
             if by_processor:
                 item = before_key[1:] + "  "
@@ -105,6 +105,8 @@ def dscg_to_json(dscg: Dscg, include_cpu: bool = True) -> str:
     between, and is byte-identical to ``json.dumps(document, indent=2)``
     of the equivalent nested-dict document — which
     ``tests/property/test_serialize_oracle.py`` builds as the oracle.
+    Annotations are read through the nodes' memo slots, so the text is
+    the same whether or not the annotators ran first.
     """
     quoted = _Quoted()
     layouts: list[tuple[str, ...]] = []
@@ -117,10 +119,8 @@ def dscg_to_json(dscg: Dscg, include_cpu: bool = True) -> str:
     ))
     write('\n  },\n  "chains": ')
     before = "[\n    {\n"
+    cpu = CpuAnalysis(dscg) if include_cpu else None
     for tree in dscg.chains.values():
-        # A memo per chain: its vectors die with the chain, and a fork's
-        # chain is simply computed again when its own turn comes.
-        cpu = CpuAnalysis(dscg) if include_cpu else None
         parent = tree.parent_chain_uuid
         write(
             f'{before}      "chain_uuid": {quoted[tree.chain_uuid]},\n'
@@ -159,6 +159,7 @@ def _node_from_dict(payload: dict[str, Any], chain_uuid: str) -> CallNode:
     )
     node.latency_ns = payload.get("latency_ns")
     node.self_cpu_ns = payload.get("self_cpu_ns")
+    node.descendant_cpu = CpuVector(payload.get("descendant_cpu_ns", {}))
     for child_payload in payload["children"]:
         node.add_child(_node_from_dict(child_payload, chain_uuid))
     return node

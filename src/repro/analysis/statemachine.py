@@ -29,9 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.events import CallKind, TracingEvent
 from repro.core.records import ProbeRecord
-from repro.analysis.cpu import annotate_chain_self_cpu
 from repro.analysis.dscg import AbnormalEvent, CallNode, ChainTree, Dscg, reading_of
-from repro.analysis.latency import annotate_latency
 
 if TYPE_CHECKING:
     from repro.store.backend import StorageBackend
@@ -201,7 +199,6 @@ def reconstruct_from_records(records: Iterable[ProbeRecord]) -> Dscg:
 def reconstruct_range(
     database: "StorageBackend",
     run_id: str,
-    annotate: bool = False,
     predicate: "ScanPredicate | None" = None,
     first_chain: str | None = None,
     last_chain: str | None = None,
@@ -209,22 +206,17 @@ def reconstruct_range(
     """Rebuild, in uuid order, the chains of one inclusive chain-uuid
     range of a run — by default all of it. The one per-chain loop: the
     whole of :func:`reconstruct`, and one shard of ``reconstruct_sharded``."""
-    trees: list[ChainTree] = []
-    for chain_uuid, records in database.chains_for_run(
-        run_id, first_chain=first_chain, last_chain=last_chain, predicate=predicate
-    ):
-        tree = reconstruct_chain(chain_uuid, records)
-        if annotate:
-            annotate_latency(tree)
-            annotate_chain_self_cpu(tree)
-        trees.append(tree)
-    return trees
+    return [
+        reconstruct_chain(chain_uuid, records)
+        for chain_uuid, records in database.chains_for_run(
+            run_id, first_chain=first_chain, last_chain=last_chain, predicate=predicate
+        )
+    ]
 
 
 def reconstruct(
     database: "StorageBackend",
     run_id: str,
-    annotate: bool = False,
     predicate: "ScanPredicate | None" = None,
 ) -> Dscg:
     """Build the DSCG for one collected run.
@@ -238,8 +230,8 @@ def reconstruct(
 
     One serial pass — chains are independent, but a thread pool over them
     never measured faster under the GIL (:mod:`repro.analysis.parallel`).
-    ``annotate=True`` additionally stamps each node's chain-local
-    ``latency_ns``/``self_cpu_ns`` inside the same pass.
+    The annotations are left to their first read (see
+    :class:`~repro.analysis.dscg.CallNode`).
 
     ``predicate`` pushes a :class:`~repro.store.ScanPredicate` down into
     the backend scan, reconstructing only matching records (entire
@@ -249,7 +241,7 @@ def reconstruct(
     the record stream the caller asked to analyze.
     """
     dscg = Dscg()
-    for tree in reconstruct_range(database, run_id, annotate, predicate):
+    for tree in reconstruct_range(database, run_id, predicate):
         dscg.add_chain(tree)
     dscg.link_chains()
     return dscg

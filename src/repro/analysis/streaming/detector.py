@@ -207,14 +207,11 @@ class StreamingDetector:
     def _on_complete(self, node: CallNode, record: ProbeRecord, record_index: int) -> None:
         self._m_completions.inc()
         latency = end_to_end_latency(node)
-        node.latency_ns = latency
         if latency is None:
             return  # causality-only mode: no wall readings to score
         children_ns = 0
         for child in node.children:
-            child_latency = getattr(child, "latency_ns", None)
-            if child_latency is None:
-                child_latency = end_to_end_latency(child)
+            child_latency = end_to_end_latency(child)
             if child_latency is not None and child_latency > 0:
                 children_ns += child_latency
         self._completion_index += 1

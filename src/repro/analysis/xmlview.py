@@ -50,8 +50,7 @@ def _node_element(parent: ET.Element, node: CcsgNode) -> None:
         element.set("component", node.component)
     _cpu_elements(element, "SelfCPUConsumption", node.self_cpu)
     _cpu_elements(element, "DescendentCPUConsumption", node.descendant_cpu)
-    instances = ET.SubElement(element, "IncludedFunctionInstances")
-    instances.set("count", str(len(node.instances)))
+    ET.SubElement(element, "IncludedFunctionInstances", count=str(node.invocation_times))
     for child in node.child_list():
         _node_element(element, child)
 

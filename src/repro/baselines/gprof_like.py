@@ -47,9 +47,6 @@ class GprofProfile:
     def edge_count(self) -> int:
         return len(self.rows)
 
-    def callers_of(self, callee: str) -> list[GprofRow]:
-        return [row for row in self.rows.values() if row.callee == callee]
-
 
 def gprof_profile(dscg: Dscg, cpu: CpuAnalysis | None = None) -> GprofProfile:
     """Flatten the DSCG into a depth-1 profile, same-thread edges only.
@@ -84,12 +81,6 @@ class PathLossReport:
     distinct_call_paths: int
     depth1_edges: int
     spontaneous_roots: int
-
-    @property
-    def collapse_ratio(self) -> float:
-        if not self.depth1_edges:
-            return 1.0
-        return self.distinct_call_paths / self.depth1_edges
 
 
 def path_loss(dscg: Dscg) -> PathLossReport:

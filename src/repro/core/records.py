@@ -115,10 +115,6 @@ class OperationInfo:
     #: operation's identity (excluded from init/eq/hash/repr).
     _site: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.interface}::{self.operation}"
-
 
 @dataclass(frozen=True, slots=True)
 class Site:

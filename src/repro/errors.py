@@ -111,16 +111,3 @@ class StoreError(ReproError):
 
 class AnalysisError(ReproError):
     """Raised by the off-line analyzer on unusable monitoring data."""
-
-
-class AbnormalTransition(AnalysisError):
-    """A log event stream violated the Figure-4 state machine.
-
-    The analyzer records the failure and restarts from the next record,
-    as described in the paper (Section 3.1).
-    """
-
-    def __init__(self, message: str, chain_uuid: str = "", event_seq: int = -1):
-        self.chain_uuid = chain_uuid
-        self.event_seq = event_seq
-        super().__init__(message)

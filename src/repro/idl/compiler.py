@@ -46,9 +46,6 @@ class CompiledIdl:
         except KeyError:
             raise AttributeError(name) from None
 
-    def interface_names(self) -> list[str]:
-        return sorted(self.spec.interfaces)
-
 
 def _type_table(resolved: ResolvedSpec) -> dict[str, IdlType]:
     table: dict[str, IdlType] = {}

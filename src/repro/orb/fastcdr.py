@@ -234,16 +234,6 @@ class MarshalPlan:
                 index += 1
         return encoder.getbuffer()
 
-    def marshal_into(self, encoder: CdrEncoder, values: Sequence) -> None:
-        """Encode onto an existing encoder (alignment follows its offset)."""
-        index = 0
-        for step in self._steps:
-            if type(step) is _FusedRun:
-                index = step.pack_into(encoder, values, index)
-            else:
-                step.marshal(encoder, values[index])
-                index += 1
-
     def unmarshal(self, payload) -> tuple:
         """Decode a full encapsulation; enforces exhaustion like the slow path."""
         decoder = CdrDecoder(payload)

@@ -61,16 +61,6 @@ def _read_ulong(view, pos: int) -> tuple[int, int]:
     return value, pos + 4
 
 
-def _read_string(view, pos: int) -> tuple[str, int]:
-    length, pos = _read_ulong(view, pos)
-    end = pos + length
-    if end > len(view):
-        raise MarshalError("buffer underrun reading string")
-    if length == 0 or view[end - 1] != 0:
-        raise MarshalError("string missing NUL terminator")
-    return bytes(view[pos : end - 1]).decode("utf-8"), end
-
-
 def _read_blob(view, pos: int):
     """Read one byte sequence as a zero-copy slice of the frame view."""
     length, pos = _read_ulong(view, pos)

@@ -68,10 +68,6 @@ class InterfaceRegistry:
             except KeyError:
                 raise OrbError(f"no skeleton registered for interface {interface}") from None
 
-    def known_interfaces(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
-
 
 #: Process-wide registry shared by every compiled IDL module.
 GLOBAL_INTERFACE_REGISTRY = InterfaceRegistry()

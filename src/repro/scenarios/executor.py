@@ -192,7 +192,7 @@ def _execute_scenario(spec: ScenarioSpec, base_dir: str | None) -> _Execution:
         # The canonical accounting dict — the same shape the chaos matrix
         # always asserted determinism over: what happened, what was
         # injected, what was captured, what was lost.
-        dscg = reconstruct(backend, SCENARIO_RUN_ID, annotate=True)
+        dscg = reconstruct(backend, SCENARIO_RUN_ID)
         meta = next(
             m for m in backend.runs() if m.run_id == SCENARIO_RUN_ID
         )

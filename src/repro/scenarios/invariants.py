@@ -65,9 +65,9 @@ class ScenarioState:
     _dscg: Any = None
 
     def dscg(self):
-        """The run's annotated DSCG, reconstructed once per scenario."""
+        """The run's DSCG, reconstructed once per scenario."""
         if self._dscg is None:
-            self._dscg = reconstruct(self.backend, self.run_id, annotate=True)
+            self._dscg = reconstruct(self.backend, self.run_id)
         return self._dscg
 
 
@@ -195,7 +195,7 @@ def check_cross_backend_identity(
     )
 
     dscg_a = state.dscg()
-    dscg_b = reconstruct(mirror, run_id, annotate=True)
+    dscg_b = reconstruct(mirror, run_id)
     checks["dscg_json"] = dscg_to_json(dscg_a) == dscg_to_json(dscg_b)
     checks["loss_report"] = (
         loss_report(dscg_a).to_dict() == loss_report(dscg_b).to_dict()

@@ -195,7 +195,7 @@ class TestBackendIdentity:
 
     def test_dscg_identical_across_planes_and_backends(self, captures):
         serialized = {
-            (plane, kind): dscg_to_json(reconstruct(backend, "adp", annotate=True))
+            (plane, kind): dscg_to_json(reconstruct(backend, "adp"))
             for plane, backends in captures.items()
             for kind, backend in zip(("sqlite", "segment"), backends)
         }
@@ -208,7 +208,7 @@ class TestBackendIdentity:
         rendered = set()
         for plane, backends in captures.items():
             for backend in backends:
-                dscg = reconstruct(backend, "adp", annotate=True)
+                dscg = reconstruct(backend, "adp")
                 rendered.add(
                     render_ccsg_xml(
                         build_ccsg(dscg, CpuAnalysis(dscg)), description="adp"

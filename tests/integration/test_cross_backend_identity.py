@@ -75,8 +75,8 @@ class TestCrossBackendIdentity:
 
     def test_reconstruct_identical(self, backends):
         sqlite, segment = backends
-        dscg_a = reconstruct(sqlite, "xb", annotate=True)
-        dscg_b = reconstruct(segment, "xb", annotate=True)
+        dscg_a = reconstruct(sqlite, "xb")
+        dscg_b = reconstruct(segment, "xb")
         assert dscg_a.stats() == dscg_b.stats()
         assert dscg_to_json(dscg_a) == dscg_to_json(dscg_b)
         assert loss_report(dscg_a).to_dict() == loss_report(dscg_b).to_dict()
@@ -86,17 +86,13 @@ class TestCrossBackendIdentity:
 
     def test_sharded_segment_equals_serial_sqlite(self, backends):
         sqlite, segment = backends
-        serial = dscg_to_json(reconstruct(sqlite, "xb", annotate=True))
+        serial = dscg_to_json(reconstruct(sqlite, "xb"))
         for workers in (2, 4):
-            sharded = dscg_to_json(
-                reconstruct_sharded(
-                    segment, "xb", workers=workers, annotate=True
-                )
-            )
+            sharded = dscg_to_json(reconstruct_sharded(segment, "xb", workers=workers))
             assert sharded == serial
         # The shard hook compacted the store: the fast path must agree too.
         assert segment.compaction_state("xb")["compacted"]
-        assert dscg_to_json(reconstruct(segment, "xb", annotate=True)) == serial
+        assert dscg_to_json(reconstruct(segment, "xb")) == serial
 
 
 def _identity_predicates(sqlite):

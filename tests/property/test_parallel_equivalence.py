@@ -102,12 +102,8 @@ def _assert_equivalent(database, run_id, workers):
     sharded = reconstruct_sharded(database, run_id, workers=workers)
     assert list(sharded.chains) == list(serial.chains)
     assert dscg_to_json(sharded) == dscg_to_json(serial)
-    # Annotated variants must agree too (chain-local work moved into workers).
-    serial_ann = reconstruct(database, run_id, annotate=True)
-    sharded_ann = reconstruct_sharded(
-        database, run_id, workers=workers, annotate=True
-    )
-    for uuid, tree in serial_ann.chains.items():
-        for node, twin in zip(tree.walk(), sharded_ann.chains[uuid].walk()):
+    # The annotation slots the serializer filled agree too.
+    for uuid, tree in serial.chains.items():
+        for node, twin in zip(tree.walk(), sharded.chains[uuid].walk()):
             assert node.latency_ns == twin.latency_ns
             assert node.self_cpu_ns == twin.self_cpu_ns

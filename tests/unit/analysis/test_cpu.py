@@ -68,19 +68,9 @@ class TestDescendantCpu:
                 Call("I::cast", oneway=True, cpu_ns=500),
             ))]
         )
-        analysis = CpuAnalysis(dscg, include_oneway_forks=True)
+        analysis = CpuAnalysis(dscg)
         f = only_node(dscg, "I::F")
         assert analysis.descendant_cpu(f).by_processor == {"PA-RISC": 500}
-
-    def test_oneway_fork_excluded_when_disabled(self):
-        dscg = dscg_for(
-            [Call("I::F", cpu_ns=10, children=(
-                Call("I::cast", oneway=True, cpu_ns=500),
-            ))]
-        )
-        analysis = CpuAnalysis(dscg, include_oneway_forks=False)
-        f = only_node(dscg, "I::F")
-        assert analysis.descendant_cpu(f).by_processor == {}
 
     def test_conservation_total_self_equals_root_inclusive(self):
         tree = Call(

@@ -11,8 +11,10 @@ import pytest
 
 from repro.analysis import (
     dscg_to_json,
+    end_to_end_latency,
     reconstruct,
     reconstruct_sharded,
+    self_cpu,
 )
 from repro.analysis.parallel import shard_bounds
 import repro.analysis.parallel as parallel_mod
@@ -91,15 +93,13 @@ class TestEquivalence:
 
     def test_annotation_matches_serial(self, tmp_path):
         database, run_id = _collected_workload(tmp_path)
-        serial = reconstruct(database, run_id, annotate=True)
-        parallel = reconstruct_sharded(
-            database, run_id, workers=3, annotate=True
-        )
+        serial = reconstruct(database, run_id)
+        parallel = reconstruct_sharded(database, run_id, workers=3)
         for uuid, tree in serial.chains.items():
             other = parallel.chains[uuid].walk()
             for node, twin in zip(tree.walk(), other):
-                assert node.latency_ns == twin.latency_ns
-                assert node.self_cpu_ns == twin.self_cpu_ns
+                assert end_to_end_latency(node) == end_to_end_latency(twin)
+                assert self_cpu(node) == self_cpu(twin)
 
     def test_more_workers_than_chains(self, tmp_path):
         database, run_id = _collected_workload(tmp_path)

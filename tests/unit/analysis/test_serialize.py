@@ -49,6 +49,14 @@ class TestRoundtrip:
         assert "self_cpu_ns" in root
         assert root["descendant_cpu_ns"]
 
+    def test_reserializes_to_the_same_document(self):
+        document = dscg_to_json(self.make())
+        restored = dscg_from_json(document)
+        assert dscg_to_json(restored) == document
+        (tree,) = restored.root_chains()
+        assert tree.roots[0].descendant_cpu.total_ns() > 0
+        assert tree.roots[0].children[0].descendant_cpu.by_processor == {}
+
     def test_without_cpu_annotations(self):
         document = json.loads(dscg_to_json(self.make(), include_cpu=False))
         roots = [r for chain in document["chains"] for r in chain["roots"]]

@@ -60,7 +60,7 @@ def test_reconstruct_over_a_segment_run_and_its_sqlite_reference(records, tmp_pa
     database.create_run(RunMetadata(run_id="r1"))
     database.insert_records("r1", records)
     assert list(database.all_records("r1")) == records
-    reference = dscg_to_json(reconstruct(database, "r1", annotate=True))
+    reference = dscg_to_json(reconstruct(database, "r1"))
     store = SegmentStore(str(tmp_path / "store"), auto_compact=0)
     try:
         store.create_run(RunMetadata(run_id="r1"))
@@ -68,7 +68,7 @@ def test_reconstruct_over_a_segment_run_and_its_sqlite_reference(records, tmp_pa
         store.insert_records("r1", records[20:])
         predicate = ScanPredicate(interfaces={"A", "C"}, ts_min=0)
         for state in ("spooled", "compacted"):
-            dscg = reconstruct(store, "r1", annotate=True)
+            dscg = reconstruct(store, "r1")
             assert dscg.node_count() == NODES and not dscg.abnormal_events()
             assert dscg_to_json(dscg) == reference
             narrowed = reconstruct(store, "r1", predicate=predicate)
