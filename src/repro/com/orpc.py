@@ -151,11 +151,11 @@ def invoke_through_channel(
         # the CORBA collocated case.
         _CALLS["direct"].inc()
         if monitor is not None:
-            stub_ctx, skel_ctx = monitor.collocated_call_start(op)
+            site, ftl = monitor.collocated_call_start(op)
             try:
                 return getattr(identity.obj, method)(*args, **kwargs)
             finally:
-                monitor.collocated_call_end(stub_ctx, skel_ctx)
+                monitor.collocated_call_end(site, ftl)
         return getattr(identity.obj, method)(*args, **kwargs)
 
     # Probe 1: stub start (client side of the channel).

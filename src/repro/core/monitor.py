@@ -58,6 +58,9 @@ def _no_cpu_counter() -> None:
 
 # Framework self-metrics (no-ops until repro.telemetry.enable(), which
 # rebinds them under live runtimes: the probes read them per activation).
+# ``_COUNTING`` is true while telemetry is on: the probes test it before
+# counting a record or a chain, so telemetry off costs no call at all.
+_COUNTING = False
 _PROBE_RECORDS = dict.fromkeys(TracingEvent, NULL_COUNTER)
 _FTL_MALFORMED = {_SKEL_START: NULL_COUNTER, _STUB_END: NULL_COUNTER}
 _CHAINS_STARTED = NULL_COUNTER
@@ -65,7 +68,8 @@ _CHAINS_STARTED = NULL_COUNTER
 
 @metrics_binder
 def _bind_metrics(registry) -> None:
-    global _CHAINS_STARTED
+    global _CHAINS_STARTED, _COUNTING
+    _COUNTING = registry is not None
     registry = registry or NULL_REGISTRY
     family = registry.counter(
         "repro_probe_records_total",
@@ -122,15 +126,17 @@ class MonitorConfig:
 class MonitoringRuntime:
     """Probe implementation attached to one simulated process.
 
-    Each probe is one Python frame that reads ``config`` once and logs
-    its record as a probe row (a list literal in ``ProbeRecord.__slots__``
-    order; no record is built on the probe path), stamping the row's end
-    readings after the append. Prebound: the clock, the FTL slot's context
-    variable and, per operation (:meth:`_bind_site`), the :class:`Site` —
-    the ten record fields constant per *(process, operation)*, which a
-    record refers to instead of copying. Read on every probe,
+    Each probe is one Python frame and enters no other: it reads
+    ``config`` once and logs its record as a probe row (a list literal in
+    ``ProbeRecord.__slots__`` order; no record is built on the probe path)
+    through the buffer's C-level per-thread append, stamping the row's end
+    readings after the append, and counts it only while telemetry is on.
+    Prebound: the clock, the FTL slot's context variable and, per
+    operation (:meth:`_bind_site`), the :class:`Site` — the ten record
+    fields constant per *(process, operation)*, which a record refers to
+    instead of copying. Read on every probe (once per fused pair),
     because the tree changes them under a live runtime: the telemetry
-    counters, ``process.log_buffer`` and every ``config`` field.
+    flag and counters, ``process.log_buffer`` and every ``config`` field.
     """
 
     def __init__(self, process: SimProcess, config: MonitorConfig | None = None):
@@ -187,7 +193,8 @@ class MonitoringRuntime:
 
     def _start_chain(self, uuid_factory: Callable[[], str]) -> FunctionTxLog:
         """A root call: mint a chain and bind it to the calling thread."""
-        _CHAINS_STARTED.inc()
+        if _COUNTING:
+            _CHAINS_STARTED.inc()
         return self.bind_ftl(new_chain(uuid_factory))
 
     # ------------------------------------------------------------------
@@ -234,8 +241,9 @@ class MonitoringRuntime:
             site, ftl.chain_uuid, seq, _STUB_START, _get_ident(), kind, collocated,
             wall, None, cpu, None, child_uuid, semantics if semantics_on else None,
         ]
-        self.process.log_buffer.append_row(row)
-        _PROBE_RECORDS[_STUB_START].inc()
+        self.process.log_buffer.per_thread.append(row)
+        if _COUNTING:
+            _PROBE_RECORDS[_STUB_START].inc()
         ctx = CallContext(op, site, ftl, kind, collocated, child_ftl, payload)
         if wall_on:
             row[WALL_END] = self._wall_ns()
@@ -291,8 +299,9 @@ class MonitoringRuntime:
             ctx.collocated, wall, None, cpu, None, None,
             semantics if semantics_on else None,
         ]
-        self.process.log_buffer.append_row(row)
-        _PROBE_RECORDS[_STUB_END].inc()
+        self.process.log_buffer.per_thread.append(row)
+        if _COUNTING:
+            _PROBE_RECORDS[_STUB_END].inc()
         if wall_on:
             row[WALL_END] = self._wall_ns()
         if cpu_on:
@@ -346,8 +355,9 @@ class MonitoringRuntime:
             site, ftl.chain_uuid, seq, _SKEL_START, _get_ident(), kind, collocated,
             wall, None, cpu, None, None, semantics if semantics_on else None,
         ]
-        self.process.log_buffer.append_row(row)
-        _PROBE_RECORDS[_SKEL_START].inc()
+        self.process.log_buffer.per_thread.append(row)
+        if _COUNTING:
+            _PROBE_RECORDS[_SKEL_START].inc()
         ctx = CallContext(op, site, ftl, kind, collocated)
         if wall_on:
             row[WALL_END] = self._wall_ns()
@@ -385,8 +395,9 @@ class MonitoringRuntime:
             ctx.site, ftl.chain_uuid, seq, _SKEL_END, _get_ident(), kind, collocated,
             wall, None, cpu, None, None, semantics if semantics_on else None,
         ]
-        self.process.log_buffer.append_row(row)
-        _PROBE_RECORDS[_SKEL_END].inc()
+        self.process.log_buffer.per_thread.append(row)
+        if _COUNTING:
+            _PROBE_RECORDS[_SKEL_END].inc()
         if wall_on:
             row[WALL_END] = self._wall_ns()
         if cpu_on:
@@ -400,15 +411,17 @@ class MonitoringRuntime:
 
     def collocated_call_start(
         self, op: OperationInfo, semantics: dict[str, Any] | None = None
-    ) -> tuple[CallContext | None, CallContext | None]:
+    ) -> tuple[Site, FunctionTxLog] | tuple[None, None]:
         """Fire probes 1 and 2 back-to-back for a collocated invocation.
 
         With collocation optimization the stub locates the servant
         directly, so "both stub start and skeleton start probes are
         triggered before the execution falls into the user-defined
         function implementation" (Section 2.2). Nothing runs between the
-        two, so the pair shares one frame, one read of gates, carrier and
-        site, and one context; each record keeps its own clock readings.
+        two, so the pair shares one frame and one read of gates, carrier,
+        site and buffer; each record keeps its own clock readings. Returns
+        the token :meth:`collocated_call_end` takes, ``(site, ftl)``
+        (``(None, None)`` while monitoring is disabled).
         """
         config = self.config
         if not config.enabled:
@@ -426,10 +439,10 @@ class MonitoringRuntime:
             site, chain_uuid, seq, _STUB_START, thread_id, _SYNC, True,
             wall, None, cpu, None, None, semantics if semantics_on else None,
         ]
-        append = self.process.log_buffer.append_row
+        append = self.process.log_buffer.per_thread.append
         append(row)
-        _PROBE_RECORDS[_STUB_START].inc()
-        ctx = CallContext(op, site, ftl, _SYNC, True)
+        if _COUNTING:
+            _PROBE_RECORDS[_STUB_START].inc()
         if wall_on:
             row[WALL_END] = self._wall_ns()
             wall = self._wall_ns()
@@ -441,24 +454,27 @@ class MonitoringRuntime:
             None, None, None,
         ]
         append(row)
-        _PROBE_RECORDS[_SKEL_START].inc()
+        if _COUNTING:
+            _PROBE_RECORDS[_SKEL_START].inc()
         if wall_on:
             row[WALL_END] = self._wall_ns()
         if cpu_on:
             row[CPU_END] = self._cpu_ns()
-        return ctx, ctx
+        return site, ftl
 
     def collocated_call_end(
         self,
-        stub_ctx: CallContext | None,
-        skel_ctx: CallContext | None,
+        site: Site | None,
+        ftl: FunctionTxLog | None,
         semantics: dict[str, Any] | None = None,
     ) -> None:
         """Fire probes 3 and 4 back-to-back at collocated call return.
 
-        Takes :meth:`collocated_call_start`'s pair; re-reads the carrier's FTL.
+        Takes :meth:`collocated_call_start`'s token unpacked
+        (``collocated_call_end(*token)``). Like :meth:`stub_end` it
+        re-reads the carrier's FTL; the token's is the fallback.
         """
-        if stub_ctx is None:
+        if site is None:
             return
         config = self.config
         if not config.enabled:
@@ -466,17 +482,18 @@ class MonitoringRuntime:
         wall_on, cpu_on, semantics_on = config.mode.flags
         wall = self._wall_ns() if wall_on else None
         cpu = self._cpu_ns() if cpu_on else None
-        ftl = self._ftl_var.get() or self.bind_ftl(stub_ctx.ftl)
-        site, chain_uuid, thread_id = stub_ctx.site, ftl.chain_uuid, _get_ident()
+        ftl = self._ftl_var.get() or self.bind_ftl(ftl)
+        chain_uuid, thread_id = ftl.chain_uuid, _get_ident()
         seq = ftl.event_seq_no + 1
         ftl.event_seq_no = seq + 1
         row = [
             site, chain_uuid, seq, _SKEL_END, thread_id, _SYNC, True,
             wall, None, cpu, None, None, semantics if semantics_on else None,
         ]
-        append = self.process.log_buffer.append_row
+        append = self.process.log_buffer.per_thread.append
         append(row)
-        _PROBE_RECORDS[_SKEL_END].inc()
+        if _COUNTING:
+            _PROBE_RECORDS[_SKEL_END].inc()
         if wall_on:
             row[WALL_END] = self._wall_ns()
             wall = self._wall_ns()
@@ -488,7 +505,8 @@ class MonitoringRuntime:
             None, None, None,
         ]
         append(row)
-        _PROBE_RECORDS[_STUB_END].inc()
+        if _COUNTING:
+            _PROBE_RECORDS[_STUB_END].inc()
         if wall_on:
             row[WALL_END] = self._wall_ns()
         if cpu_on:

@@ -6,8 +6,8 @@ probe points it implements:
 1. sample the local wall clock and/or per-thread CPU counter,
 2. manipulate the FTL (advance the event number, fork a child chain,
    store to / load from thread-specific storage),
-3. append a :class:`~repro.core.records.ProbeRecord` to the process-local
-   log buffer,
+3. log its record as a probe row (:mod:`repro.core.records`) through the
+   process-local log buffer's per-thread append,
 4. sample the clocks again and stamp the record's completion readings.
 
 Steps 1 and 4 bracket the probe so the analyzer can subtract probe
@@ -29,7 +29,8 @@ class CallContext:
 
     The stub keeps one across the request/reply round trip; the skeleton
     keeps one across the servant up-call. The start probes build it
-    positionally, in field order.
+    positionally, in field order. A fused collocated pair needs only the
+    site and the FTL, and hands them over as a plain tuple instead.
     """
 
     op: OperationInfo

@@ -27,11 +27,10 @@ class LossyLogBuffer:
         self._drain_attempts = 0
         self._record_index = 0
         self._lock = threading.Lock()
+        #: Probes log through the inner buffer's per-thread appends.
+        self.per_thread = inner.per_thread
 
     # -- probe side: appends pass straight through ----------------------
-
-    def append_row(self, row: list) -> None:
-        self._inner.append_row(row)
 
     def append(self, record: ProbeRecord) -> None:
         self._inner.append(record)

@@ -172,6 +172,34 @@ def _unmarshal_system_exception(body: bytes) -> RemoteApplicationError:
     return RemoteApplicationError(exc_type, message)
 
 
+class _OperationInfos(dict):
+    """One stub's or skeleton's :class:`OperationInfo` per operation name.
+
+    Generated code reads ``self._op_infos["op"]``: a hit is a C-level dict
+    subscript, and ``__missing__`` builds the entry on the first read.
+    ``OperationInfo`` is frozen, so one instance per (stub, op) is safely
+    shared across every probe of every call.
+    """
+
+    __slots__ = ("_interface", "_object_id", "_component")
+
+    def __init__(self, interface: str, object_id: str, component: str):
+        super().__init__()
+        self._interface = interface
+        self._object_id = object_id
+        self._component = component
+
+    def __missing__(self, name: str) -> OperationInfo:
+        info = self[name] = OperationInfo(
+            interface=self._interface,
+            operation=name,
+            object_id=self._object_id,
+            component=self._component,
+            domain=Domain.CORBA,
+        )
+        return info
+
+
 class StubBase:
     """Client-side proxy base; generated subclasses add one method per op."""
 
@@ -182,7 +210,9 @@ class StubBase:
     def __init__(self, orb, object_ref: ObjectRef):
         self._orb = orb
         self.object_ref = object_ref
-        self._op_info_cache: dict[str, OperationInfo] = {}
+        self._op_infos = _OperationInfos(
+            self._interface, object_ref.object_key, object_ref.component
+        )
 
     # -- helpers used by generated code --------------------------------
 
@@ -192,20 +222,6 @@ class StubBase:
 
     def _op(self, name: str) -> "ResolvedOperation":
         return self._resolved.operation(name)
-
-    def _op_info(self, name: str) -> OperationInfo:
-        # OperationInfo is frozen, so one instance per (stub, op) is
-        # safely shared across every probe of every call.
-        info = self._op_info_cache.get(name)
-        if info is None:
-            info = self._op_info_cache[name] = OperationInfo(
-                interface=self._interface,
-                operation=name,
-                object_id=self.object_ref.object_key,
-                component=self.object_ref.component,
-                domain=Domain.CORBA,
-            )
-        return info
 
     def _semantics_args(self, op_name: str, args: tuple) -> dict | None:
         """Application-semantics payload for probe 1 (parameters)."""
@@ -270,8 +286,7 @@ class StubBase:
         monitor = self._monitor
         if monitor is None:
             return self._call_servant(servant, op_name, args)
-        op_info = self._op_info(op_name)
-        stub_ctx, skel_ctx = monitor.collocated_call_start(op_info)
+        site, ftl = monitor.collocated_call_start(self._op_infos[op_name])
         try:
             result = self._call_servant(servant, op_name, args)
         except ComponentCrash:
@@ -280,9 +295,9 @@ class StubBase:
             # up as a partial chain in the analyzer — by design.
             raise
         except BaseException:
-            monitor.collocated_call_end(stub_ctx, skel_ctx)
+            monitor.collocated_call_end(site, ftl)
             raise
-        monitor.collocated_call_end(stub_ctx, skel_ctx)
+        monitor.collocated_call_end(site, ftl)
         return result
 
     async def _call_servant_async(self, servant, op_name: str, args: tuple) -> Any:
@@ -313,16 +328,15 @@ class StubBase:
         monitor = self._monitor
         if monitor is None:
             return await self._call_servant_async(servant, op_name, args)
-        op_info = self._op_info(op_name)
-        stub_ctx, skel_ctx = monitor.collocated_call_start(op_info)
+        site, ftl = monitor.collocated_call_start(self._op_infos[op_name])
         try:
             result = await self._call_servant_async(servant, op_name, args)
         except ComponentCrash:
             raise
         except BaseException:
-            monitor.collocated_call_end(stub_ctx, skel_ctx)
+            monitor.collocated_call_end(site, ftl)
             raise
-        monitor.collocated_call_end(stub_ctx, skel_ctx)
+        monitor.collocated_call_end(site, ftl)
         return result
 
     def __repr__(self) -> str:
@@ -341,7 +355,7 @@ class SkeletonBase:
         self._orb = orb
         self.object_key = object_key
         self.component = component or type(servant).__name__
-        self._op_info_cache: dict[str, OperationInfo] = {}
+        self._op_infos = _OperationInfos(self._interface, object_key, self.component)
         self._dispatch_cache: dict[str, Any] = {}
 
     @property
@@ -350,18 +364,6 @@ class SkeletonBase:
 
     def _op(self, name: str) -> "ResolvedOperation":
         return self._resolved.operation(name)
-
-    def _op_info(self, name: str) -> OperationInfo:
-        info = self._op_info_cache.get(name)
-        if info is None:
-            info = self._op_info_cache[name] = OperationInfo(
-                interface=self._interface,
-                operation=name,
-                object_id=self.object_key,
-                component=self.component,
-                domain=Domain.CORBA,
-            )
-        return info
 
     def dispatch(self, request: RequestMessage) -> ReplyMessage | None:
         """Route a decoded request to the generated per-operation handler."""

@@ -30,6 +30,23 @@ from repro.platform.tss import ContextVarStorage
 _pid_counter = itertools.count(1)
 
 
+class _ThreadAppend(threading.local):
+    """Per thread, ``append``: what the buffer gives that thread to log with.
+
+    A thread's first :meth:`append` registers the thread with the buffer and
+    stores the append it gets in the thread's own attributes, where it
+    shadows this method from then on: every later row is one C call.
+    """
+
+    def __init__(self, buffer: LocalLogBuffer):
+        # Runs once in each thread that touches the local (and at creation).
+        self._buffer = buffer
+
+    def append(self, row: list) -> None:
+        append = self.append = self._buffer._thread_append()
+        append(row)
+
+
 class LocalLogBuffer:
     """Append-only per-process store for probe rows.
 
@@ -46,12 +63,13 @@ class LocalLogBuffer:
 
     The unbounded default takes "without coordination" to its conclusion
     *within* the process too: each appending thread owns a private
-    segment list (registered once, under the lock, the first time the
-    thread logs), and every subsequent :meth:`append_row` is a single
-    GIL-atomic ``list.append`` — no lock acquisition on the probe hot
-    path. The collector's drain copies-then-trims each segment under the
-    lock, so a row appended concurrently with a drain is either delivered
-    in that drain or kept for the next one, never lost. Rows stay ordered
+    segment list, registered under the lock the first time the thread
+    logs. ``per_thread.append`` is the calling thread's append: in the
+    unbounded mode it *is* its segment's bound ``list.append``, so a probe
+    logs a row with one GIL-atomic C call — no method frame, no lock. The
+    collector's drain copies-then-trims each segment under the lock, so a
+    row appended concurrently with a drain is either delivered in that
+    drain or kept for the next one, never lost. Rows stay ordered
     within a thread; cross-thread interleaving is surrendered (the
     analyzer orders by chain UUID and event number, never by buffer
     position).
@@ -59,10 +77,11 @@ class LocalLogBuffer:
     ``capacity`` bounds the buffer: once full, further appends are
     *dropped and counted* rather than blocking the probe or growing
     without bound — a probe must never stall the application it observes.
-    Bounded buffers keep the original single-list locked path so the
-    capacity check and the drop counter stay exact. The analyzer
-    tolerates the resulting record loss (chains reconstruct partial and
-    flagged), so bounded capture degrades accounting, not soundness.
+    A bounded buffer hands every thread its single-list, locked
+    :meth:`append_row` instead, so the capacity check and the drop counter
+    stay exact. The analyzer tolerates the resulting record loss (chains
+    reconstruct partial and flagged), so bounded capture degrades
+    accounting, not soundness.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -75,32 +94,38 @@ class LocalLogBuffer:
         #: taken from its front: a ``read_from`` cursor counts positions
         #: from the list's creation, so it stays valid across a drain.
         self._drained: list[int] = [0] if capacity is not None else []
-        self._tls = threading.local()
         self._dropped = 0
         self._unread_drained = 0
         self._lock = threading.Lock()
+        #: ``per_thread.append(row)`` logs one probe row from the calling
+        #: thread (the probe path).
+        self.per_thread = _ThreadAppend(self)
+
+    def _thread_append(self) -> Callable[[list], None]:
+        """The calling thread's append, registering its segment (once per
+        thread, at its first row)."""
+        if self.capacity is not None:
+            return self.append_row
+        segment: list[list] = []
+        with self._lock:
+            self._segments.append(segment)
+            self._drained.append(0)
+        return segment.append
 
     def append_row(self, row: list) -> None:
-        """Log one probe row (the probe path)."""
-        if self.capacity is not None:
-            with self._lock:
-                if len(self._rows) >= self.capacity:
-                    self._dropped += 1
-                    return
-                self._rows.append(row)
+        """Log one probe row through the bounded, drop-counting path, or
+        the calling thread's segment when unbounded."""
+        if self.capacity is None:
+            self.per_thread.append(row)
             return
-        try:
-            segment = self._tls.segment
-        except AttributeError:
-            segment = []
-            with self._lock:
-                self._segments.append(segment)
-                self._drained.append(0)
-            self._tls.segment = segment
-        segment.append(row)
+        with self._lock:
+            if len(self._rows) >= self.capacity:
+                self._dropped += 1
+                return
+            self._rows.append(row)
 
     def append(self, record: ProbeRecord) -> None:
-        """Log ``record`` as a row (replays; probes call :meth:`append_row`)."""
+        """Log ``record`` as a row (replays; probes use :attr:`per_thread`)."""
         self.append_row(as_row(record))
 
     @property

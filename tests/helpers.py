@@ -110,9 +110,9 @@ def _run_call(sim: Simulation, call: Call) -> None:
         worker.join()
         return
     if call.collocated:
-        stub_ctx, skel_ctx = runtime.collocated_call_start(op)
+        site, ftl = runtime.collocated_call_start(op)
         _run_body(sim, call)
-        runtime.collocated_call_end(stub_ctx, skel_ctx)
+        runtime.collocated_call_end(site, ftl)
         return
     ctx = runtime.stub_start(op)
     skel_ctx = runtime.skel_start(op, ctx.request_ftl_payload)

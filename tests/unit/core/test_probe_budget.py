@@ -11,9 +11,11 @@ context variable, ``struct``) are not frames and are not counted.
 Before the probes were inlined the collocated figure was 11.6 frames per
 probe (``_make_record``, ``advance``, ``_ftl_for_call``, the carrier's
 ``get`` -> ``_var``, two wrapper levels, ...). What is left is the probe
-pair itself, one shared ``CallContext``, two ``LocalLogBuffer.append_row``
-and two counter ``inc`` per pair: a probe logs its record as a list (a
-probe row), which builds no frame.
+pair itself and, once per root call, the chain start: a probe logs its
+record as a list (a probe row) through the buffer's per-thread C-level
+``list.append``, counts it only behind the telemetry flag, and hands its
+end probe a plain ``(site, ftl)`` tuple; the generated code reads the
+``OperationInfo`` by subscript.
 """
 
 from __future__ import annotations
@@ -38,16 +40,20 @@ module Budget {
 """
 
 #: Frames per probe, collocated depth-4 chain (16 probes per root call):
-#: 3.375 since probes log rows, 4.375 when the probes were inlined and the
-#: pairs fused, 11.75 before.
-COLLOCATED_BUDGET = 4.0
+#: exactly what was measured once a probe entered no frame but its own —
+#: the four fused pairs plus the root's chain start. It was 3.375 with a
+#: ``CallContext``, ``append_row``, a no-op counter ``inc`` and ``_op_info``
+#: per call, 4.375 before probes logged rows, 11.75 before they were inlined.
+COLLOCATED_BUDGET = 0.8125
 #: Frames per probe, one remote sync root call (4 probes): exactly what was
-#: measured once probes logged rows (8.25 with a ``ProbeRecord`` per probe,
-#: 15.75 before the probes were inlined). Beside the probes
-#: it holds what else only a monitored remote call runs — the root's chain
-#: start, two ``FunctionTxLog.to_bytes``, and the generated code's
-#: ``_op_info`` / ``_semantics_args`` / ``_semantics_outcome``.
-REMOTE_BUDGET = 7.25
+#: measured once no probe entered a buffer method or a no-op counter and the
+#: generated code read its ``OperationInfo`` by subscript (7.25 before, 8.25
+#: with a ``ProbeRecord`` per probe, 15.75 before the probes were inlined).
+#: Beside the probes it holds what else only a monitored remote call runs —
+#: the root's chain start, the ``CallContext`` of each start probe, two
+#: ``FunctionTxLog.to_bytes``, and the generated code's ``_semantics_args``
+#: / ``_semantics_outcome``.
+REMOTE_BUDGET = 4.5
 
 
 def _process(name: str, host: Host, monitored: bool) -> SimProcess:

@@ -10,6 +10,8 @@ after the runtime was built and checks that the next probe sees it.
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.core import (
     SequentialUuidFactory,
     TracingEvent,
 )
+from repro.faults import FaultInjector, FaultPlan, LossyLogBuffer
 from repro.platform import Host, PlatformKind, ProcessorType, SimProcess, VirtualClock
 from repro.platform.process import LocalLogBuffer
 from repro.telemetry import MetricsRegistry, disable, enable
@@ -79,6 +82,71 @@ def test_log_buffer_swapped_after_construction_receives_the_next_record():
     assert [r.event for r in third.snapshot()] == [TracingEvent.SKEL_END, TracingEvent.STUB_END]
 
 
+def _every_call_shape(caller: MonitoringRuntime, callee: MonitoringRuntime, op) -> None:
+    """One collocated, one remote sync and one oneway call on one root chain
+    (the oneway forks a child): each of the four probes logs 3 rows, 8 on
+    the caller and 4 on the callee."""
+    caller.collocated_call_end(*caller.collocated_call_start(op))
+    stub = caller.stub_start(op)
+    skel = callee.skel_start(op, stub.request_ftl_payload)
+    caller.stub_end(stub, callee.skel_end(skel))
+    stub = caller.stub_start(op, oneway=True)
+    caller.stub_end(stub, None)
+    callee.skel_end(callee.skel_start(op, stub.request_ftl_payload, oneway=True))
+    caller.unbind_ftl()
+    callee.unbind_ftl()
+
+
+def test_a_thread_that_has_logged_follows_every_buffer_swap():
+    op = OperationInfo("Mod::Iface", "op", "obj-1", "Comp")
+    runtime, process = make_runtime()
+    injector = FaultInjector(FaultPlan(seed=1))
+    first = process.log_buffer
+    _every_call_shape(runtime, runtime, op)  # this thread now holds first's append
+    seen = len(first)
+    fresh = LocalLogBuffer()
+    lossy = LossyLogBuffer(LocalLogBuffer(), injector, process.name)
+    wrapped_in_place = LossyLogBuffer(fresh, injector, process.name)
+    for swap in (fresh, lossy, wrapped_in_place):
+        process.log_buffer = swap
+        before = len(swap)
+        _every_call_shape(runtime, runtime, op)
+        assert len(swap) == before + 12
+        assert len(first) == seen  # nothing went to a buffer swapped out
+    assert len(lossy.drain_rows()) == 12  # the plan loses nothing: all delivered
+    assert len(fresh) == 24  # its own rows, then the rows logged through its wrapper
+
+
+@pytest.mark.parametrize("capacity", [None, 37])
+def test_four_writer_threads_lose_no_row_and_miscount_no_drop(capacity):
+    calls = 40  # 10 collocated calls per thread, 4 rows each
+    op = OperationInfo("Mod::Iface", "op", "obj-1", "Comp")
+    runtime, process = make_runtime()
+    process.log_buffer = buffer = LocalLogBuffer(capacity=capacity)
+    start = threading.Barrier(4, timeout=10)
+
+    def writer():
+        start.wait()  # every thread's first row races the others' registration
+        for _ in range(calls // 4):
+            runtime.collocated_call_end(*runtime.collocated_call_start(op))
+            runtime.unbind_ftl()
+
+    threads = [threading.Thread(target=writer) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    kept = 4 * calls if capacity is None else capacity
+    assert len(buffer) == kept
+    assert buffer.dropped == 4 * calls - kept
+
+
 def test_mode_and_enabled_flipped_between_probe_1_and_probe_4_take_effect():
     op = OperationInfo("Mod::Iface", "op", "obj-1", "Comp")
     runtime, process = make_runtime(mode=MonitorMode.LATENCY)
@@ -127,6 +195,42 @@ def test_telemetry_enabled_after_the_runtime_exists_counts_the_next_probe():
         disable()
 
 
+def test_probe_record_counters_count_exactly_what_is_logged_while_telemetry_is_on():
+    op = OperationInfo("Mod::Iface", "op", "obj-1", "Comp")
+    caller, caller_process = make_runtime("caller")
+    callee, callee_process = make_runtime("callee", prefix="c1")
+    registry = MetricsRegistry()
+    family = registry.counter("repro_probe_records_total", labels=("probe",))
+    chains = registry.counter("repro_chains_started_total")
+
+    def counted():
+        return {event.name.lower(): family.labels(event.name.lower()).value()
+                for event in TracingEvent}
+
+    def logged():
+        return len(caller_process.log_buffer) + len(callee_process.log_buffer)
+
+    expected = dict.fromkeys(counted(), 0)
+    try:
+        for telemetry_on in (True, False, True):
+            if telemetry_on:
+                enable(registry)
+            else:
+                disable()
+            rows_before, chains_before = logged(), chains.value()
+            _every_call_shape(caller, callee, op)
+            assert logged() - rows_before == 12
+            if telemetry_on:
+                expected = {probe: count + 3 for probe, count in expected.items()}
+                assert chains.value() == chains_before + 1  # one root call per round
+            else:
+                assert chains.value() == chains_before
+            assert counted() == expected
+    finally:
+        disable()
+    assert sum(expected.values()) == 2 * 12  # the two rounds logged while on
+
+
 def test_a_collocated_call_never_marshals_the_ftl(monkeypatch):
     def no_marshal(self):
         raise AssertionError("a collocated call sends no message: nothing to marshal")
@@ -134,19 +238,21 @@ def test_a_collocated_call_never_marshals_the_ftl(monkeypatch):
     monkeypatch.setattr(FunctionTxLog, "to_bytes", no_marshal)
     op = OperationInfo("Mod::Iface", "op", "obj-1", "Comp")
     runtime, process = make_runtime()
-    stub_ctx, skel_ctx = runtime.collocated_call_start(op)
+    # Every probe below raises if it marshals: the patch is the check.
+    token = runtime.collocated_call_start(op)
     inner = runtime.collocated_call_start(op)  # nested, as under a servant
     runtime.collocated_call_end(*inner)
-    runtime.collocated_call_end(stub_ctx, skel_ctx)
-    assert stub_ctx.request_ftl_payload is None
+    runtime.collocated_call_end(*token)
+    site, ftl = token  # the pair's token carries the site and the chain, nothing wire-shaped
+    assert ftl is runtime.current_ftl()
     # The single probes, told the call is collocated, marshal nothing either.
     ctx = runtime.stub_start(op, collocated=True)
     skel = runtime.skel_start(op, None, collocated=True)
-    assert ctx.request_ftl_payload is None and runtime.skel_end(skel) is None
+    assert runtime.skel_end(skel) is None
     runtime.stub_end(ctx, None)
     records = process.log_buffer.snapshot()
     assert [r.event_seq for r in records] == list(range(12))
-    assert all(r.collocated for r in records)
+    assert all(r.collocated and r.site is site for r in records)
     with pytest.raises(AssertionError):  # the patch bites where a message is sent
         runtime.stub_start(op)
 
