@@ -20,8 +20,8 @@ whose first event has not yet been numbered).
 
 from __future__ import annotations
 
+import itertools
 import struct
-import threading
 import uuid as _uuid
 from dataclasses import dataclass, field
 
@@ -40,26 +40,26 @@ class SequentialUuidFactory:
     """Deterministic Function-UUID source for tests and seeded experiments.
 
     Produces ``<prefix><counter>`` padded to 32 hex characters, unique per
-    factory instance and thread-safe. Share one instance across every
-    simulated process in a run to keep chain ids globally unique.
+    factory instance and thread-safe: the counter is an ``itertools.count``
+    whose ``__next__`` is atomic under the GIL, so minting takes no lock.
+    Share one instance across every simulated process in a run to keep
+    chain ids globally unique.
     """
 
     def __init__(self, prefix: str = "c0"):
         if len(prefix) > 8 or any(ch not in "0123456789abcdef" for ch in prefix):
             raise ValueError("prefix must be <=8 lowercase hex characters")
-        self._prefix = prefix
-        self._counter = 0
-        self._lock = threading.Lock()
+        width = 32 - len(prefix)
+        self._next = itertools.count(1).__next__
+        #: The first counter value that no longer fits beside the prefix.
+        self._limit = 16**width
+        self._format = f"{prefix}{{:0{width}x}}".format
 
     def __call__(self) -> str:
-        with self._lock:
-            self._counter += 1
-            counter = self._counter
-        body = f"{counter:x}"
-        pad = 32 - len(self._prefix) - len(body)
-        if pad < 0:
+        counter = self._next()
+        if counter >= self._limit:
             raise OverflowError("uuid counter exhausted the 32-hex space")
-        return self._prefix + "0" * pad + body
+        return self._format(counter)
 
 
 @dataclass(slots=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.events import CallKind, TracingEvent
-from repro.core.ftl import _WIRE, FunctionTxLog, new_chain, random_uuid_factory
+from repro.core.ftl import _WIRE, FunctionTxLog, random_uuid_factory
 from repro.core.probes import CallContext
 from repro.core.records import CPU_END, WALL_END, OperationInfo, Site
 from repro.errors import MonitorError
@@ -131,6 +131,9 @@ class MonitoringRuntime:
     ``ProbeRecord.__slots__`` order; no record is built on the probe path)
     through the buffer's C-level per-thread append, stamping the row's end
     readings after the append, and counts it only while telemetry is on.
+    A root call's start probe mints the chain itself (the uuid factory and
+    the ``FunctionTxLog`` constructor are the only frames it adds, once
+    per chain) and binds it to the carrier.
     Prebound: the clock, the FTL slot's context variable and, per
     operation (:meth:`_bind_site`), the :class:`Site` — the ten record
     fields constant per *(process, operation)*, which a record refers to
@@ -191,12 +194,6 @@ class MonitoringRuntime:
             self._ftl_var.set(None)
         return ftl
 
-    def _start_chain(self, uuid_factory: Callable[[], str]) -> FunctionTxLog:
-        """A root call: mint a chain and bind it to the calling thread."""
-        if _COUNTING:
-            _CHAINS_STARTED.inc()
-        return self.bind_ftl(new_chain(uuid_factory))
-
     # ------------------------------------------------------------------
     # Probe 1: stub start
 
@@ -223,7 +220,12 @@ class MonitoringRuntime:
         wall_on, cpu_on, semantics_on = config.mode.flags
         wall = self._wall_ns() if wall_on else None
         cpu = self._cpu_ns() if cpu_on else None
-        ftl = self._ftl_var.get() or self._start_chain(config.uuid_factory)
+        ftl = self._ftl_var.get()
+        if ftl is None:  # a root call: mint its chain here, in the probe's frame
+            ftl = FunctionTxLog(config.uuid_factory())
+            self._ftl_var.set(ftl)
+            if _COUNTING:
+                _CHAINS_STARTED.inc()
         bound = op._site
         site = bound[1] if bound is not None and bound[0] is self else self._bind_site(op)
         seq = ftl.event_seq_no = ftl.event_seq_no + 1
@@ -338,13 +340,18 @@ class MonitoringRuntime:
         wall = self._wall_ns() if wall_on else None
         cpu = self._cpu_ns() if cpu_on else None
         if request_ftl_payload is None:
-            ftl = self._ftl_var.get() or self._start_chain(config.uuid_factory)
+            ftl = self._ftl_var.get()
+            if ftl is None:
+                ftl = FunctionTxLog(config.uuid_factory())
+                self._ftl_var.set(ftl)
+                if _COUNTING:
+                    _CHAINS_STARTED.inc()
         else:
             try:
                 raw, seq = _unpack_ftl(request_ftl_payload)
                 ftl = FunctionTxLog(raw.hex(), seq, raw)
             except struct.error:
-                ftl = new_chain(config.uuid_factory)
+                ftl = FunctionTxLog(config.uuid_factory())
                 _FTL_MALFORMED[_SKEL_START].inc()
             self._ftl_var.set(ftl)
         bound = op._site
@@ -419,9 +426,11 @@ class MonitoringRuntime:
         triggered before the execution falls into the user-defined
         function implementation" (Section 2.2). Nothing runs between the
         two, so the pair shares one frame and one read of gates, carrier,
-        site and buffer; each record keeps its own clock readings. Returns
-        the token :meth:`collocated_call_end` takes, ``(site, ftl)``
-        (``(None, None)`` while monitoring is disabled).
+        site and buffer, and one clock reading at the seam: the first
+        record's end reading is the second's start reading, so no gap
+        between the two falls outside ``O_F``. Returns the token
+        :meth:`collocated_call_end` takes, ``(site, ftl)`` (``(None,
+        None)`` while monitoring is disabled).
         """
         config = self.config
         if not config.enabled:
@@ -429,7 +438,12 @@ class MonitoringRuntime:
         wall_on, cpu_on, semantics_on = config.mode.flags
         wall = self._wall_ns() if wall_on else None
         cpu = self._cpu_ns() if cpu_on else None
-        ftl = self._ftl_var.get() or self._start_chain(config.uuid_factory)
+        ftl = self._ftl_var.get()
+        if ftl is None:  # a root call: mint its chain here, in the probe's frame
+            ftl = FunctionTxLog(config.uuid_factory())
+            self._ftl_var.set(ftl)
+            if _COUNTING:
+                _CHAINS_STARTED.inc()
         bound = op._site
         site = bound[1] if bound is not None and bound[0] is self else self._bind_site(op)
         chain_uuid, thread_id = ftl.chain_uuid, _get_ident()
@@ -443,12 +457,11 @@ class MonitoringRuntime:
         append(row)
         if _COUNTING:
             _PROBE_RECORDS[_STUB_START].inc()
+        # The seam: one reading ends the first record and starts the second.
         if wall_on:
-            row[WALL_END] = self._wall_ns()
-            wall = self._wall_ns()
+            row[WALL_END] = wall = self._wall_ns()
         if cpu_on:
-            row[CPU_END] = self._cpu_ns()
-            cpu = self._cpu_ns()
+            row[CPU_END] = cpu = self._cpu_ns()
         row = [
             site, chain_uuid, seq + 1, _SKEL_START, thread_id, _SYNC, True, wall, None, cpu,
             None, None, None,
@@ -472,7 +485,8 @@ class MonitoringRuntime:
 
         Takes :meth:`collocated_call_start`'s token unpacked
         (``collocated_call_end(*token)``). Like :meth:`stub_end` it
-        re-reads the carrier's FTL; the token's is the fallback.
+        re-reads the carrier's FTL; the token's is the fallback. Probe 3's
+        end reading is probe 4's start reading, as at the start pair's seam.
         """
         if site is None:
             return
@@ -494,12 +508,11 @@ class MonitoringRuntime:
         append(row)
         if _COUNTING:
             _PROBE_RECORDS[_SKEL_END].inc()
+        # The seam: one reading ends the first record and starts the second.
         if wall_on:
-            row[WALL_END] = self._wall_ns()
-            wall = self._wall_ns()
+            row[WALL_END] = wall = self._wall_ns()
         if cpu_on:
-            row[CPU_END] = self._cpu_ns()
-            cpu = self._cpu_ns()
+            row[CPU_END] = cpu = self._cpu_ns()
         row = [
             site, chain_uuid, seq + 1, _STUB_END, thread_id, _SYNC, True, wall, None, cpu,
             None, None, None,

@@ -223,11 +223,9 @@ class StubBase:
     def _op(self, name: str) -> "ResolvedOperation":
         return self._resolved.operation(name)
 
-    def _semantics_args(self, op_name: str, args: tuple) -> dict | None:
-        """Application-semantics payload for probe 1 (parameters)."""
-        monitor = self._orb.process.monitor
-        if monitor is None or not monitor.config.mode.flags[2]:
-            return None
+    def _semantics_args(self, op_name: str, args: tuple) -> dict:
+        """Application-semantics payload for probe 1 (parameters); the
+        generated code calls it only while the monitor captures semantics."""
         return {"operation": op_name, "args": [repr(a) for a in args]}
 
     def _remote_call(self, op_name: str, args: tuple, ctx) -> ReplyMessage:
@@ -391,11 +389,9 @@ class SkeletonBase:
         args = _unmarshal_args(self._op(op_name), body)
         return tuple(self._orb.localize(value) for value in args)
 
-    def _semantics_outcome(self, status: ReplyStatus, result: Any) -> dict | None:
-        """Application-semantics payload for probe 3 (result/exception)."""
-        monitor = self._orb.process.monitor
-        if monitor is None or not monitor.config.mode.flags[2]:
-            return None
+    def _semantics_outcome(self, status: ReplyStatus, result: Any) -> dict:
+        """Application-semantics payload for probe 3 (result/exception); the
+        generated code calls it only while the monitor captures semantics."""
         if status is ReplyStatus.OK:
             return {"status": "ok", "result": repr(result)}
         return {"status": status.name.lower(), "exception": repr(result)}

@@ -7,13 +7,15 @@ testing". SEMANTICS monitor mode must capture arguments at probe 1 and
 outcomes at probe 3 without disturbing the call.
 """
 
+import asyncio
+
 import pytest
 
 from repro.analysis import semantics_report
 from repro.analysis.semantics import exception_hotspots
 from repro.core import MonitorMode, TracingEvent
 from repro.idl import compile_idl
-from repro.orb import InterfaceRegistry, Orb
+from repro.orb import AsyncioDispatch, InterfaceRegistry, Orb
 
 IDL = """
 module SC {
@@ -110,3 +112,41 @@ class TestSemanticsCapture:
         stub = client_orb.resolve(server_orb.activate(ValidatorImpl()))
         stub.check(1)
         assert all(r.semantics is None for r in cluster.all_records())
+
+
+@pytest.mark.parametrize("async_mode", [False, True], ids=["sync", "async"])
+def test_generated_code_gates_semantics_and_still_records_them(cluster, async_mode):
+    """The generated stub and skeleton test the mode before building the
+    semantics payload; with SEMANTICS on, a remote call (sync stubs over
+    the mux channel, or async stubs over the asyncio channel onto an
+    event-loop server) still records its arguments and its outcome."""
+    registry = InterfaceRegistry()
+    compiled = compile_idl(IDL, instrument=True, registry=registry, async_mode=async_mode)
+    client = cluster.process("c3", mode=MonitorMode.SEMANTICS)
+    server = cluster.process("s3", mode=MonitorMode.SEMANTICS)
+    channel = "asyncio" if async_mode else "mux"
+    policy = AsyncioDispatch() if async_mode else None
+    client_orb = Orb(client, cluster.network, registry=registry, channel=channel)
+    server_orb = Orb(server, cluster.network, policy=policy, registry=registry)
+
+    if async_mode:
+
+        class ValidatorImpl(compiled.Validator):
+            async def check(self, value):
+                return value * 3
+
+        stub = client_orb.resolve(server_orb.activate(ValidatorImpl()))
+        assert asyncio.run(stub.check(7)) == 21
+    else:
+
+        class ValidatorImpl(compiled.Validator):
+            def check(self, value):
+                return value * 3
+
+        stub = client_orb.resolve(server_orb.activate(ValidatorImpl()))
+        assert stub.check(7) == 21
+    by_event = {r.event: r for r in cluster.all_records()}
+    assert by_event[TracingEvent.STUB_START].semantics == {"operation": "check", "args": ["7"]}
+    assert by_event[TracingEvent.SKEL_END].semantics == {"status": "ok", "result": "21"}
+    assert by_event[TracingEvent.SKEL_START].semantics is None
+    assert by_event[TracingEvent.STUB_END].semantics is None

@@ -18,7 +18,9 @@ The last two tests pin *which* ``Site`` object a record holds.
 
 Two drivers share the model. The direct one calls the probes itself, on a
 clock whose every *reading* ticks, so the model also has to know how many
-readings a probe takes and to which record each belongs. The other runs
+readings a probe takes and to which record each belongs (a fused
+collocated pair reads once at its seam: the second record starts on the
+first record's end reading). The other runs
 IDL-generated stubs and skeletons over the in-memory ``Network`` (real
 marshalling, pooled server threads) on a plain ``VirtualClock``.
 """
@@ -109,6 +111,13 @@ class ModelClock:
         self.cpu[thread] += self.tick
         return self.cpu[thread]
 
+    def last_wall(self) -> int:
+        """The latest wall reading again, taking no new one."""
+        return self.wall
+
+    def last_cpu(self, thread) -> int:
+        return self.cpu[thread]
+
     def consume(self, thread, ns: int) -> None:
         self.wall += ns
         self.cpu[thread] += ns
@@ -135,13 +144,21 @@ class Oracle:
         return self._uuid_prefix + "0" * (32 - len(self._uuid_prefix) - len(body)) + body
 
     def probe(self, where: int, thread, event: TracingEvent, call: Call, chain: list,
-              kind: CallKind, collocated: bool, child_uuid=None, semantics=None) -> None:
+              kind: CallKind, collocated: bool, child_uuid=None, semantics=None,
+              seam: bool = False) -> None:
+        """One probe's record; ``seam`` marks the second probe of a fused
+        pair, whose start readings are the first probe's end readings."""
         process = self.processes[where]
         host = process.host
         wall_on = self.mode in WALL_MODES
         cpu_on = self.mode in CPU_MODES and host.capabilities.supports_thread_cpu
-        wall_start = self.clock.read_wall() if wall_on else None
-        cpu_start = self.clock.read_cpu(thread) if cpu_on else None
+        clock = self.clock
+        if seam:
+            wall_start = clock.last_wall() if wall_on else None
+            cpu_start = clock.last_cpu(thread) if cpu_on else None
+        else:
+            wall_start = clock.read_wall() if wall_on else None
+            cpu_start = clock.read_cpu(thread) if cpu_on else None
         chain[1] += 1
         self.expected[where, thread].append(dict(
             chain_uuid=chain[0],
@@ -181,10 +198,10 @@ class Oracle:
         if call.shape == "collocated":
             sync = CallKind.SYNC
             self.probe(caller, thread, start, call, chain, sync, True, None, call.semantics_1)
-            self.probe(caller, thread, skel_start, call, chain, sync, True)
+            self.probe(caller, thread, skel_start, call, chain, sync, True, seam=True)
             self.body(caller, thread, chain, call)
             self.probe(caller, thread, skel_end, call, chain, sync, True, None, call.semantics_3)
-            self.probe(caller, thread, end, call, chain, sync, True)
+            self.probe(caller, thread, end, call, chain, sync, True, seam=True)
             return
         callee_thread = self._callee_thread(call.shape, thread, call.target)
         if call.shape == "sync":

@@ -1,5 +1,10 @@
 """Unit tests for the Function-Transportable Log."""
 
+import itertools
+import sys
+import threading
+import uuid
+
 import pytest
 
 from repro.core.ftl import (
@@ -88,8 +93,6 @@ class TestUuidFactories:
             SequentialUuidFactory("a" * 9)
 
     def test_thread_safety(self):
-        import threading
-
         factory = SequentialUuidFactory()
         results = []
 
@@ -102,3 +105,68 @@ class TestUuidFactories:
         for t in threads:
             t.join()
         assert len(set(results)) == 800
+
+    @staticmethod
+    def _old_formula(prefix: str, counter: int) -> str:
+        """The factory's output as it was first specified: the prefix, then
+        the counter in lowercase hex, zero-padded between them to 32."""
+        body = f"{counter:x}"
+        return prefix + "0" * (32 - len(prefix) - len(body)) + body
+
+    @pytest.mark.parametrize("prefix", ["", "c0", "5e", "abcdef01"])
+    def test_sequential_factory_matches_the_old_formula(self, prefix):
+        limit = 16 ** (32 - len(prefix))
+        for counter in (1, 15, 16, 2**32, 2**64, limit - 1):
+            if counter >= limit:
+                continue
+            factory = SequentialUuidFactory(prefix)
+            factory._next = itertools.count(counter).__next__
+            minted = factory()
+            assert minted == self._old_formula(prefix, counter)
+            assert len(minted) == 32
+
+    def test_sequential_factory_counts_from_one(self):
+        factory = SequentialUuidFactory("c0")
+        assert [factory() for _ in range(3)] == [
+            self._old_formula("c0", n) for n in (1, 2, 3)
+        ]
+
+    @pytest.mark.parametrize("prefix", ["", "c0", "abcdef01"])
+    def test_sequential_factory_overflows_at_the_limit(self, prefix):
+        factory = SequentialUuidFactory(prefix)
+        factory._next = itertools.count(16 ** (32 - len(prefix))).__next__
+        with pytest.raises(OverflowError):
+            factory()
+
+    def test_sequential_factory_is_unique_under_contention(self):
+        factory = SequentialUuidFactory("ab")
+        per_thread = [[] for _ in range(8)]
+
+        def worker(out):
+            for _ in range(5000):
+                out.append(factory())
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(out,)) for out in per_thread]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(previous)
+        minted = [value for out in per_thread for value in out]
+        assert len(minted) == 40000
+        assert len(set(minted)) == 40000
+
+    def test_random_factory_is_rfc4122_version_4(self):
+        minted = [random_uuid_factory() for _ in range(10000)]
+        assert len(set(minted)) == 10000
+        for value in minted:
+            assert len(value) == 32
+            assert value == value.lower()
+            parsed = uuid.UUID(value)
+            assert parsed.version == 4
+            assert parsed.variant == uuid.RFC_4122
+            assert parsed.hex == value

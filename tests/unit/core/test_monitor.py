@@ -134,6 +134,32 @@ class TestCollocatedProbes:
         assert all(r.collocated for r in records)
         assert [r.event_seq for r in records] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize(
+        ("mode", "start", "end"),
+        [(MonitorMode.LATENCY, "wall_start", "wall_end"),
+         (MonitorMode.CPU, "cpu_start", "cpu_end")],
+    )
+    def test_fused_pair_reads_the_clock_once_at_its_seam(self, mode, start, end):
+        """On a real clock, where two fused probes meet one reading is both
+        the first record's end and the second's start: nothing between the
+        two records falls outside the probes' own intervals."""
+        process = SimProcess("p", Host("real", PlatformKind.HPUX_11))
+        runtime = MonitoringRuntime(
+            process, MonitorConfig(mode=mode, uuid_factory=SequentialUuidFactory("5a"))
+        )
+        for _ in range(50):
+            runtime.collocated_call_end(*runtime.collocated_call_start(OP))
+            runtime.unbind_ftl()
+        records = process.log_buffer.snapshot()
+        assert len(records) == 200
+        for call in range(0, 200, 4):
+            stub_start, skel_start, skel_end, stub_end = records[call:call + 4]
+            assert getattr(stub_start, end) == getattr(skel_start, start)
+            assert getattr(skel_end, end) == getattr(stub_end, start)
+            for record in (stub_start, skel_start, skel_end, stub_end):
+                assert getattr(record, start) <= getattr(record, end)
+            assert getattr(skel_start, end) <= getattr(skel_end, start)
+
 
 class TestFtlBinding:
     def test_skel_start_refreshes_stale_ftl(self):

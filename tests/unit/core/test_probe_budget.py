@@ -11,11 +11,14 @@ context variable, ``struct``) are not frames and are not counted.
 Before the probes were inlined the collocated figure was 11.6 frames per
 probe (``_make_record``, ``advance``, ``_ftl_for_call``, the carrier's
 ``get`` -> ``_var``, two wrapper levels, ...). What is left is the probe
-pair itself and, once per root call, the chain start: a probe logs its
+pair itself and, once per root call, the two frames a chain start cannot
+avoid: the uuid factory's ``__call__`` and ``FunctionTxLog.__init__``. The
+start probe mints and binds the chain in its own frame; a probe logs its
 record as a list (a probe row) through the buffer's per-thread C-level
 ``list.append``, counts it only behind the telemetry flag, and hands its
 end probe a plain ``(site, ftl)`` tuple; the generated code reads the
-``OperationInfo`` by subscript.
+``OperationInfo`` by subscript and builds a semantics payload only while
+the mode captures semantics.
 """
 
 from __future__ import annotations
@@ -40,20 +43,25 @@ module Budget {
 """
 
 #: Frames per probe, collocated depth-4 chain (16 probes per root call):
-#: exactly what was measured once a probe entered no frame but its own —
-#: the four fused pairs plus the root's chain start. It was 3.375 with a
-#: ``CallContext``, ``append_row``, a no-op counter ``inc`` and ``_op_info``
-#: per call, 4.375 before probes logged rows, 11.75 before they were inlined.
-COLLOCATED_BUDGET = 0.8125
+#: exactly what was measured once the start probe minted the root's chain
+#: in its own frame — the four fused pairs (8 frames) plus the uuid
+#: factory and the ``FunctionTxLog`` constructor (10 frames / 16 probes).
+#: It was 0.8125 with ``_start_chain`` -> ``bind_ftl`` / ``new_chain``,
+#: 3.375 with a ``CallContext``, ``append_row``, a no-op counter ``inc``
+#: and ``_op_info`` per call, 4.375 before probes logged rows, 11.75
+#: before they were inlined.
+COLLOCATED_BUDGET = 0.625
 #: Frames per probe, one remote sync root call (4 probes): exactly what was
-#: measured once no probe entered a buffer method or a no-op counter and the
-#: generated code read its ``OperationInfo`` by subscript (7.25 before, 8.25
-#: with a ``ProbeRecord`` per probe, 15.75 before the probes were inlined).
-#: Beside the probes it holds what else only a monitored remote call runs —
-#: the root's chain start, the ``CallContext`` of each start probe, two
-#: ``FunctionTxLog.to_bytes``, and the generated code's ``_semantics_args``
-#: / ``_semantics_outcome``.
-REMOTE_BUDGET = 4.5
+#: measured once the chain start moved into the probe and the generated
+#: code skipped the semantics helpers with semantics off (4.5 before, 7.25
+#: before no probe entered a buffer method or a no-op counter, 8.25 with a
+#: ``ProbeRecord`` per probe, 15.75 before the probes were inlined). Beside
+#: the four probes it holds what else only a monitored remote call runs —
+#: the root's uuid factory, two ``FunctionTxLog`` constructors (the root's
+#: chain and the skeleton's unmarshalled copy), the ``CallContext`` of each
+#: start probe, two ``FunctionTxLog.to_bytes`` and the two GIOP
+#: ``_write_blob`` calls that carry them (13 frames / 4 probes).
+REMOTE_BUDGET = 3.25
 
 
 def _process(name: str, host: Host, monitored: bool) -> SimProcess:

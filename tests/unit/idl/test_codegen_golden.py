@@ -5,7 +5,9 @@ appears verbatim in the generated module (:func:`assert_generate`), so a
 change to what the generated code runs per call — another helper call, a
 lookup moved back into a method — shows up as a diff here. The probe path
 reads the stub's or skeleton's ``OperationInfo`` by subscript
-(``self._op_infos["op"]``): no method call per call.
+(``self._op_infos["op"]``): no method call per call. The semantics helpers
+(``_semantics_args`` / ``_semantics_outcome``) run only behind the mode's
+semantics flag, so a remote call with semantics off enters neither.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def test_instrumented_sync_stub_method():
                 return self._collocated_call_probed("work", _servant, (x, tag))
             _monitor = self._monitor
             # Probe 1: stub start — causality capture + local readings
-            _ctx = _monitor.stub_start(self._op_infos["work"], semantics=self._semantics_args("work", (x, tag))) if _monitor else None
+            _ctx = _monitor.stub_start(self._op_infos["work"], semantics=self._semantics_args("work", (x, tag)) if _monitor.config.mode.flags[2] else None) if _monitor else None
             _reply = self._remote_call("work", (x, tag), _ctx)
             # Probe 4: stub end — response ready to return to client
             if _monitor is not None:
@@ -83,7 +85,7 @@ def test_instrumented_skeleton_methods():
             _args = self._decode_args("work", request.body)
             _status, _result = self._execute("work", _args)
             # Probe 3: skeleton end — function execution concluded
-            _ftl = _monitor.skel_end(_ctx, semantics=self._semantics_outcome(_status, _result)) if _monitor else None
+            _ftl = _monitor.skel_end(_ctx, semantics=self._semantics_outcome(_status, _result) if _monitor.config.mode.flags[2] else None) if _monitor else None
             return self._encode_reply("work", request, _status, _result, _ftl)
     ''', '''
         def _dispatch_notify(self, request):
@@ -104,7 +106,7 @@ def test_async_sync_stub_method():
                 return await self._collocated_call_probed_async("work", _servant, (x, tag))
             _monitor = self._monitor
             # Probe 1: stub start — causality capture + local readings
-            _ctx = _monitor.stub_start(self._op_infos["work"], semantics=self._semantics_args("work", (x, tag))) if _monitor else None
+            _ctx = _monitor.stub_start(self._op_infos["work"], semantics=self._semantics_args("work", (x, tag)) if _monitor.config.mode.flags[2] else None) if _monitor else None
             _reply = await self._remote_call_async("work", (x, tag), _ctx)
             # Probe 4: stub end — response ready to return to client
             if _monitor is not None:
