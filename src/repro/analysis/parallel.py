@@ -20,12 +20,12 @@ ranges, one per worker, each handed to the backend as a bounded
 shard over its one connection, the lock taken per row batch, so shard
 scans interleave rather than overlap. On the segment store the chain
 groups of a sealed segment are byte-contiguous and sorted, so each shard
-decodes a disjoint ``mmap`` range — backends that benefit from
-preparation (the store compacts its spools) expose a
-``prepare_sharded_scan(run_id)`` hook that runs once before the pool
-starts. The merge is deterministic: shards are consumed in range order,
-so the resulting :class:`Dscg` is byte-identical to a serial
-reconstruction — the equivalence the property tests assert.
+decodes a disjoint ``mmap`` range once the run is one sealed segment:
+where the backend has a ``compact(run_id)`` (the segment store; SQLite
+has none), it runs once before the pool starts. The merge is
+deterministic: shards are consumed in range order, so the resulting
+:class:`Dscg` is byte-identical to a serial reconstruction — the
+equivalence the property tests assert.
 
 Worker failures are never swallowed: the first shard exception propagates
 out of :func:`reconstruct_sharded` (chains are either all present or the
@@ -85,11 +85,11 @@ def reconstruct_sharded(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    prepare = getattr(database, "prepare_sharded_scan", None)
-    if prepare is not None:
-        # Segment store: compact the run's spools so every shard becomes
-        # a disjoint byte-range decode of one sealed segment.
-        prepare(run_id)
+    compact = getattr(database, "compact", None)
+    if compact is not None:
+        # Segment store: merge the run into one sealed segment so every
+        # shard becomes a disjoint byte-range decode of it.
+        compact(run_id)
     bounds = shard_bounds(database.unique_chain_uuids(run_id), workers)
     dscg = Dscg()
     if bounds:

@@ -32,7 +32,7 @@ from repro.core import (
     MonitorMode,
     SequentialUuidFactory,
 )
-from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults import FaultInjector, FaultKind, FaultPlan, WindowedDelayPlan
 from repro.idl import compile_idl
 from repro.orb import InterfaceRegistry, Orb, ThreadPerConnection
 from repro.platform import Host, PlatformKind, SimProcess, VirtualClock, quiesce
@@ -50,39 +50,6 @@ module SD {
 _WARMUP_CALLS = 16
 #: Seed-chosen spread of the window start beyond the warm-up.
 _START_SPREAD = 12
-
-
-class WindowedDelayPlan(FaultPlan):
-    """DELAY every message on one link inside a seed-chosen index window.
-
-    Unlike the rate-based schedules, the window is contiguous: a
-    sustained latency regression (what persistence filtering is for)
-    rather than isolated spikes. The start index is derived from the
-    seed via the plan's own hash draw, so different seeds move the
-    incident around while one seed always reproduces it exactly.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        scope: str,
-        delay_ns: int = 1_000_000,
-        window_width: int = 8,
-    ):
-        super().__init__(seed=seed, delay_ns=delay_ns)
-        self.scope = scope
-        self.window_width = window_width
-        self.window_start = _WARMUP_CALLS + self.choice(
-            "incident-window", 0, "start", _START_SPREAD
-        )
-
-    def message_fault(self, scope: str, index: int) -> FaultKind | None:
-        if (
-            scope == self.scope
-            and self.window_start <= index < self.window_start + self.window_width
-        ):
-            return FaultKind.DELAY
-        return None
 
 
 @dataclass
@@ -111,7 +78,10 @@ def run_seeded_delay_scenario(
     per-process buffers best-effort; canonical reports come from
     replaying the collected store with :func:`detect_run`.
     """
-    plan = WindowedDelayPlan(seed, scope="mid->back", delay_ns=delay_ns)
+    plan = WindowedDelayPlan(
+        FaultPlan(seed=seed), "mid->back", width=8, delay_ns=delay_ns,
+        warmup=_WARMUP_CALLS, spread=_START_SPREAD, draw="incident-window",
+    )
     injector = FaultInjector(plan)
     network = injector.network()
     clock = VirtualClock()
@@ -192,7 +162,7 @@ def run_seeded_delay_scenario(
             calls=calls,
             results=results,
             fault={
-                "scope": plan.scope,
+                "scope": plan.window_scope,
                 "kind": FaultKind.DELAY.value,
                 "delay_ns": plan.delay_ns,
                 "window_start": plan.window_start,

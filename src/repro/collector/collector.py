@@ -94,26 +94,20 @@ class LogCollector:
     buffers left uncollected after exhausting retries — is accounted in
     the run's metadata (``extra["loss"]``) instead of silently vanishing.
 
-    Any :class:`~repro.store.StorageBackend` works as the sink — the
-    zero-setup in-memory SQLite reference backend by default, or the
-    segment store (the product path) via ``backend=`` (an explicit alias
-    of ``database=`` for call sites that select a backend).
+    Any :class:`~repro.store.StorageBackend` works as the ``backend``
+    sink, kept as ``self.database`` — the segment store (the product path),
+    or by default the zero-setup in-memory SQLite reference backend.
     """
 
     def __init__(
         self,
-        database: "StorageBackend | None" = None,
+        backend: "StorageBackend | None" = None,
         retries: int = 3,
         backoff_s: float = 0.05,
-        backend: "StorageBackend | None" = None,
     ):
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if database is not None and backend is not None:
-            raise ValueError("pass either database= or backend=, not both")
-        if backend is not None:
-            database = backend
-        self.database = database if database is not None else MonitoringDatabase()
+        self.database = backend if backend is not None else MonitoringDatabase()
         self.retries = retries
         self.backoff_s = backoff_s
 

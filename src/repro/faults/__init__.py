@@ -20,7 +20,12 @@ from repro.errors import ComponentCrash, TransientCollectorError
 from repro.faults.injector import CrashArm, FaultEvent, FaultInjector
 from repro.faults.lossy import LossyLogBuffer
 from repro.faults.network import FaultyConnection, FaultyNetwork, link_scope
-from repro.faults.plan import MESSAGE_FAULT_PRIORITY, FaultKind, FaultPlan
+from repro.faults.plan import (
+    MESSAGE_FAULT_PRIORITY,
+    FaultKind,
+    FaultPlan,
+    WindowedDelayPlan,
+)
 
 __all__ = [
     "ComponentCrash",
@@ -34,5 +39,6 @@ __all__ = [
     "LossyLogBuffer",
     "MESSAGE_FAULT_PRIORITY",
     "TransientCollectorError",
+    "WindowedDelayPlan",
     "link_scope",
 ]

@@ -170,3 +170,38 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
+
+
+class WindowedDelayPlan(FaultPlan):
+    """DELAY every message on one link inside a seed-chosen index window.
+
+    Unlike the rate-based schedules, the window is contiguous: a
+    sustained latency regression (what persistence filtering is for)
+    rather than isolated spikes. The window starts ``warmup`` plus a
+    draw in ``[0, spread)`` keyed by ``draw`` from the base plan's seed,
+    so different seeds move the incident around while one seed always
+    reproduces it exactly. Every other decision is the base plan's.
+    """
+
+    def __init__(self, base: FaultPlan, scope: str, width: int,
+                 delay_ns: int, warmup: int, spread: int, draw: str):
+        super().__init__(
+            seed=base.seed,
+            rates=dict(base.rates),
+            record_loss_rate=base.record_loss_rate,
+            collect_fail_attempts=base.collect_fail_attempts,
+            crash_calls=dict(base.crash_calls),
+            delay_ns=delay_ns,
+        )
+        self._base = base
+        self.window_scope = scope
+        self.window_width = width
+        self.window_start = warmup + self.choice(draw, 0, "start", max(1, spread))
+
+    def message_fault(self, scope: str, index: int) -> FaultKind | None:
+        if (
+            scope == self.window_scope
+            and self.window_start <= index < self.window_start + self.window_width
+        ):
+            return FaultKind.DELAY
+        return self._base.message_fault(scope, index)

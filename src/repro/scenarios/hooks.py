@@ -22,7 +22,7 @@ import tempfile
 from typing import TYPE_CHECKING
 
 from repro.collector import LogCollector
-from repro.faults import FaultKind, FaultPlan
+from repro.faults import FaultPlan, WindowedDelayPlan
 from repro.scenarios.config import HookSpec, SuiteError
 from repro.store import SegmentStore
 
@@ -64,41 +64,6 @@ class Hook:
         self.events.append({"hook": self.kind, **event})
 
 
-class WindowedDelayPlan(FaultPlan):
-    """DELAY every message on one link inside a seed-chosen index window.
-
-    The suite-runner sibling of the streaming scenario's windowed plan: a
-    contiguous latency regression on a named scope, with the window start
-    derived from the plan's own hash draw so different scenario seeds
-    move the incident while one seed always reproduces it exactly. All
-    other decisions defer to the scenario's base plan.
-    """
-
-    def __init__(self, base: FaultPlan, scope: str, width: int,
-                 delay_ns: int, warmup: int, spread: int):
-        super().__init__(
-            seed=base.seed,
-            rates=dict(base.rates),
-            record_loss_rate=base.record_loss_rate,
-            collect_fail_attempts=base.collect_fail_attempts,
-            crash_calls=dict(base.crash_calls),
-            delay_ns=delay_ns,
-        )
-        self.window_scope = scope
-        self.window_width = width
-        self.window_start = warmup + self.choice(
-            "suite-delay-window", 0, "start", max(1, spread)
-        )
-
-    def message_fault(self, scope: str, index: int) -> FaultKind | None:
-        if (
-            scope == self.window_scope
-            and self.window_start <= index < self.window_start + self.window_width
-        ):
-            return FaultKind.DELAY
-        return super().message_fault(scope, index)
-
-
 class WindowedDelayHook(Hook):
     """Inject a contiguous DELAY window on one link mid-run."""
 
@@ -113,6 +78,7 @@ class WindowedDelayHook(Hook):
             delay_ns=int(params.get("delay_ns", 1_000_000)),
             warmup=int(params.get("warmup", 4)),
             spread=int(params.get("spread", 8)),
+            draw="suite-delay-window",
         )
         self.record(
             scope=wrapped.window_scope,

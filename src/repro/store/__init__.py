@@ -4,8 +4,8 @@ An append-only, log-structured storage backend for probe records:
 binary frames (precompiled ``struct`` codecs, delta-encoded timestamps,
 dictionary-interned strings) in segment files. A collection transaction
 commits one chain-sorted *sealed* segment, a non-transactional insert
-appends an arrival-order *spool*; background compaction merges a run
-that holds several segments into one sealed segment, and analyzer scans
+appends an arrival-order *spool*; compaction, run by the caller, merges a
+run that holds several segments into one sealed segment, and analyzer scans
 decode straight out of ``mmap``ed files — no SQL on the hot path.
 
 The :class:`StorageBackend` protocol is the seam: the SQLite-backed

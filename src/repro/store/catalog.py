@@ -162,18 +162,12 @@ class RunCatalog:
 
     def summary(self, run_id: str, refresh: bool = False) -> RunSummary:
         """The run's cached summary, rebuilt when the run grew."""
-        path = os.path.join(self._run_dir(run_id), SUMMARY_FILE)
-        if not refresh and os.path.exists(path):
-            try:
-                with open(path) as handle:
-                    cached = RunSummary.from_dict(json.load(handle))
-            except (ValueError, KeyError):
-                cached = None
-            if cached is not None and (
-                cached.downsampled
-                or cached.source_records == self.store.record_count(run_id)
-            ):
-                return cached
+        cached = None if refresh else self._peek_summary(run_id)
+        if cached is not None and (
+            cached.downsampled
+            or cached.source_records == self.store.record_count(run_id)
+        ):
+            return cached
         summary = self._build_summary(run_id)
         self._write_summary(summary)
         return summary
@@ -379,10 +373,6 @@ class RunCatalog:
                 if (s := self._peek_summary(run_id)) is not None and s.downsampled
             ),
         }
-
-    def compact(self) -> dict[str, bool]:
-        """Compact every run (see :meth:`SegmentStore.compact_all`)."""
-        return self.store.compact_all()
 
     # ------------------------------------------------------------------
 

@@ -12,9 +12,11 @@ A collection transaction (:meth:`SegmentStore.bulk_ingest`) commits one
 would have made of it — so ``chains_for_run`` is a grouped zero-copy scan
 over the ``mmap``ed file with no SQL and no sort step from the first
 scan, and analyzer shards read disjoint byte ranges. An ``insert_records``
-outside a transaction appends an arrival-order *spool*. *Background
-compaction* still runs where a run holds more than one segment (a second
-collection, spools, a salvaged or schema v1 file) and merges them into one.
+outside a transaction appends an arrival-order *spool*. Compaction
+merges a run that holds more than one segment (a second collection,
+spools, a salvaged or schema v1 file) into one, in the caller's thread:
+:meth:`SegmentStore.compact`, or the write that leaves a run with
+``auto_compact`` segments.
 
 Ordering contract (kept bit-identical to the SQLite backend so the two
 are interchangeable under ``reconstruct()``):
@@ -88,7 +90,7 @@ class _Run:
         #: handed over, in arrival order, until its commit writes them.
         self.pending: list[list[list]] = []
         self.next_seg = 1
-        #: last background-compaction failure, cleared on the next success.
+        #: last auto-compaction failure, cleared on the next successful merge.
         self.compact_error: str | None = None
 
 
@@ -96,9 +98,9 @@ class SegmentStore:
     """Log-structured, append-only storage backend for probe records.
 
     Drop-in for :class:`repro.collector.MonitoringDatabase` behind the
-    :class:`repro.store.StorageBackend` protocol. ``auto_compact``
-    (number of segments that triggers background compaction; 0 disables)
-    keeps read amplification bounded without blocking the drain path.
+    :class:`repro.store.StorageBackend` protocol. ``auto_compact`` (the
+    number of segments at which a write merges its run before it returns;
+    0 disables) keeps read amplification bounded.
     """
 
     def __init__(self, path: str, auto_compact: int = 8):
@@ -107,13 +109,6 @@ class SegmentStore:
         self._lock = threading.RLock()
         self._runs: dict[str, _Run] = {}
         self._bulk_depth = 0
-        # One background compactor thread: it is there to keep the merge
-        # off the drain thread, which one thread does (a merge is pure
-        # Python; a second thread measured no faster).
-        self._compactor_pool = None
-        self._compact_pending: set[str] = set()
-        self._compact_running = 0
-        self._closed = False
         os.makedirs(os.path.join(path, _RUNS_DIR), exist_ok=True)
         marker = os.path.join(path, MARKER_FILE)
         found = None
@@ -244,6 +239,8 @@ class SegmentStore:
                 run.pending.append(rows)
             else:
                 self._write_segment(run, KIND_SPOOL, rows)
+        if not in_bulk:
+            self._compact_if_due(run)
         return len(rows)
 
     @contextmanager
@@ -270,6 +267,7 @@ class SegmentStore:
             with run.lock:
                 batches, run.pending = run.pending, []
                 self._write_segment(run, KIND_SEALED, list(chain.from_iterable(batches)))
+            self._compact_if_due(run)
 
     def _write_segment(self, run: _Run, kind: int, rows: list[list]) -> None:
         """Probe ``rows`` as the run's next segment: a spool in the order
@@ -289,8 +287,6 @@ class SegmentStore:
             run.readers.append(SegmentReader(path))
         else:
             self._publish_sealed(run, number, rows, range(base, base + len(rows)), base)
-        if self.auto_compact and len(run.readers) >= self.auto_compact:
-            self._schedule_compaction(run.run_id)
 
     def _publish_sealed(
         self, run: _Run, number: int, rows: list[list], ranks, base: int = 0,
@@ -349,43 +345,21 @@ class SegmentStore:
     # ------------------------------------------------------------------
     # Compaction
 
-    def _schedule_compaction(self, run_id: str) -> None:
-        with self._lock:
-            if self._closed or run_id in self._compact_pending:
-                return  # already queued: one merge will cover the new spools
-            self._compact_pending.add(run_id)
-            if self._compactor_pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._compactor_pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-store-compact"
-                )
-            self._compactor_pool.submit(self._compact_quietly, run_id)
-
-    def _compact_quietly(self, run_id: str) -> None:
-        with self._lock:
-            # Un-queue before merging: spools landing while we merge may
-            # legitimately re-schedule this run for another pass.
-            self._compact_pending.discard(run_id)
-            self._compact_running += 1
+    def _compact_if_due(self, run: _Run) -> None:
+        """``auto_compact``: merge a run its writer left with that many
+        segments, in the writing thread, once the write is durable and
+        ``run.lock`` is released. A merge that fails on the disk or on a
+        source leaves the sources as they are and the write standing: the
+        failure is logged and kept as ``last_error`` until a merge
+        succeeds. Anything else is a bug, and propagates."""
+        if not self.auto_compact or len(run.readers) < self.auto_compact:
+            return
         try:
-            try:
-                self.compact(run_id)
-            except Exception as exc:
-                # Background compaction must never take down the host
-                # process; the spool segments stay readable as they are.
-                # But a failure must not be invisible either — repeated
-                # ones quietly lose the sealed-scan fast path.
-                logger.exception("background compaction of run %r failed", run_id)
-                try:
-                    run = self._run(run_id)
-                except StoreError:
-                    return
-                with run.lock:
-                    run.compact_error = f"{type(exc).__name__}: {exc}"
-        finally:
-            with self._lock:
-                self._compact_running -= 1
+            self.compact(run.run_id)
+        except (OSError, StoreError) as exc:
+            logger.exception("compaction of run %r failed", run.run_id)
+            with run.lock:
+                run.compact_error = f"{type(exc).__name__}: {exc}"
 
     def compact(self, run_id: str) -> bool:
         """Merge the run's segments into one sorted sealed segment.
@@ -453,15 +427,8 @@ class SegmentStore:
                 _unlink_segment(reader.path)
         return dropped
 
-    def prepare_sharded_scan(self, run_id: str) -> None:
-        """Hook for the parallel analyzer: make shard scans disjoint
-        byte-range reads by compacting synchronously first."""
-        self.compact(run_id)
-
     def compaction_state(self, run_id: str) -> dict:
         run = self._run(run_id)
-        with self._lock:
-            busy = bool(self._compact_pending) or self._compact_running > 0
         with run.lock:
             readers = list(run.readers)
             last_error = run.compact_error
@@ -471,7 +438,6 @@ class SegmentStore:
             "spool_segments": spool,
             "sealed_segments": len(readers) - spool,
             "compacted": _compacted(readers),
-            "compaction_running": busy,
             "last_error": last_error,
         }
 
@@ -701,13 +667,6 @@ class SegmentStore:
         }
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pool, self._compactor_pool = self._compactor_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         try:
             # Close with an open transaction: commit it so the data is durable.
             self._commit_pending()

@@ -84,15 +84,29 @@ class TestCrossBackendIdentity:
         xml_b = render_ccsg_xml(build_ccsg(dscg_b, CpuAnalysis(dscg_b)), description="xb")
         assert xml_a == xml_b
 
-    def test_sharded_segment_equals_serial_sqlite(self, backends):
+    def test_sharded_segment_equals_serial_sqlite(self, backends, tmp_path):
         sqlite, segment = backends
         serial = dscg_to_json(reconstruct(sqlite, "xb"))
-        for workers in (2, 4):
-            sharded = dscg_to_json(reconstruct_sharded(segment, "xb", workers=workers))
-            assert sharded == serial
-        # The shard hook compacted the store: the fast path must agree too.
-        assert segment.compaction_state("xb")["compacted"]
-        assert dscg_to_json(reconstruct(segment, "xb")) == serial
+        # The same records as two spools: the sharded pass compacts a run
+        # of several segments before its shards read byte ranges.
+        spools = SegmentStore(str(tmp_path / "spools"), auto_compact=0)
+        (meta,) = sqlite.runs()
+        spools.create_run(meta)
+        records = list(sqlite.all_records("xb"))
+        half = len(records) // 2
+        spools.insert_records("xb", records[:half])
+        spools.insert_records("xb", records[half:])
+        assert spools.compaction_state("xb")["segments"] == 2
+        try:
+            for store in (segment, spools):
+                for workers in (2, 4):
+                    sharded = reconstruct_sharded(store, "xb", workers=workers)
+                    assert dscg_to_json(sharded) == serial
+                # The run is one sealed segment now: the fast path agrees too.
+                assert store.compaction_state("xb")["compacted"]
+                assert dscg_to_json(reconstruct(store, "xb")) == serial
+        finally:
+            spools.close()
 
 
 def _identity_predicates(sqlite):

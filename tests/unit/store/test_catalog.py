@@ -183,7 +183,7 @@ class TestLifecycle:
         # A committed collection is sealed already; only a run that grew
         # since has anything to merge.
         store.insert_records("run-b", [make_record(chain="bb" * 16, seq=1)])
-        report = catalog.compact()
+        report = store.compact_all()
         assert report == {"run-a": False, "run-b": True, "run-c": False}
         for run_id in report:
             assert store.compaction_state(run_id)["compacted"]

@@ -2,7 +2,7 @@
 
 import os
 import struct
-import time
+import threading
 
 import pytest
 
@@ -446,42 +446,62 @@ class TestSegmentStoreLifecycle:
         assert [n for n in os.listdir(run_dir) if n.endswith(".seg")] == []
 
     def test_auto_compact_threshold(self, tmp_path):
+        threads = set(threading.enumerate())
         store = SegmentStore(str(tmp_path / "s"), auto_compact=3)
         store.create_run(RunMetadata(run_id="r1"))
+        counts = []
         for i in range(3):
             store.insert_records("r1", [make_record(seq=i)])
-        # The third seal queued the merge on the compactor thread.
-        deadline = time.monotonic() + 10
-        while store.compaction_state("r1")["compaction_running"]:
-            assert time.monotonic() < deadline, "compaction never finished"
-            time.sleep(0.005)
-        state = store.compaction_state("r1")
-        assert state["sealed_segments"] == 1
-        assert state["spool_segments"] == 0
+            counts.append(store.compaction_state("r1")["segments"])
+        # The third write merged its run before it returned.
+        assert counts == [1, 2, 1]
+        assert store.compaction_state("r1")["compacted"]
         assert store.record_count("r1") == 3
+        assert set(threading.enumerate()) <= threads
         store.close()
 
-    def test_background_compaction_failure_is_surfaced(
-        self, store, caplog, monkeypatch
-    ):
+    def test_compaction_failure_is_surfaced(self, tmp_path, caplog, monkeypatch):
         import logging
 
+        store = SegmentStore(str(tmp_path / "s"), auto_compact=2)
         store.create_run(RunMetadata(run_id="r1"))
-        store.insert_records("r1", [make_record()])
+        store.insert_records("r1", [make_record(seq=0)])
 
-        def boom(run_id):
+        def disk_full(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(store, "compact", boom)
+        monkeypatch.setattr(store, "_publish_sealed", disk_full)
         with caplog.at_level(logging.ERROR, logger="repro.store.store"):
-            store._compact_quietly("r1")
-        assert "background compaction" in caplog.text
+            # The merge fails; the write it followed stands.
+            assert store.insert_records("r1", [make_record(seq=1)]) == 1
         assert "disk full" in caplog.text
-        assert store.compaction_state("r1")["last_error"] == "OSError: disk full"
+        assert [r.event_seq for r in store.all_records("r1")] == [0, 1]
+        state = store.compaction_state("r1")
+        assert (state["segments"], state["spool_segments"]) == (2, 2)
+        assert state["last_error"] == "OSError: disk full"
         # The next successful compaction clears the sticky error.
         monkeypatch.undo()
         assert store.compact("r1") is True
         assert store.compaction_state("r1")["last_error"] is None
+        store.close()
+
+    def test_compaction_bug_propagates_out_of_the_write(self, tmp_path, monkeypatch):
+        store = SegmentStore(str(tmp_path / "s"), auto_compact=2)
+        store.create_run(RunMetadata(run_id="r1"))
+        store.insert_records("r1", [make_record(seq=0)])
+
+        def bug(*args, **kwargs):
+            raise TypeError("not a disk failure")
+
+        monkeypatch.setattr(store, "_publish_sealed", bug)
+        with pytest.raises(TypeError, match="not a disk failure"):
+            store.insert_records("r1", [make_record(seq=1)])
+        # The spool landed before the merge ran.
+        assert store.record_count("r1") == 2
+        state = store.compaction_state("r1")
+        assert (state["spool_segments"], state["last_error"]) == (2, None)
+        monkeypatch.undo()
+        store.close()
 
     def test_compact_noop_when_already_sealed(self, store):
         store.create_run(RunMetadata(run_id="r1"))
@@ -511,13 +531,6 @@ class TestSegmentStoreLifecycle:
                 (2, 3) for _ in kinds
             ]
             store.compact("r1")
-
-    def test_prepare_sharded_scan_compacts(self, store):
-        store.create_run(RunMetadata(run_id="r1"))
-        for i in range(4):
-            store.insert_records("r1", [make_record(seq=i)])
-        store.prepare_sharded_scan("r1")
-        assert store.compaction_state("r1")["compacted"]
 
 
 class TestBackendSelection:
