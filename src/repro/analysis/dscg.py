@@ -30,7 +30,9 @@ _READING_SLOTS = ("stub_start", "skel_start", "skel_end", "stub_end")
 
 
 def reading_of(record: ProbeRecord) -> tuple:
-    """The reading of one record, in the index order above."""
+    """The reading of one record, in the index order above: what
+    ``CallNode(records=...)`` snapshots (the Figure-4 machine builds its
+    readings from rows, inline)."""
     site = record.site
     return (
         record.event_seq, site.process, site.pid, site.host, record.thread_id,

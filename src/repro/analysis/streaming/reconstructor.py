@@ -179,7 +179,14 @@ class StreamingReconstructor:
             builder = stream.builder = ChainBuilder(record.chain_uuid)
         stack, tree = builder.stack, builder.tree
         depth, flagged = len(stack), len(tree.abnormal)
-        completed = builder.apply(record)
+        # The machine applies rows. A literal, not as_row(): no call frame
+        # on the per-record path (~40 ns of ~160).
+        r = record
+        completed = builder.apply((
+            r.site, r.chain_uuid, r.event_seq, r.event, r.thread_id, r.call_kind,
+            r.collocated, r.wall_start, r.wall_end, r.cpu_start, r.cpu_end,
+            r.child_chain_uuid, r.semantics,
+        ))
         if completed is not None:
             self._completed_nodes += 1
             self._open_frames -= 1

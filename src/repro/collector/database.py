@@ -10,7 +10,7 @@ Section 3.1 describes the reconstruction input as two queries:
 
 The analyzer's fast path fuses the two into a single indexed scan:
 :meth:`MonitoringDatabase.chains_for_run` streams ``(chain_uuid,
-records)`` groups out of one ``ORDER BY chain_uuid, event_seq, id``
+rows)`` groups out of one ``ORDER BY chain_uuid, event_seq, id``
 traversal, so reconstruction never pays one query (and one lock
 round-trip) per chain.
 
@@ -40,7 +40,8 @@ from repro.collector.schema import RECORD_COLUMNS, SCHEMA_STATEMENTS
 from repro.store.query import OpStats, ScanPredicate, ScanStats, fold_operations
 
 #: Column order used by every record SELECT; positions are relied on by
-#: the tuple-based :func:`_row_to_record` conversion below.
+#: the tuple-based :func:`_row_to_row` / :func:`_row_to_record`
+#: conversions below.
 _SELECT_COLUMNS = ", ".join(RECORD_COLUMNS[1:])  # all but run_id
 
 _INSERT_SQL = (
@@ -60,11 +61,11 @@ _FETCH_BATCH = 2048
 # ----------------------------------------------------------------------
 # Row codecs, generated from the 23-field schema table.
 #
-# _record_row / _row_to_record are the hot path of ingest and of every
-# analysis, so they must stay flat positional code — but hand-maintaining
-# two 23-line functions against the dataclass invites silent drift. Both
-# are compiled here from repro.core.records.RECORD_SCHEMA (the same table
-# the SQL DDL and the binary segment codec derive from).
+# _record_row / _row_to_row / _row_to_record are the hot path of ingest and
+# of every analysis, so they must stay flat positional code — but
+# hand-maintaining 23-line functions against the dataclass invites silent
+# drift. All three are compiled here from repro.core.records.RECORD_SCHEMA
+# (the same table the SQL DDL and the binary segment codec derive from).
 
 _TO_ROW_EXPR = {
     "str": "{v}",
@@ -94,9 +95,10 @@ _FROM_ROW_EXPR = {
 def _compile_row_codecs():
     # A table row is the 22 fields in schema order. It is encoded from a
     # probe row (``r``: ProbeRecord.__slots__ order, the site first, read
-    # once per row) and decoded to a record, rebuilt around one Site per
-    # distinct combination of site columns a query returns (``sites``: the
-    # caller's cache for that query).
+    # once per row) and decoded to a row tuple in that order, or to a
+    # record, either rebuilt around one Site per distinct combination of
+    # site columns a query returns (``sites``: the caller's cache for that
+    # query).
     encode_fields = ",\n        ".join(
         _TO_ROW_EXPR[field.kind].format(
             v=f"s.{field.name}" if field.site
@@ -118,13 +120,16 @@ def _compile_row_codecs():
         "def _record_row(run_id, r):\n"
         "    s = r[0]\n"
         f"    return (run_id,\n        {encode_fields})\n"
-        "def _row_to_record(row, sites):\n"
-        f"    key = ({site_columns})\n"
-        "    site = sites.get(key)\n"
-        "    if site is None:\n"
-        f"        site = sites[key] = Site({decode[True]})\n"
-        f"    return ProbeRecord(site, {decode[False]})\n"
     )
+    for name, build in (("_row_to_row", ""), ("_row_to_record", "ProbeRecord")):
+        source += (
+            f"def {name}(row, sites):\n"
+            f"    key = ({site_columns})\n"
+            "    site = sites.get(key)\n"
+            "    if site is None:\n"
+            f"        site = sites[key] = Site({decode[True]})\n"
+            f"    return {build}(site, {decode[False]})\n"
+        )
     namespace = {
         "ProbeRecord": ProbeRecord,
         "Site": Site,
@@ -135,12 +140,13 @@ def _compile_row_codecs():
         "_loads": json.loads,
     }
     exec(compile(source, "<record-row-codecs>", "exec"), namespace)
-    return namespace["_record_row"], namespace["_row_to_record"]
+    return namespace["_record_row"], namespace["_row_to_row"], namespace["_row_to_record"]
 
 
-#: ``_record_row(run_id, probe_row) -> tuple`` and
-#: ``_row_to_record(row, sites) -> ProbeRecord`` (positional, in schema order).
-_record_row, _row_to_record = _compile_row_codecs()
+#: ``_record_row(run_id, probe_row) -> tuple``, ``_row_to_row(row, sites)
+#: -> tuple`` (``ProbeRecord.__slots__`` order) and ``_row_to_record(row,
+#: sites) -> ProbeRecord`` (positional, in schema order).
+_record_row, _row_to_row, _row_to_record = _compile_row_codecs()
 
 
 def _predicate_clauses(predicate: ScanPredicate | None) -> tuple[str, list]:
@@ -223,13 +229,13 @@ class MonitoringDatabase:
     def insert_records(self, run_id: str, records: Iterable) -> int:
         """One ``executemany`` over a generator (rows are never all in
         memory at once); one commit (unless deferred). Returns the count.
-        ``records`` are probe rows or :class:`ProbeRecord` objects; a record
-        becomes a row once, as it enters."""
+        ``records`` are rows (lists or tuples) or :class:`ProbeRecord`
+        objects; a record becomes a row once, as it enters."""
         with self._lock:
             inserted = self._conn.executemany(
                 _INSERT_SQL,
                 (
-                    _record_row(run_id, r if r.__class__ is list else as_row(r))
+                    _record_row(run_id, as_row(r) if r.__class__ is ProbeRecord else r)
                     for r in records
                 ),
             ).rowcount
@@ -282,8 +288,9 @@ class MonitoringDatabase:
         first_chain: str | None = None,
         last_chain: str | None = None,
         predicate: ScanPredicate | None = None,
-    ) -> Iterator[tuple[str, list[ProbeRecord]]]:
-        """Stream ``(chain_uuid, sorted records)`` groups in one scan.
+    ) -> Iterator[tuple[str, list[tuple]]]:
+        """Stream ``(chain_uuid, sorted rows)`` groups in one scan, each row
+        the tuple of a record's fields in ``ProbeRecord.__slots__`` order.
 
         Fuses the paper's two standard queries: a single traversal of the
         ``(run_id, chain_uuid, event_seq)`` index yields every chain's
@@ -313,7 +320,7 @@ class MonitoringDatabase:
         sql += " ORDER BY chain_uuid ASC, event_seq ASC, id ASC"
 
         current: str | None = None
-        group: list[ProbeRecord] = []
+        group: list[tuple] = []
         sites: dict = {}
         for rows in self._stream(sql, tuple(params)):
             for row in rows:
@@ -323,7 +330,7 @@ class MonitoringDatabase:
                         yield current, group
                     current = chain_uuid
                     group = []
-                group.append(_row_to_record(row, sites))
+                group.append(_row_to_row(row, sites))
         if current is not None:
             yield current, group
 

@@ -15,8 +15,10 @@ latency (paper Section 3.2), so every record keeps both readings even
 though only one of them is "the" timestamp.
 
 The probe itself logs a *probe row* — the record's fields as a plain list —
-and a :class:`ProbeRecord` is built from it only where something reads one
-(see the helpers at the end of the record classes).
+a segment decoder yields the same fields as a tuple, and the Figure-4
+machine applies either; a :class:`ProbeRecord` is built from a row only
+where something reads one (see the helpers at the end of the record
+classes).
 """
 
 from __future__ import annotations
@@ -206,13 +208,15 @@ del _name
 
 
 # ----------------------------------------------------------------------
-# Probe rows: what travels from a probe to a store.
+# Rows: what travels from a probe to a store, and from a store to a node.
 #
-# A probe row is a plain ``list`` of a record's fields in
-# ``ProbeRecord.__slots__`` order (the site first). A probe builds one as a
-# list literal, a third of the slotted constructor's cost, and stamps its
-# end readings by index; log buffers hold rows and both stores encode from
-# them. A ProbeRecord is built only where something reads one.
+# A row holds a record's fields in ``ProbeRecord.__slots__`` order (the
+# site first). A probe logs a ``list`` — a list literal, a third of the
+# slotted constructor's cost, whose end readings it stamps by index; log
+# buffers hold rows and both stores encode from them. A store's decoder
+# yields a ``tuple`` (the record's size class, and nothing stamps it), which
+# the Figure-4 machine applies. A ProbeRecord is built only where something
+# reads one.
 
 #: Row indexes of the two readings a probe stamps after logging its row.
 WALL_END = 8
@@ -229,14 +233,15 @@ def as_row(record: ProbeRecord) -> list:
     ]
 
 
-def from_row(row: list) -> ProbeRecord:
-    """The record a probe row describes."""
+def from_row(row) -> ProbeRecord:
+    """The record a row (a probe's list or a decoder's tuple) describes."""
     return ProbeRecord(*row)
 
 
-def as_rows(items: Iterable) -> list[list]:
-    """Probe rows for ``items``: a row passes as it is, a record becomes one."""
-    return [item if item.__class__ is list else as_row(item) for item in items]
+def as_rows(items: Iterable) -> list:
+    """Rows for ``items``: a record becomes one, a row (list or tuple)
+    passes as it is."""
+    return [as_row(item) if item.__class__ is ProbeRecord else item for item in items]
 
 
 @dataclass(slots=True)

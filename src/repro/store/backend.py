@@ -29,15 +29,20 @@ class StorageBackend(Protocol):
 
     The ordering contract matters as much as the signatures: every
     implementation must yield ``chains_for_run`` groups ascending by
-    chain uuid (UTF-8 byte order) with records sorted by ``event_seq``
+    chain uuid (UTF-8 byte order) with rows sorted by ``event_seq``
     (arrival order breaking ties), and ``all_records`` in arrival order —
     :func:`repro.analysis.reconstruct` output is bit-identical across
-    backends because of it. ``fold_operations`` must equal
+    backends because of it. A ``chains_for_run`` group holds *rows*: each
+    a ``tuple`` of one record's 13 fields in ``ProbeRecord.__slots__``
+    order (``from_row(row)`` is that record), what the Figure-4 machine
+    applies; ``events_for_chain`` and ``all_records`` yield
+    :class:`ProbeRecord` objects. ``fold_operations`` must equal
     :func:`repro.store.query.fold_operations` over ``chains_for_run``
     under the same predicate; ``stats`` is for a backend that counts its
     pruning, and one that does not leaves it as it is. ``insert_records``
-    takes probe rows (what a collection drains) or :class:`ProbeRecord`
-    objects, and stores a record exactly as it stores its row.
+    takes rows (what a collection drains, or a decoder yields) or
+    :class:`ProbeRecord` objects, and stores a record exactly as it
+    stores its row.
     """
 
     path: str
@@ -58,7 +63,7 @@ class StorageBackend(Protocol):
         first_chain: str | None = None,
         last_chain: str | None = None,
         predicate: ScanPredicate | None = None,
-    ) -> Iterator[tuple[str, list[ProbeRecord]]]: ...
+    ) -> Iterator[tuple[str, list[tuple]]]: ...
 
     def fold_operations(
         self,

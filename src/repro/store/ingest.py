@@ -4,7 +4,7 @@ The coordinator side of a cluster collection
 (:mod:`repro.cluster.control`). Each worker ships the sealed segments
 its collections committed as exact file bytes; this module decodes them
 with the ordinary :class:`~repro.store.SegmentReader`, restores each
-worker's arrival order from the footer's ranks, and re-inserts the records
+worker's arrival order from the footer's ranks, and re-inserts the rows
 into the central :class:`~repro.store.backend.StorageBackend` in worker
 order, in one transaction, under one run whose merged metadata is what a
 single :class:`~repro.collector.LogCollector` pass over the concatenated
@@ -18,7 +18,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from repro.core.records import SCHEMA_VERSION, ProbeRecord, RunMetadata
+from repro.core.records import SCHEMA_VERSION, RunMetadata
 from repro.errors import StoreError
 from repro.store.segment import SegmentReader
 
@@ -32,8 +32,9 @@ class Shipment:
     loss: dict
     monitor_mode: str
     record_count: int
-    #: Records in the worker's local arrival order.
-    records: list[ProbeRecord] = field(default_factory=list)
+    #: The records' rows (tuples), in the worker's local arrival order:
+    #: what ``insert_records`` takes.
+    records: list[tuple] = field(default_factory=list)
 
 
 def receive_shipment(
@@ -46,7 +47,7 @@ def receive_shipment(
     version); ``segments`` are the sealed files' exact bytes in commit
     order. The bytes are staged to ``workdir`` (a private temp dir by
     default) so :class:`SegmentReader` can mmap them, then decoded to
-    records in the worker's arrival order. Raises :class:`StoreError` on
+    rows in the worker's arrival order. Raises :class:`StoreError` on
     a schema or record-count mismatch.
     """
     if manifest.get("schema_version") != SCHEMA_VERSION:
@@ -61,7 +62,7 @@ def receive_shipment(
         monitor_mode=str(manifest.get("monitor_mode", "")),
         record_count=int(manifest.get("record_count", 0)),
     )
-    ranked: list[tuple[int, ProbeRecord]] = []
+    ranked: list[tuple[int, tuple]] = []
     with tempfile.TemporaryDirectory(dir=workdir) as staging:
         for index, data in enumerate(segments):
             path = os.path.join(staging, f"{index:06d}.seg")
@@ -73,7 +74,7 @@ def receive_shipment(
             finally:
                 reader.close()
     ranked.sort(key=lambda pair: pair[0])
-    shipment.records = [record for _rank, record in ranked]
+    shipment.records = [row for _rank, row in ranked]
     if len(shipment.records) != shipment.record_count:
         raise StoreError(
             f"shipment {shipment.run_id}: manifest promised "

@@ -448,22 +448,21 @@ class OpStats:
 
 
 def fold_operations(groups) -> tuple[dict[str, OpStats], int]:
-    """Fold ``chains_for_run`` groups into ``{"Interface::operation":
-    OpStats}`` (intervals held raw) and the number of groups seen — the
-    record-level definition of a backend's ``fold_operations``."""
+    """Fold ``chains_for_run`` groups of rows into
+    ``{"Interface::operation": OpStats}`` (intervals held raw) and the
+    number of groups seen — the record-level definition of a backend's
+    ``fold_operations``."""
     counts: dict[str, int] = {}
     durations: dict[str, list[int]] = {}
     chains = 0
     for _chain, group in groups:
         chains += 1
-        for record in group:
-            site = record.site
+        for row in group:
+            site, ws, we = row[0], row[7], row[8]
             key = f"{site.interface}::{site.operation}"
             counts[key] = counts.get(key, 0) + 1
-            if record.wall_start is not None and record.wall_end is not None:
-                durations.setdefault(key, []).append(
-                    record.wall_end - record.wall_start
-                )
+            if ws is not None and we is not None:
+                durations.setdefault(key, []).append(we - ws)
     return _op_stats(counts, durations), chains
 
 

@@ -84,9 +84,9 @@ from json import dumps as _dumps, loads as _loads
 from repro.core.records import (
     READABLE_SCHEMA_VERSIONS,
     SCHEMA_VERSION,
-    ProbeRecord,
     Site,
     as_rows,
+    from_row,
 )
 from repro.errors import StoreError
 from repro.store.codec import (
@@ -227,19 +227,16 @@ class SegmentFold:
             entry[0] += frames
             entry[1] += intervals
 
-    def add_records(self, records, anchors: bool = False) -> None:
-        """Fold decoded records the way :meth:`SegmentReader.fold` folds
+    def add_records(self, rows, anchors: bool = False) -> None:
+        """Fold decoded rows the way :meth:`SegmentReader.fold` folds
         frames — how a schema v1 segment, which has no site table, folds."""
-        for record in records:
-            ws, we = record.wall_start, record.wall_end
-            self.add_site(
-                record.site, 1, [] if ws is None or we is None else [we - ws]
-            )
-            if record.event == 1:
+        for site, uuid, _seq, event, tid, _kind, _col, ws, we, *_rest in rows:
+            self.add_site(site, 1, [] if ws is None or we is None else [we - ws])
+            if event == 1:
                 self.calls += 1
-            self.chains.add(record.chain_uuid)
+            self.chains.add(uuid)
             if self.threads is not None:
-                self.threads.add((record.site.process, record.thread_id))
+                self.threads.add((site.process, tid))
             anchor = record_anchor(ws, we)
             if anchors and anchor is not None:
                 lo, hi = self.bounds or (anchor, anchor)
@@ -257,10 +254,10 @@ class SegmentWriter:
     """Streams probe rows into one segment file.
 
     The per-record encode loop is the collector's ingest fast path: it
-    is deliberately flat — one unpack of the probe row (fields in
-    ``ProbeRecord.__slots__`` order), one chain lookup and one site lookup
-    per record, one fused ``struct.Struct`` pack per frame, delta state in
-    locals.
+    is deliberately flat — one unpack of the row (fields in the record's
+    slot order, :mod:`repro.core.records`), one chain lookup and one site
+    lookup per record, one fused ``struct.Struct`` pack per frame, delta
+    state in locals.
     """
 
     def __init__(
@@ -332,10 +329,10 @@ class SegmentWriter:
     def append(self, records, ranks: list[int] | None = None) -> int:
         """Encode and buffer ``records``; returns how many were written.
 
-        ``records`` are probe rows or :class:`ProbeRecord` objects (a
-        record becomes a row once, as it enters). ``ranks`` (sealed
-        segments only) are the records' original arrival ranks, one to
-        one, for the footer — for all of a segment's records or none.
+        ``records`` are rows or probe records (a record becomes a row
+        once, as it enters). ``ranks`` (sealed segments only) are the
+        records' original arrival ranks, one to one, for the footer — for
+        all of a segment's records or none.
         """
         return self._encode(as_rows(records), ranks, False)
 
@@ -930,15 +927,16 @@ class SegmentReader:
     ) -> int:
         """Decode up to ``limit`` frames of ``[off, end)`` onto ``out``.
 
-        The one loop that builds records from frames, and the scan fast
-        path: one fused unpack per frame, the site by one list index,
-        tuple-indexed enum lookups, reading state in locals. With ``flt``
+        The one loop that builds rows from frames, and the scan fast path:
+        one fused unpack per frame, the site by one list index,
+        tuple-indexed enum lookups, reading state in locals, and the row a
+        tuple of the fields the probe logged, in their order. With ``flt``
         (the per-segment integer-id filter compiled by
         :func:`repro.store.query.segment_filter`) the readings still
-        advance over every frame, but a :class:`ProbeRecord` is only built
-        for a match, whose position within the span goes onto ``hits`` (a
-        list, required with ``flt``) — how callers recover arrival ranks
-        without decoding the rest. Returns the number of frames walked; a
+        advance over every frame, but a row is only built for a match,
+        whose position within the span goes onto ``hits`` (a list,
+        required with ``flt``) — how callers recover arrival ranks without
+        decoding the rest. Returns the number of frames walked; a
         frame that is cut short, or whose ids point past the string
         dictionary or the site table, raises :class:`StoreError`.
         """
@@ -950,7 +948,6 @@ class SegmentReader:
         fn_size = _FN_SIZE
         fw_size = _FW_SIZE
         loads = _loads
-        record = ProbeRecord
         event_by_num = EVENT_BY_NUM
         append = out.append
         filtered = flt is not None
@@ -1010,7 +1007,7 @@ class SegmentReader:
                     off += semlen
                 else:
                     sem = None
-                append(record(
+                append((
                     sites[sid], strings[cid], seq, event_by_num[ev], tid,
                     ONEWAY if misc & 1 else SYNC, True if misc & 2 else False,
                     ws, we, cs, ce, strings[childid] if pres & 16 else None, sem,
@@ -1031,14 +1028,14 @@ class SegmentReader:
         combination), both start readings re-anchored at the span's start
         and, in a sealed segment, wherever the chain id changes. There is
         no frame-level pushdown: with ``flt`` every frame is decoded and
-        ``flt.matches`` picks the records."""
+        ``flt.matches`` picks the rows (through the record each
+        describes: the predicate's one record-level definition)."""
         mm = self._mm
         strings = self.strings
         fn_unpack = FRAME_NARROW_V1.unpack_from
         fw_unpack = FRAME_WIDE_V1.unpack_from
         fn_size, fw_size, misc_off, _ = FRAME_LAYOUT[1]
         loads = _loads
-        record = ProbeRecord
         event_by_num = EVENT_BY_NUM
         domain_by_num = DOMAIN_BY_NUM
         sealed = self.sealed
@@ -1090,7 +1087,7 @@ class SegmentReader:
                         strings[proc], pid, strings[host], strings[ptype],
                         strings[plat], domain_by_num[(misc >> 2) & 3],
                     )
-                append(record(
+                append((
                     site, strings[cid], seq, event_by_num[ev], tid,
                     ONEWAY if misc & 1 else SYNC, True if misc & 2 else False,
                     ws, we, cs, ce, strings[childid] if pres & 16 else None, sem,
@@ -1100,7 +1097,7 @@ class SegmentReader:
             raise StoreError(f"corrupt frame in {self.path}") from None
         if flt is not None:
             matches = flt.matches
-            hits += [i for i, r in enumerate(out[first:]) if matches(r)]
+            hits += [i for i, row in enumerate(out[first:]) if matches(from_row(row))]
             out[first:] = [out[first + i] for i in hits]
         return done
 
@@ -1169,9 +1166,9 @@ class SegmentReader:
     def scan(
         self, flt, stats: ScanStats, lo: bytes | None = None, hi: bytes | None = None
     ):
-        """Yield ``(cid, ranks, records)`` per decode unit (see
+        """Yield ``(cid, ranks, rows)`` per decode unit (see
         :meth:`_units`) that holds a match — the one way records leave a
-        segment.
+        segment, as rows (tuples).
 
         ``cid`` is a sealed group's chain id, ``None`` for a records block
         of a spool or a salvaged segment, whose chains callers regroup (in
@@ -1185,16 +1182,16 @@ class SegmentReader:
         flt, units = self._units(flt, stats, lo, hi)
         base = self.arrival_base
         for cid, ranks, start, end, limit in units:
-            records: list[ProbeRecord] = []
+            rows: list[tuple] = []
             hits = None if flt is None else []
-            walked = self._decode_span(start, end, limit, records, flt, hits)
+            walked = self._decode_span(start, end, limit, rows, flt, hits)
             stats.frames_decoded += walked
-            stats.records_matched += len(records)
+            stats.records_matched += len(rows)
             if cid is None:
                 ranks = range(base, base + walked)
                 base += walked
-            if records:
-                yield cid, ranks if hits is None else [ranks[i] for i in hits], records
+            if rows:
+                yield cid, ranks if hits is None else [ranks[i] for i in hits], rows
 
     def fold(
         self, flt, stats: ScanStats, anchors: bool = False, threads: bool = False
@@ -1214,7 +1211,7 @@ class SegmentReader:
         carries the matched frames' anchor bounds (from the ``FXTS``
         footer when every frame passes and the file has one), with
         ``threads`` their ``(process, thread_id)`` pairs. A schema v1
-        segment has no site table: it folds the records :meth:`scan`
+        segment has no site table: it folds the rows :meth:`scan`
         decodes.
         """
         out = SegmentFold(threads)
@@ -1225,8 +1222,8 @@ class SegmentReader:
             lo, hi = self.ts_bounds
             out.bounds = (lo, hi) if lo <= hi else None
         if self.schema_version == 1:
-            for _cid, _ranks, records in self.scan(flt, stats):
-                out.add_records(records, track)
+            for _cid, _ranks, rows in self.scan(flt, stats):
+                out.add_records(rows, track)
             return out
         flt, units = self._units(flt, stats)
         mm = self._mm
@@ -1319,13 +1316,14 @@ class SegmentReader:
         return out
 
     def load_ranked(self, out: list) -> None:
-        """Append every ``(arrival_rank, record)`` pair to ``out``."""
-        for _cid, ranks, records in self.scan(None, ScanStats()):
-            out.extend(zip(ranks, records))
+        """Append every ``(arrival_rank, row)`` pair to ``out``."""
+        for _cid, ranks, rows in self.scan(None, ScanStats()):
+            out.extend(zip(ranks, rows))
 
-    def decode_group(self, start_off: int, count: int) -> list[ProbeRecord]:
-        """Decode one sealed chain group from its byte range (zero-copy)."""
-        group: list[ProbeRecord] = []
+    def decode_group(self, start_off: int, count: int) -> list[tuple]:
+        """Decode one sealed chain group's rows from its byte range
+        (zero-copy)."""
+        group: list[tuple] = []
         self._decode_span(start_off, self.size_bytes, count, group)
         return group
 

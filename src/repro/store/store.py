@@ -22,7 +22,7 @@ Ordering contract (kept bit-identical to the SQLite backend so the two
 are interchangeable under ``reconstruct()``):
 
 - ``chains_for_run`` yields chains ascending by uuid (UTF-8 byte order,
-  matching SQLite's BINARY collation), each chain's records sorted by
+  matching SQLite's BINARY collation), each chain's rows sorted by
   ``event_seq`` with arrival order breaking ties;
 - ``all_records`` yields a run's records in arrival (insert) order,
   which sealed segments preserve via per-record arrival ranks.
@@ -38,6 +38,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from heapq import merge as _heapq_merge
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from repro.core.records import (
@@ -45,8 +46,8 @@ from repro.core.records import (
     SCHEMA_VERSION,
     ProbeRecord,
     RunMetadata,
-    as_row,
     as_rows,
+    from_row,
 )
 from repro.errors import StoreError
 from repro.store.query import (
@@ -364,10 +365,9 @@ class SegmentStore:
     def compact(self, run_id: str) -> bool:
         """Merge the run's segments into one sorted sealed segment.
 
-        The merge goes through probe rows, the way a collection commits:
-        every source's ``(rank, record)`` pairs are loaded, the records
-        turned into rows and written by :meth:`_publish_sealed`, so one
-        encoder writes every sealed byte.
+        The merge goes through rows, the way a collection commits: every
+        source's ``(rank, row)`` pairs are loaded and the rows written by
+        :meth:`_publish_sealed`, so one encoder writes every sealed byte.
         Returns True if a new sealed segment was produced. Readers that
         started scanning before the swap keep their mmaps (POSIX unlink
         semantics); new scans see the sealed segment only.
@@ -383,8 +383,6 @@ class SegmentStore:
         # sites of different sources become one object first, so the
         # encoder's per-record site lookup is an identity hit, not a
         # ten-field compare (a sixth of an eight-spool merge's time).
-        # Each source's records become rows before the next source loads,
-        # so the merge never holds every record and every row at once.
         shared: dict = {}
         rows: list = []
         ranks: list = []
@@ -392,8 +390,8 @@ class SegmentStore:
             reader.sites = [shared.setdefault(site, site) for site in reader.sites]
             ranked: list = []
             reader.load_ranked(ranked)
-            ranks += [rank for rank, _record in ranked]
-            rows += [as_row(record) for _rank, record in ranked]
+            ranks += [rank for rank, _row in ranked]
+            rows += [row for _rank, row in ranked]
         return self._publish_sealed(run, number, rows, ranks, replaces=sources)
 
     def compact_all(self) -> dict[str, bool]:
@@ -455,10 +453,10 @@ class SegmentStore:
 
     def events_for_chain(self, run_id: str, chain_uuid: str) -> list[ProbeRecord]:
         """All events of one chain, ascending by event number (query 2)."""
-        for uuid, records in self.chains_for_run(
+        for _uuid, rows in self.chains_for_run(
             run_id, first_chain=chain_uuid, last_chain=chain_uuid
         ):
-            return records
+            return list(map(from_row, rows))
         return []
 
     def chains_for_run(
@@ -468,8 +466,9 @@ class SegmentStore:
         last_chain: str | None = None,
         predicate: ScanPredicate | None = None,
         stats: ScanStats | None = None,
-    ) -> Iterator[tuple[str, list[ProbeRecord]]]:
-        """Stream ``(chain_uuid, sorted records)`` groups.
+    ) -> Iterator[tuple[str, list[tuple]]]:
+        """Stream ``(chain_uuid, sorted rows)`` groups: each row the tuple
+        of a record's fields in ``ProbeRecord.__slots__`` order.
 
         On a compacted run this is the zero-copy fast path: one sealed
         segment, chain groups already sorted and byte-contiguous, so each
@@ -496,27 +495,27 @@ class SegmentStore:
         if _compacted(readers):
             for reader, units in scans:
                 strings = reader.strings
-                for cid, _ranks, records in units:
-                    yield strings[cid], records
+                for cid, _ranks, rows in units:
+                    yield strings[cid], rows
             return
 
-        groups: dict[str, list[ProbeRecord]] = defaultdict(list)
+        groups: dict[str, list[tuple]] = defaultdict(list)
         for reader, units in scans:
-            for cid, _ranks, records in units:
+            for cid, _ranks, rows in units:
                 if cid is not None:
-                    groups[reader.strings[cid]] += records
+                    groups[reader.strings[cid]] += rows
                 else:
-                    for record in records:
-                        groups[record.chain_uuid].append(record)
+                    for row in rows:
+                        groups[row[1]].append(row)  # row[1]: the chain uuid
         for uuid in sorted(groups, key=uuid_key):
             key = uuid_key(uuid)
             if lo is not None and key < lo:
                 continue
             if hi is not None and key > hi:
                 break
-            records = groups[uuid]
-            records.sort(key=_event_seq_key)  # stable → arrival breaks ties
-            yield uuid, records
+            rows = groups[uuid]
+            rows.sort(key=_event_seq_key)  # stable → arrival breaks ties
+            yield uuid, rows
 
     def _scan(self, readers, predicate, stats, lo=None, hi=None):
         """The store's one read path: per segment the footer does not rule
@@ -585,16 +584,16 @@ class SegmentStore:
             self._segments(self._run(run_id)), predicate, stats
         ):
             ranked: list = []
-            for _cid, ranks, records in units:
-                ranked.extend(zip(ranks, records))
+            for _cid, ranks, rows in units:
+                ranked.extend(zip(ranks, rows))
             ranked.sort(key=_rank_key)
             streams.append(ranked)
         if len(streams) == 1:
-            for _rank, record in streams[0]:
-                yield record
+            for _rank, row in streams[0]:
+                yield from_row(row)
             return
-        for _rank, record in _heapq_merge(*streams, key=_rank_key):
-            yield record
+        for _rank, row in _heapq_merge(*streams, key=_rank_key):
+            yield from_row(row)
 
     def population_stats(
         self, run_id: str, predicate: ScanPredicate | None = None
@@ -747,8 +746,7 @@ def _write_groups(writer: SegmentWriter, rows: list[list], ranks) -> dict:
     return groups
 
 
-def _event_seq_key(record: ProbeRecord) -> int:
-    return record.event_seq
+_event_seq_key = itemgetter(2)  # a row's event number
 
 
 def _rank_key(pair) -> int:

@@ -22,6 +22,7 @@ from repro.core import (
     OperationInfo,
     SequentialUuidFactory,
 )
+from repro.core.records import as_row
 from repro.platform import Host, PlatformKind, ProcessorType, SimProcess, VirtualClock
 
 
@@ -128,3 +129,8 @@ def _run_body(sim: Simulation, call: Call) -> None:
         sim.clock.idle(call.idle_ns)
     for child in call.children:
         _run_call(sim, child)
+
+
+def rows_of(records) -> list[tuple]:
+    """What a store decodes for ``records``: one row (a tuple) each."""
+    return [tuple(as_row(record)) for record in records]

@@ -161,10 +161,10 @@ def test_relocated_file_equals_decode_and_append(
         stats = ScanStats()
         assert list(store.chains_for_run(RUN, predicate=predicate, stats=stats)) == [
             (uuid, kept) for uuid, group in chains
-            if (kept := [r for r in group if r.operation == wanted])
+            if (kept := [row for row in group if row[0].operation == wanted])
         ]
         holding = [group for _uuid, group in chains
-                   if any(r.operation == wanted for r in group)]
+                   if any(row[0].operation == wanted for row in group)]
         assert stats.records_matched == sum(
             r.operation == wanted for _rank, r in pairs
         )

@@ -16,6 +16,7 @@ record must prune the sealed segment outright.
 from hypothesis import given, strategies as st
 
 from repro.core import RunMetadata
+from repro.core.records import from_row
 from repro.store import ScanPredicate, ScanStats, SegmentStore
 
 from tests.unit.store.test_segment_codec import make_record
@@ -107,7 +108,7 @@ def test_pruned_scans_equal_brute_force(
             stats = ScanStats()
             expected = [
                 (chain, kept) for chain, group in full_chains
-                if (kept := [r for r in group if predicate.matches(r)])
+                if (kept := [row for row in group if predicate.matches(from_row(row))])
             ]
             assert list(
                 store.chains_for_run("p", predicate=predicate, stats=stats)
@@ -127,8 +128,8 @@ def test_pruned_scans_equal_brute_force(
                                           operations=predicate.operations)
                 must_decode = sum(
                     len(group) for _chain, group in full_chains
-                    if any(functions.matches(r) for r in group)
-                    or len({(r.interface, r.operation) for r in group}) > 254
+                    if any(functions.matches(from_row(row)) for row in group)
+                    or len({(row[0].interface, row[0].operation) for row in group}) > 254
                 )
                 assert stats.frames_decoded == must_decode
                 assert flat_stats.frames_decoded == must_decode

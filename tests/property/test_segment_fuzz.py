@@ -32,6 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CallKind, TracingEvent
+from repro.core.records import from_row
 from repro.errors import StoreError
 from repro.store import ScanPredicate, ScanStats, SegmentStore
 from repro.store import segment as segment_module
@@ -160,10 +161,10 @@ def mutate(data: bytes, mutations) -> bytes:
     return bytes(out)
 
 
-def assert_fold_is_record_fold(fold, records) -> None:
+def assert_fold_is_record_fold(fold, rows) -> None:
     chains: dict = {}
-    for record in records:
-        chains.setdefault(record.chain_uuid, []).append(record)
+    for row in rows:
+        chains.setdefault(row[1], []).append(row)
     folded, folded_chains = merge_operations([fold])
     expected, expected_chains = fold_operations(chains.items())
     assert folded_chains == expected_chains
@@ -174,7 +175,7 @@ def assert_fold_is_record_fold(fold, records) -> None:
         key: (op.records, op.wall_sum, sorted(op.durations))
         for key, op in expected.items()
     }
-    assert merge_population([fold]) == fold_population_stats(records)
+    assert merge_population([fold]) == fold_population_stats(map(from_row, rows))
 
 
 def exercise(data: bytes, path: str) -> int:
@@ -197,22 +198,22 @@ def exercise(data: bytes, path: str) -> int:
                 continue
             if predicate is not None and flt is None:
                 continue
-            records, by_records = None, ScanStats()
+            rows, by_records = None, ScanStats()
             try:
-                records = []
+                rows = []
                 for _cid, ranks, unit in reader.scan(flt, by_records):
                     assert len(ranks) >= len(unit)
-                    records += unit
-                    scanned = max(scanned, len(records))
+                    rows += unit
+                    scanned = max(scanned, len(rows))
             except StoreError:
-                records = None
+                rows = None
             by_frames = ScanStats()
             try:
                 fold = reader.fold(flt, by_frames, threads=True)
             except StoreError:
                 continue
-            if records is not None:
-                assert_fold_is_record_fold(fold, records)
+            if rows is not None:
+                assert_fold_is_record_fold(fold, rows)
                 assert by_frames == by_records
         return scanned
     finally:

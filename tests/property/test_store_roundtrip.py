@@ -22,6 +22,7 @@ from repro.core import (
 )
 from repro.store import SegmentStore
 from repro.store.segment import KIND_SPOOL, SegmentReader, SegmentWriter
+from tests.helpers import rows_of
 
 _text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=0, max_size=30
@@ -82,7 +83,7 @@ def test_spool_segment_roundtrips_any_records(tmp_path_factory, records):
     ranked = []
     reader.load_ranked(ranked)
     reader.close()
-    assert [r for _k, r in sorted(ranked, key=lambda p: p[0])] == records
+    assert [r for _k, r in sorted(ranked, key=lambda p: p[0])] == rows_of(records)
 @given(
     records=st.lists(probe_records(), max_size=40),
     batches=st.integers(1, 5),

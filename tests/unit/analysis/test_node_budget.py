@@ -11,7 +11,9 @@ four readings are exact tuples of atoms, which the collector untracks the
 first time it sees them. A count, not a timing: it repeats exactly and
 fails the change that hangs a container back on the node. The ledger's
 ``capture_to_report_s`` carries the claim in time; this is its tier-1
-tripwire, in the style of ``tests/unit/core/test_probe_budget.py``.
+tripwire, in the style of ``tests/unit/core/test_probe_budget.py``. The
+budget holds on both ways in: records in memory, and the rows a segment
+store decodes — the journey's own path.
 """
 
 from __future__ import annotations
@@ -23,9 +25,16 @@ from operator import attrgetter
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import CpuAnalysis, annotate_latency, reconstruct_from_records
+from repro.analysis import (
+    CpuAnalysis,
+    annotate_latency,
+    reconstruct,
+    reconstruct_from_records,
+)
 from repro.analysis.dscg import CallNode
+from repro.collector import LogCollector
 from repro.core import CallKind, Domain, MonitorMode, TracingEvent
+from repro.store import SegmentStore
 from tests.helpers import Call, simulate
 from tests.property.test_probe_record_oracle import FORESTS, DirectRun
 
@@ -49,9 +58,25 @@ def _flat_remote(index: int) -> Call:
     return Call("Flat::root", cpu_ns=20, children=leaves)
 
 
+def _calls() -> list[Call]:
+    return [_depth4(i) for i in range(250)] + [_flat_remote(i) for i in range(100)]
+
+
+def _assert_within_budget(dscg, tracked: int) -> None:
+    nodes = list(dscg.walk())
+    assert len(nodes) == 250 * 4 + 100 * 5  # one leaf of three is oneway: two nodes
+    assert tracked / len(nodes) <= NODE_BUDGET, f"{tracked} tracked objects, {len(nodes)} calls"
+    assert not hasattr(nodes[0], "__dict__")
+    for node in nodes:
+        readings = [node.reading(event) for event in TracingEvent]
+        assert any(readings)
+        for reading in filter(None, readings):
+            assert type(reading) is tuple and not gc.is_tracked(reading)
+        assert node.latency_ns is not None and node.descendant_cpu is not None
+
+
 def test_a_reconstructed_call_costs_the_collector_three_objects():
-    calls = [_depth4(i) for i in range(250)] + [_flat_remote(i) for i in range(100)]
-    records = simulate(calls, fresh_chain_per_top_call=True).records
+    records = simulate(_calls(), fresh_chain_per_top_call=True).records
     gc.collect()
     gc.disable()
     try:
@@ -65,16 +90,34 @@ def test_a_reconstructed_call_costs_the_collector_three_objects():
         tracked = len(gc.get_objects()) - before
     finally:
         gc.enable()
-    nodes = list(dscg.walk())
-    assert len(nodes) == 250 * 4 + 100 * 5  # one leaf of three is oneway: two nodes
-    assert tracked / len(nodes) <= NODE_BUDGET, f"{tracked} tracked objects, {len(nodes)} calls"
-    assert not hasattr(nodes[0], "__dict__")
-    for node in nodes:
-        readings = [node.reading(event) for event in TracingEvent]
-        assert any(readings)
-        for reading in filter(None, readings):
-            assert type(reading) is tuple and not gc.is_tracked(reading)
-        assert node.latency_ns is not None and node.descendant_cpu is not None
+    _assert_within_budget(dscg, tracked)
+
+
+def test_a_call_reconstructed_from_a_segment_store_costs_the_same(tmp_path):
+    """The journey's path: the calls collected into a segment store, their
+    rows decoded and applied by ``reconstruct``. A decoded row holds its
+    ``Site`` and stays tracked; it must not outlive its chain."""
+    process = simulate(_calls(), fresh_chain_per_top_call=True).process
+    store = SegmentStore(str(tmp_path / "store"), auto_compact=0)
+    try:
+        LogCollector(store).collect([process], run_id="run")
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            dscg = reconstruct(store, "run")
+            annotate_latency(dscg)
+            cpu = CpuAnalysis(dscg)
+            cpu.annotate()
+            gc.collect()
+            tracked = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+    finally:
+        store.close()
+    _assert_within_budget(dscg, tracked)
+
+
 @given(forest=FORESTS, mode=st.sampled_from(list(MonitorMode)))
 def test_the_records_view_rebuilds_the_records_applied(forest, mode):
     """``node.record(event)`` equals the record the machine was given, for

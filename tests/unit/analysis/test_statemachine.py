@@ -3,7 +3,9 @@
 from dataclasses import replace
 
 from repro.analysis import reconstruct_from_records
-from repro.core import CallKind, TracingEvent
+from repro.analysis.statemachine import ChainBuilder
+from repro.core import CallKind, ProbeRecord, TracingEvent
+from repro.core.records import as_row, from_row
 from tests.helpers import Call, simulate
 
 
@@ -128,6 +130,22 @@ class TestAbnormal:
         ]
         dscg = reconstruct_from_records(records)
         assert any("stub_end" in a.reason for a in dscg.abnormal_events())
+
+    def test_an_abnormal_row_is_reported_with_its_record(self):
+        # The machine applies rows; the event it flags still carries a
+        # ProbeRecord (the online monitor reads ``event.record.function``).
+        records = sorted(self._records([Call("I::F")]), key=lambda r: r.event_seq)
+        rows = [tuple(as_row(record)) for record in records]
+        site = records[-1].site
+        rows[-1] = (replace(site, operation="WRONG"), *rows[-1][1:])  # the stub_end
+        builder = ChainBuilder(records[0].chain_uuid)
+        for row in rows:
+            builder.apply(row)
+        (event, _never_completed) = builder.finish().abnormal
+        assert "stub_end for I::WRONG" in event.reason
+        assert type(event.record) is ProbeRecord
+        assert event.record == from_row(rows[-1])
+        assert event.event_seq == rows[-1][2]
 
     def test_partial_when_server_unmonitored(self):
         records = self._records([Call("I::F")])

@@ -21,7 +21,7 @@ from repro.analysis.streaming import (
     incidents_to_json,
 )
 from repro.core import MonitorMode
-from tests.helpers import Call, simulate
+from tests.helpers import Call, rows_of, simulate
 
 
 def records_for(calls):
@@ -55,7 +55,7 @@ class TestStreamingReconstructor:
             dscg.add_chain(
                 reconstruct_chain(
                     chain_uuid,
-                    sorted(groups[chain_uuid], key=lambda r: r.event_seq),
+                    rows_of(sorted(groups[chain_uuid], key=lambda r: r.event_seq)),
                 )
             )
         dscg.link_chains()

@@ -12,7 +12,7 @@ from repro.collector.sharded import ShardedSpoolCollector
 from repro.store import ScanStats, SegmentReader, SegmentStore
 from repro.store.ingest import ingest_shipments, receive_shipment
 
-from tests.helpers import Call, simulate
+from tests.helpers import Call, rows_of, simulate
 
 
 def worker_processes(prefix):
@@ -55,10 +55,10 @@ def test_a_shard_ships_one_sealed_segment_in_arrival_order(tmp_path):
     finally:
         reader.close()
     # Chain-grouped on disk — so file order is not arrival order...
-    assert in_file_order != records
-    assert sorted(map(repr, in_file_order)) == sorted(map(repr, records))
+    assert in_file_order != rows_of(records)
+    assert sorted(map(repr, in_file_order)) == sorted(map(repr, rows_of(records)))
     # ...which the re-ingest recovers from the footer's ranks.
-    assert shipment.records == records
+    assert shipment.records == rows_of(records)
     assert shipment.record_count == len(records)
 
 

@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.core.records import SITE_FIELDS
 from repro.platform import Host, PlatformKind, SimProcess, VirtualClock
+from tests.helpers import rows_of
 
 
 def make_record(chain="aa" * 16, seq=0, event=TracingEvent.STUB_START, **overrides):
@@ -144,7 +145,7 @@ class TestDatabase:
         )
         groups = list(db.chains_for_run("r1"))
         assert [uuid for uuid, _ in groups] == ["aa" * 16, "bb" * 16, "cc" * 16]
-        assert [r.event_seq for r in dict(groups)["bb" * 16]] == [0, 1]
+        assert [row[2] for row in dict(groups)["bb" * 16]] == [0, 1]
 
     def test_chains_for_run_shard_bounds_inclusive(self):
         db = MonitoringDatabase()
@@ -163,10 +164,10 @@ class TestDatabase:
             [make_record(chain=f"{i:032x}", seq=s)
              for i in range(5) for s in (1, 0)],
         )
-        fused = {uuid: records for uuid, records in db.chains_for_run("r1")}
+        fused = {uuid: rows for uuid, rows in db.chains_for_run("r1")}
         assert set(fused) == set(db.unique_chain_uuids("r1"))
-        for uuid, records in fused.items():
-            assert records == db.events_for_chain("r1", uuid)
+        for uuid, rows in fused.items():
+            assert rows == rows_of(db.events_for_chain("r1", uuid))
 
     def test_file_backed_reads_from_other_threads(self, tmp_path, monkeypatch):
         # The path reconstruct_sharded takes over SQLite: every shard scan

@@ -1,6 +1,6 @@
 """Compaction writes what the record-level writer writes, byte for byte.
 
-``SegmentStore.compact`` loads every source's ``(rank, record)`` pairs and
+``SegmentStore.compact`` loads every source's ``(rank, row)`` pairs and
 writes them through the grouped encoder a collection commit uses. What it
 must write is, byte for byte, what decoding every source and feeding a
 sealed ``SegmentWriter`` through ``start_group()`` + ``append(records,
@@ -17,6 +17,7 @@ import struct
 
 import pytest
 
+from repro.core.records import from_row
 from repro.errors import StoreError
 from repro.store import SegmentStore
 from repro.store import segment as segment_module
@@ -28,6 +29,7 @@ from repro.store.segment import (
     SegmentWriter,
 )
 
+from tests.helpers import rows_of
 from tests.unit.store.test_function_zone_map import (
     OLD_FORMAT_SEGMENT,
     old_format_records,
@@ -66,13 +68,14 @@ def reference_compact(source_paths, out_path):
     Returns the decoded ``(rank, record)`` pairs in load order — the
     brute-force truth for every scan of the compacted run.
     """
-    pairs = []
+    decoded = []
     for path in source_paths:
         reader = SegmentReader(path)
         try:
-            reader.load_ranked(pairs)
+            reader.load_ranked(decoded)
         finally:
             reader.close()
+    pairs = [(rank, from_row(row)) for rank, row in decoded]
     write_groups(out_path, pairs)
     return pairs
 
@@ -114,11 +117,12 @@ def compact_against_reference(root):
 
 
 def brute_chains(pairs):
+    """What ``chains_for_run`` yields for ``(rank, record)`` pairs: row groups."""
     groups = {}
     for _rank, record in pairs:
         groups.setdefault(record.chain_uuid, []).append(record)
     return [
-        (uuid, sorted(groups[uuid], key=lambda record: record.event_seq))
+        (uuid, rows_of(sorted(groups[uuid], key=lambda record: record.event_seq)))
         for uuid in sorted(groups, key=uuid_key)
     ]
 

@@ -23,6 +23,7 @@ from repro.store.segment import (
     segment_info,
 )
 
+from tests.helpers import rows_of
 from tests.unit.store.test_segment_codec import make_record
 
 #: A sealed segment written by the commit before the function zone map
@@ -76,12 +77,13 @@ def only_reader(store):
 
 
 def brute(records, predicate):
-    """(chains_for_run, all_records) answers by ``ScanPredicate.matches``."""
+    """(chains_for_run, all_records) answers by ``ScanPredicate.matches``:
+    row groups and records."""
     kept = [r for r in records if predicate.matches(r)]
     chains = {}
     for record in sorted(kept, key=lambda r: r.event_seq):
         chains.setdefault(record.chain_uuid, []).append(record)
-    return sorted(chains.items()), kept
+    return [(chain, rows_of(group)) for chain, group in sorted(chains.items())], kept
 
 
 FUNCTION_PREDICATES = [
@@ -235,7 +237,7 @@ class TestOldFormat:
         predicate = ScanPredicate(operations={"fresh"})
         assert list(
             store.chains_for_run("r1", predicate=predicate, stats=stats)
-        ) == [("ff" * 16, [extra])]
+        ) == [("ff" * 16, rows_of([extra]))]
         assert (stats.groups_pruned, stats.frames_decoded) == (6, 1)
 
 
@@ -302,7 +304,7 @@ class TestPruning:
             predicate = ScanPredicate(operations={"narrow"})
             assert list(
                 store.chains_for_run("r1", predicate=predicate, stats=stats)
-            ) == [("0b" * 16, narrow)]
+            ) == [("0b" * 16, rows_of(narrow))]
             # The overflowed group is decoded and frame-filtered.
             assert (stats.groups_pruned, stats.frames_decoded) == (0, 301)
             assert list(store.all_records(
@@ -328,7 +330,7 @@ class TestPruning:
             stats = ScanStats()
             assert list(store.chains_for_run(
                 "r1", predicate=ScanPredicate(operations={"narrow"}), stats=stats
-            )) == [("0b" * 16, narrow)]
+            )) == [("0b" * 16, rows_of(narrow))]
             assert stats.groups_pruned == pruned
             assert stats.frames_decoded == (1 if pruned else functions + 1)
         finally:

@@ -16,6 +16,7 @@ from repro.errors import StoreError
 from repro.store import SegmentStore
 from repro.store.segment import KIND_SEALED, KIND_SPOOL, SegmentReader, SegmentWriter
 
+from tests.helpers import rows_of
 from tests.unit.store.test_segment_codec import make_record
 
 
@@ -59,7 +60,7 @@ class TestSalvage:
         ranked = []
         reader.load_ranked(ranked)
         salvaged = [r for _rank, r in sorted(ranked, key=lambda p: p[0])]
-        assert salvaged == full_records()[: len(salvaged)]
+        assert salvaged == rows_of(full_records()[: len(salvaged)])
         assert reader.record_count == len(salvaged)
         assert reader.dropped_bytes > 0
         reader.close()
@@ -100,7 +101,7 @@ class TestSalvage:
         ranked = []
         reader.load_ranked(ranked)
         salvaged = [r for _rank, r in sorted(ranked, key=lambda p: p[0])]
-        assert salvaged == full_records()
+        assert salvaged == rows_of(full_records())
         assert reader.dropped_bytes > 0
         reader.close()
 
@@ -196,6 +197,6 @@ class TestIdsPastTheTables:
             assert reader.dropped_bytes == os.path.getsize(path) - (second_frame + 10 * size)
             ranked = []
             reader.load_ranked(ranked)
-            assert [record.event_seq for _rank, record in ranked] == list(range(11))
+            assert [row[2] for _rank, row in ranked] == list(range(11))
         finally:
             reader.close()

@@ -14,11 +14,13 @@ import pytest
 
 from repro.analysis import reconstruct
 from repro.core import RunMetadata
+from repro.core.records import from_row
 from repro.errors import StoreError
 from repro.store import ScanPredicate, ScanStats, SegmentStore, run_query
 from repro.store import segment as segment_module
 from repro.store.segment import SegmentReader, SegmentWriter, segment_info
 
+from tests.helpers import rows_of
 from tests.unit.store.test_segment_codec import make_record
 
 
@@ -67,7 +69,7 @@ def brute_chains(store, run_id, predicate):
     """Reference semantics: unpredicated scan + in-Python filter."""
     out = []
     for chain, group in store.chains_for_run(run_id):
-        kept = [r for r in group if predicate.matches(r)]
+        kept = [row for row in group if predicate.matches(from_row(row))]
         if kept:
             out.append((chain, kept))
     return out
@@ -365,7 +367,7 @@ class TestMergedDecodeLoop:
         store.compact("r1")
         predicate, stats = ScanPredicate(ts_min=2050, ts_max=2150), ScanStats()
         assert list(store.chains_for_run("r1", predicate=predicate, stats=stats)) \
-            == [(f"{1:032x}", [records[12]])]
+            == [(f"{1:032x}", rows_of([records[12]]))]
         assert (stats.groups, stats.groups_pruned) == (2, 0)
         assert (stats.frames_decoded, stats.records_matched) == (20, 1)
         assert list(store.all_records("r1", predicate=predicate)) == [records[12]]

@@ -4,15 +4,21 @@ A collection hands both stores the rows it drained; ``insert_records``
 given the same run as records turns them into rows as they enter. The
 sealed segment must be the same bytes and SQLite must hold the same
 records either way. Delivery faults and bounded-buffer drops, which now
-act on rows, must lose what they lost on records.
+act on rows, must lose what they lost on records. On the way out, both
+backends' ``chains_for_run`` yield rows (tuples) that describe exactly the
+records ``all_records`` yields.
 """
 
 from __future__ import annotations
 
 import os
+from operator import attrgetter
+
+import pytest
 
 from repro.collector import LogCollector, MonitoringDatabase
 from repro.core import MonitoringRuntime, MonitorMode, OperationInfo, RunMetadata
+from repro.core.records import from_row
 from repro.faults import FaultInjector, FaultPlan, LossyLogBuffer
 from repro.faults.plan import FaultKind
 from repro.platform import Host, LocalLogBuffer, SimProcess
@@ -115,3 +121,48 @@ def test_bounded_buffer_drops_the_same_count():
     loss = database.runs()[0].extra["loss"]
     assert loss["records_dropped_at_probe"] == 4 * calls - capacity
     assert database.record_count(run_id) == capacity
+
+
+@pytest.mark.parametrize("backend", ["segment", "sqlite"])
+@pytest.mark.parametrize("layout", ["sealed", "spool", "sealed+spool"])
+def test_chain_rows_are_the_records_regrouped(tmp_path, backend, layout):
+    """One ``chains_for_run`` contract on both backends, whatever the run's
+    segments: every row a 13-tuple, each describing the record
+    ``all_records`` holds at its place once the arrival order is regrouped
+    by chain (uuid order) and stably sorted by event number."""
+    records = _probe_run().log_buffer.snapshot()
+    half = len(records) // 2
+    if backend == "segment":
+        store = SegmentStore(str(tmp_path / "store"), auto_compact=0)
+    else:
+        store = MonitoringDatabase()
+    try:
+        store.create_run(RunMetadata(run_id="run"))
+        if layout == "spool":
+            store.insert_records("run", records[:half])
+            store.insert_records("run", records[half:])
+        else:
+            cut = len(records) if layout == "sealed" else half
+            with store.bulk_ingest():
+                store.insert_records("run", records[:cut])
+            store.insert_records("run", records[cut:])
+        if backend == "segment":
+            assert store.compaction_state("run")["spool_segments"] == {
+                "sealed": 0, "spool": 2, "sealed+spool": 1,
+            }[layout]
+        stored = list(store.all_records("run"))
+        assert stored == records
+        by_chain: dict = {}
+        for record in stored:
+            by_chain.setdefault(record.chain_uuid, []).append(record)
+        expected = [
+            (uuid, sorted(by_chain[uuid], key=attrgetter("event_seq")))
+            for uuid in sorted(by_chain)
+        ]
+        groups = list(store.chains_for_run("run"))
+        assert [uuid for uuid, _rows in groups] == [uuid for uuid, _group in expected]
+        for (_uuid, rows), (_same, group) in zip(groups, expected):
+            assert all(type(row) is tuple and len(row) == 13 for row in rows)
+            assert [from_row(row) for row in rows] == group
+    finally:
+        store.close()

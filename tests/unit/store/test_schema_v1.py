@@ -12,8 +12,8 @@ from each: ``[rank, the 22 fields]`` pairs.
 
 What v1 support consists of is ``SegmentReader.scan`` alone: a v1
 segment is pruned whole by its footer or decoded whole and tested record
-by record, its aggregates are folded from those records, and a run
-holding one compacts through records, as every run does.
+by record, its aggregates are folded from the rows it decodes, and a run
+holding one compacts through rows, as every run does.
 """
 
 import json
@@ -23,7 +23,7 @@ import shutil
 import pytest
 
 from repro.core import CallKind, Domain, ProbeRecord, Site, TracingEvent
-from repro.core.records import SITE_FIELDS
+from repro.core.records import SITE_FIELDS, as_row
 from repro.store import ScanPredicate, ScanStats, SegmentStore
 from repro.store.query import (
     fold_operations,
@@ -33,6 +33,7 @@ from repro.store.query import (
     segment_filter,
 )
 from repro.store.segment import SegmentReader, segment_info
+from tests.helpers import rows_of
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FILES = ("v1_sealed.seg", "v1_spool.seg", "v1_spool_cut.seg")
@@ -51,13 +52,18 @@ def expected_pairs(name):
     return pairs
 
 
+def row_pairs(pairs):
+    """``(rank, record)`` pairs as a scan yields them: ``(rank, row)``."""
+    return [(rank, tuple(as_row(record))) for rank, record in pairs]
+
+
 def scan_pairs(reader, predicate=None, stats=None):
     flt = None if predicate is None else segment_filter(reader, predicate)
     assert predicate is None or flt is not None
     return [
-        (rank, record)
-        for _cid, ranks, records in reader.scan(flt, stats or ScanStats())
-        for rank, record in zip(ranks, records)
+        (rank, row)
+        for _cid, ranks, rows in reader.scan(flt, stats or ScanStats())
+        for rank, row in zip(ranks, rows)
     ]
 
 
@@ -75,16 +81,16 @@ class TestReader:
         assert reader.schema_version == 1
         assert reader.partial is (name == "v1_spool_cut.seg")
         assert reader.record_count == len(expected)
-        assert scan_pairs(reader) == expected
+        assert scan_pairs(reader) == row_pairs(expected)
         info = segment_info(reader)
         assert (info["schema_version"], info["sites"]) == (1, 0)
 
     def test_one_site_object_per_distinct_site_of_a_scan_unit(self, v1):
         _name, reader = v1
-        for _cid, _ranks, records in reader.scan(None, ScanStats()):
+        for _cid, _ranks, rows in reader.scan(None, ScanStats()):
             by_value = {}
-            for record in records:
-                assert by_value.setdefault(record.site, record.site) is record.site
+            for site, *_fields in rows:
+                assert by_value.setdefault(site, site) is site
 
     def test_pruned_whole_by_a_disjoint_window_or_an_unknown_operation(self, v1):
         name, reader = v1
@@ -104,7 +110,7 @@ class TestReader:
         wanted = [(k, r) for k, r in expected_pairs(name) if predicate.matches(r)]
         assert wanted
         stats = ScanStats()
-        assert scan_pairs(reader, predicate, stats) == wanted
+        assert scan_pairs(reader, predicate, stats) == row_pairs(wanted)
         # No frame-level pushdown: every frame of a decoded unit is built.
         assert stats.frames_decoded >= stats.records_matched == len(wanted)
 
@@ -114,7 +120,7 @@ class TestReader:
         records = [record for _rank, record in expected_pairs(name)]
         chains = {}
         for record in records:
-            chains.setdefault(record.chain_uuid, []).append(record)
+            chains.setdefault(record.chain_uuid, []).append(tuple(as_row(record)))
         fold = reader.fold(None, ScanStats(), anchors=True, threads=True)
         assert merge_operations([fold])[1] == fold_operations(chains.items())[1]
         assert {
@@ -160,7 +166,9 @@ class TestStore:
         chains = {}
         for record in sorted(expected, key=lambda r: r.event_seq):
             chains.setdefault(record.chain_uuid, []).append(record)
-        assert list(store.chains_for_run("r1")) == sorted(chains.items())
+        assert list(store.chains_for_run("r1")) == [
+            (chain, rows_of(group)) for chain, group in sorted(chains.items())
+        ]
         predicate = ScanPredicate(interfaces={"Fx::Spooler"})
         assert list(store.all_records("r1", predicate=predicate)) == [
             r for r in expected if predicate.matches(r)
@@ -174,7 +182,7 @@ class TestStore:
         assert store.compact("r1") is True
         (reader,) = store._segments(store._run("r1"))
         assert (reader.schema_version, reader.sealed, reader.partial) == (2, True, False)
-        assert sorted(scan_pairs(reader), key=lambda pair: pair[0]) == expected
+        assert sorted(scan_pairs(reader), key=lambda pair: pair[0]) == row_pairs(expected)
         info = segment_info(reader)
         assert info["schema_version"] == 2
         assert info["sites"] == len({record.site for _rank, record in expected})

@@ -13,6 +13,7 @@ from repro.store.segment import (
     SegmentReader,
     SegmentWriter,
 )
+from tests.helpers import rows_of
 
 
 def make_record(chain="aa" * 16, seq=0, **overrides):
@@ -69,14 +70,14 @@ def roundtrip(tmp_path, records, kind=KIND_SPOOL):
 class TestFrameRoundtrip:
     def test_basic_record(self, tmp_path):
         record = make_record()
-        assert roundtrip(tmp_path, [record]) == [record]
+        assert roundtrip(tmp_path, [record]) == rows_of([record])
 
     def test_all_optional_fields_absent(self, tmp_path):
         record = make_record(
             wall_start=None, wall_end=None, cpu_start=None, cpu_end=None,
             child_chain_uuid=None, semantics=None,
         )
-        assert roundtrip(tmp_path, [record]) == [record]
+        assert roundtrip(tmp_path, [record]) == rows_of([record])
 
     def test_every_presence_combination(self, tmp_path):
         records = []
@@ -90,7 +91,7 @@ class TestFrameRoundtrip:
                 child_chain_uuid=f"child-{mask}" if mask & 16 else None,
                 semantics={"m": mask} if mask & 32 else None,
             ))
-        assert roundtrip(tmp_path, records) == records
+        assert roundtrip(tmp_path, records) == rows_of(records)
 
     def test_enum_fields_roundtrip(self, tmp_path):
         records = [
@@ -104,7 +105,7 @@ class TestFrameRoundtrip:
                 for d in Domain
             )
         ]
-        assert roundtrip(tmp_path, records) == records
+        assert roundtrip(tmp_path, records) == rows_of(records)
 
     def test_wide_timestamp_deltas(self, tmp_path):
         # Jumps far beyond i32 force the wide frame; mixing them with
@@ -118,7 +119,7 @@ class TestFrameRoundtrip:
                         cpu_start=10**14, cpu_end=10**14 + 3),
             make_record(seq=3, wall_start=5 * 10**15 + 50, cpu_start=10**14 + 9),
         ]
-        assert roundtrip(tmp_path, records) == records
+        assert roundtrip(tmp_path, records) == rows_of(records)
 
     def test_negative_time_deltas(self, tmp_path):
         # Arrival order does not imply clock order across processes.
@@ -126,7 +127,7 @@ class TestFrameRoundtrip:
             make_record(seq=0, wall_start=10**9, cpu_start=10**6),
             make_record(seq=1, wall_start=10**9 - 5000, cpu_start=10**6 - 40),
         ]
-        assert roundtrip(tmp_path, records) == records
+        assert roundtrip(tmp_path, records) == rows_of(records)
 
     def test_unicode_and_long_strings(self, tmp_path):
         record = make_record(
@@ -134,7 +135,7 @@ class TestFrameRoundtrip:
             component="组件", process="proc-\N{SNOWMAN}",
             semantics={"note": "naïve \N{ROLLING ON THE FLOOR LAUGHING}"},
         )
-        assert roundtrip(tmp_path, [record]) == [record]
+        assert roundtrip(tmp_path, [record]) == rows_of([record])
 
     def test_sealed_groups_roundtrip(self, tmp_path):
         records = [
@@ -143,7 +144,7 @@ class TestFrameRoundtrip:
             for chain in ("aa" * 16, "bb" * 16, "cc" * 16)
             for seq in range(5)
         ]
-        assert roundtrip(tmp_path, records, kind=KIND_SEALED) == records
+        assert roundtrip(tmp_path, records, kind=KIND_SEALED) == rows_of(records)
 
     def test_sealed_group_offsets_decode_independently(self, tmp_path):
         path = str(tmp_path / "g.seg")
@@ -160,7 +161,7 @@ class TestFrameRoundtrip:
         # Decode the *last* group first: offsets must be self-contained.
         for cid, count, start_off, _ranks in reversed(reader.chains):
             chain = reader.strings[cid]
-            assert reader.decode_group(start_off, count) == expected[chain]
+            assert reader.decode_group(start_off, count) == rows_of(expected[chain])
         reader.close()
 
     def test_many_records_cross_flush_boundary(self, tmp_path):
@@ -170,7 +171,7 @@ class TestFrameRoundtrip:
             make_record(seq=i, semantics={"pad": "x" * 4096, "i": i})
             for i in range(2048)
         ]
-        assert roundtrip(tmp_path, records) == records
+        assert roundtrip(tmp_path, records) == rows_of(records)
 
     def test_multi_block_spool_self_anchors_each_block(self, tmp_path, monkeypatch):
         # The reader resets its timestamp-delta state per records block,
@@ -197,7 +198,7 @@ class TestFrameRoundtrip:
         out = []
         reader.load_ranked(out)
         reader.close()
-        assert [record for _rank, record in out] == records
+        assert [row for _rank, row in out] == rows_of(records)
 
 
 class TestSegmentValidation:
