@@ -14,10 +14,12 @@ import json
 
 from repro import telemetry
 from repro.analysis import reconstruct
+from repro.analysis.chrome_trace import render_chrome_trace
+from repro.analysis.otlp import render_otlp
+from repro.analysis.pipeline import LiveMetricsPipeline
 from repro.apps.pps import PpsSystem, four_process_deployment
 from repro.collector import LogCollector
 from repro.core import MonitorMode
-from repro.telemetry.pipeline import LiveMetricsPipeline
 
 CHROME_PATH = "/tmp/repro_trace.json"
 OTLP_PATH = "/tmp/repro_spans.json"
@@ -55,9 +57,9 @@ def main() -> None:
     telemetry.disable()
 
     with open(CHROME_PATH, "w") as handle:
-        handle.write(telemetry.render_chrome_trace(dscg, run_id=run_id))
+        handle.write(render_chrome_trace(dscg, run_id=run_id))
     with open(OTLP_PATH, "w") as handle:
-        handle.write(telemetry.render_otlp(dscg, run_id=run_id, indent=2))
+        handle.write(render_otlp(dscg, run_id=run_id, indent=2))
 
     document = json.loads(open(CHROME_PATH).read())
     print()

@@ -30,7 +30,7 @@ from repro.analysis.dscg import (
     EVENT_SEQ, HOST, PID, PLATFORM, PROCESS, WALL_END, WALL_START, CallNode, Dscg,
 )
 from repro.analysis.latency import causality_overhead, end_to_end_latency
-from repro.telemetry.chrome_trace import (
+from repro.analysis.chrome_trace import (
     _implicated_chains,
     _incident_summaries,
     _primary_side,

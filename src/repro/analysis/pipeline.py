@@ -17,6 +17,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Iterable
 
+from repro.analysis.online import OnlineMonitor
 from repro.platform.process import SimProcess
 from repro.telemetry.exposition import render_prometheus
 from repro.telemetry.metrics import MetricsRegistry
@@ -32,11 +33,6 @@ class LiveMetricsPipeline:
         latency_slo_ns: int | None = None,
         on_alert: Callable | None = None,
     ):
-        # Imported here: repro.analysis.online itself uses telemetry
-        # metrics, and a module-level import would close that cycle
-        # during package initialization.
-        from repro.analysis.online import OnlineMonitor
-
         self.processes = list(processes)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.monitor = OnlineMonitor(

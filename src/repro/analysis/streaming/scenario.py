@@ -25,7 +25,7 @@ from typing import Callable
 
 from repro.analysis.streaming.detector import DetectionConfig, StreamingDetector
 from repro.analysis.streaming.incident import IncidentReport, incidents_to_json
-from repro.collector import LogCollector, MonitoringDatabase
+from repro.collector import LogCollector
 from repro.core import (
     MonitorConfig,
     MonitoringRuntime,
@@ -36,6 +36,7 @@ from repro.faults import FaultInjector, FaultKind, FaultPlan, WindowedDelayPlan
 from repro.idl import compile_idl
 from repro.orb import InterfaceRegistry, Orb, ThreadPerConnection
 from repro.platform import Host, PlatformKind, SimProcess, VirtualClock, quiesce
+from repro.store import MonitoringDatabase
 from repro.telemetry.metrics import MetricsRegistry
 
 IDL = """

@@ -9,7 +9,7 @@ from repro.apps.embedded.generator import (
     EmbeddedSplitter,
     generate_embedded_idl,
 )
-from repro.collector import MonitoringDatabase, collect_run
+from repro.collector import collect_run
 from repro.core import (
     MonitorConfig,
     MonitoringRuntime,
@@ -29,6 +29,7 @@ from repro.platform import (
     VirtualClock,
     quiesce,
 )
+from repro.store import MonitoringDatabase
 from repro.workloads.burn import burn_cpu
 
 

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from repro.apps.pps.components import PpsWiring, build_servant_classes
 from repro.apps.pps.idl import PPS_COMPONENTS, PPS_IDL
-from repro.collector import MonitoringDatabase, collect_run
+from repro.collector import collect_run
 from repro.core import (
     MonitorConfig,
     MonitoringRuntime,
@@ -41,6 +41,7 @@ from repro.platform import (
     VirtualClock,
     quiesce,
 )
+from repro.store import MonitoringDatabase
 
 
 @dataclass(frozen=True)

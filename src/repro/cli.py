@@ -42,8 +42,7 @@ from repro.analysis import (
 )
 from repro.analysis.report import cpu_table, dscg_summary, latency_table, loss_summary
 from repro.analysis.serialize import dscg_to_json
-from repro.collector import MonitoringDatabase
-from repro.store import StorageBackend, open_store
+from repro.store import MonitoringDatabase, StorageBackend, open_store
 from repro.testing_harness import derive_plan, render_harness_script
 
 
@@ -240,7 +239,8 @@ def cmd_harness(args) -> int:
 
 
 def cmd_export_trace(args) -> int:
-    from repro.telemetry import render_chrome_trace, render_otlp
+    from repro.analysis.chrome_trace import render_chrome_trace
+    from repro.analysis.otlp import render_otlp
 
     incidents = None
     if args.incidents:
@@ -303,10 +303,10 @@ def cmd_incidents(args) -> int:
 def cmd_metrics(args) -> int:
     """Drive a demo workload with self-metrics enabled; print the scrape."""
     from repro import telemetry
+    from repro.analysis.pipeline import LiveMetricsPipeline
     from repro.apps.pps import PpsSystem, four_process_deployment
     from repro.collector import LogCollector
     from repro.core import MonitorMode
-    from repro.telemetry.pipeline import LiveMetricsPipeline
 
     registry = telemetry.enable(telemetry.MetricsRegistry())
     try:

@@ -30,6 +30,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
+import repro
 from repro.cluster import control
 from repro.cluster.loadgen import LoadResult, merge_results
 from repro.cluster.transport import SocketTransport
@@ -40,8 +41,6 @@ from repro.store.ingest import ingest_shipments, receive_shipment
 
 def _src_pythonpath() -> str:
     """PYTHONPATH entry that makes ``import repro`` resolve to this tree."""
-    import repro
-
     return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 

@@ -43,7 +43,7 @@ import queue
 import socket
 import threading
 
-from repro.errors import TransportError
+from repro.errors import MarshalError, TransportError
 from repro.orb.aio.framing import StreamFrameParser, frame_message
 
 #: recv() buffer size for the per-connection reader threads.
@@ -162,7 +162,7 @@ class SocketConnection:
                 break  # FIN / half-close: peer is gone for good
             try:
                 frames = parser.feed(chunk)
-            except Exception:
+            except MarshalError:
                 # Corrupt length prefix: no next frame boundary exists.
                 break
             for payload in frames:
@@ -258,7 +258,9 @@ class SocketTransport:
                 frames = parser.feed(chunk)
             hello = json.loads(frames[0].decode("utf-8"))
             client_label = str(hello["client_label"])
-        except Exception:
+        except (OSError, MarshalError, ValueError, KeyError, TypeError):
+            # A socket error or timeout, a corrupt prefix, a hello that is
+            # not UTF-8 JSON (ValueError), or one of the wrong shape.
             try:
                 sock.close()
             except OSError:

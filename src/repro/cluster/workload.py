@@ -30,6 +30,7 @@ from repro.core import (
 )
 from repro.idl import compile_idl
 from repro.orb import AsyncioDispatch, InterfaceRegistry, Orb, ThreadPerRequest
+from repro.orb.refs import ObjectRef
 from repro.platform import Host, PlatformKind, SimProcess, VirtualClock
 
 #: The ring workload's IDL: one sync operation is enough, the cluster's
@@ -82,8 +83,6 @@ class WorkerDeployment:
 
     def connect(self, ref_urls: dict[str, str]) -> None:
         """Resolve the ring neighbour's stub from the published ref map."""
-        from repro.orb.refs import ObjectRef
-
         ref = ObjectRef.from_url(ref_urls[self.target_address])
         self.stub = self.driver_orb.resolve(ref)
 

@@ -1,6 +1,11 @@
-"""Log collection into the relational monitoring database."""
+"""Quiescence-time log collection: drain each process's log buffer into a
+storage backend (:mod:`repro.store`).
+
+``MonitoringDatabase`` is re-exported from :mod:`repro.store` for callers
+that still import it from here.
+"""
 
 from repro.collector.collector import LogCollector, collect_run
-from repro.collector.database import MonitoringDatabase
+from repro.store import MonitoringDatabase
 
 __all__ = ["LogCollector", "MonitoringDatabase", "collect_run"]

@@ -12,17 +12,14 @@ from __future__ import annotations
 import itertools
 import time
 import uuid
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from repro.collector.database import MonitoringDatabase
 from repro.core.records import SCHEMA_VERSION, RunMetadata
 from repro.errors import TransientCollectorError
 from repro.platform.process import SimProcess
+from repro.store import MonitoringDatabase, StorageBackend
 from repro.telemetry.metrics import NULL_COUNTER, NULL_HISTOGRAM, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
-
-if TYPE_CHECKING:
-    from repro.store.backend import StorageBackend
 
 _run_counter = itertools.count(1)
 

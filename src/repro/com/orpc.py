@@ -24,7 +24,7 @@ from repro.com.apartments import Apartment, CallMessage, ReplySlot
 from repro.com.interfaces import ComInterface, ComObject
 from repro.core.events import Domain
 from repro.core.records import OperationInfo
-from repro.errors import ComError, ComponentCrash
+from repro.errors import ComError, ComponentCrash, InterfaceNotSupported
 from repro.telemetry.metrics import NULL_COUNTER, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
 
@@ -102,8 +102,6 @@ class Proxy:
 
     def query_interface(self, interface: ComInterface) -> "Proxy":
         if not self._identity.obj.supports(interface):
-            from repro.errors import InterfaceNotSupported
-
             raise InterfaceNotSupported(
                 f"{type(self._identity.obj).__name__} does not support {interface.name}"
             )

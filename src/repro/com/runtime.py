@@ -20,7 +20,7 @@ from repro.com.apartments import Apartment, Mta, Sta
 from repro.com.guids import clsid_for
 from repro.com.interfaces import ComInterface, ComObject, IUNKNOWN
 from repro.com.orpc import ObjectIdentity, Proxy
-from repro.errors import ComError
+from repro.errors import ComError, InterfaceNotSupported
 from repro.platform.process import SimProcess
 
 
@@ -132,8 +132,6 @@ class ComRuntime:
                 )
             interface = implements[0]
         if interface != IUNKNOWN and not identity.obj.supports(interface):
-            from repro.errors import InterfaceNotSupported
-
             raise InterfaceNotSupported(
                 f"{type(identity.obj).__name__} does not support {interface.name}"
             )

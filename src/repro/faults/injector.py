@@ -13,6 +13,8 @@ import threading
 from dataclasses import dataclass
 
 from repro.errors import ComponentCrash
+from repro.faults.lossy import LossyLogBuffer
+from repro.faults.network import FaultyNetwork
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.telemetry.metrics import NULL_COUNTER, NULL_REGISTRY
 from repro.telemetry.runtime import metrics_binder
@@ -95,14 +97,10 @@ class FaultInjector:
 
     def network(self):
         """A fresh fault-injecting network driven by this injector."""
-        from repro.faults.network import FaultyNetwork
-
         return FaultyNetwork(self)
 
     def lossy_delivery(self, process) -> None:
         """Make ``process``'s probe->collector record delivery lossy."""
-        from repro.faults.lossy import LossyLogBuffer
-
         if not isinstance(process.log_buffer, LossyLogBuffer):
             process.log_buffer = LossyLogBuffer(process.log_buffer, self, process.name)
 

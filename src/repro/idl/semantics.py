@@ -32,9 +32,11 @@ from repro.idl.types import (
     ExceptionType,
     IdlType,
     ObjectRefType,
+    PrimitiveType,
     SequenceType,
     StringType,
     StructType,
+    VoidType,
 )
 
 
@@ -241,8 +243,6 @@ class Analyzer:
         target[scoped] = resolved
 
     def _check_const_value(self, scoped: str, const_type: IdlType, value) -> None:
-        from repro.idl.types import PrimitiveType
-
         if isinstance(const_type, StringType) and not isinstance(value, str):
             raise IdlSemanticError(f"const {scoped}: expected string value")
         if isinstance(const_type, PrimitiveType):
@@ -358,8 +358,6 @@ class Analyzer:
                 )
             raises.append(exc_type)
         if node.oneway:
-            from repro.idl.types import VoidType
-
             if not isinstance(return_type, VoidType):
                 raise IdlSemanticError(
                     f"oneway operation {declared_in}::{node.name} must return void"

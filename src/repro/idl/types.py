@@ -13,6 +13,7 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import MarshalError
 from repro.orb.cdr import CdrDecoder, CdrEncoder
+from repro.orb.refs import ObjectRef
 
 
 class IdlType:
@@ -208,8 +209,6 @@ class ObjectRefType(IdlType):
         self.interface_name = interface_name
 
     def marshal(self, encoder: CdrEncoder, value: Any) -> None:
-        from repro.orb.refs import ObjectRef
-
         if value is None:
             encoder.write_string("")
             return
@@ -227,8 +226,6 @@ class ObjectRefType(IdlType):
         encoder.write_string(ref.to_url())
 
     def unmarshal(self, decoder: CdrDecoder) -> Any:
-        from repro.orb.refs import ObjectRef
-
         url = decoder.read_string()
         if not url:
             return None

@@ -48,7 +48,11 @@ from repro.orb.giop import (
 )
 from repro.orb.poa import ObjectAdapter
 from repro.orb.refs import ObjectRef
-from repro.orb.runtime import GLOBAL_INTERFACE_REGISTRY, InterfaceRegistry
+from repro.orb.runtime import (
+    GLOBAL_INTERFACE_REGISTRY,
+    InterfaceRegistry,
+    _marshal_system_exception,
+)
 from repro.orb.threading_policies import ThreadingPolicy, ThreadPerRequest
 from repro.platform.network import Connection, Network
 from repro.platform.process import SimProcess
@@ -508,8 +512,6 @@ class Orb:
         except ObjectNotFound as exc:
             _DISPATCH_NOT_FOUND.inc()
             if not request.oneway:
-                from repro.orb.runtime import _marshal_system_exception
-
                 reply = ReplyMessage(
                     request_id=request.request_id,
                     status=ReplyStatus.SYSTEM_EXCEPTION,

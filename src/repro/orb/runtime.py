@@ -26,7 +26,7 @@ from repro.errors import ComponentCrash, MarshalError, OrbError, RemoteApplicati
 from repro.orb.cdr import CdrDecoder, CdrEncoder
 from repro.orb.fastcdr import MarshalPlan
 
-if TYPE_CHECKING:  # imported lazily to avoid a circular import with repro.idl
+if TYPE_CHECKING:  # repro.idl sits above repro.orb: type names only
     from repro.idl.semantics import ResolvedInterface, ResolvedOperation
 from repro.orb.giop import ReplyMessage, ReplyStatus, RequestMessage
 from repro.orb.refs import ObjectRef

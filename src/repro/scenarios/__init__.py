@@ -38,13 +38,14 @@ from repro.scenarios.config import (
     loads,
 )
 from repro.scenarios.executor import (
+    WORKLOADS,
     ScenarioOutcome,
     SuiteReport,
     run_scenario,
     run_suite,
 )
 from repro.scenarios.invariants import CHECKERS, InvariantResult, ScenarioState
-from repro.scenarios.workloads import WORKLOADS, ScenarioContext, WorkloadHarness
+from repro.scenarios.workloads import ScenarioContext, WorkloadHarness
 
 __all__ = [
     "SuiteConfig",

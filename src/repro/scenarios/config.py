@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ReproError
+from repro.faults import FaultKind, FaultPlan
 
 
 class SuiteError(ReproError):
     """A suite file is malformed or references unknown components."""
 
 
-#: Workload registry keys (implementations in repro.scenarios.workloads).
+#: Workload registry keys (the registry is repro.scenarios.executor.WORKLOADS).
 WORKLOAD_NAMES = ("corba", "embedded", "three_tier", "pps", "bridge", "cluster")
 #: Storage backends a scenario can collect into.
 BACKEND_NAMES = ("sqlite", "segment")
@@ -159,8 +160,6 @@ class FaultSpec:
     delay_ns: int = 1_000_000
 
     def __post_init__(self):
-        from repro.faults import FaultKind
-
         rates = {}
         for kind, rate in self.rates.items():
             try:
@@ -198,8 +197,6 @@ class FaultSpec:
 
     def to_plan(self, seed: int):
         """Materialize as a seeded :class:`repro.faults.FaultPlan`."""
-        from repro.faults import FaultKind, FaultPlan
-
         return FaultPlan(
             seed=seed,
             rates={FaultKind(k): v for k, v in self.rates.items()},

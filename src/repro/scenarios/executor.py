@@ -20,9 +20,10 @@ import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.analysis import loss_report, reconstruct
-from repro.collector import LogCollector, MonitoringDatabase
+from repro.collector import LogCollector
 from repro.faults import FaultInjector
 from repro.platform import VirtualClock
 from repro.scenarios.config import (
@@ -37,13 +38,33 @@ from repro.scenarios.invariants import (
     InvariantResult,
     ScenarioState,
 )
-from repro.scenarios.workloads import WORKLOADS, ScenarioContext
-from repro.store import SegmentStore
+from repro.scenarios.cluster import run_cluster_scenario
+from repro.scenarios.workloads import (
+    ScenarioContext,
+    WorkloadHarness,
+    run_bridge,
+    run_corba,
+    run_embedded,
+    run_pps,
+    run_three_tier,
+)
+from repro.store import MonitoringDatabase, SegmentStore
 
 #: Run id every scenario collects under (fresh backend per execution).
 SCENARIO_RUN_ID = "scenario"
 #: Report schema version (bump when the JSON shape changes).
 REPORT_VERSION = 1
+
+#: The workload registry the executor dispatches on; keys must mirror
+#: :data:`repro.scenarios.config.WORKLOAD_NAMES` (a unit test holds this).
+WORKLOADS: dict[str, Callable[[ScenarioContext], WorkloadHarness]] = {
+    "corba": run_corba,
+    "embedded": run_embedded,
+    "three_tier": run_three_tier,
+    "pps": run_pps,
+    "bridge": run_bridge,
+    "cluster": run_cluster_scenario,
+}
 
 
 @dataclass

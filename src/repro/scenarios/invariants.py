@@ -36,6 +36,7 @@ from repro.analysis import (
     reconstruct,
     render_ccsg_xml,
 )
+from repro.analysis.streaming import StreamingReconstructor
 from repro.scenarios.config import ScenarioSpec
 from repro.store import ScanPredicate
 
@@ -223,8 +224,6 @@ def check_streaming_batch_equivalence(
     """Streaming reconstruction over the stored arrival stream must
     finalize to the same DSCG as the batch analyzer — the equivalence
     contract that lets live monitoring stand in for offline analysis."""
-    from repro.analysis.streaming import StreamingReconstructor
-
     batch = dscg_to_json(reconstruct(state.backend, state.run_id))
     streaming = StreamingReconstructor()
     streaming.ingest_many(state.backend.all_records(state.run_id))

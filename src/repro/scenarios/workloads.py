@@ -18,6 +18,10 @@ used to hand-code:
 - ``pps``        the printing-pipeline system across four processes
 - ``bridge``     CORBA client -> COM object -> CORBA worker through the
                  interworking bridge
+
+The ``cluster`` adapter, a real multi-process mini-cluster, lives in
+:mod:`repro.scenarios.cluster`; the executor's ``WORKLOADS`` registry
+holds them all.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.apps.embedded import EmbeddedConfig, EmbeddedSystem
+from repro.apps.pps import PpsSystem, four_process_deployment
+from repro.bridge import com_facade_for_corba, corba_facade_for_com
+from repro.com import ComInterface, ComObject, ComRuntime
 from repro.core import (
     MonitorConfig,
     MonitoringRuntime,
@@ -32,6 +40,7 @@ from repro.core import (
     SequentialUuidFactory,
 )
 from repro.idl import compile_idl
+from repro.j2ee import Container, Jndi, stateless
 from repro.orb import (
     AsyncioDispatch,
     InterfaceRegistry,
@@ -270,8 +279,6 @@ def run_corba(ctx: ScenarioContext) -> WorkloadHarness:
 
 
 def run_embedded(ctx: ScenarioContext) -> WorkloadHarness:
-    from repro.apps.embedded import EmbeddedConfig, EmbeddedSystem
-
     params = ctx.spec.workload.params
     config = EmbeddedConfig(
         components=int(params.get("components", 24)),
@@ -330,9 +337,6 @@ def run_embedded(ctx: ScenarioContext) -> WorkloadHarness:
 
 
 def run_three_tier(ctx: ScenarioContext) -> WorkloadHarness:
-    from repro.com import ComInterface, ComObject, ComRuntime
-    from repro.j2ee import Container, Jndi, stateless
-
     calls = int(ctx.spec.workload.params.get("calls", 6))
     clock = ctx.clock
     host = Host("suite-host", PlatformKind.HPUX_11, clock=clock)
@@ -416,8 +420,6 @@ def run_three_tier(ctx: ScenarioContext) -> WorkloadHarness:
 
 
 def run_pps(ctx: ScenarioContext) -> WorkloadHarness:
-    from repro.apps.pps import PpsSystem, four_process_deployment
-
     params = ctx.spec.workload.params
     jobs = int(params.get("jobs", 3))
     pages = int(params.get("pages", 2))
@@ -454,9 +456,6 @@ def run_pps(ctx: ScenarioContext) -> WorkloadHarness:
 
 
 def run_bridge(ctx: ScenarioContext) -> WorkloadHarness:
-    from repro.bridge import com_facade_for_corba, corba_facade_for_com
-    from repro.com import ComInterface, ComObject, ComRuntime
-
     frames = int(ctx.spec.workload.params.get("frames", 5))
     clock = ctx.clock
     host = Host("suite-host", PlatformKind.HPUX_11, clock=clock)
@@ -524,27 +523,3 @@ def run_bridge(ctx: ScenarioContext) -> WorkloadHarness:
         ctx.tick(frame)
     quiesce(processes)
     return WorkloadHarness(processes, errors, results, _shutdown_all(processes))
-
-
-# ----------------------------------------------------------------------
-# cluster: a real multi-process mini-cluster (see repro.cluster.scenario)
-
-
-def run_cluster(ctx: ScenarioContext) -> WorkloadHarness:
-    # Imported lazily: repro.cluster pulls in the socket transport and
-    # subprocess launcher, which non-cluster suites never need.
-    from repro.cluster.scenario import run_cluster_scenario
-
-    return run_cluster_scenario(ctx)
-
-
-#: The workload registry the executor dispatches on; keys must mirror
-#: :data:`repro.scenarios.config.WORKLOAD_NAMES` (a unit test holds this).
-WORKLOADS: dict[str, Callable[[ScenarioContext], WorkloadHarness]] = {
-    "corba": run_corba,
-    "embedded": run_embedded,
-    "three_tier": run_three_tier,
-    "pps": run_pps,
-    "bridge": run_bridge,
-    "cluster": run_cluster,
-}

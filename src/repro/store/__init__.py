@@ -1,4 +1,4 @@
-"""repro.store — the columnar segment store and the backend seam.
+"""repro.store — the storage backends and the seam between them.
 
 An append-only, log-structured storage backend for probe records:
 binary frames (precompiled ``struct`` codecs, delta-encoded timestamps,
@@ -8,10 +8,13 @@ appends an arrival-order *spool*; compaction, run by the caller, merges a
 run that holds several segments into one sealed segment, and analyzer scans
 decode straight out of ``mmap``ed files — no SQL on the hot path.
 
-The :class:`StorageBackend` protocol is the seam: the SQLite-backed
-:class:`repro.collector.MonitoringDatabase` and :class:`SegmentStore`
-are interchangeable under it, and :func:`open_store` picks one from a
-path (directory → segment store, file → SQLite).
+The paper's relational database is :class:`repro.store.MonitoringDatabase`
+(SQLite, :mod:`repro.store.sqlite`): the in-memory default and the
+reference the segment store is held to. The :class:`StorageBackend`
+protocol is the seam: :class:`MonitoringDatabase` and
+:class:`SegmentStore` are interchangeable under it, and
+:func:`open_store` picks one from a path (directory → segment store,
+file → SQLite).
 """
 
 from repro.store.backend import StorageBackend, detect_backend, open_store
@@ -23,10 +26,12 @@ from repro.store.query import (
     run_query,
 )
 from repro.store.segment import SegmentReader, SegmentWriter, segment_info
+from repro.store.sqlite import MonitoringDatabase
 from repro.store.store import SegmentStore
 
 __all__ = [
     "StorageBackend",
+    "MonitoringDatabase",
     "SegmentStore",
     "SegmentReader",
     "SegmentWriter",

@@ -5,7 +5,7 @@ collector, CLI and analyzers program against. Two implementations ship:
 
 - :class:`repro.store.SegmentStore` — the columnar segment store, the
   product path everything measured runs on;
-- :class:`repro.collector.MonitoringDatabase` — SQLite, the paper's
+- :class:`repro.store.MonitoringDatabase` — SQLite, the paper's
   relational database: reference backend, in-memory default and the
   oracle the segment store is held to (one connection, no read scaling).
 
@@ -20,6 +20,7 @@ from typing import ContextManager, Iterable, Iterator, Protocol, runtime_checkab
 
 from repro.core.records import ProbeRecord, RunMetadata
 from repro.store.query import OpStats, ScanPredicate, ScanStats
+from repro.store.sqlite import MonitoringDatabase
 from repro.store.store import MARKER_FILE, SegmentStore
 
 
@@ -117,7 +118,5 @@ def open_store(path: str, backend: str | None = None, **kwargs) -> StorageBacken
             path = os.path.dirname(path) or "."
         return SegmentStore(path, **kwargs)
     if backend == "sqlite":
-        from repro.collector.database import MonitoringDatabase
-
         return MonitoringDatabase(path, **kwargs)
     raise ValueError(f"unknown storage backend {backend!r}")

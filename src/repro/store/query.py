@@ -512,6 +512,7 @@ def run_query(
     (``wall_end - wall_start``) — the store-level latency figure that
     needs no chain reconstruction.
     """
+    # Imported here: repro.store.store imports this module at load time.
     from repro.store.store import SegmentStore
 
     predicate = predicate or ScanPredicate()

@@ -16,7 +16,7 @@ round-trip) per chain.
 
 Role: the paper's relational database, kept as the *reference* backend —
 the zero-setup in-memory default of ``LogCollector()`` and the oracle
-the identity suites hold the segment store (:mod:`repro.store`, the
+the identity suites hold the segment store (:mod:`repro.store.store`, the
 product path everything measured runs on) to.
 
 Concurrency model: one connection under one lock, file-backed or
@@ -36,8 +36,79 @@ from typing import Iterable, Iterator
 
 from repro.core.events import CallKind, Domain, TracingEvent
 from repro.core.records import RECORD_SCHEMA, ProbeRecord, RunMetadata, Site, as_row
-from repro.collector.schema import RECORD_COLUMNS, SCHEMA_STATEMENTS
 from repro.store.query import OpStats, ScanPredicate, ScanStats, fold_operations
+
+# ----------------------------------------------------------------------
+# Relational schema. "The scattered logs are collected and eventually
+# synthesized into a relational database" (Section 3): the standard-library
+# sqlite3, an in-memory database by default, a file path for persistent
+# runs. The ``records`` table is generated from the single source of truth
+# for the record layout, :data:`repro.core.records.RECORD_SCHEMA`, so the
+# SQL columns can never drift from the dataclass (or from the binary
+# segment codec, which derives from the same table).
+
+#: SQL column affinity and nullability for each schema field kind.
+_SQL_TYPES = {
+    "str": "TEXT NOT NULL",
+    "int": "INTEGER NOT NULL",
+    "event": "INTEGER NOT NULL",
+    "call_kind": "TEXT NOT NULL",
+    "bool": "INTEGER NOT NULL",
+    "domain": "TEXT NOT NULL",
+    "opt_int": "INTEGER",
+    "opt_str": "TEXT",
+    "json": "TEXT",
+}
+
+_RECORD_COLUMN_DDL = ",\n        ".join(
+    f"{field.name:16s} {_SQL_TYPES[field.kind]}" for field in RECORD_SCHEMA
+)
+
+SCHEMA_STATEMENTS = (
+    """
+    CREATE TABLE IF NOT EXISTS runs (
+        run_id        TEXT PRIMARY KEY,
+        description   TEXT NOT NULL DEFAULT '',
+        monitor_mode  TEXT NOT NULL DEFAULT '',
+        extra         TEXT NOT NULL DEFAULT '{}'
+    )
+    """,
+    f"""
+    CREATE TABLE IF NOT EXISTS records (
+        id               INTEGER PRIMARY KEY,
+        run_id           TEXT NOT NULL REFERENCES runs(run_id),
+        {_RECORD_COLUMN_DDL}
+    )
+    """,
+    # Drives the analyzer's fused single-scan reconstruction
+    # (MonitoringDatabase.chains_for_run): index entries end with the
+    # implicit rowid, so "ORDER BY chain_uuid, event_seq, id" is an
+    # in-order index walk with no sort step, and a shard's
+    # "chain_uuid BETWEEN lo AND hi" is a contiguous index range.
+    """
+    CREATE INDEX IF NOT EXISTS idx_records_chain
+        ON records (run_id, chain_uuid, event_seq)
+    """,
+    """
+    CREATE INDEX IF NOT EXISTS idx_records_function
+        ON records (run_id, interface, operation)
+    """,
+    # Predicate-pushdown parity with the segment store's query engine:
+    # single-operation filters (without an interface) and time-window
+    # filters each get an index so selective scans don't degrade to a
+    # full run scan. IF NOT EXISTS means existing databases pick these
+    # up on their next open.
+    """
+    CREATE INDEX IF NOT EXISTS idx_records_operation
+        ON records (run_id, operation)
+    """,
+    """
+    CREATE INDEX IF NOT EXISTS idx_records_wall
+        ON records (run_id, wall_start)
+    """,
+)
+
+RECORD_COLUMNS = ("run_id",) + tuple(field.name for field in RECORD_SCHEMA)
 
 #: Column order used by every record SELECT; positions are relied on by
 #: the tuple-based :func:`_row_to_row` / :func:`_row_to_record`

@@ -22,7 +22,7 @@ from repro.analysis import (
     reconstruct_from_records,
     render_ccsg_xml,
 )
-from repro.collector import LogCollector, MonitoringDatabase
+from repro.collector import LogCollector
 from repro.core import (
     MonitorConfig,
     MonitoringRuntime,
@@ -33,7 +33,7 @@ from repro.core import (
 from repro.idl import compile_idl
 from repro.orb import AsyncioDispatch, InterfaceRegistry, Orb
 from repro.platform import Host, Network, PlatformKind, SimProcess, VirtualClock
-from repro.store import SegmentStore
+from repro.store import MonitoringDatabase, SegmentStore
 
 IDL = """
 module ADP {

@@ -70,7 +70,7 @@ class TestCli:
 
     def test_empty_database_rejected(self, tmp_path):
         empty = tmp_path / "empty.db"
-        from repro.collector import MonitoringDatabase
+        from repro.store import MonitoringDatabase
 
         MonitoringDatabase(str(empty)).close()
         with pytest.raises(SystemExit):

@@ -19,8 +19,8 @@ from repro.analysis import (
     reconstruct_sharded,
     render_ccsg_xml,
 )
-from repro.collector import LogCollector, MonitoringDatabase
-from repro.store import SegmentStore
+from repro.collector import LogCollector
+from repro.store import MonitoringDatabase, SegmentStore
 
 
 def _embedded_processes():

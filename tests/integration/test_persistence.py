@@ -7,8 +7,9 @@ to a database *file* must reconstruct identically when reopened cold.
 
 from repro.analysis import CpuAnalysis, build_ccsg, reconstruct, render_ccsg_xml
 from repro.apps.pps import PpsSystem, four_process_deployment
-from repro.collector import LogCollector, MonitoringDatabase
+from repro.collector import LogCollector
 from repro.core import MonitorMode
+from repro.store import MonitoringDatabase
 
 
 class TestFilePersistence:

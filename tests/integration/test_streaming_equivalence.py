@@ -21,8 +21,7 @@ from repro.analysis.streaming import (
     run_seeded_delay_scenario,
     seeded_incident_report,
 )
-from repro.collector import MonitoringDatabase
-from repro.store import SegmentStore
+from repro.store import MonitoringDatabase, SegmentStore
 
 
 class TestFaultFreeBitIdentity:
@@ -113,7 +112,7 @@ class TestExporterAnnotations:
         scenario.store.close()
 
     def test_chrome_trace_marks_implicated_chains(self, detected):
-        from repro.telemetry import chrome_trace_document
+        from repro.analysis.chrome_trace import chrome_trace_document
 
         scenario, detector = detected
         incidents = detector.incidents
@@ -138,7 +137,7 @@ class TestExporterAnnotations:
         assert all(s["root_cause_component"] == "BackImpl" for s in summaries)
 
     def test_otlp_marks_implicated_spans(self, detected):
-        from repro.telemetry import otlp_document
+        from repro.analysis.otlp import otlp_document
 
         scenario, detector = detected
         document = otlp_document(
@@ -160,7 +159,8 @@ class TestExporterAnnotations:
         assert document["otherData"]["incidents"]
 
     def test_unannotated_export_unchanged(self, detected):
-        from repro.telemetry import render_chrome_trace, render_otlp
+        from repro.analysis.chrome_trace import render_chrome_trace
+        from repro.analysis.otlp import render_otlp
 
         _, detector = detected
         plain_chrome = render_chrome_trace(detector.dscg)

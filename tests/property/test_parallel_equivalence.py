@@ -14,8 +14,9 @@ import tempfile
 from hypothesis import given, strategies as st
 
 from repro.analysis import dscg_to_json, reconstruct, reconstruct_sharded
-from repro.collector import MonitoringDatabase, collect_run
+from repro.collector import collect_run
 from repro.core import CallKind, Domain, MonitorMode, ProbeRecord, Site, TracingEvent
+from repro.store import MonitoringDatabase
 from tests.helpers import Call, simulate
 
 _NAMES = ["A::f", "A::g", "B::h", "C::m"]

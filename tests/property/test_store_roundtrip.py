@@ -11,7 +11,6 @@ Two invariants:
 
 from hypothesis import given, strategies as st
 
-from repro.collector import MonitoringDatabase
 from repro.core import (
     CallKind,
     Domain,
@@ -20,7 +19,7 @@ from repro.core import (
     Site,
     TracingEvent,
 )
-from repro.store import SegmentStore
+from repro.store import MonitoringDatabase, SegmentStore
 from repro.store.segment import KIND_SPOOL, SegmentReader, SegmentWriter
 from tests.helpers import rows_of
 

@@ -18,8 +18,9 @@ from repro.analysis import (
 )
 from repro.analysis.parallel import shard_bounds
 import repro.analysis.parallel as parallel_mod
-from repro.collector import MonitoringDatabase, collect_run
+from repro.collector import collect_run
 from repro.core import CallKind, Domain, MonitorMode, ProbeRecord, Site, TracingEvent
+from repro.store import MonitoringDatabase
 from tests.helpers import Call, simulate
 
 

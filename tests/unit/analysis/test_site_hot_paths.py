@@ -20,10 +20,9 @@ import pytest
 from repro.analysis import OnlineMonitor, dscg_to_json, reconstruct
 from repro.analysis.sequence_chart import spans_from_records
 from repro.analysis.streaming import StreamingDetector
-from repro.collector import MonitoringDatabase
 from repro.core import MonitorMode, ProbeRecord, RunMetadata
 from repro.core.records import SITE_FIELDS
-from repro.store import ScanPredicate, SegmentStore, run_query
+from repro.store import MonitoringDatabase, ScanPredicate, SegmentStore, run_query
 
 from tests.helpers import Call, simulate
 

@@ -185,6 +185,38 @@ class TestConnectionLifecycle:
             server.close()
 
 
+class TestHandshake:
+    BAD_HELLOS = {
+        "not utf-8": frame_message(b"\xff\xfe\x00"),
+        "not json": frame_message(b"client_label: raw"),
+        "json array": frame_message(b'["client_label", "raw"]'),
+        "no client_label": frame_message(b'{"label": "raw"}'),
+        "corrupt prefix": (MAX_FRAME_BYTES + 1).to_bytes(4, "big"),
+    }
+
+    def test_bad_hellos_are_dropped_and_the_listener_survives(self):
+        server = SocketTransport()
+        accepted: queue.Queue = queue.Queue()
+        server.listen("svc", accepted.put)
+        host, port = server.local_endpoints()["svc"]
+        try:
+            for name, hello in self.BAD_HELLOS.items():
+                with socket.create_connection((host, port), timeout=5.0) as raw:
+                    raw.sendall(hello)
+                    assert raw.recv(1) == b"", name  # the server closed it
+                assert accepted.empty(), name
+            client = SocketTransport()
+            try:
+                client.set_endpoints(server.local_endpoints())
+                conn = client.connect("cli", "svc")
+                conn.send(b"after")
+                assert accepted.get(timeout=5.0).recv(timeout=5.0) == b"after"
+            finally:
+                client.close()
+        finally:
+            server.close()
+
+
 class TestTransportSeam:
     def test_connect_unknown_address(self):
         transport = SocketTransport()

@@ -1,6 +1,12 @@
 """Unit tests for the monitoring database and collector."""
 
-from repro.collector import LogCollector, MonitoringDatabase, collect_run
+import os
+import subprocess
+import sys
+
+import repro
+import repro.collector
+from repro.collector import LogCollector, collect_run
 from repro.core import (
     CallKind,
     Domain,
@@ -11,6 +17,7 @@ from repro.core import (
 )
 from repro.core.records import SITE_FIELDS
 from repro.platform import Host, PlatformKind, SimProcess, VirtualClock
+from repro.store import MonitoringDatabase, open_store
 from tests.helpers import rows_of
 
 
@@ -122,7 +129,7 @@ class TestDatabase:
         assert seqs == [5, 1]
 
     def test_all_records_streams_across_fetch_batches(self):
-        from repro.collector import database as database_module
+        from repro.store import sqlite as database_module
 
         db = MonitoringDatabase()
         db.create_run(RunMetadata(run_id="r1"))
@@ -178,7 +185,7 @@ class TestDatabase:
         import threading
 
         from repro.analysis.parallel import shard_bounds
-        from repro.collector import database as database_module
+        from repro.store import sqlite as database_module
 
         db = MonitoringDatabase(str(tmp_path / "wal.db"))
         db.create_run(RunMetadata(run_id="r1"))
@@ -286,3 +293,27 @@ class TestCollector:
         assert collector.database.record_count(run1) == 1
         assert collector.database.record_count(run2) == 1
         assert run1 != run2
+
+
+class TestStoreSeam:
+    """SQLite is a store; the collector re-exports it only for callers
+    that import it from there (the ledger's ``bench/pipeline.py``)."""
+
+    def test_collector_reexport_is_the_store_class(self):
+        assert repro.collector.MonitoringDatabase is MonitoringDatabase
+
+    def test_open_store_returns_the_sqlite_class(self, tmp_path):
+        for path in (":memory:", str(tmp_path / "m.db")):
+            db = open_store(path)
+            try:
+                assert type(db) is MonitoringDatabase
+            finally:
+                db.close()
+
+    def test_ledger_modules_import_in_a_fresh_interpreter(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-c", "import bench.pipeline, bench.layers"],
+            cwd=os.path.dirname(src), env=env, check=True,
+        )

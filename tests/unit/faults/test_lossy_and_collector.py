@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.collector import LogCollector, MonitoringDatabase
+from repro.collector import LogCollector
 from repro.core import MonitorMode, ProbeRecord, Site, TracingEvent
 from repro.errors import TransientCollectorError
 from repro.faults import FaultInjector, FaultPlan, LossyLogBuffer
 from repro.platform.process import LocalLogBuffer
+from repro.store import MonitoringDatabase
 from tests.helpers import Call, simulate
 
 _SITE = Site("M::I", "op", "p.obj-1", "Comp", "p", 1, "h", "x86", "Linux")

@@ -16,13 +16,13 @@ from operator import attrgetter
 
 import pytest
 
-from repro.collector import LogCollector, MonitoringDatabase
+from repro.collector import LogCollector
 from repro.core import MonitoringRuntime, MonitorMode, OperationInfo, RunMetadata
 from repro.core.records import from_row
 from repro.faults import FaultInjector, FaultPlan, LossyLogBuffer
 from repro.faults.plan import FaultKind
 from repro.platform import Host, LocalLogBuffer, SimProcess
-from repro.store import SegmentStore
+from repro.store import MonitoringDatabase, SegmentStore
 from tests.helpers import Call, simulate
 
 

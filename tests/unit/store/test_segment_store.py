@@ -6,10 +6,9 @@ import threading
 
 import pytest
 
-from repro.collector import MonitoringDatabase
 from repro.core import RunMetadata
 from repro.errors import StoreError
-from repro.store import SegmentStore, detect_backend, open_store
+from repro.store import MonitoringDatabase, SegmentStore, detect_backend, open_store
 from repro.store import segment as segment_module
 from repro.store.segment import SegmentReader
 

@@ -12,11 +12,11 @@ import json
 import pytest
 
 from repro.analysis import reconstruct_from_records
+from repro.analysis.chrome_trace import chrome_trace_document, render_chrome_trace
 from repro.analysis.latency import causality_overhead, end_to_end_latency
+from repro.analysis.otlp import otlp_document, render_otlp
 from repro.core import MonitorMode
 from repro.core.events import CallKind, TracingEvent
-from repro.telemetry.chrome_trace import chrome_trace_document, render_chrome_trace
-from repro.telemetry.otlp import otlp_document, render_otlp
 from tests.helpers import Call, simulate
 
 

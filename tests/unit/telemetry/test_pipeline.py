@@ -4,8 +4,8 @@ import time
 
 import pytest
 
+from repro.analysis.pipeline import LiveMetricsPipeline
 from repro.core import MonitorMode
-from repro.telemetry.pipeline import LiveMetricsPipeline
 from tests.helpers import Call, simulate
 
 
