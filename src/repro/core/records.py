@@ -33,10 +33,9 @@ from repro.core.events import CallKind, Domain, TracingEvent
 #: :data:`RECORD_SCHEMA`) as persisted. Stamped into run metadata by the
 #: collector and into every segment-file header so a reader can refuse
 #: data written under a different layout instead of mis-decoding it
-#: (v2: a site table per segment, a site id per frame; v1's fields).
+#: (v2: a site table per segment, a site id per frame). The only layout
+#: this build reads or writes.
 SCHEMA_VERSION = 2
-#: Layouts this build reads; it writes only :data:`SCHEMA_VERSION`.
-READABLE_SCHEMA_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -216,7 +216,8 @@ def decode_message(payload: bytes) -> RequestMessage | ReplyMessage:
     Zero-copy: ``body`` and ``ftl`` come back as memoryview slices over
     the received frame, so argument unmarshalling and FTL adoption read
     the wire bytes in place. (``memoryview == bytes`` compares contents,
-    so message equality is unaffected.)
+    so message equality is unaffected.) A payload that is not a message
+    raises :class:`MarshalError`, and nothing else.
     """
     view = memoryview(payload)
     magic, pos = _read_ulong(view, 0)
@@ -244,7 +245,10 @@ def decode_message(payload: bytes) -> RequestMessage | ReplyMessage:
                 raise MarshalError("buffer underrun reading string")
             if str_len == 0 or view[end - 1] != 0:
                 raise MarshalError("string missing NUL terminator")
-            strings.append(bytes(view[pos : end - 1]).decode("utf-8"))
+            try:
+                strings.append(bytes(view[pos : end - 1]).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise MarshalError(f"string is not UTF-8: {exc}") from None
             pos = end
         object_key, interface, operation = strings
         if pos + 2 > len(view):
@@ -270,7 +274,10 @@ def decode_message(payload: bytes) -> RequestMessage | ReplyMessage:
     if kind == MessageKind.REPLY:
         request_id, pos = _read_ulong(view, pos)
         status_octet, pos = _read_octet(view, pos)
-        status = ReplyStatus(status_octet)
+        try:
+            status = ReplyStatus(status_octet)
+        except ValueError:
+            raise MarshalError(f"unknown reply status {status_octet}") from None
         if pos >= len(view):
             raise MarshalError("buffer underrun reading boolean")
         has_ftl = view[pos]

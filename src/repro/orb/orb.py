@@ -31,7 +31,13 @@ import threading
 import time
 from typing import Any
 
-from repro.errors import ComponentCrash, ObjectNotFound, OrbError, TransportError
+from repro.errors import (
+    ComponentCrash,
+    MarshalError,
+    ObjectNotFound,
+    OrbError,
+    TransportError,
+)
 from repro.orb.aio.channel import AsyncMuxChannel
 from repro.orb.aio.framing import (
     ASYNC_STREAM_PRELUDE,
@@ -430,9 +436,7 @@ class Orb:
                 payload = conn.recv(timeout=self.request_timeout)
                 try:
                     reply = decode_message(payload)
-                except TransportError:
-                    raise
-                except Exception as exc:
+                except MarshalError as exc:
                     # A corrupt/truncated reply must surface as a transport
                     # failure, not a decoder crash in the caller's stack.
                     _MALFORMED.inc()
@@ -477,7 +481,7 @@ class Orb:
             if parser is not None:
                 try:
                     frames = parser.feed(payload)
-                except Exception:
+                except MarshalError:
                     # A corrupt length prefix desynchronizes the whole
                     # stream — unlike one bad message, there is no next
                     # frame boundary to resume from. Reset the link.
@@ -489,7 +493,7 @@ class Orb:
             for frame in frames:
                 try:
                     message = decode_message(frame)
-                except Exception:
+                except MarshalError:
                     # A corrupt/truncated request must not kill the reader
                     # thread; drop the payload and keep serving the link.
                     _MALFORMED.inc()

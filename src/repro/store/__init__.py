@@ -17,14 +17,9 @@ protocol is the seam: :class:`MonitoringDatabase` and
 file → SQLite).
 """
 
-from repro.store.backend import StorageBackend, detect_backend, open_store
+from repro.store.backend import StorageBackend, detect_backend, open_store, run_query
 from repro.store.catalog import CrossRunResult, RetentionPolicy, RunCatalog
-from repro.store.query import (
-    ScanPredicate,
-    ScanStats,
-    fold_population_stats,
-    run_query,
-)
+from repro.store.query import ScanPredicate, ScanStats, fold_population_stats
 from repro.store.segment import SegmentReader, SegmentWriter, segment_info
 from repro.store.sqlite import MonitoringDatabase
 from repro.store.store import SegmentStore

@@ -11,6 +11,7 @@ collector, CLI and analyzers program against. Two implementations ship:
 
 :func:`open_store` autodetects which one a path holds: a directory (or a
 path ending in the store marker) is a segment store, a file is SQLite.
+:func:`run_query` answers the per-operation latency query on either.
 """
 
 from __future__ import annotations
@@ -120,3 +121,41 @@ def open_store(path: str, backend: str | None = None, **kwargs) -> StorageBacken
     if backend == "sqlite":
         return MonitoringDatabase(path, **kwargs)
     raise ValueError(f"unknown storage backend {backend!r}")
+
+
+def run_query(
+    backend,
+    run_id: str,
+    predicate: ScanPredicate | None = None,
+    stats: ScanStats | None = None,
+) -> dict:
+    """Execute a predicated scan and aggregate per-operation latency.
+
+    Works against any :class:`~repro.store.StorageBackend` through its
+    ``fold_operations``; the segment store additionally fills ``stats``
+    with its pruning counters, which the result then carries. The result
+    is JSON-ready and deterministic for a given store.
+
+    Per-operation ``wall_ns`` aggregates the record's own probe interval
+    (``wall_end - wall_start``) — the store-level latency figure that
+    needs no chain reconstruction.
+    """
+    predicate = predicate or ScanPredicate()
+    folded, chains = backend.fold_operations(run_id, predicate, stats)
+    operations = {}
+    for key in sorted(folded):
+        op = folded[key]
+        entry: dict = {"records": op.records}
+        if op.timed:
+            entry["wall_ns"] = {"count": op.timed, **op.wall_ns(exact=True)}
+        operations[key] = entry
+    result = {
+        "run_id": run_id,
+        "predicate": predicate.to_dict(),
+        "records": sum(op.records for op in folded.values()),
+        "chains": chains,
+        "operations": operations,
+    }
+    if stats is not None and isinstance(backend, SegmentStore):
+        result["scan"] = stats.to_dict()
+    return result

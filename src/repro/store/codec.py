@@ -31,10 +31,7 @@ front-to-back without its footer.
 
 The layout is derived from, and import-time-checked against, the one
 schema table :data:`repro.core.records.RECORD_SCHEMA` shared with the
-SQLite row codecs. Format v1 (a frame carried the site's fields itself;
-start readings re-anchored implicitly per block and per sealed group)
-stays readable: its structs and the per-version size table are at the
-bottom.
+SQLite row codecs. It is the only record layout this build reads.
 """
 
 from __future__ import annotations
@@ -84,6 +81,7 @@ SITE_ROW = struct.Struct("<8IqB")
 FRAME_NARROW = struct.Struct("<IBBBIqIIiiiii")
 FRAME_WIDE = struct.Struct("<IBBBIqIIqqqqq")
 HEAD_SIZE = FRAME_NARROW.size - 20  # head bytes shared by both widths
+MISC_OFF = 5  # the misc flag byte, whose bit 16 gives the frame's width
 
 #: Enum round-trips by position; tuple indexing beats Enum constructors
 #: (and dict lookups) on the million-record decode path.
@@ -93,21 +91,3 @@ DOMAIN_NUM = {domain: num for num, domain in enumerate(DOMAIN_BY_NUM)}
 
 SYNC = CallKind.SYNC
 ONEWAY = CallKind.ONEWAY
-
-# ----------------------------------------------------------------------
-# Format v1, read-only. Head: I chain id | q event_seq | B event | B misc
-# (bits 2-3: domain number) | B presence | I interface | I operation |
-# I object_id | I component | I process | q pid | I host | q thread_id |
-# I processor_type | I platform | I child id | I semantics length; tail:
-# the four readings (i32 narrow / i64 wide).
-FRAME_NARROW_V1 = struct.Struct("<IqBBBIIIIIqIqIIIIiiii")
-FRAME_WIDE_V1 = struct.Struct("<IqBBBIIIIIqIqIIIIqqqq")
-
-#: Per format version: narrow size, wide size, offset of the misc byte, and
-#: the struct salvage probes a frame with — ``(chain id, presence, an id
-#: the frame must resolve [v2: site id; v1: interface id], child id,
-#: semantics length)``.
-FRAME_LAYOUT = {
-    1: (FRAME_NARROW_V1.size, FRAME_WIDE_V1.size, 13, struct.Struct("<I10xBI44xII")),
-    2: (FRAME_NARROW.size, FRAME_WIDE.size, 5, struct.Struct("<I2xBI8xII")),
-}

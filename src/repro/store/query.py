@@ -23,8 +23,7 @@ happens before decode, at three pruning levels:
    resolved once to the ids of this segment's chains and *sites*
    (:func:`segment_filter`), so the per-frame test is set membership on
    ints and no :class:`~repro.core.records.ProbeRecord` is built for a
-   non-matching frame. (A schema v1 segment has no site table: it is
-   pruned whole or decoded whole and tested record by record.)
+   non-matching frame.
 
 The SQLite backend accepts the same predicate and compiles it to indexed
 ``WHERE`` clauses; both backends return bit-identical results for any
@@ -153,21 +152,18 @@ class SegmentFilter:
     group — may it carry a wanted function, by the function zone map? —
     and is ``None`` when there is nothing to prune on: no
     interface/operation predicate, no map in the file, or every function
-    of the segment wanted. ``matches`` is the predicate's record-level
-    test, set only for a schema v1 segment, whose frames carry no site
-    id to test. Built by :func:`segment_filter`; consumed by
+    of the segment wanted. Built by :func:`segment_filter`; consumed by
     :meth:`SegmentReader.scan <repro.store.segment.SegmentReader.scan>`.
     """
 
-    __slots__ = ("cids", "sites", "ts_lo", "ts_hi", "fn_groups", "matches")
+    __slots__ = ("cids", "sites", "ts_lo", "ts_hi", "fn_groups")
 
-    def __init__(self, cids, sites, ts_lo, ts_hi, fn_groups, matches=None):
+    def __init__(self, cids, sites, ts_lo, ts_hi, fn_groups):
         self.cids = cids
         self.sites = sites
         self.ts_lo = ts_lo
         self.ts_hi = ts_hi
         self.fn_groups = fn_groups
-        self.matches = matches
 
     @property
     def is_pass(self) -> bool:
@@ -177,16 +173,13 @@ class SegmentFilter:
             and self.sites is None
             and self.ts_lo is None
             and self.ts_hi is None
-            and self.matches is None
         )
 
     def within_group(self) -> "SegmentFilter | None":
         """The per-frame filter inside one sealed chain group that group
         pruning let through: the chain test is settled there (cid is
         constant), and ``None`` means no per-frame test remains."""
-        rest = SegmentFilter(
-            None, self.sites, self.ts_lo, self.ts_hi, self.fn_groups, self.matches
-        )
+        rest = SegmentFilter(None, self.sites, self.ts_lo, self.ts_hi, self.fn_groups)
         return None if rest.is_pass else rest
 
 
@@ -196,9 +189,8 @@ def segment_filter(
     """Resolve ``predicate`` against one segment; ``None`` prunes it.
 
     Segment-level pruning uses only footer metadata — the function
-    table, the site table (else, in a v1 segment, the string dictionary),
-    the chain index, and the timestamp-bounds extension — so a pruned
-    segment costs zero frame decodes.
+    table, the site table, the chain index, and the timestamp-bounds
+    extension — so a pruned segment costs zero frame decodes.
     """
     ts_lo = ts_hi = None
     if predicate.has_time_range:
@@ -224,24 +216,18 @@ def segment_filter(
                 return None
             if 2 * len(fns) < len(table):
                 fn_groups = reader.groups_holding(fns)
-        if reader.schema_version == 1:
-            if (ifcs is not None and ifcs.isdisjoint(strings)) or (
-                ops is not None and ops.isdisjoint(strings)
-            ):
-                return None
-        else:
-            # Every frame names a site: the sites both sets accept are
-            # exactly the frames that can match, and with every site of
-            # the segment wanted there is nothing left to test per frame.
-            sites = {
-                sid for sid, site in enumerate(reader.sites)
-                if (ifcs is None or site.interface in ifcs)
-                and (ops is None or site.operation in ops)
-            }
-            if not sites:
-                return None
-            if len(sites) == len(reader.sites):
-                sites = None
+        # Every frame names a site: the sites both sets accept are exactly
+        # the frames that can match, and with every site of the segment
+        # wanted there is nothing left to test per frame.
+        sites = {
+            sid for sid, site in enumerate(reader.sites)
+            if (ifcs is None or site.interface in ifcs)
+            and (ops is None or site.operation in ops)
+        }
+        if not sites:
+            return None
+        if len(sites) == len(reader.sites):
+            sites = None
 
     cids = None
     if predicate.chain_prefix is not None:
@@ -253,10 +239,7 @@ def segment_filter(
         if len(cids) == len(reader.chains):
             cids = None  # every chain matches: no per-frame test needed
 
-    return SegmentFilter(
-        cids, sites, ts_lo, ts_hi, fn_groups,
-        predicate.matches if reader.schema_version == 1 else None,
-    )
+    return SegmentFilter(cids, sites, ts_lo, ts_hi, fn_groups)
 
 
 def fold_population_stats(records: Iterable["ProbeRecord"]) -> dict[str, int]:
@@ -494,43 +477,3 @@ def _op_stats(
         )
     return operations
 
-
-def run_query(
-    backend,
-    run_id: str,
-    predicate: ScanPredicate | None = None,
-    stats: ScanStats | None = None,
-) -> dict:
-    """Execute a predicated scan and aggregate per-operation latency.
-
-    Works against any :class:`~repro.store.StorageBackend` through its
-    ``fold_operations``; the segment store additionally fills ``stats``
-    with its pruning counters, which the result then carries. The result
-    is JSON-ready and deterministic for a given store.
-
-    Per-operation ``wall_ns`` aggregates the record's own probe interval
-    (``wall_end - wall_start``) — the store-level latency figure that
-    needs no chain reconstruction.
-    """
-    # Imported here: repro.store.store imports this module at load time.
-    from repro.store.store import SegmentStore
-
-    predicate = predicate or ScanPredicate()
-    folded, chains = backend.fold_operations(run_id, predicate, stats)
-    operations = {}
-    for key in sorted(folded):
-        op = folded[key]
-        entry: dict = {"records": op.records}
-        if op.timed:
-            entry["wall_ns"] = {"count": op.timed, **op.wall_ns(exact=True)}
-        operations[key] = entry
-    result = {
-        "run_id": run_id,
-        "predicate": predicate.to_dict(),
-        "records": sum(op.records for op in folded.values()),
-        "chains": chains,
-        "operations": operations,
-    }
-    if stats is not None and isinstance(backend, SegmentStore):
-        result["scan"] = stats.to_dict()
-    return result

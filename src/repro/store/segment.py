@@ -64,9 +64,8 @@ dictionary and the site table from the inline delta blocks, and reports
 the bytes it had to drop — loss accounting survives partial segments
 instead of the whole file vanishing.
 
-Schema v1 segments (no site table; a frame carried the site's fields)
-stay readable through :meth:`SegmentReader.scan` alone (their
-:meth:`~SegmentReader.fold` folds what it decodes).
+A header naming any record schema but v2 (v1 included) is refused with a
+:class:`~repro.errors.StoreError`.
 """
 
 from __future__ import annotations
@@ -81,23 +80,15 @@ from dataclasses import dataclass
 from itertools import accumulate
 from json import dumps as _dumps, loads as _loads
 
-from repro.core.records import (
-    READABLE_SCHEMA_VERSIONS,
-    SCHEMA_VERSION,
-    Site,
-    as_rows,
-    from_row,
-)
+from repro.core.records import SCHEMA_VERSION, Site, as_rows
 from repro.errors import StoreError
 from repro.store.codec import (
     DOMAIN_BY_NUM,
     DOMAIN_NUM,
     EVENT_BY_NUM,
-    FRAME_LAYOUT,
     FRAME_NARROW,
-    FRAME_NARROW_V1,
     FRAME_WIDE,
-    FRAME_WIDE_V1,
+    MISC_OFF as _MISC_OFF,
     ONEWAY,
     SITE_ROW,
     SYNC,
@@ -136,7 +127,7 @@ _FN_STORED = bytes(range(_FN_OVERFLOW)) + b"\0"
 _FN_UNKNOWN = bytes(_FN_OVERFLOW) + b"\1"
 _U32_MAX = (1 << 32) - 1
 
-_FN_SIZE, _FW_SIZE, _MISC_OFF, _ = FRAME_LAYOUT[SCHEMA_VERSION]
+_FN_SIZE, _FW_SIZE = FRAME_NARROW.size, FRAME_WIDE.size
 
 #: Flush the records block once it holds this many payload bytes.
 _FLUSH_BYTES = 4 << 20
@@ -149,6 +140,9 @@ _FOLD_NARROW = struct.Struct("<IBxBIqII4xii8x")
 _FOLD_WIDE = struct.Struct("<IBxBIqII8xqq16x")
 if (_FOLD_NARROW.size, _FOLD_WIDE.size) != (_FN_SIZE, _FW_SIZE):
     raise AssertionError("the aggregate walk's frame structs are out of sync")
+#: What salvage checks of a frame: chain id, presence, site id, child id,
+#: semantics length.
+_SALVAGE_PROBE = struct.Struct("<I2xBI8xII")
 
 
 def uuid_key(uuid: str) -> bytes:
@@ -227,21 +221,6 @@ class SegmentFold:
             entry[0] += frames
             entry[1] += intervals
 
-    def add_records(self, rows, anchors: bool = False) -> None:
-        """Fold decoded rows the way :meth:`SegmentReader.fold` folds
-        frames — how a schema v1 segment, which has no site table, folds."""
-        for site, uuid, _seq, event, tid, _kind, _col, ws, we, *_rest in rows:
-            self.add_site(site, 1, [] if ws is None or we is None else [we - ws])
-            if event == 1:
-                self.calls += 1
-            self.chains.add(uuid)
-            if self.threads is not None:
-                self.threads.add((site.process, tid))
-            anchor = record_anchor(ws, we)
-            if anchors and anchor is not None:
-                lo, hi = self.bounds or (anchor, anchor)
-                self.bounds = (min(lo, anchor), max(hi, anchor))
-
 
 def _pack_strings(strings: list[str]) -> bytes:
     """``(u16 len | utf8)*`` — how both the dict-delta blocks and the footer
@@ -260,20 +239,13 @@ class SegmentWriter:
     state in locals.
     """
 
-    def __init__(
-        self,
-        path: str,
-        kind: int = KIND_SPOOL,
-        arrival_base: int = 0,
-        schema_version: int = SCHEMA_VERSION,
-    ):
+    def __init__(self, path: str, kind: int = KIND_SPOOL, arrival_base: int = 0):
         self.path = path
         self.kind = kind
         self.arrival_base = arrival_base
-        self.schema_version = schema_version
         self._file = open(path, "wb")
         self._file.write(
-            _HEADER.pack(MAGIC, FORMAT_VERSION, kind, schema_version, arrival_base)
+            _HEADER.pack(MAGIC, FORMAT_VERSION, kind, SCHEMA_VERSION, arrival_base)
         )
         self._file_pos = _HEADER.size
         self._ids: dict[str, int] = {}
@@ -661,21 +633,19 @@ class SegmentReader:
             raise StoreError(f"not a segment file (bad magic): {path}")
         if fmt != FORMAT_VERSION:
             raise StoreError(f"unsupported segment format {fmt}: {path}")
-        if schema_version not in READABLE_SCHEMA_VERSIONS:
+        if schema_version != SCHEMA_VERSION:
             raise StoreError(
                 f"segment {path} uses record schema v{schema_version}, "
-                f"this build reads v{READABLE_SCHEMA_VERSIONS}"
+                f"this build reads v{SCHEMA_VERSION} only"
             )
         self.kind = kind
         self.sealed = kind == KIND_SEALED
         self.schema_version = schema_version
-        if schema_version == 1:
-            self._decode_span = self._decode_span_v1
         self.arrival_base = arrival_base
         self.partial = False
         self.dropped_bytes = 0
         self.strings: list[str] = []
-        #: one :class:`Site` per site-table row (a v1 segment has no table).
+        #: one :class:`Site` per site-table row.
         self.sites: list[Site] = []
         #: list of (cid, count, start_off, ranks) in group order; ranks are
         #: a sealed group's arrival ranks, ``None`` in spools and salvage.
@@ -757,10 +727,9 @@ class SegmentReader:
         (n_strings,) = _U32.unpack_from(mm, pos)
         strings, pos = self._read_strings(pos + 4, n_strings)
         self.strings = strings
-        if self.schema_version != 1:
-            (n_sites,) = _U32.unpack_from(mm, pos)
-            self.sites = self._read_sites(pos + 4, n_sites, strings)
-            pos += 4 + n_sites * SITE_ROW.size
+        (n_sites,) = _U32.unpack_from(mm, pos)
+        self.sites = self._read_sites(pos + 4, n_sites, strings)
+        pos += 4 + n_sites * SITE_ROW.size
         (n_chains,) = _U32.unpack_from(mm, pos)
         pos += 4
         chains = []
@@ -825,7 +794,7 @@ class SegmentReader:
             if tag == _TAG_RECORDS:
                 regions.append((pos + _BLOCK.size + 4, pos + _BLOCK.size + plen))
                 frames += _U32.unpack_from(mm, pos + _BLOCK.size)[0]
-            elif tag != _TAG_DICT and (tag != _TAG_SITES or self.schema_version == 1):
+            elif tag != _TAG_DICT and tag != _TAG_SITES:
                 raise StoreError(f"unknown block tag {tag} in {self.path}")
             pos += _BLOCK.size + plen
         if (
@@ -848,7 +817,7 @@ class SegmentReader:
         while pos + _BLOCK.size <= end:
             tag, plen = _BLOCK.unpack_from(mm, pos)
             payload_end = pos + _BLOCK.size + plen
-            if tag == _TAG_DICT or (tag == _TAG_SITES and self.schema_version != 1):
+            if tag == _TAG_DICT or tag == _TAG_SITES:
                 if payload_end > end:
                     break  # truncated mid-table: nothing after is decodable
                 table = strings if tag == _TAG_DICT else sites
@@ -886,8 +855,8 @@ class SegmentReader:
         # and so does the segment (the rest goes to ``dropped_bytes``).
         counts: dict[int, int] = {}
         n_strings = len(strings)
-        fn_size, fw_size, misc_off, probe = FRAME_LAYOUT[self.schema_version]
-        n_sites = n_strings if self.schema_version == 1 else len(sites)
+        fn_size, fw_size, misc_off, probe = _FN_SIZE, _FW_SIZE, _MISC_OFF, _SALVAGE_PROBE
+        n_sites = len(sites)
         decoded_end = min(pos, end)
         kept = []
         for start, region_end in regions:
@@ -1020,87 +989,6 @@ class SegmentReader:
             ) from None
         return done
 
-    def _decode_span_v1(
-        self, off: int, end: int, limit: int, out: list, flt=None, hits=None
-    ) -> int:
-        """:meth:`_decode_span` for a schema v1 segment — the v1 build's
-        loop: ten site fields per frame (one :class:`Site` per distinct
-        combination), both start readings re-anchored at the span's start
-        and, in a sealed segment, wherever the chain id changes. There is
-        no frame-level pushdown: with ``flt`` every frame is decoded and
-        ``flt.matches`` picks the rows (through the record each
-        describes: the predicate's one record-level definition)."""
-        mm = self._mm
-        strings = self.strings
-        fn_unpack = FRAME_NARROW_V1.unpack_from
-        fw_unpack = FRAME_WIDE_V1.unpack_from
-        fn_size, fw_size, misc_off, _ = FRAME_LAYOUT[1]
-        loads = _loads
-        event_by_num = EVENT_BY_NUM
-        domain_by_num = DOMAIN_BY_NUM
-        sealed = self.sealed
-        append = out.append
-        sites: dict[tuple, Site] = {}
-        first = len(out)
-        prev_ws = prev_cs = None
-        last_cid = -1
-        done = 0
-        try:
-            while off < end and done < limit:
-                if mm[off + misc_off] & 16:
-                    (cid, seq, ev, misc, pres, ifc, op, obj, comp, proc, pid, host,
-                     tid, ptype, plat, childid, semlen, wsd, wed, csd, ced,
-                     ) = fw_unpack(mm, off)
-                    off += fw_size
-                else:
-                    (cid, seq, ev, misc, pres, ifc, op, obj, comp, proc, pid, host,
-                     tid, ptype, plat, childid, semlen, wsd, wed, csd, ced,
-                     ) = fn_unpack(mm, off)
-                    off += fn_size
-                if sealed and cid != last_cid:
-                    prev_ws = prev_cs = None
-                    last_cid = cid
-                if pres & 1:
-                    ws = wsd if prev_ws is None else prev_ws + wsd
-                    prev_ws = ws
-                    we = ws + wed if pres & 2 else None
-                else:
-                    ws = None
-                    we = wed if pres & 2 else None
-                if pres & 4:
-                    cs = csd if prev_cs is None else prev_cs + csd
-                    prev_cs = cs
-                    ce = cs + ced if pres & 8 else None
-                else:
-                    cs = None
-                    ce = ced if pres & 8 else None
-                if semlen:
-                    sem = loads(mm[off:off + semlen]) if pres & 32 else None
-                    off += semlen
-                else:
-                    sem = None
-                key = (ifc, op, obj, comp, proc, pid, host, ptype, plat, misc & 12)
-                site = sites.get(key)
-                if site is None:
-                    site = sites[key] = Site(
-                        strings[ifc], strings[op], strings[obj], strings[comp],
-                        strings[proc], pid, strings[host], strings[ptype],
-                        strings[plat], domain_by_num[(misc >> 2) & 3],
-                    )
-                append((
-                    site, strings[cid], seq, event_by_num[ev], tid,
-                    ONEWAY if misc & 1 else SYNC, True if misc & 2 else False,
-                    ws, we, cs, ce, strings[childid] if pres & 16 else None, sem,
-                ))
-                done += 1
-        except (IndexError, struct.error, ValueError):
-            raise StoreError(f"corrupt frame in {self.path}") from None
-        if flt is not None:
-            matches = flt.matches
-            hits += [i for i, row in enumerate(out[first:]) if matches(from_row(row))]
-            out[first:] = [out[first + i] for i in hits]
-        return done
-
     def _units(
         self, flt, stats: ScanStats, lo: bytes | None = None, hi: bytes | None = None
     ) -> tuple:
@@ -1210,9 +1098,7 @@ class SegmentReader:
         are not JSON raise :class:`StoreError`. With ``anchors`` the fold
         carries the matched frames' anchor bounds (from the ``FXTS``
         footer when every frame passes and the file has one), with
-        ``threads`` their ``(process, thread_id)`` pairs. A schema v1
-        segment has no site table: it folds the rows :meth:`scan`
-        decodes.
+        ``threads`` their ``(process, thread_id)`` pairs.
         """
         out = SegmentFold(threads)
         track = anchors and (
@@ -1221,10 +1107,6 @@ class SegmentReader:
         if anchors and not track:
             lo, hi = self.ts_bounds
             out.bounds = (lo, hi) if lo <= hi else None
-        if self.schema_version == 1:
-            for _cid, _ranks, rows in self.scan(flt, stats):
-                out.add_records(rows, track)
-            return out
         flt, units = self._units(flt, stats)
         mm = self._mm
         strings, sites = self.strings, self.sites

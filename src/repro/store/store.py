@@ -14,7 +14,7 @@ over the ``mmap``ed file with no SQL and no sort step from the first
 scan, and analyzer shards read disjoint byte ranges. An ``insert_records``
 outside a transaction appends an arrival-order *spool*. Compaction
 merges a run that holds more than one segment (a second collection,
-spools, a salvaged or schema v1 file) into one, in the caller's thread:
+spools, a salvaged file) into one, in the caller's thread:
 :meth:`SegmentStore.compact`, or the write that leaves a run with
 ``auto_compact`` segments.
 
@@ -42,7 +42,6 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from repro.core.records import (
-    READABLE_SCHEMA_VERSIONS,
     SCHEMA_VERSION,
     ProbeRecord,
     RunMetadata,
@@ -112,17 +111,15 @@ class SegmentStore:
         self._bulk_depth = 0
         os.makedirs(os.path.join(path, _RUNS_DIR), exist_ok=True)
         marker = os.path.join(path, MARKER_FILE)
-        found = None
         if os.path.exists(marker):
             with open(marker) as handle:
                 found = json.load(handle).get("schema_version")
-            if found not in READABLE_SCHEMA_VERSIONS:
+            if found != SCHEMA_VERSION:
                 raise StoreError(
                     f"store {path} has record schema v{found}, this build "
-                    f"reads v{READABLE_SCHEMA_VERSIONS}"
+                    f"reads v{SCHEMA_VERSION} only"
                 )
-        if found != SCHEMA_VERSION:
-            # A new store, or an older one this build will now append to.
+        else:
             with open(marker, "w") as handle:
                 json.dump(
                     {"format": "repro-segment-store", "version": 1,

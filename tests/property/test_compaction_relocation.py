@@ -35,10 +35,7 @@ from tests.unit.store.test_compaction_relocation import (
     write_sealed,
     write_spool,
 )
-from tests.unit.store.test_function_zone_map import (
-    OLD_FORMAT_SEGMENT,
-    old_format_records,
-)
+from tests.unit.store.test_format_v2 import DATA, expected_pairs
 from tests.unit.store.test_segment_codec import make_record
 
 #: Byte order of the uuids differs from their first-appearance order, and
@@ -116,8 +113,8 @@ def build_sources(root, records, spools, head, cut):
     base = 0
     if head == "fixture-u64":
         paths.append(os.path.join(run_dir, "000001.sealed.seg"))
-        shutil.copy(OLD_FORMAT_SEGMENT, paths[0])
-        base = len(old_format_records())
+        shutil.copy(os.path.join(DATA, "v2_sealed.seg"), paths[0])
+        base = len(expected_pairs("v2_sealed.seg"))
     elif head != "spool":
         first = chunks.pop(0)
         paths.append(write_sealed(run_dir, 1, first, ranked=head == "sealed-u32"))

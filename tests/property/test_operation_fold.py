@@ -6,8 +6,7 @@ intervals straight from the frames (``SegmentReader.fold``); the oracle is
 builds every record. On random stores in every physical state the
 function zone map property builds (several spools, one sealed segment,
 sealed + fresh spools, recompacted), plus a salvaged one (a spool cut
-short), and on the schema v1 files, under random predicates, the two
-must agree on every operation's records, timed count, wall sum / min /
+short), under random predicates, the two must agree on every operation's records, timed count, wall sum / min /
 max and sorted intervals, on the chain count, and on every
 :class:`ScanStats` field. ``population_stats`` — the same walk — must
 equal :func:`~repro.store.query.fold_population_stats` over the
@@ -15,14 +14,11 @@ predicated ``all_records``, and the anchor bounds a catalog summary keeps
 must equal the records' own.
 """
 
-import json
 import os
-import shutil
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.store import ScanPredicate, ScanStats, SegmentStore
+from repro.store import ScanStats, SegmentStore
 from repro.store.query import fold_operations, fold_population_stats, record_anchor
 
 from tests.property.test_function_zone_map import (
@@ -32,7 +28,6 @@ from tests.property.test_function_zone_map import (
     build_store,
     predicates,
 )
-from tests.unit.store.test_schema_v1 import DATA, FILES, expected_pairs
 
 
 # Either wall reading may be missing: an interval needs both, and a frame
@@ -127,50 +122,3 @@ def test_frame_fold_equals_record_fold(
     finally:
         store.close()
 
-
-_V1_RECORDS = [record for name in FILES for _rank, record in expected_pairs(name)]
-_V1_CHAINS = sorted({record.chain_uuid for record in _V1_RECORDS})
-_V1_ANCHORS = sorted(
-    anchor for record in _V1_RECORDS
-    if (anchor := record_anchor(record.wall_start, record.wall_end)) is not None
-)
-
-
-@st.composite
-def v1_predicates(draw):
-    def names(pool):
-        return st.one_of(st.none(), st.sets(st.sampled_from(sorted(pool) + ["absent"]),
-                                            min_size=1, max_size=2))
-
-    lo = draw(st.one_of(st.none(), st.sampled_from(_V1_ANCHORS)))
-    hi = draw(st.one_of(st.none(), st.sampled_from([a for a in _V1_ANCHORS if a >= (lo or 0)])))
-    return ScanPredicate(
-        ts_min=lo, ts_max=hi,
-        interfaces=draw(names({r.interface for r in _V1_RECORDS})),
-        operations=draw(names({r.operation for r in _V1_RECORDS})),
-        chain_prefix=draw(st.one_of(st.none(), st.sampled_from(
-            sorted({chain[:31] for chain in _V1_CHAINS}) + ["f"]
-        ))),
-    )
-
-
-@pytest.fixture(scope="module")
-def v1_run(tmp_path_factory):
-    """The three schema v1 files as one run ``p``, read-only."""
-    root = str(tmp_path_factory.mktemp("v1fold"))
-    run_dir = os.path.join(root, "runs", "p")
-    os.makedirs(run_dir)
-    for number, name in enumerate(FILES, start=1):
-        kind = "sealed" if name == "v1_sealed.seg" else "spool"
-        shutil.copy(os.path.join(DATA, name), os.path.join(run_dir, f"{number:06d}.{kind}.seg"))
-    with open(os.path.join(root, "repro-store.json"), "w") as handle:
-        json.dump({"format": "repro-segment-store", "version": 1, "schema_version": 1}, handle)
-    store = SegmentStore(root, auto_compact=0)
-    assert_bounds_agree(store, "p")
-    yield store
-    store.close()
-
-
-@given(predicate=st.one_of(st.none(), v1_predicates()))
-def test_v1_segments_fold_as_their_records_do(v1_run, predicate):
-    assert_folds_agree(v1_run, "p", predicate)

@@ -30,10 +30,7 @@ from repro.store.segment import (
 )
 
 from tests.helpers import rows_of
-from tests.unit.store.test_function_zone_map import (
-    OLD_FORMAT_SEGMENT,
-    old_format_records,
-)
+from tests.unit.store.test_format_v2 import DATA, expected_pairs
 from tests.unit.store.test_segment_codec import make_record
 from tests.unit.store.test_segment_store import seeded_records
 
@@ -156,14 +153,18 @@ class TestByteIdentity:
 
     def test_u64_rank_fixture_then_spool(self, tmp_path):
         run_dir = new_run_dir(tmp_path)
-        shutil.copy(OLD_FORMAT_SEGMENT, os.path.join(run_dir, "000001.sealed.seg"))
+        shutil.copy(
+            os.path.join(DATA, "v2_sealed.seg"), os.path.join(run_dir, "000001.sealed.seg")
+        )
+        early = brute_arrival(expected_pairs("v2_sealed.seg"))
         late = [
             make_record(chain=f"{i % 6:032x}", seq=i % 9, wall_start=10**12 - i)
             for i in range(30)
         ]
-        write_spool(run_dir, 2, late, len(old_format_records()))
+        # After the fixture's last rank, which is past u32.
+        write_spool(run_dir, 2, late, (1 << 32) + len(early))
         store, pairs = compact_against_reference(tmp_path)
-        assert list(store.all_records(RUN)) == old_format_records() + late
+        assert list(store.all_records(RUN)) == early + late
         store.close()
 
     @pytest.mark.parametrize("lost_bytes", [9, 300])  # mid-footer, mid-frame

@@ -3,8 +3,8 @@
 The contract under test: a sealed segment records, per chain group, the
 set of (interface, operation) pairs its frames carry, and predicated
 scans prune groups on it — without ever changing an answer. Files that
-lack the map (spools, salvaged segments, segments sealed before it
-existed) are frame-filtered as before; a damaged map ends in the salvage
+lack the map (spools, salvaged segments, a sealed segment whose map was
+cut off at its magic) are frame-filtered as before; a damaged map ends in the salvage
 path or is ignored, never in an untyped exception or a wrong answer.
 """
 
@@ -26,12 +26,6 @@ from repro.store.segment import (
 from tests.helpers import rows_of
 from tests.unit.store.test_segment_codec import make_record
 
-#: A sealed segment written by the commit before the function zone map
-#: (``has_ranks = 1``: u64 ranks; ``FXTS`` but no ``FXFN``): three spools
-#: of ``old_format_records()`` compacted by that commit's own writer.
-OLD_FORMAT_SEGMENT = os.path.join(
-    os.path.dirname(__file__), "data", "sealed_has_ranks_1.seg"
-)
 _TRAILER_SIZE = 16
 
 
@@ -171,30 +165,24 @@ class TestRankWidth:
 
     def test_compacted_store_writes_u32_ranks(self, tmp_path):
         data = sealed_bytes(tmp_path, old_format_records())
-        old = open(OLD_FORMAT_SEGMENT, "rb").read()
-        # Same records, v1 -> v2 layout: 40 bytes saved per frame (87 ->
-        # 47; one wide frame per group in both, 16 more bytes there, 20
-        # here) and 4 per record on ranks; the zone map
-        # (6 functions, 6 single-function groups) costs magic + count +
-        # 6 pairs + 6 count bytes + 6 indexes, and the site table (6 rows
-        # of 41 bytes) is there twice: behind its count in the footer, and
-        # inline behind a block header and its first-id / count words.
-        assert len(old) - len(data) == (
-            40 * 72 + 6 * 16 - 6 * 20 + 4 * 72
-            - (8 + 6 * 8 + 6 + 6 * 2) - (4 + 6 * 41) - (5 + 8 + 6 * 41)
-        )
+        footer_off = struct.unpack_from("<Q", data, len(data) - _TRAILER_SIZE)[0]
+        assert data[footer_off + 8] == 2
 
 
 class TestOldFormat:
-    """A segment sealed by the previous commit keeps working unchanged."""
+    """A sealed segment without the zone map — the extension cut at its
+    magic, as :meth:`TestDamagedMap.test_truncated_extension` leaves it —
+    answers everything, pruning on what its footer still holds."""
 
     @pytest.fixture
     def store(self, tmp_path):
-        store = store_around(tmp_path, open(OLD_FORMAT_SEGMENT, "rb").read())
+        good = sealed_bytes(tmp_path, old_format_records())
+        ext = good.rindex(b"FXFN")
+        store = store_around(tmp_path, good[:ext] + good[-_TRAILER_SIZE:])
         yield store
         store.close()
 
-    def test_opens_with_u64_ranks_and_no_map(self, store):
+    def test_opens_with_no_map(self, store):
         reader = only_reader(store)
         info = segment_info(reader)
         assert reader.sealed and not reader.partial

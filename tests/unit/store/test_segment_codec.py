@@ -1,6 +1,7 @@
 """Frame-codec round trips: one segment file, every field shape."""
 
 import os
+import struct
 
 import pytest
 
@@ -215,11 +216,22 @@ class TestSegmentValidation:
             SegmentReader(str(path))
 
     def test_rejects_other_schema_version(self, tmp_path):
-        path = str(tmp_path / "v.seg")
-        writer = SegmentWriter(path, schema_version=SCHEMA_VERSION + 1)
+        path = tmp_path / "v.seg"
+        writer = SegmentWriter(str(path))
         writer.append([make_record()])
         writer.seal()
-        with pytest.raises(StoreError, match="schema"):
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<H", data, 6, SCHEMA_VERSION + 1)  # the header's schema
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreError, match=f"schema v{SCHEMA_VERSION + 1}"):
+            SegmentReader(str(path))
+
+    def test_refuses_a_schema_v1_segment(self, tmp_path):
+        # A v1 spool header, byte by byte: magic, format 1, kind 0, schema
+        # 1 (u16), arrival base 0 (u64).
+        path = tmp_path / "v1.seg"
+        path.write_bytes(b"RSG1" + b"\x01\x00" + b"\x01\x00" + bytes(8))
+        with pytest.raises(StoreError, match="record schema v1, this build reads v2"):
             SegmentReader(str(path))
 
     def test_schema_table_covers_probe_record(self):

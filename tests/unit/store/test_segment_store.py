@@ -570,6 +570,15 @@ class TestBackendSelection:
         with pytest.raises(StoreError, match="schema"):
             SegmentStore(str(path))
 
+    def test_refuses_a_schema_v1_store(self, tmp_path):
+        # The marker a v1 store wrote, spelled out; it stays as it was.
+        marker = tmp_path / "repro-store.json"
+        text = '{"format": "repro-segment-store", "version": 1, "schema_version": 1}'
+        marker.write_text(text)
+        with pytest.raises(StoreError, match="record schema v1, this build reads v2"):
+            SegmentStore(str(tmp_path))
+        assert marker.read_text() == text
+
     def test_backends_satisfy_protocol(self, tmp_path):
         from repro.store import StorageBackend
 

@@ -172,3 +172,15 @@ def test_function_level_imports_say_why():
         and not lines[line - 2].strip().startswith("#")
     ]
     assert silent == []
+
+
+def test_no_function_level_import_outside_the_cli():
+    """Only the CLI defers its ``repro`` imports: every other module
+    imports what it needs at load time, so its place in :data:`LAYERS` is
+    what its first lines say."""
+    deferred = [
+        f"{where}:{line}"
+        for where, line, _lines in LAZY_IMPORTS
+        if where.name != _LAZY_BY_DESIGN
+    ]
+    assert deferred == []
