@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.errors import TransportError
+from repro.errors import MarshalError, TransportError
 from repro.orb.aio.framing import (
     ASYNC_STREAM_PRELUDE,
     StreamFrameParser,
@@ -195,6 +195,17 @@ class AsyncMuxChannel:
     # -- demux reader (its own thread) ----------------------------------
 
     def _demux_loop(self) -> None:
+        try:
+            self._demux()
+        finally:
+            # However the loop ends (the connection gone, or a bug raising
+            # out of it), no caller is left awaiting a reply.
+            self._post(
+                self._fail_all,
+                TransportError(f"demux of {self._conn.local_label} stopped"),
+            )
+
+    def _demux(self) -> None:
         conn = self._conn
         parser = StreamFrameParser()
         while True:
@@ -205,7 +216,7 @@ class AsyncMuxChannel:
                 return
             try:
                 frames = parser.feed(chunk)
-            except Exception as exc:
+            except MarshalError as exc:
                 self._post(
                     self._fail_all,
                     TransportError(f"corrupt reply stream: {exc}"),
@@ -216,7 +227,7 @@ class AsyncMuxChannel:
             for frame in frames:
                 try:
                     message = decode_message(frame)
-                except Exception as exc:
+                except MarshalError as exc:
                     # Framing is intact (the length prefix still bounds
                     # the bad message), so the channel survives — mirror
                     # MuxChannel: fail current waiters, keep going.

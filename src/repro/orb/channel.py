@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.errors import TransportError
+from repro.errors import MarshalError, TransportError
 from repro.orb.giop import ReplyMessage, decode_message
 from repro.platform.network import Connection
 from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE, NULL_REGISTRY
@@ -145,6 +145,16 @@ class MuxChannel:
     # -- demux reader ---------------------------------------------------
 
     def _demux_loop(self) -> None:
+        try:
+            self._demux()
+        finally:
+            # However the loop ends (the connection gone, or a bug raising
+            # out of it), no caller is left parked on a reply.
+            self._fail_all(
+                TransportError(f"demux of {self._conn.local_label} stopped")
+            )
+
+    def _demux(self) -> None:
         conn = self._conn
         while True:
             try:
@@ -154,7 +164,7 @@ class MuxChannel:
                 return
             try:
                 message = decode_message(payload)
-            except Exception as exc:
+            except MarshalError as exc:
                 # An undecodable reply cannot be routed to its waiter, so
                 # every pipelined caller fails promptly — with a single
                 # outstanding call this reproduces the lock-step path's

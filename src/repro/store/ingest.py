@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.core.records import SCHEMA_VERSION, RunMetadata
 from repro.errors import StoreError
-from repro.store.segment import SegmentReader
+from repro.store.segment import FORMAT_VERSION, SegmentReader
 
 
 @dataclass
@@ -48,7 +48,10 @@ def receive_shipment(
     order. The bytes are staged to ``workdir`` (a private temp dir by
     default) so :class:`SegmentReader` can mmap them, then decoded to
     rows in the worker's arrival order. Raises :class:`StoreError` on
-    a schema or record-count mismatch.
+    a schema or record-count mismatch, on a segment in another format than
+    the checksummed one this build writes, and on a segment that does not
+    open whole (one the reader would salvage), naming it and the bytes
+    dropped.
     """
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise StoreError(
@@ -70,6 +73,21 @@ def receive_shipment(
                 handle.write(data)
             reader = SegmentReader(path)
             try:
+                if reader.format_version != FORMAT_VERSION:
+                    # Frame-format files carry no checksums: damage to
+                    # one would decode as other rows, silently.
+                    raise StoreError(
+                        f"shipped segment {index:06d}.seg of {shipment.run_id} is"
+                        f" in segment format {reader.format_version}; workers ship"
+                        f" format {FORMAT_VERSION}"
+                    )
+                if reader.partial:
+                    # Salvage regroups rows by chain and loses the ranks:
+                    # the worker's arrival order would be silently gone.
+                    raise StoreError(
+                        f"shipped segment {index:06d}.seg of {shipment.run_id} does"
+                        f" not open whole: {reader.dropped_bytes} bytes dropped"
+                    )
                 reader.load_ranked(ranked)
             finally:
                 reader.close()

@@ -14,16 +14,15 @@ happens before decode, at three pruning levels:
 
 1. **segment level** — the footer's timestamp bounds skip segments whose
    time range cannot overlap; the function table and the site table
-   prove no frame carries a wanted interface/operation pair; the footer
+   prove no row carries a wanted interface/operation pair; the footer
    chain index proves no chain carries the prefix;
 2. **chain-group level** (sealed segments) — the chain index, the
    per-group timestamp bounds and the per-group function sets skip
    whole byte ranges without touching them;
-3. **frame level** — inside the fused decode loop, string predicates are
-   resolved once to the ids of this segment's chains and *sites*
-   (:func:`segment_filter`), so the per-frame test is set membership on
-   ints and no :class:`~repro.core.records.ProbeRecord` is built for a
-   non-matching frame.
+3. **row level** — string predicates are resolved once to the ids of
+   this segment's chains and *sites* (:func:`segment_filter`), so a
+   block's row test is a 0/1 mask built from its site-id, chain and
+   reading columns, and no row is built for a non-matching one.
 
 The SQLite backend accepts the same predicate and compiles it to indexed
 ``WHERE`` clauses; both backends return bit-identical results for any
@@ -146,7 +145,7 @@ class SegmentFilter:
     """A :class:`ScanPredicate` resolved against one segment's tables.
 
     String predicates become integer id sets (``None`` = that axis needs
-    no per-frame test), so the decode loop filters on ints only:
+    no per-row test), so the row mask is built from integer columns only:
     ``sites`` is the set of site ids whose interface and operation the
     predicate accepts. ``fn_groups`` holds one flag per sealed chain
     group — may it carry a wanted function, by the function zone map? —
@@ -167,7 +166,7 @@ class SegmentFilter:
 
     @property
     def is_pass(self) -> bool:
-        """True when no per-frame test remains (decode everything)."""
+        """True when no per-row test remains (decode everything)."""
         return (
             self.cids is None
             and self.sites is None
@@ -176,9 +175,9 @@ class SegmentFilter:
         )
 
     def within_group(self) -> "SegmentFilter | None":
-        """The per-frame filter inside one sealed chain group that group
-        pruning let through: the chain test is settled there (cid is
-        constant), and ``None`` means no per-frame test remains."""
+        """The per-row filter inside the sealed chain groups that group
+        pruning let through: the chain test is settled there (a group is
+        one chain), and ``None`` means no per-row test remains."""
         rest = SegmentFilter(None, self.sites, self.ts_lo, self.ts_hi, self.fn_groups)
         return None if rest.is_pass else rest
 
@@ -190,7 +189,7 @@ def segment_filter(
 
     Segment-level pruning uses only footer metadata — the function
     table, the site table, the chain index, and the timestamp-bounds
-    extension — so a pruned segment costs zero frame decodes.
+    extension — so a pruned segment costs zero row decodes.
     """
     ts_lo = ts_hi = None
     if predicate.has_time_range:
@@ -204,8 +203,8 @@ def segment_filter(
     if ifcs is not None or ops is not None:
         table = reader.fn_table
         if table is not None:
-            # The table lists every (interface, operation) pair some frame
-            # carries: no pair accepted, no frame can match; not all of
+            # The table lists every (interface, operation) pair some row
+            # carries: no pair accepted, no row can match; not all of
             # them wanted, groups can be pruned on the zone map.
             fns = {
                 k >> 1 for k in range(0, len(table), 2)
@@ -216,9 +215,9 @@ def segment_filter(
                 return None
             if 2 * len(fns) < len(table):
                 fn_groups = reader.groups_holding(fns)
-        # Every frame names a site: the sites both sets accept are exactly
-        # the frames that can match, and with every site of the segment
-        # wanted there is nothing left to test per frame.
+        # Every row names a site: the sites both sets accept are exactly
+        # the rows that can match, and with every site of the segment
+        # wanted there is nothing left to test per row.
         sites = {
             sid for sid, site in enumerate(reader.sites)
             if (ifcs is None or site.interface in ifcs)
@@ -232,12 +231,11 @@ def segment_filter(
     cids = None
     if predicate.chain_prefix is not None:
         prefix = predicate.chain_prefix
-        cids = {cid for cid, _c, _o, _r in reader.chains
-                if strings[cid].startswith(prefix)}
+        cids = {cid for cid in reader.chain_ids if strings[cid].startswith(prefix)}
         if not cids:
             return None
-        if len(cids) == len(reader.chains):
-            cids = None  # every chain matches: no per-frame test needed
+        if len(cids) == len(reader.chain_ids):
+            cids = None  # every chain matches: no per-row test needed
 
     return SegmentFilter(cids, sites, ts_lo, ts_hi, fn_groups)
 
@@ -250,7 +248,7 @@ def fold_population_stats(records: Iterable["ProbeRecord"]) -> dict[str, int]:
     figures count distinct values using the same string identities the
     SQLite aggregation uses (``interface || '::' || operation``,
     ``process || '/' || thread_id``). The segment store folds the same
-    figures from its frames (:func:`merge_population`); SQLite compiles
+    figures from its columns (:func:`merge_population`); SQLite compiles
     the identical semantics to WHERE clauses.
     """
     calls = 0

@@ -1,121 +1,98 @@
 """Append-only segment files: the on-disk unit of the segment store.
 
-Layout (little-endian throughout; record schema v2)::
+Layout (little-endian throughout; header format 2, record schema v2)::
 
     header   "RSG1" | u8 format | u8 kind | u16 schema_version | u64 arrival_base
     block*   u8 tag | u32 payload_len | payload
       tag 1  dict-delta: u32 first_id | u32 count | (u16 len | utf8)*
-      tag 2  records:    u32 count | frame*          (see repro.store.codec)
       tag 3  site-delta: u32 first_id | u32 count | site row*
+      tag 4  columns:    u32 crc32 of the rest | u32 rows | u32 runs
+                         | i64 wall_base | i64 cpu_base
+                         | (c typecode | u32 byte_len) * 14 | column bytes
     footer   u64 record_count | u8 has_ranks  (0 none, 1 u64 ranks, 2 u32 ranks)
              u32 n_strings | (u16 len | utf8)*
              u32 n_sites   | site row*    (8 x u32 string id | i64 pid | u8 domain)
-             u32 n_chains  | (u32 cid | u32 count | u64 start_off
-                              | rank * count if has_ranks)*
+             u32 n_chains  | u32 cid * n_chains | u32 count * n_chains
+             | rank * record_count if has_ranks
              ext?  "FXTS" | u8 flags | i64 ts_min | i64 ts_max
-                   | (i64 gmin | i64 gmax) * n_chains
+                   | (i64 gmin | i64 gmax) * n_chains    (sealed)
              ext?  "FXFN" | u32 n_functions | (u32 ifc_id | u32 op_id) * n_functions
                    | u8 fcount * n_chains | u16 function_index * sum(fcount != 255)
-    trailer  u64 footer_off | "RSEGEND1"
+    trailer  u64 footer_off | "RSEG" | u32 crc32 of the footer
 
-A frame names its chain and its *site* by id: the site table holds one
-row per distinct :class:`~repro.core.records.Site` — the ten record fields
-constant per *(process, operation)*. Like the string dictionary it grows
-through delta blocks written ahead of the first frame that uses an entry
-and is authoritative in the footer.
-
-The optional ``FXTS`` footer extension carries min/max *anchor*
-timestamps (``wall_start``, else ``wall_end``) for the whole segment and
-per chain group — the metadata predicate pushdown prunes on. An
-inverted pair (min > max) means "no frame here carries an anchor", which
-a time-range predicate may also prune. Readers that predate the
-extension simply stop after the chain index.
-
-The optional ``FXFN`` extension (sealed segments only, after ``FXTS``)
-is the *function zone map*: a table of every ``(interface id, operation
-id)`` pair the frames' sites carry and, per chain group, how many distinct
-functions it holds, then all groups' indexes into that table — what an
-interface/operation predicate prunes groups on. A count of 255 is the
-overflow marker (over 254 functions, or an index past ``u16``):
-"unknown, never prune"; the table stays complete even then, so a
-predicate that no pair of it matches prunes the whole segment.
-
-Two segment kinds share the format:
-
-- *spool* segments are what a non-transactional insert appends: records
-  in arrival order, chains interleaved, delta blocks always written
-  before the frames that reference them so a truncated file decodes
-  front-to-back.
-- *sealed* segments are what a collection commit and compaction write:
-  frames grouped by chain (uuid byte order), so any chain-aligned byte
-  range decodes independently — this is what lets analyzer shards read
-  disjoint file ranges. The footer carries each group's start offset and
-  the records' original arrival ranks.
-
-Both decode from any block or group start by one anchor rule (see
-:mod:`repro.store.codec`): a wide frame stores its start readings
-absolute, a narrow one relative to the last frame that carried the
-reading, and the writer forgets its predecessors at every records block
-and chain group.
-
-A segment missing its trailer (a crash mid-drain) is *partial*: the
-reader salvages every complete frame front-to-back, rebuilds the string
-dictionary and the site table from the inline delta blocks, and reports
-the bytes it had to drop — loss accounting survives partial segments
-instead of the whole file vanishing.
-
-A header naming any record schema but v2 (v1 included) is refused with a
-:class:`~repro.errors.StoreError`.
+A column block holds up to :data:`_BLOCK_ROWS` rows, one ``array`` column
+per field in the narrowest typecode that holds its values; a field that
+may be ``None`` stores its present values only. Rows name their site and
+chains by id into the string dictionary and the *site table*, both grown
+by delta blocks ahead of the first column block that uses an entry. A
+*spool* holds rows in arrival order; a *sealed* segment holds them grouped
+by chain in uuid order, no group spanning two blocks, its chain index the
+group table with the rows' arrival ranks beside it. ``FXTS`` (anchor
+bounds) and ``FXFN`` (the function zone map) are what predicate pushdown
+prunes segments and groups on. A segment whose trailer is missing or whose
+footer fails its checksum is *partial*: every consistent column block is
+salvaged front to back and the rest counted in ``dropped_bytes``. A file
+in the frame format that preceded columns (header format 1) is read by
+:mod:`repro.store.legacy_v2` and served re-encoded in memory. DESIGN.md §8
+has the whole design.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import mmap
 import os
 import struct
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from itertools import accumulate
+from collections import Counter, deque
+from dataclasses import asdict, dataclass
+from itertools import accumulate, chain, compress, islice, repeat
 from json import dumps as _dumps, loads as _loads
+from zlib import crc32
+from functools import reduce
+from operator import add, and_, floordiv, is_, is_not, itemgetter, le, mod, mul, ne, sub, truth
 
 from repro.core.records import SCHEMA_VERSION, Site, as_rows
 from repro.errors import StoreError
 from repro.store.codec import (
-    DOMAIN_BY_NUM,
     DOMAIN_NUM,
     EVENT_BY_NUM,
-    FRAME_NARROW,
-    FRAME_WIDE,
-    MISC_OFF as _MISC_OFF,
+    FLAG_BITS,
     ONEWAY,
     SITE_ROW,
     SYNC,
+    read_sites,
+    read_strings,
+    read_table_block,
 )
+from repro.store.legacy_v2 import read_frames
 
 logger = logging.getLogger(__name__)
 
 MAGIC = b"RSG1"
-TRAILER_MAGIC = b"RSEGEND1"
-FORMAT_VERSION = 1
+TRAILER_MAGIC = b"RSEG"
+FORMAT_VERSION = 2
+_FORMAT_FRAMES = 1  # read by repro.store.legacy_v2
 
 KIND_SPOOL = 0
 KIND_SEALED = 1
 
 _HEADER = struct.Struct("<4sBBHQ")
 _BLOCK = struct.Struct("<BI")
-_TRAILER = struct.Struct("<Q8s")
+_TRAILER = struct.Struct("<Q4sI")
 _U32 = struct.Struct("<I")
 
 _TAG_DICT = 1
-_TAG_RECORDS = 2
 _TAG_SITES = 3
+_TAG_COLUMNS = 4
 
 _FXTS_MAGIC = b"FXTS"
 _FXTS_SEGMENT = 1  # flags bit: segment-level bounds present
 _FXTS_GROUPS = 2  # flags bit: one (gmin, gmax) pair per chain entry
-#: Inverted bounds pair: "no anchored frames" (prunable under any
+#: Inverted bounds pair: "no anchored rows" (prunable under any
 #: time-range predicate, unlike unknown bounds which never prune).
 _TS_EMPTY = (1, 0)
 
@@ -127,22 +104,31 @@ _FN_STORED = bytes(range(_FN_OVERFLOW)) + b"\0"
 _FN_UNKNOWN = bytes(_FN_OVERFLOW) + b"\1"
 _U32_MAX = (1 << 32) - 1
 
-_FN_SIZE, _FW_SIZE = FRAME_NARROW.size, FRAME_WIDE.size
+#: Rows per column block: a spool flushes one each time this many rows
+#: arrived, a sealed segment at the first chain-group boundary past it.
+_BLOCK_ROWS = 4096
 
-#: Flush the records block once it holds this many payload bytes.
-_FLUSH_BYTES = 4 << 20
+#: The column block head and its fourteen column descriptors.
+_COLUMNS = 14
+_BLOCK_HEAD = struct.Struct("<IIIqq")
+_DESCRIPTORS = struct.Struct("<" + "cI" * _COLUMNS)
+(_RUN_CID, _RUN_LEN, _SITE, _EVENT, _FLAGS, _SEQ, _TID, _WS, _WD, _CS, _CD,
+ _CHILD, _SEM_END, _SEM_BLOB) = range(_COLUMNS)
+_ITEMSIZE = {code.encode(): array(code).itemsize for code in "bBhHiIqQ"}
+#: Columns whose values index a table or the blob: unsigned typecodes only.
+_UNSIGNED = frozenset((_RUN_CID, _RUN_LEN, _SITE, _CHILD, _SEM_END))
+_BYTE_COLUMNS = frozenset((_EVENT, _FLAGS, _SEM_BLOB))
+_SWAP = sys.byteorder == "big"
 
-#: What the aggregate walk reads of a frame, per width: chain id, event,
-#: presence, site id, thread id, child id, semantics length, the
-#: ``wall_start`` and ``wall_end`` words — padded to the whole frame, so a
-#: frame cut short fails here as it fails a decode.
-_FOLD_NARROW = struct.Struct("<IBxBIqII4xii8x")
-_FOLD_WIDE = struct.Struct("<IBxBIqII8xqq16x")
-if (_FOLD_NARROW.size, _FOLD_WIDE.size) != (_FN_SIZE, _FW_SIZE):
-    raise AssertionError("the aggregate walk's frame structs are out of sync")
-#: What salvage checks of a frame: chain id, presence, site id, child id,
-#: semantics length.
-_SALVAGE_PROBE = struct.Struct("<I2xBI8xII")
+#: flags byte -> 0/1 per flag bit (``bytes.translate`` tables), and ->
+#: call kind / collocation.
+_BIT = [bytes((b >> i) & 1 for b in range(256)) for i in range(8)]
+_WALL_BOTH = bytes(int(b & 3 == 3) for b in range(256))
+_KIND_OF = [ONEWAY if b & FLAG_BITS["oneway"] else SYNC for b in range(256)]
+_COLLOCATED_OF = [bool(b & FLAG_BITS["collocated"]) for b in range(256)]
+_EVENTS = list(EVENT_BY_NUM)
+
+_FIELD = [itemgetter(i) for i in range(13)]  # a probe row's fields
 
 
 def uuid_key(uuid: str) -> bytes:
@@ -153,14 +139,11 @@ def uuid_key(uuid: str) -> bytes:
 
 @dataclass
 class ScanStats:
-    """Where a scan spent (and saved) its work.
-
-    ``frames_decoded`` counts frames the decode loop actually walked —
-    the honest pushdown figure: a predicated scan must never decode more
-    frames than the unpredicated scan of the same data. ``groups`` counts
-    the sealed chain groups a predicated scan examined (those inside its
-    shard bounds), ``groups_pruned`` the ones of them it skipped unread.
-    """
+    """Where a scan spent (and saved) its work: ``frames_decoded`` counts
+    the rows it examined (those of the blocks and chain groups it did not
+    prune — never more than an unpredicated scan examines), ``groups`` the
+    sealed chain groups a predicated scan looked at (inside its shard
+    bounds), ``groups_pruned`` the ones of them it skipped unread."""
 
     segments: int = 0
     segments_pruned: int = 0
@@ -170,14 +153,7 @@ class ScanStats:
     records_matched: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "segments": self.segments,
-            "segments_pruned": self.segments_pruned,
-            "groups": self.groups,
-            "groups_pruned": self.groups_pruned,
-            "frames_decoded": self.frames_decoded,
-            "records_matched": self.records_matched,
-        }
+        return asdict(self)
 
 
 def record_anchor(wall_start: int | None, wall_end: int | None) -> int | None:
@@ -185,24 +161,18 @@ def record_anchor(wall_start: int | None, wall_end: int | None) -> int | None:
 
     ``wall_start`` when the probe captured it, else ``wall_end``; records
     with neither never match a time-range predicate. Both backends and
-    the segment footer bounds use this one definition (the frame loops
-    of :class:`SegmentReader` spell it inline).
+    the segment footer bounds use this one definition.
     """
     return wall_start if wall_start is not None else wall_end
 
 
 class SegmentFold:
-    """One segment's frames that a filter passed, folded: what per-operation
-    latency and the population statistics are made of.
-
-    ``sites`` maps each :class:`Site` matched to ``[frames, intervals]`` —
-    how many frames it has, and ``wall_end - wall_start`` of each of them
-    that carries both readings. ``calls`` counts the STUB_START frames and
-    ``chains`` holds the uuids of the chains matched. ``threads`` (``None``
-    unless asked for) holds the ``(process, thread_id)`` pairs, and
-    ``bounds`` the (min, max) anchor timestamp over the matched frames
-    (``None`` unless asked for, or when no frame carries an anchor).
-    """
+    """One segment's rows that a filter passed, folded: ``sites`` maps each
+    :class:`Site` matched to ``[rows, intervals]`` (``wall_end -
+    wall_start`` of each row with both readings), ``calls`` counts the
+    STUB_START rows, ``chains`` holds the chains matched; ``threads`` the
+    ``(process, thread_id)`` pairs and ``bounds`` the (min, max) anchor of
+    the matched rows, each ``None`` unless asked for."""
 
     __slots__ = ("sites", "calls", "chains", "threads", "bounds")
 
@@ -229,383 +199,303 @@ def _pack_strings(strings: list[str]) -> bytes:
     return b"".join([struct.pack("<H", len(raw)) + raw for raw in raws])
 
 
-class SegmentWriter:
-    """Streams probe rows into one segment file.
+def _column(values: list, codes: str = "BHIQbhiq") -> tuple[bytes, bytes]:
+    """``values`` as the first typecode of ``codes`` that holds them all
+    (past 64 bits: ``OverflowError``)."""
+    for code in codes:
+        try:
+            column = array(code, values)
+            break
+        except OverflowError:
+            if code == codes[-1]:
+                raise
+    if _SWAP:
+        column.byteswap()
+    return code.encode(), column.tobytes()
 
-    The per-record encode loop is the collector's ingest fast path: it
-    is deliberately flat — one unpack of the row (fields in the record's
-    slot order, :mod:`repro.core.records`), one chain lookup and one site
-    lookup per record, one fused ``struct.Struct`` pack per frame, delta
-    state in locals.
+
+def _ids(values: list, bound: int) -> tuple[bytes, bytes]:
+    """Ids below ``bound`` as the narrowest unsigned typecode."""
+    return _column(values, "B" if bound <= 0x100 else "H" if bound <= 0x10000 else "I")
+
+
+def _present(values: list) -> bytes:
+    """One byte per value: 1 where it is not ``None``."""
+    absent = values.count(None)
+    if absent == 0 or absent == len(values):
+        return (b"\0" if absent else b"\1") * len(values)
+    return bytes(map(is_not, values, repeat(None)))
+
+
+def _flags(*bits: bytes) -> bytes:
+    """0/1 byte strings (lowest bit first) OR-ed into one flags byte each."""
+    out = sum(int.from_bytes(column, "little") << bit for bit, column in enumerate(bits))
+    return out.to_bytes(len(bits[0]), "little")
+
+
+def _and(*masks: bytes | None) -> bytes | None:
+    """The rows every given 0/1 mask keeps (``None``: keep all)."""
+    masks = [mask for mask in masks if mask is not None]
+    if len(masks) < 2:
+        return masks[0] if masks else None
+    out = reduce(and_, map(int.from_bytes, masks, repeat("little")))
+    return out.to_bytes(len(masks[0]), "little")
+
+
+class _Ids(dict):
+    """Value -> id in first-use order; ``table``: what each id stands for in
+    the file, ``flushed``: how many are in delta blocks already."""
+
+    def __init__(self):
+        super().__init__()
+        self.table: list = []
+        self.flushed = 0
+
+    def __missing__(self, key):
+        out = self[key] = len(self)
+        self.table.append(key)
+        return out
+
+
+class _SiteIds(_Ids):
+    """Site -> site-table row; a new site interns its strings, packs its
+    row, and its function joins the zone map's table."""
+
+    def __init__(self, strings: _Ids):
+        super().__init__()
+        self.strings = strings
+        self.fn_ids: dict[int, int] = {}  # ifc id << 32 | op id -> table index
+        self.fn_of: list[int] = []  # site id -> function table index
+
+    def __missing__(self, site: Site):
+        intern = self.strings.__getitem__
+        ifc, op = intern(site.interface), intern(site.operation)
+        self.table.append(SITE_ROW.pack(
+            ifc, op, intern(site.object_id), intern(site.component),
+            intern(site.process), intern(site.host), intern(site.processor_type),
+            intern(site.platform), site.pid, DOMAIN_NUM[site.domain],
+        ))
+        self.fn_of.append(self.fn_ids.setdefault(ifc << 32 | op, len(self.fn_ids)))
+        out = self[site] = len(self)
+        return out
+
+
+class SegmentWriter:
+    """Streams probe rows into one segment file as column blocks.
+
+    ``path`` is a file name, or a binary buffer the segment is written
+    into (left open). Rows are buffered and encoded a block at a time, one
+    C-level pass per column (:func:`_column`).
     """
 
-    def __init__(self, path: str, kind: int = KIND_SPOOL, arrival_base: int = 0):
+    def __init__(self, path, kind: int = KIND_SPOOL, arrival_base: int = 0):
         self.path = path
         self.kind = kind
         self.arrival_base = arrival_base
-        self._file = open(path, "wb")
+        self._file = open(path, "wb") if isinstance(path, str) else path
         self._file.write(
             _HEADER.pack(MAGIC, FORMAT_VERSION, kind, SCHEMA_VERSION, arrival_base)
         )
         self._file_pos = _HEADER.size
-        self._ids: dict[str, int] = {}
-        self._strings: list[str] = []
-        self._pending_first_id = 0
-        self._pending: list[str] = []
-        # The site table: site -> row id, the packed rows (those from
-        # ``_sites_flushed`` on not yet in a site-delta block), and per row
-        # its function key (ifc id << 32 | op id) for the zone map.
-        self._site_ids: dict[Site, int] = {}
-        self._site_rows: list[bytes] = []
-        self._sites_flushed = 0
-        self._site_fn: list[int] = []
-        self._rbuf = bytearray()
-        self._rcount = 0
-        self.record_count = 0
-        # cid -> [count, start_off, ts_min, ts_max]; insertion order ==
-        # group order for sealed segments (one chain per group).
-        # ts_min/ts_max bound the chain's anchor timestamps (None until
-        # an anchored record lands) and feed the footer FXTS extension.
-        self._index: dict[int, list] = {}
-        #: arrival ranks, frame by frame (sealed; empty: none recorded).
-        self._ranks: list[int] = []
-        # The last start readings written, for the next narrow frame to
-        # count from; None: the next frame carrying the reading is wide.
-        self._prev_ws: int | None = None
-        self._prev_cs: int | None = None
         self._sealed_kind = kind == KIND_SEALED
-        # Function zone map (sealed only), flat — no per-group object
-        # survives: the open group's function keys, key -> table index,
-        # and per closed group a count byte + its indexes.
-        self._fn_open: set[int] = set()
-        self._fn_ids: dict[int, int] = {}
+        self._strings = _Ids()
+        self._sites = _SiteIds(self._strings)
+        self._rows: list = []
+        self.record_count = 0
+        #: chain id -> rows: the footer's chain index (sealed: the groups).
+        self._chains: dict[int, int] = {}
+        #: arrival ranks, row by row (sealed; empty: none recorded).
+        self._ranks: list[int] = []
+        self._bounds = array("q")  # per sealed group: anchor min, max
+        self._seg_bounds: tuple[int, int] | None = None
         self._fn_counts = bytearray()
         self._fn_index = array("H")
 
-    # ------------------------------------------------------------------
-
-    def start_group(self) -> None:
-        """Mark a chain-group boundary (sealed segments only).
-
-        Forgets the previous start readings so the group decodes from its
-        own start offset, and keeps a group's frames inside one records
-        block so they are byte-contiguous in the file.
-        """
-        self._prev_ws = None
-        self._prev_cs = None
-        if len(self._rbuf) >= _FLUSH_BYTES:
-            self._flush_records()
-        if not self._rbuf:
-            self._flush_tables()
-
     def append(self, records, ranks: list[int] | None = None) -> int:
-        """Encode and buffer ``records``; returns how many were written.
-
-        ``records`` are rows or probe records (a record becomes a row
-        once, as it enters). ``ranks`` (sealed segments only) are the
-        records' original arrival ranks, one to one, for the footer — for
-        all of a segment's records or none.
-        """
-        return self._encode(as_rows(records), ranks, False)
-
-    def append_groups(self, rows: list[list], ranks: list[int]) -> int:
-        """Write whole chain groups (sealed segments only): ``rows``
-        holds each chain's probe rows side by side, and every change of
-        chain starts a group — what ``start_group()`` + ``append`` per
-        chain write, the per-call cost paid once."""
-        return self._encode(rows, ranks, True)
-
-    def _encode(self, rows: list[list], ranks, grouped: bool) -> int:
-        """The one per-record encode loop, over probe rows."""
-        ids_get = self._ids.get
-        intern = self._intern
-        site_ids_get = self._site_ids.get
-        intern_site = self._intern_site
-        site_fn = self._site_fn
-        index = self._index
-        index_get = index.get
-        rbuf = self._rbuf
-        fn_pack = FRAME_NARROW.pack
-        fw_pack = FRAME_WIDE.pack
-        dumps = _dumps
-        sealed = self._sealed_kind
-        fn_open = self._fn_open
-        file_pos = self._file_pos
-        prev_ws = self._prev_ws
-        prev_cs = self._prev_cs
-        count = 0  # frames written by this call
-        flushed = 0  # ...of them, in records blocks already on file
-        last_uuid = None
-
-        for (site, uuid, seq, event, tid, kind, collocated,
-             ws, we, cs, ce, child, sem) in rows:
-            # Ids are interned in first-use order — chain, the site's
-            # strings, child — so equal records make equal files.
-            if uuid != last_uuid:
-                last_uuid = uuid
-                if grouped:
-                    prev_ws = prev_cs = None
-                    if not rbuf or len(rbuf) >= _FLUSH_BYTES:
-                        # The only states start_group() does more in than
-                        # forget the previous group's readings.
-                        self._rcount += count - flushed
-                        flushed = count
-                        self.start_group()
-                        file_pos = self._file_pos
-                cid = ids_get(uuid)
-                if cid is None:
-                    cid = intern(uuid)
-                entry = index_get(cid)
-                if entry is None:
-                    # First frame of this chain; for sealed segments this is
-                    # the group start (one chain per group), and the +9
-                    # accounts for the pending records-block header and its
-                    # frame count word.
-                    if sealed and index:
-                        self._close_group()
-                    entry = index[cid] = [
-                        0, file_pos + 9 + len(rbuf) if sealed else 0, None, None,
-                    ]
-            sid = site_ids_get(site)
-            if sid is None:
-                sid = intern_site(site)
-
-            pres = 0
-            wsd = wed = csd = ced = 0
-            narrow = True
-            if ws is not None:
-                pres = 1
-                if prev_ws is None:
-                    narrow = False
-                else:
-                    wsd = ws - prev_ws
-                prev_ws = ws
-                if we is not None:
-                    pres = 3
-                    wed = we - ws
-            elif we is not None:
-                pres = 2
-                wed = we
-            if cs is not None:
-                pres |= 4
-                if prev_cs is None:
-                    narrow = False
-                else:
-                    csd = cs - prev_cs
-                prev_cs = cs
-                if ce is not None:
-                    pres |= 8
-                    ced = ce - cs
-            elif ce is not None:
-                pres |= 8
-                ced = ce
-
-            if child is None:
-                childid = 0
-            else:
-                pres |= 16
-                childid = intern(child)
-
-            if sem is None:
-                semb = b""
-                semlen = 0
-            else:
-                pres |= 32
-                semb = dumps(sem).encode()
-                semlen = len(semb)
-
-            misc = 0
-            if kind is ONEWAY:
-                misc = 1
-            if collocated:
-                misc |= 2
-
-            # Narrow unless a reading has no predecessor here, or one of
-            # the five words overflows i32 (the narrow pack refuses it).
-            frame = None
-            if narrow:
-                try:
-                    frame = fn_pack(
-                        cid, event, misc, pres, sid, tid, childid,
-                        semlen, seq, wsd, wed, csd, ced,
-                    )
-                except struct.error:
-                    pass
-            if frame is None:
-                frame = fw_pack(
-                    cid, event, misc | 16, pres, sid, tid, childid,
-                    semlen, seq, ws or 0, wed, cs or 0, ced,
-                )
-
-            entry[0] += 1
-            anchor = ws if ws is not None else we
-            if anchor is not None:
-                if entry[2] is None:
-                    entry[2] = entry[3] = anchor
-                elif anchor < entry[2]:
-                    entry[2] = anchor
-                elif anchor > entry[3]:
-                    entry[3] = anchor
-            if sealed:
-                fn_open.add(site_fn[sid])
-            rbuf += frame
-            if semb:
-                rbuf += semb
-            count += 1
-
-        self._rcount += count - flushed
-        self.record_count += count
+        """Buffer ``records`` (rows, or probe records, each made a row once)
+        and return how many; a sealed segment's arrive chain by chain —
+        every change of chain starts a group. ``ranks`` (sealed only) are
+        their arrival ranks, one to one, for all of a segment's records or
+        none."""
+        rows = as_rows(records)
         if ranks is not None:
-            if len(ranks) != count:
+            if len(ranks) != len(rows):
                 raise StoreError("ranks must align one-to-one with records")
             self._ranks += ranks
-        self._prev_ws = prev_ws
-        self._prev_cs = prev_cs
-        if not sealed and len(rbuf) >= _FLUSH_BYTES:
-            self._flush_tables()
-            self._flush_records()
-        return count
+        self._rows += rows
+        self.record_count += len(rows)
+        pending, done, uuid = self._rows, 0, _FIELD[1]
+        while len(pending) - done > _BLOCK_ROWS:
+            cut = done + _BLOCK_ROWS
+            if self._sealed_kind:
+                # The first group boundary at or past the block size.
+                cut = next(
+                    (i for i in range(cut, len(pending))
+                     if uuid(pending[i]) != uuid(pending[i - 1])),
+                    None,
+                )
+                if cut is None:
+                    break
+            self._flush_block(pending[done:cut])
+            done = cut
+        del pending[:done]
+        return len(rows)
 
-    def _intern(self, text: str) -> int:
-        out = self._ids.get(text)
-        if out is None:
-            out = self._ids[text] = len(self._strings)
-            self._strings.append(text)
-            self._pending.append(text)
-        return out
+    def _flush_block(self, rows: list) -> None:
+        """Encode ``rows`` as one column block, after the delta blocks of
+        the strings and sites they are first to use."""
+        n = len(rows)
+        # Transposed in one pass over the rows (a pass per field would
+        # fetch every row from memory thirteen times).
+        flat = list(chain.from_iterable(rows))
+        if len(flat) != 13 * n:
+            raise StoreError("a probe row holds 13 fields")
+        (site, uuids, seq, event, tid, kind, collocated, ws, we, cs, ce, children,
+         sems) = (flat[i::13] for i in range(13))
+        del flat
+        strings, sites = self._strings, self._sites
+        # Ids are interned column by column — chains, sites, children — so
+        # equal rows make equal files.
+        cuts = [0, *compress(range(1, n), map(ne, islice(uuids, 1, None), uuids)), n]
+        run_cids = list(map(strings.__getitem__, map(uuids.__getitem__, cuts[:-1])))
+        run_lens = list(map(sub, cuts[1:], cuts))
+        chains = self._chains
+        if self._sealed_kind and (
+            len(set(run_cids)) < len(run_cids) or not chains.keys().isdisjoint(run_cids)
+        ):
+            raise StoreError("a sealed segment holds each chain as one group")
+        for cid, count in zip(run_cids, run_lens):
+            chains[cid] = chains.get(cid, 0) + count
+        sids = list(map(sites.__getitem__, site))
+        has_child = _present(children)
+        child_ids = list(map(strings.__getitem__, compress(children, has_child)))
+        self._flush_tables()
 
-    def _intern_site(self, site: Site) -> int:
-        """``site``'s row in this segment's site table; equal sites share one."""
-        out = self._site_ids.get(site)
-        if out is None:
-            intern = self._intern
-            ifc, op = intern(site.interface), intern(site.operation)
-            row = SITE_ROW.pack(
-                ifc, op, intern(site.object_id), intern(site.component),
-                intern(site.process), intern(site.host),
-                intern(site.processor_type), intern(site.platform),
-                site.pid, DOMAIN_NUM[site.domain],
-            )
-            out = self._site_ids[site] = len(self._site_rows)
-            self._site_rows.append(row)
-            self._site_fn.append(ifc << 32 | op)
-        return out
+        has = [_present(column) for column in (ws, we, cs, ce)]
+        wall_base, wall, wall_dur = _readings(ws, we, has[0], has[1])
+        cpu_base, cpu, cpu_dur = _readings(cs, ce, has[2], has[3])
+        has_sem = _present(sems)
+        blobs = [_dumps(sem).encode() for sem in compress(sems, has_sem)]
+        flags = _flags(
+            *has, has_child, has_sem,
+            bytes(map(is_, kind, repeat(ONEWAY))), bytes(map(truth, collocated)),
+        )
+        ends = list(accumulate(map(len, blobs)))
+        columns = [
+            _ids(run_cids, len(strings)), _ids(run_lens, n + 1), _ids(sids, len(sites)),
+            (b"B", bytes(event)), (b"B", flags), _column(seq), _column(tid),
+            _column(wall, "bhiq"), _column(wall_dur), _column(cpu, "bhiq"),
+            _column(cpu_dur), _ids(child_ids, len(strings)),
+            _ids(ends, ends[-1] + 1 if ends else 0), (b"B", b"".join(blobs)),
+        ]
+        body = b"".join([
+            _BLOCK_HEAD.pack(0, n, len(run_cids), wall_base, cpu_base)[4:],
+            _DESCRIPTORS.pack(*chain.from_iterable(
+                (code, len(data)) for code, data in columns
+            )),
+            *(data for _code, data in columns),
+        ])
+        self._write_block(_TAG_COLUMNS, _U32.pack(crc32(body)) + body)
+        anchors = ws if has[0].count(0) == 0 else [
+            s if s is not None else e for s, e in zip(ws, we)
+        ]
+        known = anchors if None not in anchors else [a for a in anchors if a is not None]
+        if known:
+            lo, hi = min(known), max(known)
+            if self._seg_bounds is not None:
+                lo, hi = min(lo, self._seg_bounds[0]), max(hi, self._seg_bounds[1])
+            self._seg_bounds = (lo, hi)
+        if self._sealed_kind:
+            self._note_groups(anchors, sids, cuts, run_lens)
 
-    # ------------------------------------------------------------------
-
-    def _close_group(self) -> None:
-        """Fold the finished chain group's function set into the flat
-        zone-map buffers (a sealed chain's frames are contiguous, so the
-        open set is always the last index entry's)."""
-        fn_ids, fn_open = self._fn_ids, self._fn_open
-        if len(fn_open) == 1:  # nearly every group: spare it the sort
-            fns = [fn_ids.setdefault(fn_open.pop(), len(fn_ids))]
-        else:
-            fns = [fn_ids.setdefault(key, len(fn_ids)) for key in sorted(fn_open)]
-            fn_open.clear()
-        if len(fns) >= _FN_OVERFLOW or max(fns) > 0xFFFF:
-            self._fn_counts.append(_FN_OVERFLOW)
-        else:
-            self._fn_counts.append(len(fns))
-            self._fn_index.extend(fns)
+    def _note_groups(self, anchors: list, sids: list, cuts: list, lens: list) -> None:
+        """Each chain group's anchor bounds (:data:`_TS_EMPTY` for one with
+        none) and function set — the latter from the site-id column — for
+        the footer's ``FXTS`` and ``FXFN``."""
+        if None in anchors:
+            parts = [
+                [a for a in anchors[lo:hi] if a is not None] for lo, hi in zip(cuts, cuts[1:])
+            ]
+            pairs = [(min(part), max(part)) if part else _TS_EMPTY for part in parts]
+            self._bounds.extend(chain.from_iterable(pairs))
+        else:  # array slices: nothing per group for the collector to track
+            parts = list(map(array("q", anchors).__getitem__, map(slice, cuts, cuts[1:])))
+            pairs = array("q", bytes(16 * len(parts)))
+            pairs[0::2], pairs[1::2] = array("q", map(min, parts)), array("q", map(max, parts))
+            self._bounds.extend(pairs)
+        # Distinct (group, function) keys, sorted: each group's functions
+        # in ascending order, the groups in order.
+        width = len(self._sites.fn_ids)
+        keys = sorted(set(map(add, map(
+            mul, chain.from_iterable(map(repeat, range(len(lens)), lens)), repeat(width)
+        ), map(self._sites.fn_of.__getitem__, sids))))
+        counts = list(Counter(map(floordiv, keys, repeat(width))).values())
+        if max(counts) < _FN_OVERFLOW and width <= 0x10000:
+            self._fn_counts += bytes(counts)
+            self._fn_index.extend(map(mod, keys, repeat(width)))
+            return
+        at = 0
+        for count in counts:
+            if count >= _FN_OVERFLOW or keys[at + count - 1] % width > 0xFFFF:
+                self._fn_counts.append(_FN_OVERFLOW)
+            else:
+                self._fn_counts.append(count)
+                self._fn_index.extend(key % width for key in keys[at:at + count])
+            at += count
 
     def _flush_tables(self) -> None:
         """Write the pending dict-delta block, then the pending site rows
         (which name strings up to and including that block's)."""
-        if self._pending:
-            self._write_block(
-                _TAG_DICT,
-                struct.pack("<II", self._pending_first_id, len(self._pending))
-                + _pack_strings(self._pending),
-            )
-            self._pending_first_id += len(self._pending)
-            self._pending.clear()
-        rows = self._site_rows[self._sites_flushed:]
-        if rows:
-            self._write_block(
-                _TAG_SITES,
-                struct.pack("<II", self._sites_flushed, len(rows)) + b"".join(rows),
-            )
-            self._sites_flushed += len(rows)
+        for tag, ids in ((_TAG_DICT, self._strings), (_TAG_SITES, self._sites)):
+            pending = ids.table[ids.flushed:]
+            if pending:
+                body = _pack_strings(pending) if tag == _TAG_DICT else b"".join(pending)
+                self._write_block(tag, struct.pack("<II", ids.flushed, len(pending)) + body)
+                ids.flushed = len(ids.table)
 
     def _write_block(self, tag: int, payload) -> None:
         self._file.write(_BLOCK.pack(tag, len(payload)))
         self._file.write(payload)
         self._file_pos += _BLOCK.size + len(payload)
 
-    def _flush_records(self) -> None:
-        if not self._rcount:
-            return
-        payload_len = 4 + len(self._rbuf)
-        self._file.write(_BLOCK.pack(_TAG_RECORDS, payload_len))
-        self._file.write(struct.pack("<I", self._rcount))
-        self._file.write(self._rbuf)
-        self._file_pos += _BLOCK.size + payload_len
-        self._rbuf.clear()
-        self._rcount = 0
-        # A reader may start decoding at any records block: the first
-        # frame of the next block to carry a reading carries it absolute.
-        self._prev_ws = None
-        self._prev_cs = None
-
     def seal(self) -> None:
-        """Write the footer + trailer and close the file."""
-        if self._sealed_kind:
-            # Offsets were computed against the current block layout, so
-            # frames flush first; the footer tables are authoritative.
-            self._flush_records()
-            self._flush_tables()
-        else:
-            self._flush_tables()
-            self._flush_records()
+        """Write the last block, the footer and the trailer, and close."""
+        if self._rows:
+            self._flush_block(self._rows)
+            self._rows = []
         footer_off = self._file_pos
         ranks = self._ranks
         if ranks and len(ranks) != self.record_count:
             raise StoreError("segment footer ranks out of sync")
         # u32 whenever every rank fits (2), else u64 (1); 0: none recorded.
         has_ranks = (1 if max(ranks) > _U32_MAX else 2) if ranks else 0
-        rank_code, width = ("Q", 8) if has_ranks == 1 else ("I", 4)
-        # Packed once (empty without ranks); each chain entry takes its slice.
-        packed = struct.pack(f"<{len(ranks)}{rank_code}", *ranks)
+        strings = self._strings.table
         out = bytearray(struct.pack("<QB", self.record_count, has_ranks))
-        out += struct.pack("<I", len(self._strings)) + _pack_strings(self._strings)
-        out += struct.pack("<I", len(self._site_rows))
-        out += b"".join(self._site_rows)
-        out += struct.pack("<I", len(self._index))
-        done = 0
-        bounds: list[int] = []
-        for cid, (count, start_off, tmin, tmax) in self._index.items():
-            out += struct.pack("<IIQ", cid, count, start_off)
-            out += packed[done:done + width * count]
-            done += width * count
-            bounds += _TS_EMPTY if tmin is None else (tmin, tmax)
-        # Timestamp-bounds extension: segment-level + per-group anchor
-        # (wall_start, else wall_end) min/max — what predicate pushdown
-        # prunes on without decoding a single frame.
-        anchored = [e for e in self._index.values() if e[2] is not None]
-        seg_min, seg_max = (
-            (min(e[2] for e in anchored), max(e[3] for e in anchored))
-            if anchored else _TS_EMPTY
-        )
+        out += struct.pack("<I", len(strings)) + _pack_strings(strings)
+        out += struct.pack("<I", len(self._sites)) + b"".join(self._sites.table)
+        out += struct.pack("<I", len(self._chains))
+        out += _column(self._chains, "I")[1] + _column(self._chains.values(), "I")[1]
+        if has_ranks:
+            out += _column(ranks, "Q" if has_ranks == 1 else "I")[1]
+        # Anchor bounds: what predicate pushdown prunes on without decoding
+        # a single row.
+        seg = self._seg_bounds or _TS_EMPTY
+        sealed = self._sealed_kind
         out += _FXTS_MAGIC
-        out += struct.pack("<Bqq", _FXTS_SEGMENT | _FXTS_GROUPS, seg_min, seg_max)
-        out += struct.pack(f"<{len(bounds)}q", *bounds)
-        if self._sealed_kind:
-            if self._index:
-                self._close_group()
-            fn_ids = self._fn_ids
-            out += _FXFN_MAGIC
-            out += struct.pack("<I", len(fn_ids))
-            out += struct.pack(
-                f"<{2 * len(fn_ids)}I",
-                *(part for key in fn_ids for part in (key >> 32, key & _U32_MAX)),
-            )
-            out += self._fn_counts
-            out += struct.pack(f"<{len(self._fn_index)}H", *self._fn_index)
+        out += struct.pack("<Bqq", _FXTS_SEGMENT | (_FXTS_GROUPS if sealed else 0), *seg)
+        if sealed:
+            out += _column(self._bounds, "q")[1]
+            fn_ids = self._sites.fn_ids
+            out += _FXFN_MAGIC + struct.pack("<I", len(fn_ids))
+            out += _column(list(chain.from_iterable(
+                (key >> 32, key & _U32_MAX) for key in fn_ids
+            )), "I")[1]
+            out += self._fn_counts + _column(self._fn_index, "H")[1]
         self._file.write(out)
-        self._file.write(_TRAILER.pack(footer_off, TRAILER_MAGIC))
+        self._file.write(_TRAILER.pack(footer_off, TRAILER_MAGIC, crc32(out)))
         self._file.flush()
-        self._file.close()
+        if isinstance(self.path, str):
+            self._file.close()
 
     def abort(self) -> None:
         """Close and delete the (unsealed) file."""
@@ -616,8 +506,129 @@ class SegmentWriter:
             logger.warning("could not remove aborted segment %s: %s", self.path, exc)
 
 
+def _readings(starts: list, ends: list, has_start: bytes, has_end: bytes):
+    """One reading pair's columns: the block base, the present starts as
+    deltas (the first counts from the base: 0), and the present ends —
+    relative to their start where the row has one, else absolute."""
+    values = starts if has_start.count(0) == 0 else list(compress(starts, has_start))
+    base = values[0] if values else 0
+    deltas = list(map(sub, values, chain((base,), values)))
+    if has_end == has_start:  # every end has its start: C-level
+        return base, deltas, list(map(sub, compress(ends, has_end), values))
+    return base, deltas, [
+        e if s is None else e - s for s, e in zip(starts, ends) if e is not None
+    ]
+
+
+class _Block:
+    """Where one column block's columns lie: per column ``(typecode,
+    offset, items)``; its first row within the segment; and, in a complete
+    sealed segment, its chain groups ``[g0, g1)``."""
+
+    __slots__ = ("cols", "row0", "rows", "runs", "bases", "crc", "body", "g0", "g1", "fold")
+
+    def __init__(self, mm, pos: int, end: int, row0: int):
+        self.row0 = row0
+        self.crc, self.rows, self.runs, *self.bases = _BLOCK_HEAD.unpack_from(mm, pos)
+        self.body = (pos + 4, end)
+        descriptors = _DESCRIPTORS.unpack_from(mm, pos + _BLOCK_HEAD.size)
+        off = pos + _BLOCK_HEAD.size + _DESCRIPTORS.size
+        cols = []
+        for index in range(_COLUMNS):
+            code, nbytes = descriptors[2 * index], descriptors[2 * index + 1]
+            size = _ITEMSIZE.get(code)
+            if (
+                size is None
+                or nbytes % size
+                or (index in _BYTE_COLUMNS and code != b"B")
+                or (index in _UNSIGNED and code not in b"BHIQ")
+            ):
+                raise StoreError("bad column descriptor")
+            cols.append((code.decode(), off, nbytes // size))
+            off += nbytes
+        if off != end or [c[2] for c in cols[:_TID + 1]] != [self.runs] * 2 + [self.rows] * 5:
+            raise StoreError("column lengths disagree with the block's rows")
+        self.cols = cols
+        self.g0 = self.g1 = 0
+        self.fold = None
+
+
+def _read(mm, column):
+    code, off, items = column
+    if code == "B":
+        return mm[off:off + items]
+    out = array(code)
+    out.frombytes(mm[off:off + items * out.itemsize])
+    if _SWAP:
+        out.byteswap()
+    return out
+
+
+def _lookup(table: list, keys, bit: bytes | None = None):
+    """``table[key]`` for each of ``keys``, lazily; with ``bit`` (a
+    flag-bit table over ``keys``, flags bytes) one repeated value when
+    every flags byte agrees in that bit."""
+    if bit is not None:
+        ones = keys.translate(bit).count(1)
+        if ones == 0 or ones == len(keys):
+            return repeat(table[keys[0]], len(keys)) if keys else ()
+    return map(table.__getitem__, keys)
+
+
+def _fill(presence: bytes, values, absent=None):
+    """Full-length values: ``values`` (the present ones, in order) where
+    ``presence`` is 1, ``absent`` where it is 0."""
+    n = presence.count(1)
+    if n == len(presence):
+        return values
+    if not n:
+        return repeat(absent, len(presence))
+    # Row i takes table entry (present rows up to i) when present, else
+    # entry 0 — one C-level gather.
+    return itemgetter(*map(mul, accumulate(presence), presence))([absent, *values])
+
+
+def _kept(column, mask: bytes | None):
+    return column if mask is None else compress(column, mask)  # None: all
+
+
+def _optional(presence: bytes, values, mask: bytes | None, convert):
+    """An optional column's values for the rows ``mask`` keeps, each
+    present one through ``convert`` — which sees no other."""
+    if mask is not None:
+        values = compress(values, compress(mask, presence))
+        presence = bytes(compress(presence, mask))
+    return _fill(presence, map(convert, values))
+
+
+def _running(deltas, base: int):  # a delta column's values, counted from base
+    values = accumulate(deltas, initial=base)
+    next(values)
+    return values
+
+
+def _full_readings(deltas, durations, base: int, has_start: bytes, has_end: bytes):
+    """A block's start and end readings, one per row (``None``: absent) —
+    iterators, unless some row lacks one (a block-long container would be
+    traversed by every collection the row tuples set off)."""
+    n = len(has_start)
+    if not deltas and not durations:
+        return repeat(None, n), repeat(None, n)
+    if len(deltas) == n and len(durations) == n:
+        return _running(deltas, base), map(add, _running(deltas, base), durations)
+    starts = list(_running(deltas, base))
+    if has_end == has_start:  # every end has its start: one gather for both
+        gather = itemgetter(*map(mul, accumulate(has_start), has_start))
+        return gather([None, *starts]), gather([None, *map(add, starts, durations)])
+    starts = list(_fill(has_start, starts))
+    return starts, [
+        d if d is None or s is None else s + d
+        for s, d in zip(starts, _fill(has_end, durations))
+    ]
+
+
 class SegmentReader:
-    """mmap-backed zero-copy reads of one (possibly partial) segment."""
+    """mmap-backed reads of one (possibly partial) segment."""
 
     def __init__(self, path: str):
         self.path = path
@@ -631,180 +642,182 @@ class SegmentReader:
         magic, fmt, kind, schema_version, arrival_base = _HEADER.unpack_from(self._mm, 0)
         if magic != MAGIC:
             raise StoreError(f"not a segment file (bad magic): {path}")
-        if fmt != FORMAT_VERSION:
-            raise StoreError(f"unsupported segment format {fmt}: {path}")
         if schema_version != SCHEMA_VERSION:
             raise StoreError(
                 f"segment {path} uses record schema v{schema_version}, "
                 f"this build reads v{SCHEMA_VERSION} only"
             )
+        if fmt not in (FORMAT_VERSION, _FORMAT_FRAMES):
+            raise StoreError(f"unsupported segment format {fmt}: {path}")
         self.kind = kind
         self.sealed = kind == KIND_SEALED
+        self.format_version = fmt
         self.schema_version = schema_version
         self.arrival_base = arrival_base
         self.partial = False
         self.dropped_bytes = 0
         self.strings: list[str] = []
-        #: one :class:`Site` per site-table row.
-        self.sites: list[Site] = []
-        #: list of (cid, count, start_off, ranks) in group order; ranks are
-        #: a sealed group's arrival ranks, ``None`` in spools and salvage.
-        self.chains: list[tuple[int, int, int, list | range | None]] = []
-        #: anchor-timestamp (min, max) over the whole segment; ``None``
-        #: = unknown (salvaged / pre-extension file — never prune),
-        #: inverted = no anchored frames (prunable).
+        self.sites: list[Site] = []  # one per site-table row
+        #: the chain index: a sealed segment's groups in stored order, a
+        #: spool's chains once each; and, sealed, where each group starts.
+        self.chain_ids, self.chain_counts = array("I"), array("I")
+        self._starts = array("Q", [0])
+        #: a sealed segment's arrival ranks, row by row (``None``: positional).
+        self.ranks: array | None = None
+        #: anchor (min, max) of the segment (``None``: unknown — never
+        #: prune; inverted: no anchored row) and ``[gmin, gmax, ...]`` per
+        #: sealed group.
         self.ts_bounds: tuple[int, int] | None = None
-        #: per-chain-group (min, max) pairs aligned with ``chains``.
-        self.chain_ts: list[tuple[int, int]] | None = None
-        #: function zone map (``FXFN``), flat: the table as ``[ifc id, op
-        #: id, ...]`` (``None`` = the file has no map), a never-prune flag
-        #: per chain group, every group's table indexes back to back, and
-        #: where each group's indexes start.
+        self.chain_ts: array | None = None
+        #: the zone map: ``[ifc id, op id, ...]`` (``None``: no map), a
+        #: never-prune flag per group, the groups' indexes back to back, and
+        #: where each group's start.
         self.fn_table: array | None = None
         self._fn_unknown, self._fn_index, self._fn_offsets = b"", array("H"), array("I")
         self.record_count = 0
-        #: frame byte ranges of the records blocks, in file order (a
-        #: block's frame count word sits in the four bytes before its range).
-        self._regions: list[tuple[int, int]] = []
-        if not self._load_with_footer():
+        self._blocks: list[_Block] = []
+        if fmt == _FORMAT_FRAMES:
+            self._transcode()
+        elif not self._load_with_footer():
             self._salvage()
 
     def close(self) -> None:
-        self._mm.close()
+        if isinstance(self._mm, mmap.mmap):
+            self._mm.close()
 
     # ------------------------------------------------------------------
     # Loading
+
+    def _transcode(self) -> None:
+        """A frame-format file: its rows, re-encoded in memory, served."""
+        rows, ranks, partial, dropped = read_frames(
+            self._mm, self.size_bytes, self.path, self.sealed
+        )
+        self._mm.close()
+        buffer = io.BytesIO()
+        writer = SegmentWriter(
+            buffer, KIND_SEALED if self.sealed and not partial else KIND_SPOOL,
+            self.arrival_base,
+        )
+        try:
+            writer.append(rows, ranks)
+            writer.seal()
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StoreError(f"cannot re-encode {self.path}: {exc}") from None
+        self._mm = buffer.getvalue()
+        self.partial, self.dropped_bytes = partial, dropped
+        footer_off = _TRAILER.unpack_from(self._mm, len(self._mm) - _TRAILER.size)[0]
+        self._parse_footer(footer_off, len(self._mm))
+        if partial:
+            self.ts_bounds = self.chain_ts = self.fn_table = None
 
     def _load_with_footer(self) -> bool:
         mm = self._mm
         if self.size_bytes < _HEADER.size + _TRAILER.size:
             return False
-        footer_off, magic = _TRAILER.unpack_from(mm, self.size_bytes - _TRAILER.size)
-        if magic != TRAILER_MAGIC or not _HEADER.size <= footer_off <= self.size_bytes:
-            return False
+        end = self.size_bytes - _TRAILER.size
+        footer_off, magic, crc = _TRAILER.unpack_from(mm, end)
+        if (
+            magic != TRAILER_MAGIC
+            or not _HEADER.size <= footer_off <= end
+            or crc32(mm[footer_off:end]) != crc
+        ):
+            return False  # no trailer, or a footer it does not vouch for
         try:
-            return self._parse_footer(footer_off)
+            self._parse_footer(footer_off, self.size_bytes)
+            return True
         except (
             struct.error, ValueError, IndexError, MemoryError, OverflowError, StoreError
         ):
-            # A valid trailer over a corrupt footer body (bad counts,
-            # lengths past the mmap, ids past a table, unknown block
-            # tags): salvage the record blocks instead of losing the
-            # whole segment.
+            # A footer whose counts, lengths or ids do not hold: salvage
+            # the column blocks instead of losing the whole segment.
             return False
 
-    def _read_strings(self, pos: int, count: int) -> tuple[list[str], int]:
-        """``count`` length-prefixed strings at ``pos``, and where they end."""
-        mm = self._mm
-        strings = []
-        for _ in range(count):
-            (slen,) = struct.unpack_from("<H", mm, pos)
-            pos += 2
-            strings.append(mm[pos:pos + slen].decode("utf-8", "surrogatepass"))
-            pos += slen
-        return strings, pos
+    def _array(self, code: str, pos: int, count: int) -> tuple[array, int]:
+        """``count`` items of ``code`` at ``pos``, and where they end."""
+        out = array(code)
+        end = pos + count * out.itemsize
+        out.frombytes(self._mm[pos:end])
+        if len(out) != count:
+            raise StoreError(f"footer array cut short in {self.path}")
+        if _SWAP:
+            out.byteswap()
+        return out, end
 
-    def _read_sites(self, pos: int, count: int, strings: list[str]) -> list[Site]:
-        """The sites of ``count`` packed rows at ``pos``."""
-        raw = self._mm[pos:pos + count * SITE_ROW.size]
-        if len(raw) != count * SITE_ROW.size:
-            raise StoreError(f"site rows cut short in {self.path}")
-        return [
-            Site(
-                strings[ifc], strings[op], strings[obj], strings[comp], strings[proc],
-                pid, strings[host], strings[ptype], strings[plat], DOMAIN_BY_NUM[dom],
-            )
-            for ifc, op, obj, comp, proc, host, ptype, plat, pid, dom
-            in SITE_ROW.iter_unpack(raw)
-        ]
-
-    def _parse_footer(self, footer_off: int) -> bool:
+    def _parse_footer(self, footer_off: int, size: int) -> None:
         mm = self._mm
-        # Footer: counts, dictionary, site table, chain index.
-        pos = footer_off
-        self.record_count, has_ranks = struct.unpack_from("<QB", mm, pos)
-        pos += 9
-        (n_strings,) = _U32.unpack_from(mm, pos)
-        strings, pos = self._read_strings(pos + 4, n_strings)
-        self.strings = strings
+        # Footer: counts, dictionary, site table, chain index, ranks.
+        self.record_count, has_ranks = struct.unpack_from("<QB", mm, footer_off)
+        (n_strings,) = _U32.unpack_from(mm, footer_off + 9)
+        self.strings, pos = read_strings(self._mm, footer_off + 13, n_strings)
         (n_sites,) = _U32.unpack_from(mm, pos)
-        self.sites = self._read_sites(pos + 4, n_sites, strings)
+        self.sites = read_sites(self._mm, pos + 4, n_sites, self.strings)
         pos += 4 + n_sites * SITE_ROW.size
         (n_chains,) = _U32.unpack_from(mm, pos)
-        pos += 4
-        chains = []
-        if has_ranks > 2:
-            raise StoreError(f"unknown rank width code {has_ranks} in {self.path}")
-        rank_code, rank_size = ("Q", 8) if has_ranks == 1 else ("I", 4)
-        next_rank = self.arrival_base
-        for _ in range(n_chains):
-            cid, count, start_off = struct.unpack_from("<IIQ", mm, pos)
-            pos += 16
-            ranks = None
-            if has_ranks:
-                ranks = list(struct.unpack_from(f"<{count}{rank_code}", mm, pos))
-                pos += rank_size * count
-            elif self.sealed:
-                # No recorded arrival order (sealed segment written
-                # directly, not by compaction): file order stands in.
-                ranks = range(next_rank, next_rank + count)
-            next_rank += count
-            chains.append((cid, count, start_off, ranks))
-        self.chains = chains
-        # Optional timestamp-bounds extension (absent in files written
-        # before predicate pushdown landed; scans then never prune).
-        footer_end = self.size_bytes - _TRAILER.size
+        self.chain_ids, pos = self._array("I", pos + 4, n_chains)
+        self.chain_counts, pos = self._array("I", pos, n_chains)
+        if has_ranks > 2 or (has_ranks and not self.sealed):
+            raise StoreError(f"bad rank width code {has_ranks} in {self.path}")
+        if has_ranks:
+            self.ranks, pos = self._array(
+                "Q" if has_ranks == 1 else "I", pos, self.record_count
+            )
+        footer_end = size - _TRAILER.size
         if pos + 4 <= footer_end and mm[pos:pos + 4] == _FXTS_MAGIC:
             (flags, seg_min, seg_max) = struct.unpack_from("<Bqq", mm, pos + 4)
             pos += 4 + 17
             if flags & _FXTS_SEGMENT:
                 self.ts_bounds = (seg_min, seg_max)
             if flags & _FXTS_GROUPS:
-                pairs = struct.unpack_from(f"<{2 * n_chains}q", mm, pos)
-                pos += 16 * n_chains
-                self.chain_ts = [
-                    (pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2)
-                ]
+                self.chain_ts, pos = self._array("q", pos, 2 * n_chains)
         if pos + 4 <= footer_end and mm[pos:pos + 4] == _FXFN_MAGIC:
             (n_functions,) = _U32.unpack_from(mm, pos + 4)
-            pos += 8
-            table = array("I", struct.unpack_from(f"<{2 * n_functions}I", mm, pos))
-            pos += 8 * n_functions
+            table, pos = self._array("I", pos + 8, 2 * n_functions)
             counts = mm[pos:pos + n_chains]
-            pos += n_chains
             offsets = array("I", accumulate(counts.translate(_FN_STORED), initial=0))
-            index = array("H", struct.unpack_from(f"<{offsets[-1]}H", mm, pos))
-            pos += 2 * offsets[-1]
+            index, pos = self._array("H", pos + n_chains, offsets[-1])
             if (
                 pos > footer_end
                 or len(counts) != n_chains
-                or 0 in counts  # a group holds a frame, so a function
+                or 0 in counts  # a group holds a row, so a function
                 or (table and max(table) >= n_strings)
                 or (index and max(index) >= n_functions)
             ):
                 raise StoreError(f"corrupt function zone map in {self.path}")
             self.fn_table, self._fn_unknown = table, counts.translate(_FN_UNKNOWN)
             self._fn_index, self._fn_offsets = index, offsets
-        # Hop the block headers to map the frame regions.
-        pos = _HEADER.size
-        regions = []
-        frames = 0
+        # Hop the block headers to map the column blocks.
+        pos, rows = _HEADER.size, 0
+        blocks = []
         while pos < footer_off:
             tag, plen = _BLOCK.unpack_from(mm, pos)
-            if tag == _TAG_RECORDS:
-                regions.append((pos + _BLOCK.size + 4, pos + _BLOCK.size + plen))
-                frames += _U32.unpack_from(mm, pos + _BLOCK.size)[0]
+            end = pos + _BLOCK.size + plen
+            if tag == _TAG_COLUMNS:
+                if end > footer_off:
+                    raise StoreError(f"column block past the footer in {self.path}")
+                blocks.append(_Block(mm, pos + _BLOCK.size, end, rows))
+                rows += blocks[-1].rows
             elif tag != _TAG_DICT and tag != _TAG_SITES:
                 raise StoreError(f"unknown block tag {tag} in {self.path}")
-            pos += _BLOCK.size + plen
+            pos = end
+        counts = self.chain_counts
         if (
-            frames != self.record_count
-            or sum(entry[1] for entry in chains) != frames
-            or any(entry[0] >= n_strings for entry in chains)
+            rows != self.record_count
+            or sum(counts) != rows
+            or (n_chains and max(self.chain_ids) >= n_strings)
         ):
-            raise StoreError(f"chain index and record blocks disagree in {self.path}")
-        self._regions = regions
-        return True
+            raise StoreError(f"chain index and column blocks disagree in {self.path}")
+        if self.sealed and not self.partial:
+            # Each block starts at a group: its groups are [g0, g1).
+            starts = self._starts = array("Q", accumulate(counts, initial=0))
+            if 0 in counts:
+                raise StoreError(f"empty chain group in {self.path}")
+            for block in blocks:
+                block.g0 = bisect_left(starts, block.row0)
+                block.g1 = bisect_left(starts, block.row0 + block.rows)
+                if starts[block.g0] != block.row0 or starts[block.g1] != block.row0 + block.rows:
+                    raise StoreError(f"a chain group spans two blocks in {self.path}")
+        self._blocks = blocks
 
     def _salvage(self) -> None:
         """Partial segment: decode what survives, account what doesn't."""
@@ -813,293 +826,264 @@ class SegmentReader:
         pos = _HEADER.size
         strings: list[str] = []
         sites: list[Site] = []
-        regions: list[tuple[int, int]] = []
+        self.strings, self.sites = strings, sites
+        blocks: list[_Block] = []
+        chains: dict[int, int] = {}
+        rows = 0
+        decoded_end = pos
         while pos + _BLOCK.size <= end:
             tag, plen = _BLOCK.unpack_from(mm, pos)
             payload_end = pos + _BLOCK.size + plen
-            if tag == _TAG_DICT or tag == _TAG_SITES:
-                if payload_end > end:
-                    break  # truncated mid-table: nothing after is decodable
-                table = strings if tag == _TAG_DICT else sites
-                try:
-                    first_id, count = struct.unpack_from("<II", mm, pos + _BLOCK.size)
-                    if first_id != len(table):
-                        break  # table gap: stop before mis-decoding ids
-                    table += (
-                        self._read_strings(pos + _BLOCK.size + 8, count)[0]
-                        if tag == _TAG_DICT
-                        else self._read_sites(pos + _BLOCK.size + 8, count, strings)
-                    )
-                except (struct.error, ValueError, IndexError, StoreError):
-                    break  # a damaged table: no id after it can be trusted
-            elif tag == _TAG_RECORDS:
-                frame_start = pos + _BLOCK.size + 4
-                if frame_start > end:
-                    break
-                regions.append((frame_start, min(payload_end, end)))
-                if payload_end > end:
-                    pos = payload_end  # truncated: the region scan stops itself
-                    break
-            else:
-                break  # unrecognized bytes: treat the rest as lost
+            if payload_end > end:
+                break  # truncated: nothing after is decodable
+            try:
+                if tag == _TAG_DICT or tag == _TAG_SITES:
+                    is_dict = tag == _TAG_DICT
+                    if not read_table_block(mm, pos + _BLOCK.size, is_dict, strings, sites):
+                        break
+                elif tag == _TAG_COLUMNS:
+                    block = _Block(mm, pos + _BLOCK.size, payload_end, rows)
+                    cols = self._columns(block)  # ids in range, lengths agree
+                    for cid, count in zip(cols[_RUN_CID], cols[_RUN_LEN]):
+                        chains[cid] = chains.get(cid, 0) + count
+                    blocks.append(block)
+                    rows += block.rows
+                    decoded_end = payload_end
+                else:
+                    break  # unrecognized bytes: treat the rest as lost
+            except (struct.error, ValueError, IndexError, StoreError):
+                break  # damaged: nothing after it can be trusted
             pos = payload_end
         self.partial = True
-        # Whatever footer metadata parsed before the corruption is not
-        # trusted: a salvaged segment is frame-filtered, never pruned.
+        # Footer metadata is not trusted: a salvaged segment is row-filtered,
+        # never pruned.
         self.ts_bounds = self.chain_ts = self.fn_table = None
-        self.strings = strings
-        self.sites = sites
-        # One lean pass to count what actually decodes: a region ends at
-        # its block's frame count, at a frame cut short, or before a frame
-        # whose chain, site or child id points past the salvaged tables —
-        # and so does the segment (the rest goes to ``dropped_bytes``).
-        counts: dict[int, int] = {}
-        n_strings = len(strings)
-        fn_size, fw_size, misc_off, probe = _FN_SIZE, _FW_SIZE, _MISC_OFF, _SALVAGE_PROBE
-        n_sites = len(sites)
-        decoded_end = min(pos, end)
-        kept = []
-        for start, region_end in regions:
-            off = start
-            left = _U32.unpack_from(mm, start - 4)[0]
-            while left and off + fn_size <= region_end:
-                size = fw_size if mm[off + misc_off] & 16 else fn_size
-                if off + size > region_end:
-                    break
-                cid, pres, sid, child, semlen = probe.unpack_from(mm, off)
-                if (
-                    off + size + semlen > region_end
-                    or cid >= n_strings
-                    or sid >= n_sites
-                    or (pres & 16 and child >= n_strings)
-                ):
-                    break
-                counts[cid] = counts.get(cid, 0) + 1
-                left -= 1
-                off += size + semlen
-            # Clamped to the decodable prefix, so the decode loops never
-            # trip over a truncated or undecodable tail.
-            kept.append((start, off))
-            decoded_end = off
-            if left:
-                break
-        self._regions = kept
-        self.dropped_bytes = max(0, end - decoded_end)
-        self.record_count = sum(counts.values())
-        self.chains = [(cid, count, 0, None) for cid, count in counts.items()]
+        self._blocks = blocks
+        self.dropped_bytes = end - decoded_end
+        self.record_count = rows
+        self.chain_ids = array("I", chains)
+        self.chain_counts = array("I", chains.values())
 
     # ------------------------------------------------------------------
     # Decoding
 
-    def _decode_span(
-        self, off: int, end: int, limit: int, out: list, flt=None, hits=None
-    ) -> int:
-        """Decode up to ``limit`` frames of ``[off, end)`` onto ``out``.
-
-        The one loop that builds rows from frames, and the scan fast path:
-        one fused unpack per frame, the site by one list index,
-        tuple-indexed enum lookups, reading state in locals, and the row a
-        tuple of the fields the probe logged, in their order. With ``flt``
-        (the per-segment integer-id filter compiled by
-        :func:`repro.store.query.segment_filter`) the readings still
-        advance over every frame, but a row is only built for a match,
-        whose position within the span goes onto ``hits`` (a list,
-        required with ``flt``) — how callers recover arrival ranks without
-        decoding the rest. Returns the number of frames walked; a
-        frame that is cut short, or whose ids point past the string
-        dictionary or the site table, raises :class:`StoreError`.
-        """
-        mm = self._mm
-        strings = self.strings
-        sites = self.sites
-        fn_unpack = FRAME_NARROW.unpack_from
-        fw_unpack = FRAME_WIDE.unpack_from
-        fn_size = _FN_SIZE
-        fw_size = _FW_SIZE
-        loads = _loads
-        event_by_num = EVENT_BY_NUM
-        append = out.append
-        filtered = flt is not None
-        if filtered:
-            cids = flt.cids
-            site_ids = flt.sites
-            ts_lo = flt.ts_lo
-            ts_hi = flt.ts_hi
-            timed = ts_lo is not None or ts_hi is not None
-            hit = hits.append
-        prev_ws = prev_cs = 0
-        done = 0
-        try:
-            while off < end and done < limit:
-                wide = mm[off + _MISC_OFF] & 16
-                if wide:
-                    (cid, ev, misc, pres, sid, tid, childid, semlen, seq, wsd, wed,
-                     csd, ced) = fw_unpack(mm, off)
-                    off += fw_size
-                else:
-                    (cid, ev, misc, pres, sid, tid, childid, semlen, seq, wsd, wed,
-                     csd, ced) = fn_unpack(mm, off)
-                    off += fn_size
-                # The anchor rule; readings decode unconditionally, since
-                # the next narrow frame counts from them even when the
-                # filter skips this one.
-                if pres & 1:
-                    ws = prev_ws = wsd if wide else prev_ws + wsd
-                    we = ws + wed if pres & 2 else None
-                else:
-                    ws = None
-                    we = wed if pres & 2 else None
-                if pres & 4:
-                    cs = prev_cs = csd if wide else prev_cs + csd
-                    ce = cs + ced if pres & 8 else None
-                else:
-                    cs = None
-                    ce = ced if pres & 8 else None
-                if filtered:
-                    keep = (
-                        (cids is None or cid in cids)
-                        and (site_ids is None or sid in site_ids)
-                    )
-                    if keep and timed:
-                        anchor = ws if ws is not None else we
-                        keep = anchor is not None and (
-                            (ts_lo is None or anchor >= ts_lo)
-                            and (ts_hi is None or anchor <= ts_hi)
-                        )
-                    if not keep:
-                        off += semlen
-                        done += 1
-                        continue
-                    hit(done)
-                if semlen:
-                    sem = loads(mm[off:off + semlen]) if pres & 32 else None
-                    off += semlen
-                else:
-                    sem = None
-                append((
-                    sites[sid], strings[cid], seq, event_by_num[ev], tid,
-                    ONEWAY if misc & 1 else SYNC, True if misc & 2 else False,
-                    ws, we, cs, ce, strings[childid] if pres & 16 else None, sem,
-                ))
-                done += 1
-        except (IndexError, struct.error, ValueError):
+    def _columns(self, block: _Block) -> list:
+        """A block's fourteen columns, checked on the first read (the CRC,
+        every id within its table, every optional column as long as its flag
+        bit's count, the runs adding up to the rows, the semantics offsets
+        monotonic within the blob) — else :class:`StoreError`."""
+        (lo, hi), crc = block.body, block.crc  # another thread may clear it
+        if crc is not None and crc32(self._mm[lo:hi]) != crc:
+            raise StoreError(f"corrupt column block in {self.path}: checksum mismatch")
+        cols = [_read(self._mm, column) for column in block.cols]
+        if crc is None:
+            return cols
+        flags, event, ends = cols[_FLAGS], cols[_EVENT], cols[_SEM_END]
+        present = [len(cols[i]) for i in (_WS, _WD, _CS, _CD, _CHILD, _SEM_END)]
+        if (
+            sum(cols[_RUN_LEN]) != block.rows
+            or (block.runs and max(cols[_RUN_CID]) >= len(self.strings))
+            or (block.rows and (
+                max(cols[_SITE]) >= len(self.sites)
+                or min(event) < 1
+                or max(event) >= len(EVENT_BY_NUM)
+            ))
+            or (cols[_CHILD] and max(cols[_CHILD]) >= len(self.strings))
+            or present != [flags.translate(_BIT[bit]).count(1) for bit in range(6)]
+            or (ends and (ends[-1] != len(cols[_SEM_BLOB]) or not all(
+                map(le, chain((0,), ends), ends)
+            )))
+        ):
             raise StoreError(
-                f"corrupt frame in {self.path}: cut short, or an id past the"
-                " string dictionary or the site table"
-            ) from None
-        return done
+                f"corrupt column block in {self.path}: a column cut short, or an"
+                " id past the string dictionary or the site table"
+            )
+        block.crc = None  # checked: the file does not change under its reader
+        return cols
+
+    def _row_cids(self, block: _Block, cols: list, convert=None):
+        """The chain id of each of the block's rows (through ``convert``, if
+        given): a complete sealed segment's from its group table, any
+        other's from the block's runs."""
+        if self.sealed and not self.partial:
+            cids, counts = self.chain_ids[block.g0:block.g1], self.chain_counts[block.g0:block.g1]
+        else:
+            cids, counts = cols[_RUN_CID], cols[_RUN_LEN]
+        return chain.from_iterable(map(repeat, map(convert, cids) if convert else cids, counts))
+
+    def _mask(self, block: _Block, cols: list, gis, flt) -> tuple:
+        """The rows a read of ``block`` keeps (a 0/1 byte per row; ``None``:
+        all) and how many it examines: the chain groups ``gis`` (``None``:
+        the whole block), then ``flt``'s per-row tests."""
+        examined = block.rows
+        select = None
+        if gis is not None and len(gis) < block.g1 - block.g0:
+            starts, row0 = self._starts, block.row0
+            keep = bytearray(block.rows)
+            for gi in gis:
+                lo, hi = starts[gi] - row0, starts[gi + 1] - row0
+                keep[lo:hi] = b"\1" * (hi - lo)
+            examined = keep.count(1)
+            select = bytes(keep)
+        if flt is None:
+            return select, examined
+        lo, hi = flt.ts_lo, flt.ts_hi
+        anchors = None
+        if lo is not None or hi is not None:
+            anchors = _anchor_columns(self._wall(block, cols))
+        return _and(select, _row_mask(
+            flt, cols[_SITE], self._row_cids(block, cols), anchors
+        )), examined
+
+    def _wall(self, block: _Block, cols: list):
+        bits = cols[_FLAGS]
+        return _full_readings(
+            cols[_WS], cols[_WD], block.bases[0],
+            bits.translate(_BIT[0]), bits.translate(_BIT[1]),
+        )
+
+    def _rows(self, block: _Block, cols: list, mask):
+        """An iterator over the rows ``mask`` keeps, as tuples of the fields
+        the probe logged, in their order."""
+        flags = cols[_FLAGS]
+        wall = self._wall(block, cols)
+        cpu = _full_readings(
+            cols[_CS], cols[_CD], block.bases[1],
+            flags.translate(_BIT[2]), flags.translate(_BIT[3]),
+        )
+        ends = cols[_SEM_END]
+        sems = map(cols[_SEM_BLOB].__getitem__, map(slice, chain((0,), ends), ends))
+
+        strings = self.strings
+        mine = flags if mask is None else bytes(_kept(flags, mask))
+        return zip(
+            _lookup(self.sites, _kept(cols[_SITE], mask)),
+            _kept(self._row_cids(block, cols, strings.__getitem__), mask),
+            _kept(cols[_SEQ], mask), _lookup(_EVENTS, _kept(cols[_EVENT], mask)),
+            _kept(cols[_TID], mask),
+            _lookup(_KIND_OF, mine, _BIT[6]), _lookup(_COLLOCATED_OF, mine, _BIT[7]),
+            *(_kept(column, mask) for column in (*wall, *cpu)),
+            _optional(flags.translate(_BIT[4]), cols[_CHILD], mask, strings.__getitem__),
+            _optional(flags.translate(_BIT[5]), sems, mask, _loads),
+        )
 
     def _units(
         self, flt, stats: ScanStats, lo: bytes | None = None, hi: bytes | None = None
     ) -> tuple:
-        """What a read of this segment walks: the per-frame filter left
-        (``None``: every frame passes) and the decode units, each ``(cid,
-        ranks, start, end, limit)`` — up to ``limit`` frames from byte
-        ``start`` on, before ``end``.
-
-        A complete sealed segment has one unit per chain group, in stored
-        (uuid) order: ``cid`` is the group's chain id, ``ranks`` the
-        frames' arrival ranks from the footer. ``lo`` / ``hi`` (inclusive
-        :func:`uuid_key` bounds, a shard's) are bisected for in the chain
-        index, groups being stored sorted, so nothing outside them is
-        looked at; under a filter, a group the footer rules out — chain
-        index, ``FXTS`` group bounds, ``FXFN`` zone map — is left out and
-        counted. A spool has one unit per records block with ``cid`` and
-        ``ranks`` ``None`` and ignores the bounds: its chains interleave.
-        So does a salvaged sealed segment, whose footer (and with it the
-        group offsets and ranks) was lost.
-        """
+        """The per-row filter left (``None``: every row passes) and the
+        decode units, each ``(block, gis)``: the chain groups of ``block``
+        to read, or ``None`` — all its rows, one unit (a spool's or a
+        salvaged segment's block, whose chains interleave; ``lo`` / ``hi``
+        do not apply). A complete sealed segment's groups are bisected for
+        ``lo`` / ``hi`` (inclusive :func:`uuid_key` bounds, a shard's) and,
+        under a filter, pruned on the chain index, the ``FXTS`` group
+        bounds and the ``FXFN`` zone map, and counted."""
         predicated = flt is not None
         if predicated and flt.is_pass:
-            flt = None  # every frame matches: nothing to test or prune on
+            flt = None  # every row matches: nothing to test or prune on
         if not self.sealed or self.partial:
-            count = _U32.unpack_from
-            return flt, [
-                (None, None, start, end, count(self._mm, start - 4)[0])
-                for start, end in self._regions
-            ]
-        chains = self.chains
-        first, last = 0, len(chains)
+            return flt, [(block, None) for block in self._blocks]
+        cids = self.chain_ids
+        first, last = 0, len(cids)
         if lo is not None or hi is not None:
             strings = self.strings
-            key = lambda entry: uuid_key(strings[entry[0]])
+            key = lambda cid: uuid_key(strings[cid])  # noqa: E731
             if lo is not None:
-                first = bisect_left(chains, lo, key=key)
+                first = bisect_left(cids, lo, key=key)
             if hi is not None:
-                last = max(first, bisect_right(chains, hi, key=key))
+                last = max(first, bisect_right(cids, hi, key=key))
         survivors = range(first, last)
         frame_flt = None
         if flt is not None:
-            cids, fn_groups, ts_lo, ts_hi = flt.cids, flt.fn_groups, flt.ts_lo, flt.ts_hi
-            chain_ts = self.chain_ts
-            timed = chain_ts is not None and (ts_lo is not None or ts_hi is not None)
-            survivors = [
-                gi for gi, (cid, _n, _off, _ranks) in enumerate(chains[first:last], first)
-                if not (
-                    (cids is not None and cid not in cids)
-                    or (timed and not bounds_overlap(chain_ts[gi], ts_lo, ts_hi))
-                    or (fn_groups is not None and not fn_groups[gi])
-                )
-            ]
+            # One 0/1 byte per group in [first, last) and test, ANDed.
+            keep = []
+            if flt.cids is not None:
+                keep.append(bytes(map(flt.cids.__contains__, cids[first:last])))
+            ts, ts_lo, ts_hi = self.chain_ts, flt.ts_lo, flt.ts_hi
+            if ts is not None and (ts_lo is not None or ts_hi is not None):
+                lows, highs = ts[2 * first:2 * last:2], ts[2 * first + 1:2 * last:2]
+                keep.append(bytes(map(le, lows, highs)))  # inverted: no anchor
+                if ts_lo is not None:
+                    keep.append(bytes(map(le, repeat(ts_lo), highs)))
+                if ts_hi is not None:
+                    keep.append(bytes(map(le, lows, repeat(ts_hi))))
+            if flt.fn_groups is not None:
+                keep.append(bytes(flt.fn_groups[first:last]))
+            if keep:
+                survivors = list(compress(survivors, _and(*keep)))
             stats.groups_pruned += last - first - len(survivors)
             frame_flt = flt.within_group()
         if predicated:
             stats.groups += last - first
-        size = self.size_bytes
-        return frame_flt, [
-            (cid, ranks, start_off, size, count)
-            for cid, count, start_off, ranks in map(chains.__getitem__, survivors)
-        ]
+        units = []
+        for block in self._blocks:
+            i, j = bisect_left(survivors, block.g0), bisect_left(survivors, block.g1)
+            if i < j:
+                units.append((block, survivors[i:j]))
+        return frame_flt, units
 
     def scan(
         self, flt, stats: ScanStats, lo: bytes | None = None, hi: bytes | None = None
     ):
-        """Yield ``(cid, ranks, rows)`` per decode unit (see
-        :meth:`_units`) that holds a match — the one way records leave a
-        segment, as rows (tuples).
-
-        ``cid`` is a sealed group's chain id, ``None`` for a records block
-        of a spool or a salvaged segment, whose chains callers regroup (in
-        file order, the best arrival order a lost footer leaves). ``flt``
-        is the segment's :class:`~repro.store.query.SegmentFilter`
-        (``None`` without a predicate). Ranks are positional over *all*
-        frames — matched or not — so a filtered scan merges as a
-        subsequence of the unfiltered order: skipping a frame never
-        compacts the rank space.
-        """
+        """Yield ``(cid, ranks, rows)`` per sealed chain group — ``cid``
+        ``None`` per block of a spool or salvaged segment, whose chains
+        callers regroup — that holds a match: the one way records leave a
+        segment, as rows (tuples). ``flt`` is the segment's
+        :class:`~repro.store.query.SegmentFilter` (``None``: none). Ranks
+        are positional over *all* rows, so a filtered scan merges as a
+        subsequence of the unfiltered order."""
         flt, units = self._units(flt, stats, lo, hi)
         base = self.arrival_base
-        for cid, ranks, start, end, limit in units:
-            rows: list[tuple] = []
-            hits = None if flt is None else []
-            walked = self._decode_span(start, end, limit, rows, flt, hits)
-            stats.frames_decoded += walked
-            stats.records_matched += len(rows)
-            if cid is None:
-                ranks = range(base, base + walked)
-                base += walked
-            if rows:
-                yield cid, ranks if hits is None else [ranks[i] for i in hits], rows
+        starts, cids, ranks = self._starts, self.chain_ids, self.ranks
+        try:
+            for block, gis in units:
+                cols = self._columns(block)
+                mask, examined = self._mask(block, cols, gis, flt)
+                rows = self._rows(block, cols, mask)
+                stats.frames_decoded += examined
+                stats.records_matched += examined if mask is None else mask.count(1)
+                row0 = block.row0
+                if gis is None:
+                    positions = range(base + row0, base + row0 + block.rows)
+                    rows = list(rows)
+                    if rows:
+                        yield None, positions if mask is None else list(
+                            compress(positions, mask)
+                        ), rows
+                    continue
+                los = [starts[gi] for gi in gis]
+                his = [starts[gi + 1] for gi in gis]
+                ranked = (
+                    map(ranks.__getitem__, map(slice, los, his)) if ranks is not None
+                    else map(range, map(add, los, repeat(base)), map(add, his, repeat(base)))
+                )
+                if mask is None:  # whole groups: each one's list straight off the rows
+                    yield from zip(
+                        map(cids.__getitem__, gis), ranked,
+                        map(list, map(islice, repeat(rows), map(sub, his, los))),
+                    )
+                    continue
+                for gi, group_ranks, lo_row, hi_row in zip(gis, ranked, los, his):
+                    keep = mask[lo_row - row0:hi_row - row0]
+                    count = keep.count(1)
+                    if count:
+                        if count < hi_row - lo_row:
+                            group_ranks = list(compress(group_ranks, keep))
+                        yield cids[gi], group_ranks, list(islice(rows, count))
+        except ValueError:
+            raise StoreError(f"corrupt semantics in {self.path}: not JSON") from None
 
     def fold(
         self, flt, stats: ScanStats, anchors: bool = False, threads: bool = False
     ) -> SegmentFold:
-        """Fold the frames ``flt`` passes into a :class:`SegmentFold` —
-        the one loop that answers aggregates, with no record built.
-
-        It walks the units :meth:`scan` decodes, with the same per-frame
-        id and time tests and the same anchor rule, and counts into
-        ``stats`` exactly as the scan does. What it needs of a frame is in
-        the frame: the site id, the event number, and — for a frame that
-        carries both wall readings — the stored ``wall_end`` word, which
-        *is* ``wall_end - wall_start``. It makes every check a decode
-        makes of a frame it matches: cut short, a chain, child or site id
-        past its table, an event number out of range, or semantics that
-        are not JSON raise :class:`StoreError`. With ``anchors`` the fold
-        carries the matched frames' anchor bounds (from the ``FXTS``
-        footer when every frame passes and the file has one), with
-        ``threads`` their ``(process, thread_id)`` pairs.
-        """
+        """Fold the rows ``flt`` passes into a :class:`SegmentFold`, no
+        row built: the units and kept rows of :meth:`scan`, counted into
+        ``stats`` as it counts them, with every check it makes (the blocks'
+        ids and lengths, their semantics JSON). Site counts come
+        from the site-id column, calls from the event column, intervals
+        from the stored wall durations. ``anchors`` asks for the matched
+        rows' anchor bounds (the ``FXTS`` footer's when every row passes),
+        ``threads`` for their ``(process, thread_id)`` pairs."""
         out = SegmentFold(threads)
         track = anchors and (
             (flt is not None and not flt.is_pass) or self.ts_bounds is None
@@ -1108,88 +1092,50 @@ class SegmentReader:
             lo, hi = self.ts_bounds
             out.bounds = (lo, hi) if lo <= hi else None
         flt, units = self._units(flt, stats)
-        mm = self._mm
-        strings, sites = self.strings, self.sites
-        n_strings = len(strings)
-        fn_unpack, fw_unpack = _FOLD_NARROW.unpack_from, _FOLD_WIDE.unpack_from
-        fn_size, fw_size, misc_off = _FN_SIZE, _FW_SIZE, _MISC_OFF
-        loads = _loads
-        counts = [0] * len(sites)
+        sites = self.sites
+        counts: Counter = Counter()
         intervals: list[list[int]] = [[] for _ in sites]
-        events = [0] * len(EVENT_BY_NUM)  # an event number past it raises
         cids: set[int] = set()
-        add_cid = cids.add
         pairs: set[tuple[int, int]] | None = set() if threads else None
-        filtered = flt is not None
-        want_cids = want_sites = ts_lo = ts_hi = None
-        if filtered:
-            want_cids, want_sites, ts_lo, ts_hi = flt.cids, flt.sites, flt.ts_lo, flt.ts_hi
-        timed = ts_lo is not None or ts_hi is not None
-        anchored = timed or track
+        calls = 0
         lo = hi = None
-        try:
-            for _cid, _ranks, off, end, limit in units:
-                prev_ws = 0
-                done = matched = 0
-                while off < end and done < limit:
-                    if mm[off + misc_off] & 16:
-                        cid, ev, pres, sid, tid, child, semlen, ws, wed = fw_unpack(mm, off)
-                        off += fw_size
-                        if pres & 1:
-                            prev_ws = ws
-                    else:
-                        cid, ev, pres, sid, tid, child, semlen, wsd, wed = fn_unpack(mm, off)
-                        off += fn_size
-                        if pres & 1:
-                            prev_ws += wsd
-                    done += 1
-                    if filtered and (
-                        (want_cids is not None and cid not in want_cids)
-                        or (want_sites is not None and sid not in want_sites)
-                    ):
-                        off += semlen
-                        continue
-                    if anchored:
-                        anchor = prev_ws if pres & 1 else wed if pres & 2 else None
-                        if timed and (
-                            anchor is None
-                            or (ts_lo is not None and anchor < ts_lo)
-                            or (ts_hi is not None and anchor > ts_hi)
-                        ):
-                            off += semlen
-                            continue
-                        if track and anchor is not None:
-                            if lo is None or anchor < lo:
-                                lo = anchor
-                            if hi is None or anchor > hi:
-                                hi = anchor
-                    events[ev] += 1
-                    if pres & 16 and child >= n_strings:
-                        raise IndexError
-                    if semlen:
-                        if pres & 32:
-                            loads(mm[off:off + semlen])
-                        off += semlen
-                    counts[sid] += 1
-                    if pres & 3 == 3:
-                        intervals[sid].append(wed)
-                    add_cid(cid)
-                    if pairs is not None:
-                        pairs.add((sid, tid))
-                    matched += 1
-                stats.frames_decoded += done
-                stats.records_matched += matched
-            if cids and max(cids) >= n_strings:
-                raise IndexError
-        except (IndexError, struct.error, ValueError):
-            raise StoreError(
-                f"corrupt frame in {self.path}: cut short, or an id past the"
-                " string dictionary or the site table"
-            ) from None
-        for sid, count in enumerate(counts):
-            if count:
-                out.add_site(sites[sid], count, intervals[sid])
-        out.calls = events[1]
+        starts = self._starts
+        for block, gis in units:
+            columns = self._fold_columns(block)
+            if gis is not None and len(gis) < block.g1 - block.g0:
+                # A few groups of the block: gather just their rows.
+                rows = list(chain.from_iterable(map(
+                    range, (starts[gi] - block.row0 for gi in gis),
+                    (starts[gi + 1] - block.row0 for gi in gis),
+                )))
+                take = itemgetter(*rows) if len(rows) > 1 else lambda col: (col[rows[0]],)
+                columns = [take(column) for column in columns]
+            site, event, tid, row_cids, durations, timed, anchor, has_anchor = columns
+            stats.frames_decoded += len(site)
+            mask = None if flt is None else _row_mask(
+                flt, site, row_cids, (anchor, has_anchor)
+                if flt.ts_lo is not None or flt.ts_hi is not None else None,
+            )
+
+            site_kept = list(_kept(site, mask))
+            stats.records_matched += len(site_kept)
+            counts.update(site_kept)
+            calls += bytes(_kept(event, mask)).count(1)
+            both = _and(bytes(timed), mask)
+            for sid, duration in zip(compress(site, both), compress(durations, both)):
+                intervals[sid].append(duration)
+            cids.update(_kept(row_cids, mask))
+            if pairs is not None:
+                pairs.update(zip(site_kept, _kept(tid, mask)))
+            if track:
+                found = list(compress(anchor, _and(bytes(has_anchor), mask)))
+                if found:
+                    lo = min(found) if lo is None else min(lo, min(found))
+                    hi = max(found) if hi is None else max(hi, max(found))
+        strings = self.strings
+        for sid, count in counts.items():
+            out.add_site(sites[sid], count, intervals[sid])
+        out.calls = calls
         out.chains.update([strings[cid] for cid in cids])
         if pairs is not None:
             out.threads.update([(sites[sid].process, tid) for sid, tid in pairs])
@@ -1197,17 +1143,41 @@ class SegmentReader:
             out.bounds = (lo, hi)
         return out
 
+    def _fold_columns(self, block: _Block) -> list:
+        """What a fold reads of ``block`` per row (site, event, thread, chain,
+        wall duration and has-both-readings, anchor and has-one), kept."""
+        if block.fold is None:
+            cols = self._columns(block)
+            flags = cols[_FLAGS]
+            ends = cols[_SEM_END]
+            sems = map(cols[_SEM_BLOB].__getitem__, map(slice, chain((0,), ends), ends))
+            try:
+                deque(map(_loads, sems), 0)
+            except ValueError:
+                raise StoreError(f"corrupt semantics in {self.path}: not JSON") from None
+            timed = flags.translate(_WALL_BOTH)
+            anchor, has_anchor = _anchor_columns(self._wall(block, cols))
+            durations = compress(cols[_WD], compress(timed, flags.translate(_BIT[1])))
+            block.fold = [
+                cols[_SITE], cols[_EVENT], cols[_TID], array("I", self._row_cids(block, cols)),
+                array("q", _fill(timed, durations, 0)), timed, array("q", anchor), has_anchor,
+            ]
+        return block.fold
+
     def load_ranked(self, out: list) -> None:
         """Append every ``(arrival_rank, row)`` pair to ``out``."""
         for _cid, ranks, rows in self.scan(None, ScanStats()):
             out.extend(zip(ranks, rows))
 
-    def decode_group(self, start_off: int, count: int) -> list[tuple]:
-        """Decode one sealed chain group's rows from its byte range
-        (zero-copy)."""
-        group: list[tuple] = []
-        self._decode_span(start_off, self.size_bytes, count, group)
-        return group
+    def decode_group(self, gi: int) -> list[tuple]:
+        """Decode one sealed chain group's rows, from its block alone."""
+        block = self._blocks[bisect_right([b.g0 for b in self._blocks], gi) - 1]
+        cols = self._columns(block)
+        mask, _examined = self._mask(block, cols, [gi], None)
+        try:
+            return list(self._rows(block, cols, mask))
+        except ValueError:
+            raise StoreError(f"corrupt semantics in {self.path}: not JSON") from None
 
     def groups_holding(self, fns) -> bytearray:
         """One flag per chain group: may it hold a function whose table
@@ -1227,15 +1197,44 @@ class SegmentReader:
         return keep
 
 
+def _anchor_columns(wall) -> tuple:
+    """Each row's anchor (``wall_start``, else ``wall_end``; 0 where it
+    has neither) and a 0/1 byte per row: has it one?"""
+    starts, ends = map(list, wall)
+    if None not in starts:
+        return starts, b"\1" * len(starts)
+    anchors = [s if s is not None else e for s, e in zip(starts, ends)]
+    return [a or 0 for a in anchors], _present(anchors)
+
+
+def _row_mask(flt, site, cids, anchors) -> bytes | None:
+    """``flt``'s per-row tests over a block's parallel columns — site ids,
+    chain ids and (with a time range) :func:`_anchor_columns` — as one 0/1
+    byte per row (``None``: no test)."""
+    lo, hi = flt.ts_lo, flt.ts_hi
+    masks = [
+        None if flt.cids is None else bytes(map(flt.cids.__contains__, cids)),
+        None if flt.sites is None else bytes(map(flt.sites.__contains__, site)),
+    ]
+    if anchors is not None:
+        values, has = anchors
+        masks.append(bytes(has))
+        if lo is not None:
+            masks.append(bytes(map(le, repeat(lo), values)))
+        if hi is not None:
+            masks.append(bytes(map(le, values, repeat(hi))))
+    return _and(*masks)
+
+
 def bounds_overlap(
     bounds: tuple[int, int] | None, lo: int | None, hi: int | None
 ) -> bool:
     """Can any anchor inside ``bounds`` fall within ``[lo, hi]``?
 
     ``bounds`` is a footer (min, max) pair over anchor timestamps;
-    ``None`` means unknown (salvaged or pre-extension segment — never
-    prune), and an inverted pair (min > max) means *no frame carries an
-    anchor* — nothing can match a time-range predicate, so prune.
+    ``None`` means unknown (salvaged segment — never prune), and an
+    inverted pair (min > max) means *no row carries an anchor* — nothing
+    can match a time-range predicate, so prune.
     """
     if bounds is None:
         return True
@@ -1253,9 +1252,9 @@ def segment_info(reader: SegmentReader) -> dict:
     """Summary dict for ``store-info`` output.
 
     ``salvaged`` marks segments decoded without a (valid) footer; their
-    chain index is rebuilt from the frames, so ``index`` reports
+    chain index is rebuilt from the blocks, so ``index`` reports
     ``"salvaged"`` coverage and timestamp bounds are unknown — predicate
-    pushdown can never prune them, only frame-filter.
+    pushdown can never prune them, only filter rows.
     """
     bounds = reader.ts_bounds
     has_bounds = bounds is not None and bounds[0] <= bounds[1]
@@ -1264,7 +1263,7 @@ def segment_info(reader: SegmentReader) -> dict:
         "kind": "sealed" if reader.sealed else "spool",
         "schema_version": reader.schema_version,
         "records": reader.record_count,
-        "chains": len(reader.chains),
+        "chains": len(reader.chain_ids),
         "bytes": reader.size_bytes,
         "dictionary_strings": len(reader.strings),
         "sites": len(reader.sites),
@@ -1275,7 +1274,7 @@ def segment_info(reader: SegmentReader) -> dict:
         "ts_max": bounds[1] if has_bounds else None,
         "index": {
             "coverage": "salvaged" if reader.partial else "footer",
-            "chains": len(reader.chains),
+            "chains": len(reader.chain_ids),
             "group_ts_bounds": reader.chain_ts is not None,
             "group_functions": reader.fn_table is not None,
             "functions": len(reader.fn_table or ()) // 2,

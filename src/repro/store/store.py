@@ -8,10 +8,10 @@ A store is a directory::
     <root>/runs/<run_id>/NNNNNN.sealed.seg   chain-sorted: commits, merges
 
 A collection transaction (:meth:`SegmentStore.bulk_ingest`) commits one
-*sealed* segment — frames grouped by chain and sorted, what compaction
-would have made of it — so ``chains_for_run`` is a grouped zero-copy scan
+*sealed* segment — rows grouped by chain and sorted, what compaction
+would have made of it — so ``chains_for_run`` is a grouped block scan
 over the ``mmap``ed file with no SQL and no sort step from the first
-scan, and analyzer shards read disjoint byte ranges. An ``insert_records``
+scan, and analyzer shards read disjoint column blocks. An ``insert_records``
 outside a transaction appends an arrival-order *spool*. Compaction
 merges a run that holds more than one segment (a second collection,
 spools, a salvaged file) into one, in the caller's thread:
@@ -302,7 +302,7 @@ class SegmentStore:
             os.path.join(run.path, ".tmp-" + name), KIND_SEALED, arrival_base=base
         )
         try:
-            grouping = _write_groups(writer, rows, ranks)
+            _write_groups(writer, rows, ranks)
             writer.seal()
         except BaseException:
             writer.abort()
@@ -332,12 +332,6 @@ class SegmentStore:
                     # drops (POSIX semantics), and the mmap is released when
                     # the final scan lets go of the reader object.
                     _unlink_segment(source.path)
-        # Released only now. The grouping's ints took the scattered blocks
-        # the allocator had free; freed before the reader parsed its footer,
-        # they would go, hole by hole, to an index that lives as long as the
-        # run and that every scan walks (ledger: the query medians +15-20 %,
-        # the first scan +8 %; docs/performance.md).
-        del grouping
         return True
 
     # ------------------------------------------------------------------
@@ -445,7 +439,7 @@ class SegmentStore:
         uuids: set[str] = set()
         for reader in self._segments(self._run(run_id)):
             strings = reader.strings
-            uuids.update(strings[cid] for cid, _c, _o, _r in reader.chains)
+            uuids.update(map(strings.__getitem__, reader.chain_ids))
         return sorted(uuids, key=uuid_key)
 
     def events_for_chain(self, run_id: str, chain_uuid: str) -> list[ProbeRecord]:
@@ -467,10 +461,10 @@ class SegmentStore:
         """Stream ``(chain_uuid, sorted rows)`` groups: each row the tuple
         of a record's fields in ``ProbeRecord.__slots__`` order.
 
-        On a compacted run this is the zero-copy fast path: one sealed
-        segment, chain groups already sorted and byte-contiguous, so each
-        group streams straight out of the ``mmap`` at its footer offset —
-        a bounded scan reads only its shard's byte range. Any other run
+        On a compacted run this is the fast path: one sealed segment,
+        chain groups already sorted, so each column block decodes once and
+        streams its groups as row ranges — a bounded scan reads only the
+        blocks of its shard's groups. Any other run
         takes the merged path: every segment is scanned once (a sealed
         one still only its shard's, unpruned groups) and the groups are
         merged in memory (arrival order is preserved segment-by-segment,
@@ -479,7 +473,7 @@ class SegmentStore:
 
         ``predicate`` pushes a :class:`~repro.store.query.ScanPredicate`
         below decode: footer metadata prunes whole segments and (sealed)
-        chain groups, and surviving segments frame-filter on interned
+        chain groups, and surviving segments row-filter on interned
         integer ids — chains with no matching record are not yielded,
         matching the SQLite backend bit-for-bit. ``stats`` (a
         :class:`~repro.store.query.ScanStats`) collects the pruning
@@ -532,7 +526,7 @@ class SegmentStore:
         threads: bool = False,
     ) -> list[SegmentFold]:
         """The aggregate read path: one :class:`SegmentFold` per segment
-        the footer does not rule out, folded from its frames with no
+        the footer does not rule out, folded from its columns with no
         record built (:meth:`SegmentReader.fold`; ``anchors`` and
         ``threads`` ask it for anchor bounds and thread pairs). Pruning
         and work count into ``stats`` exactly as :meth:`chains_for_run`
@@ -555,7 +549,7 @@ class SegmentStore:
         """Per-operation record counts and wall intervals of the records
         ``predicate`` matches, and how many chains hold one — what
         :func:`repro.store.query.fold_operations` makes of
-        ``chains_for_run``, folded from the frames instead."""
+        ``chains_for_run``, folded from the columns instead."""
         return merge_operations(self.fold_segments(run_id, predicate, stats))
 
     # ------------------------------------------------------------------
@@ -573,7 +567,7 @@ class SegmentStore:
         """Stream a run's records in arrival (insert) order.
 
         With a ``predicate``, yields the matching subsequence of the
-        unpredicated order: arrival ranks are positional over all frames,
+        unpredicated order: arrival ranks are positional over all rows,
         so filtering can neither reorder nor double-count records.
         """
         streams = []
@@ -600,7 +594,7 @@ class SegmentStore:
         Mirrors the SQLite backend's semantics exactly, including the
         string-concatenation identity of ``interface || '::' ||
         operation`` and ``process || '/' || thread_id``: folded from the
-        frames the predicate passes (:meth:`fold_segments`), no record
+        rows the predicate passes (:meth:`fold_segments`), no record
         built.
         """
         return merge_population(self.fold_segments(run_id, predicate, threads=True))
@@ -645,9 +639,7 @@ class SegmentStore:
                 "ts_min": min(ts_mins) if ts_mins else None,
                 "ts_max": max(ts_maxs) if ts_maxs else None,
                 "chains": len({
-                    reader.strings[cid]
-                    for reader in readers
-                    for cid, _c, _o, _r in reader.chains
+                    reader.strings[cid] for reader in readers for cid in reader.chain_ids
                 }),
                 "segments": segments,
                 "bytes": sum(r.size_bytes for r in readers),
@@ -719,31 +711,22 @@ def _unlink_segment(path: str) -> None:
         logger.warning("could not remove segment %s: %s", path, exc)
 
 
-def _write_groups(writer: SegmentWriter, rows: list[list], ranks) -> dict:
+def _write_groups(writer: SegmentWriter, rows: list[list], ranks) -> None:
     """The one grouped write: probe ``rows`` — in load order, ``ranks[i]``
     the arrival rank of ``rows[i]`` — as chain groups in uuid order, each
-    by event number with load order breaking ties — what ``start_group()``
-    + ``append(rows, ranks)`` per chain write. Returns the grouping it
-    built, for the caller to release when it chooses."""
-    total = len(rows)
-    groups: dict[str, list[int]] = defaultdict(list)
-    for position, row in enumerate(rows):
-        # One int per record that sorts by (event number, position); a
-        # row's [1] and [2] are its chain uuid and event number.
-        groups[row[1]].append(row[2] * total + position)
-    order: list[int] = []
-    for uuid in sorted(groups, key=uuid_key):
-        keys = groups[uuid]
-        keys.sort()
-        order += keys
-    order = [key % total for key in order]
-    writer.append_groups(
+    by event number with load order breaking ties — what ``append(rows,
+    ranks)`` per chain writes."""
+    # Two stable C-level sorts: by event number, then by chain uuid (code
+    # point order is UTF-8 byte order, the order of uuid_key).
+    order = sorted(range(len(rows)), key=list(map(_event_seq_key, rows)).__getitem__)
+    order.sort(key=list(map(_chain_key, rows)).__getitem__)
+    writer.append(
         list(map(rows.__getitem__, order)), list(map(ranks.__getitem__, order))
     )
-    return groups
 
 
 _event_seq_key = itemgetter(2)  # a row's event number
+_chain_key = itemgetter(1)  # a row's chain uuid
 
 
 def _rank_key(pair) -> int:

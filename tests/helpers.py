@@ -13,6 +13,8 @@ subtracts child call windows taken on the caller's thread.
 
 from __future__ import annotations
 
+import os
+import zlib
 from dataclasses import dataclass, field
 
 from repro.core import (
@@ -134,3 +136,31 @@ def _run_body(sim: Simulation, call: Call) -> None:
 def rows_of(records) -> list[tuple]:
     """What a store decodes for ``records``: one row (a tuple) each."""
     return [tuple(as_row(record)) for record in records]
+
+
+def cut_into_blocks(path: str, fraction: float) -> None:
+    """Truncate a segment file ``fraction`` of the way into what precedes
+    its footer (a small file's footer, holding every string and rank, can
+    be a third of it), as a crash mid-write leaves it."""
+    with open(path, "rb") as handle:
+        handle.seek(-16, 2)
+        footer_off = int.from_bytes(handle.read(8), "little")
+    os.truncate(path, int(footer_off * fraction))
+
+
+def reseal(data: bytes) -> bytes:
+    """``data`` (a column-format segment) with every column block's and
+    the footer's CRC32 recomputed — so a test that damages bytes on purpose
+    reaches the reader's own checks, not the checksum that stands before
+    them."""
+    out = bytearray(data)
+    footer_off = int.from_bytes(out[-16:-8], "little")
+    pos = 16
+    while pos + 5 <= footer_off:
+        tag, plen = out[pos], int.from_bytes(out[pos + 1:pos + 5], "little")
+        if tag == 4 and pos + 9 <= footer_off:
+            body = bytes(out[pos + 9:pos + 5 + plen])
+            out[pos + 5:pos + 9] = zlib.crc32(body).to_bytes(4, "little")
+        pos += 5 + plen
+    out[-4:] = zlib.crc32(bytes(out[footer_off:-16])).to_bytes(4, "little")
+    return bytes(out)

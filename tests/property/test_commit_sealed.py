@@ -3,13 +3,13 @@
 Over the record sets of ``test_compaction_relocation`` — every presence
 combination of the four clock readings (LATENCY and CPU processes), child
 links (oneway forks), semantics payloads, event-number ties, start
-readings on both sides of the ``i32`` boundary (wide frames) — handed to
-``SegmentStore.bulk_ingest`` in one to four batches, with a records-block
-threshold low enough that most files hold several blocks:
+readings on both sides of the ``i32`` boundary (wide columns) — handed to
+``SegmentStore.bulk_ingest`` in one to four batches, with a column-block
+size small enough that most files hold several blocks:
 
 - the sealed segment the commit writes is, byte for byte, what
-  ``reference_compact`` (decode + ``start_group()`` + ``append(records,
-  ranks)``, the record-level oracle) writes over a spool of the same
+  ``reference_compact`` (decode + per chain ``append(records, ranks)``,
+  the record-level oracle) writes over a spool of the same
   batches, *and* what a non-transactional insert of the same batches,
   then ``compact()``, writes;
 - a second collection into the run commits a second sealed segment whose
@@ -45,7 +45,7 @@ from tests.unit.store.test_compaction_relocation import (
 EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0")) or 60
 
 _records = st.lists(_record, min_size=1, max_size=40)
-_flush = st.sampled_from([300, 2000, 4 << 20])
+_flush = st.sampled_from([6, 40, 4096])
 
 
 def split(records, parts):
@@ -78,7 +78,7 @@ def read(path):
 def test_commit_writes_what_compaction_would(tmp_path_factory, records, parts, flush):
     root = tmp_path_factory.mktemp("commit")
     batches = split(records, parts)
-    with mock.patch.object(segment_module, "_FLUSH_BYTES", flush):
+    with mock.patch.object(segment_module, "_BLOCK_ROWS", flush):
         store = SegmentStore(str(root / "committed"), auto_compact=0)
         parent = SegmentStore(str(root / "compacted"), auto_compact=0)
         try:
@@ -111,7 +111,7 @@ def test_second_collection_is_a_second_sealed_segment(
     tmp_path_factory, first, second, parts, flush
 ):
     root = tmp_path_factory.mktemp("second")
-    with mock.patch.object(segment_module, "_FLUSH_BYTES", flush):
+    with mock.patch.object(segment_module, "_BLOCK_ROWS", flush):
         store = SegmentStore(str(root / "store"), auto_compact=0)
         try:
             one = commit(store, split(first, parts))

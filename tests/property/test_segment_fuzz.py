@@ -1,7 +1,8 @@
-"""Byte-level fuzzing of the segment reader (record format v2).
+"""Byte-level fuzzing of the segment reader (column format).
 
 Take a valid spool or sealed segment — written through ``SegmentWriter``,
-or by a store's second collection commit (``arrival_base > 0``) — damage
+or by a store's second collection commit (``arrival_base > 0``), or a
+spool torn mid-block — damage
 its bytes anywhere — flip a bit, overwrite a run, delete a run, truncate —
 and open it. Every way
 records (or their aggregates) leave a segment must then either work or
@@ -13,11 +14,11 @@ scan of one filter succeed they agree: the fold equals the record-level
 folds of what the scan decoded — per-operation counts and intervals,
 chains, population statistics — and counts the same :class:`ScanStats`.
 
-The pristine files cover what a frame can look like: with and without
-semantics, processes in LATENCY and in CPU mode (so frames lack one
+The pristine files cover what a row can look like: with and without
+semantics, processes in LATENCY and in CPU mode (so rows lack one
 reading or the other), a collocated call, a oneway fork (child link), a
-wide frame in mid-block, several records blocks and several site-delta
-blocks.
+wall-clock jump past ``i32`` in mid-block, several column blocks and
+several site-delta blocks.
 
 Derandomized: the examples are a function of this file alone. Tier-1
 runs the suite profile's budget (``tests/conftest.py``); CI's fuzz job
@@ -82,6 +83,7 @@ def pristine_records(semantics: bool) -> list:
 
 
 COMMITTED = "committed"  # in place of a kind: the store's own sealed write
+SPOOL_CUT = "spool-cut"  # a spool torn 17 bytes into its third column block
 
 
 def pristine_segment(tmp_path, kind, semantics: bool) -> tuple[bytes, int]:
@@ -98,6 +100,15 @@ def pristine_segment(tmp_path, kind, semantics: bool) -> tuple[bytes, int]:
         assert (last.sealed, last.arrival_base) == (True, 30)
         with open(last.path, "rb") as handle:
             return handle.read(), len(records) - 30
+    if kind == SPOOL_CUT:
+        data, _count = pristine_segment(tmp_path, KIND_SPOOL, semantics)
+        path = str(tmp_path / "whole.seg")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        reader = SegmentReader(path)
+        cut = reader._blocks[2].body[0] + 17
+        reader.close()
+        return data[:cut], 24  # two whole blocks of twelve rows survive
     path = str(tmp_path / "pristine.seg")
     writer = SegmentWriter(path, kind=kind, arrival_base=100)
     if kind == KIND_SEALED:
@@ -105,7 +116,6 @@ def pristine_segment(tmp_path, kind, semantics: bool) -> tuple[bytes, int]:
         for rank, record in enumerate(records):
             groups.setdefault(record.chain_uuid, []).append((rank, record))
         for uuid in sorted(groups):
-            writer.start_group()
             writer.append([r for _k, r in groups[uuid]], ranks=[k for k, _r in groups[uuid]])
     else:
         for lo in range(0, len(records), 12):
@@ -117,17 +127,17 @@ def pristine_segment(tmp_path, kind, semantics: bool) -> tuple[bytes, int]:
 
 @pytest.fixture(scope="module", params=[
     (KIND_SPOOL, False), (KIND_SPOOL, True), (KIND_SEALED, False), (KIND_SEALED, True),
-    (COMMITTED, True),
-], ids=["spool", "spool-semantics", "sealed", "sealed-semantics", "committed"])
+    (COMMITTED, True), (SPOOL_CUT, True),
+], ids=["spool", "spool-semantics", "sealed", "sealed-semantics", "committed", "spool-cut"])
 def pristine(request, tmp_path_factory):
     kind, semantics = request.param
-    # Blocks of a few hundred bytes: several records, dict-delta and
-    # site-delta blocks per file.
-    flush, segment_module._FLUSH_BYTES = segment_module._FLUSH_BYTES, 600
+    # Blocks of a dozen rows: several column, dict-delta and site-delta
+    # blocks per file.
+    rows, segment_module._BLOCK_ROWS = segment_module._BLOCK_ROWS, 12
     try:
         data, count = pristine_segment(tmp_path_factory.mktemp("pristine"), kind, semantics)
     finally:
-        segment_module._FLUSH_BYTES = flush
+        segment_module._BLOCK_ROWS = rows
     path = str(tmp_path_factory.mktemp("fuzzed") / "fuzzed.seg")
     assert exercise(data, path) == count  # the undamaged file answers in full
     return data, count, path

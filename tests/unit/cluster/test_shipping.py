@@ -7,8 +7,12 @@ the worker's arrival order from the ranks, not from file order.
 """
 
 import os
+import struct
+
+import pytest
 
 from repro.collector.sharded import ShardedSpoolCollector
+from repro.errors import StoreError
 from repro.store import ScanStats, SegmentReader, SegmentStore
 from repro.store.ingest import ingest_shipments, receive_shipment
 
@@ -81,3 +85,22 @@ def test_ingested_shipments_leave_the_central_run_sealed(tmp_path):
         assert meta.extra["processes"] == ["sim", "sim", "sim", "sim"]
     finally:
         central.close()
+
+
+def test_a_salvaged_shipped_segment_is_refused(tmp_path):
+    """A shipped segment whose footer does not parse would be salvaged —
+    its rows regrouped by chain, no longer in the worker's arrival order —
+    and still match the manifest's record count: it must be refused."""
+    processes, _records = worker_processes("8")
+    shard = ShardedSpoolCollector(str(tmp_path / "spool"), retries=0, backoff_s=0.0)
+    shard.collect(processes, run_id="w0")
+    manifest = shard.manifest("w0")
+    shard.seal()
+    (data,) = shard.segments("w0")
+    footer_off = struct.unpack_from("<Q", data, len(data) - 16)[0]
+    damaged = bytearray(data)
+    damaged[footer_off + 8] = 7  # the rank width code: no such width
+    with pytest.raises(StoreError, match=r"shipped segment 000000\.seg .* dropped"):
+        receive_shipment(manifest, [bytes(damaged)])
+    # The undamaged bytes still arrive whole.
+    assert receive_shipment(manifest, [data]).record_count == manifest["record_count"]

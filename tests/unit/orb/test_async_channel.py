@@ -221,3 +221,27 @@ class TestAsyncMux:
         # few) coalesced transport chunks, not 8 separate sends.
         assert sum(len(c) for c in chunks) == 8
         assert len(chunks) < 8
+
+    def test_a_bug_in_decode_fails_the_pending_call_promptly(self, monkeypatch):
+        # decode_message raises only MarshalError; anything else is a bug.
+        # It ends the demux thread, and the call fails at once, not at its
+        # timeout.
+        def broken(frame):
+            raise TypeError("a bug, not a malformed reply")
+
+        monkeypatch.setattr("repro.orb.aio.channel.decode_message", broken)
+        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        network, process, server, conn = _make_channel(lambda ids: [_reply(i) for i in ids])
+
+        async def main():
+            channel = AsyncMuxChannel(conn, process, asyncio.get_running_loop())
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(TransportError, match="demux of .* stopped"):
+                await channel.call(
+                    1, _encode_request(1), process.host, oneway=False, timeout=30.0
+                )
+            assert loop.time() - started < 5.0
+            assert channel.closed
+
+        _run(main())

@@ -225,3 +225,23 @@ class TestResetThroughFaultyNetwork:
             server_orb.shutdown()
             server.shutdown()
             client.shutdown()
+
+
+def test_a_bug_in_decode_fails_the_pending_call_promptly(harness, monkeypatch):
+    # decode_message raises only MarshalError; anything else is a bug. It
+    # ends the demux thread, and the call fails at once, not at its timeout.
+    def broken(payload):
+        raise TypeError("a bug, not a malformed reply")
+
+    monkeypatch.setattr("repro.orb.channel.decode_message", broken)
+    monkeypatch.setattr(threading, "excepthook", lambda args: None)
+    channel, server = harness
+    results: dict = {}
+    thread = _call_in_thread(channel, 1, results, timeout=30.0)
+    server.recv(timeout=2)
+    server.send(_reply(1))
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert isinstance(results[1], TransportError)
+    assert "stopped" in str(results[1])
+    assert channel.closed

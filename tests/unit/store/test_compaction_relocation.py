@@ -3,17 +3,17 @@
 ``SegmentStore.compact`` loads every source's ``(rank, row)`` pairs and
 writes them through the grouped encoder a collection commit uses. What it
 must write is, byte for byte, what decoding every source and feeding a
-sealed ``SegmentWriter`` through ``start_group()`` + ``append(records,
+sealed ``SegmentWriter`` chain by chain through ``append(records,
 ranks)`` writes — :func:`reference_compact` below, the oracle. The
 generated source mixes live in
 ``tests/property/test_compaction_relocation.py``; here are the fixed cases
-and the properties that are about *how* it runs: records blocks that flush
+and the properties that are about *how* it runs: column blocks that flush
 mid-merge, and a source that cannot be decoded.
 """
 
 import os
 import shutil
-import struct
+from array import array
 
 import pytest
 
@@ -21,7 +21,6 @@ from repro.core.records import from_row
 from repro.errors import StoreError
 from repro.store import SegmentStore
 from repro.store import segment as segment_module
-from repro.store.codec import FRAME_NARROW, FRAME_WIDE, HEAD_SIZE
 from repro.store.segment import (
     KIND_SEALED,
     KIND_SPOOL,
@@ -29,7 +28,7 @@ from repro.store.segment import (
     SegmentWriter,
 )
 
-from tests.helpers import rows_of
+from tests.helpers import reseal, rows_of
 from tests.unit.store.test_format_v2 import DATA, expected_pairs
 from tests.unit.store.test_segment_codec import make_record
 from tests.unit.store.test_segment_store import seeded_records
@@ -44,14 +43,13 @@ def uuid_key(uuid):
 def write_groups(path, pairs, ranked=True):
     """``(rank, record)`` pairs as a sealed segment, the record-level way:
     per chain in uuid byte order, stable-sorted by event number, through
-    ``start_group()`` + ``append`` (``ranked=False``: no ranks at all)."""
+    ``append`` (``ranked=False``: no ranks at all)."""
     groups = {}
     for rank, record in pairs:
         groups.setdefault(record.chain_uuid, []).append((rank, record))
     writer = SegmentWriter(path, kind=KIND_SEALED)
     for uuid in sorted(groups, key=uuid_key):
         entries = sorted(groups[uuid], key=lambda entry: entry[1].event_seq)
-        writer.start_group()
         writer.append(
             [record for _rank, record in entries],
             ranks=[rank for rank, _record in entries] if ranked else None,
@@ -182,25 +180,24 @@ class TestByteIdentity:
 
 class TestHowItRuns:
     def test_flushed_blocks_keep_every_group_whole(self, tmp_path, monkeypatch):
-        # The same lowered threshold drives the oracle's start_group().
-        monkeypatch.setattr(segment_module, "_FLUSH_BYTES", 2000)
+        # The same lowered block size drives the oracle's writer.
+        monkeypatch.setattr(segment_module, "_BLOCK_ROWS", 40)
         run_dir = new_run_dir(tmp_path)
         records = seeded_records()
         write_spool(run_dir, 1, records[:70], 0)
         write_spool(run_dir, 2, records[70:], 70)
         store, pairs = compact_against_reference(tmp_path)
         (reader,) = store._segments(store._run(RUN))
-        assert len(reader._regions) > 2
+        blocks = reader._blocks
+        assert len(blocks) > 2
+        # Each block holds whole groups, the next block starting at the
+        # group after its last; all but the last hold at least 40 rows.
+        assert [b.g0 for b in blocks] == [0] + [b.g1 for b in blocks[:-1]]
+        assert blocks[-1].g1 == len(reader.chain_ids)
+        assert all(b.rows >= 40 for b in blocks[:-1])
         expected = dict(brute_chains(pairs))
-        for cid, count, start_off, _ranks in reader.chains:
-            group = reader.decode_group(start_off, count)
-            assert group == expected[reader.strings[cid]]
-            # ...and ends inside the records block it started in.
-            (block_end,) = [
-                end for start, end in reader._regions if start <= start_off < end
-            ]
-            *_frames, group_end = frame_offsets(reader, start_off, count + 1)
-            assert group_end <= block_end
+        for gi, cid in enumerate(reader.chain_ids):
+            assert reader.decode_group(gi) == expected[reader.strings[cid]]
         store.close()
 
     def test_string_id_past_the_dictionary_aborts_cleanly(self, tmp_path):
@@ -208,11 +205,16 @@ class TestHowItRuns:
         good = write_spool(run_dir, 1, seeded_records()[:60], 0)
         bad = write_spool(run_dir, 2, seeded_records()[60:], 60)
         reader = SegmentReader(bad)
-        third_frame = list(frame_offsets(reader, reader._regions[0][0], 3))[2]
+        code, sites_at, _rows = reader._blocks[0].cols[2]  # the site-id column
         reader.close()
+        width = array(code).itemsize
         with open(bad, "r+b") as handle:
-            handle.seek(third_frame + 7)  # the frame's site id
-            handle.write(struct.pack("<I", 0x00FFFFFF))
+            handle.seek(sites_at + 2 * width)  # the third row's site id
+            handle.write(b"\xff" * width)
+        with open(bad, "rb") as handle:
+            resealed = reseal(handle.read())  # past the block's checksum
+        with open(bad, "wb") as handle:
+            handle.write(resealed)
         before = {path: open(path, "rb").read() for path in (good, bad)}
         store = SegmentStore(str(tmp_path), auto_compact=0)
         assert not store._segments(store._run(RUN))[1].partial
@@ -222,15 +224,3 @@ class TestHowItRuns:
         assert {path: open(path, "rb").read() for path in (good, bad)} == before
         assert [r.path for r in store._segments(store._run(RUN))] == [good, bad]
         store.close()
-
-
-def frame_offsets(reader, off, count):
-    """Byte offsets of ``count`` consecutive frames starting at ``off``
-    (one more than the group holds gives the offset just past it)."""
-    for _ in range(count):
-        yield off
-        if off + HEAD_SIZE > reader.size_bytes:
-            return
-        wide = reader._mm[off + 5] & 16
-        (semlen,) = struct.unpack_from("<I", reader._mm, off + HEAD_SIZE - 4)
-        off += (FRAME_WIDE if wide else FRAME_NARROW).size + semlen

@@ -1,6 +1,7 @@
-"""Golden record format v2 files: what the reader reads, what the writer writes.
+"""Golden frame-format (header format 1) files: what the reader reads.
 
-The three ``data/v2_*.seg`` files were written by ``SegmentWriter``:
+The three ``data/v2_*.seg`` files were written by the frame-format
+``SegmentWriter`` (commit c9d9f49), the last to write them:
 
 - ``v2_sealed.seg``: a sealed segment (``FXTS`` + ``FXFN``) of nine chain
   groups, written by ``append_groups``; one arrival rank is past ``u32``,
@@ -13,8 +14,7 @@ Three processes on two hosts (one in CPU mode), all four domains,
 collocated calls, oneway forks, semantics, an event number past ``i32``
 and a wall-clock jump that needs a wide frame. ``data/v2_expected.json``
 holds each file's ``[rank, the 22 fields]`` pairs in file order. A change
-that alters a byte the writer writes, or how a reader reads one, fails
-here.
+to how the reader reads one fails here.
 """
 
 import json
@@ -25,12 +25,7 @@ import pytest
 
 from repro.core import CallKind, Domain, ProbeRecord, Site, TracingEvent
 from repro.core.records import SITE_FIELDS, as_row
-from repro.store.segment import (
-    KIND_SEALED,
-    KIND_SPOOL,
-    SegmentReader,
-    SegmentWriter,
-)
+from repro.store.segment import SegmentReader
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -97,25 +92,3 @@ def test_cut_spool_salvages_exactly_the_expected_prefix(reader):
     assert (segment.partial, segment.dropped_bytes, segment.record_count) == (
         True, 17, 30,
     )
-
-
-def test_writer_writes_the_sealed_bytes(tmp_path):
-    pairs = expected_pairs("v2_sealed.seg")
-    path = str(tmp_path / "sealed.seg")
-    writer = SegmentWriter(path, KIND_SEALED)
-    writer.append_groups(
-        [as_row(record) for _rank, record in pairs], [rank for rank, _r in pairs]
-    )
-    writer.seal()
-    with open(path, "rb") as handle:
-        assert handle.read() == data("v2_sealed.seg")
-
-
-def test_writer_writes_the_spool_bytes(tmp_path):
-    pairs = expected_pairs("v2_spool.seg")
-    path = str(tmp_path / "spool.seg")
-    writer = SegmentWriter(path, KIND_SPOOL, arrival_base=pairs[0][0])
-    writer.append([record for _rank, record in pairs])
-    writer.seal()
-    with open(path, "rb") as handle:
-        assert handle.read() == data("v2_spool.seg")

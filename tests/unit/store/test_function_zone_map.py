@@ -23,7 +23,7 @@ from repro.store.segment import (
     segment_info,
 )
 
-from tests.helpers import rows_of
+from tests.helpers import reseal, rows_of
 from tests.unit.store.test_segment_codec import make_record
 
 _TRAILER_SIZE = 16
@@ -43,12 +43,13 @@ def old_format_records():
 
 
 def store_around(tmp_path, segment_bytes):
-    """A store whose run ``r1`` is exactly one given sealed-segment file."""
+    """A store whose run ``r1`` is exactly one given sealed-segment file
+    (checksums recomputed: a damaged file meets the footer parser)."""
     root = tmp_path / "around"
     shutil.rmtree(root, ignore_errors=True)
     run_dir = root / "runs" / "r1"
     run_dir.mkdir(parents=True)
-    (run_dir / "000001.sealed.seg").write_bytes(segment_bytes)
+    (run_dir / "000001.sealed.seg").write_bytes(reseal(segment_bytes))
     return SegmentStore(str(root), auto_compact=0)
 
 
@@ -95,7 +96,6 @@ class TestWriter:
         path = str(tmp_path / "direct.sealed.seg")
         writer = SegmentWriter(path, kind=KIND_SEALED)
         first, second = "0a" * 16, "0b" * 16
-        writer.start_group()
         writer.append([make_record(chain=first, seq=0, operation="early")])
         writer.append([make_record(chain=first, seq=1, operation="middle")])
         writer.append([make_record(chain=first, seq=2, operation="late"),
@@ -142,7 +142,6 @@ class TestRankWidth:
     def ranked_segment(self, tmp_path, ranks):
         path = str(tmp_path / "ranked.sealed.seg")
         writer = SegmentWriter(path, kind=KIND_SEALED)
-        writer.start_group()
         writer.append(
             [make_record(seq=i) for i in range(len(ranks))], ranks=ranks
         )

@@ -3,20 +3,22 @@
 A crash mid-drain leaves a spool segment without its footer and trailer.
 The reader must fall back to a front-to-back block walk, rebuild the
 string dictionary from the inline dict-delta blocks, decode every
-complete frame, and account the bytes it had to drop — the loss shows up
+complete column block, and account the bytes it had to drop — the loss shows up
 in ``store-info`` instead of the whole file vanishing.
 """
 
 import os
+from array import array
 
 import pytest
 
 from repro.core import RunMetadata
 from repro.errors import StoreError
 from repro.store import SegmentStore
+from repro.store import segment as segment_module
 from repro.store.segment import KIND_SEALED, KIND_SPOOL, SegmentReader, SegmentWriter
 
-from tests.helpers import rows_of
+from tests.helpers import reseal, rows_of
 from tests.unit.store.test_segment_codec import make_record
 
 
@@ -30,6 +32,12 @@ def full_records():
         )
         for i in range(300)
     ]
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    """Column blocks of 16 rows: a cut file keeps a prefix of them."""
+    monkeypatch.setattr(segment_module, "_BLOCK_ROWS", 16)
 
 
 @pytest.fixture
@@ -67,9 +75,9 @@ class TestSalvage:
 
     def test_cut_mid_frame_drops_only_the_tail(self, sealed_spool, tmp_path):
         size = os.path.getsize(sealed_spool)
-        # Walk back a handful of bytes from the footer: lands mid-frame
-        # or mid-footer, never exactly on a frame boundary for all of
-        # them — every cut must still salvage a consistent prefix.
+        # Walk back a handful of bytes from the end: lands mid-footer,
+        # never on a block boundary — every cut must still salvage a
+        # consistent prefix.
         for back in (1, 17, 40, 90):
             reader = SegmentReader(truncate_to(sealed_spool, size - back, tmp_path))
             assert reader.partial
@@ -81,7 +89,7 @@ class TestSalvage:
         reader = SegmentReader(truncate_to(sealed_spool, 20, tmp_path))
         assert reader.partial
         assert reader.record_count == 0
-        assert reader.chains == []
+        assert list(reader.chain_ids) == []
         reader.close()
 
     def test_corrupt_footer_body_falls_back_to_salvage(self, sealed_spool, tmp_path):
@@ -137,44 +145,53 @@ class TestSalvage:
 
 
 class TestIdsPastTheTables:
-    """A frame carries three ids — chain, site, child. One that points past
-    the string dictionary or the site table is a typed error from a
-    complete segment, and the end of the decodable prefix of a salvaged one."""
+    """A column block carries three kinds of id — chain (its runs), site,
+    child. One that points past the string dictionary or the site table is
+    a typed error from a complete segment, and the end of the decodable
+    prefix of a salvaged one."""
 
-    #: byte offsets of the three ids within a frame
-    CHAIN, SITE, CHILD = 0, 7, 19
+    CHAIN, SITE, CHILD = 0, 2, 11  # the columns holding them
 
-    def segment(self, tmp_path, kind):
-        """A segment of ``kind`` whose every frame carries a child id; its
-        path, where its frames start, and the frame size."""
+    def segment(self, tmp_path, kind, monkeypatch):
+        """A segment of ``kind``: ten column blocks of ten rows, each row
+        with a child id; its path and the reader's block map."""
+        monkeypatch.setattr(segment_module, "_BLOCK_ROWS", 10)
         records = [
             make_record(
-                chain="0a" * 16, seq=i, wall_start=10**12 + i, wall_end=10**12 + i + 1,
-                child_chain_uuid="0b" * 16, semantics=None,
+                chain=f"{i // 10:032x}", seq=i, wall_start=10**12 + i,
+                wall_end=10**12 + i + 1, child_chain_uuid="0b" * 16, semantics=None,
             )
             for i in range(100)
         ]
         path = str(tmp_path / "ids.seg")
         writer = SegmentWriter(path, kind=kind)
-        writer.start_group()
         writer.append(records)
         writer.seal()
         reader = SegmentReader(path)
-        start = reader._regions[0][0]
+        blocks = reader._blocks
         reader.close()
-        return path, start + 67, 47  # past the wide first frame; narrow frames
+        assert len(blocks) == 10
+        return path, blocks
 
     @staticmethod
-    def overwrite(path, at):
+    def overwrite(path, block, column):
+        """Point the first id of ``column`` in ``block`` past every table."""
+        code, at, _items = block.cols[column]
         with open(path, "r+b") as handle:
             handle.seek(at)
-            handle.write((0x00FFFFFF).to_bytes(4, "little"))
+            handle.write(b"\xff" * array(code).itemsize)
+        with open(path, "rb") as handle:
+            resealed = reseal(handle.read())  # past the block's checksum
+        with open(path, "wb") as handle:
+            handle.write(resealed)
 
     @pytest.mark.parametrize("kind", [KIND_SPOOL, KIND_SEALED])
     @pytest.mark.parametrize("which", ["CHAIN", "SITE", "CHILD"])
-    def test_complete_segment_raises_store_error_naming_the_file(self, tmp_path, kind, which):
-        path, second_frame, _size = self.segment(tmp_path, kind)
-        self.overwrite(path, second_frame + getattr(self, which))
+    def test_complete_segment_raises_store_error_naming_the_file(
+        self, tmp_path, kind, which, monkeypatch
+    ):
+        path, blocks = self.segment(tmp_path, kind, monkeypatch)
+        self.overwrite(path, blocks[1], getattr(self, which))
         reader = SegmentReader(path)
         try:
             assert not reader.partial  # the footer is intact: nothing warned of it
@@ -185,18 +202,19 @@ class TestIdsPastTheTables:
 
     @pytest.mark.parametrize("kind", [KIND_SPOOL, KIND_SEALED])
     @pytest.mark.parametrize("which", ["CHAIN", "SITE", "CHILD"])
-    def test_salvage_stops_before_the_frame(self, tmp_path, kind, which):
-        path, second_frame, size = self.segment(tmp_path, kind)
-        self.overwrite(path, second_frame + 10 * size + getattr(self, which))
+    def test_salvage_stops_before_the_frame(self, tmp_path, kind, which, monkeypatch):
+        path, blocks = self.segment(tmp_path, kind, monkeypatch)
+        self.overwrite(path, blocks[3], getattr(self, which))
         os.truncate(path, os.path.getsize(path) - 40)  # into the footer: salvage
         reader = SegmentReader(path)
         try:
             assert reader.partial
-            # The wide first frame and ten narrow ones precede the damage.
-            assert reader.record_count == 11
-            assert reader.dropped_bytes == os.path.getsize(path) - (second_frame + 10 * size)
+            # The three blocks before the damaged one survive, whole.
+            code, at, items = blocks[2].cols[-1]  # the semantics blob ends a block
+            assert reader.record_count == 30
+            assert reader.dropped_bytes == os.path.getsize(path) - (at + items)
             ranked = []
             reader.load_ranked(ranked)
-            assert [row[2] for _rank, row in ranked] == list(range(11))
+            assert [row[2] for _rank, row in ranked] == list(range(30))
         finally:
             reader.close()

@@ -20,7 +20,7 @@ from repro.store import ScanPredicate, ScanStats, SegmentStore, run_query
 from repro.store import segment as segment_module
 from repro.store.segment import SegmentReader, SegmentWriter, segment_info
 
-from tests.helpers import rows_of
+from tests.helpers import cut_into_blocks, rows_of
 from tests.unit.store.test_segment_codec import make_record
 
 
@@ -297,9 +297,9 @@ class TestMergedDecodeLoop:
     PREDICATE = ScanPredicate(interfaces={"M::I1"}, operations={"op2"})
 
     def many_blocks(self, path, monkeypatch):
-        """A store at ``path`` whose run is one spool of several records
-        blocks (the store's own spools hold one; older stores' did not)."""
-        monkeypatch.setattr(segment_module, "_FLUSH_BYTES", 1024)
+        """A store at ``path`` whose run is one spool of several column
+        blocks."""
+        monkeypatch.setattr(segment_module, "_BLOCK_ROWS", 30)
         records = sliced_records()
         run_dir = os.path.join(path, "runs", "r1")
         os.makedirs(run_dir)
@@ -315,7 +315,7 @@ class TestMergedDecodeLoop:
         run_dir = os.path.join(store.path, "runs", "r1")
         reader = SegmentReader(os.path.join(run_dir, segment["path"]))
         try:
-            return len(reader._regions), reader.partial
+            return len(reader._blocks), reader.partial
         finally:
             reader.close()
 
@@ -340,7 +340,7 @@ class TestMergedDecodeLoop:
         (name,) = [n for n in os.listdir(os.path.join(path, "runs", "r1"))
                    if n.endswith(".seg")]
         victim = os.path.join(path, "runs", "r1", name)
-        os.truncate(victim, int(os.path.getsize(victim) * 0.7))
+        cut_into_blocks(victim, 0.7)
         store = SegmentStore(path, auto_compact=0)
         try:
             regions, partial = self.blocks(store)
@@ -374,19 +374,20 @@ class TestMergedDecodeLoop:
 
 
 class TestSalvagedScans:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(segment_module, "_BLOCK_ROWS", 16)
+
     def truncated_store(self, tmp_path):
         path = str(tmp_path / "sv")
         store = SegmentStore(path, auto_compact=0)
-        # A spool: its tables precede the frames that use them, so a cut
-        # file salvages a prefix (a one-block sealed segment's follow).
+        # A spool: its tables precede the column blocks that use them, so
+        # a cut file salvages a prefix of blocks.
         ingest(store, seeded_records(), sealed=False)
         store.close()
         run_dir = os.path.join(path, "runs", "r1")
         (name,) = [n for n in os.listdir(run_dir) if n.endswith(".seg")]
-        victim = os.path.join(run_dir, name)
-        data = open(victim, "rb").read()
-        with open(victim, "wb") as handle:
-            handle.write(data[: int(len(data) * 0.6)])
+        cut_into_blocks(os.path.join(run_dir, name), 0.6)
         return SegmentStore(path, auto_compact=0)
 
     @pytest.mark.parametrize("predicate", PREDICATES)
@@ -474,13 +475,13 @@ class TestRunQuery:
         ingest(store, seeded_records())
         assert store.compact("r1") is False  # one sealed segment
         calls = []
-        decode = SegmentReader._decode_span
+        decode = SegmentReader._rows
 
         def counting(self, *args, **kwargs):
             calls.append(args)
             return decode(self, *args, **kwargs)
 
-        monkeypatch.setattr(SegmentReader, "_decode_span", counting)
+        monkeypatch.setattr(SegmentReader, "_rows", counting)
         stats = ScanStats()
         answer = run_query(store, "r1", stats=stats)
         assert calls == []

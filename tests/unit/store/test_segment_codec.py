@@ -55,7 +55,6 @@ def roundtrip(tmp_path, records, kind=KIND_SPOOL):
         for record in records:
             by_chain.setdefault(record.chain_uuid, []).append(record)
         for chain in sorted(by_chain):
-            writer.start_group()
             writer.append(by_chain[chain])
     else:
         writer.append(records)
@@ -155,19 +154,18 @@ class TestFrameRoundtrip:
             group = [make_record(chain=chain, seq=s, wall_start=10**12 + s)
                      for s in range(4)]
             expected[chain] = group
-            writer.start_group()
             writer.append(group)
         writer.seal()
         reader = SegmentReader(path)
-        # Decode the *last* group first: offsets must be self-contained.
-        for cid, count, start_off, _ranks in reversed(reader.chains):
-            chain = reader.strings[cid]
-            assert reader.decode_group(start_off, count) == rows_of(expected[chain])
+        # Decode the *last* group first: groups must be self-contained.
+        for gi in reversed(range(len(reader.chain_ids))):
+            chain = reader.strings[reader.chain_ids[gi]]
+            assert reader.decode_group(gi) == rows_of(expected[chain])
         reader.close()
 
     def test_many_records_cross_flush_boundary(self, tmp_path):
-        # Big semantics payloads push the buffer past the flush
-        # threshold, so the segment carries several records blocks.
+        # Big semantics payloads: a blob of megabytes in one column block,
+        # its end offsets past u16.
         records = [
             make_record(seq=i, semantics={"pad": "x" * 4096, "i": i})
             for i in range(2048)
@@ -175,13 +173,13 @@ class TestFrameRoundtrip:
         assert roundtrip(tmp_path, records) == rows_of(records)
 
     def test_multi_block_spool_self_anchors_each_block(self, tmp_path, monkeypatch):
-        # The reader resets its timestamp-delta state per records block,
-        # so a spool whose appends straddle flush boundaries must anchor
-        # every block on a raw reading — a delta leaking across a block
-        # boundary corrupts every timestamp after it.
+        # The reader starts its timestamp deltas from each column block's
+        # base, so a spool whose appends straddle block boundaries must
+        # anchor every block on a raw reading — a delta leaking across a
+        # block boundary corrupts every timestamp after it.
         import repro.store.segment as segment
 
-        monkeypatch.setattr(segment, "_FLUSH_BYTES", 256)
+        monkeypatch.setattr(segment, "_BLOCK_ROWS", 7)
         records = [
             make_record(
                 seq=i, wall_start=10**12 + 17 * i, wall_end=10**12 + 17 * i + 5,
@@ -195,7 +193,7 @@ class TestFrameRoundtrip:
             writer.append(records[lo:lo + 5])
         writer.seal()
         reader = SegmentReader(path)
-        assert len(reader._regions) > 1  # the regression needs >1 block
+        assert len(reader._blocks) > 1  # the regression needs >1 block
         out = []
         reader.load_ranked(out)
         reader.close()

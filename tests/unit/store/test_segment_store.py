@@ -1,7 +1,6 @@
 """SegmentStore backend: parity with SQLite, compaction, durability."""
 
 import os
-import struct
 import threading
 
 import pytest
@@ -12,6 +11,7 @@ from repro.store import MonitoringDatabase, SegmentStore, detect_backend, open_s
 from repro.store import segment as segment_module
 from repro.store.segment import SegmentReader
 
+from tests.helpers import cut_into_blocks
 from tests.unit.store.test_segment_codec import make_record
 
 
@@ -92,7 +92,7 @@ class TestSegmentStoreParity:
         # timestamps must survive the block boundaries.
         import repro.store.segment as segment
 
-        monkeypatch.setattr(segment, "_FLUSH_BYTES", 512)
+        monkeypatch.setattr(segment, "_BLOCK_ROWS", 10)
         records = seeded_records()
         store.create_run(RunMetadata(run_id="r1"))
         with store.bulk_ingest():
@@ -200,14 +200,14 @@ class TestSegmentStoreLifecycle:
         self, tmp_path, caplog, monkeypatch
     ):
         """A merge torn after its rename, with a prefix that salvages
-        (several records blocks): served beside its sources, that prefix
+        (several column blocks): served beside its sources, that prefix
         would come back twice."""
         import logging
 
-        monkeypatch.setattr(segment_module, "_FLUSH_BYTES", 1024)
+        monkeypatch.setattr(segment_module, "_BLOCK_ROWS", 20)
         path, run_dir, records = self.crashed_after_rename(tmp_path)
         sealed = os.path.join(run_dir, "000003.sealed.seg")
-        os.truncate(sealed, int(os.path.getsize(sealed) * 0.7))
+        cut_into_blocks(sealed, 0.7)
         torn = SegmentReader(sealed)
         assert torn.partial and 0 < torn.record_count < len(records)
         torn.close()
@@ -227,14 +227,14 @@ class TestSegmentStoreLifecycle:
     def test_torn_collection_is_kept_and_salvaged(self, tmp_path, monkeypatch):
         """A sealed segment without its footer that no lower-numbered
         segment covers is a collection damaged later, not a failed merge."""
-        monkeypatch.setattr(segment_module, "_FLUSH_BYTES", 1024)
+        monkeypatch.setattr(segment_module, "_BLOCK_ROWS", 20)
         path = str(tmp_path / "store")
         store = SegmentStore(path, auto_compact=0)
         records = seeded_records()
         mirrored(store, records, batches=2)
         store.close()
         second = os.path.join(path, "runs", "r1", "000002.sealed.seg")
-        os.truncate(second, int(os.path.getsize(second) * 0.7))
+        cut_into_blocks(second, 0.7)
         reopened = SegmentStore(path, auto_compact=0)
         try:
             state = reopened.compaction_state("r1")
@@ -323,11 +323,11 @@ class TestSegmentStoreLifecycle:
             raise OSError(28, "No space left on device")
 
         if stage == "encode":
-            # No frame holds a thread id past i64.
+            # No column holds a thread id past 64 bits.
             records[100] = make_record(chain="ee" * 16, thread_id=2**70)
-            expected = struct.error
+            expected = OverflowError
         elif stage == "write":
-            monkeypatch.setattr(segment_module.SegmentWriter, "_flush_records", disk_full)
+            monkeypatch.setattr(segment_module.SegmentWriter, "_flush_block", disk_full)
             expected = OSError
         else:
             monkeypatch.setattr(os, "rename", disk_full)
