@@ -465,12 +465,16 @@ def merge_operations(folds: Iterable[SegmentFold]) -> tuple[dict[str, OpStats], 
 def _op_stats(
     counts: dict[str, int], durations: dict[str, list[int]]
 ) -> dict[str, OpStats]:
+    """Each operation's :class:`OpStats`, its intervals sorted once (runs
+    that already ascend, as a segment fold's do, merge in near-linear
+    time) and its bounds read off their ends."""
     operations = {}
     for key, records in counts.items():
         values = durations.get(key, [])
+        values.sort()
         operations[key] = OpStats(
             records, len(values), sum(values),
-            min(values, default=None), max(values, default=None),
+            values[0] if values else None, values[-1] if values else None,
             durations=values,
         )
     return operations

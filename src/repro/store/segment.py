@@ -627,6 +627,24 @@ def _full_readings(deltas, durations, base: int, has_start: bytes, has_end: byte
     ]
 
 
+class _FoldColumns:
+    """One block's rows as an aggregate fold reads them, in (site id, wall
+    duration) order: each site's rows are the span ``[bounds[k],
+    bounds[k + 1])`` of ``sids[k]``, and its timed rows' durations ascend
+    there. ``positions`` maps a row of the block to where it went;
+    ``chains`` holds the distinct chain ids of a block whose chains are
+    not a group range (``None``: a complete sealed segment's)."""
+
+    __slots__ = (
+        "sids", "bounds", "positions", "event", "tid", "cids", "durations",
+        "timed", "anchor", "has_anchor", "chains",
+    )
+
+    def __init__(self, *columns):
+        (self.sids, self.bounds, self.positions, self.event, self.tid, self.cids,
+         self.durations, self.timed, self.anchor, self.has_anchor, self.chains) = columns
+
+
 class SegmentReader:
     """mmap-backed reads of one (possibly partial) segment."""
 
@@ -1079,9 +1097,11 @@ class SegmentReader:
         """Fold the rows ``flt`` passes into a :class:`SegmentFold`, no
         row built: the units and kept rows of :meth:`scan`, counted into
         ``stats`` as it counts them, with every check it makes (the blocks'
-        ids and lengths, their semantics JSON). Site counts come
-        from the site-id column, calls from the event column, intervals
-        from the stored wall durations. ``anchors`` asks for the matched
+        ids and lengths, their semantics JSON). It walks each block's
+        :class:`_FoldColumns` site span by site span: a count is the
+        span's length (or its mask's), the intervals are the span's timed
+        durations, already ascending, and a site the filter does not want
+        is a span left out of the mask. ``anchors`` asks for the matched
         rows' anchor bounds (the ``FXTS`` footer's when every row passes),
         ``threads`` for their ``(process, thread_id)`` pairs."""
         out = SegmentFold(threads)
@@ -1092,60 +1112,93 @@ class SegmentReader:
             lo, hi = self.ts_bounds
             out.bounds = (lo, hi) if lo <= hi else None
         flt, units = self._units(flt, stats)
-        sites = self.sites
-        counts: Counter = Counter()
-        intervals: list[list[int]] = [[] for _ in sites]
+        wanted = None if flt is None else flt.sites
+        timing = flt is not None and (flt.ts_lo is not None or flt.ts_hi is not None)
+        tested = timing or (flt is not None and flt.cids is not None)
+        counts: dict[int, int] = {}
+        intervals: dict[int, list[int]] = {}
+        tids: dict[int, set[int]] = {}
         cids: set[int] = set()
-        pairs: set[tuple[int, int]] | None = set() if threads else None
+        found: list[int] = []  # the least and greatest anchor kept, per unit
         calls = 0
-        lo = hi = None
         starts = self._starts
         for block, gis in units:
+            gathered = gis is not None and len(gis) < block.g1 - block.g0
             columns = self._fold_columns(block)
-            if gis is not None and len(gis) < block.g1 - block.g0:
-                # A few groups of the block: gather just their rows.
-                rows = list(chain.from_iterable(map(
-                    range, (starts[gi] - block.row0 for gi in gis),
-                    (starts[gi + 1] - block.row0 for gi in gis),
-                )))
-                take = itemgetter(*rows) if len(rows) > 1 else lambda col: (col[rows[0]],)
-                columns = [take(column) for column in columns]
-            site, event, tid, row_cids, durations, timed, anchor, has_anchor = columns
-            stats.frames_decoded += len(site)
-            mask = None if flt is None else _row_mask(
-                flt, site, row_cids, (anchor, has_anchor)
-                if flt.ts_lo is not None or flt.ts_hi is not None else None,
+            sids, bounds = columns.sids, columns.bounds
+            parts = (  # what this fold reads of the block
+                columns.event, columns.cids, columns.durations, columns.timed,
+                columns.tid if threads else None,
+                *((columns.anchor, columns.has_anchor) if timing or track else (None, None)),
             )
-
-            site_kept = list(_kept(site, mask))
-            stats.records_matched += len(site_kept)
-            counts.update(site_kept)
+            if gathered:
+                # A few groups of the block: just their rows, through the
+                # position map, still in (site, duration) order; a step per
+                # site they hold, not per site of the block.
+                row0 = block.row0
+                at = sorted(chain.from_iterable(map(columns.positions.__getitem__, map(
+                    slice, [starts[gi] - row0 for gi in gis],
+                    [starts[gi + 1] - row0 for gi in gis],
+                ))))
+                spans, lo = [], 0
+                while lo < len(at):
+                    k = bisect_right(bounds, at[lo]) - 1
+                    hi = bisect_left(at, bounds[k + 1], lo)
+                    spans.append((sids[k], lo, hi))
+                    lo = hi
+                take = _taker(at)
+                parts = [None if part is None else take(part) for part in parts]
+            else:
+                spans = list(zip(sids, bounds, islice(bounds, 1, None)))
+            event, cid, durations, timed, tid, anchor, has_anchor = parts
+            stats.frames_decoded += len(durations)
+            mask = _row_mask(
+                flt, None, cid, (anchor, has_anchor) if timing else None
+            ) if tested else None
+            if wanted is not None:
+                kept = [span for span in spans if span[0] in wanted]
+                if len(kept) < len(spans):
+                    keep = bytearray(len(durations))
+                    for _sid, lo, hi in kept:
+                        keep[lo:hi] = b"\1" * (hi - lo)
+                    mask, spans = _and(bytes(keep), mask), kept
+            both = _and(timed, mask)
+            for sid, lo, hi in spans:
+                count = hi - lo if mask is None else mask.count(1, lo, hi)
+                if count:
+                    counts[sid] = counts.get(sid, 0) + count
+                    intervals.setdefault(sid, []).extend(
+                        compress(durations[lo:hi], both[lo:hi])
+                    )
+                    if threads:
+                        tids.setdefault(sid, set()).update(
+                            _kept(tid[lo:hi], None if mask is None else mask[lo:hi])
+                        )
             calls += bytes(_kept(event, mask)).count(1)
-            both = _and(bytes(timed), mask)
-            for sid, duration in zip(compress(site, both), compress(durations, both)):
-                intervals[sid].append(duration)
-            cids.update(_kept(row_cids, mask))
-            if pairs is not None:
-                pairs.update(zip(site_kept, _kept(tid, mask)))
+            cids.update(
+                _kept(cid, mask) if mask is not None
+                else columns.chains if gis is None
+                else map(self.chain_ids.__getitem__, gis) if gathered
+                else self.chain_ids[block.g0:block.g1]
+            )
             if track:
-                found = list(compress(anchor, _and(bytes(has_anchor), mask)))
-                if found:
-                    lo = min(found) if lo is None else min(lo, min(found))
-                    hi = max(found) if hi is None else max(hi, max(found))
-        strings = self.strings
-        for sid, count in counts.items():
-            out.add_site(sites[sid], count, intervals[sid])
+                found += _extremes(anchor, _and(has_anchor, mask))
+        stats.records_matched += sum(counts.values())
+        sites, strings = self.sites, self.strings
+        for sid in sorted(counts):
+            out.add_site(sites[sid], counts[sid], intervals[sid])
         out.calls = calls
         out.chains.update([strings[cid] for cid in cids])
-        if pairs is not None:
-            out.threads.update([(sites[sid].process, tid) for sid, tid in pairs])
-        if track and lo is not None:
-            out.bounds = (lo, hi)
+        if threads:
+            out.threads.update([
+                (sites[sid].process, thread) for sid, group in tids.items() for thread in group
+            ])
+        if found:
+            out.bounds = (min(found), max(found))
         return out
 
-    def _fold_columns(self, block: _Block) -> list:
-        """What a fold reads of ``block`` per row (site, event, thread, chain,
-        wall duration and has-both-readings, anchor and has-one), kept."""
+    def _fold_columns(self, block: _Block) -> _FoldColumns:
+        """What a fold reads of ``block``, built on the first fold and kept."""
         if block.fold is None:
             cols = self._columns(block)
             flags = cols[_FLAGS]
@@ -1156,12 +1209,29 @@ class SegmentReader:
             except ValueError:
                 raise StoreError(f"corrupt semantics in {self.path}: not JSON") from None
             timed = flags.translate(_WALL_BOTH)
+            durations = list(_fill(timed, compress(
+                cols[_WD], compress(timed, flags.translate(_BIT[1]))
+            ), 0))
+            site = cols[_SITE]
+            # Rows in (site, wall duration) order: two stable C-level sorts.
+            order = sorted(range(block.rows), key=durations.__getitem__)
+            order.sort(key=site.__getitem__)
+            sids = sorted(set(site))
             anchor, has_anchor = _anchor_columns(self._wall(block, cols))
-            durations = compress(cols[_WD], compress(timed, flags.translate(_BIT[1])))
-            block.fold = [
-                cols[_SITE], cols[_EVENT], cols[_TID], array("I", self._row_cids(block, cols)),
-                array("q", _fill(timed, durations, 0)), timed, array("q", anchor), has_anchor,
-            ]
+            take = _taker(order)
+            block.fold = _FoldColumns(
+                array("I", sids),
+                array("I", [bisect_left(order, sid, key=site.__getitem__) for sid in sids]
+                      + [block.rows]),
+                array("H" if block.rows <= 0x10000 else "I",
+                      sorted(range(block.rows), key=order.__getitem__)),
+                bytes(take(cols[_EVENT])),
+                array(getattr(cols[_TID], "typecode", "B"), take(cols[_TID])),
+                array("I", take(list(self._row_cids(block, cols)))),
+                array("q", take(durations)), bytes(take(timed)),
+                array("q", take(anchor)), bytes(take(has_anchor)),
+                None if self.sealed and not self.partial else array("I", set(cols[_RUN_CID])),
+            )
         return block.fold
 
     def load_ranked(self, out: list) -> None:
@@ -1197,6 +1267,19 @@ class SegmentReader:
         return keep
 
 
+def _taker(indices):
+    """A function that gathers ``column[i]`` for each of ``indices``, as a tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda column: tuple(map(column.__getitem__, indices))
+
+
+def _extremes(values, has: bytes) -> tuple:
+    """The least and the greatest of ``values`` where ``has`` is 1 (none: ``()``)."""
+    found = list(compress(values, has))
+    return (min(found), max(found)) if found else ()
+
+
 def _anchor_columns(wall) -> tuple:
     """Each row's anchor (``wall_start``, else ``wall_end``; 0 where it
     has neither) and a 0/1 byte per row: has it one?"""
@@ -1214,7 +1297,8 @@ def _row_mask(flt, site, cids, anchors) -> bytes | None:
     lo, hi = flt.ts_lo, flt.ts_hi
     masks = [
         None if flt.cids is None else bytes(map(flt.cids.__contains__, cids)),
-        None if flt.sites is None else bytes(map(flt.sites.__contains__, site)),
+        None if flt.sites is None or site is None
+        else bytes(map(flt.sites.__contains__, site)),
     ]
     if anchors is not None:
         values, has = anchors

@@ -254,6 +254,22 @@ def _xb_scenario_ids():
     return [s.scenario_id for s in expand_grid(load_suite(str(SUITE_PATH)))]
 
 
+def _failure_report(outcome) -> str:
+    """What a failed cell needs to be replayed and diagnosed: its seed and
+    each failed invariant's details, a ``checks`` table's false entries
+    named first."""
+    lines = [f"{outcome.scenario_id} (seed {outcome.seed}) failed:"]
+    for result in outcome.invariants:
+        if result.passed:
+            continue
+        checks = result.details.get("checks")
+        if isinstance(checks, dict):
+            false = sorted(name for name, ok in checks.items() if not ok)
+            lines.append(f"  {result.name}: checks false {false}")
+        lines.append(f"  {result.name} details: {result.details!r}")
+    return "\n".join(lines)
+
+
 class TestCrossBackendSuite:
     """The committed cross-backend grid holds on every cell."""
 
@@ -262,8 +278,7 @@ class TestCrossBackendSuite:
         (outcome,) = [
             o for o in xb_suite_report.outcomes if o.scenario_id == scenario_id
         ]
-        failed = [r.name for r in outcome.invariants if not r.passed]
-        assert outcome.passed, f"{scenario_id}: failed invariants {failed}"
+        assert outcome.passed, _failure_report(outcome)
 
     def test_identity_checks_cover_analyzer_surface(self, xb_suite_report):
         """Every cell's identity invariant compared the whole surface:
