@@ -12,10 +12,18 @@ rescales MAD to the stddev of a normal distribution). Up to ~50% of the
 window can be outliers before the baseline drifts, so detection keeps
 working while an incident is in progress.
 
-The window is kept as a sorted insertion list (O(window) updates); MAD
-is recomputed per observation. Windows are small (64 by default), so
-this is a handful of microseconds per completed call — measured in
-``benchmarks/bench_streaming_detection.py``.
+The window is kept twice: in arrival order (for eviction) and as a
+sorted list, updated with one ``insort`` and one ``bisect`` delete
+(O(window) memory moves, done in C). The median is read off the sorted
+list's middle. The MAD is selected from it too, without building or
+sorting the deviations: the deviations below the median, ``m - x``,
+ascend leftwards from the median and those above it, ``x - m``,
+ascend rightwards, so the ``n // 2`` smallest are a contiguous run of
+the sorted window around the median. A binary search over where that
+run starts (O(log window) Python steps, about six at the default 64)
+finds it, and the MAD is read off its two ends and its two neighbours.
+IEEE subtraction is antisymmetric (``m - x == -(x - m)`` exactly), so
+the result is bit-identical to ``sorted(abs(x - m) for x in window)``.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from dataclasses import dataclass
 
 #: MAD -> stddev consistency constant for the normal distribution.
 MAD_SCALE = 0.6745
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -60,21 +69,18 @@ class RollingBaseline:
     def count(self) -> int:
         return len(self._arrivals)
 
-    def _median_of(self, ordered: list[float]) -> float:
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
+    def median(self) -> float:
+        ordered = self._ordered
+        n = len(ordered)
+        if not n:
+            return 0.0
+        mid = n // 2
+        if n % 2:
             return ordered[mid]
         return (ordered[mid - 1] + ordered[mid]) / 2.0
 
-    def median(self) -> float:
-        return self._median_of(self._ordered) if self._ordered else 0.0
-
     def mad(self) -> float:
-        if not self._ordered:
-            return 0.0
-        median = self.median()
-        deviations = sorted(abs(value - median) for value in self._ordered)
-        return self._median_of(deviations)
+        return _mad(self._ordered, self.median()) if self._ordered else 0.0
 
     def snapshot(self) -> BaselineStat:
         return BaselineStat(count=self.count, median=self.median(), mad=self.mad())
@@ -90,7 +96,7 @@ class RollingBaseline:
         if not self._ordered:
             return 0.0
         median = self.median()
-        mad = self.mad()
+        mad = _mad(self._ordered, median)
         scale = mad if mad > 0.0 else max(abs(median) * 0.01, 1.0)
         return MAD_SCALE * (value - median) / scale
 
@@ -102,3 +108,43 @@ class RollingBaseline:
             del self._ordered[bisect_left(self._ordered, oldest)]
         self._arrivals.append(value)
         insort(self._ordered, value)
+
+
+def _mad(ordered: list[float], median: float) -> float:
+    """The median of ``abs(x - median)`` over the non-empty sorted list
+    ``ordered``, selected without building the deviations.
+
+    ``ordered[:split]`` lie below the median and ``ordered[split:]`` at or
+    above it. The ``half = n // 2`` smallest deviations are the run
+    ``ordered[lo:lo + half]`` for the first start ``lo`` at which taking
+    ``ordered[lo]`` is no worse than taking ``ordered[lo + half]``; the
+    sorted deviations' element ``half`` is the nearer of the run's two
+    neighbours, and (even ``n``) element ``half - 1`` the farther of its
+    two ends (a missing neighbour or end stands in as ``inf`` or ``0.0``).
+    Every start searched keeps ``ordered[lo]`` below the median and
+    ``ordered[lo + half]`` at or above it, so each difference taken is
+    already the absolute one.
+    """
+    n = len(ordered)
+    half = n // 2
+    split = bisect_left(ordered, median)
+    lo = max(split - half, 0)
+    hi = min(split, n - half)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if median - ordered[mid] > ordered[mid + half] - median:
+            lo = mid + 1
+        else:
+            hi = mid
+    end = lo + half
+    upper = min(
+        median - ordered[lo - 1] if lo else _INF,
+        ordered[end] - median if end < n else _INF,
+    )
+    if n % 2:
+        return upper
+    lower = max(
+        median - ordered[lo] if lo < split else 0.0,
+        ordered[end - 1] - median if end > split else 0.0,
+    )
+    return (lower + upper) / 2.0

@@ -215,27 +215,34 @@ class StreamingDetector:
             if child_latency is not None and child_latency > 0:
                 children_ns += child_latency
         self._completion_index += 1
-        state = self._functions.get(node.function)
+        function = node.function
+        state = self._functions.get(function)
         if state is None:
-            state = self._functions[node.function] = _FunctionState(self.config.window)
+            state = self._functions[function] = _FunctionState(self.config.window)
+        baseline = state.baseline
+        threshold = self.config.z_threshold
+        # At or below the median z <= 0, which a positive threshold never
+        # reaches, and a normal completion's z is not kept: skip the MAD.
         z = (
-            state.baseline.score(latency)
-            if state.baseline.count >= self.config.min_samples
+            baseline.score(latency)
+            if baseline.count >= self.config.min_samples
+            and (threshold <= 0.0 or latency > baseline.median())
             else 0.0
         )
-        anomalous = z >= self.config.z_threshold
+        anomalous = z >= threshold
+        # Positional: keywords cost ~0.7 us more per completion.
         completion = WindowCompletion(
-            completion_index=self._completion_index,
-            record_index=record_index,
-            function=node.function,
-            component=node.component,
-            chain_uuid=node.chain_uuid,
-            latency_ns=latency,
-            self_ns=max(latency - children_ns, 0),
-            z=z if anomalous else 0.0,
+            self._completion_index,
+            record_index,
+            function,
+            node.component,
+            node.chain_uuid,
+            latency,
+            max(latency - children_ns, 0),
+            z if anomalous else 0.0,
         )
         self._history.append(completion)
-        state.baseline.observe(latency)
+        baseline.observe(latency)
         if anomalous:
             self._anomalous_total += 1
             self._m_anomalous.inc()

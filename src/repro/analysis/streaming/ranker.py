@@ -34,9 +34,11 @@ from repro.analysis.streaming.incident import CauseScore
 DEFAULT_WEIGHTS: tuple[float, float, float] = (0.4, 0.4, 0.2)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WindowCompletion:
-    """One completed invocation as the detector observed it."""
+    """One completed invocation as the detector observed it (built once per
+    completion and never changed; not frozen, whose constructor pays an
+    ``object.__setattr__`` per field)."""
 
     completion_index: int
     record_index: int

@@ -124,6 +124,8 @@ _SWAP = sys.byteorder == "big"
 #: call kind / collocation.
 _BIT = [bytes((b >> i) & 1 for b in range(256)) for i in range(8)]
 _WALL_BOTH = bytes(int(b & 3 == 3) for b in range(256))
+_WALL_ANY = bytes(int(b & 3 != 0) for b in range(256))
+_NO_WALL_START = bytes(int(not b & 1) for b in range(256))
 _KIND_OF = [ONEWAY if b & FLAG_BITS["oneway"] else SYNC for b in range(256)]
 _COLLOCATED_OF = [bool(b & FLAG_BITS["collocated"]) for b in range(256)]
 _EVENTS = list(EVENT_BY_NUM)
@@ -948,7 +950,7 @@ class SegmentReader:
         lo, hi = flt.ts_lo, flt.ts_hi
         anchors = None
         if lo is not None or hi is not None:
-            anchors = _anchor_columns(self._wall(block, cols))
+            anchors = _anchor_columns(self._wall(block, cols), cols[_FLAGS])
         return _and(select, _row_mask(
             flt, cols[_SITE], self._row_cids(block, cols), anchors
         )), examined
@@ -1217,7 +1219,7 @@ class SegmentReader:
             order = sorted(range(block.rows), key=durations.__getitem__)
             order.sort(key=site.__getitem__)
             sids = sorted(set(site))
-            anchor, has_anchor = _anchor_columns(self._wall(block, cols))
+            anchor, has_anchor = _anchor_columns(self._wall(block, cols), flags)
             take = _taker(order)
             block.fold = _FoldColumns(
                 array("I", sids),
@@ -1280,14 +1282,20 @@ def _extremes(values, has: bytes) -> tuple:
     return (min(found), max(found)) if found else ()
 
 
-def _anchor_columns(wall) -> tuple:
+def _anchor_columns(wall, flags: bytes) -> tuple:
     """Each row's anchor (``wall_start``, else ``wall_end``; 0 where it
-    has neither) and a 0/1 byte per row: has it one?"""
-    starts, ends = map(list, wall)
-    if None not in starts:
-        return starts, b"\1" * len(starts)
-    anchors = [s if s is not None else e for s, e in zip(starts, ends)]
-    return [a or 0 for a in anchors], _present(anchors)
+    has neither) and a 0/1 byte per row: has it one? ``flags`` is the
+    block's flags column, whose presence bits ``_columns`` checked against
+    the wall columns: only the rows it marks start-less take a Python step."""
+    starts, ends = wall
+    anchors = list(starts)
+    no_start = flags.translate(_NO_WALL_START)
+    if 1 in no_start:
+        ends = list(ends)
+        for row in compress(range(len(anchors)), no_start):
+            end = ends[row]
+            anchors[row] = 0 if end is None else end
+    return anchors, flags.translate(_WALL_ANY)
 
 
 def _row_mask(flt, site, cids, anchors) -> bytes | None:

@@ -10,6 +10,7 @@ The acceptance gates of the streaming subsystem:
   ``repro incidents`` CLI exit code.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -22,6 +23,9 @@ from repro.analysis.streaming import (
     seeded_incident_report,
 )
 from repro.store import MonitoringDatabase, SegmentStore
+
+#: sha256 of ``repro incidents --demo-faults 7 --output FILE``'s report.
+DEMO_7_SHA256 = "83e20d8f1bc98ce08b13d94d09eb0c8a739ac221f7840370cb6b883d65e468dc"
 
 
 class TestFaultFreeBitIdentity:
@@ -177,6 +181,9 @@ class TestIncidentsCli:
         assert main(["incidents", "--demo-faults", "7", "--output", str(first)]) == 1
         assert main(["incidents", "--demo-faults", "7", "--output", str(second)]) == 1
         assert first.read_bytes() == second.read_bytes()
+        # The report itself is pinned: a detector change that moves one
+        # bit of any verdict, score or baseline shows here.
+        assert hashlib.sha256(first.read_bytes()).hexdigest() == DEMO_7_SHA256
         document = json.loads(first.read_text())
         assert document["incident_count"] >= 1
 

@@ -4,8 +4,11 @@ import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.dscg import Dscg
+from repro.analysis.latency import end_to_end_latency
 from repro.analysis.quantiles import P2Quantile
 from repro.analysis.serialize import dscg_to_json
 from repro.analysis.statemachine import reconstruct_chain
@@ -19,7 +22,11 @@ from repro.analysis.streaming import (
     incident_from_dict,
     incidents_from_json,
     incidents_to_json,
+    run_seeded_delay_scenario,
 )
+from repro.analysis.streaming import baselines
+from repro.analysis.streaming.baselines import MAD_SCALE
+from repro.analysis.streaming.detector import _FunctionState
 from repro.core import MonitorMode
 from tests.helpers import Call, rows_of, simulate
 
@@ -240,6 +247,64 @@ class TestRollingBaseline:
             RollingBaseline(window=3)
 
 
+def _oracle(window: list[float]) -> tuple[float, float]:
+    """Median and MAD the brute-force way: sort the deviations."""
+
+    def median_of(ordered):
+        mid = len(ordered) // 2
+        if len(ordered) % 2:
+            return ordered[mid]
+        return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+    median = median_of(sorted(window))
+    return median, median_of(sorted(abs(x - median) for x in window))
+
+
+#: Latencies as the detector sees them (ints), heavy ties, and floats.
+_LATENCIES = st.one_of(
+    st.lists(st.integers(0, 10**9), min_size=1, max_size=160),
+    st.lists(st.integers(95, 105), min_size=1, max_size=160),
+    st.lists(st.sampled_from([0, 7, 7, 7, 1_000]), min_size=1, max_size=160),
+    st.lists(
+        st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=160,
+    ),
+)
+
+
+class TestRollingBaselineExactness:
+    """The selected median, MAD and score equal (``==``) a sort's."""
+
+    @given(window=st.integers(4, 64), values=_LATENCIES, probe=st.integers(-10, 10**9))
+    def test_matches_sorting_oracle_after_every_observation(self, window, values, probe):
+        baseline = RollingBaseline(window)
+        for seen, value in enumerate(values, 1):
+            baseline.observe(value)
+            current = [float(v) for v in values[max(seen - window, 0):seen]]
+            median, mad = _oracle(current)
+            assert baseline.count == len(current)
+            assert baseline.median() == median
+            assert baseline.mad() == mad
+            scale = mad if mad > 0.0 else max(abs(median) * 0.01, 1.0)
+            for candidate in (probe, value, median):
+                assert baseline.score(candidate) == MAD_SCALE * (candidate - median) / scale
+            assert baseline.snapshot().mad == mad
+
+    @pytest.mark.parametrize("window", [4, 5, 63, 64])
+    @pytest.mark.parametrize("fill", [1, 2, 3, 4, 5, 64, 200])
+    def test_constant_window_uses_the_scale_floor(self, window, fill):
+        baseline = RollingBaseline(window)
+        for _ in range(fill):
+            baseline.observe(250)
+        assert (baseline.median(), baseline.mad()) == (250.0, 0.0)
+        assert baseline.score(1_250) == MAD_SCALE * 1_000 / 2.5
+
+    def test_empty_window_scores_zero(self):
+        baseline = RollingBaseline()
+        assert (baseline.median(), baseline.mad(), baseline.score(5)) == (0.0, 0.0, 0.0)
+
+
 class TestP2Quantile:
     def test_exact_for_small_counts(self):
         quantile = P2Quantile(0.5)
@@ -413,3 +478,148 @@ class TestStreamingDetector:
         assert "repro_streaming_incidents_total 1" in body
         assert "repro_streaming_records_total" in body
         assert "repro_streaming_anomalous_completions_total" in body
+
+
+class _ScoreEveryCompletion(StreamingDetector):
+    """Reference detector: scores every warm completion in full (no
+    short-cut below the median), otherwise the detector's own steps."""
+
+    def _on_complete(self, node, record, record_index):
+        self._m_completions.inc()
+        latency = end_to_end_latency(node)
+        if latency is None:
+            return
+        children_ns = sum(
+            child_latency
+            for child_latency in map(end_to_end_latency, node.children)
+            if child_latency is not None and child_latency > 0
+        )
+        self._completion_index += 1
+        state = self._functions.setdefault(
+            node.function, _FunctionState(self.config.window)
+        )
+        warm = state.baseline.count >= self.config.min_samples
+        z = state.baseline.score(latency) if warm else 0.0
+        anomalous = z >= self.config.z_threshold
+        completion = WindowCompletion(
+            completion_index=self._completion_index,
+            record_index=record_index,
+            function=node.function,
+            component=node.component,
+            chain_uuid=node.chain_uuid,
+            latency_ns=latency,
+            self_ns=max(latency - children_ns, 0),
+            z=z if anomalous else 0.0,
+        )
+        self._history.append(completion)
+        state.baseline.observe(latency)
+        if anomalous:
+            self._anomalous_total += 1
+            self._m_anomalous.inc()
+        self._advance_state(state, completion, anomalous)
+
+
+def _interleaved_stream(seed: int) -> list:
+    """Many chains' records, interleaved at random over up to eight open
+    chains (each chain's own records stay in order)."""
+    rng = random.Random(seed)
+    calls = []
+    for i in range(160):
+        spike = 60 <= i < 75
+        slow = rng.choice([100, 100, 120, 150]) * (400 if spike else 1)
+        calls.append(
+            Call(
+                "I::F",
+                cpu_ns=rng.choice([90, 100, 100, 110]),
+                children=(
+                    Call("I::G", cpu_ns=slow, component="Back"),
+                    Call("I::H", cpu_ns=rng.randint(40, 60)),
+                ),
+            )
+        )
+        calls.append(Call("I::W", cpu_ns=rng.choice([30, 30, 31])))
+    chains = defaultdict(list)
+    for record in records_for(calls):
+        chains[record.chain_uuid].append(record)
+    queues = [chains[uuid] for uuid in sorted(chains)]
+    stream = []
+    while queues:
+        lane = rng.randrange(min(len(queues), 8))
+        stream.append(queues[lane].pop(0))
+        if not queues[lane]:
+            del queues[lane]
+    return stream
+
+
+class TestBelowMedianShortCut:
+    """Skipping the MAD at or below the median changes no output."""
+
+    CONFIGS = [
+        DetectionConfig(),
+        CFG,
+        DetectionConfig(window=16, min_samples=4, z_threshold=0.0, persistence=2),
+        DetectionConfig(window=16, min_samples=4, z_threshold=-1.0, persistence=2),
+    ]
+
+    @staticmethod
+    def _pair(config, records):
+        detectors = (StreamingDetector(config), _ScoreEveryCompletion(config))
+        for detector in detectors:
+            detector.ingest_many(records)
+            detector.finalize()
+        return detectors
+
+    @staticmethod
+    def _assert_same(detector, reference):
+        assert [i.to_dict() for i in detector.incidents] == [
+            i.to_dict() for i in reference.incidents
+        ]
+        assert detector.stats() == reference.stats()
+        assert list(detector._history) == list(reference._history)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "cfg", "zero", "negative"])
+    def test_seeded_delay_scenario(self, config):
+        scenario = run_seeded_delay_scenario(7)
+        records = list(scenario.store.all_records(scenario.run_id))
+        scenario.store.close()
+        detector, reference = self._pair(config, records)
+        self._assert_same(detector, reference)
+        if config.z_threshold > 0:
+            assert detector.incidents
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "cfg", "zero", "negative"])
+    def test_interleaved_stream(self, config, monkeypatch):
+        mads = []
+        select = baselines._mad
+        monkeypatch.setattr(
+            baselines, "_mad", lambda *args: mads.append(1) or select(*args)
+        )
+        records = _interleaved_stream(3)
+        detector = StreamingDetector(config)
+        detector.ingest_many(records)
+        detector.finalize()
+        selected = len(mads)
+        reference = _ScoreEveryCompletion(config)
+        reference.ingest_many(records)
+        reference.finalize()
+        self._assert_same(detector, reference)
+        assert detector.incidents
+        # The short-cut skips MADs under a positive threshold, and only there.
+        skipped = (len(mads) - selected) - selected
+        assert (skipped > 0) == (config.z_threshold > 0)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_non_positive_threshold_still_scores_below_the_median(self, threshold):
+        records = _interleaved_stream(5)
+        config = DetectionConfig(window=16, min_samples=4, z_threshold=threshold)
+        detector, reference = self._pair(config, records)
+        self._assert_same(detector, reference)
+        # Completions at or below their median (z <= 0) count only under a
+        # non-positive threshold: just above zero, fewer are anomalous.
+        barely, _ = self._pair(
+            DetectionConfig(window=16, min_samples=4, z_threshold=1e-9), records
+        )
+        assert (
+            detector.stats()["anomalous_completions"]
+            > barely.stats()["anomalous_completions"]
+        )

@@ -16,7 +16,10 @@ from repro.store.segment import (
     ScanStats,
     SegmentReader,
     SegmentWriter,
+    _anchor_columns,
     _FoldColumns,
+    _full_readings,
+    _present,
 )
 from tests.unit.store.test_segment_codec import make_record
 
@@ -102,3 +105,49 @@ def test_rows_lie_in_site_then_duration_order(tmp_path, kind):
             assert columns.has_anchor[p] == (anchor is not None)
     finally:
         reader.close()
+
+
+def _anchors_row_by_row(wall):
+    """The anchors and presence bytes, one comprehension step per row."""
+    starts, ends = map(list, wall)
+    if None not in starts:
+        return starts, b"\1" * len(starts)
+    anchors = [s if s is not None else e for s, e in zip(starts, ends)]
+    return [a or 0 for a in anchors], _present(anchors)
+
+
+def _wall(has_start: bytes, has_end: bytes):
+    """A 4 096-row block's wall readings as the reader decodes them: a
+    start delta per row that has a start, a duration per row that has an
+    end (a row without a start stores its end there). The flags bytes
+    carry the same presence bits (bit 0 start, bit 1 end)."""
+    deltas = [0 if i % 50 == 0 else 997 for i in range(has_start.count(1))]
+    durations = [(i * 7919) % 50_000 for i in range(has_end.count(1))]
+    return _full_readings(deltas, durations, 1_700_000_000_000_000_000, has_start, has_end)
+
+
+@pytest.mark.parametrize(
+    "missing, ends_missing",
+    [
+        (lambda i: i % 9 == 0, lambda i: False),
+        (lambda i: i % 9 == 0, lambda i: i % 9 == 0),
+        (lambda i: i % 9 == 0, lambda i: i % 27 == 0),
+        (lambda i: True, lambda i: False),
+        (lambda i: True, lambda i: i % 5 == 0),
+        (lambda i: False, lambda i: i % 7 == 0),
+    ],
+    ids=[
+        "ninth-start", "ninth-both", "ninth-start-27th-end",
+        "no-start", "no-start-fifth-end", "every-start",
+    ],
+)
+def test_anchor_columns_equal_the_row_by_row_build(missing, ends_missing):
+    rows = range(_BLOCK_ROWS)
+    has_start = bytes(not missing(i) for i in rows)
+    has_end = bytes(not ends_missing(i) for i in rows)
+    flags = bytes(map(lambda start, end: start | end << 1, has_start, has_end))
+    anchors, has = _anchor_columns(_wall(has_start, has_end), flags)
+    expected_anchors, expected_has = _anchors_row_by_row(_wall(has_start, has_end))
+    assert anchors == expected_anchors
+    assert has == expected_has
+    assert isinstance(has, bytes)
