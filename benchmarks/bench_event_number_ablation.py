@@ -15,6 +15,7 @@ import random
 
 from repro.analysis import reconstruct_from_records
 from repro.core import MonitorMode
+from repro.core.records import as_row, from_row
 from tests.helpers import Call, simulate
 
 
@@ -44,7 +45,7 @@ def _strip_event_numbers(records, seed=7):
         shuffled = list(chain_records)
         rng.shuffle(shuffled)
         for arrival, record in enumerate(shuffled):
-            clone = type(record)(**{**record.__dict__})
+            clone = from_row(as_row(record))
             clone.event_seq = arrival  # order information is gone
             ablated.append(clone)
     return ablated

@@ -113,15 +113,16 @@ class StreamingReconstructor:
         Reads go through the buffer's ``read_from`` cursor: with
         per-thread segmented buffers a flat index into ``snapshot()``
         would re-read (or skip) records as older segments keep growing.
-        A collector draining the same buffers meanwhile moves no cursor;
-        records it took before this poll saw them are counted in the
-        buffer's ``unread_drained``.
+        A process's first poll starts from the cursor ``()``. A collector
+        draining the same buffers meanwhile moves no cursor; records it
+        took before a poll saw them — before the first poll too — are
+        counted in the buffer's ``unread_drained``.
         """
         new = 0
         with self._lock:
             for process in processes:
                 records, self._cursors[process.pid] = process.log_buffer.read_from(
-                    self._cursors.get(process.pid)
+                    self._cursors.get(process.pid, ())
                 )
                 for record in records:
                     self._enqueue_locked(record)

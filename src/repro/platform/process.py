@@ -171,29 +171,27 @@ class LocalLogBuffer:
         return list(map(from_row, rows))
 
     def read_from(
-        self, cursor: tuple[int, ...] | None
+        self, cursor: tuple[int, ...]
     ) -> tuple[list[ProbeRecord], tuple[int, ...]]:
         """Incremental, non-draining read for live consumers.
 
         ``cursor`` is the opaque position returned by the previous call
-        (``None`` to start from what the buffer holds). Returns
-        ``(new_records, new_cursor)``. Unlike indexing into ``snapshot()``
-        — whose cross-thread interleaving shifts as older segments keep
-        growing — the cursor tracks a per-segment position counted from
-        the segment's creation, so every record is observed exactly once
-        and in per-thread order, and a drain between two reads moves no
+        (``()`` for a reader's first read). Returns ``(new_records,
+        new_cursor)``. Unlike indexing into ``snapshot()`` — whose
+        cross-thread interleaving shifts as older segments keep growing —
+        the cursor tracks a per-segment position counted from the
+        segment's creation, so every record is observed exactly once and
+        in per-thread order, and a drain between two reads moves no
         position: what is appended after it is read next. Rows a drain
-        took before this cursor reached them are counted in
-        :attr:`unread_drained`.
+        took before this cursor reached them — for a first read, every
+        row drained so far — are counted in :attr:`unread_drained`.
         """
         rows: list[list] = []
         with self._lock:
             drained = self._drained
             lists = self._lists()
-            if cursor is None:
-                positions = list(drained)
-            else:  # a segment born after the cursor is read from its start
-                positions = [*cursor, *[0] * (len(lists) - len(cursor))]
+            # A segment born after the cursor is read from its start.
+            positions = [*cursor, *[0] * (len(lists) - len(cursor))]
             for index, held in enumerate(lists):
                 # Appends do not take the lock: read up to one length, so a
                 # row landing meanwhile is left for the next read.

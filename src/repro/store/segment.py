@@ -31,15 +31,12 @@ group table with the rows' arrival ranks beside it. ``FXTS`` (anchor
 bounds) and ``FXFN`` (the function zone map) are what predicate pushdown
 prunes segments and groups on. A segment whose trailer is missing or whose
 footer fails its checksum is *partial*: every consistent column block is
-salvaged front to back and the rest counted in ``dropped_bytes``. A file
-in the frame format that preceded columns (header format 1) is read by
-:mod:`repro.store.legacy_v2` and served re-encoded in memory. DESIGN.md §8
-has the whole design.
+salvaged front to back and the rest counted in ``dropped_bytes``.
+DESIGN.md §8 has the whole design.
 """
 
 from __future__ import annotations
 
-import io
 import logging
 import mmap
 import os
@@ -68,14 +65,12 @@ from repro.store.codec import (
     read_strings,
     read_table_block,
 )
-from repro.store.legacy_v2 import read_frames
 
 logger = logging.getLogger(__name__)
 
 MAGIC = b"RSG1"
 TRAILER_MAGIC = b"RSEG"
 FORMAT_VERSION = 2
-_FORMAT_FRAMES = 1  # read by repro.store.legacy_v2
 
 KIND_SPOOL = 0
 KIND_SEALED = 1
@@ -283,18 +278,17 @@ class _SiteIds(_Ids):
 
 
 class SegmentWriter:
-    """Streams probe rows into one segment file as column blocks.
+    """Streams probe rows into the segment file ``path`` as column blocks.
 
-    ``path`` is a file name, or a binary buffer the segment is written
-    into (left open). Rows are buffered and encoded a block at a time, one
-    C-level pass per column (:func:`_column`).
+    Rows are buffered and encoded a block at a time, one C-level pass per
+    column (:func:`_column`).
     """
 
-    def __init__(self, path, kind: int = KIND_SPOOL, arrival_base: int = 0):
+    def __init__(self, path: str, kind: int = KIND_SPOOL, arrival_base: int = 0):
         self.path = path
         self.kind = kind
         self.arrival_base = arrival_base
-        self._file = open(path, "wb") if isinstance(path, str) else path
+        self._file = open(path, "wb")
         self._file.write(
             _HEADER.pack(MAGIC, FORMAT_VERSION, kind, SCHEMA_VERSION, arrival_base)
         )
@@ -495,9 +489,7 @@ class SegmentWriter:
             out += self._fn_counts + _column(self._fn_index, "H")[1]
         self._file.write(out)
         self._file.write(_TRAILER.pack(footer_off, TRAILER_MAGIC, crc32(out)))
-        self._file.flush()
-        if isinstance(self.path, str):
-            self._file.close()
+        self._file.close()
 
     def abort(self) -> None:
         """Close and delete the (unsealed) file."""
@@ -667,11 +659,10 @@ class SegmentReader:
                 f"segment {path} uses record schema v{schema_version}, "
                 f"this build reads v{SCHEMA_VERSION} only"
             )
-        if fmt not in (FORMAT_VERSION, _FORMAT_FRAMES):
+        if fmt != FORMAT_VERSION:
             raise StoreError(f"unsupported segment format {fmt}: {path}")
         self.kind = kind
         self.sealed = kind == KIND_SEALED
-        self.format_version = fmt
         self.schema_version = schema_version
         self.arrival_base = arrival_base
         self.partial = False
@@ -696,40 +687,14 @@ class SegmentReader:
         self._fn_unknown, self._fn_index, self._fn_offsets = b"", array("H"), array("I")
         self.record_count = 0
         self._blocks: list[_Block] = []
-        if fmt == _FORMAT_FRAMES:
-            self._transcode()
-        elif not self._load_with_footer():
+        if not self._load_with_footer():
             self._salvage()
 
     def close(self) -> None:
-        if isinstance(self._mm, mmap.mmap):
-            self._mm.close()
+        self._mm.close()
 
     # ------------------------------------------------------------------
     # Loading
-
-    def _transcode(self) -> None:
-        """A frame-format file: its rows, re-encoded in memory, served."""
-        rows, ranks, partial, dropped = read_frames(
-            self._mm, self.size_bytes, self.path, self.sealed
-        )
-        self._mm.close()
-        buffer = io.BytesIO()
-        writer = SegmentWriter(
-            buffer, KIND_SEALED if self.sealed and not partial else KIND_SPOOL,
-            self.arrival_base,
-        )
-        try:
-            writer.append(rows, ranks)
-            writer.seal()
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StoreError(f"cannot re-encode {self.path}: {exc}") from None
-        self._mm = buffer.getvalue()
-        self.partial, self.dropped_bytes = partial, dropped
-        footer_off = _TRAILER.unpack_from(self._mm, len(self._mm) - _TRAILER.size)[0]
-        self._parse_footer(footer_off, len(self._mm))
-        if partial:
-            self.ts_bounds = self.chain_ts = self.fn_table = None
 
     def _load_with_footer(self) -> bool:
         mm = self._mm
@@ -744,7 +709,7 @@ class SegmentReader:
         ):
             return False  # no trailer, or a footer it does not vouch for
         try:
-            self._parse_footer(footer_off, self.size_bytes)
+            self._parse_footer(footer_off)
             return True
         except (
             struct.error, ValueError, IndexError, MemoryError, OverflowError, StoreError
@@ -764,7 +729,7 @@ class SegmentReader:
             out.byteswap()
         return out, end
 
-    def _parse_footer(self, footer_off: int, size: int) -> None:
+    def _parse_footer(self, footer_off: int) -> None:
         mm = self._mm
         # Footer: counts, dictionary, site table, chain index, ranks.
         self.record_count, has_ranks = struct.unpack_from("<QB", mm, footer_off)
@@ -782,7 +747,7 @@ class SegmentReader:
             self.ranks, pos = self._array(
                 "Q" if has_ranks == 1 else "I", pos, self.record_count
             )
-        footer_end = size - _TRAILER.size
+        footer_end = self.size_bytes - _TRAILER.size
         if pos + 4 <= footer_end and mm[pos:pos + 4] == _FXTS_MAGIC:
             (flags, seg_min, seg_max) = struct.unpack_from("<Bqq", mm, pos + 4)
             pos += 4 + 17
@@ -827,7 +792,7 @@ class SegmentReader:
             or (n_chains and max(self.chain_ids) >= n_strings)
         ):
             raise StoreError(f"chain index and column blocks disagree in {self.path}")
-        if self.sealed and not self.partial:
+        if self.sealed:
             # Each block starts at a group: its groups are [g0, g1).
             starts = self._starts = array("Q", accumulate(counts, initial=0))
             if 0 in counts:

@@ -2,13 +2,13 @@
 
 A worker ships its sealed segments as exact bytes (``receive_shipment``);
 the network, a disk or a bug may hand over something else. Take a valid
-shipment — a shard's collection of simulated processes, column format, or
-the frame-format golden file ``data/v2_sealed.seg`` — truncate it, flip
-bits in it, overwrite a run of it (a length word among them), delete a
-run of it, and receive it. It must then either decode to exactly the
-shipped rows in the worker's arrival order, or raise :class:`StoreError`:
-never another exception, never other rows. (The column format's CRC32s make
-that possible; a frame-format file, which has none, is refused whole.)
+shipment — a shard's collection of simulated processes, or the golden
+sealed file ``data/v3_sealed.seg``, whose arrival ranks pass ``u32`` —
+truncate it, flip bits in it, overwrite a run of it (a length word among
+them), delete a run of it, and receive it. It must then either decode to
+exactly the shipped rows in the worker's arrival order, or raise
+:class:`StoreError`: never another exception, never other rows. (The
+column format's CRC32s make that possible.)
 
 Derandomized: the examples are a function of this file alone. Tier-1
 runs the suite profile's budget (``tests/conftest.py``); CI's fuzz job
@@ -17,19 +17,18 @@ raises it through ``REPRO_FUZZ_EXAMPLES``.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.collector.sharded import ShardedSpoolCollector
+from repro.core.records import SCHEMA_VERSION, as_row
 from repro.errors import StoreError
 from repro.store.ingest import receive_shipment
 
 from tests.property.test_segment_fuzz import MUTATIONS, mutate
 from tests.unit.cluster.test_shipping import worker_processes
-from tests.unit.store.test_format_v2 import DATA, expected_pairs
+from tests.unit.store.test_format_v3 import data as golden, expected_pairs
 
 LENGTHS = st.lists(
     st.tuples(
@@ -40,22 +39,18 @@ LENGTHS = st.lists(
 )
 
 
-@pytest.fixture(scope="module", params=["columns", "frames"])
+@pytest.fixture(scope="module", params=["columns", "golden"])
 def shipped(request, tmp_path_factory):
     """A manifest, the one shipped segment's bytes, and the rows that must
     come out of them, in the worker's arrival order."""
-    if request.param == "frames":
-        pairs = sorted(expected_pairs("v2_sealed.seg"), key=lambda pair: pair[0])
+    if request.param == "golden":
+        pairs = sorted(expected_pairs("v3_sealed.seg"), key=lambda pair: pair[0])
         manifest = {
-            "run_id": "golden", "schema_version": 2, "record_count": len(pairs),
-            "processes": [], "loss": {}, "monitor_mode": "",
+            "run_id": "golden", "schema_version": SCHEMA_VERSION,
+            "record_count": len(pairs), "processes": [], "loss": {}, "monitor_mode": "",
         }
-        with open(os.path.join(DATA, "v2_sealed.seg"), "rb") as handle:
-            data = handle.read()
-        rows = None  # refused: it carries no checksum
-        with pytest.raises(StoreError, match="segment format 1"):
-            receive_shipment(manifest, [data])
-        return manifest, data, rows
+        data = golden("v3_sealed.seg")
+        rows = [tuple(as_row(record)) for _rank, record in pairs]
     else:
         processes, _records = worker_processes("9")
         shard = ShardedSpoolCollector(
@@ -75,7 +70,7 @@ def receive(manifest, data, rows, staging) -> None:
         shipment = receive_shipment(manifest, [data], workdir=str(staging))
     except StoreError:
         return
-    assert shipment.records == rows is not None
+    assert shipment.records == rows
 
 
 @settings(

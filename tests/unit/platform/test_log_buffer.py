@@ -121,7 +121,7 @@ class TestReadFromCursor:
     def test_cursor_sees_each_record_exactly_once(self):
         buf = LocalLogBuffer()
         buf.append(rec("a"))
-        batch, cursor = buf.read_from(None)
+        batch, cursor = buf.read_from(())
         assert tags(batch) == ["a"]
         batch, cursor = buf.read_from(cursor)
         assert batch == []
@@ -135,7 +135,7 @@ class TestReadFromCursor:
         new segment; the cursor grows to cover it."""
         buf = LocalLogBuffer()
         buf.append(rec("main-1"))
-        _, cursor = buf.read_from(None)
+        _, cursor = buf.read_from(())
 
         def late_writer():
             buf.append(rec("late-1"))
@@ -153,7 +153,7 @@ class TestReadFromCursor:
     def test_read_from_does_not_drain(self):
         buf = LocalLogBuffer()
         buf.append(rec(1))
-        buf.read_from(None)
+        buf.read_from(())
         assert buf.snapshot() == [rec(1)]
 
     @pytest.mark.parametrize("capacity", [None, 100])
@@ -163,7 +163,7 @@ class TestReadFromCursor:
         buf = LocalLogBuffer(capacity=capacity)
         for i in range(5):
             buf.append(rec(i))
-        batch, cursor = buf.read_from(None)
+        batch, cursor = buf.read_from(())
         assert tags(batch) == ["0", "1", "2", "3", "4"]
         assert len(buf.drain()) == 5
         for i in range(5, 8):
@@ -177,7 +177,7 @@ class TestReadFromCursor:
     def test_drain_ahead_of_a_cursor_is_counted(self, capacity):
         buf = LocalLogBuffer(capacity=capacity)
         buf.append(rec("seen"))
-        _, cursor = buf.read_from(None)
+        _, cursor = buf.read_from(())
         buf.append(rec("missed-1"))
         buf.append(rec("missed-2"))
         buf.drain()
@@ -191,7 +191,7 @@ class TestReadFromCursor:
     def test_cursor_across_drains_and_a_late_thread(self):
         buf = LocalLogBuffer()
         buf.append(rec("main-1"))
-        _, cursor = buf.read_from(None)
+        _, cursor = buf.read_from(())
         buf.drain()
 
         def late_writer():
@@ -211,7 +211,7 @@ class TestReadFromCursor:
 
     def test_a_late_segment_drained_unread_is_counted(self):
         buf = LocalLogBuffer()
-        _, cursor = buf.read_from(None)
+        _, cursor = buf.read_from(())
         assert cursor == ()
 
         def late_writer():
@@ -224,11 +224,22 @@ class TestReadFromCursor:
         batch, cursor = buf.read_from(cursor)
         assert batch == []
         assert buf.unread_drained == 1
-        # A reader that starts now starts from what the buffer holds.
+        # A late reader's first read counts the earlier drain.
         buf.append(rec("main-1"))
-        batch, _ = buf.read_from(None)
+        batch, _ = buf.read_from(())
         assert tags(batch) == ["main-1"]
-        assert buf.unread_drained == 1
+        assert buf.unread_drained == 2
+
+    @pytest.mark.parametrize("capacity", [None, 100])
+    def test_a_first_read_counts_a_drain_before_it(self, capacity):
+        buf = LocalLogBuffer(capacity=capacity)
+        for i in range(3):
+            buf.append(rec(i))
+        buf.drain()
+        buf.append(rec(3))
+        batch, _ = buf.read_from(())
+        assert tags(batch) == ["3"]
+        assert len(batch) + buf.unread_drained == 4
 
 
 class TestReaderBesideACollector:
@@ -251,7 +262,7 @@ class TestReaderBesideACollector:
                 drained.extend(buf.drain_rows())
 
         def reader():
-            cursor = None
+            cursor = ()
             while not done.is_set():
                 batch, cursor = buf.read_from(cursor)
                 read.extend(batch)
@@ -295,7 +306,7 @@ class TestBoundedMode:
     def test_bounded_read_from_uses_flat_cursor(self):
         buf = LocalLogBuffer(capacity=10)
         buf.append(rec("x"))
-        batch, cursor = buf.read_from(None)
+        batch, cursor = buf.read_from(())
         assert tags(batch) == ["x"]
         buf.append(rec("y"))
         batch, _ = buf.read_from(cursor)

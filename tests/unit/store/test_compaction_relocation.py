@@ -29,7 +29,7 @@ from repro.store.segment import (
 )
 
 from tests.helpers import reseal, rows_of
-from tests.unit.store.test_format_v2 import DATA, expected_pairs
+from tests.unit.store.test_format_v3 import DATA, expected_pairs
 from tests.unit.store.test_segment_codec import make_record
 from tests.unit.store.test_segment_store import seeded_records
 
@@ -152,9 +152,9 @@ class TestByteIdentity:
     def test_u64_rank_fixture_then_spool(self, tmp_path):
         run_dir = new_run_dir(tmp_path)
         shutil.copy(
-            os.path.join(DATA, "v2_sealed.seg"), os.path.join(run_dir, "000001.sealed.seg")
+            os.path.join(DATA, "v3_sealed.seg"), os.path.join(run_dir, "000001.sealed.seg")
         )
-        early = brute_arrival(expected_pairs("v2_sealed.seg"))
+        early = brute_arrival(expected_pairs("v3_sealed.seg"))
         late = [
             make_record(chain=f"{i % 6:032x}", seq=i % 9, wall_start=10**12 - i)
             for i in range(30)

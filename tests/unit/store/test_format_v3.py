@@ -2,7 +2,8 @@
 the writer writes.
 
 The three ``data/v3_*.seg`` files hold the records of the frame-format
-fixtures (``test_format_v2.py``), written by ``SegmentWriter``:
+fixtures that preceded them (header format 1, no longer read), written by
+``SegmentWriter``:
 
 - ``v3_sealed.seg``: a sealed segment (``FXTS`` + ``FXFN``) of nine chain
   groups in one column block; one arrival rank is past ``u32``, so the
@@ -28,8 +29,7 @@ from repro.core.records import SITE_FIELDS, as_row
 from repro.store import segment as segment_module
 from repro.store.segment import KIND_SEALED, KIND_SPOOL, SegmentReader, SegmentWriter
 
-from tests.unit.store.test_format_v2 import DATA, data
-
+DATA = os.path.join(os.path.dirname(__file__), "data")
 NAMES = ["v3_sealed.seg", "v3_spool.seg", "v3_spool_cut.seg"]
 
 
@@ -45,6 +45,11 @@ def expected_pairs(name):
         site = Site(**{field: fields.pop(field) for field in SITE_FIELDS})
         pairs.append((rank, ProbeRecord(site, **fields)))
     return pairs
+
+
+def data(name):
+    with open(os.path.join(DATA, name), "rb") as handle:
+        return handle.read()
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import pytest
 from repro.core import CallKind, Domain, ProbeRecord, Site, TracingEvent
 from repro.core.records import RECORD_SCHEMA, SCHEMA_VERSION, SITE_FIELDS
 from repro.errors import StoreError
+from repro.store.ingest import receive_shipment
 from repro.store.segment import (
     KIND_SEALED,
     KIND_SPOOL,
@@ -15,6 +16,7 @@ from repro.store.segment import (
     SegmentWriter,
 )
 from tests.helpers import rows_of
+from tests.unit.store.test_format_v3 import data as golden
 
 
 def make_record(chain="aa" * 16, seq=0, **overrides):
@@ -231,6 +233,20 @@ class TestSegmentValidation:
         path.write_bytes(b"RSG1" + b"\x01\x00" + b"\x01\x00" + bytes(8))
         with pytest.raises(StoreError, match="record schema v1, this build reads v2"):
             SegmentReader(str(path))
+
+    def test_refuses_a_format_1_header(self, tmp_path):
+        # The frame format (header format 1) is no longer read: the golden
+        # sealed file with its format byte set to 1 is refused by the
+        # reader and by a coordinator receiving it.
+        data = bytearray(golden("v3_sealed.seg"))
+        data[4] = 1
+        path = tmp_path / "format1.seg"
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreError, match="format 1"):
+            SegmentReader(str(path))
+        manifest = {"run_id": "golden", "schema_version": SCHEMA_VERSION}
+        with pytest.raises(StoreError, match="format 1"):
+            receive_shipment(manifest, [bytes(data)], workdir=str(tmp_path))
 
     def test_schema_table_covers_probe_record(self):
         # A record stores its site and the per-event fields; the ten site
